@@ -2,7 +2,9 @@
 
 Edges are split at every contact with the other boundary, kept or dropped by
 exact midpoint location, and stitched back into cycles. Results are
-regularized: zero-area slivers and whiskers vanish.
+regularized: zero-area slivers and whiskers vanish. Half-plane clipping takes
+its vertex sides and crossings from HalfPlane's integer arithmetic. Unions of
+parts star-shaped around one center go through errdiff.starunion instead.
 """
 from __future__ import annotations
 

@@ -2,14 +2,17 @@
 
 Every coordinate is a fractions.Fraction and every predicate is decided by
 integer sign computations, so there is no floating point and no tolerance
-anywhere in this module.
+anywhere in this module. The hot predicates (orient, HalfPlane.side and the
+ring area sign in canonicalize_ring) read the numerators and denominators
+directly and build no intermediate Fractions; HalfPlane.boundary_point
+builds only the two coordinates of the crossing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -220,28 +223,51 @@ class HalfPlane:
     a: Fraction
     b: Fraction
     c: Fraction
+    # (a, b, c) times the positive common denominator of the three
+    _abc: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a == 0 and self.b == 0:
             raise GeometryError("half-plane normal is zero")
+        a, b, c = self.a, self.b, self.c
+        m = lcm(a.denominator, b.denominator, c.denominator)
+        object.__setattr__(self, "_abc", (
+            a.numerator * (m // a.denominator),
+            b.numerator * (m // b.denominator),
+            c.numerator * (m // c.denominator)))
 
     def eval(self, p: Point) -> Fraction:
         return self.a * p.x + self.b * p.y - self.c
 
+    def _level(self, p: Point) -> int:
+        """eval(p) times a positive integer: the half-plane's common
+        denominator times both coordinate denominators of p."""
+        A, B, C = self._abc
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        return A * xn * yd + B * yn * xd - C * xd * yd
+
     def side(self, p: Point) -> int:
         """-1 strictly inside, 0 on the boundary line, +1 strictly outside."""
-        v = self.eval(p)
+        v = self._level(p)
         return (v > 0) - (v < 0)
 
     def contains(self, p: Point) -> bool:
-        return self.eval(p) <= 0
+        return self._level(p) <= 0
 
     def boundary_point(self, u: Point, v: Point) -> Point:
-        """Crossing of segment (u, v) with the boundary line; sides must differ."""
-        fu = self.eval(u)
-        fv = self.eval(v)
-        t = fu / (fu - fv)
-        return u + (v - u).scale(t)
+        """Crossing of segment (u, v) with the boundary line; sides must differ.
+
+        The crossing is (fu*v - fv*u) / (fu - fv) for f = eval.  Scaling f
+        to _level cancels the denominators of u and v, so each coordinate
+        comes out as one integer over one shared integer.
+        """
+        fu, fv = self._level(u), self._level(v)
+        uxn, uxd, uyn, uyd = u.x.numerator, u.x.denominator, u.y.numerator, u.y.denominator
+        vxn, vxd, vyn, vyd = v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator
+        den = fu * vxd * vyd - fv * uxd * uyd
+        return Point(Fraction(fu * vxn * vyd - fv * uxn * uyd, den),
+                     Fraction(fu * vyn * vxd - fv * uyn * uxd, den))
 
     def normalized(self) -> "HalfPlane":
         """Scale to a primitive integer triple (for stable serialization)."""
@@ -257,12 +283,22 @@ class HalfPlane:
 # ---------------------------------------------------------------------------
 # rings (ordered vertex lists)
 
+def _ring_area2_nd(ring: Sequence[Point]) -> tuple[int, int]:
+    """Twice the signed area as an unreduced (numerator, positive
+    denominator) pair: the shoelace sum over the common denominators of
+    the x and of the y coordinates."""
+    dx = lcm(*[p.x.denominator for p in ring])
+    dy = lcm(*[p.y.denominator for p in ring])
+    xs = [p.x.numerator * (dx // p.x.denominator) for p in ring]
+    ys = [p.y.numerator * (dy // p.y.denominator) for p in ring]
+    total = 0
+    for i in range(len(ring)):
+        total += xs[i - 1] * ys[i] - ys[i - 1] * xs[i]
+    return total, dx * dy
+
+
 def ring_area2(ring: Sequence[Point]) -> Fraction:
-    total = ZERO
-    n = len(ring)
-    for i in range(n):
-        total += ring[i].cross(ring[(i + 1) % n])
-    return total
+    return Fraction(*_ring_area2_nd(ring))
 
 
 def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
@@ -274,18 +310,20 @@ def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
             ring.append(p)
     while len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
-    changed = True
-    while changed and len(ring) >= 3:
-        changed = False
+    # drop the first collinear vertex, then look again from its predecessor:
+    # the triples before it are unchanged, except the one at 0 when the
+    # last vertex goes, and the scan then starts over
+    i = 0
+    while i < len(ring) and len(ring) >= 3:
         n = len(ring)
-        for i in range(n):
-            if orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
-                ring.pop(i)
-                changed = True
-                break
+        if orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
+            ring.pop(i)
+            i = 0 if i == n - 1 else max(i - 1, 0)
+        else:
+            i += 1
     if len(ring) < 3:
         return None
-    a2 = ring_area2(ring)
+    a2 = _ring_area2_nd(ring)[0]
     if a2 == 0:
         return None
     if a2 < 0:
@@ -418,7 +456,8 @@ class ConvexPolygon:
 
     def translate(self, d: Point) -> "ConvexPolygon":
         ring = canonicalize_ring([v + d for v in self.vertices])
-        assert ring is not None
+        if ring is None:
+            raise DegenerateRegion("translated polygon has no area")
         return ConvexPolygon(tuple(ring))
 
     def halfplanes(self) -> list[HalfPlane]:

@@ -141,6 +141,15 @@ class IterationResult:
         return records
 
 
+class EmptyCellPiece(GeometryError):
+    """A site's Voronoi cell missed ch S + Q in a g step.
+
+    Every site c lies in ch S + Q, because Q holds the origin, and ch S + Q
+    meets the cell of c in a neighbourhood of c, so valid input never
+    raises this; it reports a broken premise.
+    """
+
+
 class IterationFailure(Exception):
     """A run that ended without reaching a fixed point (strict mode)."""
 
@@ -202,7 +211,8 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
     pieces: list[Region] = []
     for c in S.sites:
         piece = intersect_region_cell(X, cell(S, c))
-        assert piece is not None  # c itself sits in X ∩ V(c) with area
+        if piece is None:
+            raise EmptyCellPiece(f"cell of {c} misses ch S + Q")
         pieces.append(piece.translate(-c))
     return union_star(pieces, ORIGIN)
 

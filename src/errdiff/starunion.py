@@ -7,35 +7,39 @@ boundaries as angular chains and keeps the outer one, splitting at exact
 crossings. Directions with no coverage are gaps; a single gap closes through
 the center, two or more mean the union pinches there and has no simple
 boundary.
+
+The merge decides everything on integer numerators and denominators. Each
+chain point carries its reduced integer direction, each covering edge's line
+is put over one common denominator once per merge, and two lines are
+compared along a ray by cross-multiplying. New Fraction points are built
+only for emitted vertices (_limit) and for crossings (line_cross_point).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
     ORIGIN,
-    DegenerateRegion,
     DisconnectedUnion,
     NotStarAtCenter,
     Point,
     Region,
-    canonicalize_ring,
     line_cross_point,
-    star_kernel_contains,
 )
 
 Dir = tuple[int, int]
-Edge = tuple[Point, Point]
+Vertex = tuple[Point, Dir]
 
 
 def _dir_key(p: Point) -> Dir:
+    """Reduced integer direction of p from the center; (0, 0) for the center."""
     dx = p.x.numerator * p.y.denominator
     dy = p.y.numerator * p.x.denominator
-    g = gcd(dx, dy)
+    g = gcd(dx, dy) or 1
     return (dx // g, dy // g)
 
 
@@ -52,25 +56,27 @@ def _dir_cmp(a: Dir, b: Dir) -> int:
 class _Fan:
     """Boundary of a star set around the origin, minus the origin caps.
 
-    chains: angular runs of boundary points in CCW order; consecutive points
-    of a chain either subtend a positive angle at the origin or sit on one
-    ray (a radial jump). full means one chain wrapping all directions.
+    chains: angular runs of boundary points in CCW order, each carried with
+    its direction key; consecutive points of a chain either subtend a
+    positive angle at the origin or sit on one ray (a radial jump). full
+    means one chain wrapping all directions.
     """
-    chains: list[list[Point]]
+    chains: list[list[Vertex]]
     full: bool
 
 
 def _fan_of(ring: Sequence[Point]) -> _Fan:
-    """Ring is canonical CCW with the origin in its kernel."""
-    ring = list(ring)
+    """Ring is canonical CCW; raises NotStarAtCenter unless the origin is
+    in its kernel."""
+    ring = [(p, _dir_key(p)) for p in ring]
     n = len(ring)
     breaks: list[int] = []
     for i in range(n):
-        u, v = ring[i], ring[(i + 1) % n]
-        cr = u.cross(v)
+        (ux, uy), (vx, vy) = ring[i][1], ring[(i + 1) % n][1]
+        cr = ux * vy - uy * vx
         if cr < 0:
-            raise NotStarAtCenter("boundary runs clockwise seen from center")
-        if cr == 0 and u.dot(v) <= 0:
+            raise NotStarAtCenter("center is outside a part's kernel")
+        if cr == 0 and ux * vx + uy * vy <= 0:
             breaks.append(i)
     if not breaks:
         return _Fan([ring], True)
@@ -80,9 +86,9 @@ def _fan_of(ring: Sequence[Point]) -> _Fan:
         return _Fan([[ring[(start + k) % n] for k in range(n)]], False)
     if len(breaks) == 2:
         i, j = breaks
-        if j == i + 1 and ring[j] == ORIGIN:
+        if j == i + 1 and ring[j][0] == ORIGIN:
             start = (j + 1) % n
-        elif i == 0 and j == n - 1 and ring[0] == ORIGIN:
+        elif i == 0 and j == n - 1 and ring[0][0] == ORIGIN:
             start = 1
         else:
             raise NotStarAtCenter("boundary pinches at the center")
@@ -90,49 +96,85 @@ def _fan_of(ring: Sequence[Point]) -> _Fan:
     raise NotStarAtCenter("boundary pinches at the center")
 
 
-def _assign(fan: _Fan, uidx: dict[Dir, int], m: int) -> list[Edge | None]:
+class _Edge:
+    """A fan edge a -> b and its line in integers.
+
+    With a and b over the common denominator den, the line meets the ray
+    of direction u at t(u) * u for t(u) = n / (den * (ux*dy - uy*dx)).
+    ka and kb index the directions of a and b in the merge's event list.
+    """
+
+    __slots__ = ("a", "b", "ka", "kb", "n", "den", "dx", "dy")
+
+    def __init__(self, a: Point, b: Point, ka: int, kb: int):
+        self.a, self.b, self.ka, self.kb = a, b, ka, kb
+        den = lcm(a.x.denominator, a.y.denominator,
+                  b.x.denominator, b.y.denominator)
+        ax = a.x.numerator * (den // a.x.denominator)
+        ay = a.y.numerator * (den // a.y.denominator)
+        bx = b.x.numerator * (den // b.x.denominator)
+        by = b.y.numerator * (den // b.y.denominator)
+        self.n = ax * by - ay * bx
+        self.den = den
+        self.dx = bx - ax
+        self.dy = by - ay
+
+
+def _t_cmp(u: Dir, ea: _Edge, eb: _Edge) -> int:
+    """Sign of t_a(u) - t_b(u): +1 when line a meets the ray u farther out.
+
+    Cross-multiplied over den * c for c = ux*dy - uy*dx; den is positive,
+    so the signs of the two c decide whether the comparison flips.
+    """
+    ca = u[0] * ea.dy - u[1] * ea.dx
+    cb = u[0] * eb.dy - u[1] * eb.dx
+    t = ea.n * eb.den * cb - eb.n * ea.den * ca
+    s = (t > 0) - (t < 0)
+    return s if (ca > 0) == (cb > 0) else -s
+
+
+def _assign(fan: _Fan, uidx: dict[Dir, int], m: int) -> list[_Edge | None]:
     """Covering edge of the fan for each angular arc between adjacent events."""
-    arcs: list[Edge | None] = [None] * m
+    arcs: list[_Edge | None] = [None] * m
     for chain in fan.chains:
         n = len(chain)
         limit = n if fan.full else n - 1
         for e in range(limit):
-            a, b = chain[e], chain[(e + 1) % n]
-            ka, kb = uidx[_dir_key(a)], uidx[_dir_key(b)]
+            (a, da), (b, db) = chain[e], chain[(e + 1) % n]
+            ka, kb = uidx[da], uidx[db]
+            if ka == kb:
+                continue
+            edge = _Edge(a, b, ka, kb)
             k = ka
             while k != kb:
-                arcs[k] = (a, b)
+                arcs[k] = edge
                 k = (k + 1) % m
     return arcs
 
 
-def _t_at(u: Point, edge: Edge) -> Fraction:
-    a, b = edge
-    return a.cross(b) / u.cross(b - a)
-
-
-def _limit(arcs: list[Edge | None], k: int, d: Dir, u_pt: Point,
-           m: int, side: int) -> Point:
+def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Point:
     """Boundary point at event k approached from the left (side=0) or the
     right (side=1)."""
-    edge = arcs[(k - 1) % m] if side == 0 else arcs[k]
-    a, b = edge
-    vertex = b if side == 0 else a
-    if _dir_key(vertex) == d:
-        return vertex
-    return u_pt.scale(_t_at(u_pt, edge))
+    if side == 0:
+        edge = arcs[k - 1]
+        if edge.kb == k:
+            return edge.b
+    else:
+        edge = arcs[k]
+        if edge.ka == k:
+            return edge.a
+    den = edge.den * (d[0] * edge.dy - d[1] * edge.dx)
+    return Point(Fraction(d[0] * edge.n, den), Fraction(d[1] * edge.n, den))
 
 
 def _merge(A: _Fan, B: _Fan) -> _Fan:
     dirs: set[Dir] = {(1, 0), (0, 1), (-1, 0), (0, -1)}
     for fan in (A, B):
         for chain in fan.chains:
-            for p in chain:
-                dirs.add(_dir_key(p))
+            dirs.update(d for _, d in chain)
     U = sorted(dirs, key=cmp_to_key(_dir_cmp))
     m = len(U)
     uidx = {d: k for k, d in enumerate(U)}
-    upts = [Point(Fraction(d[0]), Fraction(d[1])) for d in U]
 
     arcs_a = _assign(A, uidx, m)
     arcs_b = _assign(B, uidx, m)
@@ -149,56 +191,50 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
         elif ea is None:
             start_owner[k] = end_owner[k] = 1
         else:
-            u1, u2 = upts[k], upts[(k + 1) % m]
-            ta1, tb1 = _t_at(u1, ea), _t_at(u1, eb)
-            ta2, tb2 = _t_at(u2, ea), _t_at(u2, eb)
-            if ta1 != tb1:
-                first = 0 if ta1 > tb1 else 1
-            elif ta2 != tb2:
-                first = 0 if ta2 > tb2 else 1
-            else:
-                first = 0
-            second = first if ta2 == tb2 else (0 if ta2 > tb2 else 1)
+            s1 = _t_cmp(U[k], ea, eb)
+            s2 = _t_cmp(U[(k + 1) % m], ea, eb)
+            first = 0 if (s1 or s2) >= 0 else 1
+            second = first if s2 == 0 else (0 if s2 > 0 else 1)
             start_owner[k], end_owner[k] = first, second
             if first != second:
-                cross_pt[k] = line_cross_point(ea[0], ea[1], eb[0], eb[1])
+                cross_pt[k] = line_cross_point(ea.a, ea.b, eb.a, eb.b)
 
-    ems: list[Point] = []
+    ems: list[Vertex] = []
     gap_marks: list[int] = []
 
-    def emit(p: Point) -> None:
-        if not ems or ems[-1] != p:
-            ems.append(p)
+    def emit(p: Point, d: Dir) -> None:
+        if not ems or ems[-1][0] != p:
+            ems.append((p, d))
 
     both = (arcs_a, arcs_b)
     for k in range(m):
-        o_prev = end_owner[(k - 1) % m]
+        o_prev = end_owner[k - 1]
         o_next = start_owner[k]
-        d, u_pt = U[k], upts[k]
+        d = U[k]
         if o_prev == -1 and o_next == -1:
             pass
         elif o_prev == -1:
             gap_marks.append(len(ems))
-            emit(_limit(both[o_next], k, d, u_pt, m, 1))
+            emit(_limit(both[o_next], k, d, 1), d)
         elif o_next == -1:
-            emit(_limit(both[o_prev], k, d, u_pt, m, 0))
+            emit(_limit(both[o_prev], k, d, 0), d)
         elif o_prev == o_next:
             arcs = both[o_prev]
-            if arcs[(k - 1) % m] is not arcs[k]:
-                emit(_limit(arcs, k, d, u_pt, m, 0))
-                emit(_limit(arcs, k, d, u_pt, m, 1))
+            if arcs[k - 1] is not arcs[k]:
+                emit(_limit(arcs, k, d, 0), d)
+                emit(_limit(arcs, k, d, 1), d)
         else:
-            emit(_limit(both[o_prev], k, d, u_pt, m, 0))
-            emit(_limit(both[o_next], k, d, u_pt, m, 1))
+            emit(_limit(both[o_prev], k, d, 0), d)
+            emit(_limit(both[o_next], k, d, 1), d)
         w = cross_pt[k]
         if w is not None:
-            emit(w)
+            emit(w, _dir_key(w))
 
     if not gap_marks:
-        if len(ems) > 1 and ems[0] == ems[-1]:
+        if len(ems) > 1 and ems[0][0] == ems[-1][0]:
             ems.pop()
         return _Fan([ems], True)
-    chains: list[list[Point]] = []
+    chains: list[list[Vertex]] = []
     marks = gap_marks + [gap_marks[0] + len(ems)]
     for a, b in zip(marks, marks[1:]):
         chain = [ems[t % len(ems)] for t in range(a, b)]
@@ -211,15 +247,15 @@ def union_star(parts: Sequence, center: Point) -> Region:
     """Union of regions star-shaped around a common center point.
 
     Raises NotStarAtCenter when a part does not keep the center in its
-    kernel, DisconnectedUnion when the union only meets at the center.
+    kernel, DisconnectedUnion when the union only meets at the center,
+    DegenerateRegion when the union has no area.
     """
     fans: list[_Fan] = []
     for part in parts:
-        ring = part.vertices if isinstance(part, Region) else list(part)
-        local = [v - center for v in ring]
-        if not star_kernel_contains(local, ORIGIN):
-            raise NotStarAtCenter("center is outside a part's kernel")
-        fans.append(_fan_of(local))
+        ring = part.vertices if isinstance(part, Region) else part
+        if center != ORIGIN:
+            ring = [v - center for v in ring]
+        fans.append(_fan_of(ring))
     # balanced merge order keeps any one fan from being rescanned per part
     while len(fans) > 1:
         paired = [_merge(fans[i], fans[i + 1])
@@ -230,9 +266,9 @@ def union_star(parts: Sequence, center: Point) -> Region:
     merged = fans[0]
     if len(merged.chains) != 1:
         raise DisconnectedUnion("parts meet only at the center")
-    pts = merged.chains[0]
-    ring = pts if merged.full else pts + [ORIGIN]
-    out = canonicalize_ring([p + center for p in ring])
-    if out is None:
-        raise DegenerateRegion("union has no area")
-    return Region.from_ring(out, reference=center)
+    ring = [p for p, _ in merged.chains[0]]
+    if not merged.full:
+        ring.append(ORIGIN)
+    if center != ORIGIN:
+        ring = [p + center for p in ring]
+    return Region.from_ring(ring, reference=center)

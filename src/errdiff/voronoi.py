@@ -115,10 +115,18 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
     return VoronoiCellH(c, walls, bounded=c in S.inners)
 
 
+def _cuts(hp: HalfPlane, ring: Sequence[Point]) -> bool:
+    """True when hp leaves part of ring outside; a ring it keeps whole
+    needs no clip and, being canonical, no re-canonicalization."""
+    return any(hp.side(v) > 0 for v in ring)
+
+
 def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
     """R clipped into V; None when empty, MultiComponent when it splits."""
     ring = list(R.vertices)
     for hp in V.walls:
+        if not _cuts(hp, ring):
+            continue
         comps = clip_components(ring, hp)
         if not comps:
             return None
@@ -126,15 +134,18 @@ def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
             raise MultiComponent(
                 f"cell of {V.site} cuts the region into {len(comps)} parts")
         ring = comps[0]
-    # the input's star center need not survive the clip; callers reattach one
-    return Region.from_ring(ring, validate=False)
+    # ring is canonical: R's own vertices or a clip component.  The input's
+    # star center need not survive the clip; callers reattach one
+    return Region(tuple(ring))
 
 
 def intersect_region_cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
     """All components of R clipped into V (the disconnection-tolerant form)."""
     rings = [list(R.vertices)]
     for hp in V.walls:
-        rings = [comp for ring in rings for comp in clip_components(ring, hp)]
+        rings = [comp for ring in rings
+                 for comp in (clip_components(ring, hp) if _cuts(hp, ring)
+                              else [ring])]
         if not rings:
             return []
     return rings

@@ -22,6 +22,7 @@ from errdiff.geometry import (
     HalfPlane,
     MultiComponent,
     NotStarAtCenter,
+    Point,
     Region,
     canonicalize_ring,
     is_simple_ring,
@@ -29,7 +30,7 @@ from errdiff.geometry import (
     pt,
     ring_area2,
 )
-from errdiff.starunion import union_star
+from errdiff.starunion import _Edge, _limit, _t_cmp, union_star
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -276,19 +277,28 @@ def _direction_pool():
 DIR_POOL = _direction_pool()
 AXES = {DIR_POOL.index(d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))}
 radii = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6)
+# radii in [1/2, 4] with denominators up to 2**128, the width of the
+# coordinates the operator chains run on
+wide_radii = st.integers(1, 2**128).flatmap(
+    lambda d: st.integers(-(-d // 2), 4 * d).map(lambda n: F(n, d)))
 
 
 @st.composite
-def star_rings(draw):
+def star_rings(draw, radius=radii):
     extra = draw(st.sets(st.integers(0, len(DIR_POOL) - 1), max_size=8))
     idxs = sorted(AXES | extra)
     ring = []
     for i in idxs:
-        r = draw(radii)
+        r = draw(radius)
         ring.append(pt(DIR_POOL[i][0] * r, DIR_POOL[i][1] * r))
     out = canonicalize_ring(ring)
     assert out is not None
     return out
+
+
+def _t_at(u: Point, a: Point, b: Point) -> F:
+    """Reference: the line through a and b meets the ray u at _t_at * u."""
+    return a.cross(b) / u.cross(b - a)
 
 
 class TestUnionCrossCheck:
@@ -320,6 +330,39 @@ class TestUnionCrossCheck:
         left = union_star([union_star([a, b], ORIGIN), c], ORIGIN)
         right = union_star([a, union_star([b, c], ORIGIN)], ORIGIN)
         assert list(left.vertices) == list(right.vertices)
+
+
+class TestWideCoordinates:
+    @given(star_rings(wide_radii), star_rings(wide_radii))
+    @settings(max_examples=30, deadline=None)
+    def test_star_matches_general(self, a, b):
+        cycles = union_rings([a, b])
+        assert len(cycles) == 1
+        assert list(union_star([a, b], ORIGIN).vertices) == cycles[0]
+
+    @given(star_rings(wide_radii), star_rings(wide_radii))
+    @settings(max_examples=30, deadline=None)
+    def test_integer_t_comparison_matches_fractions(self, ra, rb):
+        """_t_cmp agrees with the Fraction reference on every pool direction
+        where both lines meet the ray's line, covered or not, and _limit
+        builds the reference point on every direction an edge covers."""
+        def edges(ring):
+            return [(ring[i - 1], ring[i]) for i in range(len(ring))]
+
+        dirs = [(pt(*d), d) for d in DIR_POOL]
+        for a1, b1 in edges(ra):
+            ea = _Edge(a1, b1, -1, -1)
+            for u, d in dirs:
+                if a1.cross(u) >= 0 and u.cross(b1) >= 0:
+                    assert _limit([ea], 0, d, 1) == u.scale(_t_at(u, a1, b1))
+                if u.cross(b1 - a1) == 0:
+                    continue
+                for a2, b2 in edges(rb):
+                    if u.cross(b2 - a2) == 0:
+                        continue
+                    diff = _t_at(u, a1, b1) - _t_at(u, a2, b2)
+                    got = _t_cmp(d, ea, _Edge(a2, b2, -1, -1))
+                    assert got == (diff > 0) - (diff < 0)
 
 
 class TestTriangulate:

@@ -33,6 +33,7 @@ from errdiff.geometry import (
     point_in_ring,
     project_convex,
     pt,
+    ring_area2,
     scalar_str,
     star_kernel_contains,
 )
@@ -41,6 +42,40 @@ UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 points = st.builds(Point, coord, coord)
+# coordinates of the size the operator chains reach: denominators up to 2**128
+wide_coord = st.integers(1, 2**128).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: F(n, d)))
+wide_points = st.builds(Point, wide_coord, wide_coord)
+grid_points = st.builds(pt, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def reference_canonicalize(points):
+    """canonicalize_ring as a plain restart-from-the-start sweep with a
+    Fraction area, the specification the integer version must match."""
+    ring = []
+    for p in points:
+        if not ring or p != ring[-1]:
+            ring.append(p)
+    while len(ring) > 1 and ring[0] == ring[-1]:
+        ring.pop()
+    changed = True
+    while changed and len(ring) >= 3:
+        changed = False
+        n = len(ring)
+        for i in range(n):
+            if orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
+                ring.pop(i)
+                changed = True
+                break
+    if len(ring) < 3:
+        return None
+    a2 = sum((ring[i - 1].cross(ring[i]) for i in range(len(ring))), F(0))
+    if a2 == 0:
+        return None
+    if a2 < 0:
+        ring.reverse()
+    k = min(range(len(ring)), key=lambda i: ring[i].key())
+    return ring[k:] + ring[:k]
 
 
 def ring_of(*coords) -> list[Point]:
@@ -157,6 +192,21 @@ class TestRings:
         if ring is not None:
             assert canonicalize_ring(ring) == ring
 
+    # a 5x5 grid makes collinear runs, spikes and repeats common
+    @given(st.lists(grid_points, min_size=3, max_size=12))
+    @settings(max_examples=300)
+    def test_canonicalize_matches_restarting_sweep(self, pts):
+        assert canonicalize_ring(pts) == reference_canonicalize(pts)
+
+    @given(st.lists(wide_points, min_size=3, max_size=9))
+    def test_canonicalize_matches_reference_on_wide_coordinates(self, pts):
+        assert canonicalize_ring(pts) == reference_canonicalize(pts)
+
+    @given(st.lists(wide_points, min_size=1, max_size=9))
+    def test_area2_matches_fraction_shoelace(self, ring):
+        want = sum((ring[i - 1].cross(ring[i]) for i in range(len(ring))), F(0))
+        assert ring_area2(ring) == want
+
 
 class TestHalfPlane:
     def test_side_and_boundary(self):
@@ -170,6 +220,21 @@ class TestHalfPlane:
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
             HalfPlane(F(0), F(0), F(1))
+
+    @given(coord, coord, coord, wide_points, wide_points)
+    def test_integer_side_matches_eval_on_wide_points(self, a, b, c, u, v):
+        if a == 0 and b == 0:
+            a = F(1)
+        hp = HalfPlane(a, b, c)
+        for p in (u, v):
+            e = hp.eval(p)
+            assert hp.side(p) == (e > 0) - (e < 0)
+            assert hp.contains(p) == (e <= 0)
+        fu, fv = hp.eval(u), hp.eval(v)
+        if (fu > 0) != (fv > 0) and fu != 0 and fv != 0:
+            w = hp.boundary_point(u, v)
+            assert w == u + (v - u).scale(fu / (fu - fv))
+            assert hp.eval(w) == 0
 
     def test_normalized(self):
         hp = HalfPlane(F(4, 3), F(-2, 3), F(2)).normalized()

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import errdiff.geometry
+import errdiff.operators
 from errdiff.booleans import subset
 from errdiff.geometry import (
     ORIGIN,
+    ConvexPolygon,
+    DegenerateRegion,
+    GeometryError,
     KernelViolation,
     PointSeed,
     Region,
@@ -17,6 +22,7 @@ from errdiff.geometry import (
 from errdiff.operators import (
     Collection,
     Diverged,
+    EmptyCellPiece,
     IterationConfig,
     MaxIterations,
     G_step,
@@ -96,6 +102,20 @@ class TestGStep:
         q2 = g_step(DIAMOND, q)
         assert subset(q.vertices, q2.vertices)
         assert q2.kernel_contains(ORIGIN)
+
+    def test_empty_cell_piece_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(errdiff.operators, "intersect_region_cell",
+                            lambda R, V: None)
+        with pytest.raises(EmptyCellPiece):
+            g_step(UNIT_SQUARE, PointSeed(ORIGIN))
+        assert issubclass(EmptyCellPiece, GeometryError)
+
+    def test_degenerate_translate_is_a_typed_error(self, monkeypatch):
+        square = ConvexPolygon.hull_of(UNIT_SQUARE.sites)
+        monkeypatch.setattr(errdiff.geometry, "canonicalize_ring",
+                            lambda points: None)
+        with pytest.raises(DegenerateRegion):
+            square.translate(pt(1, 1))
 
     def test_collection_duplicate_member_is_noop(self):
         twin = SiteSet(UNIT_SQUARE.sites, id="twin")
