@@ -11,6 +11,14 @@ z_n = e_n + x_n before the next input is known, so the output is based on
 the set the opponent has already seen.  All coordinates are rational and
 every trajectory claim (containment, greedy optimality, bounds) is decided
 exactly on the logged trace.
+
+The per-round work runs on integers: sample_hull_point draws its fan
+triangle and its point over the hull's common denominator, the
+error-aligned opponent compares integer dot products, Finite and Convex
+sets test membership on their polygon's integer edge walls, Triangle
+tests membership by cross-multiplying and projects through the integer
+project_convex, and Finite projects through voronoi.project.  Only the
+points a round returns are built as Fractions.
 """
 from __future__ import annotations
 
@@ -28,6 +36,7 @@ from .geometry import (
     Region,
     Scalar,
     dist_sq,
+    over_common_denominator,
     project_convex,
     pt,
     scalar_str,
@@ -67,7 +76,7 @@ class Finite:
         return self.sites.hull.vertices
 
     def contains(self, p: Point) -> bool:
-        return self.sites.hull.locate(p) >= 0
+        return self.sites.hull.contains_point(p)
 
     def project(self, p: Point) -> Point:
         return project(self.sites, p)
@@ -88,7 +97,7 @@ class Convex:
         return self.polygon.vertices
 
     def contains(self, p: Point) -> bool:
-        return self.polygon.locate(p) >= 0
+        return self.polygon.contains_point(p)
 
     def project(self, p: Point) -> Point:
         return project_convex(self.polygon, p)
@@ -127,10 +136,16 @@ class Triangle:
     def _polygon(self) -> ConvexPolygon | None:
         if self.h == 0:
             return None
-        return ConvexPolygon.hull_of(self.hull_vertices())
+        w = self.t * self.h
+        # canonical form: counterclockwise from the smallest vertex
+        return ConvexPolygon((pt(-w, self.h), ORIGIN, pt(w, self.h)))
 
     def contains(self, p: Point) -> bool:
-        return 0 <= p.y <= self.h and abs(p.x) <= self.t * p.y
+        """0 <= y <= h and |x| <= t*y, cross-multiplied."""
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        h, t = self.h, self.t
+        return (0 <= yn and yn * h.denominator <= h.numerator * yd
+                and abs(xn) * yd * t.denominator <= t.numerator * yn * xd)
 
     def project(self, p: Point) -> Point:
         poly = self._polygon
@@ -235,26 +250,37 @@ class ScenarioProvider:
 
 
 def sample_hull_point(verts: Sequence[Point], rng: random.Random) -> Point:
-    """Uniform point of a convex hull, exact once the float draws are fixed."""
+    """Uniform point of a convex hull, exact once the float draws are fixed.
+
+    Three draws, in order: one picks a fan triangle (a, b, c) around the
+    first vertex with probability proportional to its area, two give the
+    point a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f
+    enters as f.as_integer_ratio(), exactly Fraction(f); the weights and
+    the point are integers over the hull's common denominator.
+    """
     if len(verts) == 1:
         return verts[0]
-    a = verts[0]
-    fans = [(verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
-    weights = [(b - a).cross(c - a) for b, c in fans]
-    total = sum(weights)
-    r = Fraction(rng.random()) * total
-    acc = Fraction(0)
-    b, c = fans[-1]
-    for (fb, fc), w in zip(fans, weights):
+    m, xs, ys = over_common_denominator(verts)
+    ax, ay = xs[0], ys[0]
+    weights = [(xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
+               for i in range(1, len(verts) - 1)]
+    rn, rd = rng.random().as_integer_ratio()
+    r = rn * sum(weights)
+    b = len(verts) - 2
+    acc = 0
+    for i, w in enumerate(weights, 1):
         acc += w
-        if r < acc:
-            b, c = fb, fc
+        if r < acc * rd:
+            b = i
             break
-    u = Fraction(rng.random())
-    v = Fraction(rng.random())
-    if u + v > 1:
-        u, v = 1 - u, 1 - v
-    return a + (b - a).scale(u) + (c - a).scale(v)
+    un, ud = rng.random().as_integer_ratio()
+    vn, vd = rng.random().as_integer_ratio()
+    if un * vd + vn * ud > ud * vd:
+        un, vn = ud - un, vd - vn
+    den = m * ud * vd
+    return Point(
+        Fraction(ax * ud * vd + (xs[b] - ax) * un * vd + (xs[b + 1] - ax) * vn * ud, den),
+        Fraction(ay * ud * vd + (ys[b] - ay) * un * vd + (ys[b + 1] - ay) * vn * ud, den))
 
 
 @dataclass(frozen=True)
@@ -274,28 +300,31 @@ class Opponent:
         if self.strategy == "hull-vertex-cycle":
             return verts[n % len(verts)]
         if self.strategy == "error-aligned-vertex":
-            best = verts[0]
-            best_dot = best.dot(error)
-            for v in verts[1:]:
-                d = v.dot(error)
+            # v . error times a positive integer, for every vertex v
+            _, xs, ys = over_common_denominator(verts)
+            ex, ey = error.x, error.y
+            a, b = ex.numerator * ey.denominator, ey.numerator * ex.denominator
+            best, best_dot = verts[0], xs[0] * a + ys[0] * b
+            for v, x, y in zip(verts[1:], xs[1:], ys[1:]):
+                d = x * a + y * b
                 if d > best_dot or (d == best_dot and v.key() < best.key()):
                     best, best_dot = v, d
             return best
-        p = sample_hull_point(verts, rng)
-        if not fs.contains(p):
-            # exact sampling keeps this unreachable; clamp defensively
-            p = project_convex(ConvexPolygon.hull_of(verts), p)
-        return p
+        return sample_hull_point(verts, rng)
 
 
 # ---------------------------------------------------------------------------
 # game steps and traces
 
 
-def step_undelayed(e: Point, fs: FeasibleSet, x: Point) -> tuple[Point, Point]:
-    """Quantize e + x on the current set; returns (output, next error)."""
+def _check_input(fs: FeasibleSet, x: Point) -> None:
     if not fs.contains(x):
         raise InputOutsideHull(f"input {_fmt(x)} outside hull of {fs.set_id}")
+
+
+def step_undelayed(e: Point, fs: FeasibleSet, x: Point) -> tuple[Point, Point]:
+    """Quantize e + x on the current set; returns (output, next error)."""
+    _check_input(fs, x)
     target = e + x
     y = fs.project(target)
     return y, target - y
@@ -308,9 +337,7 @@ def step_delayed(z: Point, fs_now: FeasibleSet,
     Returns (output, next error, next running total); x_next must be drawn
     from the hull of fs_now because the opponent has seen nothing newer.
     """
-    if not fs_now.contains(x_next):
-        raise InputOutsideHull(
-            f"input {_fmt(x_next)} outside hull of {fs_now.set_id}")
+    _check_input(fs_now, x_next)
     y = fs_now.project(z)
     e_next = z - y
     return y, e_next, e_next + x_next
@@ -389,6 +416,7 @@ def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
         return Trace(mode, (), e)
     fs = provider.pick(0, prng)
     x = opponent.pick(fs, e, 0, orng)
+    _check_input(fs, x)
     z = x  # z_0 = e_0 + x_0
     for n in range(steps):
         y = fs.project(z)
@@ -396,6 +424,7 @@ def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
         e = z - y
         fs_next = provider.pick(n + 1, prng)
         x = opponent.pick(fs, e, n + 1, orng)  # from the set already seen
+        _check_input(fs, x)
         z = e + x
         fs = fs_next
     return Trace(mode, tuple(out), e)

@@ -6,6 +6,13 @@ anywhere in this module. The hot predicates (orient, HalfPlane.side and the
 ring area sign in canonicalize_ring) read the numerators and denominators
 directly and build no intermediate Fractions; HalfPlane.boundary_point
 builds only the two coordinates of the crossing.
+
+Convex polygons answer locate and contains_point from their edge walls,
+HalfPlane integer triples computed once per polygon.  project_convex puts
+the polygon and the query point over one common denominator
+(over_common_denominator) and decides containment, the foot on each edge
+and every distance comparison in integers; only the returned point is a
+new Fraction pair.
 """
 from __future__ import annotations
 
@@ -18,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 Scalar = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def parse_scalar(value: str | int) -> Fraction:
@@ -130,20 +136,6 @@ def dist_sq(a: Point, b: Point) -> Fraction:
     return d.norm_sq()
 
 
-def dist_sq_nd(a: Point, b: Point) -> tuple[int, int]:
-    """|a - b|^2 as an unreduced (numerator, positive denominator) pair."""
-    dxn = a.x.numerator * b.x.denominator - b.x.numerator * a.x.denominator
-    dxd = a.x.denominator * b.x.denominator
-    dyn = a.y.numerator * b.y.denominator - b.y.numerator * a.y.denominator
-    dyd = a.y.denominator * b.y.denominator
-    return dxn * dxn * dyd * dyd + dyn * dyn * dxd * dxd, (dxd * dyd) ** 2
-
-
-def cmp_nd(p: tuple[int, int], q: tuple[int, int]) -> int:
-    t = p[0] * q[1] - q[0] * p[1]
-    return (t > 0) - (t < 0)
-
-
 def on_segment(a: Point, b: Point, p: Point) -> bool:
     """True when p lies on the closed segment [a, b]."""
     if orient(a, b, p) != 0:
@@ -182,6 +174,14 @@ def line_cross_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
         raise GeometryError("parallel lines have no single intersection")
     t = (q1 - p1).cross(dq) / den
     return p1 + dp.scale(t)
+
+
+def over_common_denominator(points: Sequence[Point]) -> tuple[int, list[int], list[int]]:
+    """(m, xs, ys) with points[i] == (xs[i] / m, ys[i] / m), where m > 0 is
+    the lcm of every coordinate denominator."""
+    m = lcm(*[q.denominator for p in points for q in (p.x, p.y)])
+    return (m, [p.x.numerator * (m // p.x.denominator) for p in points],
+            [p.y.numerator * (m // p.y.denominator) for p in points])
 
 
 def bbox(points: Iterable[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -429,18 +429,26 @@ class ConvexPolygon:
             yield vs[i], vs[(i + 1) % n]
 
     def contains_point(self, p: Point) -> bool:
-        return all(orient(u, v, p) >= 0 for u, v in self.edges())
+        return self.locate(p) >= 0
 
     def locate(self, p: Point) -> int:
         """+1 strictly inside, 0 on boundary, -1 outside."""
         on_edge = False
-        for u, v in self.edges():
-            s = orient(u, v, p)
-            if s < 0:
+        for wall in self._walls:
+            s = wall._level(p)
+            if s > 0:
                 return -1
             if s == 0:
                 on_edge = True
         return 0 if on_edge else 1
+
+    @cached_property
+    def _walls(self) -> tuple[HalfPlane, ...]:
+        return tuple(self.halfplanes())
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int], list[int]]:
+        return over_common_denominator(self.vertices)
 
     @cached_property
     def area2(self) -> Fraction:
@@ -502,24 +510,53 @@ def halfplane_intersection(hps: Sequence[HalfPlane],
 
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
-    """Exact nearest point of a convex polygon (the metric projection)."""
-    if poly.contains_point(x):
+    """Exact nearest point of a convex polygon (the metric projection).
+
+    Over the common denominator m of the polygon and x, edge u -> v with
+    d = v - u and w = x - u has its foot at t = w.d / d.d, and the squared
+    distance to the clamped foot is |w|^2 (t <= 0), |x - v|^2 (t >= 1) or
+    cross(d, w)^2 / d.d, all integers times m^2.  x lies in the polygon
+    when no cross(d, w) is negative.  The first edge with a strictly
+    smaller distance wins.
+    """
+    m0, xs, ys = poly._scaled
+    xn, xd, yn, yd = x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
+    m = lcm(m0, xd, yd)
+    k = m // m0
+    px, py = xn * (m // xd), yn * (m // yd)
+    n = len(xs)
+    inside = True
+    best = None
+    best_n = best_d = 1
+    for i in range(n):
+        j = (i + 1) % n
+        ux, uy = xs[i] * k, ys[i] * k
+        dx, dy = xs[j] * k - ux, ys[j] * k - uy
+        wx, wy = px - ux, py - uy
+        cr = dx * wy - dy * wx
+        if cr < 0:
+            inside = False
+        t = wx * dx + wy * dy
+        dd = dx * dx + dy * dy
+        if t <= 0:
+            dist_n, dist_d, foot = wx * wx + wy * wy, 1, (i, 0, 1)
+        elif t >= dd:
+            ex, ey = wx - dx, wy - dy
+            dist_n, dist_d, foot = ex * ex + ey * ey, 1, (j, 0, 1)
+        else:
+            dist_n, dist_d, foot = cr * cr, dd, (i, t, dd)
+        if best is None or dist_n * best_d < best_n * dist_d:
+            best, best_n, best_d = foot, dist_n, dist_d
+    if inside:
         return x
-    best: Point | None = None
-    best_d: Fraction | None = None
-    for u, v in poly.edges():
-        d = v - u
-        t = (x - u).dot(d) / d.norm_sq()
-        if t < 0:
-            t = ZERO
-        elif t > 1:
-            t = ONE
-        cand = u + d.scale(t)
-        dd = dist_sq(x, cand)
-        if best_d is None or dd < best_d:
-            best, best_d = cand, dd
-    assert best is not None
-    return best
+    i, t, dd = best
+    if t == 0:
+        return poly.vertices[i]
+    j = (i + 1) % n
+    ux, uy = xs[i] * k, ys[i] * k
+    den = m * dd
+    return Point(Fraction(ux * dd + (xs[j] * k - ux) * t, den),
+                 Fraction(uy * dd + (ys[j] * k - uy) * t, den))
 
 
 def minkowski_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:

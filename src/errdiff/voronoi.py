@@ -1,9 +1,10 @@
 """Finite planar site sets, their Voronoi cells, and the projection operator.
 
-Cells are kept as half-plane lists (one bisector per other site, unpruned);
-bounded cells are only materialized on demand inside an inflated bounding
-box. Distance comparisons run on unreduced integer numerator/denominator
-pairs to stay exact without gcd overhead.
+Cells are kept as half-plane lists (one bisector per other site, unpruned),
+built once per site set; bounded cells are only materialized on demand
+inside an inflated bounding box.  project compares squared distances as
+integers: the sites are cached in key order over their common denominator,
+so one integer per site decides the nearest, and no Fraction is built.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from .geometry import (
     Region,
     bbox,
     ceil_sqrt,
-    cmp_nd,
     convex_hull,
     diameter_sq_of,
-    dist_sq_nd,
     halfplane_intersection,
+    over_common_denominator,
     scalar_str,
 )
 from .booleans import clip_components
@@ -93,6 +93,21 @@ class SiteSet:
     def inners(self) -> tuple[Point, ...]:
         return tuple(s for s in self.sites if self.hull.locate(s) == 1)
 
+    @cached_property
+    def cells(self) -> dict[Point, VoronoiCellH]:
+        """The Voronoi cell of every site, by site."""
+        return {c: VoronoiCellH(c, tuple(bisector(c, d) for d in self.sites if d != c),
+                                bounded=c in self.inners)
+                for c in self.sites}
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Point], ...]]:
+        """(m, entries): each site s, in key order, as (|s|^2 m^2, s.x m,
+        s.y m, s) over the common denominator m."""
+        ordered = sorted(self.sites, key=Point.key)
+        m, xs, ys = over_common_denominator(ordered)
+        return m, tuple((x * x + y * y, x, y, s) for x, y, s in zip(xs, ys, ordered))
+
 
 def classify(S: SiteSet) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """Sites on the hull boundary (corners) and strictly inside (inners)."""
@@ -109,10 +124,10 @@ class VoronoiCellH:
 
 
 def cell(S: SiteSet, c: Point) -> VoronoiCellH:
-    if c not in S.sites:
-        raise SiteNotInSet(f"{c} is not a site")
-    walls = tuple(bisector(c, d) for d in S.sites if d != c)
-    return VoronoiCellH(c, walls, bounded=c in S.inners)
+    try:
+        return S.cells[c]
+    except KeyError:
+        raise SiteNotInSet(f"{c} is not a site") from None
 
 
 def _cuts(hp: HalfPlane, ring: Sequence[Point]) -> bool:
@@ -152,15 +167,18 @@ def intersect_region_cell_components(R: Region, V: VoronoiCellH) -> list[list[Po
 
 
 def project(S: SiteSet, x: Point) -> Point:
-    """A squared-distance-minimizing site; ties go to the smallest site."""
-    best = S.sites[0]
-    best_d = dist_sq_nd(x, best)
-    for c in S.sites[1:]:
-        d = dist_sq_nd(x, c)
-        v = cmp_nd(d, best_d)
-        if v < 0 or (v == 0 and c.key() < best.key()):
-            best, best_d = c, d
-    return best
+    """A squared-distance-minimizing site; ties go to the smallest site.
+
+    |x - s|^2 = |x|^2 - 2 x.s + |s|^2; times m^2 q for q the product of
+    x's denominators, and less the common |x|^2 term, it is the integer
+    |s m|^2 q - 2 m q (x . s m).  The sites come in key order and min
+    keeps the first of equal values, so ties go to the smallest.
+    """
+    m, entries = S._scaled
+    xn, xd, yn, yd = x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
+    q = xd * yd
+    a, b = 2 * m * xn * yd, 2 * m * yn * xd
+    return min(entries, key=lambda e: e[0] * q - a * e[1] - b * e[2])[3]
 
 
 def materialize_cell(S: SiteSet, c: Point) -> list[Point]:
@@ -173,7 +191,7 @@ def materialize_cell(S: SiteSet, c: Point) -> list[Point]:
         Point(xmin - pad, ymin - pad), Point(xmax + pad, ymin - pad),
         Point(xmax + pad, ymax + pad), Point(xmin - pad, ymax + pad),
     ]
-    got = halfplane_intersection([bisector(c, d) for d in S.sites if d != c], box)
+    got = halfplane_intersection(S.cells[c].walls, box)
     if got is None:
         raise UnboundedCell(f"cell of {c} vanished inside its box")
     for v in got:

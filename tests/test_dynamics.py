@@ -1,8 +1,12 @@
 """Tracking games: feasible sets, providers, opponents, traces, bounds."""
+import hashlib
+import json
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.dynamics import (
@@ -18,12 +22,23 @@ from errdiff.dynamics import (
     error_bound_from_domain,
     finite_members,
     run,
+    sample_hull_point,
     step_delayed,
     step_undelayed,
     triangle_bound,
 )
-from errdiff.geometry import ConvexPolygon, ORIGIN, Region, dist_sq, pt
+from errdiff.geometry import (
+    ConvexPolygon,
+    DegenerateHull,
+    ORIGIN,
+    Point,
+    Region,
+    dist_sq,
+    pt,
+    scalar_str,
+)
 from errdiff.operators import Collection
+from errdiff.scene import parse_scene
 from errdiff.voronoi import SiteSet
 
 
@@ -458,3 +473,185 @@ class TestGameProperties:
         mode, provider, opponent, steps, seed = setup
         assert run(mode, provider, opponent, steps, seed=seed) == \
             run(mode, provider, opponent, steps, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction formulas they replace
+
+wide = st.integers(1, 2**128).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: F(n, d)))
+narrow = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+wide_positive = st.integers(1, 2**128).flatmap(
+    lambda d: st.integers(1, 4 * d).map(lambda n: F(n, d)))
+
+
+def reference_sample(verts, rng):
+    """sample_hull_point in Fraction arithmetic."""
+    if len(verts) == 1:
+        return verts[0]
+    a = verts[0]
+    fans = [(verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
+    weights = [(b - a).cross(c - a) for b, c in fans]
+    r = F(rng.random()) * sum(weights)
+    acc = F(0)
+    b, c = fans[-1]
+    for (fb, fc), w in zip(fans, weights):
+        acc += w
+        if r < acc:
+            b, c = fb, fc
+            break
+    u = F(rng.random())
+    v = F(rng.random())
+    if u + v > 1:
+        u, v = 1 - u, 1 - v
+    return a + (b - a).scale(u) + (c - a).scale(v)
+
+
+def reference_project_convex(poly, x):
+    """project_convex in Fraction arithmetic; the first strictly nearer
+    edge wins."""
+    if all((v - u).cross(x - u) >= 0 for u, v in poly.edges()):
+        return x
+    best = best_d = None
+    for u, v in poly.edges():
+        d = v - u
+        t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
+        cand = u + d.scale(t)
+        if best_d is None or dist_sq(x, cand) < best_d:
+            best, best_d = cand, dist_sq(x, cand)
+    return best
+
+
+def reference_aligned(verts, error):
+    """The error-aligned pick from Fraction dot products."""
+    best = verts[0]
+    for v in verts[1:]:
+        if v.dot(error) > best.dot(error) or (
+                v.dot(error) == best.dot(error) and v.key() < best.key()):
+            best = v
+    return best
+
+
+@st.composite
+def hulls(draw, c):
+    pts = draw(st.lists(st.builds(Point, c, c), min_size=3, max_size=8))
+    try:
+        return ConvexPolygon.hull_of(pts).vertices
+    except DegenerateHull:
+        assume(False)
+
+
+triangles = st.builds(Triangle, st.one_of(st.just(F(0)), wide_positive,
+                                          st.fractions(0, 2, max_denominator=4)),
+                      st.one_of(wide_positive, st.fractions(F(1, 4), 2, max_denominator=4)))
+
+
+@st.composite
+def triangle_and_point(draw):
+    """A wedge and a point that is free, a corner, or on a side or its line."""
+    tri = draw(triangles)
+    verts = tri.hull_vertices()
+    kind = draw(st.sampled_from(("free", "corner", "side")))
+    if kind == "free" or len(verts) == 1:
+        c = draw(st.sampled_from((wide, narrow)))
+        return tri, draw(st.builds(Point, c, c))
+    i = draw(st.integers(0, 2))
+    u, v = verts[i], verts[(i + 1) % 3]
+    if kind == "corner":
+        return tri, u
+    t = draw(st.fractions(-1, 2, max_denominator=6))
+    return tri, u + (v - u).scale(t)
+
+
+class TestIntegerKernels:
+    @given(st.one_of(hulls(wide), hulls(narrow),
+                     triangles.map(lambda tri: tri.hull_vertices())),
+           st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_hull_point_matches_fraction_formula(self, verts, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert sample_hull_point(verts, rng) == reference_sample(verts, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @given(triangle_and_point())
+    @settings(max_examples=300, deadline=None)
+    def test_triangle_matches_fraction_formulas(self, case):
+        tri, p = case
+        assert tri.contains(p) == (0 <= p.y <= tri.h and abs(p.x) <= tri.t * p.y)
+        want = ORIGIN if tri.h == 0 else reference_project_convex(
+            ConvexPolygon.hull_of(tri.hull_vertices()), p)
+        assert tri.project(p) == want
+
+    @given(st.one_of(hulls(wide), hulls(narrow)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_error_aligned_matches_fraction_formula(self, verts, data):
+        S = SiteSet(verts)
+        u, v = verts[0], verts[1]
+        error = data.draw(st.one_of(
+            st.builds(Point, wide, wide), st.just(ORIGIN),
+            # normal to an edge: both its ends tie on the dot
+            st.builds(lambda k: Point(k * (v.y - u.y), k * (u.x - v.x)), narrow)))
+        got = Opponent("error-aligned-vertex").pick(Finite(S), error, 0, None)
+        assert got == reference_aligned(S.hull.vertices, error)
+
+
+# ---------------------------------------------------------------------------
+# trace bytes and outside inputs
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def _shipped(stem):
+    (collection,) = parse_scene((SCENES / f"{stem}.json").read_text()).collections.values()
+    return finite_members(collection)
+
+
+def _trace_sha256(trace):
+    """sha256 of the JSONL trace that `errdiff simulate` writes."""
+    records = trace.records()
+    records.append({"mode": trace.mode, "steps": len(trace.steps),
+                    "final_e": [scalar_str(trace.final_error.x),
+                                scalar_str(trace.final_error.y)]})
+    return hashlib.sha256(
+        "".join(json.dumps(r) + "\n" for r in records).encode()).hexdigest()
+
+
+class TestPinnedTraces:
+    """The exact bytes of three 2 000-step games, fixed before the game
+    kernel moved to integers: any change to sampling, membership or
+    projection that moves one coordinate changes a digest."""
+
+    def test_uniform_inputs_on_sset3(self):
+        (sset3,) = _shipped("sset3")
+        tr = run("undelayed", ScenarioProvider.fixed(sset3),
+                 Opponent("uniform-random-in-hull", seed=11), 2000, seed=3)
+        assert _trace_sha256(tr) == \
+            "d192d81f324a678909d24600c14adc817a13ed94a48ae302f34b33f564998305"
+
+    def test_error_aligned_on_ssprime(self):
+        tr = run("undelayed", ScenarioProvider.random_choice(_shipped("ssprime"), seed=12),
+                 Opponent("error-aligned-vertex", seed=13), 2000, seed=4)
+        assert _trace_sha256(tr) == \
+            "d9a57e94dab193aff6bdf3802ac8885b42a3861b4ecb20f671ed3363dee349f2"
+
+    def test_delayed_random_triangles(self):
+        tr = run("delayed", ScenarioProvider.random_triangle(1, 1, seed=14),
+                 Opponent("uniform-random-in-hull", seed=15), 2000, seed=5)
+        assert _trace_sha256(tr) == \
+            "6a095d949ddf6a3d24db3f9e17e1968c9925a4a32cdba689d3159fdca5c90b60"
+
+
+class _StrayOpponent:
+    """Plays hull vertices, then a point outside every hull at round 2."""
+
+    seed = None
+
+    def pick(self, fs, error, n, rng):
+        return pt(5, 5) if n == 2 else fs.hull_vertices()[0]
+
+
+@pytest.mark.parametrize("mode", ["undelayed", "delayed"])
+def test_run_rejects_an_input_outside_the_hull(mode):
+    with pytest.raises(InputOutsideHull, match=r"\(5, 5\) outside hull of unit-square"):
+        run(mode, ScenarioProvider.fixed(SQUARE), _StrayOpponent(), 5)

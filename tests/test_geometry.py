@@ -2,7 +2,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.geometry import (
@@ -279,6 +279,76 @@ class TestConvexPolygon:
         assert poly.contains_point(y)
         for v in poly.vertices:
             assert dist_sq(x, y) <= dist_sq(x, v)
+
+
+def reference_locate(poly, p):
+    """ConvexPolygon.locate from Fraction cross products."""
+    on_edge = False
+    for u, v in poly.edges():
+        s = (v - u).cross(p - u)
+        if s < 0:
+            return -1
+        if s == 0:
+            on_edge = True
+    return 0 if on_edge else 1
+
+
+def reference_project(poly, x):
+    """project_convex in Fraction arithmetic: clamp the foot on every edge,
+    the first edge with a strictly smaller distance wins."""
+    if reference_locate(poly, x) >= 0:
+        return x
+    best = best_d = None
+    for u, v in poly.edges():
+        d = v - u
+        t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
+        cand = u + d.scale(t)
+        dd = dist_sq(x, cand)
+        if best_d is None or dd < best_d:
+            best, best_d = cand, dd
+    return best
+
+
+@st.composite
+def polygon_and_point(draw, coord_strategy):
+    """A convex polygon and a point that is free, a vertex, on an edge, or
+    on an edge's line beyond the edge."""
+    pts = draw(st.lists(st.builds(Point, coord_strategy, coord_strategy),
+                        min_size=3, max_size=8))
+    try:
+        poly = ConvexPolygon.hull_of(pts)
+    except DegenerateHull:
+        assume(False)
+    i = draw(st.integers(0, len(poly) - 1))
+    u, v = poly.vertices[i], poly.vertices[(i + 1) % len(poly)]
+    kind = draw(st.sampled_from(("free", "vertex", "edge", "edge-line")))
+    if kind == "free":
+        x = draw(st.builds(Point, coord_strategy, coord_strategy))
+    elif kind == "vertex":
+        x = u
+    else:
+        lo, hi = (0, 1) if kind == "edge" else (-2, 3)
+        t = draw(st.one_of(st.fractions(lo, hi, max_denominator=8),
+                           st.integers(1, 2**128).flatmap(
+                               lambda d: st.integers(lo * d, hi * d).map(
+                                   lambda n: F(n, d)))))
+        x = u + (v - u).scale(t)
+    return poly, x
+
+
+class TestConvexPolygonIntegerKernel:
+    @given(st.one_of(polygon_and_point(coord), polygon_and_point(wide_coord)))
+    @settings(max_examples=300, deadline=None)
+    def test_locate_matches_fraction_formula(self, case):
+        poly, x = case
+        assert poly.locate(x) == reference_locate(poly, x)
+        assert poly.contains_point(x) == (reference_locate(poly, x) >= 0)
+
+    @given(st.one_of(polygon_and_point(coord), polygon_and_point(wide_coord)))
+    @settings(max_examples=300, deadline=None)
+    def test_project_convex_matches_fraction_formula(self, case):
+        poly, x = case
+        assert project_convex(poly, x) == reference_project(poly, x)
 
 
 class TestMinkowski:

@@ -2,7 +2,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import subset
@@ -178,6 +178,66 @@ class TestProject:
         y = project(SQUARE_CENTER, x)
         for w in cell(SQUARE_CENTER, y).walls:
             assert w.contains(x)
+
+
+def reference_project(S, x):
+    """project as a Fraction minimum: nearest site, then the smallest key."""
+    return min(S.sites, key=lambda c: (dist_sq(x, c), c.key()))
+
+
+narrow = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+wide = st.integers(1, 2**128).flatmap(
+    lambda d: st.integers(-4 * d, 4 * d).map(lambda n: F(n, d)))
+
+
+@st.composite
+def sites_and_point(draw, c):
+    """A site set and a point that is free, a site, the midpoint of two
+    sites, or elsewhere on their bisector (a distance tie)."""
+    pts = draw(st.lists(st.builds(Point, c, c), min_size=3, max_size=9,
+                        unique_by=Point.key))
+    try:
+        S = SiteSet(tuple(pts))
+    except DegenerateHull:
+        assume(False)
+    a, b = draw(st.permutations(S.sites))[:2]
+    mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+    kind = draw(st.sampled_from(("free", "site", "midpoint", "bisector")))
+    if kind == "free":
+        x = draw(st.builds(Point, c, c))
+    elif kind == "site":
+        x = a
+    elif kind == "midpoint":
+        x = mid
+    else:
+        k = draw(st.fractions(-3, 3, max_denominator=4))
+        x = Point(mid.x - k * (b.y - a.y), mid.y + k * (b.x - a.x))
+    return S, x
+
+
+class TestProjectIntegerKernel:
+    @given(st.one_of(sites_and_point(narrow), sites_and_point(wide)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_formula(self, case):
+        S, x = case
+        assert project(S, x) == reference_project(S, x)
+
+    def test_every_tie_goes_to_the_smallest_site(self):
+        # the center of the square ties all four corners, whatever their order
+        corners = [pt(1, 1), pt(0, 1), pt(1, 0), pt(0, 0)]
+        for k in range(4):
+            S = SiteSet(tuple(corners[k:] + corners[:k]))
+            assert project(S, pt("1/2", "1/2")) == pt(0, 0)
+            assert project(S, pt("1/2", 2)) == pt(0, 1)
+
+
+class TestCellCache:
+    def test_cells_are_built_once_per_site_set(self):
+        for c in SQUARE_CENTER:
+            V = cell(SQUARE_CENTER, c)
+            assert cell(SQUARE_CENTER, c) is V
+            assert V.walls == tuple(bisector(c, d) for d in SQUARE_CENTER if d != c)
+            assert V.bounded == (c in SQUARE_CENTER.inners)
 
 
 class TestCornerCellMonotonicity:
