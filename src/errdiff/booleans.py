@@ -1,14 +1,18 @@
 """Exact clip, union, and containment for simple polygons.
 
-Edges are split at every contact with the other boundary, kept or dropped by
-exact midpoint location, and stitched back into cycles. Results are
-regularized: zero-area slivers and whiskers vanish. Half-plane clipping takes
-its vertex sides and crossings from HalfPlane's integer arithmetic. Unions of
-parts star-shaped around one center go through errdiff.starunion instead.
+clip_components is the one half-plane clipper: it returns every component
+of a ring cut by a half-plane, taking vertex sides and crossings from
+HalfPlane's integer arithmetic; errdiff.voronoi clips into cells with it.
+union_rings splits edges at every contact with the other boundaries, keeps
+or drops the pieces by exact midpoint location, and stitches them back into
+cycles; a boundary that touches itself or leaves a hole raises
+DisconnectedUnion.  union_one_region is the union the operators use: it
+demands exactly one cycle.  Results are regularized: zero-area slivers and
+whiskers vanish.  Unions of parts star-shaped around one center go through
+errdiff.starunion instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -177,24 +181,6 @@ def clip_components(ring: Sequence[Point], hp: HalfPlane) -> list[list[Point]]:
     return comps
 
 
-def clip_halfplane(region: Region, hp: HalfPlane) -> Region | None:
-    """Region intersect half-plane; None when empty.
-
-    Raises MultiComponent when the clip disconnects the region, which means
-    the caller's star-convexity premise was violated.
-    """
-    comps = clip_components(region.vertices, hp)
-    if not comps:
-        return None
-    if len(comps) > 1:
-        raise MultiComponent(f"clip split a region into {len(comps)} parts")
-    ref = region.reference
-    if ref is not None and not (hp.contains(ref)
-                                and point_in_ring(comps[0], ref) >= 0):
-        ref = None
-    return Region.from_ring(comps[0], reference=ref, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # containment
 
@@ -234,14 +220,11 @@ def subset(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # union
 
-def union_rings(rings: Sequence[Sequence[Point]], *,
-                decompose: bool = False) -> list[list[Point]]:
+def union_rings(rings: Sequence[Sequence[Point]]) -> list[list[Point]]:
     """Union of simple CCW rings, as canonical CCW boundary cycles.
 
-    With decompose=False any boundary self-touch raises DisconnectedUnion.
-    With decompose=True touching lobes are split into separate cycles (used
-    for operator intermediates that are later summed piecewise).
-    Holes always raise: the engine has no polygon-with-holes representation.
+    A boundary that touches itself raises DisconnectedUnion, and so does a
+    hole: the engine has no polygon-with-holes representation.
     """
     idx = [_RingIndex(r) for r in rings]
     kept: list[tuple[Point, Point]] = []
@@ -271,7 +254,7 @@ def union_rings(rings: Sequence[Sequence[Point]], *,
                             break
                 if keep:
                     kept.append((p, q))
-    return _stitch(kept, decompose=decompose)
+    return _stitch(kept)
 
 
 def _collinear_side(mid: Point, u: Point, v: Point, J: _RingIndex) -> int:
@@ -286,58 +269,26 @@ def _collinear_side(mid: Point, u: Point, v: Point, J: _RingIndex) -> int:
     return 0
 
 
-def _ccw_after(ref: Point, d1: Point, d2: Point) -> bool:
-    """True when d1 has a strictly larger CCW angle from ref than d2."""
-
-    def bucket(d: Point) -> int:
-        cr = ref.cross(d)
-        if cr > 0:
-            return 0
-        if cr < 0:
-            return 2
-        return 3 if ref.dot(d) > 0 else 1
-
-    b1, b2 = bucket(d1), bucket(d2)
-    if b1 != b2:
-        return b1 > b2
-    return d1.cross(d2) < 0
-
-
-def _stitch(kept: list[tuple[Point, Point]], *, decompose: bool) -> list[list[Point]]:
-    outgoing: dict[tuple, list[tuple[Point, Point]]] = {}
+def _stitch(kept: list[tuple[Point, Point]]) -> list[list[Point]]:
+    outgoing: dict[tuple, tuple[Point, Point]] = {}
     for seg in kept:
-        outgoing.setdefault(seg[0].key(), []).append(seg)
-    for lst in outgoing.values():
-        lst.sort(key=lambda s: s[1].key())
-        if len(lst) > 1 and not decompose:
+        key = seg[0].key()
+        if key in outgoing:
             raise DisconnectedUnion("union boundary touches itself")
+        outgoing[key] = seg
 
-    used: set[int] = set()
-    seg_ids = {id(seg): k for k, seg in enumerate(kept)}
+    # every vertex starts at most one segment, so a start key names it
+    used: set[tuple] = set()
     cycles: list[list[Point]] = []
-    for seg in sorted(kept, key=lambda s: (s[0].key(), s[1].key())):
-        if seg_ids[id(seg)] in used:
+    for start in sorted(outgoing):
+        if start in used:
             continue
-        path: list[Point] = [seg[0]]
-        cur = seg
-        while True:
-            used.add(seg_ids[id(cur)])
+        cur = outgoing[start]
+        path: list[Point] = [cur[0]]
+        while cur is not None and cur[0].key() not in used:
+            used.add(cur[0].key())
             path.append(cur[1])
-            options = [s for s in outgoing.get(cur[1].key(), ())
-                       if seg_ids[id(s)] not in used]
-            if not options:
-                break
-            if len(options) == 1:
-                nxt = options[0]
-            else:
-                ref = cur[0] - cur[1]
-                nxt = options[0]
-                best_d = nxt[1] - nxt[0]
-                for cand in options[1:]:
-                    d = cand[1] - cand[0]
-                    if _ccw_after(ref, d, best_d):
-                        nxt, best_d = cand, d
-            cur = nxt
+            cur = outgoing.get(cur[1].key())
         if path[0] != path[-1]:
             raise DisconnectedUnion("union boundary has a dangling chain")
         ring = canonicalize_ring(path[:-1])
@@ -353,12 +304,17 @@ def _stitch(kept: list[tuple[Point, Point]], *, decompose: bool) -> list[list[Po
     return cycles
 
 
-def union_regions(parts: Sequence[Region], reference: Point | None = None) -> Region:
-    """Union that must come out as one simple polygon."""
-    cycles = union_rings([p.vertices for p in parts])
+def union_one_region(rings: Sequence[Sequence[Point]]) -> Region:
+    """Union of simple CCW rings that must be exactly one cycle.
+
+    Raises DisconnectedUnion otherwise.  A single cycle that passed the
+    touch and hole tests of union_rings is simple, so the Region is built
+    without a second simplicity test.
+    """
+    cycles = union_rings(rings)
     if len(cycles) != 1:
         raise DisconnectedUnion(f"union has {len(cycles)} components")
-    return Region.from_ring(cycles[0], reference=reference)
+    return Region.from_ring(cycles[0], validate=False)
 
 
 # ---------------------------------------------------------------------------

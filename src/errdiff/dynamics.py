@@ -322,12 +322,14 @@ def _check_input(fs: FeasibleSet, x: Point) -> None:
         raise InputOutsideHull(f"input {_fmt(x)} outside hull of {fs.set_id}")
 
 
-def step_undelayed(e: Point, fs: FeasibleSet, x: Point) -> tuple[Point, Point]:
-    """Quantize e + x on the current set; returns (output, next error)."""
+def step_undelayed(e: Point, fs: FeasibleSet,
+                   x: Point) -> tuple[Point, Point, Point]:
+    """Quantize e + x on the current set; returns (output, next error,
+    target e + x)."""
     _check_input(fs, x)
     target = e + x
     y = fs.project(target)
-    return y, target - y
+    return y, target - y, target
 
 
 def step_delayed(z: Point, fs_now: FeasibleSet,
@@ -408,8 +410,8 @@ def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
         for n in range(steps):
             fs = provider.pick(n, prng)
             x = opponent.pick(fs, e, n, orng)
-            y, e_next = step_undelayed(e, fs, x)
-            out.append(TraceStep(n, fs.set_id, x, y, e, e + x))
+            y, e_next, z = step_undelayed(e, fs, x)
+            out.append(TraceStep(n, fs.set_id, x, y, e, z))
             e = e_next
         return Trace(mode, tuple(out), e)
     if steps == 0:

@@ -7,6 +7,12 @@ ring area sign in canonicalize_ring) read the numerators and denominators
 directly and build no intermediate Fractions; HalfPlane.boundary_point
 builds only the two coordinates of the crossing.
 
+Two polygon types share one base, Polygon (the canonical vertex tuple,
+edges, area2, bbox, diameter_sq): ConvexPolygon, a strictly convex hull,
+and Region, a simple polygon with an optional declared star center.
+Callers dispatch on the two types, so neither is the other.  Clipping and
+union live in errdiff.booleans and errdiff.starunion.
+
 Convex polygons answer locate and contains_point from their edge walls,
 HalfPlane integer triples computed once per polygon.  project_convex puts
 the polygon and the query point over one common denominator
@@ -269,16 +275,6 @@ class HalfPlane:
         return Point(Fraction(fu * vxn * vyd - fv * uxn * uyd, den),
                      Fraction(fu * vyn * vxd - fv * uyn * uxd, den))
 
-    def normalized(self) -> "HalfPlane":
-        """Scale to a primitive integer triple (for stable serialization)."""
-        from math import gcd
-        m = self.a.denominator * self.b.denominator * self.c.denominator
-        ai = int(self.a * m)
-        bi = int(self.b * m)
-        ci = int(self.c * m)
-        g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
-        return HalfPlane(Fraction(ai, g), Fraction(bi, g), Fraction(ci, g))
-
 
 # ---------------------------------------------------------------------------
 # rings (ordered vertex lists)
@@ -348,20 +344,27 @@ def is_simple_ring(ring: Sequence[Point]) -> bool:
 
 def point_in_ring(ring: Sequence[Point], p: Point) -> int:
     """Exact location of p in the closed region bounded by a simple ring:
-    +1 strictly inside, 0 on the boundary, -1 outside."""
+    +1 strictly inside, 0 on the boundary, -1 outside.
+
+    An edge whose y-range misses p can neither hold p nor cross the
+    horizontal through p, so only the others cost one orient, which decides
+    both the boundary test and the crossing.
+    """
     inside = False
     n = len(ring)
     px, py = p.x, p.y
     for i in range(n):
         u = ring[i]
         v = ring[(i + 1) % n]
-        if on_segment(u, v, p):
+        if (py < u.y and py < v.y) or (py > u.y and py > v.y):
+            continue
+        side = orient(u, v, p)
+        if side == 0 and (u.x <= px <= v.x or v.x <= px <= u.x):
             return 0
         if (u.y > py) != (v.y > py):
             # the edge crosses the horizontal through p; it crosses the ray
             # to +x exactly when p sits left of an upward edge (or right of
             # a downward one)
-            side = orient(u, v, p)
             if v.y > u.y:
                 if side > 0:
                     inside = not inside
@@ -369,6 +372,13 @@ def point_in_ring(ring: Sequence[Point], p: Point) -> int:
                 if side < 0:
                     inside = not inside
     return 1 if inside else -1
+
+
+def is_convex_ring(ring: Sequence[Point]) -> bool:
+    """True when every vertex of the ring is a strict left turn."""
+    n = len(ring)
+    return all(orient(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) > 0
+               for i in range(n))
 
 
 def star_kernel_contains(ring: Sequence[Point], p: Point) -> bool:
@@ -381,7 +391,39 @@ def star_kernel_contains(ring: Sequence[Point], p: Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# convex polygons
+# polygons
+
+@dataclass(frozen=True)
+class Polygon:
+    """A canonical vertex ring and the measures both polygon types share;
+    each type supplies its own locate."""
+
+    vertices: tuple[Point, ...]
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def edges(self) -> Iterator[tuple[Point, Point]]:
+        vs = self.vertices
+        n = len(vs)
+        for i in range(n):
+            yield vs[i], vs[(i + 1) % n]
+
+    def contains_point(self, p: Point) -> bool:
+        return self.locate(p) >= 0
+
+    @cached_property
+    def area2(self) -> Fraction:
+        return ring_area2(self.vertices)
+
+    @cached_property
+    def bbox(self):
+        return bbox(self.vertices)
+
+    @cached_property
+    def diameter_sq(self) -> Fraction:
+        return diameter_sq_of(self.vertices)
+
 
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
     """Strict convex hull, CCW, lexicographically smallest vertex first.
@@ -410,26 +452,12 @@ def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
 
 
 @dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(Polygon):
     """Strictly convex CCW polygon in canonical form."""
-
-    vertices: tuple[Point, ...]
 
     @staticmethod
     def hull_of(points: Iterable[Point]) -> "ConvexPolygon":
         return ConvexPolygon(convex_hull(points))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> Iterator[tuple[Point, Point]]:
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            yield vs[i], vs[(i + 1) % n]
-
-    def contains_point(self, p: Point) -> bool:
-        return self.locate(p) >= 0
 
     def locate(self, p: Point) -> int:
         """+1 strictly inside, 0 on boundary, -1 outside."""
@@ -450,18 +478,6 @@ class ConvexPolygon:
     def _scaled(self) -> tuple[int, list[int], list[int]]:
         return over_common_denominator(self.vertices)
 
-    @cached_property
-    def area2(self) -> Fraction:
-        return ring_area2(self.vertices)
-
-    @cached_property
-    def bbox(self):
-        return bbox(self.vertices)
-
-    @cached_property
-    def diameter_sq(self) -> Fraction:
-        return diameter_sq_of(self.vertices)
-
     def translate(self, d: Point) -> "ConvexPolygon":
         ring = canonicalize_ring([v + d for v in self.vertices])
         if ring is None:
@@ -477,36 +493,6 @@ class ConvexPolygon:
             c = a * u.x + b * u.y
             out.append(HalfPlane(a, b, c))
         return out
-
-
-def clip_convex(ring: Sequence[Point], hp: HalfPlane) -> list[Point]:
-    """Clip a convex CCW ring by a half-plane. May return a degenerate list."""
-    out: list[Point] = []
-    n = len(ring)
-    sides = [hp.side(v) for v in ring]
-    for i in range(n):
-        u, su = ring[i], sides[i]
-        v, sv = ring[(i + 1) % n], sides[(i + 1) % n]
-        if su <= 0:
-            out.append(u)
-        if su * sv < 0:
-            out.append(hp.boundary_point(u, v))
-    return out
-
-
-def halfplane_intersection(hps: Sequence[HalfPlane],
-                           seed_ring: Sequence[Point]) -> list[Point] | None:
-    """Intersect a convex seed ring with half-planes; None when empty."""
-    ring = list(seed_ring)
-    for hp in hps:
-        ring = clip_convex(ring, hp)
-        if len(ring) < 3:
-            return None
-        cleaned = canonicalize_ring(ring)
-        if cleaned is None:
-            return None
-        ring = cleaned
-    return ring
 
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
@@ -620,13 +606,12 @@ def minkowski_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
 # regions
 
 @dataclass(frozen=True)
-class Region:
+class Region(Polygon):
     """Simple polygon with positive area in canonical form.
 
     reference, when set, is a declared star center and must lie in the kernel.
     """
 
-    vertices: tuple[Point, ...]
     reference: Point | None = None
 
     @staticmethod
@@ -641,32 +626,8 @@ class Region:
             raise KernelViolation("reference point outside the kernel")
         return Region(tuple(ring), reference)
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> Iterator[tuple[Point, Point]]:
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            yield vs[i], vs[(i + 1) % n]
-
     def locate(self, p: Point) -> int:
         return point_in_ring(self.vertices, p)
-
-    def contains_point(self, p: Point) -> bool:
-        return point_in_ring(self.vertices, p) >= 0
-
-    @cached_property
-    def area2(self) -> Fraction:
-        return ring_area2(self.vertices)
-
-    @cached_property
-    def bbox(self):
-        return bbox(self.vertices)
-
-    @cached_property
-    def diameter_sq(self) -> Fraction:
-        return diameter_sq_of(self.vertices)
 
     def translate(self, d: Point) -> "Region":
         ref = self.reference + d if self.reference is not None else None
@@ -680,37 +641,10 @@ class Region:
     def kernel_contains(self, p: Point) -> bool:
         return star_kernel_contains(self.vertices, p)
 
-    def is_convex(self) -> bool:
-        vs = self.vertices
-        n = len(vs)
-        return all(orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) > 0
-                   for i in range(n))
-
 
 def equal_canonical(a: Region, b: Region) -> bool:
     """Stopping-rule equality: identical canonical vertex tuples."""
     return a.vertices == b.vertices
-
-
-def kernel(region: Region) -> ConvexPolygon | None:
-    """Kernel of a simple polygon (intersection of inward edge half-planes).
-
-    Returns None when the kernel has no area (not star-shaped anywhere,
-    or star-shaped only along a degenerate locus).
-    """
-    xmin, ymin, xmax, ymax = region.bbox
-    seed = [Point(xmin, ymin), Point(xmax, ymin), Point(xmax, ymax),
-            Point(xmin, ymax)]
-    hps = []
-    for u, v in region.edges():
-        a = v.y - u.y
-        b = u.x - v.x
-        c = a * u.x + b * u.y
-        hps.append(HalfPlane(a, b, c))  # a*x + b*y <= c is the inner side
-    ring = halfplane_intersection(hps, seed)
-    if ring is None:
-        return None
-    return ConvexPolygon(tuple(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +654,3 @@ def kernel(region: Region) -> ConvexPolygon | None:
 class PointSeed:
     point: Point
 
-
-@dataclass(frozen=True)
-class SegmentSeed:
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise DegenerateRegion("segment seed endpoints coincide")

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .booleans import triangulate, union_rings
+from .booleans import triangulate, union_one_region
 from .geometry import (
     ConvexPolygon,
     DisconnectedUnion,
@@ -27,6 +26,7 @@ from .geometry import (
     convex_hull,
     dist_sq,
     equal_canonical,
+    is_convex_ring,
     minkowski_convex,
     orient,
     scalar_str,
@@ -175,7 +175,7 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     Q is fanned into triangles from the origin; each convex summand is
     exact, and their union is star-shaped around any point of P.
     """
-    if Q.is_convex():
+    if is_convex_ring(Q.vertices):
         s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
         return Region.from_ring(s.vertices, validate=False)
     parts = []
@@ -223,16 +223,16 @@ def g_step_collection(SS: Collection, Q: Seed) -> Region:
     return union_star([g_step(S, Q) for S in SS.members], ORIGIN)
 
 
-def _hull_region(region: Region) -> Region:
+def _hull_region(region: Region, reference: Point | None = None) -> Region:
     return Region.from_ring(convex_hull(region.vertices),
-                            reference=ORIGIN, validate=False)
+                            reference=reference, validate=False)
 
 
 def G_step(arg: SiteSet | Collection, Q: Seed) -> Region:
     """Convex variant: hull of each member's g_step, then the union."""
     if isinstance(arg, SiteSet):
-        return _hull_region(g_step(arg, Q))
-    hulls = [_hull_region(g_step(S, Q)) for S in arg.members]
+        return _hull_region(g_step(arg, Q), ORIGIN)
+    hulls = [_hull_region(g_step(S, Q), ORIGIN) for S in arg.members]
     if len(hulls) == 1:
         return hulls[0]
     return union_star(hulls, ORIGIN)
@@ -241,15 +241,9 @@ def G_step(arg: SiteSet | Collection, Q: Seed) -> Region:
 # ---------------------------------------------------------------------------
 # the p family
 
-def _convex_ring(ring: Sequence[Point]) -> bool:
-    n = len(ring)
-    return all(orient(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) > 0
-               for i in range(n))
-
-
 def _sum_hull_with_ring(hull: ConvexPolygon, ring: list[Point]) -> list[list[Point]]:
     """Rings whose union is hull + ring, ring an arbitrary simple piece."""
-    if _convex_ring(ring):
+    if is_convex_ring(ring):
         return [list(minkowski_convex(hull, ConvexPolygon.hull_of(ring)).vertices)]
     out = []
     for tri in triangulate(ring):
@@ -274,10 +268,7 @@ def _p_step_general(hull: ConvexPolygon,
         for comp in comps:
             shifted = [v - c for v in comp]
             parts.extend(_sum_hull_with_ring(hull, shifted))
-    cycles = union_rings(parts)
-    if len(cycles) != 1:
-        raise DisconnectedUnion(f"p-step union has {len(cycles)} components")
-    return Region.from_ring(cycles[0], validate=False)
+    return union_one_region(parts)
 
 
 def p_step(S: SiteSet, D: Seed) -> Region:
@@ -298,10 +289,7 @@ def p_step(S: SiteSet, D: Seed) -> Region:
         try:
             return union_star(shifts, s0).with_reference(None)
         except DisconnectedUnion:
-            cycles = union_rings([list(r) for r in shifts])
-            if len(cycles) != 1:
-                raise
-            return Region.from_ring(cycles[0], validate=False)
+            return union_one_region(shifts)
     pieces = _clipped_pieces(S, D)
     star_parts: list[list[Point]] | None = []
     for c, comps in pieces:
@@ -325,24 +313,17 @@ def p_step(S: SiteSet, D: Seed) -> Region:
 def p_step_collection(SS: Collection, D: Seed) -> Region:
     if len(SS.members) == 1:
         return p_step(SS.members[0], D)
-    cycles = union_rings([list(p_step(S, D).vertices) for S in SS.members])
-    if len(cycles) != 1:
-        raise DisconnectedUnion(f"member union has {len(cycles)} components")
-    return Region.from_ring(cycles[0], validate=False)
+    return union_one_region([p_step(S, D).vertices for S in SS.members])
 
 
 def P_step(arg: SiteSet | Collection, D: Seed) -> Region:
     """Convex variant of p_step: per-member hulls, then the union."""
     if isinstance(arg, SiteSet):
-        return Region.from_ring(convex_hull(p_step(arg, D).vertices),
-                                validate=False)
-    rings = [list(convex_hull(p_step(S, D).vertices)) for S in arg.members]
-    if len(rings) == 1:
-        return Region.from_ring(rings[0], validate=False)
-    cycles = union_rings(rings)
-    if len(cycles) != 1:
-        raise DisconnectedUnion(f"member union has {len(cycles)} components")
-    return Region.from_ring(cycles[0], validate=False)
+        return _hull_region(p_step(arg, D))
+    hulls = [_hull_region(p_step(S, D)) for S in arg.members]
+    if len(hulls) == 1:
+        return hulls[0]
+    return union_one_region([h.vertices for h in hulls])
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:

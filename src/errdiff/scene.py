@@ -30,6 +30,7 @@ from .geometry import (
     GeometryError,
     Point,
     Region,
+    is_convex_ring,
     parse_scalar,
     pt,
     scalar_str,
@@ -326,7 +327,7 @@ def _fixed_set(scene: Scene, spec: ProviderSpec, location: str) -> FeasibleSet:
         region = scene.regions.get(spec.region)
         if region is None:
             raise _fail("UnresolvedName", f"no region {spec.region!r}", location)
-        if not region.is_convex():
+        if not is_convex_ring(region.vertices):
             raise _fail("BadProvider", "a fixed feasible region must be convex",
                         location)
         return Convex(ConvexPolygon.hull_of(region.vertices), label=spec.region)

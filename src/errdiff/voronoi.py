@@ -1,10 +1,15 @@
 """Finite planar site sets, their Voronoi cells, and the projection operator.
 
 Cells are kept as half-plane lists (one bisector per other site, unpruned),
-built once per site set; bounded cells are only materialized on demand
-inside an inflated bounding box.  project compares squared distances as
-integers: the sites are cached in key order over their common denominator,
-so one integer per site decides the nearest, and no Fraction is built.
+built once per site set.  Clipping a region into a cell runs
+booleans.clip_components wall by wall; a bounded cell is materialized on
+demand the same way, by clipping a box around the hull that grows until
+the cell no longer touches it.  Sites on the hull boundary are the
+corners, sites strictly inside the inners (SiteSet.corners and .inners).
+
+project compares squared distances as integers: the sites are cached in
+key order over their common denominator, so one integer per site decides
+the nearest, and no Fraction is built.
 """
 from __future__ import annotations
 
@@ -21,11 +26,9 @@ from .geometry import (
     MultiComponent,
     Point,
     Region,
-    bbox,
     ceil_sqrt,
     convex_hull,
     diameter_sq_of,
-    halfplane_intersection,
     over_common_denominator,
     scalar_str,
 )
@@ -109,11 +112,6 @@ class SiteSet:
         return m, tuple((x * x + y * y, x, y, s) for x, y, s in zip(xs, ys, ordered))
 
 
-def classify(S: SiteSet) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """Sites on the hull boundary (corners) and strictly inside (inners)."""
-    return S.corners, S.inners
-
-
 @dataclass(frozen=True)
 class VoronoiCellH:
     """A Voronoi cell as the intersection of bisector half-planes."""
@@ -182,22 +180,26 @@ def project(S: SiteSet, x: Point) -> Point:
 
 
 def materialize_cell(S: SiteSet, c: Point) -> list[Point]:
-    """Bounded cell of an inner site as a ring, via an inflated hull box."""
+    """Bounded cell of an inner site as a ring, clipped from a box around ch S.
+
+    The box is padded by 4 sqrt(diam ch S) first; while the clipped cell
+    still touches the box the pad doubles.  An inner site's cell is bounded,
+    so some box holds it with room to spare.
+    """
     if c not in S.inners:
         raise UnboundedCell(f"{c} is not an inner site")
     pad = 4 * ceil_sqrt(S.hull.diameter_sq)
     xmin, ymin, xmax, ymax = S.hull.bbox
-    box = [
-        Point(xmin - pad, ymin - pad), Point(xmax + pad, ymin - pad),
-        Point(xmax + pad, ymax + pad), Point(xmin - pad, ymax + pad),
-    ]
-    got = halfplane_intersection(S.cells[c].walls, box)
-    if got is None:
-        raise UnboundedCell(f"cell of {c} vanished inside its box")
-    for v in got:
-        if (v.x in (xmin - pad, xmax + pad)) or (v.y in (ymin - pad, ymax + pad)):
-            raise UnboundedCell(f"cell of {c} reaches the bounding box")
-    return got
+    while True:
+        lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
+        box = Region((Point(lo_x, lo_y), Point(hi_x, lo_y),
+                      Point(hi_x, hi_y), Point(lo_x, hi_y)))
+        got = intersect_region_cell(box, S.cells[c])
+        if got is None:
+            raise UnboundedCell(f"cell of {c} vanished inside its box")
+        if not any(v.x in (lo_x, hi_x) or v.y in (lo_y, hi_y) for v in got.vertices):
+            return list(got.vertices)
+        pad *= 2
 
 
 def inner_cell_diameter_sq(S: SiteSet, c: Point) -> Fraction:

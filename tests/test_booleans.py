@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from errdiff.booleans import (
     clip_components,
-    clip_halfplane,
     seg_seg_points,
     subset,
     subset_witness,
     triangulate,
-    union_regions,
+    union_one_region,
     union_rings,
 )
 from errdiff.geometry import (
@@ -31,12 +30,18 @@ from errdiff.geometry import (
     ring_area2,
 )
 from errdiff.starunion import _Edge, _limit, _t_cmp, union_star
+from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 
 def ring_of(*coords):
     return [pt(x, y) for x, y in coords]
+
+
+def one_wall(hp):
+    """A cell bounded by the one half-plane hp, to clip a Region with."""
+    return VoronoiCellH(ORIGIN, (hp,), bounded=False)
 
 
 class TestSegSeg:
@@ -99,15 +104,15 @@ class TestClip:
         ]
         region = Region.from_ring(notched)
         with pytest.raises(MultiComponent):
-            clip_halfplane(region, hp)
+            intersect_region_cell(region, one_wall(hp))
 
     def test_region_clip(self):
         region = Region.from_ring(UNIT_SQUARE)
         hp = HalfPlane(F(0), F(1), F(1, 3))
-        got = clip_halfplane(region, hp)
+        got = intersect_region_cell(region, one_wall(hp))
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, "1/3"), (0, "1/3"))
         below = HalfPlane(F(0), F(1), F(-1))
-        assert clip_halfplane(region, below) is None
+        assert intersect_region_cell(region, one_wall(below)) is None
 
 
 class TestSubset:
@@ -185,11 +190,6 @@ class TestUnion:
         with pytest.raises(DisconnectedUnion):
             union_rings([UNIT_SQUARE, b])
 
-    def test_corner_touch_decomposes(self):
-        b = [p + pt(1, 1) for p in UNIT_SQUARE]
-        got = union_rings([UNIT_SQUARE, b], decompose=True)
-        assert sorted(r[0].key() for r in got) == [pt(0, 0).key(), pt(1, 1).key()]
-
     def test_hole_raises(self):
         frame = [
             ring_of((0, 0), (3, 0), (3, 1), (0, 1)),
@@ -200,17 +200,15 @@ class TestUnion:
         with pytest.raises(DisconnectedUnion):
             union_rings(frame)
 
-    def test_union_regions_single(self):
-        a = Region.from_ring(UNIT_SQUARE)
-        b = Region.from_ring([p + pt("1/2", 0) for p in UNIT_SQUARE])
-        got = union_regions([a, b])
+    def test_union_one_region_single(self):
+        b = [p + pt("1/2", 0) for p in UNIT_SQUARE]
+        got = union_one_region([UNIT_SQUARE, b])
         assert list(got.vertices) == ring_of((0, 0), ("3/2", 0), ("3/2", 1), (0, 1))
 
-    def test_union_regions_rejects_disjoint(self):
-        a = Region.from_ring(UNIT_SQUARE)
-        b = Region.from_ring([p + pt(9, 9) for p in UNIT_SQUARE])
+    def test_union_one_region_rejects_disjoint(self):
+        b = [p + pt(9, 9) for p in UNIT_SQUARE]
         with pytest.raises(DisconnectedUnion):
-            union_regions([a, b])
+            union_one_region([UNIT_SQUARE, b])
 
 
 class TestStarUnion:

@@ -1,0 +1,49 @@
+"""Every module-level function and class in the package is used by the
+package itself or exported: code that only tests call is dead code."""
+import ast
+from pathlib import Path
+
+import errdiff
+
+SRC = Path(errdiff.__file__).resolve().parent
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Bare names read in node. The package imports its own names with
+    `from .module import name`, never as `module.name`, so an attribute
+    read is never a use of a module-level name; imports do not count as
+    uses, and a name read only in an annotation does count."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_definitions(src: Path) -> list[str]:
+    """module:name of each module-level function or class of src that no
+    other top-level statement of src reads and errdiff.__all__ leaves out.
+    Reads inside the definition itself, such as a recursive call, do not
+    count."""
+    statements = [(p.name, node)
+                  for p in sorted(src.glob("*.py"))
+                  for node in ast.parse(p.read_text(), filename=str(p)).body]
+    readers: dict[str, list[ast.AST]] = {}
+    for _, node in statements:
+        for name in _names(node):
+            readers.setdefault(name, []).append(node)
+    exported = set(errdiff.__all__)
+    return [f"{module}:{node.name}" for module, node in statements
+            if isinstance(node, DEFS) and node.name not in exported
+            and all(r is node for r in readers.get(node.name, []))]
+
+
+def test_every_definition_is_used_or_exported():
+    assert unused_definitions(SRC) == []
+
+
+def test_a_definition_read_only_by_itself_is_unused(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def _loop(n):\n    return _loop(n - 1) if n else 0\n\n"
+        "def _used():\n    return 1\n\n"
+        "class _Box:\n    def _used(self):\n        return _used()\n\n"
+        "def _reader(b):\n    return b._Box\n")
+    assert unused_definitions(tmp_path) == ["m.py:_loop", "m.py:_Box", "m.py:_reader"]

@@ -204,18 +204,19 @@ class TestOpponents:
 
 class TestSteps:
     def test_undelayed_center_tie(self):
-        y, e = step_undelayed(ORIGIN, SQUARE, pt(F(1, 2), F(1, 2)))
+        y, e, z = step_undelayed(ORIGIN, SQUARE, pt(F(1, 2), F(1, 2)))
         assert y == pt(0, 0)
         assert e == pt(F(1, 2), F(1, 2))
+        assert z == pt(F(1, 2), F(1, 2))
 
     def test_undelayed_accumulated_error_flips_cell(self):
-        y, e = step_undelayed(pt(F(1, 2), F(1, 2)), SQUARE, pt(F(1, 2), F(1, 2)))
+        y, e, z = step_undelayed(pt(F(1, 2), F(1, 2)), SQUARE, pt(F(1, 2), F(1, 2)))
         assert y == pt(1, 1)
         assert e == ORIGIN
 
     def test_undelayed_continuous_set_tracks_exactly(self):
         fs = Convex(ConvexPolygon.hull_of(Triangle(1, 1).hull_vertices()))
-        y, e = step_undelayed(ORIGIN, fs, pt(0, F(1, 2)))
+        y, e, z = step_undelayed(ORIGIN, fs, pt(0, F(1, 2)))
         assert y == pt(0, F(1, 2))
         assert e == ORIGIN
 

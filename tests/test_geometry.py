@@ -16,16 +16,14 @@ from errdiff.geometry import (
     NotSimple,
     Point,
     Region,
-    SegmentSeed,
     canonicalize_ring,
     ceil_sqrt,
     convex_hull,
     diameter_sq_of,
     dist_sq,
     equal_canonical,
-    halfplane_intersection,
+    is_convex_ring,
     is_simple_ring,
-    kernel,
     minkowski_convex,
     on_segment,
     orient,
@@ -37,6 +35,7 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
+from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -76,6 +75,42 @@ def reference_canonicalize(points):
         ring.reverse()
     k = min(range(len(ring)), key=lambda i: ring[i].key())
     return ring[k:] + ring[:k]
+
+
+def reference_point_in_ring(ring, p):
+    """point_in_ring in two passes per edge, on_segment and then the
+    crossing test with its own orient: the specification the one-orient
+    loop must match."""
+    inside = False
+    n = len(ring)
+    for i in range(n):
+        u, v = ring[i], ring[(i + 1) % n]
+        if on_segment(u, v, p):
+            return 0
+        if (u.y > p.y) != (v.y > p.y):
+            side = orient(u, v, p)
+            if (side > 0) if v.y > u.y else (side < 0):
+                inside = not inside
+    return 1 if inside else -1
+
+
+@st.composite
+def ring_and_point(draw, point_strategy):
+    """A ring, simple or not, and a point that is free, a vertex, on an
+    edge, or level with a vertex (the crossing ray runs through it)."""
+    ring = draw(st.lists(point_strategy, min_size=3, max_size=8))
+    i = draw(st.integers(0, len(ring) - 1))
+    u, v = ring[i], ring[(i + 1) % len(ring)]
+    kind = draw(st.sampled_from(("free", "vertex", "edge", "level")))
+    if kind == "free":
+        x = draw(point_strategy)
+    elif kind == "vertex":
+        x = u
+    elif kind == "edge":
+        x = u + (v - u).scale(draw(st.fractions(0, 1, max_denominator=6)))
+    else:
+        x = Point(draw(point_strategy).x, u.y)
+    return ring, x
 
 
 def ring_of(*coords) -> list[Point]:
@@ -166,6 +201,11 @@ class TestRings:
         assert canonicalize_ring(ring_of((0, 0), (1, 1), (2, 2))) is None
         assert canonicalize_ring(ring_of((0, 0), (1, 0), (0, 0), (1, 0))) is None
 
+    def test_convexity(self):
+        assert is_convex_ring(UNIT_SQUARE)
+        assert not is_convex_ring(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+        assert not is_convex_ring(ring_of((0, 0), (1, 0), (2, 0), (1, 1)))
+
     def test_simplicity(self):
         bowtie = ring_of((0, 0), (1, 1), (1, 0), (0, 1))
         assert not is_simple_ring(bowtie)
@@ -185,6 +225,13 @@ class TestRings:
         assert point_in_ring(diamond, pt("-1/2", 0)) == 1
         assert point_in_ring(diamond, pt(-2, 0)) == -1
         assert point_in_ring(diamond, pt(2, 0)) == -1
+
+    @given(st.one_of(ring_and_point(grid_points), ring_and_point(points),
+                     ring_and_point(wide_points)))
+    @settings(max_examples=400, deadline=None)
+    def test_point_in_ring_matches_two_pass_reference(self, case):
+        ring, x = case
+        assert point_in_ring(ring, x) == reference_point_in_ring(ring, x)
 
     @given(st.lists(points, min_size=3, max_size=9))
     def test_canonicalize_idempotent(self, pts):
@@ -236,18 +283,14 @@ class TestHalfPlane:
             assert w == u + (v - u).scale(fu / (fu - fv))
             assert hp.eval(w) == 0
 
-    def test_normalized(self):
-        hp = HalfPlane(F(4, 3), F(-2, 3), F(2)).normalized()
-        assert (hp.a, hp.b, hp.c) == (F(2), F(-1), F(3))
-
     def test_intersection_of_strips(self):
         hps = [
             HalfPlane(F(1), F(0), F(1)), HalfPlane(F(-1), F(0), F(0)),
             HalfPlane(F(0), F(1), F(2)), HalfPlane(F(0), F(-1), F(0)),
         ]
-        seed = ring_of((-9, -9), (9, -9), (9, 9), (-9, 9))
-        got = halfplane_intersection(hps, seed)
-        assert got == ring_of((0, 0), (1, 0), (1, 2), (0, 2))
+        box = Region.from_ring(ring_of((-9, -9), (9, -9), (9, 9), (-9, 9)))
+        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, tuple(hps), bounded=True))
+        assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, 2), (0, 2))
 
 
 class TestConvexPolygon:
@@ -404,29 +447,11 @@ class TestRegion:
 
 
 class TestKernel:
-    def test_lshape_kernel_is_unit_square(self):
-        lshape = Region.from_ring(
-            ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-        k = kernel(lshape)
-        assert k is not None
-        assert list(k.vertices) == UNIT_SQUARE
-
-    def test_convex_kernel_is_itself(self):
-        r = Region.from_ring(UNIT_SQUARE)
-        k = kernel(r)
-        assert list(k.vertices) == UNIT_SQUARE
-
     def test_membership_test_agrees(self):
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
         assert star_kernel_contains(lshape, pt(1, 1))
         assert star_kernel_contains(lshape, pt("1/2", "1/2"))
         assert not star_kernel_contains(lshape, pt("3/2", "1/2"))
-
-    def test_spiralish_region_has_empty_kernel(self):
-        zigzag = ring_of((0, 0), (4, 0), (4, 3), (3, 3), (3, 1),
-                         (2, 1), (2, 3), (1, 3), (1, 1), (0, 1))
-        r = Region.from_ring(zigzag)
-        assert kernel(r) is None
 
 
 class TestMisc:
@@ -437,7 +462,3 @@ class TestMisc:
         for q in (F(2), F(5, 3), F(10000), F(1, 7)):
             r = ceil_sqrt(q)
             assert r * r >= q
-
-    def test_segment_seed_rejects_degenerate(self):
-        with pytest.raises(DegenerateRegion):
-            SegmentSeed(pt(1, 1), pt(1, 1))

@@ -17,6 +17,7 @@ from errdiff.geometry import (
     PointSeed,
     Region,
     equal_canonical,
+    is_convex_ring,
     pt,
 )
 from errdiff.operators import (
@@ -209,14 +210,14 @@ class TestConvexVariants:
         q = g_step(STAR8, seed)
         G = G_step(STAR8, seed)
         assert subset(q.vertices, G.vertices)
-        assert G.is_convex()
+        assert is_convex_ring(G.vertices)
 
     def test_P_contains_p(self):
         seed = PointSeed(pt(0, 0))
         p1 = p_step(ZIGZAG5, seed)
         P1 = P_step(ZIGZAG5, seed)
         assert subset(p1.vertices, P1.vertices)
-        assert P1.is_convex()
+        assert is_convex_ring(P1.vertices)
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Site sets, bisector cells, classification, projection, boundedness."""
+"""Site sets, bisector cells, corners and inners, projection, boundedness."""
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,6 @@ from errdiff.geometry import (
     Point,
     Region,
     dist_sq,
-    halfplane_intersection,
     pt,
 )
 from errdiff.voronoi import (
@@ -25,7 +25,6 @@ from errdiff.voronoi import (
     assumption_report,
     bisector,
     cell,
-    classify,
     hull_edge_normals,
     inner_cell_diameter_sq,
     intersect_region_cell,
@@ -43,8 +42,9 @@ points = st.builds(Point, coord, coord)
 
 
 def norm(hp: HalfPlane):
-    n = hp.normalized()
-    return (n.a, n.b, n.c)
+    """The wall's integer triple reduced by its gcd."""
+    g = gcd(*hp._abc)
+    return tuple(F(k // g) for k in hp._abc)
 
 
 class TestBisector:
@@ -76,14 +76,14 @@ class TestSiteSet:
         with pytest.raises(DegenerateHull):
             SiteSet((pt(0, 0), pt(1, 0), pt(2, 0)))
 
-    def test_classify_square(self):
-        corners, inners = classify(SQUARE_CORNERS)
-        assert len(corners) == 4 and inners == ()
+    def test_corners_and_inners_square(self):
+        S = SQUARE_CORNERS
+        assert len(S.corners) == 4 and S.inners == ()
 
-    def test_classify_center(self):
-        corners, inners = classify(SQUARE_CENTER)
-        assert inners == (pt("1/2", "1/2"),)
-        assert len(corners) == 4
+    def test_corners_and_inners_center(self):
+        S = SQUARE_CENTER
+        assert S.inners == (pt("1/2", "1/2"),)
+        assert len(S.corners) == 4
 
     def test_edge_site_is_corner(self):
         S = SiteSet((pt(0, 0), pt(2, 0), pt(1, 0), pt(0, 2)))
@@ -116,6 +116,12 @@ class TestCell:
         got = materialize_cell(SQUARE_CENTER, pt("1/2", "1/2"))
         assert got == [pt(0, "1/2"), pt("1/2", 0), pt(1, "1/2"), pt("1/2", 1)]
         assert inner_cell_diameter_sq(SQUARE_CENTER, pt("1/2", "1/2")) == 1
+
+    def test_inner_cell_past_the_first_box(self):
+        # the cell of (0, 0) reaches y = 479/30, past the first box's 14.2
+        S = SiteSet((pt(2, "-3/5"), pt("-4/3", "-2/5"), pt("3/2", "3/5"), pt(0, 0)))
+        assert materialize_cell(S, pt(0, 0)) == [
+            pt("-331/60", "479/30"), pt("109/600", "-109/36"), pt("697/700", "-11/35")]
 
     def test_corner_cell_not_materializable(self):
         with pytest.raises(UnboundedCell):
@@ -245,10 +251,10 @@ class TestCornerCellMonotonicity:
         # the cell under all sites sits inside the cell under corners only
         S = SQUARE_CENTER
         cor = SiteSet(S.corners, id="cor")
-        box = [pt(-9, -9), pt(9, -9), pt(9, 9), pt(-9, 9)]
+        box = Region.from_ring([pt(-9, -9), pt(9, -9), pt(9, 9), pt(-9, 9)])
         for c in S.corners:
-            fine = halfplane_intersection(cell(S, c).walls, box)
-            coarse = halfplane_intersection(cell(cor, c).walls, box)
+            fine = intersect_region_cell(box, cell(S, c))
+            coarse = intersect_region_cell(box, cell(cor, c))
             assert fine is not None and coarse is not None
             assert subset(fine, coarse)
 
