@@ -1,11 +1,15 @@
 """Exact clip, union, and containment for simple polygons.
 
 clip_components is the one half-plane clipper: it returns every component
-of a ring cut by a half-plane, taking vertex sides and crossings from
-HalfPlane's integer arithmetic; errdiff.voronoi clips into cells with it.
-union_rings splits edges at every contact with the other boundaries, keeps
-or drops the pieces by exact midpoint location, and stitches them back into
-cycles; a boundary that touches itself or leaves a hole raises
+of a canonical ring cut by a half-plane.  It puts the ring over one common
+denominator (or takes the caller's), computes each vertex's level against
+the wall once (HalfPlane.levels), and reads the sides and every crossing
+from those integers; only the crossings become new Fractions, and a ring
+the wall keeps whole comes back as it was given.  errdiff.voronoi clips
+into cells with it.  union_rings splits edges at every contact with the
+other boundaries, keeps or drops the pieces by exact midpoint location
+(point_in_ring on each ring's cached integers), and stitches them back
+into cycles; a boundary that touches itself or leaves a hole raises
 DisconnectedUnion.  union_one_region is the union the operators use: it
 demands exactly one cycle.  Results are regularized: zero-area slivers and
 whiskers vanish.  Unions of parts star-shaped around one center go through
@@ -23,12 +27,14 @@ from .geometry import (
     NotSimple,
     Point,
     Region,
+    Scaled,
     bbox,
     bbox_overlap,
     canonicalize_ring,
     line_cross_point,
     on_segment,
     orient,
+    over_common_denominator,
     point_in_ring,
 )
 
@@ -68,10 +74,11 @@ def seg_seg_points(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
 class _RingIndex:
     """A ring with cached boxes for repeated splitting and location queries."""
 
-    __slots__ = ("ring", "box", "edges")
+    __slots__ = ("ring", "scaled", "box", "edges")
 
     def __init__(self, ring: Sequence[Point]):
         self.ring = list(ring)
+        self.scaled = over_common_denominator(self.ring)
         self.box = bbox(self.ring)
         n = len(self.ring)
         self.edges = []
@@ -84,7 +91,7 @@ class _RingIndex:
         xmin, ymin, xmax, ymax = self.box
         if p.x < xmin or p.x > xmax or p.y < ymin or p.y > ymax:
             return -1
-        return point_in_ring(self.ring, p)
+        return point_in_ring(self.ring, p, self.scaled)
 
 
 def _split_edge(u: Point, v: Point, others: Sequence[_RingIndex]) -> list[Point]:
@@ -110,36 +117,44 @@ def _midpoint(p: Point, q: Point) -> Point:
 # ---------------------------------------------------------------------------
 # clip by half-plane
 
-def clip_components(ring: Sequence[Point], hp: HalfPlane) -> list[list[Point]]:
-    """Exact intersection of a simple CCW ring with a closed half-plane.
+def clip_components(ring: Sequence[Point], hp: HalfPlane,
+                    scaled: Scaled | None = None) -> list[Sequence[Point]]:
+    """Exact intersection of a simple canonical ring with a closed half-plane.
 
-    Returns canonical CCW rings, one per connected component with area.
+    Returns canonical CCW rings, one per connected component with area; a
+    ring the half-plane keeps whole is returned itself.  scaled, when the
+    caller has it, is over_common_denominator(ring).  Over that common
+    denominator m, vertex u has the integer level f(u) (HalfPlane.levels),
+    whose sign is its side, and an edge u -> v whose levels have opposite
+    signs crosses the wall at (f(u) v - f(v) u) / (f(u) - f(v)).
     """
-    ring = list(ring)
-    sides = [hp.side(v) for v in ring]
-    if all(s <= 0 for s in sides):
-        whole = canonicalize_ring(ring)
-        return [whole] if whole is not None else []
-    if all(s >= 0 for s in sides):
+    scaled = over_common_denominator(ring) if scaled is None else scaled
+    levels = hp.levels(scaled)
+    if all(f <= 0 for f in levels):
+        return [ring]
+    if all(f >= 0 for f in levels):
         return []
 
-    n = len(ring)
-    walk: list[tuple[Point, int]] = []
+    m, xs, ys = scaled
+    n = len(levels)
+    # walk entries: (point, level, X, Y, D) with point == (X / D, Y / D)
+    walk: list[tuple[Point, int, int, int, int]] = []
     for i in range(n):
-        u, su = ring[i], sides[i]
-        v, sv = ring[(i + 1) % n], sides[(i + 1) % n]
-        walk.append((u, su))
-        if su * sv < 0:
-            walk.append((hp.boundary_point(u, v), 0))
+        j = (i + 1) % n
+        fu, fv = levels[i], levels[j]
+        walk.append((ring[i], fu, xs[i], ys[i], m))
+        if (fu > 0 and fv < 0) or (fu < 0 and fv > 0):
+            X, Y, D = fu * xs[j] - fv * xs[i], fu * ys[j] - fv * ys[i], m * (fu - fv)
+            walk.append((Point(Fraction(X, D), Fraction(Y, D)), 0, X, Y, D))
 
-    m = len(walk)
-    start = next(i for i in range(m) if walk[i][1] > 0)
-    chains: list[list[Point]] = []
-    cur: list[Point] = []
-    for k in range(1, m + 1):
-        p, s = walk[(start + k) % m]
-        if s <= 0:
-            cur.append(p)
+    k = len(walk)
+    start = next(i for i in range(k) if walk[i][1] > 0)
+    chains: list[list[tuple]] = []
+    cur: list[tuple] = []
+    for i in range(1, k + 1):
+        w = walk[(start + i) % k]
+        if w[1] <= 0:
+            cur.append(w)
         else:
             if len(cur) >= 2:
                 chains.append(cur)
@@ -149,12 +164,17 @@ def clip_components(ring: Sequence[Point], hp: HalfPlane) -> list[list[Point]]:
     if not chains:
         return []
 
-    # boundary chords run along the clip line with the kept side on the left
-    t = Point(-hp.b, hp.a)
+    # boundary chords run along the clip line with the kept side on the
+    # left, in the direction (-b, a); every chain end lies on the line
+    A, B, _ = hp._abc
+
+    def along(w: tuple) -> Fraction:
+        return Fraction(A * w[3] - B * w[2], w[4])
+
     events: list[tuple[Fraction, int, int]] = []
     for ci, ch in enumerate(chains):
-        events.append((t.dot(ch[-1]), 0, ci))
-        events.append((t.dot(ch[0]), 1, ci))
+        events.append((along(ch[-1]), 0, ci))
+        events.append((along(ch[0]), 1, ci))
     events.sort(key=lambda e: (e[0], e[1]))
 
     succ: dict[int, int] = {}
@@ -172,7 +192,7 @@ def clip_components(ring: Sequence[Point], hp: HalfPlane) -> list[list[Point]]:
         cur_id = ci
         while cur_id not in seen:
             seen.add(cur_id)
-            pts.extend(chains[cur_id])
+            pts.extend(w[0] for w in chains[cur_id])
             cur_id = succ[cur_id]
         comp = canonicalize_ring(pts)
         if comp is not None:
@@ -297,9 +317,10 @@ def _stitch(kept: list[tuple[Point, Point]]) -> list[list[Point]]:
     # canonical rings are all CCW, so a hole shows up as a cycle nested inside
     # another; filtered vertices of genuine sibling lobes never lie strictly
     # inside a neighbor
+    scaled = [over_common_denominator(r) for r in cycles]
     for i, r1 in enumerate(cycles):
         for j, r2 in enumerate(cycles):
-            if i != j and any(point_in_ring(r2, v) > 0 for v in r1):
+            if i != j and any(point_in_ring(r2, v, scaled[j]) > 0 for v in r1):
                 raise DisconnectedUnion("union produced a hole")
     return cycles
 

@@ -2,23 +2,32 @@
 
 Every coordinate is a fractions.Fraction and every predicate is decided by
 integer sign computations, so there is no floating point and no tolerance
-anywhere in this module. The hot predicates (orient, HalfPlane.side and the
-ring area sign in canonicalize_ring) read the numerators and denominators
-directly and build no intermediate Fractions; HalfPlane.boundary_point
-builds only the two coordinates of the crossing.
+anywhere in this module.  orient and HalfPlane._level read the numerators
+and denominators of their points directly and build no intermediate
+Fractions.
+
+A ring is decided on once it is put over one common denominator
+(over_common_denominator): canonicalize_ring (duplicates, the collinear
+sweep, the area sign and the start vertex), is_simple_ring, is_convex_ring,
+point_in_ring, star_kernel_contains, ring_area2, diameter_sq_of and
+minkowski_convex all run on the integer numerators, and a Polygon caches
+its own (m, xs, ys) as _scaled.  Against a query point p, the ring's x
+axis is scaled by p.x's denominator and its y axis by p.y's, which keeps
+every comparison and every orientation sign.  New Fractions are built only
+for returned points: the kept vertices of a Minkowski sum and the
+coordinates of a projection.
 
 Two polygon types share one base, Polygon (the canonical vertex tuple,
-edges, area2, bbox, diameter_sq): ConvexPolygon, a strictly convex hull,
-and Region, a simple polygon with an optional declared star center.
+edges, area2, bbox, diameter_sq, _scaled): ConvexPolygon, a strictly convex
+hull, and Region, a simple polygon with an optional declared star center.
 Callers dispatch on the two types, so neither is the other.  Clipping and
 union live in errdiff.booleans and errdiff.starunion.
 
 Convex polygons answer locate and contains_point from their edge walls,
 HalfPlane integer triples computed once per polygon.  project_convex puts
-the polygon and the query point over one common denominator
-(over_common_denominator) and decides containment, the foot on each edge
-and every distance comparison in integers; only the returned point is a
-new Fraction pair.
+the polygon and the query point over one common denominator and decides
+containment, the foot on each edge and every distance comparison in
+integers.
 """
 from __future__ import annotations
 
@@ -151,26 +160,6 @@ def on_segment(a: Point, b: Point, p: Point) -> bool:
     return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
 
 
-def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True when closed segments [p1,p2] and [q1,q2] share any point."""
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and on_segment(p1, p2, q2):
-        return True
-    return False
-
-
 def line_cross_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
     """Intersection of line(p1,p2) with line(q1,q2); lines must not be parallel."""
     dp = p2 - p1
@@ -182,12 +171,27 @@ def line_cross_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
     return p1 + dp.scale(t)
 
 
-def over_common_denominator(points: Sequence[Point]) -> tuple[int, list[int], list[int]]:
+Scaled = tuple[int, list[int], list[int]]
+
+
+def over_common_denominator(points: Sequence[Point]) -> Scaled:
     """(m, xs, ys) with points[i] == (xs[i] / m, ys[i] / m), where m > 0 is
     the lcm of every coordinate denominator."""
-    m = lcm(*[q.denominator for p in points for q in (p.x, p.y)])
-    return (m, [p.x.numerator * (m // p.x.denominator) for p in points],
-            [p.y.numerator * (m // p.y.denominator) for p in points])
+    xr = [p.x.as_integer_ratio() for p in points]
+    yr = [p.y.as_integer_ratio() for p in points]
+    m = lcm(*[d for _, d in xr], *[d for _, d in yr])
+    return m, [n * (m // d) for n, d in xr], [n * (m // d) for n, d in yr]
+
+
+def _against(scaled: Scaled, p: Point) -> tuple[list[int], list[int], int, int]:
+    """A ring over its common denominator m and a point p, both on integers:
+    the ring's x axis scaled by p.x's denominator and its y axis by p.y's,
+    p scaled by m.  Positive per-axis scales keep every comparison and every
+    orientation sign."""
+    m, xs, ys = scaled
+    xd, yd = p.x.denominator, p.y.denominator
+    return ([x * xd for x in xs], [y * yd for y in ys],
+            p.x.numerator * m, p.y.numerator * m)
 
 
 def bbox(points: Iterable[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -203,15 +207,21 @@ def bbox_overlap(b1, b2) -> bool:
     return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
 
 
-def diameter_sq_of(points: Sequence[Point]) -> Fraction:
-    best = ZERO
-    n = len(points)
+def diameter_sq_of(points: Sequence[Point], scaled: Scaled | None = None) -> Fraction:
+    """Largest squared distance between two of the points: the pairwise
+    maximum on the integers over their common denominator m (scaled, when
+    the caller has it), returned over m^2."""
+    m, xs, ys = over_common_denominator(points) if scaled is None else scaled
+    best = 0
+    n = len(xs)
     for i in range(n):
+        xi, yi = xs[i], ys[i]
         for j in range(i + 1, n):
-            d = dist_sq(points[i], points[j])
+            dx, dy = xs[j] - xi, ys[j] - yi
+            d = dx * dx + dy * dy
             if d > best:
                 best = d
-    return best
+    return Fraction(best, m * m)
 
 
 def ceil_sqrt(q: Fraction) -> Fraction:
@@ -242,69 +252,51 @@ class HalfPlane:
             b.numerator * (m // b.denominator),
             c.numerator * (m // c.denominator)))
 
-    def eval(self, p: Point) -> Fraction:
-        return self.a * p.x + self.b * p.y - self.c
-
     def _level(self, p: Point) -> int:
-        """eval(p) times a positive integer: the half-plane's common
-        denominator times both coordinate denominators of p."""
+        """a*x + b*y - c at p times a positive integer: the half-plane's
+        common denominator times both coordinate denominators of p."""
         A, B, C = self._abc
         xn, xd = p.x.numerator, p.x.denominator
         yn, yd = p.y.numerator, p.y.denominator
         return A * xn * yd + B * yn * xd - C * xd * yd
 
-    def side(self, p: Point) -> int:
-        """-1 strictly inside, 0 on the boundary line, +1 strictly outside."""
-        v = self._level(p)
-        return (v > 0) - (v < 0)
-
-    def contains(self, p: Point) -> bool:
-        return self._level(p) <= 0
-
-    def boundary_point(self, u: Point, v: Point) -> Point:
-        """Crossing of segment (u, v) with the boundary line; sides must differ.
-
-        The crossing is (fu*v - fv*u) / (fu - fv) for f = eval.  Scaling f
-        to _level cancels the denominators of u and v, so each coordinate
-        comes out as one integer over one shared integer.
-        """
-        fu, fv = self._level(u), self._level(v)
-        uxn, uxd, uyn, uyd = u.x.numerator, u.x.denominator, u.y.numerator, u.y.denominator
-        vxn, vxd, vyn, vyd = v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator
-        den = fu * vxd * vyd - fv * uxd * uyd
-        return Point(Fraction(fu * vxn * vyd - fv * uxn * uyd, den),
-                     Fraction(fu * vyn * vxd - fv * uyn * uxd, den))
+    def levels(self, scaled: Scaled) -> list[int]:
+        """a*x + b*y - c at every point of a ring over its common
+        denominator m, times m and the half-plane's common denominator: one
+        integer per point, whose sign is the point's side (-1 strictly
+        inside, 0 on the boundary line, +1 strictly outside)."""
+        A, B, C = self._abc
+        m, xs, ys = scaled
+        Cm = C * m
+        return [A * x + B * y - Cm for x, y in zip(xs, ys)]
 
 
 # ---------------------------------------------------------------------------
 # rings (ordered vertex lists)
 
-def _ring_area2_nd(ring: Sequence[Point]) -> tuple[int, int]:
-    """Twice the signed area as an unreduced (numerator, positive
-    denominator) pair: the shoelace sum over the common denominators of
-    the x and of the y coordinates."""
-    dx = lcm(*[p.x.denominator for p in ring])
-    dy = lcm(*[p.y.denominator for p in ring])
-    xs = [p.x.numerator * (dx // p.x.denominator) for p in ring]
-    ys = [p.y.numerator * (dy // p.y.denominator) for p in ring]
-    total = 0
-    for i in range(len(ring)):
-        total += xs[i - 1] * ys[i] - ys[i - 1] * xs[i]
-    return total, dx * dy
+def _scaled_of(ring: Sequence[Point], scaled: Scaled | None) -> Scaled:
+    return over_common_denominator(ring) if scaled is None else scaled
 
 
-def ring_area2(ring: Sequence[Point]) -> Fraction:
-    return Fraction(*_ring_area2_nd(ring))
+def _shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Twice the signed area of the integer ring (xs, ys)."""
+    return sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(xs)))
 
 
-def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
-    """Canonical form: CCW, no collinear triples, lexicographically smallest
-    vertex first. Returns None when the ring has no area left."""
-    ring = []
-    for p in points:
-        if not ring or p != ring[-1]:
-            ring.append(p)
-    while len(ring) > 1 and ring[0] == ring[-1]:
+def ring_area2(ring: Sequence[Point], scaled: Scaled | None = None) -> Fraction:
+    m, xs, ys = _scaled_of(ring, scaled)
+    return Fraction(_shoelace(xs, ys), m * m)
+
+
+def _canonical_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
+    """Indices of the canonical form of the integer ring (xs, ys), or None
+    when it has no area left: consecutive repeats dropped, then collinear
+    vertices, turned CCW, lexicographically smallest vertex first."""
+    ring: list[int] = []
+    for i in range(len(xs)):
+        if not ring or xs[i] != xs[ring[-1]] or ys[i] != ys[ring[-1]]:
+            ring.append(i)
+    while len(ring) > 1 and xs[ring[0]] == xs[ring[-1]] and ys[ring[0]] == ys[ring[-1]]:
         ring.pop()
     # drop the first collinear vertex, then look again from its predecessor:
     # the triples before it are unchanged, except the one at 0 when the
@@ -312,80 +304,127 @@ def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
     i = 0
     while i < len(ring) and len(ring) >= 3:
         n = len(ring)
-        if orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
+        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
+        ax, ay = xs[a], ys[a]
+        if (xs[b] - ax) * (ys[c] - ay) == (ys[b] - ay) * (xs[c] - ax):
             ring.pop(i)
             i = 0 if i == n - 1 else max(i - 1, 0)
         else:
             i += 1
     if len(ring) < 3:
         return None
-    a2 = _ring_area2_nd(ring)[0]
+    a2 = _shoelace([xs[i] for i in ring], [ys[i] for i in ring])
     if a2 == 0:
         return None
     if a2 < 0:
         ring.reverse()
-    k = min(range(len(ring)), key=lambda i: ring[i].key())
+    k = min(range(len(ring)), key=lambda i: (xs[ring[i]], ys[ring[i]]))
     return ring[k:] + ring[:k]
 
 
-def is_simple_ring(ring: Sequence[Point]) -> bool:
-    """Exact simplicity test for a canonicalized ring (O(n^2) edge pairs)."""
-    n = len(ring)
-    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
+    """Canonical form: CCW, no collinear triples, lexicographically smallest
+    vertex first. Returns None when the ring has no area left.  Decided on
+    the ring over its common denominator; the kept Points are returned as
+    they came."""
+    _, xs, ys = over_common_denominator(points)
+    order = _canonical_order(xs, ys)
+    return None if order is None else [points[i] for i in order]
+
+
+def _touch(e: tuple, f: tuple) -> bool:
+    """True when the closed integer segments e and f share a point; each is
+    (ax, ay, bx, by, xmin, xmax, ymin, ymax)."""
+    p1x, p1y, p2x, p2y = e[0], e[1], e[2], e[3]
+    q1x, q1y, q2x, q2y = f[0], f[1], f[2], f[3]
+    qx, qy = q2x - q1x, q2y - q1y
+    px, py = p2x - p1x, p2y - p1y
+    d1 = qx * (p1y - q1y) - qy * (p1x - q1x)
+    d2 = qx * (p2y - q1y) - qy * (p2x - q1x)
+    d3 = px * (q1y - p1y) - py * (q1x - p1x)
+    d4 = px * (q2y - p1y) - py * (q2x - p1x)
+    if d1 and d2 and d3 and d4:
+        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+    # a point collinear with the other segment touches it when it lies in
+    # that segment's box
+    return ((d1 == 0 and f[4] <= p1x <= f[5] and f[6] <= p1y <= f[7])
+            or (d2 == 0 and f[4] <= p2x <= f[5] and f[6] <= p2y <= f[7])
+            or (d3 == 0 and e[4] <= q1x <= e[5] and e[6] <= q1y <= e[7])
+            or (d4 == 0 and e[4] <= q2x <= e[5] and e[6] <= q2y <= e[7]))
+
+
+def is_simple_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
+    """Exact simplicity test for a canonicalized ring: no two edges that
+    are not neighbours share a point.  Every pair of edges is tested on the
+    ring's integers; a pair whose boxes are apart shares none."""
+    _, xs, ys = _scaled_of(ring, scaled)
+    n = len(xs)
+    edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            if adjacent:
+        ax, ay, bx, by = xs[i - 1], ys[i - 1], xs[i], ys[i]
+        edges.append((ax, ay, bx, by, min(ax, bx), max(ax, bx),
+                      min(ay, by), max(ay, by)))
+    # edges[i] ends at vertex i, so edges[i] and edges[i + 1] are
+    # neighbours, and so are edges[0] and edges[n - 1]
+    for i in range(n):
+        e = edges[i]
+        exmin, exmax, eymin, eymax = e[4], e[5], e[6], e[7]
+        for j in range(i + 2, n - (i == 0)):
+            f = edges[j]
+            if f[5] < exmin or exmax < f[4] or f[7] < eymin or eymax < f[6]:
                 continue
-            if segments_touch(*edges[i], *edges[j]):
+            if _touch(e, f):
                 return False
     return True
 
 
-def point_in_ring(ring: Sequence[Point], p: Point) -> int:
+def point_in_ring(ring: Sequence[Point], p: Point, scaled: Scaled | None = None) -> int:
     """Exact location of p in the closed region bounded by a simple ring:
     +1 strictly inside, 0 on the boundary, -1 outside.
 
-    An edge whose y-range misses p can neither hold p nor cross the
-    horizontal through p, so only the others cost one orient, which decides
-    both the boundary test and the crossing.
+    Decided on the ring's integers (scaled, when the caller has it) against
+    p.  An edge whose y-range misses p can neither hold p nor cross the
+    horizontal through p, so only the others cost one orientation, which
+    decides both the boundary test and the crossing.
     """
+    xs, ys, px, py = _against(_scaled_of(ring, scaled), p)
     inside = False
-    n = len(ring)
-    px, py = p.x, p.y
-    for i in range(n):
-        u = ring[i]
-        v = ring[(i + 1) % n]
-        if (py < u.y and py < v.y) or (py > u.y and py > v.y):
+    for i in range(len(xs)):
+        uy, vy = ys[i - 1], ys[i]
+        if (py < uy and py < vy) or (py > uy and py > vy):
             continue
-        side = orient(u, v, p)
-        if side == 0 and (u.x <= px <= v.x or v.x <= px <= u.x):
+        ux, vx = xs[i - 1], xs[i]
+        side = (vx - ux) * (py - uy) - (vy - uy) * (px - ux)
+        if side == 0 and (ux <= px <= vx or vx <= px <= ux):
             return 0
-        if (u.y > py) != (v.y > py):
+        if (uy > py) != (vy > py):
             # the edge crosses the horizontal through p; it crosses the ray
             # to +x exactly when p sits left of an upward edge (or right of
             # a downward one)
-            if v.y > u.y:
-                if side > 0:
-                    inside = not inside
-            else:
-                if side < 0:
-                    inside = not inside
+            if (side > 0) if vy > uy else (side < 0):
+                inside = not inside
     return 1 if inside else -1
 
 
-def is_convex_ring(ring: Sequence[Point]) -> bool:
+def is_convex_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
     """True when every vertex of the ring is a strict left turn."""
-    n = len(ring)
-    return all(orient(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) > 0
-               for i in range(n))
-
-
-def star_kernel_contains(ring: Sequence[Point], p: Point) -> bool:
-    """True when p is in the kernel of the CCW ring (inner side of every edge)."""
-    n = len(ring)
+    _, xs, ys = _scaled_of(ring, scaled)
+    n = len(xs)
     for i in range(n):
-        if orient(ring[i], ring[(i + 1) % n], p) < 0:
+        ax, ay = xs[(i - 2) % n], ys[(i - 2) % n]
+        if (xs[i - 1] - ax) * (ys[i] - ay) <= (ys[i - 1] - ay) * (xs[i] - ax):
+            return False
+    return True
+
+
+def star_kernel_contains(ring: Sequence[Point], p: Point,
+                         scaled: Scaled | None = None) -> bool:
+    """True when p is in the kernel of the CCW ring (inner side of every
+    edge), decided on the ring's integers against p."""
+    xs, ys, px, py = _against(_scaled_of(ring, scaled), p)
+    for i in range(len(xs)):
+        ux, uy = xs[i - 1], ys[i - 1]
+        if (xs[i] - ux) * (py - uy) < (ys[i] - uy) * (px - ux):
             return False
     return True
 
@@ -413,8 +452,13 @@ class Polygon:
         return self.locate(p) >= 0
 
     @cached_property
+    def _scaled(self) -> Scaled:
+        """The ring over its common denominator, for the integer predicates."""
+        return over_common_denominator(self.vertices)
+
+    @cached_property
     def area2(self) -> Fraction:
-        return ring_area2(self.vertices)
+        return ring_area2(self.vertices, self._scaled)
 
     @cached_property
     def bbox(self):
@@ -422,7 +466,7 @@ class Polygon:
 
     @cached_property
     def diameter_sq(self) -> Fraction:
-        return diameter_sq_of(self.vertices)
+        return diameter_sq_of(self.vertices, self._scaled)
 
 
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -473,10 +517,6 @@ class ConvexPolygon(Polygon):
     @cached_property
     def _walls(self) -> tuple[HalfPlane, ...]:
         return tuple(self.halfplanes())
-
-    @cached_property
-    def _scaled(self) -> tuple[int, list[int], list[int]]:
-        return over_common_denominator(self.vertices)
 
     def translate(self, d: Point) -> "ConvexPolygon":
         ring = canonicalize_ring([v + d for v in self.vertices])
@@ -546,24 +586,35 @@ def project_convex(poly: ConvexPolygon, x: Point) -> Point:
 
 
 def minkowski_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Minkowski sum of convex polygons by edge-vector angular merge."""
+    """Minkowski sum of convex polygons by edge-vector angular merge.
 
-    def bottom_start(poly: ConvexPolygon) -> list[Point]:
-        vs = poly.vertices
-        k = min(range(len(vs)), key=lambda i: (vs[i].y, vs[i].x))
-        return list(vs[k:]) + list(vs[:k])
+    Both polygons go over the lcm m of their common denominators; the edge
+    vectors, the half-plane and cross-product decisions of the merge and
+    the canonical form of the sum are all integers over m.  Only the kept
+    vertices of the sum become Fractions.
+    """
+    mp, pxs, pys = p._scaled
+    mq, qxs, qys = q._scaled
+    m = lcm(mp, mq)
 
-    def edge_vectors(vs: list[Point]) -> list[Point]:
-        return [vs[(i + 1) % len(vs)] - vs[i] for i in range(len(vs))]
+    def bottom_start(xs: list[int], ys: list[int], k: int) -> tuple[list[int], list[int]]:
+        s = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
+        order = list(range(s, len(xs))) + list(range(s))
+        return [xs[i] * k for i in order], [ys[i] * k for i in order]
 
-    def half(d: Point) -> int:
-        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
+    def edge_vectors(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
+        return [(xs[(i + 1) % len(xs)] - xs[i], ys[(i + 1) % len(xs)] - ys[i])
+                for i in range(len(xs))]
 
-    a = bottom_start(p)
-    b = bottom_start(q)
-    ea = edge_vectors(a)
-    eb = edge_vectors(b)
-    out = [a[0] + b[0]]
+    def half(d: tuple[int, int]) -> int:
+        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+
+    axs, ays = bottom_start(pxs, pys, m // mp)
+    bxs, bys = bottom_start(qxs, qys, m // mq)
+    ea = edge_vectors(axs, ays)
+    eb = edge_vectors(bxs, bys)
+    x, y = axs[0] + bxs[0], ays[0] + bys[0]
+    oxs, oys = [x], [y]
     i = j = 0
     while i < len(ea) or j < len(eb):
         if i == len(ea):
@@ -575,31 +626,25 @@ def minkowski_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         else:
             da, db = ea[i], eb[j]
             ha, hb = half(da), half(db)
-            if ha != hb:
-                take_a = ha < hb
-            else:
-                cr = da.cross(db)
-                if cr > 0:
-                    take_a = True
-                elif cr < 0:
-                    take_a = False
-                else:
-                    step = da + db
-                    i += 1
-                    j += 1
-                    out.append(out[-1] + step)
-                    continue
-            if take_a:
+            cr = da[0] * db[1] - da[1] * db[0]
+            if ha == hb and cr == 0:
+                step = (da[0] + db[0], da[1] + db[1])
+                i += 1
+                j += 1
+            elif (ha < hb) if ha != hb else (cr > 0):
                 step = da
                 i += 1
             else:
                 step = db
                 j += 1
-        out.append(out[-1] + step)
-    ring = canonicalize_ring(out)
-    if ring is None:
+        x, y = x + step[0], y + step[1]
+        oxs.append(x)
+        oys.append(y)
+    order = _canonical_order(oxs, oys)
+    if order is None:
         raise DegenerateHull("degenerate Minkowski sum")
-    return ConvexPolygon(tuple(ring))
+    return ConvexPolygon(tuple(Point(Fraction(oxs[k], m), Fraction(oys[k], m))
+                               for k in order))
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +665,16 @@ class Region(Polygon):
         ring = canonicalize_ring(points)
         if ring is None:
             raise DegenerateRegion("ring has zero area")
-        if validate and not is_simple_ring(ring):
+        region = Region(tuple(ring), reference)
+        if validate and not is_simple_ring(ring, region._scaled):
             raise NotSimple("boundary self-intersects")
-        if reference is not None and not star_kernel_contains(ring, reference):
+        if reference is not None and not star_kernel_contains(ring, reference,
+                                                              region._scaled):
             raise KernelViolation("reference point outside the kernel")
-        return Region(tuple(ring), reference)
+        return region
 
     def locate(self, p: Point) -> int:
-        return point_in_ring(self.vertices, p)
+        return point_in_ring(self.vertices, p, self._scaled)
 
     def translate(self, d: Point) -> "Region":
         ref = self.reference + d if self.reference is not None else None
@@ -639,7 +686,7 @@ class Region(Polygon):
         return Region(self.vertices, reference)
 
     def kernel_contains(self, p: Point) -> bool:
-        return star_kernel_contains(self.vertices, p)
+        return star_kernel_contains(self.vertices, p, self._scaled)
 
 
 def equal_canonical(a: Region, b: Region) -> bool:

@@ -175,7 +175,7 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     Q is fanned into triangles from the origin; each convex summand is
     exact, and their union is star-shaped around any point of P.
     """
-    if is_convex_ring(Q.vertices):
+    if is_convex_ring(Q.vertices, Q._scaled):
         s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
         return Region.from_ring(s.vertices, validate=False)
     parts = []

@@ -25,7 +25,6 @@ from .geometry import (
     dist_sq,
     orient,
     scalar_str,
-    star_kernel_contains,
 )
 from .operators import Collection, g_step_collection, p_step_collection
 from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell
@@ -87,7 +86,7 @@ def is_invariant_p(scenario, D: Region) -> VerificationReport:
 
 def is_star_convex_origin(Q: Region) -> VerificationReport:
     """Is every point of Q visible from the origin (exact kernel test)?"""
-    if star_kernel_contains(Q.vertices, ORIGIN):
+    if Q.kernel_contains(ORIGIN):
         return _report("is_star_convex_origin", ())
     ring = Q.vertices
     witnesses = []

@@ -2,10 +2,14 @@
 
 Cells are kept as half-plane lists (one bisector per other site, unpruned),
 built once per site set.  Clipping a region into a cell runs
-booleans.clip_components wall by wall; a bounded cell is materialized on
-demand the same way, by clipping a box around the hull that grows until
-the cell no longer touches it.  Sites on the hull boundary are the
-corners, sites strictly inside the inners (SiteSet.corners and .inners).
+booleans.clip_components wall by wall on the ring's integers over one
+common denominator (the Region's cached _scaled, then each clipped
+ring's); a wall that leaves the whole ring inside hands it back untouched,
+so it is neither copied nor canonicalized again.  A bounded cell is
+materialized on demand the same way, by clipping a box around the hull
+that grows until the cell no longer touches it.  Sites on the hull
+boundary are the corners, sites strictly inside the inners
+(SiteSet.corners and .inners).
 
 project compares squared distances as integers: the sites are cached in
 key order over their common denominator, so one integer per site decides
@@ -128,25 +132,20 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
         raise SiteNotInSet(f"{c} is not a site") from None
 
 
-def _cuts(hp: HalfPlane, ring: Sequence[Point]) -> bool:
-    """True when hp leaves part of ring outside; a ring it keeps whole
-    needs no clip and, being canonical, no re-canonicalization."""
-    return any(hp.side(v) > 0 for v in ring)
-
-
 def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
     """R clipped into V; None when empty, MultiComponent when it splits."""
-    ring = list(R.vertices)
+    ring, scaled = R.vertices, R._scaled
     for hp in V.walls:
-        if not _cuts(hp, ring):
+        comps = clip_components(ring, hp, scaled)
+        if len(comps) == 1 and comps[0] is ring:
             continue
-        comps = clip_components(ring, hp)
         if not comps:
             return None
         if len(comps) > 1:
             raise MultiComponent(
                 f"cell of {V.site} cuts the region into {len(comps)} parts")
         ring = comps[0]
+        scaled = over_common_denominator(ring)
     # ring is canonical: R's own vertices or a clip component.  The input's
     # star center need not survive the clip; callers reattach one
     return Region(tuple(ring))
@@ -154,14 +153,14 @@ def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
 
 def intersect_region_cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
     """All components of R clipped into V (the disconnection-tolerant form)."""
-    rings = [list(R.vertices)]
+    rings = [(R.vertices, R._scaled)]
     for hp in V.walls:
-        rings = [comp for ring in rings
-                 for comp in (clip_components(ring, hp) if _cuts(hp, ring)
-                              else [ring])]
+        rings = [(comp, scaled if comp is ring else over_common_denominator(comp))
+                 for ring, scaled in rings
+                 for comp in clip_components(ring, hp, scaled)]
         if not rings:
             return []
-    return rings
+    return [list(ring) for ring, _ in rings]
 
 
 def project(S: SiteSet, x: Point) -> Point:

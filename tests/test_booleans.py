@@ -83,9 +83,10 @@ class TestClip:
         assert clip_components(UNIT_SQUARE, hp) == []
 
     def test_tangent_vertex_keeps_all(self):
-        diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
+        diamond = canonicalize_ring(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
         hp = HalfPlane(F(0), F(1), F(1))  # y <= 1, touches the top vertex
-        assert clip_components(diamond, hp) == [canonicalize_ring(diamond)]
+        (got,) = clip_components(diamond, hp)
+        assert got is diamond
 
     def test_diamond_lower_half(self):
         diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
@@ -361,6 +362,103 @@ class TestWideCoordinates:
                     diff = _t_at(u, a1, b1) - _t_at(u, a2, b2)
                     got = _t_cmp(d, ea, _Edge(a2, b2, -1, -1))
                     assert got == (diff > 0) - (diff < 0)
+
+
+def reference_clip(ring, a, b, c):
+    """clip_components in Fractions: each side from a*x + b*y - c, each
+    crossing as u + (v - u) f(u) / (f(u) - f(v)), the chains joined by their
+    Fraction positions along (-b, a)."""
+    vals = [a * p.x + b * p.y - c for p in ring]
+    if all(f <= 0 for f in vals):
+        return [list(ring)]
+    if all(f >= 0 for f in vals):
+        return []
+    n = len(ring)
+    walk = []
+    for i in range(n):
+        u, v, fu, fv = ring[i], ring[(i + 1) % n], vals[i], vals[(i + 1) % n]
+        walk.append((u, fu))
+        if fu * fv < 0:
+            walk.append((u + (v - u).scale(fu / (fu - fv)), F(0)))
+    start = next(i for i, (_, f) in enumerate(walk) if f > 0)
+    chains, cur = [], []
+    for k in range(1, len(walk) + 1):
+        w, f = walk[(start + k) % len(walk)]
+        if f <= 0:
+            cur.append(w)
+        else:
+            if len(cur) >= 2:
+                chains.append(cur)
+            cur = []
+    if len(cur) >= 2:
+        chains.append(cur)
+    t = Point(-b, a)
+    events = sorted([(t.dot(ch[-1]), 0, ci) for ci, ch in enumerate(chains)]
+                    + [(t.dot(ch[0]), 1, ci) for ci, ch in enumerate(chains)],
+                    key=lambda e: (e[0], e[1]))
+    succ = {}
+    for e1, e2 in zip(events[0::2], events[1::2]):
+        if e1[1] != 0 or e2[1] != 1:
+            raise MultiComponent("degenerate contact")
+        succ[e1[2]] = e2[2]
+    comps, seen = [], set()
+    for ci in range(len(chains)):
+        pts = []
+        while ci not in seen:
+            seen.add(ci)
+            pts.extend(chains[ci])
+            ci = succ[ci]
+        comp = canonicalize_ring(pts)
+        if comp is not None:
+            comps.append(comp)
+    return sorted(comps, key=lambda r: [p.key() for p in r])
+
+
+@st.composite
+def ring_and_wall(draw, radius):
+    """A canonical star ring and a wall through two of its vertices, through
+    one vertex, or anywhere, facing either way."""
+    ring = draw(star_rings(radius))
+    n = len(ring)
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("two vertices", "one vertex", "free")))
+    if kind == "two vertices":
+        p, q = ring[i], ring[(i + draw(st.integers(1, n - 1))) % n]
+        a, b = q.y - p.y, p.x - q.x
+    else:
+        a, b = (F(draw(st.integers(-3, 3))) for _ in range(2))
+        if a == b == 0:
+            a = F(1)
+        p = ring[i] if kind == "one vertex" else Point(draw(radius), draw(radius))
+    flip = draw(st.sampled_from((1, -1)))
+    return ring, a * flip, b * flip, (a * p.x + b * p.y) * flip
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MultiComponent:
+        return MultiComponent
+
+
+class TestClipIntegerKernel:
+    @given(st.one_of(ring_and_wall(radii), ring_and_wall(wide_radii)))
+    @settings(max_examples=300, deadline=None)
+    def test_clip_matches_fraction_reference(self, case):
+        ring, a, b, c = case
+        got = outcome(clip_components, ring, HalfPlane(a, b, c))
+        assert got == outcome(reference_clip, ring, a, b, c)
+        if got not in (MultiComponent, []) and got[0] == ring:
+            assert got[0] is ring
+
+    def test_vertices_on_the_line(self):
+        # the wall y <= 1 runs through two vertices of the L; the clip keeps
+        # the lower bar and cuts nowhere else
+        lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+        got = clip_components(lshape, HalfPlane(F(0), F(1), F(1)))
+        assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
+        got = clip_components(lshape, HalfPlane(F(0), F(-1), F(-1)))
+        assert got == [ring_of((0, 1), (1, 1), (1, 2), (0, 2))]
 
 
 class TestTriangulate:

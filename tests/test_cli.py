@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,3 +205,139 @@ class TestFailureModes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "after 1 iteration," in proc.stdout
+
+
+# sha256 of every file that min-gset and min-fset, plain and --convex, write
+# for the small shipped scenes, recorded before the ring layer moved to
+# integers over one common denominator
+PINNED_ARTIFACTS = {
+    ("square_center", "min-fset"): {
+        "square-center.fset.json":
+            "0c1ec08ed66ee5c5907fabba6754e895c25ccffaeb197113b5860c2c674e72c9",
+        "square-center.fset.log.jsonl":
+            "f616d51dd3dd6b9f6009c560a4ec6677bb50f04241ff5266926c9a7a6b58d0ab",
+    },
+    ("square_center", "min-fset --convex"): {
+        "square-center.fset.json":
+            "24d57d9bf5090b1eddad7d1f6daa37acc132b41ea85a6b52e2379b7ece4f1be7",
+        "square-center.fset.log.jsonl":
+            "f616d51dd3dd6b9f6009c560a4ec6677bb50f04241ff5266926c9a7a6b58d0ab",
+    },
+    ("square_center", "min-gset"): {
+        "square-center.gset.json":
+            "70ff4304da9502f569c0341f57a7d448aae21d8d00d1480b59a95a865934c92a",
+        "square-center.gset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("square_center", "min-gset --convex"): {
+        "square-center.gset.json":
+            "030bcd823a5965fe951433aa17047c17d1ad0fd97165420fbdca7d3679ff8f1e",
+        "square-center.gset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("sset1", "min-fset"): {
+        "sset1.fset.json":
+            "65519c8a507e0cc56654189610232238d20ada616b42a5ac2baef75480ef7c75",
+        "sset1.fset.log.jsonl":
+            "1130d5cedb7ab80c274cfae1b8efe5e40d2befd8d5d7099c5e7c49c133b2be38",
+    },
+    ("sset1", "min-fset --convex"): {
+        "sset1.fset.json":
+            "dc0f237be050c339f1134641c4ffbb0e2a437483783744102011da695e62f51a",
+        "sset1.fset.log.jsonl":
+            "28f0cee9ed617e71da6d244b4ec0ca3ca256d57b20fd729b7a81c186fefcd5d8",
+    },
+    ("sset1", "min-gset"): {
+        "sset1.gset.json":
+            "40eca6c6e1d06fd9d5e1cf26bd0d37f412d28858b124a701a5ae62ea23efa39a",
+        "sset1.gset.log.jsonl":
+            "2a403793303c582a64b3673b04600c488f28d44865eb348717b10c19e0df76b1",
+    },
+    ("sset1", "min-gset --convex"): {
+        "sset1.gset.json":
+            "7014c6a206dc21a1983a63542eb5b2b425ee4f94e4bdc035632528785735c75a",
+        "sset1.gset.log.jsonl":
+            "eb12fa0fe91396fdd8d1c5dc8dd3409804af121bbdec77cfcd209f10c77ead36",
+    },
+    ("sset2", "min-fset"): {
+        "sset2.fset.json":
+            "fe13d7132bf82a775fefbe27f7be619565aeac8cffb35d87d28bc856a6f05b52",
+        "sset2.fset.log.jsonl":
+            "865f727ed2f731f629dca07cd8ac380f2383dea8358ebf611296a3ad86df7363",
+    },
+    ("sset2", "min-fset --convex"): {
+        "sset2.fset.json":
+            "6f12ba453516bf35e8085c09701eafed74ea80c0055cb4ba41db892aeb274ee5",
+        "sset2.fset.log.jsonl":
+            "6da7d18c9c4e773586eecce2c7c3bd1be7b33e77ba014e0390f81ab1ea790cf2",
+    },
+    ("sset2", "min-gset"): {
+        "sset2.gset.json":
+            "109011b3e9990e89da670e7c2a9b98d0470b1d09682a59409b9ef0c64dc184fd",
+        "sset2.gset.log.jsonl":
+            "8fc3ff26369c0ef2886ee83a10b0193be37ae649e3d6364ff25f1d87e87cfe1b",
+    },
+    ("sset2", "min-gset --convex"): {
+        "sset2.gset.json":
+            "404b4bfab671f4be6a2600f6c2c3317857a018b225cf0df6d5fe5e85083ac180",
+        "sset2.gset.log.jsonl":
+            "34b10c7453dfe4f613878048be5c864abbffe1eb4b931f0f5458af51ea4e0751",
+    },
+    ("sset4", "min-fset"): {
+        "sset4.fset.json":
+            "2200841468ca84e9c141a6085f61c471c02b2795a76d83edc90b4dc05d6ed7b8",
+        "sset4.fset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("sset4", "min-fset --convex"): {
+        "sset4.fset.json":
+            "4f665feb04d5df7b83e0ca9ddc43d51075b8b93ac2f75c6c0cbebbdea8a8df31",
+        "sset4.fset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("sset4", "min-gset"): {
+        "sset4.gset.json":
+            "9c9abbc15a5d976868ecebe09c20c621c42ab60a0ad10356753086069b47821b",
+        "sset4.gset.log.jsonl":
+            "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+    ("sset4", "min-gset --convex"): {
+        "sset4.gset.json":
+            "0b384040d45a4fd624d42b878f493c7bfd8be6769edbd8bb46de9d308af410a3",
+        "sset4.gset.log.jsonl":
+            "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+    ("unit_square", "min-fset"): {
+        "unit-square.fset.json":
+            "4f0e533636df43f71ec138762ca233c4f9eb0b008c3ee220807e13064befaa27",
+        "unit-square.fset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("unit_square", "min-fset --convex"): {
+        "unit-square.fset.json":
+            "911548ec1612de8c1eb60410ab06659b864dbd382d6f7e58cf7e75677e3d884a",
+        "unit-square.fset.log.jsonl":
+            "873032787aa0813ef2cb668c34f7369f033c3e58c8a1d81450e2d0426dfbeff7",
+    },
+    ("unit_square", "min-gset"): {
+        "unit-square.gset.json":
+            "248f522effa9ab4e60ee867d5d13144655347d0955b78b62370f567cf8096cdd",
+        "unit-square.gset.log.jsonl":
+            "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+    ("unit_square", "min-gset --convex"): {
+        "unit-square.gset.json":
+            "579a718e215703590ef90d9a0fd4c92ae4cf1929d9226d310a753e001cc03bff",
+        "unit-square.gset.log.jsonl":
+            "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+}
+
+
+@pytest.mark.parametrize("scene, command", sorted(PINNED_ARTIFACTS),
+                         ids=[f"{s}-{c.replace(' --', '-')}" for s, c in sorted(PINNED_ARTIFACTS)])
+def test_pinned_artifacts(scene, command, out):
+    assert run_cli(*command.split(), "--scene", SCENES / f"{scene}.json", "--out", out) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.iterdir()}
+    assert got == PINNED_ARTIFACTS[scene, command]

@@ -1,5 +1,7 @@
 """Exact geometry kernel: predicates, hulls, regions, Minkowski sums."""
+import math
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from errdiff.geometry import (
     minkowski_convex,
     on_segment,
     orient,
+    over_common_denominator,
     parse_scalar,
     point_in_ring,
     project_convex,
@@ -35,6 +38,7 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
+from errdiff.booleans import clip_components
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -115,6 +119,15 @@ def ring_and_point(draw, point_strategy):
 
 def ring_of(*coords) -> list[Point]:
     return [pt(x, y) for x, y in coords]
+
+
+def sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def reference_eval(hp, p):
+    """a*x + b*y - c at p, in Fractions."""
+    return hp.a * p.x + hp.b * p.y - hp.c
 
 
 class TestScalars:
@@ -207,9 +220,27 @@ class TestRings:
         assert not is_convex_ring(ring_of((0, 0), (1, 0), (2, 0), (1, 1)))
 
     def test_simplicity(self):
+        # every rotation and both directions, so each endpoint of each edge
+        # pair takes every role in the segment test
+        def turns(ring):
+            for r in (ring, ring[::-1]):
+                for k in range(len(r)):
+                    yield r[k:] + r[:k]
+
         bowtie = ring_of((0, 0), (1, 1), (1, 0), (0, 1))
         assert not is_simple_ring(bowtie)
         assert is_simple_ring(UNIT_SQUARE)
+        # a square, and a ring with a vertex on the line of a non-adjacent
+        # edge, past its end, where the two edges' boxes meet
+        for ring in (ring_of((0, 0), (2, 0), (2, 2), (0, 2)),
+                     ring_of((0, 0), (2, 0), (4, -1), (3, 0), (1, 1))):
+            assert all(is_simple_ring(r) for r in turns(ring))
+        # a vertex on a non-adjacent edge, the vertex before an edge on that
+        # edge, and an edge folded back along another
+        for ring in (ring_of((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)),
+                     ring_of((0, 0), (2, 0), (2, 2), (0, 2), (1, 0)),
+                     ring_of((0, 0), (3, 0), (3, 1), (2, 0), (1, 0), (0, 1))):
+            assert not any(is_simple_ring(r) for r in turns(ring))
 
     def test_point_in_ring(self):
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
@@ -258,30 +289,27 @@ class TestRings:
 class TestHalfPlane:
     def test_side_and_boundary(self):
         hp = HalfPlane(F(1), F(0), F(1, 2))  # x <= 1/2
-        assert hp.contains(pt(0, 3))
-        assert hp.side(pt(1, 0)) == 1
-        assert hp.side(pt("1/2", 9)) == 0
-        w = hp.boundary_point(pt(0, 0), pt(1, 1))
-        assert w == pt("1/2", "1/2")
+        ring = ring_of((0, 3), (1, 0), ("1/2", 9))
+        assert [sign(f) for f in hp.levels(over_common_denominator(ring))] == [-1, 1, 0]
+        # the edge (1, 0) -> (1, 1) lies outside; (0, 0) -> (1, 1) crosses
+        # the wall at (1/2, 1/2)
+        got = clip_components(ring_of((0, 0), (1, 0), (1, 1)), hp)
+        assert got == [ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))]
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
             HalfPlane(F(0), F(0), F(1))
 
-    @given(coord, coord, coord, wide_points, wide_points)
-    def test_integer_side_matches_eval_on_wide_points(self, a, b, c, u, v):
+    @given(coord, coord, coord, st.lists(wide_points, min_size=1, max_size=6))
+    def test_integer_side_matches_eval_on_wide_points(self, a, b, c, ring):
         if a == 0 and b == 0:
             a = F(1)
         hp = HalfPlane(a, b, c)
-        for p in (u, v):
-            e = hp.eval(p)
-            assert hp.side(p) == (e > 0) - (e < 0)
-            assert hp.contains(p) == (e <= 0)
-        fu, fv = hp.eval(u), hp.eval(v)
-        if (fu > 0) != (fv > 0) and fu != 0 and fv != 0:
-            w = hp.boundary_point(u, v)
-            assert w == u + (v - u).scale(fu / (fu - fv))
-            assert hp.eval(w) == 0
+        m, xs, ys = over_common_denominator(ring)
+        scale = m * lcm(a.denominator, b.denominator, c.denominator)
+        for p, f in zip(ring, hp.levels((m, xs, ys))):
+            assert f == reference_eval(hp, p) * scale
+            assert sign(hp._level(p)) == sign(f)
 
     def test_intersection_of_strips(self):
         hps = [
@@ -457,8 +485,185 @@ class TestKernel:
 class TestMisc:
     def test_diameter(self):
         assert diameter_sq_of(UNIT_SQUARE) == 2
+        assert diameter_sq_of([pt("1/3", 0)]) == 0
 
     def test_ceil_sqrt_upper_bound(self):
         for q in (F(2), F(5, 3), F(10000), F(1, 7)):
             r = ceil_sqrt(q)
             assert r * r >= q
+
+
+# ---------------------------------------------------------------------------
+# the ring layer on integers against Fraction references
+
+
+def reference_orient(a, b, c) -> int:
+    return sign((b - a).cross(c - a))
+
+
+def reference_on_segment(a, b, p) -> bool:
+    return (reference_orient(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def reference_segments_touch(p1, p2, q1, q2) -> bool:
+    d1, d2 = reference_orient(q1, q2, p1), reference_orient(q1, q2, p2)
+    d3, d4 = reference_orient(p1, p2, q1), reference_orient(p1, p2, q2)
+    if d1 and d2 and d3 and d4 and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
+        return True
+    return (reference_on_segment(q1, q2, p1) or reference_on_segment(q1, q2, p2)
+            or reference_on_segment(p1, p2, q1) or reference_on_segment(p1, p2, q2))
+
+
+def reference_is_simple(ring) -> bool:
+    """is_simple_ring in Fractions: no two edges that are not neighbours
+    touch."""
+    n = len(ring)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if reference_segments_touch(ring[i], ring[(i + 1) % n],
+                                        ring[j], ring[(j + 1) % n]):
+                return False
+    return True
+
+
+def reference_minkowski(p, q):
+    """minkowski_convex in Fraction points: the edge-vector merge from both
+    lowest vertices, then the restarting canonical sweep."""
+    def bottom_start(vs):
+        k = min(range(len(vs)), key=lambda i: (vs[i].y, vs[i].x))
+        return list(vs[k:]) + list(vs[:k])
+
+    def half(d):
+        return 0 if (d.y > 0 or (d.y == 0 and d.x > 0)) else 1
+
+    a, b = bottom_start(p.vertices), bottom_start(q.vertices)
+    ea = [a[(i + 1) % len(a)] - a[i] for i in range(len(a))]
+    eb = [b[(i + 1) % len(b)] - b[i] for i in range(len(b))]
+    out = [a[0] + b[0]]
+    i = j = 0
+    while i < len(ea) or j < len(eb):
+        if i == len(ea):
+            step, j = eb[j], j + 1
+        elif j == len(eb):
+            step, i = ea[i], i + 1
+        else:
+            da, db = ea[i], eb[j]
+            cr = da.cross(db)
+            if half(da) != half(db):
+                take_a = half(da) < half(db)
+            elif cr == 0:
+                step, i, j = da + db, i + 1, j + 1
+                out.append(out[-1] + step)
+                continue
+            else:
+                take_a = cr > 0
+            if take_a:
+                step, i = da, i + 1
+            else:
+                step, j = db, j + 1
+        out.append(out[-1] + step)
+    return reference_canonicalize(out)
+
+
+def _angle_sorted(pts):
+    """The points as a ring around their centroid (floats only order them)."""
+    cx = sum(float(p.x) for p in pts) / len(pts)
+    cy = sum(float(p.y) for p in pts) / len(pts)
+    return sorted(pts, key=lambda p: math.atan2(float(p.y) - cy, float(p.x) - cx))
+
+
+def _on_line(u, v, t):
+    return u + (v - u).scale(t)
+
+
+unit_t = st.one_of(st.fractions(0, 1, max_denominator=6),
+                   st.integers(1, 2**128).flatmap(
+                       lambda d: st.integers(0, d).map(lambda n: F(n, d))))
+
+
+@st.composite
+def contact_rings(draw, point_strategy):
+    """A ring that is a convex hull, free, ordered around its centroid, or
+    ordered and then given a vertex on an edge it does not end (the edge
+    before it included) or on that edge's line, or an edge along a
+    non-adjacent edge's line (a collinear overlap)."""
+    pts = draw(st.lists(point_strategy, min_size=3, max_size=9))
+    kind = draw(st.sampled_from(("hull", "free", "ordered", "vertex-on-edge",
+                                 "vertex-on-line", "overlap")))
+    if kind == "hull":
+        try:
+            return list(convex_hull(pts))
+        except DegenerateHull:
+            return pts
+    if kind == "free":
+        return pts
+    ring = _angle_sorted(pts)
+    n = len(ring)
+    if kind == "ordered" or n < 5:
+        return ring
+    i = draw(st.integers(0, n - 1))
+    u, v = ring[i], ring[(i + 1) % n]
+    j = (i + draw(st.integers(2, n - 3 if kind == "overlap" else n - 1))) % n
+    if kind == "vertex-on-edge":
+        ring[j] = _on_line(u, v, draw(unit_t))
+    elif kind == "vertex-on-line":
+        ring[j] = _on_line(u, v, draw(unit_t) * 2 - F(1, 2))
+    else:
+        ring[j] = _on_line(u, v, draw(unit_t) * 2 - F(1, 2))
+        ring[(j + 1) % n] = _on_line(u, v, draw(unit_t) * 2 - F(1, 2))
+    return ring
+
+
+class TestRingIntegerKernel:
+    @given(st.one_of(contact_rings(grid_points), contact_rings(points),
+                     contact_rings(wide_points)))
+    @settings(max_examples=400, deadline=None)
+    def test_is_simple_ring_matches_fraction_reference(self, ring):
+        assert is_simple_ring(ring) == reference_is_simple(ring)
+        canonical = canonicalize_ring(ring)
+        if canonical is not None:
+            assert is_simple_ring(canonical) == reference_is_simple(canonical)
+
+    @given(st.lists(st.one_of(points, wide_points), min_size=0, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_diameter_matches_fraction_reference(self, pts):
+        want = max(((p - q).norm_sq() for p in pts for q in pts), default=F(0))
+        assert diameter_sq_of(pts) == want
+        try:
+            poly = ConvexPolygon.hull_of(pts)
+        except DegenerateHull:
+            return
+        assert poly.diameter_sq == max((p - q).norm_sq() for p in poly.vertices
+                                       for q in poly.vertices)
+
+    @given(st.lists(st.one_of(points, wide_points), min_size=3, max_size=7),
+           st.lists(st.one_of(points, wide_points), min_size=3, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_minkowski_matches_fraction_reference(self, ap, bp):
+        try:
+            a = ConvexPolygon.hull_of(ap)
+            b = ConvexPolygon.hull_of(bp)
+        except DegenerateHull:
+            return
+        got = list(minkowski_convex(a, b).vertices)
+        assert got == reference_minkowski(a, b)
+        assert got == list(convex_hull([u + v for u in a.vertices for v in b.vertices]))
+
+    @given(st.one_of(contact_rings(grid_points), contact_rings(wide_points)))
+    @settings(max_examples=200, deadline=None)
+    def test_convexity_matches_fraction_reference(self, ring):
+        n = len(ring)
+        assert is_convex_ring(ring) == all(
+            reference_orient(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) > 0
+            for i in range(n))
+
+    @given(st.one_of(ring_and_point(grid_points), ring_and_point(wide_points)))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_membership_matches_fraction_reference(self, case):
+        ring, x = case
+        n = len(ring)
+        assert star_kernel_contains(ring, x) == all(
+            reference_orient(ring[i], ring[(i + 1) % n], x) >= 0 for i in range(n))
