@@ -72,20 +72,30 @@ def seg_seg_points(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
 
 
 class _RingIndex:
-    """A ring with cached boxes for repeated splitting and location queries."""
+    """A ring with cached boxes for repeated splitting and location queries.
+
+    The ring box and the edge boxes are picked from the ring's own
+    coordinates by comparing its integers over one common denominator, so
+    no Fraction is compared or built.
+    """
 
     __slots__ = ("ring", "scaled", "box", "edges")
 
     def __init__(self, ring: Sequence[Point]):
-        self.ring = list(ring)
-        self.scaled = over_common_denominator(self.ring)
-        self.box = bbox(self.ring)
-        n = len(self.ring)
+        self.ring = ring = list(ring)
+        self.scaled = _, xs, ys = over_common_denominator(ring)
+        n = len(ring)
         self.edges = []
         for i in range(n):
-            u = self.ring[i]
-            v = self.ring[(i + 1) % n]
-            self.edges.append((u, v, bbox((u, v))))
+            j = (i + 1) % n
+            u, v = ring[i], ring[j]
+            x0, x1 = (u.x, v.x) if xs[i] <= xs[j] else (v.x, u.x)
+            y0, y1 = (u.y, v.y) if ys[i] <= ys[j] else (v.y, u.y)
+            self.edges.append((u, v, (x0, y0, x1, y1)))
+        self.box = (ring[min(range(n), key=xs.__getitem__)].x,
+                    ring[min(range(n), key=ys.__getitem__)].y,
+                    ring[max(range(n), key=xs.__getitem__)].x,
+                    ring[max(range(n), key=ys.__getitem__)].y)
 
     def locate(self, p: Point) -> int:
         xmin, ymin, xmax, ymax = self.box
@@ -214,13 +224,13 @@ def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | 
     interior point of every piece of a's edges split at contacts with b's
     boundary.
     """
-    A = _RingIndex(a_ring)
     B = _RingIndex(b_ring)
-    for v in A.ring:
+    for v in a_ring:
         if B.locate(v) < 0:
             return v
-    for u, v, _ in A.edges:
-        pts = _split_edge(u, v, (B,))
+    n = len(a_ring)
+    for i in range(n):
+        pts = _split_edge(a_ring[i], a_ring[(i + 1) % n], (B,))
         for p, q in zip(pts, pts[1:]):
             if p == q:
                 continue

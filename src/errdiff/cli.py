@@ -50,23 +50,13 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 
 def _config_from_args(scene: Scene, args):
-    cfg = scene.config
-    patch = {}
-    if args.max_iter is not None:
-        patch["max_iter"] = args.max_iter
-    if args.no_rounding:
-        patch["rounding_enabled"] = False
-    if args.epsilon is not None:
-        patch["epsilon"] = parse_scalar(args.epsilon)
-    for name in ("k", "r", "s"):
-        value = getattr(args, name)
-        if value is not None:
-            patch[name] = value
-    return dataclasses.replace(cfg, **patch) if patch else cfg
+    if args.max_iter is None:
+        return scene.config
+    return dataclasses.replace(scene.config, max_iter=args.max_iter)
 
 
 def _iteration_payload(name: str, op: str, res: IterationResult) -> dict:
-    return {
+    payload = {
         "collection": name,
         "operator": op,
         "converged": res.converged,
@@ -76,6 +66,9 @@ def _iteration_payload(name: str, op: str, res: IterationResult) -> dict:
         "vertex_count": len(res.final.vertices),
         "vertices": [_point_strs(p) for p in res.final.vertices],
     }
+    if res.stop_reason == "certified":
+        payload["gap"] = scalar_str(res.gap)
+    return payload
 
 
 def _run_iterations(scene: Scene, args, op: str, kind: str, out: Path) -> int:
@@ -267,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--convex", action="store_true",
                        help="iterate the convex variant")
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--no-rounding", action="store_true")
-        p.add_argument("--epsilon", default=None, metavar="a/b")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--s", type=int, default=None)
 
     for name in ("min-gset", "min-fset"):
         p = sub.add_parser(name, help=f"iterate to the minimal set ({name[4]})")

@@ -5,15 +5,17 @@ set and recenters each piece on its site; p does the dual clip-then-sum.
 Capital variants take convex hulls per member before uniting. Iterating any
 of them from a seed grows a monotone chain of regions whose limit is the
 minimal invariant set; the engine below runs that chain with exact rational
-arithmetic, optional coordinate rounding, and a stopping rule based on
-canonical vertex equality.
+arithmetic and stops it in one of two ways: at an exact fixed point
+(canonical vertex equality), or at a certified outer set, a snapped
+candidate C that holds the current iterate and that the operator maps into
+itself, both decided exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .booleans import triangulate, union_one_region
+from .booleans import subset_witness, triangulate, union_one_region
 from .geometry import (
     ConvexPolygon,
     DisconnectedUnion,
@@ -68,76 +70,58 @@ class Collection:
         return len(self.members)
 
 
+# A snap candidate rounds every coordinate to the nearest fraction with at
+# most this denominator (rational reconstruction by continued fractions).
+SNAP_DENOMINATOR = 64
+
+
 @dataclass(frozen=True)
 class IterationConfig:
-    epsilon: Fraction = Fraction(1, 10**8)
-    k: int = 300
-    r: int = 10
-    s: int = 20
-    rounding_enabled: bool = True
     max_iter: int = 1000
     divergence_diameter_sq: Fraction | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if min(self.k, self.r, self.s, self.max_iter) < 1:
-            raise ValueError("k, r, s, max_iter must be at least 1")
-
-
-@dataclass
-class RoundingEvent:
-    iteration: int
-    vertex: int
-    coordinate: str
-    before: Fraction
-    after: Fraction
-    reverted: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "vertex": self.vertex,
-            "coordinate": self.coordinate,
-            "before": scalar_str(self.before),
-            "after": scalar_str(self.after),
-            "reverted": self.reverted,
-        }
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
 class IterationResult:
+    """How a run stopped and the set it ships.
+
+    A "certified" run ships an invariant outer set of the minimal set; gap
+    is its area2 minus that of the last chain iterate, which it contains.
+    Every other run has gap 0.
+    """
+
     final: Region
     iterations: int
     converged: bool
     stop_reason: str
-    rounding_events: list[RoundingEvent] = field(default_factory=list)
     vertex_count_history: list[int] = field(default_factory=list)
+    gap: Fraction = Fraction(0)
 
     @property
     def rounding_free(self) -> bool:
-        """True when no rounding ever altered an iterate."""
-        return not any(not e.reverted for e in self.rounding_events)
+        """False exactly when the run ships a certified outer set strictly
+        larger than its last iterate (gap > 0): a nearly minimal set."""
+        return self.gap == 0
 
     def log_records(self) -> list[dict]:
         """One record per iteration plus a closing summary record."""
-        by_iter: dict[int, list[RoundingEvent]] = {}
-        for e in self.rounding_events:
-            by_iter.setdefault(e.iteration, []).append(e)
-        records: list[dict] = []
-        for i, count in enumerate(self.vertex_count_history, start=1):
-            records.append({
-                "iteration": i,
-                "vertices": count,
-                "rounding": [e.as_dict() for e in by_iter.get(i, [])],
-            })
-        records.append({
+        records: list[dict] = [
+            {"iteration": i, "vertices": count, "rounding": []}
+            for i, count in enumerate(self.vertex_count_history, start=1)]
+        summary = {
             "converged": self.converged,
             "iterations": self.iterations,
             "stop": self.stop_reason,
             "rounding_free": self.rounding_free,
             "final_vertices": len(self.final.vertices),
-        })
+        }
+        if self.stop_reason == "certified":
+            summary["gap"] = scalar_str(self.gap)
+        records.append(summary)
         return records
 
 
@@ -173,7 +157,9 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     """P + Q for convex P and Q star-shaped around the origin.
 
     Q is fanned into triangles from the origin; each convex summand is
-    exact, and their union is star-shaped around any point of P.
+    exact, and their union is star-shaped around any point of P.  Each
+    triangle is put in canonical form (counterclockwise, smallest vertex
+    first) from the sign of its orientation.
     """
     if is_convex_ring(Q.vertices, Q._scaled):
         s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
@@ -183,10 +169,12 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     n = len(vs)
     for i in range(n):
         a, b = vs[i], vs[(i + 1) % n]
-        if orient(ORIGIN, a, b) == 0:
+        turn = orient(ORIGIN, a, b)
+        if turn == 0:
             continue
-        tri = ConvexPolygon.hull_of((ORIGIN, a, b))
-        parts.append(minkowski_convex(P, tri).vertices)
+        tri = (ORIGIN, a, b) if turn > 0 else (ORIGIN, b, a)
+        k = min(range(3), key=lambda j: tri[j].key())
+        parts.append(minkowski_convex(P, ConvexPolygon(tri[k:] + tri[:k])).vertices)
     return union_star(parts, P.vertices[0])
 
 
@@ -339,64 +327,41 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# conditional rounding
+# certified outer sets
 
-def round_coordinate(q: Fraction, cfg: IterationConfig) -> Fraction:
-    """Snap q to floor(q) + t, t the nearest small fraction, within epsilon.
+def snap_candidate(Q: Region) -> Region | None:
+    """Q with every coordinate snapped to the nearest fraction whose
+    denominator is at most SNAP_DENOMINATOR, keeping Q's star reference.
 
-    Candidates are reduced fractions a/b with 0 <= a <= b <= k. Ties pick
-    the smaller denominator, then the smaller value.
+    None when no coordinate moves, or when the snapped ring is not a valid
+    region: zero area, a self-intersecting boundary, or the reference
+    outside its kernel.
     """
-    base = q.numerator // q.denominator
-    f = q - base
-    t = f.limit_denominator(cfg.k)
-    alt = 2 * f - t
-    if (alt != t and 0 <= alt <= 1 and alt.denominator <= cfg.k
-            and abs(alt - f) == abs(t - f)):
-        if (alt.denominator, alt) < (t.denominator, t):
-            t = alt
-    if abs(t - f) <= cfg.epsilon:
-        return base + t
-    return q
-
-
-def _wide(q: Fraction, s: int) -> bool:
-    return max(len(str(abs(q.numerator))), len(str(q.denominator))) > s
-
-
-def round_region(region: Region, cfg: IterationConfig,
-                 iteration: int) -> tuple[Region, list[RoundingEvent]]:
-    """Round every wide coordinate of the region, reverting on breakage.
-
-    Validation re-checks simplicity and, when the region carries a star
-    reference, that the reference stays in the kernel. A failed validation
-    reverts the whole iteration's rounding; the events stay logged with
-    reverted set.
-    """
-    events: list[RoundingEvent] = []
-    pts: list[Point] = []
-    for i, v in enumerate(region.vertices):
-        x, y = v.x, v.y
-        if _wide(x, cfg.s):
-            nx = round_coordinate(x, cfg)
-            if nx != x:
-                events.append(RoundingEvent(iteration, i, "x", x, nx))
-                x = nx
-        if _wide(y, cfg.s):
-            ny = round_coordinate(y, cfg)
-            if ny != y:
-                events.append(RoundingEvent(iteration, i, "y", y, ny))
-                y = ny
-        pts.append(Point(x, y))
-    if not events:
-        return region, events
+    snapped = tuple(Point(v.x.limit_denominator(SNAP_DENOMINATOR),
+                          v.y.limit_denominator(SNAP_DENOMINATOR))
+                    for v in Q.vertices)
+    if snapped == Q.vertices:
+        return None
     try:
-        rounded = Region.from_ring(pts, reference=region.reference)
+        return Region.from_ring(snapped, reference=Q.reference)
     except GeometryError:
-        for e in events:
-            e.reverted = True
-        return region, events
-    return rounded, events
+        return None
+
+
+def certify(op: str, SS: Collection, Q: Region) -> Region | None:
+    """op(C) for Q's snap candidate C when Q ⊆ C and op(C) ⊆ C, else None.
+
+    Both containments are decided exactly.  op is monotone, so the chain
+    through Q stays in C and its limit, the minimal invariant set, lies in
+    op(C), which op also maps into itself.
+    """
+    C = snap_candidate(Q)
+    if C is None or subset_witness(Q.vertices, C.vertices) is not None:
+        return None
+    image = apply_operator(op, SS, C)
+    if subset_witness(image.vertices, C.vertices) is not None:
+        return None
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +370,18 @@ def round_region(region: Region, cfg: IterationConfig,
 def iterate(op: str, SS: Collection, seed: Seed,
             cfg: IterationConfig | None = None, *,
             strict: bool = False) -> IterationResult:
-    """Run op from seed to a fixed point.
+    """Run op from seed to a fixed point or to a certified outer set.
 
     The reported iteration count is the smallest n >= 1 whose iterate is
-    already invariant, confirmed by one further application. Rounding, when
-    enabled, runs after the operator on every r-th iteration. converged is
-    False when max_iter runs out or the iterate's squared diameter passes
-    the divergence threshold; strict mode raises instead.
+    already invariant, confirmed by one further application.  Every iterate
+    Q_n that is not yet known to be a fixed point gets a snap candidate
+    (certify).  A certificate found at Q_n is used one iteration later,
+    once Q_n+1 differs from Q_n, so a chain that reaches an exact fixed
+    point stops there as it would without certificates.  The certified run
+    then reports n + 1 iterations, ships op(C) and records the gap between
+    op(C) and Q_n+1, which op(C) holds.  converged is False when max_iter
+    runs out or the iterate's squared diameter passes the divergence
+    threshold; strict mode raises instead.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
@@ -424,28 +394,27 @@ def iterate(op: str, SS: Collection, seed: Seed,
     if threshold is None:
         threshold = 10**6 * max(S.hull.diameter_sq for S in SS.members)
 
-    events: list[RoundingEvent] = []
     history: list[int] = []
     cur: Seed = seed
+    outer: Region | None = None
     for n in range(1, cfg.max_iter + 1):
         nxt = apply_operator(op, SS, cur)
-        if cfg.rounding_enabled and n % cfg.r == 0:
-            nxt, evs = round_region(nxt, cfg, n)
-            events.extend(evs)
         history.append(len(nxt.vertices))
         if isinstance(cur, Region) and equal_canonical(nxt, cur):
-            return IterationResult(nxt, max(n - 1, 1), True, "fixed-point",
-                                   events, history)
+            return IterationResult(nxt, max(n - 1, 1), True, "fixed-point", history)
+        if outer is not None and subset_witness(nxt.vertices, outer.vertices) is None:
+            return IterationResult(outer, n, True, "certified", history,
+                                   outer.area2 - nxt.area2)
         if nxt.diameter_sq > threshold:
-            result = IterationResult(nxt, n, False, "diverged", events, history)
+            result = IterationResult(nxt, n, False, "diverged", history)
             if strict:
                 raise Diverged("iterate diameter passed the divergence threshold",
                                result)
             return result
+        outer = certify(op, SS, nxt)
         cur = nxt
     assert isinstance(cur, Region)
-    result = IterationResult(cur, cfg.max_iter, False, "max-iterations",
-                             events, history)
+    result = IterationResult(cur, cfg.max_iter, False, "max-iterations", history)
     if strict:
         raise MaxIterations(f"no fixed point within {cfg.max_iter} iterations",
                             result)

@@ -171,34 +171,19 @@ def _family(value, location: str) -> TriangleFamily:
         raise _fail("BadTriangle", str(exc), location) from exc
 
 
-_CONFIG_KEYS = {"epsilon": "epsilon", "k": "k", "r": "r", "s": "s",
-                "max_iter": "max_iter", "rounding": "rounding_enabled"}
-
-
 def _config(value, location: str) -> IterationConfig:
     if not isinstance(value, dict):
         raise _fail("BadConfig", "config must be an object", location)
-    unknown = set(value) - set(_CONFIG_KEYS)
+    unknown = set(value) - {"max_iter"}
     if unknown:
         raise _fail("BadConfig", f"unknown keys {sorted(unknown)}", location)
-    kwargs = {}
-    for key, attr in _CONFIG_KEYS.items():
-        if key not in value:
-            continue
-        raw = value[key]
-        where = f"{location}.{key}"
-        if key == "epsilon":
-            kwargs[attr] = _coord(raw, where)
-        elif key == "rounding":
-            if not isinstance(raw, bool):
-                raise _fail("BadConfig", "rounding must be a boolean", where)
-            kwargs[attr] = raw
-        else:
-            if not isinstance(raw, int) or isinstance(raw, bool):
-                raise _fail("BadConfig", f"{key} must be an integer", where)
-            kwargs[attr] = raw
+    if "max_iter" not in value:
+        return IterationConfig()
+    raw = value["max_iter"]
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise _fail("BadConfig", "max_iter must be an integer", location + ".max_iter")
     try:
-        return IterationConfig(**kwargs)
+        return IterationConfig(max_iter=raw)
     except ValueError as exc:
         raise _fail("BadConfig", str(exc), location) from exc
 
@@ -402,14 +387,7 @@ def scene_to_dict(scene: Scene) -> dict:
                     for name, region in scene.regions.items()},
         "triangles": {name: {"h_max": scalar_str(fam.h_max), "t": scalar_str(fam.t)}
                       for name, fam in scene.triangles.items()},
-        "config": {
-            "epsilon": scalar_str(cfg.epsilon),
-            "k": cfg.k,
-            "r": cfg.r,
-            "s": cfg.s,
-            "max_iter": cfg.max_iter,
-            "rounding": cfg.rounding_enabled,
-        },
+        "config": {"max_iter": cfg.max_iter},
         "simulations": {},
     }
     for name, sim in scene.simulations.items():

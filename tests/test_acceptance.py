@@ -24,7 +24,15 @@ from errdiff.dynamics import (
     run,
     triangle_bound,
 )
-from errdiff.geometry import ORIGIN, GeometryError, PointSeed, Region, dist_sq, pt
+from errdiff.geometry import (
+    ORIGIN,
+    GeometryError,
+    PointSeed,
+    Region,
+    dist_sq,
+    pt,
+    scalar_str,
+)
 from errdiff.operators import (
     Collection,
     IterationFailure,
@@ -93,7 +101,7 @@ def test_criterion_01_eight_point_star_converges_in_four():
     checks = [
         ("converged", res.converged),
         ("iteration count 4", res.iterations == 4),
-        ("no rounding triggered", not res.rounding_events),
+        ("exact fixed point, no gap", res.stop_reason == "fixed-point" and res.gap == 0),
         *_exact_g_checks(collection("sset1"), res.final),
     ]
     checks.append(("runtime < 10 s", dt + time.perf_counter() - t0 < 10.0))
@@ -123,24 +131,30 @@ def test_criterion_03_sawtooth_converges_in_six():
                checks)
 
 
-def test_criterion_04_rounded_run_flags_nearly_minimal():
+def test_criterion_04_certified_run_flags_nearly_minimal():
     res, _ = converged_gset("sset3")
-    records = res.log_records()
-    logged = [ev for r in records[:-1] for ev in r["rounding"]]
-    effective = [ev for ev in logged if not ev["reverted"]]
+    SS = collection("sset3")
+    chain = PointSeed(ORIGIN)
+    for _ in range(res.iterations):
+        chain = apply_operator("g", SS, chain)
+    summary = res.log_records()[-1]
     nearly_minimal = not res.rounding_free
     checks = [
-        ("converged within 200", res.converged and res.iterations <= 200),
-        ("is_invariant_g", is_invariant_g(collection("sset3"),
-                                          res.final).passed),
-        ("log mirrors events", len(logged) == len(res.rounding_events)),
-        ("nearly-minimal iff rounding occurred",
-         nearly_minimal == bool(effective)),
+        ("certified within 200", res.converged and res.stop_reason == "certified"
+         and res.iterations <= 200),
+        ("holds the chain iterate Q_n", subset(chain, res.final)),
+        ("is_invariant_g", is_invariant_g(SS, res.final).passed),
+        ("gap is area2(final) - area2(Q_n)",
+         res.gap == res.final.area2 - chain.area2),
+        ("nearly-minimal iff the gap is positive", nearly_minimal == (res.gap > 0)),
+        ("nearly minimal", nearly_minimal),
         ("summary record agrees",
-         records[-1]["rounding_free"] == res.rounding_free),
+         summary["stop"] == "certified" and summary["iterations"] == res.iterations
+         and summary["rounding_free"] == res.rounding_free
+         and summary["gap"] == scalar_str(res.gap)),
     ]
-    _criterion(4, "mixed grid with defaults: rounding reported faithfully",
-               checks)
+    _criterion(4, "mixed grid with defaults: certified outer set reported "
+               "faithfully", checks)
 
 
 def test_criterion_05_joint_gset_dominates_singles():

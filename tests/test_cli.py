@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,19 @@ class TestMinGset:
                        "--out", out, "--max-iter", 2)
         assert code == 2
         assert read_json(out / "sset2.gset.json")["converged"] is False
+
+    def test_certified_run_reports_its_gap(self, out, capsys):
+        assert run_cli("min-gset", "--scene", SCENES / "sset3.json",
+                       "--out", out) == 0
+        payload = read_json(out / "sset3.gset.json")
+        assert payload["converged"] is True and payload["stop"] == "certified"
+        assert payload["rounding_free"] is False
+        assert Fraction(payload["gap"]) > 0
+        lines = (out / "sset3.gset.log.jsonl").read_text().splitlines()
+        summary = json.loads(lines[-1])
+        assert summary["gap"] == payload["gap"]
+        assert len(lines) == payload["iterations"] + 1
+        assert "sset3: g converged" in capsys.readouterr().out
 
     def test_convex_variant(self, out):
         code = run_cli("min-gset", "--convex", "--scene", SCENES / "sset1.json",
@@ -194,9 +208,19 @@ class TestFailureModes:
         assert run_cli("min-gset", "--scene", bad, "--out", tmp_path) == 3
         assert "DegenerateHull" in capsys.readouterr().err
 
-    def test_bad_epsilon_flag(self, out):
-        assert run_cli("min-gset", "--scene", SCENES / "sset1.json",
-                       "--out", out, "--epsilon", "zero") == 3
+    def test_bad_epsilon_flag(self, out, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("min-gset", "--scene", SCENES / "sset1.json",
+                    "--out", out, "--epsilon", "1/100")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--no-rounding"], ["--k", "300"],
+                                      ["--r", "10"], ["--s", "20"]])
+    def test_rounding_flags_are_gone(self, out, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("min-gset", "--scene", SCENES / "sset1.json", "--out", out, *flag)
+        assert exc.value.code == 2
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
-"""Operator steps, conditional rounding, and the fixed-point engine."""
+"""Operator steps, snap candidates, certificates, and the fixed-point engine."""
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,17 +29,21 @@ from errdiff.operators import (
     MaxIterations,
     G_step,
     P_step,
+    SNAP_DENOMINATOR,
     apply_operator,
+    certify,
     g_step,
     g_step_collection,
     iterate,
     minkowski_convex_star,
     p_step,
     p_step_collection,
-    round_coordinate,
-    round_region,
+    snap_candidate,
 )
+from errdiff.scene import load_scene
 from errdiff.voronoi import SiteSet
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def sites(*coords, id="S"):
@@ -224,84 +229,125 @@ class TestConvexVariants:
             apply_operator("q", single(UNIT_SQUARE), PointSeed(ORIGIN))
 
 
+def shipped(stem):
+    (coll,) = load_scene(str(SCENES / f"{stem}.json")).collections.values()
+    return coll
+
+
+def first_site(coll):
+    """The p-family seed the CLI uses for a one-member collection."""
+    return min(coll.members[0].sites, key=lambda p: p.key())
+
+
+def snapped(q):
+    """q after the snap, read off the apex (q, 1) of a triangle whose other
+    vertices do not move."""
+    tri = Region.from_ring([pt(-9, 0), pt(9, 0), pt(q, 1)])
+    cand = snap_candidate(tri)
+    return q if cand is None else next(v.x for v in cand.vertices if v.y == 1)
+
+
+def box(h):
+    """The square [-h, h]^2, star-shaped around the origin."""
+    return Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)],
+                            reference=ORIGIN)
+
+
 class TestRoundCoordinate:
-    CFG = IterationConfig()
+    """A snap candidate rounds each coordinate to the nearest fraction with
+    denominator at most SNAP_DENOMINATOR."""
 
     def test_snaps_to_third(self):
-        assert round_coordinate(F(33333333, 10**8), self.CFG) == F(1, 3)
+        assert snapped(F(33333333, 10**8)) == F(1, 3)
 
     def test_identity_on_small_fraction(self):
-        assert round_coordinate(F(2, 5), self.CFG) == F(2, 5)
+        assert snapped(F(2, 5)) == F(2, 5)
 
     def test_mixed_number(self):
-        assert round_coordinate(F(16, 3) + F(1, 10**9), self.CFG) == F(16, 3)
+        assert snapped(F(16, 3) + F(1, 10**9)) == F(16, 3)
 
     def test_negative_floor_convention(self):
-        assert round_coordinate(F(-7, 2) + F(1, 10**10), self.CFG) == F(-7, 2)
-        assert round_coordinate(F(-1, 10**10), self.CFG) == 0
+        assert snapped(F(-7, 2) + F(1, 10**10)) == F(-7, 2)
+        assert snapped(F(-1, 10**10)) == 0
 
-    def test_out_of_reach_unchanged(self):
-        q = F(1, 3) + F(1, 10**4)
-        assert round_coordinate(q, self.CFG) == q
-
-    def test_tie_prefers_smaller_denominator(self):
-        # exactly between 0 and 1/2 with k = 2: 0 wins on denominator
-        cfg = IterationConfig(epsilon=F(1, 2), k=2)
-        assert round_coordinate(F(1, 4), cfg) == 0
-
-    def test_tie_prefers_smaller_value(self):
-        # with k = 1 the candidates are 0 and 1; from 1/2 both are at the
-        # same distance with the same denominator, so the smaller value wins
-        cfg = IterationConfig(epsilon=F(1, 2), k=1)
-        assert round_coordinate(F(1, 2), cfg) == 0
-
-    @given(st.fractions(min_value=-5, max_value=5, max_denominator=200))
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
     @settings(max_examples=80, deadline=None)
     def test_idempotent_and_close(self, q):
-        cfg = IterationConfig()
-        r = round_coordinate(q, cfg)
-        assert abs(r - q) <= cfg.epsilon
-        assert round_coordinate(r, cfg) == r
+        r = snapped(q)
+        assert r.denominator <= SNAP_DENOMINATOR
+        assert abs(r - q) <= F(1, 2 * SNAP_DENOMINATOR)
+        assert snapped(r) == r
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=10**6),
            st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_commutes_with_integer_shift(self, q, m):
-        cfg = IterationConfig()
-        assert round_coordinate(q + m, cfg) == round_coordinate(q, cfg) + m
+        assert snapped(q + m) == snapped(q) + m
 
 
 class TestRoundRegion:
+    """snap_candidate offers a candidate only when a coordinate moves and
+    the snapped ring is still a valid region with the same star reference."""
+
     def test_below_gate_untouched(self):
-        q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
-        got, events = round_region(q, IterationConfig(), 10)
-        assert got is q and events == []
+        q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, F(1, 64)), pt(0, 1)])
+        assert snap_candidate(q) is None
 
     def test_wide_coordinates_rounded(self):
         eps = F(1, 10**25)
         ring = [pt(0, 0), pt(1, 0), pt(F(1, 3) + eps, 1)]
-        got, events = round_region(Region.from_ring(ring), IterationConfig(), 10)
-        assert [e.coordinate for e in events] == ["x"]
-        assert not events[0].reverted
-        assert got.vertices[2] == pt(F(1, 3), 1) or pt(F(1, 3), 1) in got.vertices
+        got = snap_candidate(Region.from_ring(ring))
+        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(F(1, 3), 1)]
 
     def test_revert_on_lost_simplicity(self):
         tiny = F(1, 10**25)
         ring = [pt(0, 0), pt(1, F(1, 3) + tiny), pt(2, 0),
                 pt(1, F(1, 3) + 2 * tiny)]
-        region = Region.from_ring(ring)
-        got, events = round_region(region, IterationConfig(), 20)
-        assert got is region
-        assert len(events) == 2 and all(e.reverted for e in events)
+        assert snap_candidate(Region.from_ring(ring)) is None
 
     def test_revert_on_lost_kernel(self):
         tiny = F(1, 10**25)
         x = 1 + tiny
         ring = [pt(0, 0), pt(2, 0), pt(2, 1), pt(x, 1), pt(x, 2), pt(0, 2)]
         region = Region.from_ring(ring, reference=pt(x, 1))
-        got, events = round_region(region, IterationConfig(), 20)
-        assert got is region
-        assert len(events) == 2 and all(e.reverted for e in events)
+        assert snap_candidate(region) is None
+        assert snap_candidate(region.with_reference(None)) is not None
+
+
+class TestCertify:
+    """certify ships op(C) only when Q ⊆ C and op(C) ⊆ C."""
+
+    TINY = F(1, 10**30)
+
+    def test_accepts_an_invariant_candidate_holding_q(self):
+        # the box just inside the minimal g-set of the unit square snaps to it
+        got = certify("g", single(UNIT_SQUARE), box(F(1, 2) - self.TINY))
+        assert equal_canonical(got, box(F(1, 2)))
+
+    def test_candidate_missing_q_is_refused(self, monkeypatch):
+        # the snap moves every corner inward, so C misses Q at a vertex and
+        # the operator is never applied to it
+        def unused(*args):
+            raise AssertionError("op(C) computed for a candidate missing Q")
+
+        monkeypatch.setattr(errdiff.operators, "apply_operator", unused)
+        assert certify("g", single(UNIT_SQUARE), box(F(1, 2) + self.TINY)) is None
+
+    def test_candidate_holding_q_but_not_invariant_is_refused(self):
+        q = box(F(1, 4) - self.TINY)
+        cand = snap_candidate(q)
+        assert subset(q, cand)
+        assert certify("g", single(UNIT_SQUARE), q) is None
+
+    @pytest.mark.parametrize("op", ["G", "P"])
+    def test_convex_chains_ship_convex_invariant_sets(self, op):
+        coll = shipped("sset3")
+        seed = PointSeed(ORIGIN) if op == "G" else PointSeed(first_site(coll))
+        res = iterate(op, coll, seed)
+        assert res.stop_reason == "certified" and res.converged
+        assert is_convex_ring(res.final.vertices)
+        assert subset(apply_operator(op, coll, res.final), res.final)
+        assert res.gap > 0 and not res.rounding_free
 
 
 class TestIterate:
@@ -364,6 +410,17 @@ class TestIterate:
         res = iterate("g", single(STAR8), PointSeed(ORIGIN))
         assert len(res.vertex_count_history) == res.iterations + 1
         assert res.vertex_count_history[-1] == len(res.final.vertices)
+
+    @pytest.mark.parametrize("stem", ["sset1", "sset2", "sset4",
+                                      "square_center", "unit_square"])
+    def test_small_scenes_stop_exactly(self, stem):
+        coll = shipped(stem)
+        s0 = first_site(coll)
+        for op, seed in (("g", ORIGIN), ("G", ORIGIN), ("p", s0), ("P", s0)):
+            res = iterate(op, coll, PointSeed(seed))
+            assert res.stop_reason == "fixed-point", op
+            assert res.gap == 0 and res.rounding_free
+            assert "gap" not in res.log_records()[-1]
 
     def test_log_records_shape(self):
         res = iterate("g", single(STAR8), PointSeed(ORIGIN))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from errdiff.dynamics import Convex, Finite, Triangle
+from errdiff.operators import IterationConfig
 from errdiff.scene import ParseError, ValidationError, parse_scene, print_scene
 
 SCENES_DIR = Path(__file__).resolve().parent.parent / "scenes"
@@ -204,18 +205,24 @@ class TestResolution:
 
 class TestConfig:
     def test_overrides_are_exact(self):
-        scene = parse_scene(scene_text(config={
-            "epsilon": "1/100", "k": 5, "r": 2, "s": 3,
-            "max_iter": 40, "rounding": False}))
-        cfg = scene.config
-        assert cfg.epsilon == Fraction(1, 100)
-        assert (cfg.k, cfg.r, cfg.s, cfg.max_iter) == (5, 2, 3, 40)
-        assert cfg.rounding_enabled is False
+        cfg = parse_scene(scene_text(config={"max_iter": 40})).config
+        assert cfg == IterationConfig(max_iter=40)
 
     def test_defaults_when_absent(self):
         cfg = parse_scene(scene_text()).config
-        assert cfg.epsilon == Fraction(1, 10**8)
-        assert cfg.rounding_enabled is True
+        assert cfg == IterationConfig()
+        assert cfg.max_iter == 1000
+
+    @pytest.mark.parametrize("key,value", [("epsilon", "1/100"), ("k", 5), ("r", 2),
+                                           ("s", 3), ("rounding", False)])
+    def test_rounding_keys_are_unknown(self, key, value):
+        with pytest.raises(ValidationError, match="BadConfig.*unknown keys"):
+            parse_scene(scene_text(config={key: value, "max_iter": 40}))
+
+    @pytest.mark.parametrize("value", [True, "40", 0])
+    def test_bad_max_iter(self, value):
+        with pytest.raises(ValidationError, match="BadConfig"):
+            parse_scene(scene_text(config={"max_iter": value}))
 
 
 class TestRoundTrip:
@@ -228,7 +235,7 @@ class TestRoundTrip:
             regions={"box": [["-1", "-1"], ["1", "-1"], ["1", "1"],
                              ["-1", "1"]]},
             triangles={"tri": {"h_max": "3/2", "t": "2"}},
-            config={"epsilon": "1/1000", "max_iter": 50},
+            config={"max_iter": 50},
             simulations=sim({"mode": "cyclic", "collection": "c"}))
         scene = parse_scene(text)
         assert parse_scene(print_scene(scene)) == scene
