@@ -11,9 +11,11 @@ other boundaries, keeps or drops the pieces by exact midpoint location
 (point_in_ring on each ring's cached integers), and stitches them back
 into cycles; a boundary that touches itself or leaves a hole raises
 DisconnectedUnion.  union_one_region is the union the operators use: it
-demands exactly one cycle.  Results are regularized: zero-area slivers and
-whiskers vanish.  Unions of parts star-shaped around one center go through
-errdiff.starunion instead.
+demands exactly one cycle; the p family's general route unites its hull
+sweeps there.  Results are regularized: zero-area slivers and whiskers
+vanish.  Unions of parts star-shaped around one center, and Minkowski sums
+of a convex polygon with a star region, go through errdiff.starunion
+instead.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .geometry import (
     DisconnectedUnion,
     HalfPlane,
     MultiComponent,
-    NotSimple,
     Point,
     Region,
     Scaled,
@@ -346,69 +347,3 @@ def union_one_region(rings: Sequence[Sequence[Point]]) -> Region:
     if len(cycles) != 1:
         raise DisconnectedUnion(f"union has {len(cycles)} components")
     return Region.from_ring(cycles[0], validate=False)
-
-
-# ---------------------------------------------------------------------------
-# triangulation
-
-def triangulate(ring: Sequence[Point]) -> list[tuple[Point, Point, Point]]:
-    """Ear-clipping triangulation of a simple CCW ring.
-
-    Only reflex vertices can block an ear, so the containment test walks the
-    reflex set alone; clipping can turn a reflex neighbor convex but never
-    the other way around.
-    """
-    vs = list(ring)
-    n = len(vs)
-    if n < 3:
-        raise NotSimple("cannot triangulate fewer than three vertices")
-    if n == 3:
-        return [(vs[0], vs[1], vs[2])]
-    nxt = {i: (i + 1) % n for i in range(n)}
-    prv = {i: (i - 1) % n for i in range(n)}
-
-    def is_reflex(i: int) -> bool:
-        return orient(vs[prv[i]], vs[i], vs[nxt[i]]) <= 0
-
-    reflex = {i for i in range(n) if is_reflex(i)}
-    tris: list[tuple[Point, Point, Point]] = []
-    remaining = n
-    i = 0
-    scanned = 0
-    while remaining > 3:
-        if i in reflex:
-            i = nxt[i]
-            scanned += 1
-            if scanned > remaining:
-                raise NotSimple("no ear found; ring is not simple")
-            continue
-        a, b, c = vs[prv[i]], vs[i], vs[nxt[i]]
-        blocked = False
-        for j in reflex:
-            p = vs[j]
-            if p in (a, b, c):
-                continue
-            if (orient(a, b, p) >= 0 and orient(b, c, p) >= 0
-                    and orient(c, a, p) >= 0):
-                blocked = True
-                break
-        if blocked:
-            i = nxt[i]
-            scanned += 1
-            if scanned > remaining:
-                raise NotSimple("no ear found; ring is not simple")
-            continue
-        tris.append((a, b, c))
-        p_i, n_i = prv[i], nxt[i]
-        nxt[p_i], prv[n_i] = n_i, p_i
-        del nxt[i], prv[i]
-        reflex.discard(i)
-        remaining -= 1
-        scanned = 0
-        for k in (p_i, n_i):
-            if k in reflex and not is_reflex(k):
-                reflex.discard(k)
-        i = n_i
-    a = next(iter(nxt))
-    tris.append((vs[a], vs[nxt[a]], vs[nxt[nxt[a]]]))
-    return tris

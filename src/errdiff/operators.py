@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .booleans import subset_witness, triangulate, union_one_region
+from .booleans import subset_witness, union_one_region
 from .geometry import (
     ConvexPolygon,
     DisconnectedUnion,
@@ -30,11 +31,12 @@ from .geometry import (
     equal_canonical,
     is_convex_ring,
     minkowski_convex,
-    orient,
+    over_common_denominator,
+    point_in_ring,
     scalar_str,
     star_kernel_contains,
 )
-from .starunion import union_star
+from .starunion import cycle_envelope, union_star
 from .voronoi import (
     SiteSet,
     cell,
@@ -156,26 +158,67 @@ class Diverged(IterationFailure):
 def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     """P + Q for convex P and Q star-shaped around the origin.
 
-    Q is fanned into triangles from the origin; each convex summand is
-    exact, and their union is star-shaped around any point of P.  Each
-    triangle is put in canonical form (counterclockwise, smallest vertex
-    first) from the sign of its orientation.
+    A convex Q is summed by minkowski_convex.  Otherwise the sum is the
+    radial envelope around c = P.vertices[0] of the convolution cycle of P
+    and Q (Guibas, Ramshaw & Stolfi, FOCS 1983; Wein, ESA 2006): each edge
+    of Q translated by the vertex of P whose cone of edge directions holds
+    it, and at each vertex of Q the edges of P whose directions its turn
+    sweeps, forward at a left turn and backward at a right turn.  Every
+    cycle point lies in P + Q, which is star-shaped around every point of
+    P, and the boundary of P + Q lies on the cycle, so the envelope
+    (starunion.cycle_envelope) is the sum itself.  The cycle is built on
+    integers over one common denominator, relative to c.
     """
     if is_convex_ring(Q.vertices, Q._scaled):
-        s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
+        s = minkowski_convex(P, ConvexPolygon(Q.vertices))
         return Region.from_ring(s.vertices, validate=False)
-    parts = []
-    vs = Q.vertices
-    n = len(vs)
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        turn = orient(ORIGIN, a, b)
-        if turn == 0:
-            continue
-        tri = (ORIGIN, a, b) if turn > 0 else (ORIGIN, b, a)
-        k = min(range(3), key=lambda j: tri[j].key())
-        parts.append(minkowski_convex(P, ConvexPolygon(tri[k:] + tri[:k])).vertices)
-    return union_star(parts, P.vertices[0])
+    mp, pxs, pys = P._scaled
+    mq, qxs, qys = Q._scaled
+    m = lcm(mp, mq)
+    kp, kq = m // mp, m // mq
+    px = [(x - pxs[0]) * kp for x in pxs]
+    py = [(y - pys[0]) * kp for y in pys]
+    qx = [x * kq for x in qxs]
+    qy = [y * kq for y in qys]
+    k, n = len(px), len(qx)
+    dpx = [px[(i + 1) % k] - px[i] for i in range(k)]
+    dpy = [py[(i + 1) % k] - py[i] for i in range(k)]
+    dqx = [qx[(j + 1) % n] - qx[j] for j in range(n)]
+    dqy = [qy[(j + 1) % n] - qy[j] for j in range(n)]
+    # start at the vertex i of P whose half-open cone [dP[i-1], dP[i]) holds
+    # the edge of Q that enters q[0]
+    ux, uy = dqx[-1], dqy[-1]
+    for i in range(k):
+        ax, ay, bx, by = dpx[i - 1], dpy[i - 1], dpx[i], dpy[i]
+        cr = ax * uy - ay * ux
+        if (cr > 0 or (cr == 0 and ax * ux + ay * uy > 0)) and ux * by - uy * bx > 0:
+            break
+    xs: list[int] = []
+    ys: list[int] = []
+    for j in range(n):
+        vx, vy, x0, y0 = dqx[j], dqy[j], qx[j], qy[j]
+        xs.append(px[i] + x0)
+        ys.append(py[i] + y0)
+        if ux * vy - uy * vx > 0:
+            # left turn u -> v: forward through the P edges in (u, v]
+            while True:
+                wx, wy = dpx[i], dpy[i]
+                if ux * wy - uy * wx <= 0 or wx * vy - wy * vx < 0:
+                    break
+                i = (i + 1) % k
+                xs.append(px[i] + x0)
+                ys.append(py[i] + y0)
+        else:
+            # right turn u -> v: backward through the P edges in (v, u]
+            while True:
+                wx, wy = dpx[i - 1], dpy[i - 1]
+                if vx * wy - vy * wx <= 0 or wx * uy - wy * ux < 0:
+                    break
+                i = (i - 1) % k
+                xs.append(px[i] + x0)
+                ys.append(py[i] + y0)
+        ux, uy = vx, vy
+    return cycle_envelope(xs, ys, m, P.vertices[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +273,22 @@ def G_step(arg: SiteSet | Collection, Q: Seed) -> Region:
 # the p family
 
 def _sum_hull_with_ring(hull: ConvexPolygon, ring: list[Point]) -> list[list[Point]]:
-    """Rings whose union is hull + ring, ring an arbitrary simple piece."""
+    """Rings whose union is hull + ring, ring an arbitrary simple piece.
+
+    A point of the sum that misses the ring moved by one hull vertex lies on
+    the hull swept along the ring's boundary, so the union of that moved
+    ring with conv((hull + a) | (hull + b)) over the ring's edges [a, b] is
+    the sum.
+    """
     if is_convex_ring(ring):
-        return [list(minkowski_convex(hull, ConvexPolygon.hull_of(ring)).vertices)]
-    out = []
-    for tri in triangulate(ring):
-        out.append(list(minkowski_convex(hull, ConvexPolygon.hull_of(tri)).vertices))
+        return [list(minkowski_convex(hull, ConvexPolygon(tuple(ring))).vertices)]
+    h0 = hull.vertices[0]
+    out = [[v + h0 for v in ring]]
+    n = len(ring)
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        out.append(list(convex_hull([h + a for h in hull.vertices]
+                                    + [h + b for h in hull.vertices])))
     return out
 
 
@@ -265,8 +318,9 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     When every recentered clip piece is star-shaped around the origin
     (which holds once the sites lie in D), the inner union and the final
     Minkowski sum both run on the radial fast path; any piece that
-    disconnects or loses the origin drops the step to the general
-    triangulate-and-unite route.
+    disconnects or loses the origin drops the step to the general route,
+    which sums the hull with each piece by sweeping it along the piece's
+    edges (_sum_hull_with_ring) and unites every ring in union_one_region.
     """
     hull = S.hull
     if isinstance(D, PointSeed):
@@ -329,21 +383,34 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
 # ---------------------------------------------------------------------------
 # certified outer sets
 
-def snap_candidate(Q: Region) -> Region | None:
-    """Q with every coordinate snapped to the nearest fraction whose
-    denominator is at most SNAP_DENOMINATOR, keeping Q's star reference.
+def snapped_ring(Q: Region) -> tuple[Point, ...] | None:
+    """Q's ring with every coordinate snapped to the nearest fraction whose
+    denominator is at most SNAP_DENOMINATOR; None when no coordinate moves.
 
-    None when no coordinate moves, or when the snapped ring is not a valid
-    region: zero area, a self-intersecting boundary, or the reference
-    outside its kernel.
+    A coordinate moves exactly when its denominator is larger, and each
+    distinct one is snapped once.
     """
-    snapped = tuple(Point(v.x.limit_denominator(SNAP_DENOMINATOR),
-                          v.y.limit_denominator(SNAP_DENOMINATOR))
-                    for v in Q.vertices)
-    if snapped == Q.vertices:
-        return None
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def snap(q: Fraction) -> Fraction:
+        if q.denominator <= SNAP_DENOMINATOR:
+            return q
+        key = q.as_integer_ratio()
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = q.limit_denominator(SNAP_DENOMINATOR)
+        return r
+
+    snapped = tuple(Point(snap(v.x), snap(v.y)) for v in Q.vertices)
+    return snapped if memo else None
+
+
+def as_candidate(ring: tuple[Point, ...], reference: Point | None) -> Region | None:
+    """The snapped ring as a region with the iterate's star reference; None
+    when it is not a valid region: zero area, a self-intersecting boundary,
+    or the reference outside its kernel."""
     try:
-        return Region.from_ring(snapped, reference=Q.reference)
+        return Region.from_ring(ring, reference=reference)
     except GeometryError:
         return None
 
@@ -353,9 +420,18 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
 
     Both containments are decided exactly.  op is monotone, so the chain
     through Q stays in C and its limit, the minimal invariant set, lies in
-    op(C), which op also maps into itself.
+    op(C), which op also maps into itself.  C is as_candidate of Q's
+    snapped_ring.  A vertex of Q outside the raw snapped ring refuses the
+    candidate before the ring is validated: a valid ring bounds C itself,
+    and an invalid one is refused anyway.
     """
-    C = snap_candidate(Q)
+    ring = snapped_ring(Q)
+    if ring is None:
+        return None
+    scaled = over_common_denominator(ring)
+    if any(point_in_ring(ring, v, scaled) < 0 for v in Q.vertices):
+        return None
+    C = as_candidate(ring, Q.reference)
     if C is None or subset_witness(Q.vertices, C.vertices) is not None:
         return None
     image = apply_operator(op, SS, C)

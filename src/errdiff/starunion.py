@@ -8,6 +8,12 @@ crossings. Directions with no coverage are gaps; a single gap closes through
 the center, two or more mean the union pinches there and has no simple
 boundary.
 
+The same envelope bounds a Minkowski sum: cycle_envelope takes a closed
+polygonal cycle on integers, such as the convolution cycle of a convex
+polygon and a star region, cuts it into chains that turn one way around the
+center, packs chains that do not overlap in angle into one fan, and merges
+the fans like the parts of a union (_envelope, shared with union_star).
+
 The merge decides everything on integer numerators and denominators. Each
 chain point carries its reduced integer direction, each covering edge's line
 is put over one common denominator once per merge, and two lines are
@@ -50,6 +56,25 @@ def _dir_cmp(a: Dir, b: Dir) -> int:
         return -1 if ha < hb else 1
     cr = a[0] * b[1] - a[1] * b[0]
     return (cr < 0) - (cr > 0)
+
+
+def _before(s: Dir, a: Dir, b: Dir) -> bool:
+    """True when a comes strictly before b turning counterclockwise from s,
+    angles taken in [0, 2 pi)."""
+    def half(d: Dir) -> int:
+        cr = s[0] * d[1] - s[1] * d[0]
+        return 0 if cr > 0 or (cr == 0 and s[0] * d[0] + s[1] * d[1] > 0) else 1
+
+    ha, hb = half(a), half(b)
+    if ha != hb:
+        return ha < hb
+    return a[0] * b[1] - a[1] * b[0] > 0
+
+
+def _overlap(a: tuple[Dir, Dir], b: tuple[Dir, Dir]) -> bool:
+    """Whether two counterclockwise angular spans (start, end), each short
+    of a full turn, share more than an end direction."""
+    return _before(a[0], b[0], a[1]) or _before(b[0], a[0], b[1])
 
 
 @dataclass
@@ -243,19 +268,9 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
     return _Fan(chains, False)
 
 
-def union_star(parts: Sequence, center: Point) -> Region:
-    """Union of regions star-shaped around a common center point.
-
-    Raises NotStarAtCenter when a part does not keep the center in its
-    kernel, DisconnectedUnion when the union only meets at the center,
-    DegenerateRegion when the union has no area.
-    """
-    fans: list[_Fan] = []
-    for part in parts:
-        ring = part.vertices if isinstance(part, Region) else part
-        if center != ORIGIN:
-            ring = [v - center for v in ring]
-        fans.append(_fan_of(ring))
+def _envelope(fans: list[_Fan], center: Point) -> Region:
+    """Radial envelope of fans around center, their points taken relative
+    to it, as a Region with center as its reference."""
     # balanced merge order keeps any one fan from being rescanned per part
     while len(fans) > 1:
         paired = [_merge(fans[i], fans[i + 1])
@@ -272,3 +287,97 @@ def union_star(parts: Sequence, center: Point) -> Region:
     if center != ORIGIN:
         ring = [p + center for p in ring]
     return Region.from_ring(ring, reference=center)
+
+
+def union_star(parts: Sequence, center: Point) -> Region:
+    """Union of regions star-shaped around a common center point.
+
+    Raises NotStarAtCenter when a part does not keep the center in its
+    kernel, DisconnectedUnion when the union only meets at the center,
+    DegenerateRegion when the union has no area.
+    """
+    fans: list[_Fan] = []
+    for part in parts:
+        ring = part.vertices if isinstance(part, Region) else part
+        if center != ORIGIN:
+            ring = [v - center for v in ring]
+        fans.append(_fan_of(ring))
+    return _envelope(fans, center)
+
+
+def cycle_envelope(xs: Sequence[int], ys: Sequence[int], m: int,
+                   center: Point) -> Region:
+    """Radial envelope around center of the closed polygonal cycle through
+    the points center + (xs[i] / m, ys[i] / m).
+
+    The caller vouches that every cycle point lies in one closed set that is
+    star-shaped around center and whose boundary lies on the cycle; the
+    envelope is then that set.  Edges on a line through the center are
+    dropped.  The rest is cut into chains that turn one way around the
+    center, each short of a full turn; clockwise chains are reversed, and
+    chains that do not overlap in angle share a fan.
+    """
+    n = len(xs)
+    turns = []
+    for i in range(n):
+        j = (i + 1) % n
+        cr = xs[i] * ys[j] - ys[i] * xs[j]
+        turns.append((cr > 0) - (cr < 0))
+    # start where a chain must begin anyway, so none wraps past the start
+    first = next((i for i in range(n) if turns[i] and turns[i] != turns[i - 1]), 0)
+    verts: dict[int, Vertex] = {}
+
+    def vertex(i: int) -> Vertex:
+        v = verts.get(i)
+        if v is None:
+            x, y = xs[i], ys[i]
+            g = gcd(x, y)
+            v = verts[i] = (Point(Fraction(x, m), Fraction(y, m)), (x // g, y // g))
+        return v
+
+    # chains go first-fit into fans whose chains they do not overlap in angle
+    fans: list[_Fan] = []
+    spans: list[list[tuple[Dir, Dir]]] = []
+
+    def close(chain: list[int], sign: int) -> None:
+        if sign < 0:
+            chain.reverse()
+        run = [vertex(i) for i in chain]
+        span = (run[0][1], run[-1][1])
+        for fan, taken in zip(fans, spans):
+            if not any(_overlap(span, t) for t in taken):
+                fan.chains.append(run)
+                taken.append(span)
+                return
+        fans.append(_Fan([run], False))
+        spans.append([span])
+
+    chain: list[int] = []
+    sign = half = 0
+    sx = sy = 0
+    for t in range(n):
+        i = (first + t) % n
+        j = (i + 1) % n
+        s = turns[i]
+        if chain and s == sign:
+            # half: whether the chain has turned by at least a half-turn from
+            # its start direction (sx, sy); coming back to the start's half
+            # after that would close a full turn
+            cr = s * (sx * ys[j] - sy * xs[j])
+            h = 0 if cr > 0 or (cr == 0 and sx * xs[j] + sy * ys[j] > 0) else 1
+            if not (half and not h):
+                chain.append(j)
+                half = h
+                continue
+        if chain:
+            close(chain, sign)
+            chain = []
+        if s:
+            chain, sign, half = [i, j], s, 0
+            sx, sy = xs[i], ys[i]
+    if chain:
+        close(chain, sign)
+    if len(fans) == 1 and len(fans[0].chains) > 1:
+        # chains that only touch end to end still need a merge to join them
+        fans.append(_Fan([fans[0].chains.pop()], False))
+    return _envelope(fans, center)

@@ -11,7 +11,6 @@ from errdiff.booleans import (
     seg_seg_points,
     subset,
     subset_witness,
-    triangulate,
     union_one_region,
     union_rings,
 )
@@ -459,34 +458,3 @@ class TestClipIntegerKernel:
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
         got = clip_components(lshape, HalfPlane(F(0), F(-1), F(-1)))
         assert got == [ring_of((0, 1), (1, 1), (1, 2), (0, 2))]
-
-
-class TestTriangulate:
-    def test_triangle_passthrough(self):
-        tri = ring_of((0, 0), (3, 0), (0, 3))
-        assert triangulate(tri) == [(pt(0, 0), pt(3, 0), pt(0, 3))]
-
-    def test_l_shape_count_and_area(self):
-        ring = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
-        tris = triangulate(ring)
-        assert len(tris) == len(ring) - 2
-        assert sum(ring_area2(t) for t in tris) == ring_area2(ring)
-
-    def test_comb_with_many_reflex_vertices(self):
-        ring = ring_of((0, 0), (7, 0), (7, 3), (6, 3), (6, 1), (5, 1), (5, 3),
-                       (4, 3), (4, 1), (3, 1), (3, 3), (2, 3), (2, 1), (1, 1),
-                       (1, 3), (0, 3))
-        tris = triangulate(ring)
-        assert len(tris) == len(ring) - 2
-        assert sum(ring_area2(t) for t in tris) == ring_area2(ring)
-
-    @given(star_rings())
-    @settings(max_examples=60, deadline=None)
-    def test_exact_cover(self, ring):
-        tris = triangulate(ring)
-        assert len(tris) == len(ring) - 2
-        assert sum(ring_area2(t) for t in tris) == ring_area2(ring)
-        for t in tris:
-            assert ring_area2(t) > 0
-            for v in t:
-                assert point_in_ring(ring, v) >= 0

@@ -233,7 +233,8 @@ class TestFailureModes:
 
 # sha256 of every file that min-gset and min-fset, plain and --convex, write
 # for the small shipped scenes, recorded before the ring layer moved to
-# integers over one common denominator
+# integers over one common denominator; the sset3 entries pin the certified
+# sets, recorded before Minkowski sums moved to the convolution cycle
 PINNED_ARTIFACTS = {
     ("square_center", "min-fset"): {
         "square-center.fset.json":
@@ -330,6 +331,30 @@ PINNED_ARTIFACTS = {
             "0b384040d45a4fd624d42b878f493c7bfd8be6769edbd8bb46de9d308af410a3",
         "sset4.gset.log.jsonl":
             "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+    ("sset3", "min-fset"): {
+        "sset3.fset.json":
+            "d3b2dbb9fe1c05fd3c19fe6f2f62aa9f0894ad063d839ac4b48e18479f8fb918",
+        "sset3.fset.log.jsonl":
+            "608c70d3e4dfb05b023abe1d8dc55593608c048e91dbf5f33e3e1be2979404f4",
+    },
+    ("sset3", "min-fset --convex"): {
+        "sset3.fset.json":
+            "33b542579ced881f2fe321142f2b81c0c8ba8ffdfe9186e03cc5b3ebf595fe4c",
+        "sset3.fset.log.jsonl":
+            "1728a5b7a97f7ef1f40e9b874c978bb6a3a54642d479f25cbaf9dfe2175d5012",
+    },
+    ("sset3", "min-gset"): {
+        "sset3.gset.json":
+            "dddb67a3a027440f92d9a76dc893ecd6dc293ebc64f213fb0c5a5780ed8827d3",
+        "sset3.gset.log.jsonl":
+            "8779a08d60acec3c835abf509de77de6e522a19d7c35c7b44d23d49cee76b3c0",
+    },
+    ("sset3", "min-gset --convex"): {
+        "sset3.gset.json":
+            "f96511cdd1ec781a078248c2fcf387cbaef09e7f52c381e559a234d09f10d3ac",
+        "sset3.gset.log.jsonl":
+            "38bb707c87d4ea528df0c354364782e7b1fd70d76537ef2990a5dbe1c6e22464",
     },
     ("unit_square", "min-fset"): {
         "unit-square.fset.json":

@@ -1,9 +1,10 @@
 """Operator steps, snap candidates, certificates, and the fixed-point engine."""
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import errdiff.geometry
@@ -19,6 +20,8 @@ from errdiff.geometry import (
     Region,
     equal_canonical,
     is_convex_ring,
+    minkowski_convex,
+    orient,
     pt,
 )
 from errdiff.operators import (
@@ -31,6 +34,7 @@ from errdiff.operators import (
     P_step,
     SNAP_DENOMINATOR,
     apply_operator,
+    as_candidate,
     certify,
     g_step,
     g_step_collection,
@@ -38,9 +42,10 @@ from errdiff.operators import (
     minkowski_convex_star,
     p_step,
     p_step_collection,
-    snap_candidate,
+    snapped_ring,
 )
 from errdiff.scene import load_scene
+from errdiff.starunion import union_star
 from errdiff.voronoi import SiteSet
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -130,6 +135,12 @@ class TestGStep:
         assert equal_canonical(one, two)
 
 
+# plus-shaped region around the origin
+PLUS = Region.from_ring([pt(1, -3), pt(1, -1), pt(3, -1), pt(3, 1), pt(1, 1), pt(1, 3),
+                         pt(-1, 3), pt(-1, 1), pt(-3, 1), pt(-3, -1), pt(-1, -1),
+                         pt(-1, -3)], reference=ORIGIN)
+
+
 class TestMinkowskiConvexStar:
     def test_convex_input_matches_hull_sum(self):
         q = Region.from_ring([pt(-1, -1), pt(1, -1), pt(1, 1), pt(-1, 1)])
@@ -137,17 +148,94 @@ class TestMinkowskiConvexStar:
         assert list(got.vertices) == [pt(-1, -1), pt(2, -1), pt(2, 2), pt(-1, 2)]
 
     def test_star_input(self):
-        # plus-shaped region around the origin
-        ring = [pt(1, -1), pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3), pt(1, 5),
-                pt(-1, 5), pt(-1, 3), pt(-3, 3), pt(-3, 1), pt(-1, 1),
-                pt(-1, -1)]
-        plus = Region.from_ring([p + pt(0, -2) for p in ring], reference=ORIGIN)
-        got = minkowski_convex_star(UNIT_SQUARE.hull, plus)
-        for v in plus.vertices:
+        got = minkowski_convex_star(UNIT_SQUARE.hull, PLUS)
+        for v in PLUS.vertices:
             assert got.contains_point(v)
         for v in got.vertices:
-            assert any((v - w).key() in {p.key() for p in plus.vertices}
+            assert any((v - w).key() in {p.key() for p in PLUS.vertices}
                        for w in UNIT_SQUARE.hull.vertices)
+
+
+def fan_sum(P, Q):
+    """Reference P + Q: the convex sum of P with each origin triangle of Q,
+    united radially around P's first vertex."""
+    if is_convex_ring(Q.vertices):
+        s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
+        return Region.from_ring(s.vertices, validate=False)
+    parts = []
+    n = len(Q.vertices)
+    for i in range(n):
+        a, b = Q.vertices[i], Q.vertices[(i + 1) % n]
+        if orient(ORIGIN, a, b):
+            tri = ConvexPolygon.hull_of((ORIGIN, a, b))
+            parts.append(minkowski_convex(P, tri).vertices)
+    return union_star(parts, P.vertices[0])
+
+
+# reduced lattice directions with coordinates up to 3, counterclockwise from +x
+LATTICE_DIRS = sorted({(x // math.gcd(x, y), y // math.gcd(x, y))
+                       for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)},
+                      key=lambda d: math.atan2(d[1], d[0]))
+AXIS_DIRS = {LATTICE_DIRS.index(d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))}
+lattice_radii = st.fractions(min_value=F(1, 2), max_value=3, max_denominator=2)
+
+
+@st.composite
+def lattice_hulls(draw):
+    """Convex polygons on a small lattice (half-integers or integers), so
+    their edges are often parallel to those of lattice_stars."""
+    den = draw(st.sampled_from((1, 2)))
+    ax, ay = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    extra = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4))
+    pts = [(ax, ay), (ax + w, ay), (ax, ay + h)] + extra
+    return ConvexPolygon.hull_of(pt(F(x, den), F(y, den)) for x, y in pts)
+
+
+@st.composite
+def lattice_stars(draw):
+    """Regions star-shaped around the origin, one vertex on each drawn
+    lattice direction.  With the origin off the boundary the four axes are
+    always drawn; with the origin a vertex, the directions are a run of
+    consecutive ones short of the full turn, and the origin's angle may be
+    reflex."""
+    if draw(st.booleans()):
+        idxs = sorted(AXIS_DIRS | draw(st.sets(st.integers(0, len(LATTICE_DIRS) - 1),
+                                                 max_size=10)))
+        ring = []
+    else:
+        start = draw(st.integers(0, len(LATTICE_DIRS) - 1))
+        length = draw(st.integers(2, len(LATTICE_DIRS) - 1))
+        idxs = [(start + k) % len(LATTICE_DIRS) for k in range(length)]
+        ring = [ORIGIN]
+    for i in idxs:
+        r = draw(lattice_radii)
+        ring.append(pt(LATTICE_DIRS[i][0] * r, LATTICE_DIRS[i][1] * r))
+    return Region.from_ring(ring, reference=ORIGIN)
+
+
+# star-shaped around its corner at the origin, with a reflex vertex at (1, 1)
+L_AT_ORIGIN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)],
+                               reference=ORIGIN)
+# a square missing its fourth quadrant: the origin is a reflex vertex
+PACMAN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 2), pt(-2, 2), pt(-2, -2), pt(0, -2)],
+                          reference=ORIGIN)
+
+
+class TestMinkowskiConvexStarOracle:
+    """The convolution-cycle sum equals the triangle-fan sum, vertex for
+    vertex and reference included."""
+
+    @given(lattice_hulls(), lattice_stars())
+    @settings(max_examples=150, deadline=None)
+    @example(UNIT_SQUARE.hull, PLUS)
+    @example(ConvexPolygon.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)]), L_AT_ORIGIN)
+    @example(ConvexPolygon.hull_of([pt(-1, 0), pt(1, -1), pt(1, 1)]), PACMAN)
+    def test_matches_fan_oracle(self, P, Q):
+        got = minkowski_convex_star(P, Q)
+        want = fan_sum(P, Q)
+        assert got.vertices == want.vertices
+        assert got.reference == want.reference
 
 
 class TestPStep:
@@ -178,7 +266,7 @@ class TestPStep:
 
 
 class TestPStepRoutes:
-    """The radial fast path and the triangulating general path must agree."""
+    """The radial fast path and the edge-sweep general path must agree."""
 
     def test_routes_agree_along_runs(self):
         from errdiff.operators import _clipped_pieces, _p_step_general
@@ -192,8 +280,8 @@ class TestPStepRoutes:
 
     def test_general_route_when_piece_misses_its_site(self):
         # a nonconvex D sitting inside one cell but away from the site makes
-        # the recentered piece miss the origin, forcing the triangulating
-        # route; p(D) must still contain D
+        # the recentered piece miss the origin, forcing the general route;
+        # p(D) must still contain D
         S = sites((0, 0), (8, 0), (0, 8), id="corner")
         ring = [pt(1, 1), pt(3, 1), pt(3, F(3, 2)), pt(F(3, 2), F(3, 2)),
                 pt(F(3, 2), 3), pt(1, 3)]
@@ -237,6 +325,13 @@ def shipped(stem):
 def first_site(coll):
     """The p-family seed the CLI uses for a one-member collection."""
     return min(coll.members[0].sites, key=lambda p: p.key())
+
+
+def snap_candidate(q):
+    """The candidate certify tests: q's snapped ring as a region with q's
+    star reference, or None when nothing moves or the ring is invalid."""
+    ring = snapped_ring(q)
+    return None if ring is None else as_candidate(ring, q.reference)
 
 
 def snapped(q):
@@ -286,7 +381,7 @@ class TestRoundCoordinate:
 
 
 class TestRoundRegion:
-    """snap_candidate offers a candidate only when a coordinate moves and
+    """A snap candidate is offered a candidate only when a coordinate moves and
     the snapped ring is still a valid region with the same star reference."""
 
     def test_below_gate_untouched(self):
