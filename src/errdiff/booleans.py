@@ -1,25 +1,27 @@
 """Exact clip, union, and containment for simple polygons.
 
-clip_components is the one half-plane clipper: it returns every component
-of a canonical ring cut by a half-plane.  It puts the ring over one common
-denominator (or takes the caller's), computes each vertex's level against
-the wall once (HalfPlane.levels), and reads the sides and every crossing
-from those integers; only the crossings become new Fractions, and a ring
-the wall keeps whole comes back as it was given.  errdiff.voronoi clips
-into cells with it.  union_rings splits edges at every contact with the
-other boundaries, keeps or drops the pieces by exact midpoint location
-(point_in_ring on each ring's cached integers), and stitches them back
-into cycles; a boundary that touches itself or leaves a hole raises
-DisconnectedUnion.  union_one_region is the union the operators use: it
-demands exactly one cycle; the p family's general route unites its hull
-sweeps there.  Results are regularized: zero-area slivers and whiskers
-vanish.  Unions of parts star-shaped around one center, and Minkowski sums
-of a convex polygon with a star region, go through errdiff.starunion
-instead.
+clip_components is the one clipper: it cuts a canonical ring, given over
+its common denominator, by a sequence of closed half-planes (the walls of
+a Voronoi cell) and returns every component of what is left.  It carries
+each piece on integers from one wall to the next: a level per vertex and
+wall, whose sign is the vertex's side, and every crossing as one reduced
+integer triple (X, Y, D).  Only at the end does each component go over
+its own common denominator and into canonical form; no Fraction is built,
+and errdiff.voronoi builds Points for the final rings only.  union_rings
+splits edges at every contact with the other boundaries, keeps or drops
+the pieces by exact midpoint location (point_in_ring on each ring's cached
+integers), and stitches them back into cycles; a boundary that touches
+itself or leaves a hole raises DisconnectedUnion.  union_one_region is the
+union the operators use: it demands exactly one cycle; the p family's
+general route unites its hull sweeps there.  Results are regularized:
+zero-area slivers and whiskers vanish.  Unions of parts star-shaped around
+one center, and Minkowski sums of a convex polygon with a star region, go
+through errdiff.starunion instead.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
@@ -29,6 +31,7 @@ from .geometry import (
     Point,
     Region,
     Scaled,
+    _canonical_order,
     bbox,
     bbox_overlap,
     canonicalize_ring,
@@ -126,68 +129,101 @@ def _midpoint(p: Point, q: Point) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# clip by half-plane
+# clip by half-planes
 
-def clip_components(ring: Sequence[Point], hp: HalfPlane,
-                    scaled: Scaled | None = None) -> list[Sequence[Point]]:
-    """Exact intersection of a simple canonical ring with a closed half-plane.
+# A ring in the clipper: parallel sequences (xs, ys, ds, src).  Vertex i is
+# the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; src[i] is its
+# index in the ring the clip started from, or -1 for a crossing.
+_Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+# A clipped component: (m, xs, ys, src), vertex i at (xs[i] / m, ys[i] / m)
+Clipped = tuple[int, list[int], list[int], Sequence[int]]
 
-    Returns canonical CCW rings, one per connected component with area; a
-    ring the half-plane keeps whole is returned itself.  scaled, when the
-    caller has it, is over_common_denominator(ring).  Over that common
-    denominator m, vertex u has the integer level f(u) (HalfPlane.levels),
-    whose sign is its side, and an edge u -> v whose levels have opposite
-    signs crosses the wall at (f(u) v - f(v) u) / (f(u) - f(v)).
+
+def clip_components(scaled: Scaled, walls: Sequence[HalfPlane]) -> list[Clipped]:
+    """Every component of a simple canonical ring cut by closed half-planes.
+
+    scaled is the ring over its common denominator m.  Every piece of it
+    is carried as integers from one wall to the next, each vertex u as a
+    triple (x, y, d) with d > 0: u has the level f(u) = A x + B y - C d
+    against the wall's integer triple (A, B, C), whose sign is its side,
+    and an edge u -> v whose levels have opposite signs crosses the wall
+    at the triple f(u) (x, y, d)_v - f(v) (x, y, d)_u, its sign turned so
+    that d > 0 and reduced by its gcd.  A piece with no vertex strictly
+    inside a wall has no area and goes.  Each surviving component comes
+    back in canonical form (_canonical_order) over its own common
+    denominator, the lcm of its reduced vertex denominators, with src
+    naming the input vertex behind each of its vertices (-1 for a
+    crossing).  A ring no wall cuts comes back as it was given, with src
+    range(len(xs)).  The components come in no particular order.
     """
-    scaled = over_common_denominator(ring) if scaled is None else scaled
-    levels = hp.levels(scaled)
-    if all(f <= 0 for f in levels):
-        return [ring]
-    if all(f >= 0 for f in levels):
-        return []
-
     m, xs, ys = scaled
-    n = len(levels)
-    # walk entries: (point, level, X, Y, D) with point == (X / D, Y / D)
-    walk: list[tuple[Point, int, int, int, int]] = []
-    for i in range(n):
-        j = (i + 1) % n
-        fu, fv = levels[i], levels[j]
-        walk.append((ring[i], fu, xs[i], ys[i], m))
-        if (fu > 0 and fv < 0) or (fu < 0 and fv > 0):
-            X, Y, D = fu * xs[j] - fv * xs[i], fu * ys[j] - fv * ys[i], m * (fu - fv)
-            walk.append((Point(Fraction(X, D), Fraction(Y, D)), 0, X, Y, D))
+    whole: _Ring = (xs, ys, [m] * len(xs), range(len(xs)))
+    rings = [whole]
+    for hp in walls:
+        A, B, C = hp._abc
+        cut: list[_Ring] = []
+        for ring in rings:
+            rxs, rys, rds, _ = ring
+            levels = [A * x + B * y - C * d for x, y, d in zip(rxs, rys, rds)]
+            if max(levels) <= 0:
+                cut.append(ring)
+            elif min(levels) < 0:
+                cut.extend(_cut(ring, levels, A, B))
+        rings = cut
+        if not rings:
+            return []
+    if rings[0] is whole:
+        return [(m, xs, ys, whole[3])]
+    out = []
+    for ring in rings:
+        comp = _canonical(ring)
+        if comp is not None:
+            out.append(comp)
+    return out
 
-    k = len(walk)
-    start = next(i for i in range(k) if walk[i][1] > 0)
-    chains: list[list[tuple]] = []
-    cur: list[tuple] = []
-    for i in range(1, k + 1):
-        w = walk[(start + i) % k]
-        if w[1] <= 0:
-            cur.append(w)
+
+def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
+    """The pieces of ring on the kept side of one wall that it crosses.
+
+    The kept parts of the boundary are cut into chains that leave the wall
+    line and come back to it; each chain end joins the next chain start
+    along the line, in the direction (-B, A) that has the kept side on its
+    left.
+    """
+    xs, ys, ds, src = ring
+    n = len(levels)
+    # walk the edges from an outside vertex once around: a chain is a run
+    # of crossings and vertices with level <= 0; deep, whether one of its
+    # vertices lies strictly inside
+    chains: list[tuple[list[tuple[int, int, int, int]], bool]] = []
+    cur: list[tuple[int, int, int, int]] = []
+    deep = False
+    i = levels.index(max(levels))
+    for _ in range(n):
+        j = i + 1 if i + 1 < n else 0
+        fu, fv = levels[i], levels[j]
+        if (fu > 0 > fv) or (fu < 0 < fv):
+            X = fu * xs[j] - fv * xs[i]
+            Y = fu * ys[j] - fv * ys[i]
+            D = fu * ds[j] - fv * ds[i]
+            g = gcd(X, Y, D) if D > 0 else -gcd(X, Y, D)
+            cur.append((X // g, Y // g, D // g, -1))
+        if fv <= 0:
+            cur.append((xs[j], ys[j], ds[j], src[j]))
+            deep = deep or fv < 0
         else:
             if len(cur) >= 2:
-                chains.append(cur)
-            cur = []
-    if len(cur) >= 2:
-        chains.append(cur)
-    if not chains:
-        return []
+                chains.append((cur, deep))
+            cur, deep = [], False
+        i = j
 
-    # boundary chords run along the clip line with the kept side on the
-    # left, in the direction (-b, a); every chain end lies on the line
-    A, B, _ = hp._abc
-
-    def along(w: tuple) -> Fraction:
-        return Fraction(A * w[3] - B * w[2], w[4])
-
-    events: list[tuple[Fraction, int, int]] = []
-    for ci, ch in enumerate(chains):
-        events.append((along(ch[-1]), 0, ci))
-        events.append((along(ch[0]), 1, ci))
-    events.sort(key=lambda e: (e[0], e[1]))
-
+    # the position of a chain end on the line, A y - B x over d, is compared
+    # over the lcm of the ends' denominators
+    ends = [w for ch, _ in chains for w in (ch[-1], ch[0])]
+    L = lcm(*[w[2] for w in ends])
+    events = sorted(((A * w[1] - B * w[0]) * (L // w[2]), kind, ci)
+                    for ci, (ch, _) in enumerate(chains)
+                    for kind, w in ((0, ch[-1]), (1, ch[0])))
     succ: dict[int, int] = {}
     for a, b in zip(events[0::2], events[1::2]):
         if a[1] != 0 or b[1] != 1:
@@ -195,21 +231,41 @@ def clip_components(ring: Sequence[Point], hp: HalfPlane,
         succ[a[2]] = b[2]
 
     seen: set[int] = set()
-    comps: list[list[Point]] = []
+    pieces: list[_Ring] = []
     for ci in range(len(chains)):
         if ci in seen:
             continue
-        pts: list[Point] = []
+        piece: list[tuple[int, int, int, int]] = []
+        deep = False
         cur_id = ci
         while cur_id not in seen:
             seen.add(cur_id)
-            pts.extend(w[0] for w in chains[cur_id])
+            ch, ch_deep = chains[cur_id]
+            piece.extend(ch)
+            deep = deep or ch_deep
             cur_id = succ[cur_id]
-        comp = canonicalize_ring(pts)
-        if comp is not None:
-            comps.append(comp)
-    comps.sort(key=lambda r: [p.key() for p in r])
-    return comps
+        # a piece with no vertex strictly inside lies on the line: no area
+        if deep:
+            pxs, pys, pds, psrc = zip(*piece)
+            pieces.append((pxs, pys, pds, psrc))
+    return pieces
+
+
+def _canonical(ring: _Ring) -> Clipped | None:
+    """ring in canonical form over the lcm of its reduced denominators."""
+    xs, ys, ds, src = ring
+    red = []
+    for x, y, d in zip(xs, ys, ds):
+        g = gcd(x, y, d)
+        red.append((x // g, y // g, d // g))
+    m = lcm(*[d for _, _, d in red])
+    cxs = [x * (m // d) for x, _, d in red]
+    cys = [y * (m // d) for _, y, d in red]
+    order = _canonical_order(cxs, cys)
+    if order is None:
+        return None
+    return (m, [cxs[i] for i in order], [cys[i] for i in order],
+            [src[i] for i in order])
 
 
 # ---------------------------------------------------------------------------

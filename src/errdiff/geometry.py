@@ -260,16 +260,6 @@ class HalfPlane:
         yn, yd = p.y.numerator, p.y.denominator
         return A * xn * yd + B * yn * xd - C * xd * yd
 
-    def levels(self, scaled: Scaled) -> list[int]:
-        """a*x + b*y - c at every point of a ring over its common
-        denominator m, times m and the half-plane's common denominator: one
-        integer per point, whose sign is the point's side (-1 strictly
-        inside, 0 on the boundary line, +1 strictly outside)."""
-        A, B, C = self._abc
-        m, xs, ys = scaled
-        Cm = C * m
-        return [A * x + B * y - Cm for x, y in zip(xs, ys)]
-
 
 # ---------------------------------------------------------------------------
 # rings (ordered vertex lists)

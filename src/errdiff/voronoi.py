@@ -1,15 +1,15 @@
 """Finite planar site sets, their Voronoi cells, and the projection operator.
 
-Cells are kept as half-plane lists (one bisector per other site, unpruned),
-built once per site set.  Clipping a region into a cell runs
-booleans.clip_components wall by wall on the ring's integers over one
-common denominator (the Region's cached _scaled, then each clipped
-ring's); a wall that leaves the whole ring inside hands it back untouched,
-so it is neither copied nor canonicalized again.  A bounded cell is
-materialized on demand the same way, by clipping a box around the hull
-that grows until the cell no longer touches it.  Sites on the hull
-boundary are the corners, sites strictly inside the inners
-(SiteSet.corners and .inners).
+A cell is kept as the half-planes of its facet walls only: the bisectors
+with the sites whose walls bound it along an edge of positive length,
+found once per site set on the sites' integers (_facet_neighbours).
+Clipping a region into a cell is one call of booleans.clip_components on
+the region's integer ring (its cached _scaled) through all the walls; the
+Points of the result are the region's own for every vertex it keeps, and
+new only for the crossings.  A bounded cell is materialized on demand the
+same way, by clipping a box around the hull that grows until the cell no
+longer touches it.  Sites on the hull boundary are the corners, sites
+strictly inside the inners (SiteSet.corners and .inners).
 
 project compares squared distances as integers: the sites are cached in
 key order over their common denominator, so one integer per site decides
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .geometry import (
@@ -102,10 +102,14 @@ class SiteSet:
 
     @cached_property
     def cells(self) -> dict[Point, VoronoiCellH]:
-        """The Voronoi cell of every site, by site."""
-        return {c: VoronoiCellH(c, tuple(bisector(c, d) for d in self.sites if d != c),
+        """The Voronoi cell of every site, by site, bounded by its facet
+        walls in site order."""
+        sites = self.sites
+        _, xs, ys = over_common_denominator(sites)
+        return {c: VoronoiCellH(c, tuple(bisector(c, sites[j])
+                                         for j in _facet_neighbours(xs, ys, i)),
                                 bounded=c in self.inners)
-                for c in self.sites}
+                for i, c in enumerate(sites)}
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Point], ...]]:
@@ -116,9 +120,46 @@ class SiteSet:
         return m, tuple((x * x + y * y, x, y, s) for x, y, s in zip(xs, ys, ordered))
 
 
+def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]:
+    """Indices j, in order, of the sites whose bisector with site i bounds
+    its cell along an edge of positive length; the sites are (xs, ys) over
+    a common denominator.
+
+    With v = s_j - s_i, the wall is (x - s_i) . v / |v|^2 <= 1/2, so by
+    polar duality it is a facet of the cell exactly when the dual point
+    v / |v|^2 is a vertex of conv({0} and every dual point).  A dual point
+    on a hull edge but not at a vertex is a wall that meets the cell in one
+    point only; one inside the hull misses the cell.  The dual points go
+    over the lcm L of the |v|^2 (the common denominator of the sites
+    scales them all alike), and the strict monotone-chain hull of those
+    integer points and the origin keeps the vertices only.
+    """
+    cx, cy = xs[i], ys[i]
+    vs = [(j, xs[j] - cx, ys[j] - cy) for j in range(len(xs)) if j != i]
+    norms = [vx * vx + vy * vy for _, vx, vy in vs]
+    L = lcm(*norms)
+    pts = sorted([(vx * (L // nv), vy * (L // nv), j)
+                  for (j, vx, vy), nv in zip(vs, norms)] + [(0, 0, -1)])
+
+    def chain(seq) -> list[tuple[int, int, int]]:
+        out: list[tuple[int, int, int]] = []
+        for p in seq:
+            while len(out) >= 2:
+                (ax, ay, _), (bx, by, _) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    return sorted(j for _, _, j in hull if j >= 0)
+
+
 @dataclass(frozen=True)
 class VoronoiCellH:
-    """A Voronoi cell as the intersection of bisector half-planes."""
+    """A Voronoi cell as the intersection of its facet walls, the bisector
+    half-planes that bound it along an edge."""
 
     site: Point
     walls: tuple[HalfPlane, ...]
@@ -132,35 +173,35 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
         raise SiteNotInSet(f"{c} is not a site") from None
 
 
+def _clip_rings(R: Region, V: VoronoiCellH) -> list[list[Point]]:
+    """The components of R clipped into V as Point rings: R's own Points
+    for the vertices it keeps, new ones for the crossings."""
+    vs = R.vertices
+    return [[vs[k] if k >= 0 else Point(Fraction(x, m), Fraction(y, m))
+             for x, y, k in zip(xs, ys, src)]
+            for m, xs, ys, src in clip_components(R._scaled, V.walls)]
+
+
 def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
-    """R clipped into V; None when empty, MultiComponent when it splits."""
-    ring, scaled = R.vertices, R._scaled
-    for hp in V.walls:
-        comps = clip_components(ring, hp, scaled)
-        if len(comps) == 1 and comps[0] is ring:
-            continue
-        if not comps:
-            return None
-        if len(comps) > 1:
-            raise MultiComponent(
-                f"cell of {V.site} cuts the region into {len(comps)} parts")
-        ring = comps[0]
-        scaled = over_common_denominator(ring)
-    # ring is canonical: R's own vertices or a clip component.  The input's
-    # star center need not survive the clip; callers reattach one
-    return Region(tuple(ring))
+    """R clipped into V; None when empty, MultiComponent when R ∩ V has more
+    than one component."""
+    rings = _clip_rings(R, V)
+    if not rings:
+        return None
+    if len(rings) > 1:
+        raise MultiComponent(
+            f"cell of {V.site} cuts the region into {len(rings)} parts")
+    # the ring is canonical; the input's star center need not survive the
+    # clip, so callers reattach one
+    return Region(tuple(rings[0]))
 
 
 def intersect_region_cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
-    """All components of R clipped into V (the disconnection-tolerant form)."""
-    rings = [(R.vertices, R._scaled)]
-    for hp in V.walls:
-        rings = [(comp, scaled if comp is ring else over_common_denominator(comp))
-                 for ring, scaled in rings
-                 for comp in clip_components(ring, hp, scaled)]
-        if not rings:
-            return []
-    return [list(ring) for ring, _ in rings]
+    """All components of R clipped into V (the disconnection-tolerant form),
+    ordered by their vertex keys."""
+    rings = _clip_rings(R, V)
+    rings.sort(key=lambda r: [p.key() for p in r])
+    return rings
 
 
 def project(S: SiteSet, x: Point) -> Point:

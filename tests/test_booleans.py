@@ -24,6 +24,7 @@ from errdiff.geometry import (
     Region,
     canonicalize_ring,
     is_simple_ring,
+    over_common_denominator,
     point_in_ring,
     pt,
     ring_area2,
@@ -41,6 +42,16 @@ def ring_of(*coords):
 def one_wall(hp):
     """A cell bounded by the one half-plane hp, to clip a Region with."""
     return VoronoiCellH(ORIGIN, (hp,), bounded=False)
+
+
+def clip(ring, *walls):
+    """clip_components on a Point ring, each component back as a Point ring
+    (the ring's own Point for every vertex it keeps), in vertex-key order."""
+    scaled = over_common_denominator(ring)
+    comps = [[ring[k] if k >= 0 else Point(F(x, m), F(y, m))
+              for x, y, k in zip(xs, ys, src)]
+             for m, xs, ys, src in clip_components(scaled, walls)]
+    return sorted(comps, key=lambda r: [p.key() for p in r])
 
 
 class TestSegSeg:
@@ -70,34 +81,36 @@ class TestSegSeg:
 class TestClip:
     def test_square_bisector(self):
         hp = HalfPlane(F(1), F(0), F(1, 2))
-        got = clip_components(UNIT_SQUARE, hp)
+        got = clip(UNIT_SQUARE, hp)
         assert got == [ring_of((0, 0), ("1/2", 0), ("1/2", 1), (0, 1))]
 
     def test_no_cut(self):
         hp = HalfPlane(F(1), F(0), F(5))
-        assert clip_components(UNIT_SQUARE, hp) == [UNIT_SQUARE]
+        assert clip(UNIT_SQUARE, hp) == [UNIT_SQUARE]
 
     def test_empty(self):
         hp = HalfPlane(F(1), F(0), F(-1))
-        assert clip_components(UNIT_SQUARE, hp) == []
+        assert clip(UNIT_SQUARE, hp) == []
 
     def test_tangent_vertex_keeps_all(self):
         diamond = canonicalize_ring(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
         hp = HalfPlane(F(0), F(1), F(1))  # y <= 1, touches the top vertex
-        (got,) = clip_components(diamond, hp)
-        assert got is diamond
+        scaled = over_common_denominator(diamond)
+        ((m, xs, ys, src),) = clip_components(scaled, (hp,))
+        assert m == scaled[0] and xs is scaled[1] and ys is scaled[2]
+        assert list(src) == [0, 1, 2, 3]
 
     def test_diamond_lower_half(self):
         diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
         hp = HalfPlane(F(0), F(1), F(0))  # y <= 0
-        got = clip_components(diamond, hp)
+        got = clip(diamond, hp)
         assert got == [ring_of((-1, 0), (0, -1), (1, 0))]
 
     def test_notch_disconnects(self):
         notched = ring_of((0, 0), (1, 0), (1, 2), (2, 2), (2, 0),
                           (3, 0), (3, 3), (0, 3))
         hp = HalfPlane(F(0), F(1), F(1))  # y <= 1
-        got = clip_components(notched, hp)
+        got = clip(notched, hp)
         assert got == [
             ring_of((0, 0), (1, 0), (1, 1), (0, 1)),
             ring_of((2, 0), (3, 0), (3, 1), (2, 1)),
@@ -445,16 +458,18 @@ class TestClipIntegerKernel:
     @settings(max_examples=300, deadline=None)
     def test_clip_matches_fraction_reference(self, case):
         ring, a, b, c = case
-        got = outcome(clip_components, ring, HalfPlane(a, b, c))
+        hp = HalfPlane(a, b, c)
+        got = outcome(clip, ring, hp)
         assert got == outcome(reference_clip, ring, a, b, c)
         if got not in (MultiComponent, []) and got[0] == ring:
-            assert got[0] is ring
+            scaled = over_common_denominator(ring)
+            assert clip_components(scaled, (hp,))[0][1] is scaled[1]
 
     def test_vertices_on_the_line(self):
         # the wall y <= 1 runs through two vertices of the L; the clip keeps
         # the lower bar and cuts nowhere else
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
-        got = clip_components(lshape, HalfPlane(F(0), F(1), F(1)))
+        got = clip(lshape, HalfPlane(F(0), F(1), F(1)))
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
-        got = clip_components(lshape, HalfPlane(F(0), F(-1), F(-1)))
+        got = clip(lshape, HalfPlane(F(0), F(-1), F(-1)))
         assert got == [ring_of((0, 1), (1, 1), (1, 2), (0, 2))]

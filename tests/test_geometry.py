@@ -29,7 +29,6 @@ from errdiff.geometry import (
     minkowski_convex,
     on_segment,
     orient,
-    over_common_denominator,
     parse_scalar,
     point_in_ring,
     project_convex,
@@ -38,7 +37,6 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
-from errdiff.booleans import clip_components
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -290,11 +288,12 @@ class TestHalfPlane:
     def test_side_and_boundary(self):
         hp = HalfPlane(F(1), F(0), F(1, 2))  # x <= 1/2
         ring = ring_of((0, 3), (1, 0), ("1/2", 9))
-        assert [sign(f) for f in hp.levels(over_common_denominator(ring))] == [-1, 1, 0]
+        assert [sign(hp._level(p)) for p in ring] == [-1, 1, 0]
         # the edge (1, 0) -> (1, 1) lies outside; (0, 0) -> (1, 1) crosses
         # the wall at (1/2, 1/2)
-        got = clip_components(ring_of((0, 0), (1, 0), (1, 1)), hp)
-        assert got == [ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))]
+        got = intersect_region_cell(Region.from_ring(ring_of((0, 0), (1, 0), (1, 1))),
+                                    VoronoiCellH(ORIGIN, (hp,), bounded=False))
+        assert list(got.vertices) == ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
@@ -305,11 +304,10 @@ class TestHalfPlane:
         if a == 0 and b == 0:
             a = F(1)
         hp = HalfPlane(a, b, c)
-        m, xs, ys = over_common_denominator(ring)
-        scale = m * lcm(a.denominator, b.denominator, c.denominator)
-        for p, f in zip(ring, hp.levels((m, xs, ys))):
-            assert f == reference_eval(hp, p) * scale
-            assert sign(hp._level(p)) == sign(f)
+        scale = lcm(a.denominator, b.denominator, c.denominator)
+        for p in ring:
+            assert hp._level(p) == (reference_eval(hp, p) * scale
+                                    * p.x.denominator * p.y.denominator)
 
     def test_intersection_of_strips(self):
         hps = [

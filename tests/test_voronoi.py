@@ -1,12 +1,14 @@
 """Site sets, bisector cells, corners and inners, projection, boundedness."""
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import subset
+from errdiff.scene import load_scene
 from errdiff.geometry import (
     DegenerateHull,
     HalfPlane,
@@ -22,6 +24,7 @@ from errdiff.voronoi import (
     SiteNotInSet,
     SiteSet,
     UnboundedCell,
+    VoronoiCellH,
     assumption_report,
     bisector,
     cell,
@@ -32,6 +35,7 @@ from errdiff.voronoi import (
     materialize_cell,
     project,
 )
+from test_booleans import outcome, reference_clip, star_rings, wide_radii
 
 SQUARE_CORNERS = SiteSet((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)), id="sq")
 SQUARE_CENTER = SiteSet(
@@ -102,10 +106,11 @@ class TestCell:
         c = cell(SQUARE_CORNERS, pt(0, 0))
         assert not c.bounded
         got = sorted(norm(w) for w in c.walls)
+        # x + y <= 1, the wall of the opposite corner, meets the cell at
+        # (1/2, 1/2) only and is not a facet
         assert got == sorted([
             (F(2), F(0), F(1)),   # x <= 1/2
             (F(0), F(2), F(1)),   # y <= 1/2
-            (F(1), F(1), F(1)),   # x + y <= 1
         ])
 
     def test_unknown_site(self):
@@ -156,6 +161,24 @@ class TestIntersect:
             intersect_region_cell(notched, lower)
         comps = intersect_region_cell_components(notched, lower)
         assert len(comps) == 2
+
+
+    def test_one_component_after_a_later_wall_rejoins(self):
+        # y <= 1 splits the notched square into its two legs, and x <= 1
+        # then drops the right leg: R ∩ V is one square, whatever the order
+        # of the walls
+        notched = Region.from_ring([
+            pt(0, 0), pt(1, 0), pt(1, 2), pt(2, 2), pt(2, 0),
+            pt(3, 0), pt(3, 3), pt(0, 3)])
+        c = pt("1/2", "1/2")
+        sites = SiteSet((c, pt("1/2", "3/2"), pt("3/2", "1/2")))
+        V = cell(sites, c)
+        assert V.walls == (bisector(c, pt("1/2", "3/2")), bisector(c, pt("3/2", "1/2")))
+        square = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+        assert intersect_region_cell(notched, V).vertices == square
+        flipped = VoronoiCellH(c, V.walls[::-1], bounded=False)
+        assert intersect_region_cell(notched, flipped).vertices == square
+        assert intersect_region_cell_components(notched, V) == [list(square)]
 
 
 class TestProject:
@@ -239,10 +262,17 @@ class TestProjectIntegerKernel:
 
 class TestCellCache:
     def test_cells_are_built_once_per_site_set(self):
+        # a corner's facets are its two hull neighbours and the center; the
+        # center's wall cuts the cell off before the opposite corner's
+        center = pt("1/2", "1/2")
+        opposite = {pt(0, 0): pt(1, 1), pt(1, 0): pt(0, 1),
+                    pt(1, 1): pt(0, 0), pt(0, 1): pt(1, 0)}
         for c in SQUARE_CENTER:
             V = cell(SQUARE_CENTER, c)
             assert cell(SQUARE_CENTER, c) is V
-            assert V.walls == tuple(bisector(c, d) for d in SQUARE_CENTER if d != c)
+            facets = [d for d in SQUARE_CENTER
+                      if d != c and (c == center or d != opposite[c])]
+            assert V.walls == tuple(bisector(c, d) for d in facets)
             assert V.bounded == (c in SQUARE_CENTER.inners)
 
 
@@ -292,3 +322,80 @@ class TestCoverage:
         y = project(SQUARE_CENTER, x)
         others = [c for c in SQUARE_CENTER if c != y]
         assert all(bisector(y, d)._level(x) <= 0 for d in others)
+
+
+def folded_reference(ring, S, c):
+    """ring clipped into the cell of c by reference_clip over every one of
+    the n - 1 bisectors, in site order, the components in vertex-key order."""
+    comps = [ring]
+    for d in S:
+        if d != c:
+            hp = bisector(c, d)
+            comps = [r for comp in comps
+                     for r in reference_clip(comp, hp.a, hp.b, hp.c)]
+    return sorted(comps, key=lambda r: [p.key() for p in r])
+
+
+SSET3 = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1),
+         (1, 2), (0, -1), (1, -2), (2, -3)]
+# integer lattice sets are rich in cocircular sites, whose walls meet the
+# cell at one vertex only; sset3 is one of them, shifted about the region
+lattice_sites = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=3, max_size=10, unique=True)
+sset3_shifted = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda d: [(x + d[0], y + d[1]) for x, y in SSET3])
+rational_sites = st.lists(st.tuples(narrow, narrow), min_size=3, max_size=8,
+                          unique=True)
+
+
+class TestFacetWalls:
+    @given(st.one_of(lattice_sites, sset3_shifted, rational_sites),
+           st.one_of(star_rings(), star_rings(wide_radii)))
+    @settings(max_examples=150, deadline=None)
+    def test_facet_walls_clip_like_every_bisector(self, coords, ring):
+        try:
+            S = SiteSet(tuple(pt(x, y) for x, y in coords))
+        except DegenerateHull:
+            assume(False)
+        R = Region(tuple(ring))
+        for c in S:
+            want = outcome(folded_reference, ring, S, c)
+            assert outcome(intersect_region_cell_components, R, cell(S, c)) == want
+            got = outcome(intersect_region_cell, R, cell(S, c))
+            if want is MultiComponent or len(want) > 1:
+                assert got is MultiComponent
+            elif not want:
+                assert got is None
+            else:
+                assert list(got.vertices) == want[0]
+
+    def test_pruned_walls_leave_shipped_cells_unchanged(self):
+        scenes = Path(__file__).resolve().parent.parent / "scenes"
+        members = [S for p in sorted(scenes.glob("*.json"))
+                   for coll in load_scene(str(p)).collections.values()
+                   for S in coll.members]
+        assert len(members) == 9
+        for S in members:
+            for c in S:
+                every = VoronoiCellH(c, tuple(bisector(c, d) for d in S if d != c),
+                                     c in S.inners)
+                facets = cell(S, c).walls
+                assert set(facets) <= set(every.walls)
+                if c in S.inners:
+                    got = materialize_cell(S, c)
+                    for w in every.walls:
+                        levels = [w._level(v) for v in got]
+                        # every wall holds the whole cell, so dropping one
+                        # changes nothing; a facet carries one of its edges
+                        assert max(levels) <= 0
+                        assert (levels.count(0) == 2) == (w in facets)
+                    xmin, ymin, xmax, ymax = Region(tuple(got)).bbox
+                else:
+                    xmin, ymin, xmax, ymax = S.hull.bbox
+                pad = S.hull.diameter_sq
+                box = Region((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
+                              pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
+                want = intersect_region_cell(box, every).vertices
+                assert intersect_region_cell(box, cell(S, c)).vertices == want
+                if c in S.inners:
+                    assert list(want) == got
