@@ -136,7 +136,7 @@ def _cmd_simulate(scene: Scene, args, out: Path) -> int:
 def _load_region(path: Path) -> Region:
     payload = json.loads(path.read_text())
     ring = [pt(parse_scalar(x), parse_scalar(y)) for x, y in payload["vertices"]]
-    return Region.from_ring(ring, validate=False)
+    return Region.from_ring(ring)
 
 
 def _report_dict(rep: VerificationReport) -> dict:

@@ -666,10 +666,6 @@ class Region(Polygon):
     def locate(self, p: Point) -> int:
         return point_in_ring(self.vertices, p, self._scaled)
 
-    def translate(self, d: Point) -> "Region":
-        ref = self.reference + d if self.reference is not None else None
-        return Region(tuple(v + d for v in self.vertices), ref)
-
     def with_reference(self, reference: Point | None) -> "Region":
         if reference is not None and not self.kernel_contains(reference):
             raise KernelViolation("reference point outside the kernel")

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .booleans import subset_witness, union_one_region
+from .booleans import clip_components, subset_witness, union_one_region
 from .geometry import (
     ConvexPolygon,
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
+    MultiComponent,
+    NotStarAtCenter,
     ORIGIN,
     Point,
     PointSeed,
@@ -34,15 +36,9 @@ from .geometry import (
     over_common_denominator,
     point_in_ring,
     scalar_str,
-    star_kernel_contains,
 )
-from .starunion import cycle_envelope, union_star
-from .voronoi import (
-    SiteSet,
-    cell,
-    intersect_region_cell,
-    intersect_region_cell_components,
-)
+from .starunion import cycle_envelope, star_cycle, union_star
+from .voronoi import SiteSet, cell, intersect_region_cell_components
 
 OPERATORS = ("g", "G", "p", "P")
 
@@ -136,22 +132,6 @@ class EmptyCellPiece(GeometryError):
     """
 
 
-class IterationFailure(Exception):
-    """A run that ended without reaching a fixed point (strict mode)."""
-
-    def __init__(self, message: str, result: IterationResult):
-        super().__init__(message)
-        self.result = result
-
-
-class MaxIterations(IterationFailure):
-    pass
-
-
-class Diverged(IterationFailure):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Minkowski sum of a convex polygon with a star region
 
@@ -218,7 +198,7 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
                 xs.append(px[i] + x0)
                 ys.append(py[i] + y0)
         ux, uy = vx, vy
-    return cycle_envelope(xs, ys, m, P.vertices[0])
+    return cycle_envelope([(xs, ys, m)], P.vertices[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +213,31 @@ def _check_g_seed(Q: Seed) -> None:
 
 
 def g_step(S: SiteSet, Q: Seed) -> Region:
-    """Union over sites c of ((ch S + Q) ∩ V(c)) − c, star-shaped at 0."""
+    """Union over sites c of ((ch S + Q) ∩ V(c)) − c, star-shaped at 0.
+
+    X = ch S + Q is clipped into each cell on X's integer ring
+    (clip_components); each piece, one component by the premise of the
+    step, is shifted by -c on integers (star_cycle, which also checks that
+    c is in its kernel), and the pieces go to one radial envelope around
+    the origin (cycle_envelope).  No Point is built before the union's
+    output ring.
+    """
     _check_g_seed(Q)
     if isinstance(Q, PointSeed):
-        X = Region.from_ring(S.hull.vertices, validate=False)
+        X = S.hull._scaled
     else:
-        X = minkowski_convex_star(S.hull, Q)
-    pieces: list[Region] = []
+        X = minkowski_convex_star(S.hull, Q)._scaled
+    cycles = []
     for c in S.sites:
-        piece = intersect_region_cell(X, cell(S, c))
-        if piece is None:
+        comps = clip_components(X, cell(S, c).walls)
+        if not comps:
             raise EmptyCellPiece(f"cell of {c} misses ch S + Q")
-        pieces.append(piece.translate(-c))
-    return union_star(pieces, ORIGIN)
+        if len(comps) > 1:
+            raise MultiComponent(
+                f"cell of {c} cuts the region into {len(comps)} parts")
+        m, xs, ys, _ = comps[0]
+        cycles.append(star_cycle((m, xs, ys), c))
+    return cycle_envelope(cycles, ORIGIN)
 
 
 def g_step_collection(SS: Collection, Q: Seed) -> Region:
@@ -318,7 +310,8 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     When every recentered clip piece is star-shaped around the origin
     (which holds once the sites lie in D), the inner union and the final
     Minkowski sum both run on the radial fast path; any piece that
-    disconnects or loses the origin drops the step to the general route,
+    disconnects or loses the origin (NotStarAtCenter, DisconnectedUnion)
+    drops the step to the general route,
     which sums the hull with each piece by sweeping it along the piece's
     edges (_sum_hull_with_ring) and unites every ring in union_one_region.
     """
@@ -333,21 +326,13 @@ def p_step(S: SiteSet, D: Seed) -> Region:
         except DisconnectedUnion:
             return union_one_region(shifts)
     pieces = _clipped_pieces(S, D)
-    star_parts: list[list[Point]] | None = []
-    for c, comps in pieces:
-        if len(comps) != 1:
-            star_parts = None
-            break
-        shifted = [v - c for v in comps[0]]
-        if not star_kernel_contains(shifted, ORIGIN):
-            star_parts = None
-            break
-        star_parts.append(shifted)
-    if star_parts is not None:
+    if all(len(comps) == 1 for _, comps in pieces):
         try:
-            inner = union_star(star_parts, ORIGIN)
+            inner = cycle_envelope(
+                [star_cycle(over_common_denominator(comps[0]), c)
+                 for c, comps in pieces], ORIGIN)
             return minkowski_convex_star(hull, inner).with_reference(None)
-        except DisconnectedUnion:
+        except (NotStarAtCenter, DisconnectedUnion):
             pass
     return _p_step_general(hull, pieces)
 
@@ -444,8 +429,7 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
 # the iteration engine
 
 def iterate(op: str, SS: Collection, seed: Seed,
-            cfg: IterationConfig | None = None, *,
-            strict: bool = False) -> IterationResult:
+            cfg: IterationConfig | None = None) -> IterationResult:
     """Run op from seed to a fixed point or to a certified outer set.
 
     The reported iteration count is the smallest n >= 1 whose iterate is
@@ -457,7 +441,7 @@ def iterate(op: str, SS: Collection, seed: Seed,
     then reports n + 1 iterations, ships op(C) and records the gap between
     op(C) and Q_n+1, which op(C) holds.  converged is False when max_iter
     runs out or the iterate's squared diameter passes the divergence
-    threshold; strict mode raises instead.
+    threshold.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
@@ -482,16 +466,8 @@ def iterate(op: str, SS: Collection, seed: Seed,
             return IterationResult(outer, n, True, "certified", history,
                                    outer.area2 - nxt.area2)
         if nxt.diameter_sq > threshold:
-            result = IterationResult(nxt, n, False, "diverged", history)
-            if strict:
-                raise Diverged("iterate diameter passed the divergence threshold",
-                               result)
-            return result
+            return IterationResult(nxt, n, False, "diverged", history)
         outer = certify(op, SS, nxt)
         cur = nxt
     assert isinstance(cur, Region)
-    result = IterationResult(cur, cfg.max_iter, False, "max-iterations", history)
-    if strict:
-        raise MaxIterations(f"no fixed point within {cfg.max_iter} iterations",
-                            result)
-    return result
+    return IterationResult(cur, cfg.max_iter, False, "max-iterations", history)

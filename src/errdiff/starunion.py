@@ -2,23 +2,28 @@
 
 Every input must keep the center in its kernel. The union is then a radial
 envelope: sweeping a ray around the center, the union boundary is the
-farthest input boundary along each direction. The merge walks the two
-boundaries as angular chains and keeps the outer one, splitting at exact
-crossings. Directions with no coverage are gaps; a single gap closes through
-the center, two or more mean the union pinches there and has no simple
-boundary.
+farthest input boundary along each direction.  cycle_envelope builds it
+from closed polygonal cycles on integers, each relative to the center and
+over its own denominator: it drops the edges on a line through the center,
+cuts the rest into chains that turn one way around the center, packs
+chains that do not overlap in angle into one fan, and merges the fans.  The
+merge walks two fans as angular chains and keeps the outer one, splitting
+at exact crossings. Directions with no coverage are gaps; a single gap
+closes through the center, two or more mean the union pinches there and
+has no simple boundary.
 
-The same envelope bounds a Minkowski sum: cycle_envelope takes a closed
-polygonal cycle on integers, such as the convolution cycle of a convex
-polygon and a star region, cuts it into chains that turn one way around the
-center, packs chains that do not overlap in angle into one fan, and merges
-the fans like the parts of a union (_envelope, shared with union_star).
+The cycles are the boundaries of the parts of a union (union_star, and the
+g step's clipped pieces), each put relative to the center by star_cycle,
+which also checks that the center is in the part's kernel; or the
+convolution cycle of a Minkowski sum, whose edges may turn either way.
 
-The merge decides everything on integer numerators and denominators. Each
-chain point carries its reduced integer direction, each covering edge's line
-is put over one common denominator once per merge, and two lines are
-compared along a ray by cross-multiplying. New Fraction points are built
-only for emitted vertices (_limit) and for crossings (line_cross_point).
+The merge runs on integers only.  A fan vertex is a reduced integer triple
+(x, y, d) with d > 0, the point (x / d, y / d), carried with its reduced
+integer direction.  Each covering edge's line is put over the common
+denominator of its two ends, and two lines are compared along a ray by
+cross-multiplying; the boundary point on a ray (_limit) and the crossing of
+two lines (_crossing) come back as reduced triples.  Points are built once,
+for the output ring (_envelope).
 """
 from __future__ import annotations
 
@@ -29,24 +34,19 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
-    ORIGIN,
     DisconnectedUnion,
     NotStarAtCenter,
     Point,
     Region,
-    line_cross_point,
+    Scaled,
+    over_common_denominator,
 )
 
 Dir = tuple[int, int]
-Vertex = tuple[Point, Dir]
-
-
-def _dir_key(p: Point) -> Dir:
-    """Reduced integer direction of p from the center; (0, 0) for the center."""
-    dx = p.x.numerator * p.y.denominator
-    dy = p.y.numerator * p.x.denominator
-    g = gcd(dx, dy) or 1
-    return (dx // g, dy // g)
+Triple = tuple[int, int, int]
+Vertex = tuple[Triple, Dir]
+# (xs, ys, m): the points (xs[i] / m, ys[i] / m) relative to the center
+Cycle = tuple[Sequence[int], Sequence[int], int]
 
 
 def _dir_cmp(a: Dir, b: Dir) -> int:
@@ -81,48 +81,17 @@ def _overlap(a: tuple[Dir, Dir], b: tuple[Dir, Dir]) -> bool:
 class _Fan:
     """Boundary of a star set around the origin, minus the origin caps.
 
-    chains: angular runs of boundary points in CCW order, each carried with
-    its direction key; consecutive points of a chain either subtend a
-    positive angle at the origin or sit on one ray (a radial jump). full
-    means one chain wrapping all directions.
+    chains: angular runs of boundary vertices in CCW order; consecutive
+    vertices of a chain either subtend a positive angle at the origin or
+    sit on one ray (a radial jump). full means one chain wrapping all
+    directions.
     """
     chains: list[list[Vertex]]
     full: bool
 
 
-def _fan_of(ring: Sequence[Point]) -> _Fan:
-    """Ring is canonical CCW; raises NotStarAtCenter unless the origin is
-    in its kernel."""
-    ring = [(p, _dir_key(p)) for p in ring]
-    n = len(ring)
-    breaks: list[int] = []
-    for i in range(n):
-        (ux, uy), (vx, vy) = ring[i][1], ring[(i + 1) % n][1]
-        cr = ux * vy - uy * vx
-        if cr < 0:
-            raise NotStarAtCenter("center is outside a part's kernel")
-        if cr == 0 and ux * vx + uy * vy <= 0:
-            breaks.append(i)
-    if not breaks:
-        return _Fan([ring], True)
-    if len(breaks) == 1:
-        i = breaks[0]
-        start = (i + 1) % n
-        return _Fan([[ring[(start + k) % n] for k in range(n)]], False)
-    if len(breaks) == 2:
-        i, j = breaks
-        if j == i + 1 and ring[j][0] == ORIGIN:
-            start = (j + 1) % n
-        elif i == 0 and j == n - 1 and ring[0][0] == ORIGIN:
-            start = 1
-        else:
-            raise NotStarAtCenter("boundary pinches at the center")
-        return _Fan([[ring[(start + k) % n] for k in range(n - 1)]], False)
-    raise NotStarAtCenter("boundary pinches at the center")
-
-
 class _Edge:
-    """A fan edge a -> b and its line in integers.
+    """A fan edge a -> b between triples, and its line in integers.
 
     With a and b over the common denominator den, the line meets the ray
     of direction u at t(u) * u for t(u) = n / (den * (ux*dy - uy*dx)).
@@ -131,14 +100,13 @@ class _Edge:
 
     __slots__ = ("a", "b", "ka", "kb", "n", "den", "dx", "dy")
 
-    def __init__(self, a: Point, b: Point, ka: int, kb: int):
+    def __init__(self, a: Triple, b: Triple, ka: int, kb: int):
         self.a, self.b, self.ka, self.kb = a, b, ka, kb
-        den = lcm(a.x.denominator, a.y.denominator,
-                  b.x.denominator, b.y.denominator)
-        ax = a.x.numerator * (den // a.x.denominator)
-        ay = a.y.numerator * (den // a.y.denominator)
-        bx = b.x.numerator * (den // b.x.denominator)
-        by = b.y.numerator * (den // b.y.denominator)
+        ax, ay, ad = a
+        bx, by, bd = b
+        den = lcm(ad, bd)
+        sa, sb = den // ad, den // bd
+        ax, ay, bx, by = ax * sa, ay * sa, bx * sb, by * sb
         self.n = ax * by - ay * bx
         self.den = den
         self.dx = bx - ax
@@ -156,6 +124,23 @@ def _t_cmp(u: Dir, ea: _Edge, eb: _Edge) -> int:
     t = ea.n * eb.den * cb - eb.n * ea.den * ca
     s = (t > 0) - (t < 0)
     return s if (ca > 0) == (cb > 0) else -s
+
+
+def _crossing(ea: _Edge, eb: _Edge) -> Vertex:
+    """The crossing of two edges' lines, which must not be parallel.
+
+    Edge e's line is den_e (x dy_e - y dx_e) = n_e; Cramer's rule gives the
+    crossing as (X / D, Y / D).
+    """
+    D = ea.den * eb.den * (ea.dx * eb.dy - ea.dy * eb.dx)
+    sa, sb = eb.n * ea.den, ea.n * eb.den
+    X = sa * ea.dx - sb * eb.dx
+    Y = sa * ea.dy - sb * eb.dy
+    if D < 0:
+        X, Y, D = -X, -Y, -D
+    h = gcd(X, Y)
+    g = gcd(h, D)
+    return (X // g, Y // g, D // g), (X // h, Y // h)
 
 
 def _assign(fan: _Fan, uidx: dict[Dir, int], m: int) -> list[_Edge | None]:
@@ -177,7 +162,7 @@ def _assign(fan: _Fan, uidx: dict[Dir, int], m: int) -> list[_Edge | None]:
     return arcs
 
 
-def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Point:
+def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Triple:
     """Boundary point at event k approached from the left (side=0) or the
     right (side=1)."""
     if side == 0:
@@ -188,8 +173,12 @@ def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Point:
         edge = arcs[k]
         if edge.ka == k:
             return edge.a
-    den = edge.den * (d[0] * edge.dy - d[1] * edge.dx)
-    return Point(Fraction(d[0] * edge.n, den), Fraction(d[1] * edge.n, den))
+    n = edge.n
+    D = edge.den * (d[0] * edge.dy - d[1] * edge.dx)
+    if D < 0:
+        n, D = -n, -D
+    g = gcd(n, D)
+    return (d[0] * (n // g), d[1] * (n // g), D // g)
 
 
 def _merge(A: _Fan, B: _Fan) -> _Fan:
@@ -206,7 +195,7 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
 
     start_owner = [0] * m   # owner entering the arc: 0 A, 1 B, -1 gap
     end_owner = [0] * m
-    cross_pt: list[Point | None] = [None] * m
+    cross_pt: list[Vertex | None] = [None] * m
     for k in range(m):
         ea, eb = arcs_a[k], arcs_b[k]
         if ea is None and eb is None:
@@ -222,12 +211,12 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
             second = first if s2 == 0 else (0 if s2 > 0 else 1)
             start_owner[k], end_owner[k] = first, second
             if first != second:
-                cross_pt[k] = line_cross_point(ea.a, ea.b, eb.a, eb.b)
+                cross_pt[k] = _crossing(ea, eb)
 
     ems: list[Vertex] = []
     gap_marks: list[int] = []
 
-    def emit(p: Point, d: Dir) -> None:
+    def emit(p: Triple, d: Dir) -> None:
         if not ems or ems[-1][0] != p:
             ems.append((p, d))
 
@@ -253,7 +242,7 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
             emit(_limit(both[o_next], k, d, 1), d)
         w = cross_pt[k]
         if w is not None:
-            emit(w, _dir_key(w))
+            emit(*w)
 
     if not gap_marks:
         if len(ems) > 1 and ems[0][0] == ems[-1][0]:
@@ -269,7 +258,7 @@ def _merge(A: _Fan, B: _Fan) -> _Fan:
 
 
 def _envelope(fans: list[_Fan], center: Point) -> Region:
-    """Radial envelope of fans around center, their points taken relative
+    """Radial envelope of fans around center, their vertices taken relative
     to it, as a Region with center as its reference."""
     # balanced merge order keeps any one fan from being rescanned per part
     while len(fans) > 1:
@@ -281,41 +270,57 @@ def _envelope(fans: list[_Fan], center: Point) -> Region:
     merged = fans[0]
     if len(merged.chains) != 1:
         raise DisconnectedUnion("parts meet only at the center")
-    ring = [p for p, _ in merged.chains[0]]
+    cxn, cxd = center.x.as_integer_ratio()
+    cyn, cyd = center.y.as_integer_ratio()
+    ring = [Point(Fraction(x * cxd + cxn * d, d * cxd),
+                  Fraction(y * cyd + cyn * d, d * cyd))
+            for (x, y, d), _ in merged.chains[0]]
     if not merged.full:
-        ring.append(ORIGIN)
-    if center != ORIGIN:
-        ring = [p + center for p in ring]
+        ring.append(center)
     return Region.from_ring(ring, reference=center)
 
 
+def star_cycle(scaled: Scaled, center: Point) -> Cycle:
+    """A CCW ring (m, xs, ys), over its common denominator, as a cycle
+    relative to center over the lcm of m and center's denominators.
+
+    Raises NotStarAtCenter when an edge turns clockwise around center,
+    that is when center is outside the ring's kernel.
+    """
+    m, xs, ys = scaled
+    cxn, cxd = center.x.as_integer_ratio()
+    cyn, cyd = center.y.as_integer_ratio()
+    if cxn or cyn:
+        M = lcm(m, cxd, cyd)
+        k, ox, oy = M // m, cxn * (M // cxd), cyn * (M // cyd)
+        xs = [x * k - ox for x in xs]
+        ys = [y * k - oy for y in ys]
+        m = M
+    if any(xs[i - 1] * ys[i] < ys[i - 1] * xs[i] for i in range(len(xs))):
+        raise NotStarAtCenter("center is outside a part's kernel")
+    return xs, ys, m
+
+
 def union_star(parts: Sequence, center: Point) -> Region:
-    """Union of regions star-shaped around a common center point.
+    """Union of regions or CCW Point rings star-shaped around a common
+    center point.
 
     Raises NotStarAtCenter when a part does not keep the center in its
     kernel, DisconnectedUnion when the union only meets at the center,
     DegenerateRegion when the union has no area.
     """
-    fans: list[_Fan] = []
-    for part in parts:
-        ring = part.vertices if isinstance(part, Region) else part
-        if center != ORIGIN:
-            ring = [v - center for v in ring]
-        fans.append(_fan_of(ring))
-    return _envelope(fans, center)
+    return cycle_envelope(
+        [star_cycle(part._scaled if isinstance(part, Region)
+                    else over_common_denominator(part), center)
+         for part in parts], center)
 
 
-def cycle_envelope(xs: Sequence[int], ys: Sequence[int], m: int,
-                   center: Point) -> Region:
-    """Radial envelope around center of the closed polygonal cycle through
-    the points center + (xs[i] / m, ys[i] / m).
+def _chains(xs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:
+    """The integer cycle (xs, ys) around the origin cut into chains of
+    indices, each turning one way and short of a full turn, in CCW order.
 
-    The caller vouches that every cycle point lies in one closed set that is
-    star-shaped around center and whose boundary lies on the cycle; the
-    envelope is then that set.  Edges on a line through the center are
-    dropped.  The rest is cut into chains that turn one way around the
-    center, each short of a full turn; clockwise chains are reversed, and
-    chains that do not overlap in angle share a fan.
+    Edges on a line through the origin are dropped; clockwise chains are
+    reversed.
     """
     n = len(xs)
     turns = []
@@ -325,33 +330,7 @@ def cycle_envelope(xs: Sequence[int], ys: Sequence[int], m: int,
         turns.append((cr > 0) - (cr < 0))
     # start where a chain must begin anyway, so none wraps past the start
     first = next((i for i in range(n) if turns[i] and turns[i] != turns[i - 1]), 0)
-    verts: dict[int, Vertex] = {}
-
-    def vertex(i: int) -> Vertex:
-        v = verts.get(i)
-        if v is None:
-            x, y = xs[i], ys[i]
-            g = gcd(x, y)
-            v = verts[i] = (Point(Fraction(x, m), Fraction(y, m)), (x // g, y // g))
-        return v
-
-    # chains go first-fit into fans whose chains they do not overlap in angle
-    fans: list[_Fan] = []
-    spans: list[list[tuple[Dir, Dir]]] = []
-
-    def close(chain: list[int], sign: int) -> None:
-        if sign < 0:
-            chain.reverse()
-        run = [vertex(i) for i in chain]
-        span = (run[0][1], run[-1][1])
-        for fan, taken in zip(fans, spans):
-            if not any(_overlap(span, t) for t in taken):
-                fan.chains.append(run)
-                taken.append(span)
-                return
-        fans.append(_Fan([run], False))
-        spans.append([span])
-
+    out: list[list[int]] = []
     chain: list[int] = []
     sign = half = 0
     sx = sy = 0
@@ -370,13 +349,48 @@ def cycle_envelope(xs: Sequence[int], ys: Sequence[int], m: int,
                 half = h
                 continue
         if chain:
-            close(chain, sign)
+            out.append(chain if sign > 0 else chain[::-1])
             chain = []
         if s:
             chain, sign, half = [i, j], s, 0
             sx, sy = xs[i], ys[i]
     if chain:
-        close(chain, sign)
+        out.append(chain if sign > 0 else chain[::-1])
+    return out
+
+
+def _vertex(x: int, y: int, m: int) -> Vertex:
+    """The point (x / m, y / m), not the origin, as a reduced triple with
+    its reduced direction."""
+    h = gcd(x, y)
+    g = gcd(h, m)
+    return (x // g, y // g, m // g), (x // h, y // h)
+
+
+def cycle_envelope(cycles: Sequence[Cycle], center: Point) -> Region:
+    """Radial envelope around center of closed polygonal cycles, each
+    (xs, ys, m) through the points center + (xs[i] / m, ys[i] / m).
+
+    The caller vouches that every cycle point lies in one closed set that is
+    star-shaped around center and whose boundary lies on the cycles; the
+    envelope is then that set.  Each cycle is cut into chains (_chains),
+    and chains that do not overlap in angle share a fan.
+    """
+    # chains go first-fit into fans whose chains they do not overlap in angle
+    fans: list[_Fan] = []
+    spans: list[list[tuple[Dir, Dir]]] = []
+    for xs, ys, m in cycles:
+        for chain in _chains(xs, ys):
+            run = [_vertex(xs[i], ys[i], m) for i in chain]
+            span = (run[0][1], run[-1][1])
+            for fan, taken in zip(fans, spans):
+                if not any(_overlap(span, t) for t in taken):
+                    fan.chains.append(run)
+                    taken.append(span)
+                    break
+            else:
+                fans.append(_Fan([run], False))
+                spans.append([span])
     if len(fans) == 1 and len(fans[0].chains) > 1:
         # chains that only touch end to end still need a merge to join them
         fans.append(_Fan([fans[0].chains.pop()], False))

@@ -35,7 +35,6 @@ from errdiff.geometry import (
 )
 from errdiff.operators import (
     Collection,
-    IterationFailure,
     apply_operator,
     equal_canonical,
     iterate,
@@ -226,7 +225,7 @@ def _random_small_sets(count: int, seed: int):
             continue
         try:
             chain = _exact_chain(S)
-        except (DisconnectedUnion, IterationFailure):
+        except DisconnectedUnion:
             continue
         if chain is not None:
             out.append((S, chain))

@@ -24,12 +24,13 @@ from errdiff.geometry import (
     Region,
     canonicalize_ring,
     is_simple_ring,
+    line_cross_point,
     over_common_denominator,
     point_in_ring,
     pt,
     ring_area2,
 )
-from errdiff.starunion import _Edge, _limit, _t_cmp, union_star
+from errdiff.starunion import _crossing, _Edge, _limit, _t_cmp, union_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -292,6 +293,9 @@ radii = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6)
 # coordinates the operator chains run on
 wide_radii = st.integers(1, 2**128).flatmap(
     lambda d: st.integers(-(-d // 2), 4 * d).map(lambda n: F(n, d)))
+# offsets whose coordinates both have denominator 3
+thirds = st.integers(-8, 8).filter(lambda n: n % 3).map(lambda n: F(n, 3))
+offsets = st.builds(Point, thirds, thirds)
 
 
 @st.composite
@@ -312,14 +316,32 @@ def _t_at(u: Point, a: Point, b: Point) -> F:
     return a.cross(b) / u.cross(b - a)
 
 
+def _triple(p: Point) -> tuple[int, int, int]:
+    """p as an integer triple (x, y, d) with p = (x / d, y / d)."""
+    d = math.lcm(p.x.denominator, p.y.denominator)
+    return (p.x.numerator * (d // p.x.denominator),
+            p.y.numerator * (d // p.y.denominator), d)
+
+
+def _reduced_point(t: tuple[int, int, int]) -> Point:
+    """The point of a triple the merge returns, which must be reduced."""
+    x, y, d = t
+    assert d > 0 and math.gcd(x, y, d) == 1
+    return Point(F(x, d), F(y, d))
+
+
 class TestUnionCrossCheck:
-    @given(star_rings(), star_rings())
+    @given(star_rings(), star_rings(), offsets)
     @settings(max_examples=50, deadline=None)
-    def test_star_matches_general(self, a, b):
-        cycles = union_rings([a, b])
-        assert len(cycles) == 1
-        star = union_star([a, b], ORIGIN)
-        assert list(star.vertices) == cycles[0]
+    def test_star_matches_general(self, a, b, offset):
+        """Around the origin, and with both rings and the center moved by
+        an offset with denominator 3."""
+        for shift in (ORIGIN, offset):
+            sa, sb = [v + shift for v in a], [v + shift for v in b]
+            cycles = union_rings([sa, sb])
+            assert len(cycles) == 1
+            star = union_star([sa, sb], shift)
+            assert list(star.vertices) == cycles[0]
 
     @given(star_rings(), star_rings())
     @settings(max_examples=50, deadline=None)
@@ -354,26 +376,37 @@ class TestWideCoordinates:
     @given(star_rings(wide_radii), star_rings(wide_radii))
     @settings(max_examples=30, deadline=None)
     def test_integer_t_comparison_matches_fractions(self, ra, rb):
-        """_t_cmp agrees with the Fraction reference on every pool direction
-        where both lines meet the ray's line, covered or not, and _limit
-        builds the reference point on every direction an edge covers."""
+        """On edges between integer triples, _t_cmp agrees with the Fraction
+        reference on every pool direction where both lines meet the ray's
+        line, covered or not; _limit builds the reference point on every
+        direction an edge covers; and _crossing builds the point that
+        line_cross_point finds, with its direction, for every two lines that
+        are not parallel."""
         def edges(ring):
-            return [(ring[i - 1], ring[i]) for i in range(len(ring))]
+            return [(a, b, _Edge(_triple(a), _triple(b), -1, -1))
+                    for a, b in zip(ring[-1:] + ring[:-1], ring)]
 
         dirs = [(pt(*d), d) for d in DIR_POOL]
-        for a1, b1 in edges(ra):
-            ea = _Edge(a1, b1, -1, -1)
+        for a1, b1, ea in edges(ra):
             for u, d in dirs:
                 if a1.cross(u) >= 0 and u.cross(b1) >= 0:
-                    assert _limit([ea], 0, d, 1) == u.scale(_t_at(u, a1, b1))
+                    got = _reduced_point(_limit([ea], 0, d, 1))
+                    assert got == u.scale(_t_at(u, a1, b1))
                 if u.cross(b1 - a1) == 0:
                     continue
-                for a2, b2 in edges(rb):
+                for a2, b2, eb in edges(rb):
                     if u.cross(b2 - a2) == 0:
                         continue
                     diff = _t_at(u, a1, b1) - _t_at(u, a2, b2)
-                    got = _t_cmp(d, ea, _Edge(a2, b2, -1, -1))
-                    assert got == (diff > 0) - (diff < 0)
+                    assert _t_cmp(d, ea, eb) == (diff > 0) - (diff < 0)
+            for a2, b2, eb in edges(rb):
+                if (b1 - a1).cross(b2 - a2) == 0:
+                    continue
+                t, (dx, dy) = _crossing(ea, eb)
+                w = _reduced_point(t)
+                assert w == line_cross_point(a1, b1, a2, b2)
+                g = math.gcd(t[0], t[1])
+                assert (dx, dy) == (t[0] // g, t[1] // g)
 
 
 def reference_clip(ring, a, b, c):

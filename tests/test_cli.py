@@ -191,7 +191,18 @@ class TestOtherCommands:
         assert (out / "unit_square.svg").exists()
 
 
+# a stored set whose boundary crosses itself
+PENTAGRAM = [["0", "5"], ["3", "-4"], ["-5", "2"], ["5", "2"], ["-3", "-4"]]
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_self_intersecting_stored_set(self, out, capsys, command):
+        out.mkdir(parents=True)
+        (out / "sset1.fset.json").write_text(json.dumps({"vertices": PENTAGRAM}))
+        assert run_cli(command, "--scene", SCENES / "sset1.json", "--out", out) == 3
+        assert "boundary self-intersects" in capsys.readouterr().err
+
     def test_missing_scene_file(self, out):
         assert run_cli("min-gset", "--scene", "/no/such/scene.json",
                        "--out", out) == 3

@@ -108,8 +108,8 @@ class TestStarConvex:
         assert is_star_convex_origin(L).passed
 
     def test_translated_l_shape_fails(self):
-        L = Region.from_ring((pt(0, 0), pt(2, 0), pt(2, 1),
-                              pt(1, 1), pt(1, 2), pt(0, 2))).translate(pt(-3, -3))
+        L = Region.from_ring((pt(-3, -3), pt(-1, -3), pt(-1, -2),
+                              pt(-2, -2), pt(-2, -1), pt(-3, -1)))
         rep = is_star_convex_origin(L)
         assert not rep.passed
         assert rep.witnesses
