@@ -6,17 +6,19 @@ a Voronoi cell) and returns every component of what is left.  It carries
 each piece on integers from one wall to the next: a level per vertex and
 wall, whose sign is the vertex's side, and every crossing as one reduced
 integer triple (X, Y, D).  Only at the end does each component go over
-its own common denominator and into canonical form; no Fraction is built,
-and errdiff.voronoi builds Points for the final rings only.  union_rings
-splits edges at every contact with the other boundaries, keeps or drops
-the pieces by exact midpoint location (point_in_ring on each ring's cached
-integers), and stitches them back into cycles; a boundary that touches
-itself or leaves a hole raises DisconnectedUnion.  union_one_region is the
-union the operators use: it demands exactly one cycle; the p family's
-general route unites its hull sweeps there.  Results are regularized:
-zero-area slivers and whiskers vanish.  Unions of parts star-shaped around
-one center, and Minkowski sums of a convex polygon with a star region, go
-through errdiff.starunion instead.
+its own common denominator and into canonical form; no Fraction is built.
+g_step and p_step read the components on integers, and Points are built
+only by errdiff.voronoi's one-component clip and p's general route.
+union_rings splits edges at every contact with the other boundaries,
+keeps or drops the pieces by exact midpoint location (point_in_ring on
+each ring's cached integers), and stitches them back into cycles; a
+boundary that touches itself or leaves a hole raises DisconnectedUnion.
+union_one_region is the union the operators use: it demands exactly one
+cycle; the p family unites its members there, and its general route its
+hull sweeps.  Results are regularized: zero-area slivers and whiskers
+vanish.  Unions of parts star-shaped around one center, and Minkowski
+sums of a convex polygon with a star region, go through errdiff.starunion
+instead.
 """
 from __future__ import annotations
 

@@ -508,12 +508,6 @@ class ConvexPolygon(Polygon):
     def _walls(self) -> tuple[HalfPlane, ...]:
         return tuple(self.halfplanes())
 
-    def translate(self, d: Point) -> "ConvexPolygon":
-        ring = canonicalize_ring([v + d for v in self.vertices])
-        if ring is None:
-            raise DegenerateRegion("translated polygon has no area")
-        return ConvexPolygon(tuple(ring))
-
     def halfplanes(self) -> list[HalfPlane]:
         """Inward half-planes of the edges; their intersection is the polygon."""
         out = []

@@ -1,14 +1,17 @@
 """Set operators over site-set collections and the fixed-point iteration.
 
-The g operator pushes a star region through every Voronoi cell of a site
-set and recenters each piece on its site; p does the dual clip-then-sum.
-Capital variants take convex hulls per member before uniting. Iterating any
-of them from a seed grows a monotone chain of regions whose limit is the
-minimal invariant set; the engine below runs that chain with exact rational
-arithmetic and stops it in one of two ways: at an exact fixed point
-(canonical vertex equality), or at a certified outer set, a snapped
-candidate C that holds the current iterate and that the operator maps into
-itself, both decided exactly.
+Both operators use the recentered cell union U(X) = union over sites c of
+(X ∩ V(c)) − c: g(Q) = U(ch S + Q) and p(D) = ch S + U(D), the same two
+pieces in the opposite order.  g_step and p_step both clip on the region's
+integer ring (booleans.clip_components) and shift each piece by -c on
+integers (starunion.star_cycle).  apply_operator is the one member loop:
+each member's step, its convex hull for the capital variants G and P, and
+the union of the members.  Iterating any operator from a seed grows a
+monotone chain of regions whose limit is the minimal invariant set; the
+engine below runs that chain with exact rational arithmetic and stops it
+in one of two ways: at an exact fixed point (canonical vertex equality),
+or at a certified outer set, a snapped candidate C that holds the current
+iterate and that the operator maps into itself, both decided exactly.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .booleans import clip_components, subset_witness, union_one_region
+from .booleans import Clipped, clip_components, subset_witness, union_one_region
 from .geometry import (
     ConvexPolygon,
     DisconnectedUnion,
@@ -38,7 +41,7 @@ from .geometry import (
     scalar_str,
 )
 from .starunion import cycle_envelope, star_cycle, union_star
-from .voronoi import SiteSet, cell, intersect_region_cell_components
+from .voronoi import SiteSet, cell
 
 OPERATORS = ("g", "G", "p", "P")
 
@@ -73,10 +76,14 @@ class Collection:
 SNAP_DENOMINATOR = 64
 
 
+# A run diverges once an iterate's squared diameter passes this factor
+# times the largest squared hull diameter of the members.
+DIVERGENCE_FACTOR = 10**6
+
+
 @dataclass(frozen=True)
 class IterationConfig:
     max_iter: int = 1000
-    divergence_diameter_sq: Fraction | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -94,10 +101,15 @@ class IterationResult:
 
     final: Region
     iterations: int
-    converged: bool
     stop_reason: str
     vertex_count_history: list[int] = field(default_factory=list)
     gap: Fraction = Fraction(0)
+
+    @property
+    def converged(self) -> bool:
+        """True exactly when the run stopped at an exact fixed point or at a
+        certified outer set."""
+        return self.stop_reason in ("fixed-point", "certified")
 
     @property
     def rounding_free(self) -> bool:
@@ -240,27 +252,6 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
     return cycle_envelope(cycles, ORIGIN)
 
 
-def g_step_collection(SS: Collection, Q: Seed) -> Region:
-    if len(SS.members) == 1:
-        return g_step(SS.members[0], Q)
-    return union_star([g_step(S, Q) for S in SS.members], ORIGIN)
-
-
-def _hull_region(region: Region, reference: Point | None = None) -> Region:
-    return Region.from_ring(convex_hull(region.vertices),
-                            reference=reference, validate=False)
-
-
-def G_step(arg: SiteSet | Collection, Q: Seed) -> Region:
-    """Convex variant: hull of each member's g_step, then the union."""
-    if isinstance(arg, SiteSet):
-        return _hull_region(g_step(arg, Q), ORIGIN)
-    hulls = [_hull_region(g_step(S, Q), ORIGIN) for S in arg.members]
-    if len(hulls) == 1:
-        return hulls[0]
-    return union_star(hulls, ORIGIN)
-
-
 # ---------------------------------------------------------------------------
 # the p family
 
@@ -284,85 +275,82 @@ def _sum_hull_with_ring(hull: ConvexPolygon, ring: list[Point]) -> list[list[Poi
     return out
 
 
-def _clipped_pieces(S: SiteSet, D: Region) -> list[tuple[Point, list[list[Point]]]]:
-    """Per site: the components of D ∩ V(c), untranslated."""
-    out = []
-    for c in S.sites:
-        comps = intersect_region_cell_components(D, cell(S, c))
-        if comps:
-            out.append((c, comps))
-    return out
-
-
 def _p_step_general(hull: ConvexPolygon,
-                    pieces: list[tuple[Point, list[list[Point]]]]) -> Region:
+                    pieces: list[tuple[Point, list[Clipped]]]) -> Region:
     parts: list[list[Point]] = []
     for c, comps in pieces:
-        for comp in comps:
-            shifted = [v - c for v in comp]
-            parts.extend(_sum_hull_with_ring(hull, shifted))
+        # union_rings keeps the first ring's copy of a shared edge, so a
+        # site's components go in one fixed order, by their vertex keys
+        rings = sorted(([Point(Fraction(x, m), Fraction(y, m)) - c
+                         for x, y in zip(xs, ys)] for m, xs, ys, _ in comps),
+                       key=lambda r: [v.key() for v in r])
+        for ring in rings:
+            parts.extend(_sum_hull_with_ring(hull, ring))
     return union_one_region(parts)
 
 
 def p_step(S: SiteSet, D: Seed) -> Region:
     """ch S + (union over sites c of (D ∩ V(c)) − c).
 
-    When every recentered clip piece is star-shaped around the origin
-    (which holds once the sites lie in D), the inner union and the final
-    Minkowski sum both run on the radial fast path; any piece that
-    disconnects or loses the origin (NotStarAtCenter, DisconnectedUnion)
-    drops the step to the general route,
-    which sums the hull with each piece by sweeping it along the piece's
-    edges (_sum_hull_with_ring) and unites every ring in union_one_region.
+    A point seed {s0} gives the union of ch S + s0 − c over its nearest
+    sites c, all star-shaped around s0: one radial envelope of the hull
+    shifted by each -c (star_cycle), which raises DisconnectedUnion when
+    they meet only at s0.  A region D is clipped on its integer ring, as in
+    g_step; when each cell that meets D keeps one piece, star-shaped around
+    the origin once shifted (which holds once the sites lie in D), the inner
+    union and the Minkowski sum run on the radial fast path with no Point
+    built before the inner union's output ring.  Otherwise (NotStarAtCenter,
+    DisconnectedUnion) the general route sums the hull with each piece by
+    sweeping it along the piece's edges (_sum_hull_with_ring) and unites
+    every ring in union_one_region.
     """
     hull = S.hull
     if isinstance(D, PointSeed):
         s0 = D.point
         best = min(dist_sq(s0, c) for c in S.sites)
-        shifts = [hull.translate(s0 - c).vertices for c in S.sites
-                  if dist_sq(s0, c) == best]
-        try:
-            return union_star(shifts, s0).with_reference(None)
-        except DisconnectedUnion:
-            return union_one_region(shifts)
-    pieces = _clipped_pieces(S, D)
+        return cycle_envelope([star_cycle(hull._scaled, c) for c in S.sites
+                               if dist_sq(s0, c) == best], s0).with_reference(None)
+    pieces = []
+    for c in S.sites:
+        comps = clip_components(D._scaled, cell(S, c).walls)
+        if comps:
+            pieces.append((c, comps))
     if all(len(comps) == 1 for _, comps in pieces):
         try:
-            inner = cycle_envelope(
-                [star_cycle(over_common_denominator(comps[0]), c)
-                 for c, comps in pieces], ORIGIN)
+            cycles = []
+            for c, comps in pieces:
+                m, xs, ys, _ = comps[0]
+                cycles.append(star_cycle((m, xs, ys), c))
+            inner = cycle_envelope(cycles, ORIGIN)
             return minkowski_convex_star(hull, inner).with_reference(None)
         except (NotStarAtCenter, DisconnectedUnion):
             pass
     return _p_step_general(hull, pieces)
 
 
-def p_step_collection(SS: Collection, D: Seed) -> Region:
-    if len(SS.members) == 1:
-        return p_step(SS.members[0], D)
-    return union_one_region([p_step(S, D).vertices for S in SS.members])
-
-
-def P_step(arg: SiteSet | Collection, D: Seed) -> Region:
-    """Convex variant of p_step: per-member hulls, then the union."""
-    if isinstance(arg, SiteSet):
-        return _hull_region(p_step(arg, D))
-    hulls = [_hull_region(p_step(S, D)) for S in arg.members]
-    if len(hulls) == 1:
-        return hulls[0]
-    return union_one_region([h.vertices for h in hulls])
+def _hull_region(region: Region, reference: Point | None = None) -> Region:
+    return Region.from_ring(convex_hull(region.vertices),
+                            reference=reference, validate=False)
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
-    if op == "g":
-        return g_step_collection(SS, Q)
-    if op == "G":
-        return G_step(SS, Q)
-    if op == "p":
-        return p_step_collection(SS, Q)
-    if op == "P":
-        return P_step(SS, Q)
-    raise ValueError(f"unknown operator {op!r}")
+    """op's image of Q over the collection: each member's step (g_step for
+    g and G, p_step for p and P), its convex hull for G and P, and the
+    union of the members' parts, radial around the origin for the g family
+    (every part keeps it in its kernel) and general for the p family."""
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator {op!r}")
+    g_family = op in ("g", "G")
+    step = g_step if g_family else p_step
+    parts = [step(S, Q) for S in SS.members]
+    if op in ("G", "P"):
+        reference = ORIGIN if g_family else None
+        parts = [_hull_region(R, reference) for R in parts]
+    if len(parts) == 1:
+        return parts[0]
+    if g_family:
+        return union_star(parts, ORIGIN)
+    return union_one_region([R.vertices for R in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +438,7 @@ def iterate(op: str, SS: Collection, seed: Seed,
         _check_g_seed(seed)
         if isinstance(seed, Region):
             seed = seed.with_reference(ORIGIN)
-    threshold = cfg.divergence_diameter_sq
-    if threshold is None:
-        threshold = 10**6 * max(S.hull.diameter_sq for S in SS.members)
+    threshold = DIVERGENCE_FACTOR * max(S.hull.diameter_sq for S in SS.members)
 
     history: list[int] = []
     cur: Seed = seed
@@ -461,13 +447,13 @@ def iterate(op: str, SS: Collection, seed: Seed,
         nxt = apply_operator(op, SS, cur)
         history.append(len(nxt.vertices))
         if isinstance(cur, Region) and equal_canonical(nxt, cur):
-            return IterationResult(nxt, max(n - 1, 1), True, "fixed-point", history)
+            return IterationResult(nxt, max(n - 1, 1), "fixed-point", history)
         if outer is not None and subset_witness(nxt.vertices, outer.vertices) is None:
-            return IterationResult(outer, n, True, "certified", history,
+            return IterationResult(outer, n, "certified", history,
                                    outer.area2 - nxt.area2)
         if nxt.diameter_sq > threshold:
-            return IterationResult(nxt, n, False, "diverged", history)
+            return IterationResult(nxt, n, "diverged", history)
         outer = certify(op, SS, nxt)
         cur = nxt
     assert isinstance(cur, Region)
-    return IterationResult(cur, cfg.max_iter, False, "max-iterations", history)
+    return IterationResult(cur, cfg.max_iter, "max-iterations", history)

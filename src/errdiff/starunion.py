@@ -12,10 +12,11 @@ at exact crossings. Directions with no coverage are gaps; a single gap
 closes through the center, two or more mean the union pinches there and
 has no simple boundary.
 
-The cycles are the boundaries of the parts of a union (union_star, and the
-g step's clipped pieces), each put relative to the center by star_cycle,
-which also checks that the center is in the part's kernel; or the
-convolution cycle of a Minkowski sum, whose edges may turn either way.
+The cycles are the boundaries of the parts of a union (union_star, the
+g and p steps' clipped pieces, and p's hull shifts for a point seed),
+each put relative to the center by star_cycle, which also checks that
+the center is in the part's kernel; or the convolution cycle of a
+Minkowski sum, whose edges may turn either way.
 
 The merge runs on integers only.  A fan vertex is a reduced integer triple
 (x, y, d) with d > 0, the point (x / d, y / d), carried with its reduced

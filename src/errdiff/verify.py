@@ -26,7 +26,7 @@ from .geometry import (
     orient,
     scalar_str,
 )
-from .operators import Collection, g_step_collection, p_step_collection
+from .operators import Collection, apply_operator
 from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell
 
 WITNESS_CAP = 10
@@ -69,7 +69,7 @@ def _as_collection(scenario) -> Collection:
 def is_invariant_g(scenario, Q: Region) -> VerificationReport:
     """Does Q swallow its own g image across the whole collection (exact)?"""
     coll = _as_collection(scenario)
-    image = g_step_collection(coll, Q)
+    image = apply_operator("g", coll, Q)
     w = subset_witness(image.vertices, Q.vertices)
     notes = f"image has {len(image.vertices)} vertices"
     return _report("is_invariant_g", () if w is None else (w,), notes)
@@ -78,7 +78,7 @@ def is_invariant_g(scenario, Q: Region) -> VerificationReport:
 def is_invariant_p(scenario, D: Region) -> VerificationReport:
     """Does D swallow its own p image across the whole collection (exact)?"""
     coll = _as_collection(scenario)
-    image = p_step_collection(coll, D)
+    image = apply_operator("p", coll, D)
     w = subset_witness(image.vertices, D.vertices)
     notes = f"image has {len(image.vertices)} vertices"
     return _report("is_invariant_p", () if w is None else (w,), notes)

@@ -4,11 +4,13 @@ A cell is kept as the half-planes of its facet walls only: the bisectors
 with the sites whose walls bound it along an edge of positive length,
 found once per site set on the sites' integers (_facet_neighbours).
 Clipping a region into a cell is one call of booleans.clip_components on
-the region's integer ring (its cached _scaled) through all the walls; the
-Points of the result are the region's own for every vertex it keeps, and
-new only for the crossings.  A bounded cell is materialized on demand the
-same way, by clipping a box around the hull that grows until the cell no
-longer touches it.  Sites on the hull boundary are the corners, sites
+the region's integer ring (its cached _scaled) through all the walls.  The
+operators call it themselves and stay on integers; intersect_region_cell
+is the one Point form, for a clip that must leave one component: the
+Points of its ring are the region's own for every vertex it keeps, and
+new only for the crossings.  A bounded cell is materialized on demand with
+it, by clipping a box around the hull that grows until the cell no longer
+touches it.  Sites on the hull boundary are the corners, sites
 strictly inside the inners (SiteSet.corners and .inners).
 
 project compares squared distances as integers: the sites are cached in
@@ -173,35 +175,22 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
         raise SiteNotInSet(f"{c} is not a site") from None
 
 
-def _clip_rings(R: Region, V: VoronoiCellH) -> list[list[Point]]:
-    """The components of R clipped into V as Point rings: R's own Points
-    for the vertices it keeps, new ones for the crossings."""
-    vs = R.vertices
-    return [[vs[k] if k >= 0 else Point(Fraction(x, m), Fraction(y, m))
-             for x, y, k in zip(xs, ys, src)]
-            for m, xs, ys, src in clip_components(R._scaled, V.walls)]
-
-
 def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
     """R clipped into V; None when empty, MultiComponent when R ∩ V has more
-    than one component."""
-    rings = _clip_rings(R, V)
-    if not rings:
+    than one component.  The ring keeps R's own Points for the vertices it
+    keeps and builds new ones for the crossings only."""
+    comps = clip_components(R._scaled, V.walls)
+    if not comps:
         return None
-    if len(rings) > 1:
+    if len(comps) > 1:
         raise MultiComponent(
-            f"cell of {V.site} cuts the region into {len(rings)} parts")
+            f"cell of {V.site} cuts the region into {len(comps)} parts")
+    m, xs, ys, src = comps[0]
+    vs = R.vertices
     # the ring is canonical; the input's star center need not survive the
     # clip, so callers reattach one
-    return Region(tuple(rings[0]))
-
-
-def intersect_region_cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
-    """All components of R clipped into V (the disconnection-tolerant form),
-    ordered by their vertex keys."""
-    rings = _clip_rings(R, V)
-    rings.sort(key=lambda r: [p.key() for p in r])
-    return rings
+    return Region(tuple(vs[k] if k >= 0 else Point(Fraction(x, m), Fraction(y, m))
+                        for x, y, k in zip(xs, ys, src)))
 
 
 def project(S: SiteSet, x: Point) -> Point:

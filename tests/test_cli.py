@@ -245,7 +245,10 @@ class TestFailureModes:
 # sha256 of every file that min-gset and min-fset, plain and --convex, write
 # for the small shipped scenes, recorded before the ring layer moved to
 # integers over one common denominator; the sset3 entries pin the certified
-# sets, recorded before Minkowski sums moved to the convolution cycle
+# sets, recorded before Minkowski sums moved to the convolution cycle; the
+# ssprime entries, the one multi-member scene and so the one whose runs
+# unite member images, were recorded before the four operators shared one
+# member loop
 PINNED_ARTIFACTS = {
     ("square_center", "min-fset"): {
         "square-center.fset.json":
@@ -366,6 +369,30 @@ PINNED_ARTIFACTS = {
             "f96511cdd1ec781a078248c2fcf387cbaef09e7f52c381e559a234d09f10d3ac",
         "sset3.gset.log.jsonl":
             "38bb707c87d4ea528df0c354364782e7b1fd70d76537ef2990a5dbe1c6e22464",
+    },
+    ("ssprime", "min-fset"): {
+        "ssprime.fset.json":
+            "afe036dc6ef2c904f2ff59d345b440de6955792c851a96a8002983cbeb585151",
+        "ssprime.fset.log.jsonl":
+            "1b111150ca99ed1a3f0756bc692ddbe8f60993dd7aae04b253df7c7f1c494bd3",
+    },
+    ("ssprime", "min-fset --convex"): {
+        "ssprime.fset.json":
+            "f6a55f8b9c77b3f0047f8375fbf4751347df1c8bc14fa42748033b15ed34d80e",
+        "ssprime.fset.log.jsonl":
+            "cec2c87f35331cb619f95ce67d93629f467b581d2a32324b4ed9557df24bd5d8",
+    },
+    ("ssprime", "min-gset"): {
+        "ssprime.gset.json":
+            "fe0618b80834c9112c0c3af1ada3141c152a549e07221acb9edc7bc6a22f30f5",
+        "ssprime.gset.log.jsonl":
+            "2cf6f7249419ae72c9b732d63600518b85ec341abb328b21ea2d95413f8c0cf6",
+    },
+    ("ssprime", "min-gset --convex"): {
+        "ssprime.gset.json":
+            "65d323d6cf41714900466041114853c47530c5025f8e3026df846915d29f660c",
+        "ssprime.gset.log.jsonl":
+            "e7ceb4c3a3dc96ed7bc2cb740d321fc6d92c89e7f3511cd04dee543465c154e0",
     },
     ("unit_square", "min-fset"): {
         "unit-square.fset.json":

@@ -427,11 +427,6 @@ class TestMinkowski:
         got = minkowski_convex(sq, tri)
         assert list(got.vertices) == ring_of((0, 0), (2, 0), (2, 1), (1, 2), (0, 2))
 
-    def test_translate_by_point(self):
-        sq = ConvexPolygon.hull_of(UNIT_SQUARE)
-        shifted = sq.translate(pt(3, -2))
-        assert list(shifted.vertices) == ring_of((3, -2), (4, -2), (4, -1), (3, -1))
-
     @given(st.lists(points, min_size=3, max_size=7),
            st.lists(points, min_size=3, max_size=7))
     @settings(max_examples=60)

@@ -4,20 +4,21 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import errdiff.geometry
 import errdiff.operators
-from errdiff.booleans import subset
+from errdiff.booleans import clip_components, subset, union_one_region
 from errdiff.geometry import (
     ORIGIN,
     ConvexPolygon,
-    DegenerateRegion,
+    DegenerateHull,
+    DisconnectedUnion,
     GeometryError,
     KernelViolation,
     PointSeed,
     Region,
+    dist_sq,
     equal_canonical,
     is_convex_ring,
     minkowski_convex,
@@ -28,23 +29,19 @@ from errdiff.operators import (
     Collection,
     EmptyCellPiece,
     IterationConfig,
-    G_step,
-    P_step,
     SNAP_DENOMINATOR,
     apply_operator,
     as_candidate,
     certify,
     g_step,
-    g_step_collection,
     iterate,
     minkowski_convex_star,
     p_step,
-    p_step_collection,
     snapped_ring,
 )
 from errdiff.scene import load_scene
 from errdiff.starunion import union_star
-from errdiff.voronoi import SiteSet
+from errdiff.voronoi import SiteSet, cell
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -119,17 +116,10 @@ class TestGStep:
             g_step(UNIT_SQUARE, PointSeed(ORIGIN))
         assert issubclass(EmptyCellPiece, GeometryError)
 
-    def test_degenerate_translate_is_a_typed_error(self, monkeypatch):
-        square = ConvexPolygon.hull_of(UNIT_SQUARE.sites)
-        monkeypatch.setattr(errdiff.geometry, "canonicalize_ring",
-                            lambda points: None)
-        with pytest.raises(DegenerateRegion):
-            square.translate(pt(1, 1))
-
     def test_collection_duplicate_member_is_noop(self):
         twin = SiteSet(UNIT_SQUARE.sites, id="twin")
-        one = g_step_collection(single(UNIT_SQUARE), PointSeed(ORIGIN))
-        two = g_step_collection(Collection((UNIT_SQUARE, twin)), PointSeed(ORIGIN))
+        one = apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
+        two = apply_operator("g", Collection((UNIT_SQUARE, twin)), PointSeed(ORIGIN))
         assert equal_canonical(one, two)
 
 
@@ -256,23 +246,68 @@ class TestPStep:
         # (0,0) is a unit-square site but equidistant from all four diamond
         # sites, so the diamond part is a diamond of twice the radius and
         # swallows the square part
-        got = p_step_collection(Collection((UNIT_SQUARE, DIAMOND)),
-                                PointSeed(pt(0, 0)))
+        got = apply_operator("p", Collection((UNIT_SQUARE, DIAMOND)),
+                             PointSeed(pt(0, 0)))
         assert list(got.vertices) == [pt(-4, 0), pt(0, -4), pt(4, 0), pt(0, 4)]
         assert subset(UNIT_SQUARE.hull.vertices, got.vertices)
         assert subset(DIAMOND.hull.vertices, got.vertices)
+
+
+def or_disconnected(fn, *args):
+    try:
+        return fn(*args)
+    except DisconnectedUnion:
+        return DisconnectedUnion
+
+
+lattice_sites = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=3, max_size=7, unique=True)
+halves = st.integers(-8, 8).map(lambda k: F(k, 2))
+
+
+class TestPStepPointSeed:
+    """p of a point seed {s0} is the union of the translates ch S + s0 - c
+    over the sites c nearest to s0; half-integer seeds on lattice sites tie
+    often."""
+
+    @given(lattice_sites, halves, halves)
+    @example([(0, 0), (2, 0), (1, 1)], F(1), F(0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_union_of_translates(self, coords, x, y):
+        try:
+            S = sites(*coords)
+        except DegenerateHull:
+            assume(False)
+        s0 = pt(x, y)
+        best = min(dist_sq(s0, c) for c in S)
+        translates = [[v + s0 - c for v in S.hull.vertices]
+                      for c in S if dist_sq(s0, c) == best]
+        want = or_disconnected(union_one_region, translates)
+        got = or_disconnected(p_step, S, PointSeed(s0))
+        if want is DisconnectedUnion:
+            assert got is DisconnectedUnion
+        else:
+            assert got is not DisconnectedUnion and equal_canonical(got, want)
+
+    def test_translates_pinched_at_the_seed_raise(self):
+        # all three sites are nearest to (1, 0), and their translates of the
+        # triangle meet only there
+        with pytest.raises(DisconnectedUnion):
+            p_step(sites((0, 0), (2, 0), (1, 1)), PointSeed(pt(1, 0)))
 
 
 class TestPStepRoutes:
     """The radial fast path and the edge-sweep general path must agree."""
 
     def test_routes_agree_along_runs(self):
-        from errdiff.operators import _clipped_pieces, _p_step_general
+        from errdiff.operators import _p_step_general
         for S in (DIAMOND, ZIGZAG5, STAR8):
             d = apply_operator("p", single(S), PointSeed(S.sites[0]))
             for _ in range(3):
                 fast = p_step(S, d)
-                general = _p_step_general(S.hull, _clipped_pieces(S, d))
+                pieces = [(c, comps) for c in S.sites
+                          if (comps := clip_components(d._scaled, cell(S, c).walls))]
+                general = _p_step_general(S.hull, pieces)
                 assert equal_canonical(fast, general)
                 d = fast
 
@@ -293,20 +328,20 @@ class TestPStepRoutes:
 class TestConvexVariants:
     def test_G_equals_g_when_convex(self):
         g1 = g_step(UNIT_SQUARE, PointSeed(ORIGIN))
-        G1 = G_step(UNIT_SQUARE, PointSeed(ORIGIN))
+        G1 = apply_operator("G", single(UNIT_SQUARE), PointSeed(ORIGIN))
         assert equal_canonical(g1, G1)
 
     def test_G_contains_g(self):
         seed = PointSeed(ORIGIN)
         q = g_step(STAR8, seed)
-        G = G_step(STAR8, seed)
+        G = apply_operator("G", single(STAR8), seed)
         assert subset(q.vertices, G.vertices)
         assert is_convex_ring(G.vertices)
 
     def test_P_contains_p(self):
         seed = PointSeed(pt(0, 0))
         p1 = p_step(ZIGZAG5, seed)
-        P1 = P_step(ZIGZAG5, seed)
+        P1 = apply_operator("P", single(ZIGZAG5), seed)
         assert subset(p1.vertices, P1.vertices)
         assert is_convex_ring(P1.vertices)
 
@@ -484,9 +519,10 @@ class TestIterate:
         assert not res.converged and res.stop_reason == "max-iterations"
         assert res.iterations == 2
 
-    def test_divergence_guard(self):
-        res = iterate("g", single(STAR8), PointSeed(ORIGIN),
-                      IterationConfig(divergence_diameter_sq=F(1, 4)))
+    def test_divergence_guard(self, monkeypatch):
+        monkeypatch.setattr(errdiff.operators, "DIVERGENCE_FACTOR",
+                            F(1, 4) / STAR8.hull.diameter_sq)
+        res = iterate("g", single(STAR8), PointSeed(ORIGIN))
         assert not res.converged and res.stop_reason == "diverged"
 
     def test_history_matches_run_length(self):

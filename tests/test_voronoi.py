@@ -31,11 +31,17 @@ from errdiff.voronoi import (
     hull_edge_normals,
     inner_cell_diameter_sq,
     intersect_region_cell,
-    intersect_region_cell_components,
     materialize_cell,
     project,
 )
-from test_booleans import outcome, reference_clip, star_rings, wide_radii
+from test_booleans import clip, outcome, reference_clip, star_rings, wide_radii
+
+
+def cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
+    """Every component of R clipped into V as a Point ring, in vertex-key
+    order."""
+    return clip(R.vertices, *V.walls)
+
 
 SQUARE_CORNERS = SiteSet((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)), id="sq")
 SQUARE_CENTER = SiteSet(
@@ -159,7 +165,7 @@ class TestIntersect:
         lower = cell(sites, pt("3/2", "1/2"))
         with pytest.raises(MultiComponent):
             intersect_region_cell(notched, lower)
-        comps = intersect_region_cell_components(notched, lower)
+        comps = cell_components(notched, lower)
         assert len(comps) == 2
 
 
@@ -178,7 +184,7 @@ class TestIntersect:
         assert intersect_region_cell(notched, V).vertices == square
         flipped = VoronoiCellH(c, V.walls[::-1], bounded=False)
         assert intersect_region_cell(notched, flipped).vertices == square
-        assert intersect_region_cell_components(notched, V) == [list(square)]
+        assert cell_components(notched, V) == [list(square)]
 
 
 class TestProject:
@@ -360,7 +366,7 @@ class TestFacetWalls:
         R = Region(tuple(ring))
         for c in S:
             want = outcome(folded_reference, ring, S, c)
-            assert outcome(intersect_region_cell_components, R, cell(S, c)) == want
+            assert outcome(cell_components, R, cell(S, c)) == want
             got = outcome(intersect_region_cell, R, cell(S, c))
             if want is MultiComponent or len(want) > 1:
                 assert got is MultiComponent
