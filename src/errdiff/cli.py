@@ -12,8 +12,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TextIO
 
-from .dynamics import run
+from .dynamics import Trace, run
 from .geometry import ORIGIN, GeometryError, PointSeed, Region, parse_scalar, pt, scalar_str
 from .operators import Collection, IterationResult, iterate
 from .scene import ParseError, Scene, ValidationError, load_scene
@@ -47,6 +48,26 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _write_trace(fh: TextIO, trace: Trace) -> None:
+    """The JSONL trace: json.dumps of each step's record, then a summary.
+
+    Step lines are formatted directly, with the bytes json.dumps gives the
+    record: str of a Fraction is its scalar_str and needs no escaping, and
+    each set id goes through json.dumps once.
+    """
+    set_ids: dict[str, str] = {}
+    for s in trace.steps:
+        sid = set_ids.get(s.set_id)
+        if sid is None:
+            sid = set_ids[s.set_id] = json.dumps(s.set_id)
+        x, y, e, z = s.x, s.y, s.e, s.z
+        fh.write(f'{{"step": {s.n}, "set": {sid}, '
+                 f'"x": ["{x.x!s}", "{x.y!s}"], "y": ["{y.x!s}", "{y.y!s}"], '
+                 f'"e": ["{e.x!s}", "{e.y!s}"], "z": ["{z.x!s}", "{z.y!s}"]}}\n')
+    fh.write(json.dumps({"mode": trace.mode, "steps": len(trace.steps),
+                         "final_e": _point_strs(trace.final_error)}) + "\n")
 
 
 def _config_from_args(scene: Scene, args):
@@ -120,13 +141,8 @@ def _cmd_simulate(scene: Scene, args, out: Path) -> int:
         steps = spec.steps if args.steps is None else args.steps
         seed = spec.seed if args.seed is None else args.seed
         trace = run(spec.mode, provider, opponent, steps, seed=seed)
-        records = trace.records()
-        records.append({
-            "mode": trace.mode,
-            "steps": len(trace.steps),
-            "final_e": _point_strs(trace.final_error),
-        })
-        _write_jsonl(out / f"{name}.trace.jsonl", records)
+        with (out / f"{name}.trace.jsonl").open("w") as fh:
+            _write_trace(fh, trace)
         print(f"{name}: {trace.mode} {len(trace.steps)} steps, "
               f"final e = ({scalar_str(trace.final_error.x)}, "
               f"{scalar_str(trace.final_error.y)})")

@@ -12,13 +12,20 @@ the set the opponent has already seen.  All coordinates are rational and
 every trajectory claim (containment, greedy optimality, bounds) is decided
 exactly on the logged trace.
 
-The per-round work runs on integers: sample_hull_point draws its fan
-triangle and its point over the hull's common denominator, the
-error-aligned opponent compares integer dot products, Finite and Convex
-sets test membership on their polygon's integer edge walls, Triangle
-tests membership by cross-multiplying and projects through the integer
-project_convex, and Finite projects through voronoi.project.  Only the
-points a round returns are built as Fractions.
+The per-round work runs on integers.  Every feasible set caches its hull
+ring once, as hull_ring: the vertices in sampling order with their
+(m, xs, ys) over one common denominator (Finite and Convex reuse their
+polygon's _scaled).  sample_hull_point draws its fan triangle and its
+point on that ring, the error-aligned opponent compares integer dot
+products on it, Finite and Convex sets test membership on their polygon's
+integer edge walls, Triangle tests membership by cross-multiplying and
+projects through project_convex_ring on its ring, and Finite projects
+through voronoi.project.  Only the points a round returns are built as
+Fractions.
+
+Trace.records gives each round as the dict that json.dumps turns into one
+trace line; `errdiff simulate` formats those same bytes directly from the
+round's Fractions, with no dict in between (cli._write_trace).
 """
 from __future__ import annotations
 
@@ -35,9 +42,11 @@ from .geometry import (
     Point,
     Region,
     Scalar,
+    Scaled,
     dist_sq,
     over_common_denominator,
     project_convex,
+    project_convex_ring,
     pt,
     scalar_str,
 )
@@ -52,6 +61,11 @@ STRATEGIES = ("uniform-random-in-hull", "hull-vertex-cycle", "error-aligned-vert
 
 class InputOutsideHull(GeometryError):
     """An input point falls outside the hull it must be drawn from."""
+
+
+# a hull's vertices, in the order sample_hull_point fans them, and the same
+# ring over one common denominator
+HullRing = tuple[tuple[Point, ...], Scaled]
 
 
 def _fmt(p: Point) -> str:
@@ -75,6 +89,11 @@ class Finite:
     def hull_vertices(self) -> tuple[Point, ...]:
         return self.sites.hull.vertices
 
+    @cached_property
+    def hull_ring(self) -> HullRing:
+        hull = self.sites.hull
+        return hull.vertices, hull._scaled
+
     def contains(self, p: Point) -> bool:
         return self.sites.hull.contains_point(p)
 
@@ -95,6 +114,10 @@ class Convex:
 
     def hull_vertices(self) -> tuple[Point, ...]:
         return self.polygon.vertices
+
+    @cached_property
+    def hull_ring(self) -> HullRing:
+        return self.polygon.vertices, self.polygon._scaled
 
     def contains(self, p: Point) -> bool:
         return self.polygon.contains_point(p)
@@ -127,18 +150,16 @@ class Triangle:
         return f"T({scalar_str(self.h)},{scalar_str(self.t)})"
 
     def hull_vertices(self) -> tuple[Point, ...]:
-        if self.h == 0:
-            return (ORIGIN,)
-        w = self.t * self.h
-        return (ORIGIN, pt(w, self.h), pt(-w, self.h))
+        return self.hull_ring[0]
 
     @cached_property
-    def _polygon(self) -> ConvexPolygon | None:
+    def hull_ring(self) -> HullRing:
         if self.h == 0:
-            return None
-        w = self.t * self.h
-        # canonical form: counterclockwise from the smallest vertex
-        return ConvexPolygon((pt(-w, self.h), ORIGIN, pt(w, self.h)))
+            verts = (ORIGIN,)
+        else:
+            w = self.t * self.h
+            verts = (ORIGIN, pt(w, self.h), pt(-w, self.h))
+        return verts, over_common_denominator(verts)
 
     def contains(self, p: Point) -> bool:
         """0 <= y <= h and |x| <= t*y, cross-multiplied."""
@@ -148,10 +169,13 @@ class Triangle:
                 and abs(xn) * yd * t.denominator <= t.numerator * yn * xd)
 
     def project(self, p: Point) -> Point:
-        poly = self._polygon
-        if poly is None:
+        if self.h == 0:
             return ORIGIN
-        return project_convex(poly, p)
+        # rotated to (-w, h), ORIGIN, (w, h), ConvexPolygon's canonical
+        # start, so the edges are scanned in the order a polygon gives them
+        verts, (m, xs, ys) = self.hull_ring
+        return project_convex_ring(verts[2:] + verts[:2],
+                                   (m, xs[2:] + xs[:2], ys[2:] + ys[:2]), p)
 
 
 FeasibleSet = Finite | Convex | Triangle
@@ -249,18 +273,21 @@ class ScenarioProvider:
         return Triangle(h, fam.t)
 
 
-def sample_hull_point(verts: Sequence[Point], rng: random.Random) -> Point:
+def sample_hull_point(verts: Sequence[Point], scaled: Scaled,
+                      rng: random.Random) -> Point:
     """Uniform point of a convex hull, exact once the float draws are fixed.
 
-    Three draws, in order: one picks a fan triangle (a, b, c) around the
-    first vertex with probability proportional to its area, two give the
-    point a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f
-    enters as f.as_integer_ratio(), exactly Fraction(f); the weights and
-    the point are integers over the hull's common denominator.
+    verts is the hull ring and scaled the same ring over its common
+    denominator, (m, xs, ys) as over_common_denominator gives it.  Three
+    draws, in order: one picks a fan triangle (a, b, c) around the first
+    vertex with probability proportional to its area, two give the point
+    a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f enters
+    as f.as_integer_ratio(), exactly Fraction(f); the weights and the point
+    are integers over that common denominator.
     """
     if len(verts) == 1:
         return verts[0]
-    m, xs, ys = over_common_denominator(verts)
+    m, xs, ys = scaled
     ax, ay = xs[0], ys[0]
     weights = [(xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
                for i in range(1, len(verts) - 1)]
@@ -296,12 +323,12 @@ class Opponent:
 
     def pick(self, fs: FeasibleSet, error: Point, n: int,
              rng: random.Random) -> Point:
-        verts = fs.hull_vertices()
+        verts, scaled = fs.hull_ring
         if self.strategy == "hull-vertex-cycle":
             return verts[n % len(verts)]
         if self.strategy == "error-aligned-vertex":
             # v . error times a positive integer, for every vertex v
-            _, xs, ys = over_common_denominator(verts)
+            _, xs, ys = scaled
             ex, ey = error.x, error.y
             a, b = ex.numerator * ey.denominator, ey.numerator * ex.denominator
             best, best_dot = verts[0], xs[0] * a + ys[0] * b
@@ -310,7 +337,7 @@ class Opponent:
                 if d > best_dot or (d == best_dot and v.key() < best.key()):
                     best, best_dot = v, d
             return best
-        return sample_hull_point(verts, rng)
+        return sample_hull_point(verts, scaled, rng)
 
 
 # ---------------------------------------------------------------------------

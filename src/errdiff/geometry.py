@@ -24,10 +24,10 @@ Callers dispatch on the two types, so neither is the other.  Clipping and
 union live in errdiff.booleans and errdiff.starunion.
 
 Convex polygons answer locate and contains_point from their edge walls,
-HalfPlane integer triples computed once per polygon.  project_convex puts
-the polygon and the query point over one common denominator and decides
-containment, the foot on each edge and every distance comparison in
-integers.
+HalfPlane integer triples computed once per polygon.  project_convex_ring
+puts a convex ring and the query point over one common denominator and
+decides containment, the foot on each edge and every distance comparison
+in integers; project_convex runs it on a polygon's cached ring.
 """
 from __future__ import annotations
 
@@ -520,16 +520,22 @@ class ConvexPolygon(Polygon):
 
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
-    """Exact nearest point of a convex polygon (the metric projection).
+    """Exact nearest point of a convex polygon (the metric projection)."""
+    return project_convex_ring(poly.vertices, poly._scaled, x)
 
-    Over the common denominator m of the polygon and x, edge u -> v with
+
+def project_convex_ring(vertices: Sequence[Point], scaled: Scaled, x: Point) -> Point:
+    """Exact nearest point of a strictly convex CCW ring given with its
+    (m, xs, ys) over one common denominator.
+
+    Over the common denominator m of the ring and x, edge u -> v with
     d = v - u and w = x - u has its foot at t = w.d / d.d, and the squared
     distance to the clamped foot is |w|^2 (t <= 0), |x - v|^2 (t >= 1) or
     cross(d, w)^2 / d.d, all integers times m^2.  x lies in the polygon
     when no cross(d, w) is negative.  The first edge with a strictly
     smaller distance wins.
     """
-    m0, xs, ys = poly._scaled
+    m0, xs, ys = scaled
     xn, xd, yn, yd = x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
     m = lcm(m0, xd, yd)
     k = m // m0
@@ -561,7 +567,7 @@ def project_convex(poly: ConvexPolygon, x: Point) -> Point:
         return x
     i, t, dd = best
     if t == 0:
-        return poly.vertices[i]
+        return vertices[i]
     j = (i + 1) % n
     ux, uy = xs[i] * k, ys[i] * k
     den = m * dd

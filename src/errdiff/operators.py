@@ -455,5 +455,6 @@ def iterate(op: str, SS: Collection, seed: Seed,
             return IterationResult(nxt, n, "diverged", history)
         outer = certify(op, SS, nxt)
         cur = nxt
-    assert isinstance(cur, Region)
-    return IterationResult(cur, cfg.max_iter, "max-iterations", history)
+    # IterationConfig keeps max_iter >= 1, so the loop ran and nxt is the
+    # last iterate
+    return IterationResult(nxt, cfg.max_iter, "max-iterations", history)

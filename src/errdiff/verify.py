@@ -160,12 +160,12 @@ def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
     while tested < samples and len(witnesses) <= WITNESS_CAP:
         h = Fraction(rng.random()) * fam.h_max
         tri = Triangle(h, fam.t)
-        z = sample_hull_point(target.hull_vertices(), rng)
+        z = sample_hull_point(*target.hull_ring, rng)
         if not target.contains(z):
             z = target.project(z)
-        x = sample_hull_point(tri.hull_vertices(), rng)
+        x = sample_hull_point(*tri.hull_ring, rng)
         push(z - tri.project(z) + x)
-        push(sample_hull_point(envelope.hull_vertices(), rng))
+        push(sample_hull_point(*envelope.hull_ring, rng))
         tested += 1
     notes = f"{tested} sampled triples, seed {seed} (evidence, not proof)"
     return _report("triangle_family_check", witnesses, notes)
@@ -226,7 +226,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
                 if branching == 0:
                     inputs = pools[S.id]
                 else:
-                    inputs = [sample_hull_point(S.hull.vertices, rng)
+                    inputs = [sample_hull_point(S.hull.vertices, S.hull._scaled, rng)
                               for _ in range(branching)]
                 for x in inputs:
                     z = e + x

@@ -1,5 +1,6 @@
 """Tracking games: feasible sets, providers, opponents, traces, bounds."""
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from errdiff.cli import _write_trace
 from errdiff.dynamics import (
     Convex,
     Finite,
@@ -34,6 +36,7 @@ from errdiff.geometry import (
     Point,
     Region,
     dist_sq,
+    over_common_denominator,
     pt,
     scalar_str,
 )
@@ -571,9 +574,24 @@ class TestIntegerKernels:
     @settings(max_examples=200, deadline=None)
     def test_sample_hull_point_matches_fraction_formula(self, verts, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
+        ring = over_common_denominator(verts)
         for _ in range(3):
-            assert sample_hull_point(verts, rng) == reference_sample(verts, ref_rng)
+            assert sample_hull_point(verts, ring, rng) == reference_sample(verts, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+    @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
+               lambda verts: st.sampled_from((Finite(SiteSet(verts)),
+                                              Convex(ConvexPolygon(verts))))) | triangles)
+    @settings(max_examples=200, deadline=None)
+    def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
+        verts, scaled = fs.hull_ring
+        if isinstance(fs, Triangle):
+            w = fs.t * fs.h
+            assert verts == ((ORIGIN,) if fs.h == 0
+                             else (ORIGIN, Point(w, fs.h), Point(-w, fs.h)))
+        assert verts == fs.hull_vertices()
+        assert scaled == over_common_denominator(fs.hull_vertices())
+        assert fs.hull_ring is fs.hull_ring
 
     @given(triangle_and_point())
     @settings(max_examples=300, deadline=None)
@@ -608,14 +626,49 @@ def _shipped(stem):
     return finite_members(collection)
 
 
+def _written(trace):
+    """The JSONL trace that `errdiff simulate` writes."""
+    fh = io.StringIO()
+    _write_trace(fh, trace)
+    return fh.getvalue()
+
+
 def _trace_sha256(trace):
-    """sha256 of the JSONL trace that `errdiff simulate` writes."""
-    records = trace.records()
-    records.append({"mode": trace.mode, "steps": len(trace.steps),
-                    "final_e": [scalar_str(trace.final_error.x),
-                                scalar_str(trace.final_error.y)]})
-    return hashlib.sha256(
-        "".join(json.dumps(r) + "\n" for r in records).encode()).hexdigest()
+    return hashlib.sha256(_written(trace).encode()).hexdigest()
+
+
+# a quote, a backslash and a non-ASCII letter: json.dumps escapes all three
+ODD_ID = 'sq"\\é'
+
+
+class TestTraceWriter:
+    """The directly formatted lines against json.dumps of Trace.records."""
+
+    @staticmethod
+    def _dumped(trace):
+        summary = {"mode": trace.mode, "steps": len(trace.steps),
+                   "final_e": [scalar_str(trace.final_error.x),
+                               scalar_str(trace.final_error.y)]}
+        return "".join(json.dumps(r) + "\n" for r in trace.records() + [summary])
+
+    def test_undelayed_finite(self):
+        odd = Finite(sites((0, 0), (1, 0), (1, 1), (0, 1), id=ODD_ID))
+        tr = run("undelayed", ScenarioProvider.cyclic([odd, STAR8]),
+                 Opponent("uniform-random-in-hull", seed=1), 200, seed=2)
+        assert {s.set_id for s in tr} == {ODD_ID, "star8"}
+        assert _written(tr) == self._dumped(tr)
+
+    def test_undelayed_convex(self):
+        odd = Convex(ConvexPolygon.hull_of(STAR8.hull_vertices()), label=ODD_ID)
+        tr = run("undelayed", ScenarioProvider.fixed(odd),
+                 Opponent("uniform-random-in-hull", seed=3), 200, seed=4)
+        assert _written(tr) == self._dumped(tr)
+        assert '"set": "sq\\"\\\\\\u00e9"' in _written(tr)
+
+    def test_delayed_triangle(self):
+        tr = run("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=5),
+                 Opponent("uniform-random-in-hull", seed=6), 200, seed=7)
+        assert _written(tr) == self._dumped(tr)
 
 
 class TestPinnedTraces:
