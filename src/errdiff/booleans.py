@@ -1,4 +1,4 @@
-"""Exact clip, union, and containment for simple polygons.
+"""Exact clip, union, and containment for simple polygons, on integers.
 
 clip_components is the one clipper: it cuts a canonical ring, given over
 its common denominator, by a sequence of closed half-planes (the walls of
@@ -9,20 +9,27 @@ integer triple (X, Y, D).  Only at the end does each component go over
 its own common denominator and into canonical form; no Fraction is built.
 g_step and p_step read the components on integers, and Points are built
 only by errdiff.voronoi's one-component clip and p's general route.
-union_rings splits edges at every contact with the other boundaries,
-keeps or drops the pieces by exact midpoint location (point_in_ring on
-each ring's cached integers), and stitches them back into cycles; a
-boundary that touches itself or leaves a hole raises DisconnectedUnion.
-union_one_region is the union the operators use: it demands exactly one
-cycle; the p family unites its members there, and its general route its
-hull sweeps.  Results are regularized: zero-area slivers and whiskers
-vanish.  Unions of parts star-shaped around one center, and Minkowski
-sums of a convex polygon with a star region, go through errdiff.starunion
-instead.
+
+subset_witness and union_rings put the rings of a call over one common
+denominator and share one edge splitter, _pieces: each edge is cut at its
+contacts with the other rings' edges, each a reduced parameter along it,
+and each piece's midpoint is a reduced integer triple, located by
+geometry's integer point location.  subset_witness checks a's vertices,
+then those midpoints.  union_rings keeps or drops the pieces by their
+midpoints and stitches them back into cycles; a boundary that touches
+itself or leaves a hole raises DisconnectedUnion.  No Fraction is compared
+or added: Points are built only for a returned witness and for the output
+cycles.  union_one_region is the union the operators use: it demands
+exactly one cycle; the p family unites its members there, and its general
+route its hull sweeps.  Results are regularized: zero-area slivers and
+whiskers vanish.  Unions of parts star-shaped around one center, and
+Minkowski sums of a convex polygon with a star region, go through
+errdiff.starunion instead.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
@@ -34,101 +41,9 @@ from .geometry import (
     Region,
     Scaled,
     _canonical_order,
-    bbox,
-    bbox_overlap,
-    canonicalize_ring,
-    line_cross_point,
-    on_segment,
-    orient,
+    _ring_locate,
     over_common_denominator,
-    point_in_ring,
 )
-
-HALF = Fraction(1, 2)
-
-
-def seg_seg_points(p1: Point, p2: Point, q1: Point, q2: Point) -> list[Point]:
-    """All isolated contact points and overlap endpoints of two segments."""
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    if d1 == 0 and d2 == 0:
-        out = []
-        for w in (q1, q2):
-            if on_segment(p1, p2, w):
-                out.append(w)
-        for w in (p1, p2):
-            if on_segment(q1, q2, w) and w not in out:
-                out.append(w)
-        return out
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    out = []
-    if d1 == 0 and on_segment(q1, q2, p1):
-        out.append(p1)
-    if d2 == 0 and on_segment(q1, q2, p2):
-        out.append(p2)
-    if d3 == 0 and on_segment(p1, p2, q1) and q1 not in out:
-        out.append(q1)
-    if d4 == 0 and on_segment(p1, p2, q2) and q2 not in out:
-        out.append(q2)
-    if (not out and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
-            and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)):
-        out.append(line_cross_point(p1, p2, q1, q2))
-    return out
-
-
-class _RingIndex:
-    """A ring with cached boxes for repeated splitting and location queries.
-
-    The ring box and the edge boxes are picked from the ring's own
-    coordinates by comparing its integers over one common denominator, so
-    no Fraction is compared or built.
-    """
-
-    __slots__ = ("ring", "scaled", "box", "edges")
-
-    def __init__(self, ring: Sequence[Point]):
-        self.ring = ring = list(ring)
-        self.scaled = _, xs, ys = over_common_denominator(ring)
-        n = len(ring)
-        self.edges = []
-        for i in range(n):
-            j = (i + 1) % n
-            u, v = ring[i], ring[j]
-            x0, x1 = (u.x, v.x) if xs[i] <= xs[j] else (v.x, u.x)
-            y0, y1 = (u.y, v.y) if ys[i] <= ys[j] else (v.y, u.y)
-            self.edges.append((u, v, (x0, y0, x1, y1)))
-        self.box = (ring[min(range(n), key=xs.__getitem__)].x,
-                    ring[min(range(n), key=ys.__getitem__)].y,
-                    ring[max(range(n), key=xs.__getitem__)].x,
-                    ring[max(range(n), key=ys.__getitem__)].y)
-
-    def locate(self, p: Point) -> int:
-        xmin, ymin, xmax, ymax = self.box
-        if p.x < xmin or p.x > xmax or p.y < ymin or p.y > ymax:
-            return -1
-        return point_in_ring(self.ring, p, self.scaled)
-
-
-def _split_edge(u: Point, v: Point, others: Sequence[_RingIndex]) -> list[Point]:
-    """Points of [u, v] split at every boundary contact, ordered from u to v."""
-    seg_box = bbox((u, v))
-    found: dict[tuple, Point] = {u.key(): u, v.key(): v}
-    for other in others:
-        if not bbox_overlap(seg_box, other.box):
-            continue
-        for q1, q2, ebox in other.edges:
-            if not bbox_overlap(seg_box, ebox):
-                continue
-            for w in seg_seg_points(u, v, q1, q2):
-                found[w.key()] = w
-    d = v - u
-    return sorted(found.values(), key=lambda p: (p - u).dot(d))
-
-
-def _midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) * HALF, (p.y + q.y) * HALF)
-
 
 # ---------------------------------------------------------------------------
 # clip by half-planes
@@ -256,10 +171,7 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
 def _canonical(ring: _Ring) -> Clipped | None:
     """ring in canonical form over the lcm of its reduced denominators."""
     xs, ys, ds, src = ring
-    red = []
-    for x, y, d in zip(xs, ys, ds):
-        g = gcd(x, y, d)
-        red.append((x // g, y // g, d // g))
+    red = [_reduced(x, y, d) for x, y, d in zip(xs, ys, ds)]
     m = lcm(*[d for _, _, d in red])
     cxs = [x * (m // d) for x, _, d in red]
     cys = [y * (m // d) for _, y, d in red]
@@ -271,7 +183,114 @@ def _canonical(ring: _Ring) -> Clipped | None:
 
 
 # ---------------------------------------------------------------------------
-# containment
+# containment and union, on the rings of a call over one denominator L
+
+# A point (X / d, Y / d) in units of 1 / L, reduced, with d > 0
+Triple = tuple[int, int, int]
+# An edge (ax, ay, bx, by, xmin, xmax, ymin, ymax): its ends and its box
+_Edge = tuple[int, int, int, int, int, int, int, int]
+
+
+class _Boundary:
+    """A ring over the call's denominator: its integer vertices, its edges
+    and its box (xmin, xmax, ymin, ymax)."""
+
+    __slots__ = ("xs", "ys", "edges", "box")
+
+    def __init__(self, xs: list[int], ys: list[int]):
+        self.xs, self.ys = xs, ys
+        self.edges: list[_Edge] = []
+        n = len(xs)
+        for i in range(n):
+            j = i + 1 if i + 1 < n else 0
+            ax, ay, bx, by = xs[i], ys[i], xs[j], ys[j]
+            self.edges.append((ax, ay, bx, by, min(ax, bx), max(ax, bx),
+                               min(ay, by), max(ay, by)))
+        self.box = (min(xs), max(xs), min(ys), max(ys))
+
+    def locate(self, X: int, Y: int, d: int) -> int:
+        """+1 strictly inside, 0 on the boundary, -1 outside, for (X / d, Y / d)."""
+        xmin, xmax, ymin, ymax = self.box
+        if X < xmin * d or X > xmax * d or Y < ymin * d or Y > ymax * d:
+            return -1
+        if d == 1:
+            return _ring_locate(self.xs, self.ys, X, Y)
+        return _ring_locate([x * d for x in self.xs], [y * d for y in self.ys], X, Y)
+
+    def side_along(self, X: int, Y: int, d: int, dx: int, dy: int) -> int:
+        """+1 when the first edge holding (X / d, Y / d) runs along (dx, dy),
+        -1 when it runs against it, 0 when no edge holds the point."""
+        for ax, ay, bx, by, xmin, xmax, ymin, ymax in self.edges:
+            if (xmin * d <= X <= xmax * d and ymin * d <= Y <= ymax * d
+                    and (bx - ax) * (Y - ay * d) == (by - ay) * (X - ax * d)):
+                return 1 if (bx - ax) * dx + (by - ay) * dy > 0 else -1
+        return 0
+
+
+def _boundaries(rings: Sequence[Sequence[Point]]) -> tuple[int, list[_Boundary]]:
+    """L, the lcm of the rings' own common denominators, and the rings over L."""
+    scaled = [over_common_denominator(r) for r in rings]
+    L = lcm(*[m for m, _, _ in scaled])
+    return L, [_Boundary([x * (L // m) for x in xs], [y * (L // m) for y in ys])
+               for m, xs, ys in scaled]
+
+
+def _apart(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether two boxes (xmin, xmax, ymin, ymax) share no point."""
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
+def _reduced(X: int, Y: int, d: int) -> Triple:
+    g = gcd(X, Y, d)
+    return X // g, Y // g, d // g
+
+
+def _pieces(e: _Edge, others: Sequence[_Boundary]) -> list[tuple[Triple, Triple, Triple]]:
+    """The pieces (p, q, midpoint) of edge e split at every contact with the
+    others' edges, in order from its start u to its end v.
+
+    A contact is a reduced parameter t = n / d in [0, 1] along u -> v: where
+    a non-parallel edge q1 -> q2 meets it, by Cramer's rule, or an end of a
+    collinear edge projected onto it.  Edges whose boxes are apart from e's
+    are skipped.  The parameters are sorted over the lcm of their
+    denominators, and each becomes the point u + t (v - u).
+    """
+    ux, uy, vx, vy, xmin, xmax, ymin, ymax = e
+    dx, dy = vx - ux, vy - uy
+    if not (dx or dy):
+        return []
+    ts = {(0, 1), (1, 1)}
+    for other in others:
+        if _apart(e[4:], other.box):
+            continue
+        for q1x, q1y, q2x, q2y, qxmin, qxmax, qymin, qymax in other.edges:
+            if qxmax < xmin or xmax < qxmin or qymax < ymin or ymax < qymin:
+                continue
+            ex, ey = q2x - q1x, q2y - q1y
+            wx, wy = q1x - ux, q1y - uy
+            den = dx * ey - dy * ex
+            if den:
+                tn = wx * ey - wy * ex
+                sn = wx * dy - wy * dx
+                if den < 0:
+                    den, tn, sn = -den, -tn, -sn
+                if 0 <= tn <= den and 0 <= sn <= den:
+                    g = gcd(tn, den)
+                    ts.add((tn // g, den // g))
+            elif wx * dy == wy * dx:
+                dd = dx * dx + dy * dy
+                for px, py in ((wx, wy), (q2x - ux, q2y - uy)):
+                    tn = px * dx + py * dy
+                    if 0 <= tn <= dd:
+                        g = gcd(tn, dd)
+                        ts.add((tn // g, dd // g))
+    K = lcm(*[d for _, d in ts])
+    pts = [_reduced(ux * d + n * dx, uy * d + n * dy, d)
+           for n, d in sorted(ts, key=lambda t: t[0] * (K // t[1]))]
+    return [(p, q, _reduced(p[0] * q[2] + q[0] * p[2], p[1] * q[2] + q[1] * p[2],
+                            2 * p[2] * q[2]))
+            for p, q in zip(pts, pts[1:])]
+
 
 def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | None:
     """A point of region(a) outside region(b), or None when a is contained.
@@ -281,21 +300,17 @@ def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | 
     through the complement of b, and that path crosses the boundary of a at
     a point outside b. It suffices to check the vertices of a and one
     interior point of every piece of a's edges split at contacts with b's
-    boundary.
+    boundary: the first vertex outside is returned, else the first such
+    midpoint in edge order, the only Point built.
     """
-    B = _RingIndex(b_ring)
-    for v in a_ring:
-        if B.locate(v) < 0:
-            return v
-    n = len(a_ring)
-    for i in range(n):
-        pts = _split_edge(a_ring[i], a_ring[(i + 1) % n], (B,))
-        for p, q in zip(pts, pts[1:]):
-            if p == q:
-                continue
-            mid = _midpoint(p, q)
-            if B.locate(mid) < 0:
-                return mid
+    L, (A, B) = _boundaries((a_ring, b_ring))
+    for i, (x, y) in enumerate(zip(A.xs, A.ys)):
+        if B.locate(x, y, 1) < 0:
+            return a_ring[i]
+    for e in A.edges:
+        for _, _, (X, Y, d) in _pieces(e, (B,)):
+            if B.locate(X, Y, d) < 0:
+                return Point(Fraction(X, d * L), Fraction(Y, d * L))
     return None
 
 
@@ -306,92 +321,79 @@ def subset(a, b) -> bool:
     return subset_witness(a_ring, b_ring) is None
 
 
-# ---------------------------------------------------------------------------
-# union
-
 def union_rings(rings: Sequence[Sequence[Point]]) -> list[list[Point]]:
     """Union of simple CCW rings, as canonical CCW boundary cycles.
 
-    A boundary that touches itself raises DisconnectedUnion, and so does a
-    hole: the engine has no polygon-with-holes representation.
+    A piece of an edge split at the other rings is dropped when its
+    midpoint lies strictly inside another ring, or on another ring's
+    collinear edge that runs the opposite way or, for a lower ring index,
+    the same way.  A boundary that touches itself raises DisconnectedUnion,
+    and so does a hole: the engine has no polygon-with-holes representation.
     """
-    idx = [_RingIndex(r) for r in rings]
-    kept: list[tuple[Point, Point]] = []
-    for i, I in enumerate(idx):
-        near = [(j, J) for j, J in enumerate(idx)
-                if j != i and bbox_overlap(I.box, J.box)]
+    L, bounds = _boundaries(rings)
+    kept: list[tuple[Triple, Triple]] = []
+    for i, I in enumerate(bounds):
+        near = [(j, J) for j, J in enumerate(bounds)
+                if j != i and not _apart(I.box, J.box)]
         others = [J for _, J in near]
-        for u, v, _ in I.edges:
-            pts = _split_edge(u, v, others)
-            for p, q in zip(pts, pts[1:]):
-                if p == q:
-                    continue
-                mid = _midpoint(p, q)
-                keep = True
+        for e in I.edges:
+            for p, q, (X, Y, d) in _pieces(e, others):
                 for j, J in near:
-                    loc = J.locate(mid)
+                    loc = J.locate(X, Y, d)
                     if loc > 0:
-                        keep = False
                         break
                     if loc == 0:
-                        side = _collinear_side(mid, u, v, J)
-                        if side < 0:  # opposite interiors: covered both sides
-                            keep = False
+                        side = J.side_along(X, Y, d, e[2] - e[0], e[3] - e[1])
+                        # opposite interiors: covered both sides; a duplicate:
+                        # the lowest index wins
+                        if side < 0 or (side > 0 and j < i):
                             break
-                        if side > 0 and j < i:  # duplicate; lowest index wins
-                            keep = False
-                            break
-                if keep:
+                else:
                     kept.append((p, q))
-    return _stitch(kept)
+    return _stitch(kept, L)
 
 
-def _collinear_side(mid: Point, u: Point, v: Point, J: _RingIndex) -> int:
-    """mid lies on an edge of J collinear with u->v: +1 same interior side,
-    -1 opposite. Returns 0 when no containing edge is found (never expected
-    for split midpoints)."""
-    for w1, w2, ebox in J.edges:
-        if not (ebox[0] <= mid.x <= ebox[2] and ebox[1] <= mid.y <= ebox[3]):
-            continue
-        if on_segment(w1, w2, mid):
-            return 1 if (w2 - w1).dot(v - u) > 0 else -1
-    return 0
+def _lex_cmp(p: Triple, q: Triple) -> int:
+    c = p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
+    return (c > 0) - (c < 0)
 
 
-def _stitch(kept: list[tuple[Point, Point]]) -> list[list[Point]]:
-    outgoing: dict[tuple, tuple[Point, Point]] = {}
-    for seg in kept:
-        key = seg[0].key()
-        if key in outgoing:
+def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[list[Point]]:
+    outgoing: dict[Triple, Triple] = {}
+    for p, q in kept:
+        if p in outgoing:
             raise DisconnectedUnion("union boundary touches itself")
-        outgoing[key] = seg
+        outgoing[p] = q
 
-    # every vertex starts at most one segment, so a start key names it
-    used: set[tuple] = set()
-    cycles: list[list[Point]] = []
-    for start in sorted(outgoing):
+    # every vertex starts at most one piece, so a start names it; the starts
+    # are taken in lexicographic order
+    used: set[Triple] = set()
+    cycles: list[Clipped] = []
+    for start in sorted(outgoing, key=cmp_to_key(_lex_cmp)):
         if start in used:
             continue
-        cur = outgoing[start]
-        path: list[Point] = [cur[0]]
-        while cur is not None and cur[0].key() not in used:
-            used.add(cur[0].key())
-            path.append(cur[1])
-            cur = outgoing.get(cur[1].key())
+        path = [start]
+        while path[-1] in outgoing and path[-1] not in used:
+            used.add(path[-1])
+            path.append(outgoing[path[-1]])
         if path[0] != path[-1]:
             raise DisconnectedUnion("union boundary has a dangling chain")
-        ring = canonicalize_ring(path[:-1])
+        xs, ys, ds = zip(*path[:-1])
+        ring = _canonical((xs, ys, ds, range(len(ds))))
         if ring is not None:
             cycles.append(ring)
     # canonical rings are all CCW, so a hole shows up as a cycle nested inside
     # another; filtered vertices of genuine sibling lobes never lie strictly
-    # inside a neighbor
-    scaled = [over_common_denominator(r) for r in cycles]
-    for i, r1 in enumerate(cycles):
-        for j, r2 in enumerate(cycles):
-            if i != j and any(point_in_ring(r2, v, scaled[j]) > 0 for v in r1):
+    # inside a neighbor.  Cycle i is over mi and cycle j over mj.
+    for i, (mi, ixs, iys, _) in enumerate(cycles):
+        for j, (mj, jxs, jys, _) in enumerate(cycles):
+            if i == j:
+                continue
+            sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
+            if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
                 raise DisconnectedUnion("union produced a hole")
-    return cycles
+    return [[Point(Fraction(x, m * L), Fraction(y, m * L)) for x, y in zip(xs, ys)]
+            for m, xs, ys, _ in cycles]
 
 
 def union_one_region(rings: Sequence[Sequence[Point]]) -> Region:

@@ -523,7 +523,13 @@ def error_bound_from_domain(domain, scenario) -> Scalar:
     body domain - hull(S), maximized over the scenario (vertex pairs attain
     it), and, when every feasible set lies inside domain, the squared
     diameter of domain.  Returns the smaller applicable value.
+
+    domain must be a Region or a ConvexPolygon; any other domain, such as
+    the feasible sets (Finite, Convex, Triangle) that check_containment
+    also accepts, raises TypeError.
     """
+    if not isinstance(domain, (Region, ConvexPolygon)):
+        raise TypeError(f"cannot bound the error over {type(domain).__name__}")
     d_verts = domain.vertices
     atoms = _scenario_atoms(scenario)
     if not atoms:

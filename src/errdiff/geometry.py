@@ -4,7 +4,7 @@ Every coordinate is a fractions.Fraction and every predicate is decided by
 integer sign computations, so there is no floating point and no tolerance
 anywhere in this module.  orient and HalfPlane._level read the numerators
 and denominators of their points directly and build no intermediate
-Fractions.
+Fractions; orient is the one predicate left on Points, for convex_hull.
 
 A ring is decided on once it is put over one common denominator
 (over_common_denominator): canonicalize_ring (duplicates, the collinear
@@ -13,9 +13,10 @@ point_in_ring, star_kernel_contains, ring_area2, diameter_sq_of and
 minkowski_convex all run on the integer numerators, and a Polygon caches
 its own (m, xs, ys) as _scaled.  Against a query point p, the ring's x
 axis is scaled by p.x's denominator and its y axis by p.y's, which keeps
-every comparison and every orientation sign.  New Fractions are built only
-for returned points: the kept vertices of a Minkowski sum and the
-coordinates of a projection.
+every comparison and every orientation sign; point_in_ring then runs
+_ring_locate, the integer core that errdiff.booleans calls directly.  New
+Fractions are built only for returned points: the kept vertices of a
+Minkowski sum and the coordinates of a projection.
 
 Two polygon types share one base, Polygon (the canonical vertex tuple,
 edges, area2, bbox, diameter_sq, _scaled): ConvexPolygon, a strictly convex
@@ -151,26 +152,6 @@ def dist_sq(a: Point, b: Point) -> Fraction:
     return d.norm_sq()
 
 
-def on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True when p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
-    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-    return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
-
-
-def line_cross_point(p1: Point, p2: Point, q1: Point, q2: Point) -> Point:
-    """Intersection of line(p1,p2) with line(q1,q2); lines must not be parallel."""
-    dp = p2 - p1
-    dq = q2 - q1
-    den = dp.cross(dq)
-    if den == 0:
-        raise GeometryError("parallel lines have no single intersection")
-    t = (q1 - p1).cross(dq) / den
-    return p1 + dp.scale(t)
-
-
 Scaled = tuple[int, list[int], list[int]]
 
 
@@ -201,10 +182,6 @@ def bbox(points: Iterable[Point]) -> tuple[Fraction, Fraction, Fraction, Fractio
         xs.append(p.x)
         ys.append(p.y)
     return min(xs), min(ys), max(xs), max(ys)
-
-
-def bbox_overlap(b1, b2) -> bool:
-    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
 
 
 def diameter_sq_of(points: Sequence[Point], scaled: Scaled | None = None) -> Fraction:
@@ -372,12 +349,20 @@ def point_in_ring(ring: Sequence[Point], p: Point, scaled: Scaled | None = None)
     """Exact location of p in the closed region bounded by a simple ring:
     +1 strictly inside, 0 on the boundary, -1 outside.
 
-    Decided on the ring's integers (scaled, when the caller has it) against
-    p.  An edge whose y-range misses p can neither hold p nor cross the
+    Decided by _ring_locate on the ring's integers (scaled, when the caller
+    has it) against p.
+    """
+    return _ring_locate(*_against(_scaled_of(ring, scaled), p))
+
+
+def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
+    """point_in_ring on integers: the ring (xs, ys) and the point (px, py)
+    on one scale per axis.
+
+    An edge whose y-range misses p can neither hold p nor cross the
     horizontal through p, so only the others cost one orientation, which
     decides both the boundary test and the crossing.
     """
-    xs, ys, px, py = _against(_scaled_of(ring, scaled), p)
     inside = False
     for i in range(len(xs)):
         uy, vy = ys[i - 1], ys[i]

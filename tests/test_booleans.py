@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import (
+    _boundaries,
+    _pieces,
     clip_components,
-    seg_seg_points,
     subset,
     subset_witness,
     union_one_region,
@@ -17,14 +18,17 @@ from errdiff.booleans import (
 from errdiff.geometry import (
     ORIGIN,
     DisconnectedUnion,
+    GeometryError,
     HalfPlane,
     MultiComponent,
     NotStarAtCenter,
     Point,
     Region,
+    bbox,
     canonicalize_ring,
+    convex_hull,
     is_simple_ring,
-    line_cross_point,
+    orient,
     over_common_denominator,
     point_in_ring,
     pt,
@@ -55,28 +59,41 @@ def clip(ring, *walls):
     return sorted(comps, key=lambda r: [p.key() for p in r])
 
 
+def split_points(p1, p2, q1, q2):
+    """The points where the integer splitter cuts segment p1 -> p2 against
+    segment q1 -> q2, ends included, in order from p1."""
+    L, (P, Q) = _boundaries(([p1, p2], [q1, q2]))
+    pieces = _pieces(P.edges[0], (Q,))
+    ends = [p for p, _, _ in pieces] + [pieces[-1][1]]
+    return [Point(F(x, d * L), F(y, d * L)) for x, y, d in ends]
+
+
 class TestSegSeg:
     def test_proper_crossing(self):
-        got = seg_seg_points(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
-        assert got == [pt(1, 1)]
+        got = split_points(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
+        assert got == [pt(0, 0), pt(1, 1), pt(2, 2)]
 
     def test_t_junction(self):
-        got = seg_seg_points(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 5))
-        assert got == [pt(1, 0)]
+        got = split_points(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 5))
+        assert got == [pt(0, 0), pt(1, 0), pt(2, 0)]
 
     def test_shared_endpoint(self):
-        got = seg_seg_points(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 3))
-        assert got == [pt(1, 0)]
+        got = split_points(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 3))
+        assert got == [pt(0, 0), pt(1, 0)]
 
     def test_collinear_overlap(self):
-        got = seg_seg_points(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
-        assert sorted(p.key() for p in got) == [pt(1, 0).key(), pt(3, 0).key()]
+        got = split_points(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
+        assert got == [pt(0, 0), pt(1, 0), pt(3, 0)]
 
     def test_collinear_disjoint(self):
-        assert seg_seg_points(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0)) == []
+        assert split_points(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0)) == [pt(0, 0), pt(1, 0)]
 
     def test_skew_disjoint(self):
-        assert seg_seg_points(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) == []
+        assert split_points(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) == [pt(0, 0), pt(1, 0)]
+
+    def test_denominators_differ(self):
+        got = split_points(pt(0, 0), pt(1, 1), pt("1/3", 0), pt(0, "1/2"))
+        assert got == [pt(0, 0), pt("1/5", "1/5"), pt(1, 1)]
 
 
 class TestClip:
@@ -160,6 +177,22 @@ class TestSubset:
     def test_subset_through_shared_boundary(self):
         half = ring_of((0, 0), (1, 0), (1, "1/2"), (0, "1/2"))
         assert subset(half, UNIT_SQUARE)
+
+    def test_witness_is_an_edge_midpoint(self):
+        # every vertex of the square lies on the notched square's boundary;
+        # the top edge, split at the notch, has its middle piece outside
+        square = ring_of((0, 0), (2, 0), (2, 2), (0, 2))
+        notched = ring_of((0, 0), (2, 0), (2, 2), ("3/2", 2), (1, 1), ("1/2", 2), (0, 2))
+        assert all(point_in_ring(notched, v) >= 0 for v in square)
+        w = subset_witness(square, notched)
+        assert w == pt(1, 2)
+        assert w == reference_subset_witness(square, notched)
+        # two notches in the top edge, which runs from (4, 2) to (0, 2): the
+        # witness is the midpoint of the first piece outside along it
+        wide = ring_of((0, 0), (4, 0), (4, 2), (0, 2))
+        twice = ring_of((0, 0), (4, 0), (4, 2), ("7/2", 2), (3, 1), ("5/2", 2),
+                        ("3/2", 2), (1, 1), ("1/2", 2), (0, 2))
+        assert subset_witness(wide, twice) == reference_subset_witness(wide, twice) == pt(3, 2)
 
 
 class TestUnion:
@@ -506,3 +539,222 @@ class TestClipIntegerKernel:
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
         got = clip(lshape, HalfPlane(F(0), F(-1), F(-1)))
         assert got == [ring_of((0, 1), (1, 1), (1, 2), (0, 2))]
+
+
+# ---------------------------------------------------------------------------
+# containment and union in Fractions: the references the integer code matches
+
+
+def line_cross_point(p1, p2, q1, q2):
+    """Intersection of line(p1,p2) with line(q1,q2); lines must not be parallel."""
+    dp = p2 - p1
+    dq = q2 - q1
+    den = dp.cross(dq)
+    if den == 0:
+        raise GeometryError("parallel lines have no single intersection")
+    t = (q1 - p1).cross(dq) / den
+    return p1 + dp.scale(t)
+
+
+def reference_on_segment(a, b, p):
+    return (orient(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def reference_seg_seg_points(p1, p2, q1, q2):
+    """All isolated contact points and overlap endpoints of two segments."""
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    if d1 == 0 and d2 == 0:
+        out = [w for w in (q1, q2) if reference_on_segment(p1, p2, w)]
+        out += [w for w in (p1, p2) if reference_on_segment(q1, q2, w) and w not in out]
+        return out
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    out = []
+    for d, w, (a, b) in ((d1, p1, (q1, q2)), (d2, p2, (q1, q2)),
+                         (d3, q1, (p1, p2)), (d4, q2, (p1, p2))):
+        if d == 0 and reference_on_segment(a, b, w) and w not in out:
+            out.append(w)
+    if (not out and d1 and d2 and d3 and d4
+            and (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)):
+        out.append(line_cross_point(p1, p2, q1, q2))
+    return out
+
+
+def boxes_overlap(b1, b2):
+    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
+
+
+class ReferenceRing:
+    """A ring with its box and its edges, each with the edge's box."""
+
+    def __init__(self, ring):
+        self.ring = ring = list(ring)
+        self.box = bbox(ring)
+        self.edges = [(u, v, bbox((u, v))) for u, v in zip(ring, ring[1:] + ring[:1])]
+
+    def locate(self, p):
+        if not boxes_overlap(self.box, (p.x, p.y, p.x, p.y)):
+            return -1
+        return point_in_ring(self.ring, p)
+
+
+def reference_split_edge(u, v, others):
+    """Points of [u, v] split at every boundary contact, ordered from u to v."""
+    seg_box = bbox((u, v))
+    found = {u.key(): u, v.key(): v}
+    for other in others:
+        if not boxes_overlap(seg_box, other.box):
+            continue
+        for q1, q2, ebox in other.edges:
+            if boxes_overlap(seg_box, ebox):
+                for w in reference_seg_seg_points(u, v, q1, q2):
+                    found[w.key()] = w
+    d = v - u
+    return sorted(found.values(), key=lambda p: (p - u).dot(d))
+
+
+def reference_midpoint(p, q):
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def reference_subset_witness(a_ring, b_ring):
+    """subset_witness in Fractions: the vertices of a, then the midpoint of
+    every piece of a's edges split at contacts with b, in order."""
+    B = ReferenceRing(b_ring)
+    for v in a_ring:
+        if B.locate(v) < 0:
+            return v
+    for u, v, _ in ReferenceRing(a_ring).edges:
+        pts = reference_split_edge(u, v, (B,))
+        for p, q in zip(pts, pts[1:]):
+            if p != q and B.locate(reference_midpoint(p, q)) < 0:
+                return reference_midpoint(p, q)
+    return None
+
+
+def reference_collinear_side(mid, u, v, J):
+    for w1, w2, _ in J.edges:
+        if reference_on_segment(w1, w2, mid):
+            return 1 if (w2 - w1).dot(v - u) > 0 else -1
+    return 0
+
+
+def reference_union_rings(rings):
+    """union_rings in Fractions: the same split, keep rule and stitching."""
+    idx = [ReferenceRing(r) for r in rings]
+    kept = []
+    for i, I in enumerate(idx):
+        near = [(j, J) for j, J in enumerate(idx)
+                if j != i and boxes_overlap(I.box, J.box)]
+        for u, v, _ in I.edges:
+            pts = reference_split_edge(u, v, [J for _, J in near])
+            for p, q in zip(pts, pts[1:]):
+                mid = reference_midpoint(p, q)
+                keep = p != q
+                for j, J in near:
+                    loc = J.locate(mid)
+                    side = reference_collinear_side(mid, u, v, J) if loc == 0 else 0
+                    if loc > 0 or side < 0 or (side > 0 and j < i):
+                        keep = False
+                if keep:
+                    kept.append((p, q))
+    outgoing = {}
+    for seg in kept:
+        if seg[0].key() in outgoing:
+            raise DisconnectedUnion("union boundary touches itself")
+        outgoing[seg[0].key()] = seg
+    used = set()
+    cycles = []
+    for start in sorted(outgoing):
+        if start in used:
+            continue
+        cur = outgoing[start]
+        path = [cur[0]]
+        while cur is not None and cur[0].key() not in used:
+            used.add(cur[0].key())
+            path.append(cur[1])
+            cur = outgoing.get(cur[1].key())
+        if path[0] != path[-1]:
+            raise DisconnectedUnion("union boundary has a dangling chain")
+        ring = canonicalize_ring(path[:-1])
+        if ring is not None:
+            cycles.append(ring)
+    for i, r1 in enumerate(cycles):
+        for j, r2 in enumerate(cycles):
+            if i != j and any(point_in_ring(r2, v) > 0 for v in r1):
+                raise DisconnectedUnion("union produced a hole")
+    return cycles
+
+
+def union_outcome(fn, rings):
+    try:
+        return fn(rings)
+    except DisconnectedUnion as e:
+        return ("DisconnectedUnion", str(e))
+
+
+# rings that share edges, overlap along collinear edges, meet in T-junctions
+# and corners, and enclose holes: rectangles and convex hulls on a small
+# grid, scaled by 1, 1/2 or 1/3
+grid = st.integers(0, 4)
+
+
+@st.composite
+def grid_rings(draw):
+    k = draw(st.sampled_from((1, 2, 3)))
+    if draw(st.booleans()):
+        x0, x1 = sorted(draw(st.sets(grid, min_size=2, max_size=2)))
+        y0, y1 = sorted(draw(st.sets(grid, min_size=2, max_size=2)))
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        return [Point(F(x, k), F(y, k)) for x, y in corners]
+    pts = draw(st.lists(st.tuples(grid, grid), min_size=3, max_size=7))
+    try:
+        return list(convex_hull(Point(F(x, k), F(y, k)) for x, y in pts))
+    except GeometryError:
+        return [Point(F(x, k), F(y, k)) for x, y in ((0, 0), (1, 0), (0, 1))]
+
+
+@st.composite
+def shifted_star_rings(draw):
+    """Star rings with narrow or 128-bit radii, moved by an offset with
+    denominator 3 or left in place."""
+    ring = draw(star_rings(draw(st.sampled_from((radii, wide_radii)))))
+    shift = draw(st.one_of(st.just(ORIGIN), offsets))
+    return [v + shift for v in ring]
+
+
+any_rings = st.one_of(grid_rings(), shifted_star_rings())
+
+
+class TestIntegerContainmentAndUnion:
+    @given(any_rings, any_rings)
+    @settings(max_examples=300, deadline=None)
+    def test_subset_witness_matches_fraction_reference(self, a, b):
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert subset_witness(x, y) == reference_subset_witness(x, y)
+
+    @given(st.lists(grid_rings(), min_size=2, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_union_matches_fraction_reference_on_grids(self, rings):
+        got = union_outcome(union_rings, rings)
+        assert got == union_outcome(reference_union_rings, rings)
+
+    @given(st.lists(any_rings, min_size=2, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_union_matches_fraction_reference(self, rings):
+        got = union_outcome(union_rings, rings)
+        assert got == union_outcome(reference_union_rings, rings)
+
+    def test_hole_and_touch_messages(self):
+        frame = [ring_of((0, 0), (3, 0), (3, 1), (0, 1)),
+                 ring_of((2, 0), (3, 0), (3, 3), (2, 3)),
+                 ring_of((0, 2), (3, 2), (3, 3), (0, 3)),
+                 ring_of((0, 0), (1, 0), (1, 3), (0, 3))]
+        corner = [UNIT_SQUARE, [p + pt(1, 1) for p in UNIT_SQUARE]]
+        for rings, message in ((frame, "union produced a hole"),
+                               (corner, "union boundary touches itself")):
+            assert union_outcome(union_rings, rings) == ("DisconnectedUnion", message)
+            assert union_outcome(reference_union_rings, rings) == (
+                "DisconnectedUnion", message)

@@ -419,6 +419,16 @@ class TestBounds:
         with pytest.raises(ValueError):
             error_bound_from_domain(UNIT_BOX, [])
 
+    @pytest.mark.parametrize("domain", [
+        Finite(sites((0, 0), (1, 0), (0, 1), id="f")),
+        Convex(ConvexPolygon.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)])),
+        Triangle(1, 1),
+    ], ids=["Finite", "Convex", "Triangle"])
+    def test_feasible_set_domain_rejected(self, domain):
+        # check_containment accepts these domains; the bound does not
+        with pytest.raises(TypeError, match=type(domain).__name__):
+            error_bound_from_domain(domain, SQUARE)
+
     def test_triangle_bound_values(self):
         assert triangle_bound(1, 1) == 4
         assert triangle_bound(1, F(1, 2)) == F(5, 4)
