@@ -2,21 +2,23 @@
 
 Every coordinate is a fractions.Fraction and every predicate is decided by
 integer sign computations, so there is no floating point and no tolerance
-anywhere in this module.  orient and HalfPlane._level read the numerators
-and denominators of their points directly and build no intermediate
-Fractions; orient is the one predicate left on Points, for convex_hull.
+anywhere in this module.  No predicate takes Points: HalfPlane._level
+reads the numerators and denominators of its point directly, and
+everything else runs on integers over a common denominator.
 
-A ring is decided on once it is put over one common denominator
-(over_common_denominator): canonicalize_ring (duplicates, the collinear
-sweep, the area sign and the start vertex), is_simple_ring, is_convex_ring,
-point_in_ring, star_kernel_contains, ring_area2, diameter_sq_of and
-minkowski_convex all run on the integer numerators, and a Polygon caches
-its own (m, xs, ys) as _scaled.  Against a query point p, the ring's x
-axis is scaled by p.x's denominator and its y axis by p.y's, which keeps
-every comparison and every orientation sign; point_in_ring then runs
-_ring_locate, the integer core that errdiff.booleans calls directly.  New
-Fractions are built only for returned points: the kept vertices of a
-Minkowski sum and the coordinates of a projection.
+A ring or point set is decided on once it is put over one common
+denominator (over_common_denominator): canonicalize_ring (duplicates, the
+collinear sweep, the area sign and the start vertex), convex_hull (the
+monotone chain _hull_order, which errdiff.voronoi and errdiff.operators
+call directly), is_simple_ring, is_convex_ring, point_in_ring,
+star_kernel_contains, ring_area2, diameter_sq_of and minkowski_convex all
+run on the integer numerators, and a Polygon caches its own (m, xs, ys) as
+_scaled.  Against a query point p, the ring's x axis is scaled by p.x's
+denominator and its y axis by p.y's, which keeps every comparison and
+every orientation sign; point_in_ring then runs _ring_locate, the integer
+core that errdiff.booleans calls directly.  New Fractions are built only
+for returned points: the kept vertices of a Minkowski sum and the
+coordinates of a projection.
 
 Two polygon types share one base, Polygon (the canonical vertex tuple,
 edges, area2, bbox, diameter_sq, _scaled): ConvexPolygon, a strictly convex
@@ -127,24 +129,6 @@ ORIGIN = Point(ZERO, ZERO)
 def pt(x, y) -> Point:
     """Point from any rational-convertible pair (ints, strings, Fractions)."""
     return Point(Fraction(x), Fraction(y))
-
-
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of cross(b - a, c - a): +1 left turn, -1 right turn, 0 collinear.
-
-    Works on numerator/denominator integers directly; Fraction denominators
-    are positive by invariant, so the sign falls out of one big product.
-    """
-    ax, ay, bx, by, cx, cy = a.x, a.y, b.x, b.y, c.x, c.y
-    d1xn = bx.numerator * ax.denominator - ax.numerator * bx.denominator
-    d1yn = by.numerator * ay.denominator - ay.numerator * by.denominator
-    d2xn = cx.numerator * ax.denominator - ax.numerator * cx.denominator
-    d2yn = cy.numerator * ay.denominator - ay.numerator * cy.denominator
-    t = (d1xn * d2yn * (by.denominator * ay.denominator)
-         * (cx.denominator * ax.denominator)
-         - d1yn * d2xn * (bx.denominator * ax.denominator)
-         * (cy.denominator * ay.denominator))
-    return (t > 0) - (t < 0)
 
 
 def dist_sq(a: Point, b: Point) -> Fraction:
@@ -444,30 +428,47 @@ class Polygon:
         return diameter_sq_of(self.vertices, self._scaled)
 
 
+def _hull_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
+    """Indices of the strict convex hull of the integer points (xs, ys),
+    each repeated point once, CCW, lexicographically smallest first; None
+    when the points do not span the plane.
+
+    Andrew's monotone chain: a lower and an upper chain over the points in
+    lexicographic order, each popping its last point until the turn onto
+    the next is strictly left.  A repeat follows its twin in that order and
+    turns by zero, so it replaces the twin and adds nothing.
+    """
+    order = sorted(range(len(xs)), key=lambda i: (xs[i], ys[i]))
+    hull: list[int] = []
+    for seq in (order, order[::-1]):
+        out: list[int] = []
+        for k in seq:
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                ax, ay = xs[a], ys[a]
+                if (xs[b] - ax) * (ys[k] - ay) > (ys[b] - ay) * (xs[k] - ax):
+                    break
+                out.pop()
+            out.append(k)
+        hull += out[:-1]
+    return hull if len(hull) >= 3 else None
+
+
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Strict convex hull, CCW, lexicographically smallest vertex first.
+    """Strict convex hull, CCW, lexicographically smallest vertex first,
+    decided by _hull_order on the points over their common denominator;
+    the hull's Points are returned as they came.
 
     Raises DegenerateHull when the points do not span the plane.
     """
-    uniq = sorted({p.key() for p in points})
-    pts = [Point(x, y) for x, y in uniq]
-    if len(pts) < 3:
-        raise DegenerateHull(f"{len(pts)} distinct points")
-
-    def build(seq):
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and orient(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateHull("all points collinear")
-    return tuple(hull)
+    pts = list(points)
+    _, xs, ys = over_common_denominator(pts)
+    order = _hull_order(xs, ys)
+    if order is None:
+        distinct = len(set(zip(xs, ys)))
+        raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
+                             else "all points collinear")
+    return tuple(pts[i] for i in order)
 
 
 @dataclass(frozen=True)

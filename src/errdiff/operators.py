@@ -5,13 +5,15 @@ Both operators use the recentered cell union U(X) = union over sites c of
 pieces in the opposite order.  g_step and p_step both clip on the region's
 integer ring (booleans.clip_components) and shift each piece by -c on
 integers (starunion.star_cycle).  apply_operator is the one member loop:
-each member's step, its convex hull for the capital variants G and P, and
-the union of the members.  Iterating any operator from a seed grows a
-monotone chain of regions whose limit is the minimal invariant set; the
-engine below runs that chain with exact rational arithmetic and stops it
-in one of two ways: at an exact fixed point (canonical vertex equality),
-or at a certified outer set, a snapped candidate C that holds the current
-iterate and that the operator maps into itself, both decided exactly.
+each member's step, its convex hull for G and P (geometry._hull_order on
+the image's integer ring, built of its own vertices; with_reference checks
+the reference), and the union of the members.  Iterating any operator from
+a seed grows a monotone chain of regions whose limit is the minimal
+invariant set; the engine below runs that chain with exact rational
+arithmetic and stops it in one of two ways: at an exact fixed point
+(canonical vertex equality), or at a certified outer set, a snapped
+candidate C that holds the current iterate and that the operator maps into
+itself, both decided exactly.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .geometry import (
     Point,
     PointSeed,
     Region,
+    _hull_order,
     convex_hull,
     dist_sq,
     equal_canonical,
@@ -329,8 +332,9 @@ def p_step(S: SiteSet, D: Seed) -> Region:
 
 
 def _hull_region(region: Region, reference: Point | None = None) -> Region:
-    return Region.from_ring(convex_hull(region.vertices),
-                            reference=reference, validate=False)
+    _, xs, ys = region._scaled
+    hull = Region(tuple(region.vertices[k] for k in _hull_order(xs, ys)))
+    return hull.with_reference(reference)
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:

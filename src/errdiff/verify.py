@@ -23,7 +23,6 @@ from .geometry import (
     Region,
     Scalar,
     dist_sq,
-    orient,
     scalar_str,
 )
 from .operators import Collection, apply_operator
@@ -66,33 +65,35 @@ def _as_collection(scenario) -> Collection:
 # exact invariance checks
 
 
-def is_invariant_g(scenario, Q: Region) -> VerificationReport:
-    """Does Q swallow its own g image across the whole collection (exact)?"""
-    coll = _as_collection(scenario)
-    image = apply_operator("g", coll, Q)
+def _is_invariant(op: str, scenario, Q: Region) -> VerificationReport:
+    """is_invariant_g or is_invariant_p, by the operator letter op."""
+    image = apply_operator(op, _as_collection(scenario), Q)
     w = subset_witness(image.vertices, Q.vertices)
     notes = f"image has {len(image.vertices)} vertices"
-    return _report("is_invariant_g", () if w is None else (w,), notes)
+    return _report(f"is_invariant_{op}", () if w is None else (w,), notes)
+
+
+def is_invariant_g(scenario, Q: Region) -> VerificationReport:
+    """Does Q swallow its own g image across the whole collection (exact)?"""
+    return _is_invariant("g", scenario, Q)
 
 
 def is_invariant_p(scenario, D: Region) -> VerificationReport:
     """Does D swallow its own p image across the whole collection (exact)?"""
-    coll = _as_collection(scenario)
-    image = apply_operator("p", coll, D)
-    w = subset_witness(image.vertices, D.vertices)
-    notes = f"image has {len(image.vertices)} vertices"
-    return _report("is_invariant_p", () if w is None else (w,), notes)
+    return _is_invariant("p", scenario, D)
 
 
 def is_star_convex_origin(Q: Region) -> VerificationReport:
     """Is every point of Q visible from the origin (exact kernel test)?"""
     if Q.kernel_contains(ORIGIN):
         return _report("is_star_convex_origin", ())
+    _, xs, ys = Q._scaled
     ring = Q.vertices
     witnesses = []
     for i, u in enumerate(ring):
-        v = ring[(i + 1) % len(ring)]
-        if orient(u, v, ORIGIN) < 0:
+        j = (i + 1) % len(ring)
+        if xs[i] * ys[j] < ys[i] * xs[j]:  # the origin is strictly right of u -> v
+            v = ring[j]
             witnesses.append(Point((u.x + v.x) / 2, (u.y + v.y) / 2))
     return _report("is_star_convex_origin", witnesses,
                    "origin falls outside the edge halfplanes at these midpoints")

@@ -2,7 +2,8 @@
 
 A cell is kept as the half-planes of its facet walls only: the bisectors
 with the sites whose walls bound it along an edge of positive length,
-found once per site set on the sites' integers (_facet_neighbours).
+found once per site set on the sites' integers (_facet_neighbours) by the
+same integer hull that builds ch S (geometry._hull_order).
 Clipping a region into a cell is one call of booleans.clip_components on
 the region's integer ring (its cached _scaled) through all the walls.  The
 operators call it themselves and stay on integers; intersect_region_cell
@@ -32,6 +33,7 @@ from .geometry import (
     MultiComponent,
     Point,
     Region,
+    _hull_order,
     ceil_sqrt,
     convex_hull,
     diameter_sq_of,
@@ -133,29 +135,17 @@ def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]
     on a hull edge but not at a vertex is a wall that meets the cell in one
     point only; one inside the hull misses the cell.  The dual points go
     over the lcm L of the |v|^2 (the common denominator of the sites
-    scales them all alike), and the strict monotone-chain hull of those
-    integer points and the origin keeps the vertices only.
+    scales them all alike), and the strict hull of those integer points
+    and the origin (geometry._hull_order) keeps the vertices only.
     """
     cx, cy = xs[i], ys[i]
-    vs = [(j, xs[j] - cx, ys[j] - cy) for j in range(len(xs)) if j != i]
-    norms = [vx * vx + vy * vy for _, vx, vy in vs]
+    js = [j for j in range(len(xs)) if j != i]
+    vs = [(xs[j] - cx, ys[j] - cy) for j in js]
+    norms = [vx * vx + vy * vy for vx, vy in vs]
     L = lcm(*norms)
-    pts = sorted([(vx * (L // nv), vy * (L // nv), j)
-                  for (j, vx, vy), nv in zip(vs, norms)] + [(0, 0, -1)])
-
-    def chain(seq) -> list[tuple[int, int, int]]:
-        out: list[tuple[int, int, int]] = []
-        for p in seq:
-            while len(out) >= 2:
-                (ax, ay, _), (bx, by, _) = out[-2], out[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
-    return sorted(j for _, _, j in hull if j >= 0)
+    dxs = [vx * (L // nv) for (vx, _), nv in zip(vs, norms)] + [0]
+    dys = [vy * (L // nv) for (_, vy), nv in zip(vs, norms)] + [0]
+    return sorted(js[k] for k in _hull_order(dxs, dys) if k < len(js))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from errdiff.geometry import (
     canonicalize_ring,
     convex_hull,
     is_simple_ring,
-    orient,
     over_common_denominator,
     point_in_ring,
     pt,
@@ -36,6 +35,7 @@ from errdiff.geometry import (
 )
 from errdiff.starunion import _crossing, _Edge, _limit, _t_cmp, union_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
+from test_geometry import reference_orient
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -557,20 +557,20 @@ def line_cross_point(p1, p2, q1, q2):
 
 
 def reference_on_segment(a, b, p):
-    return (orient(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+    return (reference_orient(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x)
             and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
 def reference_seg_seg_points(p1, p2, q1, q2):
     """All isolated contact points and overlap endpoints of two segments."""
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
+    d1 = reference_orient(q1, q2, p1)
+    d2 = reference_orient(q1, q2, p2)
     if d1 == 0 and d2 == 0:
         out = [w for w in (q1, q2) if reference_on_segment(p1, p2, w)]
         out += [w for w in (p1, p2) if reference_on_segment(q1, q2, w) and w not in out]
         return out
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    d3 = reference_orient(p1, p2, q1)
+    d4 = reference_orient(p1, p2, q2)
     out = []
     for d, w, (a, b) in ((d1, p1, (q1, q2)), (d2, p2, (q1, q2)),
                          (d3, q1, (p1, p2)), (d4, q2, (p1, p2))):

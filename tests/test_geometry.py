@@ -27,7 +27,6 @@ from errdiff.geometry import (
     is_convex_ring,
     is_simple_ring,
     minkowski_convex,
-    orient,
     parse_scalar,
     point_in_ring,
     project_convex,
@@ -63,7 +62,7 @@ def reference_canonicalize(points):
         changed = False
         n = len(ring)
         for i in range(n):
-            if orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
+            if reference_orient(ring[i - 1], ring[i], ring[(i + 1) % n]) == 0:
                 ring.pop(i)
                 changed = True
                 break
@@ -122,6 +121,35 @@ def sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
+def reference_orient(a, b, c) -> int:
+    """Sign of cross(b - a, c - a) in Fractions: +1 left turn, -1 right
+    turn, 0 collinear.  The one orientation predicate of the tests; the
+    package decides every turn on integers."""
+    return sign((b - a).cross(c - a))
+
+
+def reference_hull(points):
+    """convex_hull as Andrew's monotone chain over the distinct points in
+    Fraction order, turning with reference_orient: the specification the
+    integer chain must match, DegenerateHull messages included."""
+    pts = [Point(x, y) for x, y in sorted({p.key() for p in points})]
+    if len(pts) < 3:
+        raise DegenerateHull(f"{len(pts)} distinct points")
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and reference_orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = build(pts)[:-1] + build(reversed(pts))[:-1]
+    if len(hull) < 3:
+        raise DegenerateHull("all points collinear")
+    return tuple(hull)
+
+
 def reference_eval(hp, p):
     """a*x + b*y - c at p, in Fractions."""
     return hp.a * p.x + hp.b * p.y - hp.c
@@ -145,23 +173,43 @@ class TestScalars:
             assert scalar_str(parse_scalar(s)) == s
 
 
-class TestPredicates:
-    def test_orient_signs(self):
-        assert orient(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
-        assert orient(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
-        assert orient(pt(0, 0), pt(1, 1), pt(2, 2)) == 0
+@st.composite
+def hull_inputs(draw):
+    """Points with mixed denominators (up to 8, or up to 2**128), some on
+    the segments between drawn points (collinear runs, or a whole input on
+    one line), some repeated, in any order."""
+    pts = draw(st.lists(draw(st.sampled_from((points, wide_points))), max_size=8))
+    if len(pts) >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            ts = draw(st.lists(st.fractions(-1, 2, max_denominator=6), max_size=4))
+            run = [a + (b - a).scale(t) for t in ts]
+            pts = [a, b] + run if draw(st.booleans()) else pts + run
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
 
-    def test_orient_tiny_offsets(self):
-        eps = F(1, 10**30)
-        assert orient(pt(0, 0), pt(1, 0), Point(F(2), eps)) == 1
-        assert orient(pt(0, 0), pt(1, 0), Point(F(2), -eps)) == -1
 
-    @given(points, points, points)
-    def test_orient_antisymmetry(self, a, b, c):
-        assert orient(a, b, c) == -orient(a, c, b) == orient(b, c, a)
+def hull_outcome(hull, pts):
+    try:
+        return hull(pts)
+    except DegenerateHull as e:
+        return f"DegenerateHull: {e}"
 
 
 class TestHull:
+    @settings(max_examples=400)
+    @given(hull_inputs())
+    def test_matches_reference_chain(self, pts):
+        assert hull_outcome(convex_hull, pts) == hull_outcome(reference_hull, pts)
+
+    def test_degenerate_messages(self):
+        assert hull_outcome(convex_hull, []) == "DegenerateHull: 0 distinct points"
+        assert (hull_outcome(convex_hull, [pt(1, 2), pt(F(2, 2), 2), pt(3, 1)])
+                == "DegenerateHull: 2 distinct points")
+        assert (hull_outcome(convex_hull, [pt(0, 0), pt(F(1, 3), F(1, 6)), pt(2, 1)])
+                == "DegenerateHull: all points collinear")
+
     def test_square_with_inner_points(self):
         hull = convex_hull(UNIT_SQUARE + [pt("1/2", "1/2"), pt(0, 0)])
         assert list(hull) == UNIT_SQUARE
@@ -187,7 +235,7 @@ class TestHull:
             return
         n = len(vs)
         for i in range(n):
-            assert orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) == 1
+            assert reference_orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) == 1
 
 
 class TestRings:
@@ -481,10 +529,6 @@ class TestMisc:
 
 # ---------------------------------------------------------------------------
 # the ring layer on integers against Fraction references
-
-
-def reference_orient(a, b, c) -> int:
-    return sign((b - a).cross(c - a))
 
 
 def reference_on_segment(a, b, p) -> bool:

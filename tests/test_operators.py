@@ -22,7 +22,6 @@ from errdiff.geometry import (
     equal_canonical,
     is_convex_ring,
     minkowski_convex,
-    orient,
     pt,
 )
 from errdiff.operators import (
@@ -30,6 +29,7 @@ from errdiff.operators import (
     EmptyCellPiece,
     IterationConfig,
     SNAP_DENOMINATOR,
+    _hull_region,
     apply_operator,
     as_candidate,
     certify,
@@ -42,6 +42,7 @@ from errdiff.operators import (
 from errdiff.scene import load_scene
 from errdiff.starunion import union_star
 from errdiff.voronoi import SiteSet, cell
+from test_geometry import reference_hull, reference_orient
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -154,7 +155,7 @@ def fan_sum(P, Q):
     n = len(Q.vertices)
     for i in range(n):
         a, b = Q.vertices[i], Q.vertices[(i + 1) % n]
-        if orient(ORIGIN, a, b):
+        if reference_orient(ORIGIN, a, b):
             tri = ConvexPolygon.hull_of((ORIGIN, a, b))
             parts.append(minkowski_convex(P, tri).vertices)
     return union_star(parts, P.vertices[0])
@@ -358,6 +359,38 @@ def shipped(stem):
 def first_site(coll):
     """The p-family seed the CLI uses for a one-member collection."""
     return min(coll.members[0].sites, key=lambda p: p.key())
+
+
+class TestHullRegion:
+    @pytest.mark.parametrize("stem", ["sset3", "ssprime"])
+    @pytest.mark.parametrize("op", ["G", "P"])
+    def test_matches_reference_hull_on_member_images(self, stem, op):
+        """Along the first iterates of the chain, every member image's hull
+        is the Fraction monotone chain's, with the same reference: the
+        origin for G, none for P."""
+        coll = shipped(stem)
+        reference = ORIGIN if op == "G" else None
+        if op == "G":
+            q, step = PointSeed(ORIGIN), g_step
+        else:
+            common = set.intersection(*(set(S.sites) for S in coll.members))
+            q, step = PointSeed(min(common, key=lambda p: p.key())), p_step
+        hulled = 0
+        for _ in range(3):
+            for S in coll.members:
+                R = step(S, q)
+                want = Region.from_ring(reference_hull(R.vertices), reference=reference)
+                got = _hull_region(R, reference)
+                assert got == want  # vertices and reference both
+                hulled += got.vertices != R.vertices
+            q = apply_operator(op, coll, q)
+        assert hulled
+
+    def test_reference_outside_the_hull_is_rejected(self):
+        R = Region.from_ring([pt(1, 1), pt(3, 1), pt(2, 2), pt(3, 3), pt(1, 3)])
+        assert _hull_region(R).vertices == (pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3))
+        with pytest.raises(KernelViolation):
+            _hull_region(R, ORIGIN)
 
 
 def snap_candidate(q):

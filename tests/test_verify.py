@@ -114,6 +114,28 @@ class TestStarConvex:
         assert not rep.passed
         assert rep.witnesses
 
+    def test_notch_around_the_origin_names_the_edges_it_hides(self):
+        # the origin lies inside the U, but right of the notch's inner walls
+        # and of the bottom edge between them
+        U = Region.from_ring((pt(-2, -2), pt(2, -2), pt(2, 2), pt(1, 2),
+                              pt(1, -1), pt(-1, -1), pt(-1, 2), pt(-2, 2)))
+        rep = is_star_convex_origin(U)
+        assert rep == VerificationReport(
+            "is_star_convex_origin", False,
+            (pt(1, F(1, 2)), pt(0, -1), pt(-1, F(1, 2))),
+            "origin falls outside the edge halfplanes at these midpoints")
+
+    def test_edge_on_a_line_through_the_origin_is_no_witness(self):
+        # the origin is right of the bottom edge and of the left edge; the
+        # edge (3, 3) -> (2, 2) lies on y = x, so the origin is on its line
+        T = Region.from_ring((pt(F(1, 2), F(1, 3)), pt(3, F(1, 3)), pt(3, 3),
+                              pt(2, 2), pt(F(1, 2), 2)))
+        rep = is_star_convex_origin(T)
+        assert rep == VerificationReport(
+            "is_star_convex_origin", False,
+            (pt(F(7, 4), F(1, 3)), pt(F(1, 2), F(7, 6))),
+            "origin falls outside the edge halfplanes at these midpoints")
+
 
 class TestCellCoverage:
     def test_center_cell_inside_minimal_box(self):
