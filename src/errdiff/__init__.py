@@ -36,6 +36,7 @@ from .dynamics import (
     TriangleFamily,
     check_containment,
     error_bound_from_domain,
+    play,
     run,
     step_delayed,
     step_undelayed,
@@ -101,6 +102,7 @@ __all__ = [
     "load_scene",
     "parse_scalar",
     "parse_scene",
+    "play",
     "print_scene",
     "pt",
     "reachable_within",

@@ -12,10 +12,19 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, TextIO
 
-from .dynamics import Trace, run
-from .geometry import ORIGIN, GeometryError, PointSeed, Region, parse_scalar, pt, scalar_str
+from .dynamics import TraceStep, play
+from .geometry import (
+    ORIGIN,
+    GeometryError,
+    Point,
+    PointSeed,
+    Region,
+    parse_scalar,
+    pt,
+    scalar_str,
+)
 from .operators import Collection, IterationResult, iterate
 from .scene import ParseError, Scene, ValidationError, load_scene
 from .render import render_svg
@@ -50,24 +59,31 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
-def _write_trace(fh: TextIO, trace: Trace) -> None:
+def _write_trace(fh: TextIO, mode: str,
+                 steps: Iterable[TraceStep]) -> tuple[int, Point]:
     """The JSONL trace: json.dumps of each step's record, then a summary.
 
-    Step lines are formatted directly, with the bytes json.dumps gives the
-    record: str of a Fraction is its scalar_str and needs no escaping, and
-    each set id goes through json.dumps once.
+    Steps are written as they arrive, so a game from dynamics.play is never
+    held whole; returns the step count and the error left after the last
+    step (its z - y, or the origin for none).  Step lines are formatted
+    directly, with the bytes json.dumps gives the record: str of a Fraction
+    is its scalar_str and needs no escaping, and a set id goes through
+    json.dumps whenever it differs from the previous step's.
     """
-    set_ids: dict[str, str] = {}
-    for s in trace.steps:
-        sid = set_ids.get(s.set_id)
-        if sid is None:
-            sid = set_ids[s.set_id] = json.dumps(s.set_id)
+    count, last = 0, None
+    set_id = sid = None
+    for count, s in enumerate(steps, 1):
+        if s.set_id != set_id:
+            set_id, sid = s.set_id, json.dumps(s.set_id)
         x, y, e, z = s.x, s.y, s.e, s.z
         fh.write(f'{{"step": {s.n}, "set": {sid}, '
                  f'"x": ["{x.x!s}", "{x.y!s}"], "y": ["{y.x!s}", "{y.y!s}"], '
                  f'"e": ["{e.x!s}", "{e.y!s}"], "z": ["{z.x!s}", "{z.y!s}"]}}\n')
-    fh.write(json.dumps({"mode": trace.mode, "steps": len(trace.steps),
-                         "final_e": _point_strs(trace.final_error)}) + "\n")
+        last = s
+    final = ORIGIN if last is None else last.z - last.y
+    fh.write(json.dumps({"mode": mode, "steps": count,
+                         "final_e": _point_strs(final)}) + "\n")
+    return count, final
 
 
 def _config_from_args(scene: Scene, args):
@@ -140,12 +156,17 @@ def _cmd_simulate(scene: Scene, args, out: Path) -> int:
         opponent = scene.resolve_opponent(spec.opponent)
         steps = spec.steps if args.steps is None else args.steps
         seed = spec.seed if args.seed is None else args.seed
-        trace = run(spec.mode, provider, opponent, steps, seed=seed)
-        with (out / f"{name}.trace.jsonl").open("w") as fh:
-            _write_trace(fh, trace)
-        print(f"{name}: {trace.mode} {len(trace.steps)} steps, "
-              f"final e = ({scalar_str(trace.final_error.x)}, "
-              f"{scalar_str(trace.final_error.y)})")
+        rounds = play(spec.mode, provider, opponent, steps, seed=seed)
+        path = out / f"{name}.trace.jsonl"
+        try:
+            with path.open("w") as fh:
+                count, final = _write_trace(fh, spec.mode, rounds)
+        except BaseException:
+            # a game that fails mid-way leaves no partial trace behind
+            path.unlink(missing_ok=True)
+            raise
+        print(f"{name}: {spec.mode} {count} steps, "
+              f"final e = ({scalar_str(final.x)}, {scalar_str(final.y)})")
     return EXIT_OK
 
 

@@ -15,17 +15,19 @@ exactly on the logged trace.
 The per-round work runs on integers.  Every feasible set caches its hull
 ring once, as hull_ring: the vertices in sampling order with their
 (m, xs, ys) over one common denominator (Finite and Convex reuse their
-polygon's _scaled).  sample_hull_point draws its fan triangle and its
-point on that ring, the error-aligned opponent compares integer dot
-products on it, Finite and Convex sets test membership on their polygon's
-integer edge walls, Triangle tests membership by cross-multiplying and
-projects through project_convex_ring on its ring, and Finite projects
-through voronoi.project.  Only the points a round returns are built as
-Fractions.
+polygon's _scaled; Triangle writes T(h, t) = h*T(1, t) down from the
+numerators and denominators of h and t).  sample_hull_point draws its fan
+triangle and its point on that ring, the error-aligned opponent compares
+integer dot products on it, Finite and Convex sets test membership on
+their polygon's integer edge walls, Triangle tests membership by
+cross-multiplying and projects through project_convex_ring on its ring,
+and Finite projects through voronoi.project.  Only the points a round
+returns are built as Fractions.
 
-Trace.records gives each round as the dict that json.dumps turns into one
-trace line; `errdiff simulate` formats those same bytes directly from the
-round's Fractions, with no dict in between (cli._write_trace).
+play yields a game one TraceStep at a time, and run collects those steps
+into a Trace.  `errdiff simulate` writes each step's trace line as play
+yields it (cli._write_trace), so no game is held whole; Trace.records gives
+the same lines as dicts for json.dumps.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from .geometry import (
@@ -44,10 +47,8 @@ from .geometry import (
     Scalar,
     Scaled,
     dist_sq,
-    over_common_denominator,
     project_convex,
     project_convex_ring,
-    pt,
     scalar_str,
 )
 from .booleans import subset
@@ -154,12 +155,18 @@ class Triangle:
 
     @cached_property
     def hull_ring(self) -> HullRing:
+        """T(h, t) = h*T(1, t): over hd*td the corners (+-t*h, h) are
+        (+-tn*hn, td*hn), and one gcd brings that to the lcm of their
+        reduced denominators, as over_common_denominator gives it."""
         if self.h == 0:
-            verts = (ORIGIN,)
-        else:
-            w = self.t * self.h
-            verts = (ORIGIN, pt(w, self.h), pt(-w, self.h))
-        return verts, over_common_denominator(verts)
+            return (ORIGIN,), (1, [0], [0])
+        hn, hd = self.h.numerator, self.h.denominator
+        tn, td = self.t.numerator, self.t.denominator
+        x, y, m = tn * hn, td * hn, hd * td
+        g = gcd(m, x, y)
+        x, y, m = x // g, y // g, m // g
+        w = Fraction(x, m)
+        return (ORIGIN, Point(w, self.h), Point(-w, self.h)), (m, [0, x, -x], [0, y, y])
 
     def contains(self, p: Point) -> bool:
         """0 <= y <= h and |x| <= t*y, cross-multiplied."""
@@ -171,11 +178,9 @@ class Triangle:
     def project(self, p: Point) -> Point:
         if self.h == 0:
             return ORIGIN
-        # rotated to (-w, h), ORIGIN, (w, h), ConvexPolygon's canonical
-        # start, so the edges are scanned in the order a polygon gives them
-        verts, (m, xs, ys) = self.hull_ring
-        return project_convex_ring(verts[2:] + verts[:2],
-                                   (m, xs[2:] + xs[:2], ys[2:] + ys[:2]), p)
+        # the ring ORIGIN, (w, h), (-w, h) runs CCW, and the nearest point of
+        # a convex set is unique, so the edge order cannot change it
+        return project_convex_ring(*self.hull_ring, p)
 
 
 FeasibleSet = Finite | Convex | Triangle
@@ -417,46 +422,59 @@ def _mix(*parts: int | None) -> int:
     return acc
 
 
-def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
-        steps: int, seed: int = 0) -> Trace:
-    """Play a tracking game for the given number of rounds.
+def play(mode: str, provider: ScenarioProvider, opponent: Opponent,
+         steps: int, seed: int = 0) -> Iterator[TraceStep]:
+    """Play a tracking game, yielding each round's TraceStep as it is made.
 
+    The arguments are checked here, before the first round is asked for.
     The outcome is a pure function of (mode, provider, opponent, steps,
     seed): both random streams are derived from the run seed combined with
-    the owners' seeds, so equal arguments replay byte-identical traces.
+    the owners' seeds, so equal arguments replay byte-identical rounds.
+    The error left after the last round is its z - y.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    return _rounds(mode, provider, opponent, steps, seed)
+
+
+def _rounds(mode: str, provider: ScenarioProvider, opponent: Opponent,
+            steps: int, seed: int) -> Iterator[TraceStep]:
     prng = random.Random(_mix(seed, provider.seed, 1))
     orng = random.Random(_mix(seed, opponent.seed, 2))
-    out: list[TraceStep] = []
     e = ORIGIN
     if mode == "undelayed":
         for n in range(steps):
             fs = provider.pick(n, prng)
             x = opponent.pick(fs, e, n, orng)
             y, e_next, z = step_undelayed(e, fs, x)
-            out.append(TraceStep(n, fs.set_id, x, y, e, z))
+            yield TraceStep(n, fs.set_id, x, y, e, z)
             e = e_next
-        return Trace(mode, tuple(out), e)
+        return
     if steps == 0:
-        return Trace(mode, (), e)
+        return
     fs = provider.pick(0, prng)
     x = opponent.pick(fs, e, 0, orng)
     _check_input(fs, x)
     z = x  # z_0 = e_0 + x_0
     for n in range(steps):
         y = fs.project(z)
-        out.append(TraceStep(n, fs.set_id, x, y, e, z))
+        yield TraceStep(n, fs.set_id, x, y, e, z)
         e = z - y
         fs_next = provider.pick(n + 1, prng)
         x = opponent.pick(fs, e, n + 1, orng)  # from the set already seen
         _check_input(fs, x)
         z = e + x
         fs = fs_next
-    return Trace(mode, tuple(out), e)
+
+
+def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
+        steps: int, seed: int = 0) -> Trace:
+    """Play a tracking game for the given number of rounds and keep every
+    round: the Trace of play's steps and the error left after the last."""
+    out = tuple(play(mode, provider, opponent, steps, seed))
+    return Trace(mode, out, out[-1].z - out[-1].y if out else ORIGIN)
 
 
 # ---------------------------------------------------------------------------

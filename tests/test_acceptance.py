@@ -19,8 +19,8 @@ from errdiff.dynamics import (
     Opponent,
     ScenarioProvider,
     Triangle,
-    check_containment,
     finite_members,
+    play,
     run,
     triangle_bound,
 )
@@ -296,40 +296,56 @@ def _undelayed_case(stem: str, strategy: str, seed: int):
     return provider, opponent
 
 
+def _errors(rounds):
+    """(n, e_n) for n = 0, ..., steps of a streamed game: the error before
+    each round, then the error left after the last."""
+    s = None
+    for s in rounds:
+        yield s.n, s.e
+    if s is not None:
+        yield s.n + 1, s.z - s.y
+
+
 def test_criterion_09_undelayed_runs_stay_inside():
+    # each game streams through play and is checked round by round
     checks = []
     for stem in ("sset1", "sset2", "sset3", "sset4", "ssprime"):
         Q = converged_gset(stem)[0].final
         bound = Q.diameter_sq
         for strategy in ("uniform-random-in-hull", "error-aligned-vertex"):
             provider, opponent = _undelayed_case(stem, strategy, seed=9)
+            violations = []
+            in_bound = True
             t0 = time.perf_counter()
-            trace = run("undelayed", provider, opponent, _SIM_STEPS, seed=9)
+            for n, e in _errors(play("undelayed", provider, opponent, _SIM_STEPS, seed=9)):
+                if not Q.contains_point(e):
+                    violations.append(n)
+                if n in _CHECKPOINTS and \
+                        dist_sq(e, ORIGIN) / (n * n) > bound / Fraction(n * n):
+                    in_bound = False
             dt = time.perf_counter() - t0
-            violations = check_containment(trace, Q)
-            in_bound = all(
-                dist_sq(trace.steps[n].e if n < _SIM_STEPS
-                        else trace.final_error, ORIGIN) / (n * n)
-                <= bound / Fraction(n * n)
-                for n in _CHECKPOINTS)
             label = f"{stem}/{strategy}"
             checks.append((f"{label}: zero violations", not violations))
             checks.append((f"{label}: checkpoint bound", in_bound))
             checks.append((f"{label}: runtime < 60 s", dt < 60.0))
-            del trace
     _criterion(9, "100k-step undelayed runs: errors never leave the "
                "computed sets", checks)
 
 
 def test_criterion_10_delayed_triangle_family():
+    # the game streams through play: every z_n and e_n is checked as its
+    # round arrives, and the error left after the last round at the end
     provider = ScenarioProvider.random_triangle(1, 1, seed=41)
     opponent = Opponent("uniform-random-in-hull", seed=43)
-    trace = run("delayed", provider, opponent, _SIM_STEPS, seed=10)
     envelope = Triangle(1, 1)
-    z_violations = check_containment(trace, envelope, which="z")
     bound = triangle_bound(1, 1)
-    errors = [s.e for s in trace.steps] + [trace.final_error]
-    e_ok = all(dist_sq(e, ORIGIN) <= bound for e in errors)
+    z_violations = []
+    e_ok = True
+    for s in play("delayed", provider, opponent, _SIM_STEPS, seed=10):
+        if not envelope.contains(s.z):
+            z_violations.append(s.n)
+        e_ok = e_ok and dist_sq(s.e, ORIGIN) <= bound
+    e_ok = e_ok and dist_sq(s.z - s.y, ORIGIN) <= bound
     family = triangle_family_check(1, 1, samples=10_000, seed=0)
     checks = [
         ("triangle_bound(1,1) == 4", bound == 4),

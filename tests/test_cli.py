@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from errdiff.cli import main
+from errdiff.geometry import pt
+from errdiff.scene import Scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -123,6 +125,51 @@ class TestSimulate:
                        "--out", out, "--steps", 40) == 0
         lines = (out / "delayed-random-heights.trace.jsonl").read_text().splitlines()
         assert json.loads(lines[-1])["mode"] == "delayed"
+
+
+class _StrayOpponent:
+    """Plays the first hull vertex, then a point outside every hull at
+    round 1500, after the writer has flushed part of the trace."""
+
+    seed = None
+
+    def pick(self, fs, error, n, rng):
+        return pt(5, 5) if n == 1500 else fs.hull_vertices()[0]
+
+
+class TestSimulateFailures:
+    """A failed simulate exits 3 with its message and leaves no trace file."""
+
+    def test_negative_steps_are_rejected_before_the_file_opens(self, out, capsys):
+        assert run_cli("simulate", "--scene", SCENES / "sset1.json",
+                       "--out", out, "--steps", -1) == 3
+        assert capsys.readouterr().err == "error: steps must be nonnegative\n"
+        assert list(out.iterdir()) == []
+
+    def test_input_outside_the_hull_mid_game_removes_the_partial_trace(
+            self, out, capsys, monkeypatch):
+        monkeypatch.setattr(Scene, "resolve_opponent", lambda self, spec: _StrayOpponent())
+        assert run_cli("simulate", "--scene", SCENES / "sset1.json",
+                       "--out", out, "--steps", 2000) == 3
+        assert capsys.readouterr().err == "error: input (5, 5) outside hull of S\n"
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        # one process plays 2 000 and then 60 000 delayed rounds; a game held
+        # whole until written would add tens of MiB to the peak
+        code = (
+            "import resource, sys\n"
+            "from errdiff.cli import main\n"
+            "peaks = []\n"
+            "for steps in ('2000', '60000'):\n"
+            "    assert main(['simulate', '--scene', sys.argv[1], '--out', sys.argv[2],\n"
+            "                 '--steps', steps]) == 0\n"
+            "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(peaks[1] - peaks[0])\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(SCENES / "triangle.json"), str(tmp_path)],
+            capture_output=True, text=True, check=True)
+        assert int(proc.stdout.splitlines()[-1]) < 4 * 1024  # ru_maxrss is in KiB
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import io
 import json
 import random
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from errdiff.dynamics import (
     check_containment,
     error_bound_from_domain,
     finite_members,
+    play,
     run,
     sample_hull_point,
     step_delayed,
@@ -323,6 +325,24 @@ class TestRun:
         with pytest.raises(ValueError):
             run("delayed", p, Opponent("hull-vertex-cycle"), -1)
 
+    def test_play_checks_its_arguments_when_called(self):
+        p = ScenarioProvider.fixed(SQUARE)
+        with pytest.raises(ValueError, match="unknown mode"):
+            play("psychic", p, Opponent("hull-vertex-cycle"), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            play("delayed", p, Opponent("hull-vertex-cycle"), -1)
+
+    @pytest.mark.parametrize("mode, provider", [
+        ("undelayed", ScenarioProvider.random_choice((SQUARE, STAR8), seed=1)),
+        ("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=2))])
+    def test_play_is_lazy_and_run_collects_it(self, mode, provider):
+        o = Opponent("uniform-random-in-hull", seed=3)
+        head = list(islice(play(mode, provider, o, 10**12, seed=4), 50))
+        tr = run(mode, provider, o, 50, seed=4)
+        assert head == list(tr.steps)
+        assert tr == Trace(mode, tuple(play(mode, provider, o, 50, seed=4)),
+                           head[-1].z - head[-1].y)
+
     def test_random_square_errors_stay_in_half_box(self):
         tr = run("undelayed", ScenarioProvider.fixed(SQUARE),
                  Opponent("uniform-random-in-hull", seed=3), 400, seed=4)
@@ -577,6 +597,15 @@ def triangle_and_point(draw):
     return tri, u + (v - u).scale(t)
 
 
+# heights as the random-triangle provider draws them, Fraction(float) * h_max,
+# and slopes with denominators up to 2**64
+drawn_triangles = st.builds(
+    lambda u, h_max, t: Triangle(F(u) * h_max, t),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(wide_positive, st.fractions(F(1, 4), 2, max_denominator=4)),
+    st.integers(1, 2**64).flatmap(lambda d: st.integers(1, 4 * d).map(lambda n: F(n, d))))
+
+
 class TestIntegerKernels:
     @given(st.one_of(hulls(wide), hulls(narrow),
                      triangles.map(lambda tri: tri.hull_vertices())),
@@ -591,8 +620,9 @@ class TestIntegerKernels:
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
                lambda verts: st.sampled_from((Finite(SiteSet(verts)),
-                                              Convex(ConvexPolygon(verts))))) | triangles)
-    @settings(max_examples=200, deadline=None)
+                                              Convex(ConvexPolygon(verts)))))
+           | triangles | drawn_triangles)
+    @settings(max_examples=300, deadline=None)
     def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
         verts, scaled = fs.hull_ring
         if isinstance(fs, Triangle):
@@ -639,7 +669,7 @@ def _shipped(stem):
 def _written(trace):
     """The JSONL trace that `errdiff simulate` writes."""
     fh = io.StringIO()
-    _write_trace(fh, trace)
+    assert _write_trace(fh, trace.mode, trace.steps) == (len(trace), trace.final_error)
     return fh.getvalue()
 
 
@@ -679,6 +709,12 @@ class TestTraceWriter:
         tr = run("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=5),
                  Opponent("uniform-random-in-hull", seed=6), 200, seed=7)
         assert _written(tr) == self._dumped(tr)
+
+    @pytest.mark.parametrize("mode", ["undelayed", "delayed"])
+    def test_no_steps(self, mode):
+        tr = run(mode, ScenarioProvider.fixed(SQUARE), Opponent("hull-vertex-cycle"), 0)
+        assert _written(tr) == self._dumped(tr) == \
+            f'{{"mode": "{mode}", "steps": 0, "final_e": ["0", "0"]}}\n'
 
 
 class TestPinnedTraces:
