@@ -23,8 +23,9 @@ cycles.  union_one_region is the union the operators use: it demands
 exactly one cycle; the p family unites its members there, and its general
 route its hull sweeps.  Results are regularized: zero-area slivers and
 whiskers vanish.  Unions of parts star-shaped around one center, and
-Minkowski sums of a convex polygon with a star region, go through
-errdiff.starunion instead.
+Minkowski sums of a convex polygon with a non-convex star region, go
+through errdiff.starunion instead; union_one_region's single cycle is
+simple and canonical, so it becomes a Region without a second check.
 """
 from __future__ import annotations
 
@@ -400,10 +401,10 @@ def union_one_region(rings: Sequence[Sequence[Point]]) -> Region:
     """Union of simple CCW rings that must be exactly one cycle.
 
     Raises DisconnectedUnion otherwise.  A single cycle that passed the
-    touch and hole tests of union_rings is simple, so the Region is built
-    without a second simplicity test.
+    touch and hole tests of union_rings is simple and canonical, so the
+    Region is built from it directly.
     """
     cycles = union_rings(rings)
     if len(cycles) != 1:
         raise DisconnectedUnion(f"union has {len(cycles)} components")
-    return Region.from_ring(cycles[0], validate=False)
+    return Region(tuple(cycles[0]))

@@ -8,23 +8,26 @@ everything else runs on integers over a common denominator.
 
 A ring or point set is decided on once it is put over one common
 denominator (over_common_denominator): canonicalize_ring (duplicates, the
-collinear sweep, the area sign and the start vertex), convex_hull (the
-monotone chain _hull_order, which errdiff.voronoi and errdiff.operators
-call directly), is_simple_ring, is_convex_ring, point_in_ring,
-star_kernel_contains, ring_area2, diameter_sq_of and minkowski_convex all
-run on the integer numerators, and a Polygon caches its own (m, xs, ys) as
+collinear sweep, the area sign and the start vertex, _canonical_order on
+integers, which errdiff.booleans and errdiff.operators call directly),
+convex_hull (the monotone chain _hull_order, which errdiff.voronoi and
+errdiff.operators call directly), is_simple_ring, is_convex_ring,
+point_in_ring, star_kernel_contains, ring_area2 and diameter_sq_of all run
+on the integer numerators, and a Polygon caches its own (m, xs, ys) as
 _scaled.  Against a query point p, the ring's x axis is scaled by p.x's
 denominator and its y axis by p.y's, which keeps every comparison and
 every orientation sign; point_in_ring then runs _ring_locate, the integer
 core that errdiff.booleans calls directly.  New Fractions are built only
-for returned points: the kept vertices of a Minkowski sum and the
-coordinates of a projection.
+for the coordinates of a projection.
 
 Two polygon types share one base, Polygon (the canonical vertex tuple,
 edges, area2, bbox, diameter_sq, _scaled): ConvexPolygon, a strictly convex
 hull, and Region, a simple polygon with an optional declared star center.
-Callers dispatch on the two types, so neither is the other.  Clipping and
-union live in errdiff.booleans and errdiff.starunion.
+Callers dispatch on the two types, so neither is the other.
+Region.from_ring canonicalizes and validates any ring; a caller that holds
+a canonical ring it knows is simple builds Region(ring) directly.
+Clipping and union live in errdiff.booleans and errdiff.starunion, and
+Minkowski sums in errdiff.operators.
 
 Convex polygons answer locate and contains_point from their edge walls,
 HalfPlane integer triples computed once per polygon.  project_convex_ring
@@ -561,68 +564,6 @@ def project_convex_ring(vertices: Sequence[Point], scaled: Scaled, x: Point) -> 
                  Fraction(uy * dd + (ys[j] * k - uy) * t, den))
 
 
-def minkowski_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Minkowski sum of convex polygons by edge-vector angular merge.
-
-    Both polygons go over the lcm m of their common denominators; the edge
-    vectors, the half-plane and cross-product decisions of the merge and
-    the canonical form of the sum are all integers over m.  Only the kept
-    vertices of the sum become Fractions.
-    """
-    mp, pxs, pys = p._scaled
-    mq, qxs, qys = q._scaled
-    m = lcm(mp, mq)
-
-    def bottom_start(xs: list[int], ys: list[int], k: int) -> tuple[list[int], list[int]]:
-        s = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
-        order = list(range(s, len(xs))) + list(range(s))
-        return [xs[i] * k for i in order], [ys[i] * k for i in order]
-
-    def edge_vectors(xs: list[int], ys: list[int]) -> list[tuple[int, int]]:
-        return [(xs[(i + 1) % len(xs)] - xs[i], ys[(i + 1) % len(xs)] - ys[i])
-                for i in range(len(xs))]
-
-    def half(d: tuple[int, int]) -> int:
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    axs, ays = bottom_start(pxs, pys, m // mp)
-    bxs, bys = bottom_start(qxs, qys, m // mq)
-    ea = edge_vectors(axs, ays)
-    eb = edge_vectors(bxs, bys)
-    x, y = axs[0] + bxs[0], ays[0] + bys[0]
-    oxs, oys = [x], [y]
-    i = j = 0
-    while i < len(ea) or j < len(eb):
-        if i == len(ea):
-            step = eb[j]
-            j += 1
-        elif j == len(eb):
-            step = ea[i]
-            i += 1
-        else:
-            da, db = ea[i], eb[j]
-            ha, hb = half(da), half(db)
-            cr = da[0] * db[1] - da[1] * db[0]
-            if ha == hb and cr == 0:
-                step = (da[0] + db[0], da[1] + db[1])
-                i += 1
-                j += 1
-            elif (ha < hb) if ha != hb else (cr > 0):
-                step = da
-                i += 1
-            else:
-                step = db
-                j += 1
-        x, y = x + step[0], y + step[1]
-        oxs.append(x)
-        oys.append(y)
-    order = _canonical_order(oxs, oys)
-    if order is None:
-        raise DegenerateHull("degenerate Minkowski sum")
-    return ConvexPolygon(tuple(Point(Fraction(oxs[k], m), Fraction(oys[k], m))
-                               for k in order))
-
-
 # ---------------------------------------------------------------------------
 # regions
 
@@ -636,13 +577,12 @@ class Region(Polygon):
     reference: Point | None = None
 
     @staticmethod
-    def from_ring(points: Sequence[Point], reference: Point | None = None,
-                  validate: bool = True) -> "Region":
+    def from_ring(points: Sequence[Point], reference: Point | None = None) -> "Region":
         ring = canonicalize_ring(points)
         if ring is None:
             raise DegenerateRegion("ring has zero area")
         region = Region(tuple(ring), reference)
-        if validate and not is_simple_ring(ring, region._scaled):
+        if not is_simple_ring(ring, region._scaled):
             raise NotSimple("boundary self-intersects")
         if reference is not None and not star_kernel_contains(ring, reference,
                                                               region._scaled):

@@ -2,18 +2,20 @@
 
 Both operators use the recentered cell union U(X) = union over sites c of
 (X ∩ V(c)) − c: g(Q) = U(ch S + Q) and p(D) = ch S + U(D), the same two
-pieces in the opposite order.  g_step and p_step both clip on the region's
-integer ring (booleans.clip_components) and shift each piece by -c on
-integers (starunion.star_cycle).  apply_operator is the one member loop:
-each member's step, its convex hull for G and P (geometry._hull_order on
-the image's integer ring, built of its own vertices; with_reference checks
-the reference), and the union of the members.  Iterating any operator from
-a seed grows a monotone chain of regions whose limit is the minimal
-invariant set; the engine below runs that chain with exact rational
-arithmetic and stops it in one of two ways: at an exact fixed point
-(canonical vertex equality), or at a certified outer set, a snapped
-candidate C that holds the current iterate and that the operator maps into
-itself, both decided exactly.
+pieces in the opposite order.  Both add ch S to a region by one
+convolution-cycle walk (minkowski_convex_star), for a convex region
+anywhere and for one star-shaped around the origin.  g_step and p_step both
+clip on the region's integer ring (booleans.clip_components) and shift each
+piece by -c on integers (starunion.star_cycle).  apply_operator is the one
+member loop: each member's step, its convex hull for G and P
+(geometry._hull_order on the image's integer ring, built of its own
+vertices; with_reference checks the reference), and the union of the
+members.  Iterating any operator from a seed grows a monotone chain of
+regions whose limit is the minimal invariant set; the engine below runs
+that chain with exact rational arithmetic and stops it in one of two ways:
+at an exact fixed point (canonical vertex equality), or at a certified
+outer set, a snapped candidate C that holds the current iterate and that
+the operator maps into itself, both decided exactly.
 """
 from __future__ import annotations
 
@@ -33,12 +35,12 @@ from .geometry import (
     Point,
     PointSeed,
     Region,
+    _canonical_order,
     _hull_order,
     convex_hull,
     dist_sq,
     equal_canonical,
     is_convex_ring,
-    minkowski_convex,
     over_common_denominator,
     point_in_ring,
     scalar_str,
@@ -148,25 +150,24 @@ class EmptyCellPiece(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# Minkowski sum of a convex polygon with a star region
+# Minkowski sum of a convex polygon with a convex or star region
 
 def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
-    """P + Q for convex P and Q star-shaped around the origin.
+    """P + Q for convex P and Q either convex or star-shaped around the
+    origin.
 
-    A convex Q is summed by minkowski_convex.  Otherwise the sum is the
-    radial envelope around c = P.vertices[0] of the convolution cycle of P
-    and Q (Guibas, Ramshaw & Stolfi, FOCS 1983; Wein, ESA 2006): each edge
-    of Q translated by the vertex of P whose cone of edge directions holds
-    it, and at each vertex of Q the edges of P whose directions its turn
-    sweeps, forward at a left turn and backward at a right turn.  Every
+    The sum is read off the convolution cycle of P and Q (Guibas, Ramshaw
+    & Stolfi, FOCS 1983; Wein, ESA 2006): each edge of Q translated by the
+    vertex of P whose cone of edge directions holds it, and at each vertex
+    of Q the edges of P whose directions its turn sweeps, forward at a left
+    turn and backward at a right turn.  The cycle is built on integers over
+    one common denominator, relative to c = P.vertices[0].  When every turn
+    of Q is a left turn, Q is convex, may lie anywhere, and the cycle is
+    the boundary of P + Q: its canonical form is the sum.  Otherwise every
     cycle point lies in P + Q, which is star-shaped around every point of
-    P, and the boundary of P + Q lies on the cycle, so the envelope
-    (starunion.cycle_envelope) is the sum itself.  The cycle is built on
-    integers over one common denominator, relative to c.
+    P, and the boundary of P + Q lies on the cycle, so the radial envelope
+    around c (starunion.cycle_envelope) is the sum itself.
     """
-    if is_convex_ring(Q.vertices, Q._scaled):
-        s = minkowski_convex(P, ConvexPolygon(Q.vertices))
-        return Region.from_ring(s.vertices, validate=False)
     mp, pxs, pys = P._scaled
     mq, qxs, qys = Q._scaled
     m = lcm(mp, mq)
@@ -190,6 +191,7 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
             break
     xs: list[int] = []
     ys: list[int] = []
+    convex = True
     for j in range(n):
         vx, vy, x0, y0 = dqx[j], dqy[j], qx[j], qy[j]
         xs.append(px[i] + x0)
@@ -205,6 +207,7 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
                 ys.append(py[i] + y0)
         else:
             # right turn u -> v: backward through the P edges in (v, u]
+            convex = False
             while True:
                 wx, wy = dpx[i - 1], dpy[i - 1]
                 if vx * wy - vy * wx <= 0 or wx * uy - wy * ux < 0:
@@ -213,7 +216,11 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
                 xs.append(px[i] + x0)
                 ys.append(py[i] + y0)
         ux, uy = vx, vy
-    return cycle_envelope([(xs, ys, m)], P.vertices[0])
+    if not convex:
+        return cycle_envelope([(xs, ys, m)], P.vertices[0])
+    ox, oy = pxs[0] * kp, pys[0] * kp
+    return Region(tuple(Point(Fraction(xs[t] + ox, m), Fraction(ys[t] + oy, m))
+                        for t in _canonical_order(xs, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +266,18 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
 # the p family
 
 def _sum_hull_with_ring(hull: ConvexPolygon, ring: list[Point]) -> list[list[Point]]:
-    """Rings whose union is hull + ring, ring an arbitrary simple piece.
+    """Rings whose union is hull + ring, ring an arbitrary simple canonical
+    piece.
 
-    A point of the sum that misses the ring moved by one hull vertex lies on
-    the hull swept along the ring's boundary, so the union of that moved
-    ring with conv((hull + a) | (hull + b)) over the ring's edges [a, b] is
-    the sum.
+    A convex ring, which need not hold the origin, is summed by
+    minkowski_convex_star.  Otherwise a point of the sum that misses the
+    ring moved by one hull vertex lies on the hull swept along the ring's
+    boundary, so the union of that moved ring with conv((hull + a) |
+    (hull + b)) over the ring's edges [a, b] is the sum.
     """
-    if is_convex_ring(ring):
-        return [list(minkowski_convex(hull, ConvexPolygon(tuple(ring))).vertices)]
+    piece = Region(tuple(ring))
+    if is_convex_ring(ring, piece._scaled):
+        return [list(minkowski_convex_star(hull, piece).vertices)]
     h0 = hull.vertices[0]
     out = [[v + h0 for v in ring]]
     n = len(ring)

@@ -192,7 +192,7 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     realizes several outputs at once; together with the hull corners they
     drive the error to the boundary of the minimal set.
     """
-    hull = Region.from_ring(S.hull.vertices, validate=False)
+    hull = Region(S.hull.vertices)
     pool = set(S.hull.vertices)
     for c in S.sites:
         piece = intersect_region_cell(hull, cell(S, c))

@@ -475,3 +475,80 @@ def test_pinned_artifacts(scene, command, out):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in out.iterdir()}
     assert got == PINNED_ARTIFACTS[scene, command]
+
+
+# sha256 of the <name>.verify.json that verify writes after min-gset and
+# min-fset, both plain or both --convex, for every shipped scene with
+# collections: the verdicts, witnesses and notes.  Recorded before the
+# Minkowski sum of two convex polygons moved onto the convolution-cycle walk
+PINNED_VERIFY = {
+    ("square_center", "plain"): {
+        "square-center.verify.json":
+            "53efef953446cfa17e6854b534827147cc239c0b035708fb9037ee10044cffde",
+    },
+    ("square_center", "convex"): {
+        "square-center.verify.json":
+            "53efef953446cfa17e6854b534827147cc239c0b035708fb9037ee10044cffde",
+    },
+    ("sset1", "plain"): {
+        "sset1.verify.json":
+            "91f5f9653904432639e2de4d4a2f91540b2f02b87d1d8cb407419858b66cbd55",
+    },
+    ("sset1", "convex"): {
+        "sset1.verify.json":
+            "7636091ab292a1d161ef90146ba5a4386f7c3bd79ed6baf2224443144258e11c",
+    },
+    ("sset2", "plain"): {
+        "sset2.verify.json":
+            "a9be002fe2d21a05f9c6e2962c1152c7eb99aec89c2945769a01198430027438",
+    },
+    ("sset2", "convex"): {
+        "sset2.verify.json":
+            "1ba014712a0f730c97166e25cb2fee8c967bb65376b73572b718fb889e92470e",
+    },
+    ("sset3", "plain"): {
+        "sset3.verify.json":
+            "ac63fc272664daf7640a34977b220f16602e484f734dd6a623291f847b296857",
+    },
+    ("sset3", "convex"): {
+        "sset3.verify.json":
+            "9cc660a373bef459895532a5e5e5aabf30c3a0d3a589368142980c77a65afe2e",
+    },
+    ("sset4", "plain"): {
+        "sset4.verify.json":
+            "ab8baef0ab825fa1e6312d44287069b83579f8848cc8015ebbaadd821ccba671",
+    },
+    ("sset4", "convex"): {
+        "sset4.verify.json":
+            "ab8baef0ab825fa1e6312d44287069b83579f8848cc8015ebbaadd821ccba671",
+    },
+    ("ssprime", "plain"): {
+        "ssprime.verify.json":
+            "1959432cd598c65f125c4449e0ee265cdc8ae9c56b88ed0ae1b8bd11063fbe85",
+    },
+    ("ssprime", "convex"): {
+        "ssprime.verify.json":
+            "84c1b8b5e404dc02ffd03a3cfb6844faad3d409b0e53da0f7aca4edf0afe9706",
+    },
+    ("unit_square", "plain"): {
+        "unit-square.verify.json":
+            "ae9428904b2202b8e97c29fb863716afb66cfad4003656db52af3bc72708c7ad",
+    },
+    ("unit_square", "convex"): {
+        "unit-square.verify.json":
+            "ae9428904b2202b8e97c29fb863716afb66cfad4003656db52af3bc72708c7ad",
+    },
+}
+
+
+@pytest.mark.parametrize("scene, variant", sorted(PINNED_VERIFY),
+                         ids=[f"{s}-{v}" for s, v in sorted(PINNED_VERIFY)])
+def test_pinned_verify(scene, variant, out):
+    path = SCENES / f"{scene}.json"
+    flags = ["--convex"] if variant == "convex" else []
+    for command in ("min-gset", "min-fset"):
+        assert run_cli(command, *flags, "--scene", path, "--out", out) == 0
+    assert run_cli("verify", "--scene", path, "--out", out) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.glob("*.verify.json")}
+    assert got == PINNED_VERIFY[scene, variant]

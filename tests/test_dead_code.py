@@ -1,5 +1,7 @@
 """Every module-level function and class in the package is used by the
-package itself or exported: code that only tests call is dead code."""
+package itself or exported: code that only tests call is dead code.  And
+every name a module imports is read there: an import left behind by a
+deletion is dead too."""
 import ast
 from pathlib import Path
 
@@ -36,6 +38,26 @@ def unused_definitions(src: Path) -> list[str]:
             and all(r is node for r in readers.get(node.name, []))]
 
 
+def unread_imports(src: Path) -> list[str]:
+    """module:name of each name that a module of src imports and never
+    reads.  __init__.py imports to re-export, so it is left out, and so is
+    a __future__ import."""
+    out = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text(), filename=str(p))
+        read = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [f"{p.name}:{name}" for alias in node.names
+                        if (name := alias.asname or alias.name.split(".")[0])
+                        not in read]
+    return out
+
+
 def test_every_definition_is_used_or_exported():
     assert unused_definitions(SRC) == []
 
@@ -47,3 +69,17 @@ def test_a_definition_read_only_by_itself_is_unused(tmp_path):
         "class _Box:\n    def _used(self):\n        return _used()\n\n"
         "def _reader(b):\n    return b._Box\n")
     assert unused_definitions(tmp_path) == ["m.py:_loop", "m.py:_Box", "m.py:_reader"]
+
+
+def test_every_import_is_read():
+    assert unread_imports(SRC) == []
+
+
+def test_an_import_read_nowhere_is_unread(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import _used\n")
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\n"
+        "from math import gcd, lcm\n\n"
+        "def _used(x: int) -> int:\n    return gcd(x, 2) + len(os.sep)\n")
+    assert unread_imports(tmp_path) == ["m.py:system", "m.py:lcm"]

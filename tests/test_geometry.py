@@ -26,7 +26,6 @@ from errdiff.geometry import (
     equal_canonical,
     is_convex_ring,
     is_simple_ring,
-    minkowski_convex,
     parse_scalar,
     point_in_ring,
     project_convex,
@@ -35,6 +34,7 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
+from errdiff.operators import minkowski_convex_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -461,11 +461,16 @@ class TestConvexPolygonIntegerKernel:
         assert project_convex(poly, x) == reference_project(poly, x)
 
 
+def convex_sum(p: ConvexPolygon, q: ConvexPolygon) -> Region:
+    """The sum of two convex polygons by the one Minkowski walk."""
+    return minkowski_convex_star(p, Region(q.vertices))
+
+
 class TestMinkowski:
     def test_square_plus_triangle_pentagon(self):
         sq = ConvexPolygon.hull_of(UNIT_SQUARE)
         tri = ConvexPolygon.hull_of(ring_of((0, 0), (1, 0), (0, 1)))
-        got = minkowski_convex(sq, tri)
+        got = convex_sum(sq, tri)
         assert list(got.vertices) == ring_of((0, 0), (2, 0), (2, 1), (1, 2), (0, 2))
 
     @given(st.lists(points, min_size=3, max_size=7),
@@ -477,7 +482,7 @@ class TestMinkowski:
             b = ConvexPolygon.hull_of(bp)
         except DegenerateHull:
             return
-        got = minkowski_convex(a, b)
+        got = convex_sum(a, b)
         brute = convex_hull([u + v for u in a.vertices for v in b.vertices])
         assert list(got.vertices) == list(brute)
 
@@ -560,8 +565,9 @@ def reference_is_simple(ring) -> bool:
 
 
 def reference_minkowski(p, q):
-    """minkowski_convex in Fraction points: the edge-vector merge from both
-    lowest vertices, then the restarting canonical sweep."""
+    """The Minkowski sum of convex polygons in Fraction points: the
+    edge-vector merge from both lowest vertices, then the restarting
+    canonical sweep."""
     def bottom_start(vs):
         k = min(range(len(vs)), key=lambda i: (vs[i].y, vs[i].x))
         return list(vs[k:]) + list(vs[:k])
@@ -678,7 +684,7 @@ class TestRingIntegerKernel:
             b = ConvexPolygon.hull_of(bp)
         except DegenerateHull:
             return
-        got = list(minkowski_convex(a, b).vertices)
+        got = list(convex_sum(a, b).vertices)
         assert got == reference_minkowski(a, b)
         assert got == list(convex_hull([u + v for u in a.vertices for v in b.vertices]))
 

@@ -16,12 +16,13 @@ from errdiff.geometry import (
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
+    Point,
     PointSeed,
     Region,
+    convex_hull,
     dist_sq,
     equal_canonical,
     is_convex_ring,
-    minkowski_convex,
     pt,
 )
 from errdiff.operators import (
@@ -30,6 +31,7 @@ from errdiff.operators import (
     IterationConfig,
     SNAP_DENOMINATOR,
     _hull_region,
+    _sum_hull_with_ring,
     apply_operator,
     as_candidate,
     certify,
@@ -42,7 +44,13 @@ from errdiff.operators import (
 from errdiff.scene import load_scene
 from errdiff.starunion import union_star
 from errdiff.voronoi import SiteSet, cell
-from test_geometry import reference_hull, reference_orient
+from test_geometry import (
+    grid_points,
+    reference_hull,
+    reference_minkowski,
+    reference_orient,
+    wide_points,
+)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -146,18 +154,17 @@ class TestMinkowskiConvexStar:
 
 
 def fan_sum(P, Q):
-    """Reference P + Q: the convex sum of P with each origin triangle of Q,
+    """Reference P + Q: the Fraction edge merge for a convex Q; otherwise
+    the hull of the pairwise sums of P with each origin triangle of Q,
     united radially around P's first vertex."""
     if is_convex_ring(Q.vertices):
-        s = minkowski_convex(P, ConvexPolygon.hull_of(Q.vertices))
-        return Region.from_ring(s.vertices, validate=False)
+        return Region(tuple(reference_minkowski(P, Q)))
     parts = []
     n = len(Q.vertices)
     for i in range(n):
         a, b = Q.vertices[i], Q.vertices[(i + 1) % n]
         if reference_orient(ORIGIN, a, b):
-            tri = ConvexPolygon.hull_of((ORIGIN, a, b))
-            parts.append(minkowski_convex(P, tri).vertices)
+            parts.append(convex_hull([u + v for u in P.vertices for v in (ORIGIN, a, b)]))
     return union_star(parts, P.vertices[0])
 
 
@@ -225,6 +232,53 @@ class TestMinkowskiConvexStarOracle:
         want = fan_sum(P, Q)
         assert got.vertices == want.vertices
         assert got.reference == want.reference
+
+
+@st.composite
+def convex_polygons(draw, point_strategy):
+    pts = draw(st.lists(point_strategy, min_size=3, max_size=7))
+    try:
+        return ConvexPolygon.hull_of(pts)
+    except DegenerateHull:
+        assume(False)
+
+
+@st.composite
+def convex_off_origin(draw, point_strategy):
+    """A convex polygon moved clear of the origin: right of x = 0 by a
+    drawn gap, then turned by a drawn multiple of a quarter turn."""
+    poly = draw(convex_polygons(point_strategy))
+    dx = 1 - min(v.x for v in poly.vertices) + draw(st.integers(0, 3))
+    dy = draw(st.integers(-6, 6))
+    ring = [pt(v.x + dx, v.y + dy) for v in poly.vertices]
+    for _ in range(draw(st.integers(0, 3))):
+        ring = [Point(-v.y, v.x) for v in ring]
+    return ConvexPolygon.hull_of(ring)
+
+
+convex_pairs = st.one_of(
+    st.tuples(convex_polygons(grid_points), convex_off_origin(grid_points)),
+    st.tuples(convex_polygons(wide_points), convex_off_origin(wide_points)))
+
+
+class TestConvexSummandOffOrigin:
+    """A convex summand may lie anywhere: the walk closes its convolution
+    cycle into the sum without the radial envelope."""
+
+    @given(convex_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_fraction_merge(self, pair):
+        P, Q = pair
+        assert Q.locate(ORIGIN) < 0
+        got = minkowski_convex_star(P, Region(Q.vertices))
+        assert list(got.vertices) == reference_minkowski(P, Q)
+        assert got.reference is None
+
+    @given(convex_pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_sum_hull_with_convex_ring(self, pair):
+        P, Q = pair
+        assert _sum_hull_with_ring(P, list(Q.vertices)) == [reference_minkowski(P, Q)]
 
 
 class TestPStep:
