@@ -170,10 +170,23 @@ def _cmd_simulate(scene: Scene, args, out: Path) -> int:
     return EXIT_OK
 
 
+def _point_of(value, path: Path, where: str) -> Point:
+    """A stored [x, y] pair as a Point; ValidationError names the file."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"{path}: {where} is not an [x, y] pair",
+                              (str(path),))
+    try:
+        return pt(parse_scalar(value[0]), parse_scalar(value[1]))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {where}: {exc}", (str(path),)) from None
+
+
 def _load_region(path: Path) -> Region:
     payload = json.loads(path.read_text())
-    ring = [pt(parse_scalar(x), parse_scalar(y)) for x, y in payload["vertices"]]
-    return Region.from_ring(ring)
+    vertices = payload.get("vertices") if isinstance(payload, dict) else None
+    if not isinstance(vertices, list):
+        raise ValidationError(f"{path}: no \"vertices\" list", (str(path),))
+    return Region.from_ring([_point_of(v, path, "a vertex") for v in vertices])
 
 
 def _report_dict(rep: VerificationReport) -> dict:
@@ -244,11 +257,10 @@ def _cmd_report_assumptions(scene: Scene, args, out: Path) -> int:
 
 def _load_trace(path: Path) -> list:
     points = []
-    for line in path.read_text().splitlines():
+    for n, line in enumerate(path.read_text().splitlines(), 1):
         record = json.loads(line)
-        key = "e" if "e" in record else "final_e"
-        points.append(pt(parse_scalar(record[key][0]),
-                         parse_scalar(record[key][1])))
+        e = record.get("e", record.get("final_e")) if isinstance(record, dict) else None
+        points.append(_point_of(e, path, f"line {n}'s \"e\" or \"final_e\""))
     return points
 
 

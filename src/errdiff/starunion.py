@@ -4,13 +4,16 @@ Every input must keep the center in its kernel. The union is then a radial
 envelope: sweeping a ray around the center, the union boundary is the
 farthest input boundary along each direction.  cycle_envelope builds it
 from closed polygonal cycles on integers, each relative to the center and
-over its own denominator: it drops the edges on a line through the center,
-cuts the rest into chains that turn one way around the center, packs
-chains that do not overlap in angle into one fan, and merges the fans.  The
-merge walks two fans as angular chains and keeps the outer one, splitting
-at exact crossings. Directions with no coverage are gaps; a single gap
-closes through the center, two or more mean the union pinches there and
-has no simple boundary.
+over its own denominator, in one angular sweep.  It drops the edges on a
+line through the center and cuts the rest into chains that turn one way
+around the center.  The directions of all chain vertices, with the four
+axes, cut the turn into arcs shorter than a half turn, and each chain edge
+goes into every arc it spans.  In each arc the outermost edge is followed
+from one end to the other, handing over at exact crossings (_arc): the
+radial form of the envelope of line segments (Hershberger, Inf. Process.
+Lett. 33(4), 1989).  Arcs that no edge spans are gaps; a single gap closes
+through the center, two or more mean the union pinches there and has no
+simple boundary.
 
 The cycles are the boundaries of the parts of a union (union_star, the
 g and p steps' clipped pieces, and p's hull shifts for a point seed),
@@ -18,17 +21,16 @@ each put relative to the center by star_cycle, which also checks that
 the center is in the part's kernel; or the convolution cycle of a
 Minkowski sum, whose edges may turn either way.
 
-The merge runs on integers only.  A fan vertex is a reduced integer triple
-(x, y, d) with d > 0, the point (x / d, y / d), carried with its reduced
-integer direction.  Each covering edge's line is put over the common
+The sweep runs on integers only.  A chain vertex is a reduced integer
+triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its
+reduced integer direction.  Each edge's line is put over the common
 denominator of its two ends, and two lines are compared along a ray by
 cross-multiplying; the boundary point on a ray (_limit) and the crossing of
 two lines (_crossing) come back as reduced triples.  Points are built once,
-for the output ring (_envelope).
+for the output ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -59,44 +61,12 @@ def _dir_cmp(a: Dir, b: Dir) -> int:
     return (cr < 0) - (cr > 0)
 
 
-def _before(s: Dir, a: Dir, b: Dir) -> bool:
-    """True when a comes strictly before b turning counterclockwise from s,
-    angles taken in [0, 2 pi)."""
-    def half(d: Dir) -> int:
-        cr = s[0] * d[1] - s[1] * d[0]
-        return 0 if cr > 0 or (cr == 0 and s[0] * d[0] + s[1] * d[1] > 0) else 1
-
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return ha < hb
-    return a[0] * b[1] - a[1] * b[0] > 0
-
-
-def _overlap(a: tuple[Dir, Dir], b: tuple[Dir, Dir]) -> bool:
-    """Whether two counterclockwise angular spans (start, end), each short
-    of a full turn, share more than an end direction."""
-    return _before(a[0], b[0], a[1]) or _before(b[0], a[0], b[1])
-
-
-@dataclass
-class _Fan:
-    """Boundary of a star set around the origin, minus the origin caps.
-
-    chains: angular runs of boundary vertices in CCW order; consecutive
-    vertices of a chain either subtend a positive angle at the origin or
-    sit on one ray (a radial jump). full means one chain wrapping all
-    directions.
-    """
-    chains: list[list[Vertex]]
-    full: bool
-
-
 class _Edge:
-    """A fan edge a -> b between triples, and its line in integers.
+    """A chain edge a -> b between triples, and its line in integers.
 
     With a and b over the common denominator den, the line meets the ray
     of direction u at t(u) * u for t(u) = n / (den * (ux*dy - uy*dx)).
-    ka and kb index the directions of a and b in the merge's event list.
+    ka and kb index the directions of a and b in the sweep's event list.
     """
 
     __slots__ = ("a", "b", "ka", "kb", "n", "den", "dx", "dy")
@@ -144,36 +114,12 @@ def _crossing(ea: _Edge, eb: _Edge) -> Vertex:
     return (X // g, Y // g, D // g), (X // h, Y // h)
 
 
-def _assign(fan: _Fan, uidx: dict[Dir, int], m: int) -> list[_Edge | None]:
-    """Covering edge of the fan for each angular arc between adjacent events."""
-    arcs: list[_Edge | None] = [None] * m
-    for chain in fan.chains:
-        n = len(chain)
-        limit = n if fan.full else n - 1
-        for e in range(limit):
-            (a, da), (b, db) = chain[e], chain[(e + 1) % n]
-            ka, kb = uidx[da], uidx[db]
-            if ka == kb:
-                continue
-            edge = _Edge(a, b, ka, kb)
-            k = ka
-            while k != kb:
-                arcs[k] = edge
-                k = (k + 1) % m
-    return arcs
-
-
-def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Triple:
-    """Boundary point at event k approached from the left (side=0) or the
-    right (side=1)."""
-    if side == 0:
-        edge = arcs[k - 1]
-        if edge.kb == k:
-            return edge.b
-    else:
-        edge = arcs[k]
-        if edge.ka == k:
-            return edge.a
+def _limit(edge: _Edge, k: int, d: Dir) -> Triple:
+    """The point of edge's line on the ray d, the direction of event k."""
+    if edge.ka == k:
+        return edge.a
+    if edge.kb == k:
+        return edge.b
     n = edge.n
     D = edge.den * (d[0] * edge.dy - d[1] * edge.dx)
     if D < 0:
@@ -182,103 +128,37 @@ def _limit(arcs: list[_Edge | None], k: int, d: Dir, side: int) -> Triple:
     return (d[0] * (n // g), d[1] * (n // g), D // g)
 
 
-def _merge(A: _Fan, B: _Fan) -> _Fan:
-    dirs: set[Dir] = {(1, 0), (0, 1), (-1, 0), (0, -1)}
-    for fan in (A, B):
-        for chain in fan.chains:
-            dirs.update(d for _, d in chain)
-    U = sorted(dirs, key=cmp_to_key(_dir_cmp))
-    m = len(U)
-    uidx = {d: k for k, d in enumerate(U)}
+def _arc(es: list[_Edge], u: Dir, w: Dir) -> tuple[_Edge, _Edge, list[Vertex]]:
+    """The envelope over the arc from u to w, which every edge of es spans:
+    the outermost edge entering at u, the one leaving at w, and the
+    crossings where one hands over to the next, in angular order.
 
-    arcs_a = _assign(A, uidx, m)
-    arcs_b = _assign(B, uidx, m)
-
-    start_owner = [0] * m   # owner entering the arc: 0 A, 1 B, -1 gap
-    end_owner = [0] * m
-    cross_pt: list[Vertex | None] = [None] * m
-    for k in range(m):
-        ea, eb = arcs_a[k], arcs_b[k]
-        if ea is None and eb is None:
-            start_owner[k] = end_owner[k] = -1
-        elif eb is None:
-            start_owner[k] = end_owner[k] = 0
-        elif ea is None:
-            start_owner[k] = end_owner[k] = 1
-        else:
-            s1 = _t_cmp(U[k], ea, eb)
-            s2 = _t_cmp(U[(k + 1) % m], ea, eb)
-            first = 0 if (s1 or s2) >= 0 else 1
-            second = first if s2 == 0 else (0 if s2 > 0 else 1)
-            start_owner[k], end_owner[k] = first, second
-            if first != second:
-                cross_pt[k] = _crossing(ea, eb)
-
-    ems: list[Vertex] = []
-    gap_marks: list[int] = []
-
-    def emit(p: Triple, d: Dir) -> None:
-        if not ems or ems[-1][0] != p:
-            ems.append((p, d))
-
-    both = (arcs_a, arcs_b)
-    for k in range(m):
-        o_prev = end_owner[k - 1]
-        o_next = start_owner[k]
-        d = U[k]
-        if o_prev == -1 and o_next == -1:
-            pass
-        elif o_prev == -1:
-            gap_marks.append(len(ems))
-            emit(_limit(both[o_next], k, d, 1), d)
-        elif o_next == -1:
-            emit(_limit(both[o_prev], k, d, 0), d)
-        elif o_prev == o_next:
-            arcs = both[o_prev]
-            if arcs[k - 1] is not arcs[k]:
-                emit(_limit(arcs, k, d, 0), d)
-                emit(_limit(arcs, k, d, 1), d)
-        else:
-            emit(_limit(both[o_prev], k, d, 0), d)
-            emit(_limit(both[o_next], k, d, 1), d)
-        w = cross_pt[k]
-        if w is not None:
-            emit(*w)
-
-    if not gap_marks:
-        if len(ems) > 1 and ems[0][0] == ems[-1][0]:
-            ems.pop()
-        return _Fan([ems], True)
-    chains: list[list[Vertex]] = []
-    marks = gap_marks + [gap_marks[0] + len(ems)]
-    for a, b in zip(marks, marks[1:]):
-        chain = [ems[t % len(ems)] for t in range(a, b)]
-        if len(chain) >= 2:
-            chains.append(chain)
-    return _Fan(chains, False)
-
-
-def _envelope(fans: list[_Fan], center: Point) -> Region:
-    """Radial envelope of fans around center, their vertices taken relative
-    to it, as a Region with center as its reference."""
-    # balanced merge order keeps any one fan from being rescanned per part
-    while len(fans) > 1:
-        paired = [_merge(fans[i], fans[i + 1])
-                  for i in range(0, len(fans) - 1, 2)]
-        if len(fans) % 2:
-            paired.append(fans[-1])
-        fans = paired
-    merged = fans[0]
-    if len(merged.chains) != 1:
-        raise DisconnectedUnion("parts meet only at the center")
-    cxn, cxd = center.x.as_integer_ratio()
-    cyn, cyd = center.y.as_integer_ratio()
-    ring = [Point(Fraction(x * cxd + cxn * d, d * cxd),
-                  Fraction(y * cyd + cyn * d, d * cyd))
-            for (x, y, d), _ in merged.chains[0]]
-    if not merged.full:
-        ring.append(center)
-    return Region.from_ring(ring, reference=center)
+    The next edge is the one that overtakes the current one first before
+    w; two lines cross at most once in an arc short of a half turn.  Ties
+    go to the edge outermost at w, so each handover moves strictly forward
+    in angle and no crossing repeats.
+    """
+    e = es[0]
+    for f in es[1:]:
+        if (_t_cmp(u, f, e) or _t_cmp(w, f, e)) > 0:
+            e = f
+    first, crossings = e, []
+    # only an edge farther out at w than the current one can still overtake
+    rest = [f for f in es if _t_cmp(w, f, e) > 0]
+    while rest:
+        best = None
+        for f in rest:
+            x = _crossing(e, f)
+            if best is not None:
+                (px, py), (qx, qy) = x[1], cross[1]
+                c = px * qy - py * qx
+                if c < 0 or (c == 0 and _t_cmp(w, f, best) <= 0):
+                    continue
+            best, cross = f, x
+        crossings.append(cross)
+        e = best
+        rest = [f for f in rest if _t_cmp(w, f, e) > 0]
+    return first, e, crossings
 
 
 def star_cycle(scaled: Scaled, center: Point) -> Cycle:
@@ -374,25 +254,62 @@ def cycle_envelope(cycles: Sequence[Cycle], center: Point) -> Region:
 
     The caller vouches that every cycle point lies in one closed set that is
     star-shaped around center and whose boundary lies on the cycles; the
-    envelope is then that set.  Each cycle is cut into chains (_chains),
-    and chains that do not overlap in angle share a fan.
+    envelope is then that set.  Each cycle is cut into chains (_chains);
+    one sorted list of directions, and one pass over it, serve all chains.
+    Raises DisconnectedUnion when two or more gaps cut the envelope apart.
     """
-    # chains go first-fit into fans whose chains they do not overlap in angle
-    fans: list[_Fan] = []
-    spans: list[list[tuple[Dir, Dir]]] = []
-    for xs, ys, m in cycles:
-        for chain in _chains(xs, ys):
-            run = [_vertex(xs[i], ys[i], m) for i in chain]
-            span = (run[0][1], run[-1][1])
-            for fan, taken in zip(fans, spans):
-                if not any(_overlap(span, t) for t in taken):
-                    fan.chains.append(run)
-                    taken.append(span)
-                    break
-            else:
-                fans.append(_Fan([run], False))
-                spans.append([span])
-    if len(fans) == 1 and len(fans[0].chains) > 1:
-        # chains that only touch end to end still need a merge to join them
-        fans.append(_Fan([fans[0].chains.pop()], False))
-    return _envelope(fans, center)
+    runs = [[_vertex(xs[i], ys[i], m) for i in chain]
+            for xs, ys, m in cycles for chain in _chains(xs, ys)]
+    dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for run in runs:
+        dirs.update(d for _, d in run)
+    U = sorted(dirs, key=cmp_to_key(_dir_cmp))
+    m = len(U)
+    uidx = {d: k for k, d in enumerate(U)}
+    arcs: list[list[_Edge]] = [[] for _ in range(m)]
+    for run in runs:
+        for (a, da), (b, db) in zip(run, run[1:]):
+            ka, kb = uidx[da], uidx[db]
+            edge = _Edge(a, b, ka, kb)
+            k = ka
+            while k != kb:
+                arcs[k].append(edge)
+                k = (k + 1) % m
+    pieces = [_arc(es, U[k], U[(k + 1) % m]) if es else None
+              for k, es in enumerate(arcs)]
+
+    ring: list[Triple] = []
+    gaps: list[int] = []   # where the ring resumes after each gap
+
+    def emit(p: Triple) -> None:
+        if not ring or ring[-1] != p:
+            ring.append(p)
+
+    # at each direction the boundary steps from the edge leaving the arc
+    # before it to the edge entering the arc after it
+    for k in range(m):
+        before, after = pieces[k - 1], pieces[k]
+        leave = before[1] if before else None
+        enter = after[0] if after else None
+        if leave is not enter:
+            if leave is not None:
+                emit(_limit(leave, k, U[k]))
+            if enter is not None:
+                if leave is None:
+                    gaps.append(len(ring))
+                emit(_limit(enter, k, U[k]))
+        if after:
+            for p, _ in after[2]:
+                emit(p)
+    if len(gaps) > 1:
+        raise DisconnectedUnion("parts meet only at the center")
+    if gaps:
+        ring = ring[gaps[0]:] + ring[:gaps[0]]
+    cxn, cxd = center.x.as_integer_ratio()
+    cyn, cyd = center.y.as_integer_ratio()
+    points = [Point(Fraction(x * cxd + cxn * d, d * cxd),
+                    Fraction(y * cyd + cyn * d, d * cyd))
+              for x, y, d in ring]
+    if gaps:
+        points.append(center)
+    return Region.from_ring(points, reference=center)

@@ -1,9 +1,10 @@
 """Clip, union, containment, and the radial star-union cross-check."""
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import (
@@ -33,7 +34,7 @@ from errdiff.geometry import (
     pt,
     ring_area2,
 )
-from errdiff.starunion import _crossing, _Edge, _limit, _t_cmp, union_star
+from errdiff.starunion import _arc, _crossing, _Edge, _limit, _t_cmp, union_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 from test_geometry import reference_orient
 
@@ -398,13 +399,25 @@ class TestUnionCrossCheck:
         assert list(left.vertices) == list(right.vertices)
 
 
+# three edges, one from each ring, cross at (2, 1); the union is
+# (-1, -1), (3, -1), (3, 0), (2, 1), (2, 3), (-1, 3)
+THREE_AT_ONE_POINT = [
+    ring_of((-1, -1), (3, -1), (3, 0), (1, 2), (-1, 2)),
+    ring_of((-1, -1), ("5/2", -1), ("5/2", 0), ("3/2", 2), (-1, 2)),
+    ring_of((-1, -1), (2, -1), (2, 3), (-1, 3)),
+]
+
+
 class TestWideCoordinates:
-    @given(star_rings(wide_radii), star_rings(wide_radii))
+    @given(st.lists(st.one_of(star_rings(), star_rings(wide_radii)),
+                    min_size=2, max_size=4))
+    @example(THREE_AT_ONE_POINT)
     @settings(max_examples=30, deadline=None)
-    def test_star_matches_general(self, a, b):
-        cycles = union_rings([a, b])
+    def test_star_matches_general(self, rings):
+        """Two to four parts, narrow and wide, through one envelope."""
+        cycles = union_rings(rings)
         assert len(cycles) == 1
-        assert list(union_star([a, b], ORIGIN).vertices) == cycles[0]
+        assert list(union_star(rings, ORIGIN).vertices) == cycles[0]
 
     @given(star_rings(wide_radii), star_rings(wide_radii))
     @settings(max_examples=30, deadline=None)
@@ -423,7 +436,7 @@ class TestWideCoordinates:
         for a1, b1, ea in edges(ra):
             for u, d in dirs:
                 if a1.cross(u) >= 0 and u.cross(b1) >= 0:
-                    got = _reduced_point(_limit([ea], 0, d, 1))
+                    got = _reduced_point(_limit(ea, 0, d))
                     assert got == u.scale(_t_at(u, a1, b1))
                 if u.cross(b1 - a1) == 0:
                     continue
@@ -440,6 +453,30 @@ class TestWideCoordinates:
                 assert w == line_cross_point(a1, b1, a2, b2)
                 g = math.gcd(t[0], t[1])
                 assert (dx, dy) == (t[0] // g, t[1] // g)
+
+
+def _edge(a, b):
+    return _Edge(_triple(pt(*a)), _triple(pt(*b)), -1, -1)
+
+
+class TestArc:
+    """_arc gives ties at a shared point to the edge outermost at the arc's
+    far end, whatever the order of its edges, so no handover is empty."""
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_three_edges_through_one_point(self, order):
+        # THREE_AT_ONE_POINT's edges through (2, 1), over the arc from the
+        # ray (1, 0) to the ray (3, 4), where the third is outermost
+        es = [_edge((3, 0), (1, 2)), _edge(("5/2", 0), ("3/2", 2)),
+              _edge((2, -1), (2, 3))]
+        first, last, crossings = _arc([es[i] for i in order], (1, 0), (3, 4))
+        assert (first, last) == (es[0], es[2])
+        assert crossings == [((2, 1, 1), (2, 1))]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_edges_from_one_vertex(self, order):
+        es = [_edge((2, 0), (0, 2)), _edge((2, 0), (0, 3))]
+        assert _arc([es[i] for i in order], (1, 0), (0, 1)) == (es[1], es[1], [])
 
 
 def reference_clip(ring, a, b, c):

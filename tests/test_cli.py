@@ -250,6 +250,22 @@ class TestFailureModes:
         assert run_cli(command, "--scene", SCENES / "sset1.json", "--out", out) == 3
         assert "boundary self-intersects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}])
+    def test_malformed_stored_set(self, out, capsys, payload):
+        out.mkdir(parents=True)
+        (out / "sset1.gset.json").write_text(json.dumps(payload))
+        assert run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sset1.gset.json" in err
+
+    def test_trace_line_without_a_point(self, out, capsys):
+        out.mkdir(parents=True)
+        (out / "random-walk.trace.jsonl").write_text('{"x": 1}\n')
+        assert run_cli("render", "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "random-walk.trace.jsonl" in err
+
     def test_missing_scene_file(self, out):
         assert run_cli("min-gset", "--scene", "/no/such/scene.json",
                        "--out", out) == 3

@@ -167,6 +167,8 @@ class TestScalars:
             parse_scalar(True)
         with pytest.raises(ValueError):
             parse_scalar("one half")
+        with pytest.raises(ValueError):
+            parse_scalar("1/0")
 
     def test_str_round_trip(self):
         for s in ("1/3", "-7/2", "0", "5"):

@@ -42,7 +42,6 @@ from errdiff.operators import (
     snapped_ring,
 )
 from errdiff.scene import load_scene
-from errdiff.starunion import union_star
 from errdiff.voronoi import SiteSet, cell
 from test_geometry import (
     grid_points,
@@ -156,7 +155,7 @@ class TestMinkowskiConvexStar:
 def fan_sum(P, Q):
     """Reference P + Q: the Fraction edge merge for a convex Q; otherwise
     the hull of the pairwise sums of P with each origin triangle of Q,
-    united radially around P's first vertex."""
+    united by the general union, with P's first vertex as reference."""
     if is_convex_ring(Q.vertices):
         return Region(tuple(reference_minkowski(P, Q)))
     parts = []
@@ -165,7 +164,7 @@ def fan_sum(P, Q):
         a, b = Q.vertices[i], Q.vertices[(i + 1) % n]
         if reference_orient(ORIGIN, a, b):
             parts.append(convex_hull([u + v for u in P.vertices for v in (ORIGIN, a, b)]))
-    return union_star(parts, P.vertices[0])
+    return union_one_region(parts).with_reference(P.vertices[0])
 
 
 # reduced lattice directions with coordinates up to 3, counterclockwise from +x
