@@ -7,25 +7,23 @@ each piece on integers from one wall to the next: a level per vertex and
 wall, whose sign is the vertex's side, and every crossing as one reduced
 integer triple (X, Y, D).  Only at the end does each component go over
 its own common denominator and into canonical form; no Fraction is built.
-g_step and p_step read the components on integers, and Points are built
-only by errdiff.voronoi's one-component clip and p's general route.
+The operators and errdiff.voronoi read the components on integers.
 
-subset_witness and union_rings put the rings of a call over one common
-denominator and share one edge splitter, _pieces: each edge is cut at its
-contacts with the other rings' edges, each a reduced parameter along it,
-and each piece's midpoint is a reduced integer triple, located by
-geometry's integer point location.  subset_witness checks a's vertices,
-then those midpoints.  union_rings keeps or drops the pieces by their
-midpoints and stitches them back into cycles; a boundary that touches
-itself or leaves a hole raises DisconnectedUnion.  No Fraction is compared
-or added: Points are built only for a returned witness and for the output
-cycles.  union_one_region is the union the operators use: it demands
-exactly one cycle; the p family unites its members there, and its general
-route its hull sweeps.  Results are regularized: zero-area slivers and
-whiskers vanish.  Unions of parts star-shaped around one center, and
-Minkowski sums of a convex polygon with a non-convex star region, go
-through errdiff.starunion instead; union_one_region's single cycle is
-simple and canonical, so it becomes a Region without a second check.
+subset_witness and union_rings take polygons, put their rings over one
+common denominator and share one edge splitter, _pieces: each edge is
+cut at its contacts with the other rings' edges, each a reduced parameter
+along it, and each piece's midpoint is a reduced integer triple, located
+by geometry's integer point location.  subset_witness checks a's
+vertices, then those midpoints.  union_rings keeps or drops the pieces by
+their midpoints and stitches them back into cycles, each a canonical
+Region on integers; a boundary that touches itself or leaves a hole
+raises DisconnectedUnion.  No Fraction is compared or added: a Point is
+built only for a returned witness.  union_one_region is the union the
+operators use: it demands exactly one cycle; the p family unites its
+members there, and its general route its hull sweeps.  Results are
+regularized: zero-area slivers and whiskers vanish.  Unions of parts
+star-shaped around one center, and Minkowski sums of a convex polygon
+with a non-convex star region, go through errdiff.starunion instead.
 """
 from __future__ import annotations
 
@@ -39,11 +37,11 @@ from .geometry import (
     HalfPlane,
     MultiComponent,
     Point,
+    Polygon,
     Region,
     Scaled,
     _canonical_order,
     _ring_locate,
-    over_common_denominator,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,12 +226,12 @@ class _Boundary:
         return 0
 
 
-def _boundaries(rings: Sequence[Sequence[Point]]) -> tuple[int, list[_Boundary]]:
-    """L, the lcm of the rings' own common denominators, and the rings over L."""
-    scaled = [over_common_denominator(r) for r in rings]
-    L = lcm(*[m for m, _, _ in scaled])
-    return L, [_Boundary([x * (L // m) for x in xs], [y * (L // m) for y in ys])
-               for m, xs, ys in scaled]
+def _boundaries(polys: Sequence[Polygon]) -> tuple[int, list[_Boundary]]:
+    """L, the lcm of the polygons' own common denominators, and their rings
+    over L."""
+    L = lcm(*[P.m for P in polys])
+    return L, [_Boundary([x * (L // P.m) for x in P.xs], [y * (L // P.m) for y in P.ys])
+               for P in polys]
 
 
 def _apart(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -293,8 +291,8 @@ def _pieces(e: _Edge, others: Sequence[_Boundary]) -> list[tuple[Triple, Triple,
             for p, q in zip(pts, pts[1:])]
 
 
-def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | None:
-    """A point of region(a) outside region(b), or None when a is contained.
+def subset_witness(a: Polygon, b: Polygon) -> Point | None:
+    """A point of a outside b, or None when a is contained.
 
     Exact for simple polygons, where containment reduces to boundary
     containment: an interior point of a outside b would connect to infinity
@@ -304,10 +302,10 @@ def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | 
     boundary: the first vertex outside is returned, else the first such
     midpoint in edge order, the only Point built.
     """
-    L, (A, B) = _boundaries((a_ring, b_ring))
-    for i, (x, y) in enumerate(zip(A.xs, A.ys)):
+    L, (A, B) = _boundaries((a, b))
+    for x, y in zip(A.xs, A.ys):
         if B.locate(x, y, 1) < 0:
-            return a_ring[i]
+            return Point(Fraction(x, L), Fraction(y, L))
     for e in A.edges:
         for _, _, (X, Y, d) in _pieces(e, (B,)):
             if B.locate(X, Y, d) < 0:
@@ -315,15 +313,14 @@ def subset_witness(a_ring: Sequence[Point], b_ring: Sequence[Point]) -> Point | 
     return None
 
 
-def subset(a, b) -> bool:
-    """Exact containment region(a) within region(b) (closed sets)."""
-    a_ring = a.vertices if isinstance(a, Region) else a
-    b_ring = b.vertices if isinstance(b, Region) else b
-    return subset_witness(a_ring, b_ring) is None
+def subset(a: Polygon, b: Polygon) -> bool:
+    """Exact containment of a in b (closed sets)."""
+    return subset_witness(a, b) is None
 
 
-def union_rings(rings: Sequence[Sequence[Point]]) -> list[list[Point]]:
-    """Union of simple CCW rings, as canonical CCW boundary cycles.
+def union_rings(polys: Sequence[Polygon]) -> list[Region]:
+    """Union of polygons with simple CCW rings, as its canonical boundary
+    cycles.
 
     A piece of an edge split at the other rings is dropped when its
     midpoint lies strictly inside another ring, or on another ring's
@@ -331,7 +328,7 @@ def union_rings(rings: Sequence[Sequence[Point]]) -> list[list[Point]]:
     the same way.  A boundary that touches itself raises DisconnectedUnion,
     and so does a hole: the engine has no polygon-with-holes representation.
     """
-    L, bounds = _boundaries(rings)
+    L, bounds = _boundaries(polys)
     kept: list[tuple[Triple, Triple]] = []
     for i, I in enumerate(bounds):
         near = [(j, J) for j, J in enumerate(bounds)
@@ -359,7 +356,7 @@ def _lex_cmp(p: Triple, q: Triple) -> int:
     return (c > 0) - (c < 0)
 
 
-def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[list[Point]]:
+def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
     outgoing: dict[Triple, Triple] = {}
     for p, q in kept:
         if p in outgoing:
@@ -393,18 +390,14 @@ def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[list[Point]]:
             sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
             if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
                 raise DisconnectedUnion("union produced a hole")
-    return [[Point(Fraction(x, m * L), Fraction(y, m * L)) for x, y in zip(xs, ys)]
-            for m, xs, ys, _ in cycles]
+    # a cycle that passed the touch and hole tests is simple and canonical
+    return [Region(m * L, xs, ys) for m, xs, ys, _ in cycles]
 
 
-def union_one_region(rings: Sequence[Sequence[Point]]) -> Region:
-    """Union of simple CCW rings that must be exactly one cycle.
-
-    Raises DisconnectedUnion otherwise.  A single cycle that passed the
-    touch and hole tests of union_rings is simple and canonical, so the
-    Region is built from it directly.
-    """
-    cycles = union_rings(rings)
+def union_one_region(polys: Sequence[Polygon]) -> Region:
+    """Union of polygons with simple CCW rings that must be exactly one
+    cycle; raises DisconnectedUnion otherwise."""
+    cycles = union_rings(polys)
     if len(cycles) != 1:
         raise DisconnectedUnion(f"union has {len(cycles)} components")
-    return Region(tuple(cycles[0]))
+    return cycles[0]

@@ -181,8 +181,17 @@ def _point_of(value, path: Path, where: str) -> Point:
         raise ValidationError(f"{path}: {where}: {exc}", (str(path),)) from None
 
 
+def _json_of(text: str, path: Path, where: str = ""):
+    """Parsed JSON; ValidationError names the file when it is malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {where}not valid JSON: {exc}",
+                              (str(path),)) from None
+
+
 def _load_region(path: Path) -> Region:
-    payload = json.loads(path.read_text())
+    payload = _json_of(path.read_text(), path)
     vertices = payload.get("vertices") if isinstance(payload, dict) else None
     if not isinstance(vertices, list):
         raise ValidationError(f"{path}: no \"vertices\" list", (str(path),))
@@ -207,8 +216,15 @@ def _cmd_verify(scene: Scene, args, out: Path) -> int:
         gset = out / f"{name}.gset.json"
         if gset.exists():
             Q = _load_region(gset)
-            reports.append(is_invariant_g(collection, Q))
-            reports.append(is_star_convex_origin(Q))
+            # the g operator takes star-shaped input only: a set that is
+            # not gets its star report and no invariance check
+            star = is_star_convex_origin(Q)
+            if star.passed:
+                reports.append(is_invariant_g(collection, Q))
+            else:
+                star = dataclasses.replace(
+                    star, notes=star.notes + "; is_invariant_g not checked")
+            reports.append(star)
             for S in collection:
                 reports.append(covers_translated_inner_cells(S, Q))
         fset = out / f"{name}.fset.json"
@@ -258,7 +274,7 @@ def _cmd_report_assumptions(scene: Scene, args, out: Path) -> int:
 def _load_trace(path: Path) -> list:
     points = []
     for n, line in enumerate(path.read_text().splitlines(), 1):
-        record = json.loads(line)
+        record = _json_of(line, path, f"line {n} is ")
         e = record.get("e", record.get("final_e")) if isinstance(record, dict) else None
         points.append(_point_of(e, path, f"line {n}'s \"e\" or \"final_e\""))
     return points

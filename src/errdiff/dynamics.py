@@ -531,7 +531,7 @@ def _atom_inside(atom, domain) -> bool:
     ring = _atom_vertices(atom)
     if len(ring) < 3:
         return all(inside(p) for p in ring)
-    return subset(ring, domain.vertices)
+    return subset(ConvexPolygon.hull_of(ring), domain)
 
 
 def error_bound_from_domain(domain, scenario) -> Scalar:

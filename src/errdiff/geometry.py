@@ -6,42 +6,39 @@ anywhere in this module.  No predicate takes Points: HalfPlane._level
 reads the numerators and denominators of its point directly, and
 everything else runs on integers over a common denominator.
 
-A ring or point set is decided on once it is put over one common
-denominator (over_common_denominator): canonicalize_ring (duplicates, the
-collinear sweep, the area sign and the start vertex, _canonical_order on
-integers, which errdiff.booleans and errdiff.operators call directly),
-convex_hull (the monotone chain _hull_order, which errdiff.voronoi and
-errdiff.operators call directly), is_simple_ring, is_convex_ring,
-point_in_ring, star_kernel_contains, ring_area2 and diameter_sq_of all run
-on the integer numerators, and a Polygon caches its own (m, xs, ys) as
-_scaled.  Against a query point p, the ring's x axis is scaled by p.x's
-denominator and its y axis by p.y's, which keeps every comparison and
-every orientation sign; point_in_ring then runs _ring_locate, the integer
-core that errdiff.booleans calls directly.  New Fractions are built only
-for the coordinates of a projection.
+A polygon's value is its ring over one common denominator: the integer
+tuples (m, xs, ys), vertex i at (xs[i] / m, ys[i] / m), in lowest terms,
+so equal rings have equal fields (equal_canonical).  Its vertices are a
+cached view of Points, for artifacts, rendering and games.  Points come in
+through over_common_denominator: Region.from_ring hands a ring to
+Region.from_integers, which checks it (_canonical_order, is_simple_ring,
+the kernel test), and ConvexPolygon.hull_of runs the monotone chain
+_hull_order.  A clip, a stitch or a convex Minkowski sum, which hold a
+canonical simple ring on integers, build the polygon directly.
 
-Two polygon types share one base, Polygon (the canonical vertex tuple,
-edges, area2, bbox, diameter_sq, _scaled): ConvexPolygon, a strictly convex
-hull, and Region, a simple polygon with an optional declared star center.
-Callers dispatch on the two types, so neither is the other.
-Region.from_ring canonicalizes and validates any ring; a caller that holds
-a canonical ring it knows is simple builds Region(ring) directly.
+The ring predicates (is_simple_ring, is_convex_ring, point_in_ring,
+star_kernel_contains, ring_area2, diameter_sq_of) take a Scaled ring
+(m, xs, ys).  Against a query point p, the ring's x axis is scaled by
+p.x's denominator and its y axis by p.y's, which keeps every comparison
+and every orientation sign; point_in_ring then runs _ring_locate, the
+integer core that errdiff.booleans calls directly.
+
+Two polygon types share one base, Polygon: ConvexPolygon, a strictly
+convex hull, and Region, a simple polygon with an optional declared star
+center.  Callers dispatch on the two types, so neither is the other.
 Clipping and union live in errdiff.booleans and errdiff.starunion, and
-Minkowski sums in errdiff.operators.
-
-Convex polygons answer locate and contains_point from their edge walls,
-HalfPlane integer triples computed once per polygon.  project_convex_ring
-puts a convex ring and the query point over one common denominator and
-decides containment, the foot on each edge and every distance comparison
-in integers; project_convex runs it on a polygon's cached ring.
+Minkowski sums in errdiff.operators.  Convex polygons answer locate from
+their edge walls, HalfPlane integer triples computed once per polygon;
+project_convex_ring decides the nearest point of a convex ring on the
+integers of the ring and the query point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 
@@ -142,7 +139,7 @@ def dist_sq(a: Point, b: Point) -> Fraction:
     return d.norm_sq()
 
 
-Scaled = tuple[int, list[int], list[int]]
+Scaled = tuple[int, Sequence[int], Sequence[int]]
 
 
 def over_common_denominator(points: Sequence[Point]) -> Scaled:
@@ -165,20 +162,20 @@ def _against(scaled: Scaled, p: Point) -> tuple[list[int], list[int], int, int]:
             p.x.numerator * m, p.y.numerator * m)
 
 
-def bbox(points: Iterable[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = []
-    ys = []
-    for p in points:
-        xs.append(p.x)
-        ys.append(p.y)
-    return min(xs), min(ys), max(xs), max(ys)
+def _shift(scaled: Scaled, p: Point) -> Scaled:
+    """The ring moved by p, over the lcm of its m and p's denominators."""
+    m, xs, ys = scaled
+    xn, xd = p.x.numerator, p.x.denominator
+    yn, yd = p.y.numerator, p.y.denominator
+    M = lcm(m, xd, yd)
+    k, ox, oy = M // m, xn * (M // xd), yn * (M // yd)
+    return M, [x * k + ox for x in xs], [y * k + oy for y in ys]
 
 
-def diameter_sq_of(points: Sequence[Point], scaled: Scaled | None = None) -> Fraction:
-    """Largest squared distance between two of the points: the pairwise
-    maximum on the integers over their common denominator m (scaled, when
-    the caller has it), returned over m^2."""
-    m, xs, ys = over_common_denominator(points) if scaled is None else scaled
+def diameter_sq_of(scaled: Scaled) -> Fraction:
+    """Largest squared distance between two points of the ring (m, xs, ys):
+    the pairwise maximum on its integers, returned over m^2."""
+    m, xs, ys = scaled
     best = 0
     n = len(xs)
     for i in range(n):
@@ -231,17 +228,13 @@ class HalfPlane:
 # ---------------------------------------------------------------------------
 # rings (ordered vertex lists)
 
-def _scaled_of(ring: Sequence[Point], scaled: Scaled | None) -> Scaled:
-    return over_common_denominator(ring) if scaled is None else scaled
-
-
 def _shoelace(xs: Sequence[int], ys: Sequence[int]) -> int:
     """Twice the signed area of the integer ring (xs, ys)."""
     return sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(xs)))
 
 
-def ring_area2(ring: Sequence[Point], scaled: Scaled | None = None) -> Fraction:
-    m, xs, ys = _scaled_of(ring, scaled)
+def ring_area2(scaled: Scaled) -> Fraction:
+    m, xs, ys = scaled
     return Fraction(_shoelace(xs, ys), m * m)
 
 
@@ -279,16 +272,6 @@ def _canonical_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
     return ring[k:] + ring[:k]
 
 
-def canonicalize_ring(points: Sequence[Point]) -> list[Point] | None:
-    """Canonical form: CCW, no collinear triples, lexicographically smallest
-    vertex first. Returns None when the ring has no area left.  Decided on
-    the ring over its common denominator; the kept Points are returned as
-    they came."""
-    _, xs, ys = over_common_denominator(points)
-    order = _canonical_order(xs, ys)
-    return None if order is None else [points[i] for i in order]
-
-
 def _touch(e: tuple, f: tuple) -> bool:
     """True when the closed integer segments e and f share a point; each is
     (ax, ay, bx, by, xmin, xmax, ymin, ymax)."""
@@ -310,11 +293,12 @@ def _touch(e: tuple, f: tuple) -> bool:
             or (d4 == 0 and e[4] <= q2x <= e[5] and e[6] <= q2y <= e[7]))
 
 
-def is_simple_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
-    """Exact simplicity test for a canonicalized ring: no two edges that
-    are not neighbours share a point.  Every pair of edges is tested on the
-    ring's integers; a pair whose boxes are apart shares none."""
-    _, xs, ys = _scaled_of(ring, scaled)
+def is_simple_ring(scaled: Scaled) -> bool:
+    """Exact simplicity test for a canonicalized ring (m, xs, ys): no two
+    edges that are not neighbours share a point.  Every pair of edges is
+    tested on the ring's integers; a pair whose boxes are apart shares
+    none."""
+    _, xs, ys = scaled
     n = len(xs)
     edges = []
     for i in range(n):
@@ -335,14 +319,13 @@ def is_simple_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
     return True
 
 
-def point_in_ring(ring: Sequence[Point], p: Point, scaled: Scaled | None = None) -> int:
-    """Exact location of p in the closed region bounded by a simple ring:
-    +1 strictly inside, 0 on the boundary, -1 outside.
+def point_in_ring(scaled: Scaled, p: Point) -> int:
+    """Exact location of p in the closed region bounded by a simple ring
+    (m, xs, ys): +1 strictly inside, 0 on the boundary, -1 outside.
 
-    Decided by _ring_locate on the ring's integers (scaled, when the caller
-    has it) against p.
+    Decided by _ring_locate on the ring's integers against p.
     """
-    return _ring_locate(*_against(_scaled_of(ring, scaled), p))
+    return _ring_locate(*_against(scaled, p))
 
 
 def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
@@ -371,9 +354,9 @@ def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
     return 1 if inside else -1
 
 
-def is_convex_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
-    """True when every vertex of the ring is a strict left turn."""
-    _, xs, ys = _scaled_of(ring, scaled)
+def is_convex_ring(scaled: Scaled) -> bool:
+    """True when every vertex of the ring (m, xs, ys) is a strict left turn."""
+    _, xs, ys = scaled
     n = len(xs)
     for i in range(n):
         ax, ay = xs[(i - 2) % n], ys[(i - 2) % n]
@@ -382,11 +365,10 @@ def is_convex_ring(ring: Sequence[Point], scaled: Scaled | None = None) -> bool:
     return True
 
 
-def star_kernel_contains(ring: Sequence[Point], p: Point,
-                         scaled: Scaled | None = None) -> bool:
-    """True when p is in the kernel of the CCW ring (inner side of every
-    edge), decided on the ring's integers against p."""
-    xs, ys, px, py = _against(_scaled_of(ring, scaled), p)
+def star_kernel_contains(scaled: Scaled, p: Point) -> bool:
+    """True when p is in the kernel of the CCW ring (m, xs, ys) (inner side
+    of every edge), decided on the ring's integers against p."""
+    xs, ys, px, py = _against(scaled, p)
     for i in range(len(xs)):
         ux, uy = xs[i - 1], ys[i - 1]
         if (xs[i] - ux) * (py - uy) < (ys[i] - uy) * (px - ux):
@@ -399,39 +381,55 @@ def star_kernel_contains(ring: Sequence[Point], p: Point,
 
 @dataclass(frozen=True)
 class Polygon:
-    """A canonical vertex ring and the measures both polygon types share;
-    each type supplies its own locate."""
+    """A canonical ring over its common denominator, vertex i at
+    (xs[i] / m, ys[i] / m), and the measures both polygon types share; each
+    type supplies its own locate.
 
-    vertices: tuple[Point, ...]
+    The constructor trusts the caller that the ring is canonical; it
+    divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
+    reduced denominators and equal rings have equal fields.
+    """
+
+    m: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    def __post_init__(self):
+        g = gcd(self.m, *self.xs, *self.ys)
+        object.__setattr__(self, "m", self.m // g)
+        object.__setattr__(self, "xs", tuple(x // g for x in self.xs))
+        object.__setattr__(self, "ys", tuple(y // g for y in self.ys))
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
-    def edges(self) -> Iterator[tuple[Point, Point]]:
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            yield vs[i], vs[(i + 1) % n]
+    @property
+    def _scaled(self) -> Scaled:
+        """(m, xs, ys), for the integer predicates."""
+        return self.m, self.xs, self.ys
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        m = self.m
+        return tuple(Point(Fraction(x, m), Fraction(y, m))
+                     for x, y in zip(self.xs, self.ys))
 
     def contains_point(self, p: Point) -> bool:
         return self.locate(p) >= 0
 
     @cached_property
-    def _scaled(self) -> Scaled:
-        """The ring over its common denominator, for the integer predicates."""
-        return over_common_denominator(self.vertices)
-
-    @cached_property
     def area2(self) -> Fraction:
-        return ring_area2(self.vertices, self._scaled)
+        return ring_area2(self._scaled)
 
     @cached_property
-    def bbox(self):
-        return bbox(self.vertices)
+    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        m, xs, ys = self._scaled
+        return (Fraction(min(xs), m), Fraction(min(ys), m),
+                Fraction(max(xs), m), Fraction(max(ys), m))
 
     @cached_property
     def diameter_sq(self) -> Fraction:
-        return diameter_sq_of(self.vertices, self._scaled)
+        return diameter_sq_of(self._scaled)
 
 
 def _hull_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
@@ -460,30 +458,21 @@ def _hull_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
     return hull if len(hull) >= 3 else None
 
 
-def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Strict convex hull, CCW, lexicographically smallest vertex first,
-    decided by _hull_order on the points over their common denominator;
-    the hull's Points are returned as they came.
-
-    Raises DegenerateHull when the points do not span the plane.
-    """
-    pts = list(points)
-    _, xs, ys = over_common_denominator(pts)
-    order = _hull_order(xs, ys)
-    if order is None:
-        distinct = len(set(zip(xs, ys)))
-        raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
-                             else "all points collinear")
-    return tuple(pts[i] for i in order)
-
-
 @dataclass(frozen=True)
 class ConvexPolygon(Polygon):
     """Strictly convex CCW polygon in canonical form."""
 
     @staticmethod
     def hull_of(points: Iterable[Point]) -> "ConvexPolygon":
-        return ConvexPolygon(convex_hull(points))
+        """The strict convex hull of the points, decided by _hull_order on
+        their integers; DegenerateHull when they do not span the plane."""
+        m, xs, ys = over_common_denominator(list(points))
+        order = _hull_order(xs, ys)
+        if order is None:
+            distinct = len(set(zip(xs, ys)))
+            raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
+                                 else "all points collinear")
+        return ConvexPolygon(m, [xs[i] for i in order], [ys[i] for i in order])
 
     def locate(self, p: Point) -> int:
         """+1 strictly inside, 0 on boundary, -1 outside."""
@@ -498,17 +487,14 @@ class ConvexPolygon(Polygon):
 
     @cached_property
     def _walls(self) -> tuple[HalfPlane, ...]:
-        return tuple(self.halfplanes())
-
-    def halfplanes(self) -> list[HalfPlane]:
-        """Inward half-planes of the edges; their intersection is the polygon."""
-        out = []
-        for u, v in self.edges():
-            a = v.y - u.y
-            b = u.x - v.x
-            c = a * u.x + b * u.y
-            out.append(HalfPlane(a, b, c))
-        return out
+        """Inward half-planes of the edges; their intersection is the
+        polygon.  Edge u -> v has the wall a x + b y <= c for a = v.y - u.y,
+        b = u.x - v.x and c = cross(u, v), read off the integer ring."""
+        m, xs, ys = self._scaled
+        return tuple(HalfPlane(Fraction(ys[i] - ys[i - 1], m),
+                               Fraction(xs[i - 1] - xs[i], m),
+                               Fraction(xs[i - 1] * ys[i] - ys[i - 1] * xs[i], m * m))
+                     for i in range(len(xs)))
 
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
@@ -581,32 +567,44 @@ class Region(Polygon):
 
     @staticmethod
     def from_ring(points: Sequence[Point], reference: Point | None = None) -> "Region":
-        ring = canonicalize_ring(points)
-        if ring is None:
+        """The region bounded by any ring of Points; see from_integers."""
+        return Region.from_integers(*over_common_denominator(points), reference)
+
+    @staticmethod
+    def from_integers(m: int, xs: Sequence[int], ys: Sequence[int],
+                      reference: Point | None = None) -> "Region":
+        """The region bounded by the ring (m, xs, ys) in any order, put in
+        canonical form and checked.
+
+        Raises DegenerateRegion when the ring has no area, NotSimple when
+        its boundary touches itself, KernelViolation when reference is set
+        and outside the kernel.
+        """
+        order = _canonical_order(xs, ys)
+        if order is None:
             raise DegenerateRegion("ring has zero area")
-        region = Region(tuple(ring), reference)
-        if not is_simple_ring(ring, region._scaled):
+        region = Region(m, [xs[i] for i in order], [ys[i] for i in order], reference)
+        if not is_simple_ring(region._scaled):
             raise NotSimple("boundary self-intersects")
-        if reference is not None and not star_kernel_contains(ring, reference,
-                                                              region._scaled):
+        if reference is not None and not region.kernel_contains(reference):
             raise KernelViolation("reference point outside the kernel")
         return region
 
     def locate(self, p: Point) -> int:
-        return point_in_ring(self.vertices, p, self._scaled)
+        return point_in_ring(self._scaled, p)
 
     def with_reference(self, reference: Point | None) -> "Region":
         if reference is not None and not self.kernel_contains(reference):
             raise KernelViolation("reference point outside the kernel")
-        return Region(self.vertices, reference)
+        return Region(self.m, self.xs, self.ys, reference)
 
     def kernel_contains(self, p: Point) -> bool:
-        return star_kernel_contains(self.vertices, p, self._scaled)
+        return star_kernel_contains(self._scaled, p)
 
 
 def equal_canonical(a: Region, b: Region) -> bool:
-    """Stopping-rule equality: identical canonical vertex tuples."""
-    return a.vertices == b.vertices
+    """Stopping-rule equality: identical canonical integer rings."""
+    return a._scaled == b._scaled
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ anywhere and for one star-shaped around the origin.  g_step and p_step both
 clip on the region's integer ring (booleans.clip_components) and shift each
 piece by -c on integers (starunion.star_cycle).  apply_operator is the one
 member loop: each member's step, its convex hull for G and P
-(geometry._hull_order on the image's integer ring, built of its own
-vertices; with_reference checks the reference), and the union of the
-members.  Iterating any operator from a seed grows a monotone chain of
+(geometry._hull_order on the image's integer ring; with_reference checks
+the reference), and the union of the members.  Every region passes from
+step to step as its integer ring; Points are built only for the snap
+candidate.  Iterating any operator from a seed grows a monotone chain of
 regions whose limit is the minimal invariant set; the engine below runs
 that chain with exact rational arithmetic and stops it in one of two ways:
-at an exact fixed point (canonical vertex equality), or at a certified
+at an exact fixed point (canonical ring equality), or at a certified
 outer set, a snapped candidate C that holds the current iterate and that
 the operator maps into itself, both decided exactly.
 """
@@ -35,9 +36,10 @@ from .geometry import (
     Point,
     PointSeed,
     Region,
+    Scaled,
     _canonical_order,
     _hull_order,
-    convex_hull,
+    _shift,
     dist_sq,
     equal_canonical,
     is_convex_ring,
@@ -132,7 +134,7 @@ class IterationResult:
             "iterations": self.iterations,
             "stop": self.stop_reason,
             "rounding_free": self.rounding_free,
-            "final_vertices": len(self.final.vertices),
+            "final_vertices": len(self.final),
         }
         if self.stop_reason == "certified":
             summary["gap"] = scalar_str(self.gap)
@@ -219,8 +221,8 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     if not convex:
         return cycle_envelope([(xs, ys, m)], P.vertices[0])
     ox, oy = pxs[0] * kp, pys[0] * kp
-    return Region(tuple(Point(Fraction(xs[t] + ox, m), Fraction(ys[t] + oy, m))
-                        for t in _canonical_order(xs, ys)))
+    order = _canonical_order(xs, ys)
+    return Region(m, [xs[t] + ox for t in order], [ys[t] + oy for t in order])
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +243,7 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
     (clip_components); each piece, one component by the premise of the
     step, is shifted by -c on integers (star_cycle, which also checks that
     c is in its kernel), and the pieces go to one radial envelope around
-    the origin (cycle_envelope).  No Point is built before the union's
-    output ring.
+    the origin (cycle_envelope).  No Point is built.
     """
     _check_g_seed(Q)
     if isinstance(Q, PointSeed):
@@ -265,40 +266,46 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
 # ---------------------------------------------------------------------------
 # the p family
 
-def _sum_hull_with_ring(hull: ConvexPolygon, ring: list[Point]) -> list[list[Point]]:
-    """Rings whose union is hull + ring, ring an arbitrary simple canonical
-    piece.
+def _hull(scaled: Scaled) -> Region:
+    """The convex hull of a point set that spans the plane, over its m."""
+    m, xs, ys = scaled
+    order = _hull_order(xs, ys)
+    return Region(m, [xs[k] for k in order], [ys[k] for k in order])
 
-    A convex ring, which need not hold the origin, is summed by
+
+def _sum_hull_with_ring(hull: ConvexPolygon, piece: Region) -> list[Region]:
+    """Regions whose union is hull + piece, piece an arbitrary simple
+    canonical region.
+
+    A convex piece, which need not hold the origin, is summed by
     minkowski_convex_star.  Otherwise a point of the sum that misses the
-    ring moved by one hull vertex lies on the hull swept along the ring's
-    boundary, so the union of that moved ring with conv((hull + a) |
-    (hull + b)) over the ring's edges [a, b] is the sum.
+    piece moved by one hull vertex lies on the hull swept along the piece's
+    boundary, so the union of that moved piece with conv((hull + a) |
+    (hull + b)) over the piece's edges [a, b] is the sum, all over the lcm
+    of the two denominators.
     """
-    piece = Region(tuple(ring))
-    if is_convex_ring(ring, piece._scaled):
-        return [list(minkowski_convex_star(hull, piece).vertices)]
-    h0 = hull.vertices[0]
-    out = [[v + h0 for v in ring]]
-    n = len(ring)
+    if is_convex_ring(piece._scaled):
+        return [minkowski_convex_star(hull, piece)]
+    m = lcm(hull.m, piece.m)
+    hxs = [x * (m // hull.m) for x in hull.xs]
+    hys = [y * (m // hull.m) for y in hull.ys]
+    rxs = [x * (m // piece.m) for x in piece.xs]
+    rys = [y * (m // piece.m) for y in piece.ys]
+    out = [Region(m, [x + hxs[0] for x in rxs], [y + hys[0] for y in rys])]
+    n = len(rxs)
     for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        out.append(list(convex_hull([h + a for h in hull.vertices]
-                                    + [h + b for h in hull.vertices])))
+        j = (i + 1) % n
+        out.append(_hull((m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
+                          [h + rys[i] for h in hys] + [h + rys[j] for h in hys])))
     return out
 
 
 def _p_step_general(hull: ConvexPolygon,
                     pieces: list[tuple[Point, list[Clipped]]]) -> Region:
-    parts: list[list[Point]] = []
+    parts: list[Region] = []
     for c, comps in pieces:
-        # union_rings keeps the first ring's copy of a shared edge, so a
-        # site's components go in one fixed order, by their vertex keys
-        rings = sorted(([Point(Fraction(x, m), Fraction(y, m)) - c
-                         for x, y in zip(xs, ys)] for m, xs, ys, _ in comps),
-                       key=lambda r: [v.key() for v in r])
-        for ring in rings:
-            parts.extend(_sum_hull_with_ring(hull, ring))
+        for m, xs, ys, _ in comps:
+            parts.extend(_sum_hull_with_ring(hull, Region(*_shift((m, xs, ys), -c))))
     return union_one_region(parts)
 
 
@@ -311,11 +318,10 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     they meet only at s0.  A region D is clipped on its integer ring, as in
     g_step; when each cell that meets D keeps one piece, star-shaped around
     the origin once shifted (which holds once the sites lie in D), the inner
-    union and the Minkowski sum run on the radial fast path with no Point
-    built before the inner union's output ring.  Otherwise (NotStarAtCenter,
-    DisconnectedUnion) the general route sums the hull with each piece by
-    sweeping it along the piece's edges (_sum_hull_with_ring) and unites
-    every ring in union_one_region.
+    union and the Minkowski sum run on the radial fast path.  Otherwise
+    (NotStarAtCenter, DisconnectedUnion) the general route sums the hull
+    with each piece by sweeping it along the piece's edges
+    (_sum_hull_with_ring) and unites the sums in union_one_region.
     """
     hull = S.hull
     if isinstance(D, PointSeed):
@@ -342,9 +348,7 @@ def p_step(S: SiteSet, D: Seed) -> Region:
 
 
 def _hull_region(region: Region, reference: Point | None = None) -> Region:
-    _, xs, ys = region._scaled
-    hull = Region(tuple(region.vertices[k] for k in _hull_order(xs, ys)))
-    return hull.with_reference(reference)
+    return _hull(region._scaled).with_reference(reference)
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
@@ -364,7 +368,7 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
         return parts[0]
     if g_family:
         return union_star(parts, ORIGIN)
-    return union_one_region([R.vertices for R in parts])
+    return union_one_region(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +378,12 @@ def snapped_ring(Q: Region) -> tuple[Point, ...] | None:
     """Q's ring with every coordinate snapped to the nearest fraction whose
     denominator is at most SNAP_DENOMINATOR; None when no coordinate moves.
 
-    A coordinate moves exactly when its denominator is larger, and each
-    distinct one is snapped once.
+    A coordinate moves exactly when its denominator is larger, so none
+    moves when Q's common denominator is not; each distinct one is snapped
+    once.
     """
+    if Q.m <= SNAP_DENOMINATOR:
+        return None
     memo: dict[tuple[int, int], Fraction] = {}
 
     def snap(q: Fraction) -> Fraction:
@@ -416,13 +423,13 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
     if ring is None:
         return None
     scaled = over_common_denominator(ring)
-    if any(point_in_ring(ring, v, scaled) < 0 for v in Q.vertices):
+    if any(point_in_ring(scaled, v) < 0 for v in Q.vertices):
         return None
     C = as_candidate(ring, Q.reference)
-    if C is None or subset_witness(Q.vertices, C.vertices) is not None:
+    if C is None or subset_witness(Q, C) is not None:
         return None
     image = apply_operator(op, SS, C)
-    if subset_witness(image.vertices, C.vertices) is not None:
+    if subset_witness(image, C) is not None:
         return None
     return image
 
@@ -459,10 +466,10 @@ def iterate(op: str, SS: Collection, seed: Seed,
     outer: Region | None = None
     for n in range(1, cfg.max_iter + 1):
         nxt = apply_operator(op, SS, cur)
-        history.append(len(nxt.vertices))
+        history.append(len(nxt))
         if isinstance(cur, Region) and equal_canonical(nxt, cur):
             return IterationResult(nxt, max(n - 1, 1), "fixed-point", history)
-        if outer is not None and subset_witness(nxt.vertices, outer.vertices) is None:
+        if outer is not None and subset_witness(nxt, outer) is None:
             return IterationResult(outer, n, "certified", history,
                                    outer.area2 - nxt.area2)
         if nxt.diameter_sq > threshold:

@@ -78,7 +78,7 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
     if show_cells:
         for S in site_sets:
             for c in S.inners:
-                ring = materialize_cell(S, c)
+                ring = materialize_cell(S, c).vertices
                 cells.append((ring, [p - c for p in ring]))
 
     xs: list[Fraction] = []

@@ -312,10 +312,10 @@ def _fixed_set(scene: Scene, spec: ProviderSpec, location: str) -> FeasibleSet:
         region = scene.regions.get(spec.region)
         if region is None:
             raise _fail("UnresolvedName", f"no region {spec.region!r}", location)
-        if not is_convex_ring(region.vertices):
+        if not is_convex_ring(region._scaled):
             raise _fail("BadProvider", "a fixed feasible region must be convex",
                         location)
-        return Convex(ConvexPolygon.hull_of(region.vertices), label=spec.region)
+        return Convex(ConvexPolygon(*region._scaled), label=spec.region)
     if spec.triangle is not None:
         fam = scene.triangles.get(spec.triangle)
         if fam is None:

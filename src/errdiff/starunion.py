@@ -26,12 +26,12 @@ triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its
 reduced integer direction.  Each edge's line is put over the common
 denominator of its two ends, and two lines are compared along a ray by
 cross-multiplying; the boundary point on a ray (_limit) and the crossing of
-two lines (_crossing) come back as reduced triples.  Points are built once,
-for the output ring.
+two lines (_crossing) come back as reduced triples.  The output ring goes
+over the lcm of its triples' denominators, moved back by the center, to
+Region.from_integers: no Point is built.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
@@ -40,9 +40,10 @@ from .geometry import (
     DisconnectedUnion,
     NotStarAtCenter,
     Point,
+    Polygon,
     Region,
     Scaled,
-    over_common_denominator,
+    _shift,
 )
 
 Dir = tuple[int, int]
@@ -168,32 +169,21 @@ def star_cycle(scaled: Scaled, center: Point) -> Cycle:
     Raises NotStarAtCenter when an edge turns clockwise around center,
     that is when center is outside the ring's kernel.
     """
-    m, xs, ys = scaled
-    cxn, cxd = center.x.as_integer_ratio()
-    cyn, cyd = center.y.as_integer_ratio()
-    if cxn or cyn:
-        M = lcm(m, cxd, cyd)
-        k, ox, oy = M // m, cxn * (M // cxd), cyn * (M // cyd)
-        xs = [x * k - ox for x in xs]
-        ys = [y * k - oy for y in ys]
-        m = M
+    m, xs, ys = _shift(scaled, -center) if center.x or center.y else scaled
     if any(xs[i - 1] * ys[i] < ys[i - 1] * xs[i] for i in range(len(xs))):
         raise NotStarAtCenter("center is outside a part's kernel")
     return xs, ys, m
 
 
-def union_star(parts: Sequence, center: Point) -> Region:
-    """Union of regions or CCW Point rings star-shaped around a common
-    center point.
+def union_star(parts: Sequence[Polygon], center: Point) -> Region:
+    """Union of polygons star-shaped around a common center point.
 
     Raises NotStarAtCenter when a part does not keep the center in its
     kernel, DisconnectedUnion when the union only meets at the center,
     DegenerateRegion when the union has no area.
     """
-    return cycle_envelope(
-        [star_cycle(part._scaled if isinstance(part, Region)
-                    else over_common_denominator(part), center)
-         for part in parts], center)
+    return cycle_envelope([star_cycle(part._scaled, center) for part in parts],
+                          center)
 
 
 def _chains(xs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:
@@ -305,11 +295,10 @@ def cycle_envelope(cycles: Sequence[Cycle], center: Point) -> Region:
         raise DisconnectedUnion("parts meet only at the center")
     if gaps:
         ring = ring[gaps[0]:] + ring[:gaps[0]]
-    cxn, cxd = center.x.as_integer_ratio()
-    cyn, cyd = center.y.as_integer_ratio()
-    points = [Point(Fraction(x * cxd + cxn * d, d * cxd),
-                    Fraction(y * cyd + cyn * d, d * cyd))
-              for x, y, d in ring]
+    L = lcm(*[d for _, _, d in ring])
+    xs = [x * (L // d) for x, _, d in ring]
+    ys = [y * (L // d) for _, y, d in ring]
     if gaps:
-        points.append(center)
-    return Region.from_ring(points, reference=center)
+        xs.append(0)
+        ys.append(0)
+    return Region.from_integers(*_shift((L, xs, ys), center), center)

@@ -22,6 +22,7 @@ from .geometry import (
     Point,
     Region,
     Scalar,
+    _shift,
     dist_sq,
     scalar_str,
 )
@@ -68,8 +69,8 @@ def _as_collection(scenario) -> Collection:
 def _is_invariant(op: str, scenario, Q: Region) -> VerificationReport:
     """is_invariant_g or is_invariant_p, by the operator letter op."""
     image = apply_operator(op, _as_collection(scenario), Q)
-    w = subset_witness(image.vertices, Q.vertices)
-    notes = f"image has {len(image.vertices)} vertices"
+    w = subset_witness(image, Q)
+    notes = f"image has {len(image)} vertices"
     return _report(f"is_invariant_{op}", () if w is None else (w,), notes)
 
 
@@ -103,8 +104,7 @@ def covers_translated_inner_cells(S: SiteSet, Q: Region) -> VerificationReport:
     """Does Q contain every bounded cell recentered on its site (exact)?"""
     witnesses = []
     for c in S.inners:
-        ring = [p - c for p in materialize_cell(S, c)]
-        w = subset_witness(ring, Q.vertices)
+        w = subset_witness(Region(*_shift(materialize_cell(S, c)._scaled, -c)), Q)
         if w is not None:
             witnesses.append(w)
     notes = f"checked {len(S.inners)} bounded cells"
@@ -116,7 +116,7 @@ def contains_union_of_hulls(scenario, D: Region) -> VerificationReport:
     coll = _as_collection(scenario)
     witnesses = []
     for S in coll:
-        w = subset_witness(S.hull.vertices, D.vertices)
+        w = subset_witness(S.hull, D)
         if w is not None:
             witnesses.append(w)
     return _report("contains_union_of_hulls", witnesses,
@@ -192,7 +192,7 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     realizes several outputs at once; together with the hull corners they
     drive the error to the boundary of the minimal set.
     """
-    hull = Region(S.hull.vertices)
+    hull = Region(*S.hull._scaled)
     pool = set(S.hull.vertices)
     for c in S.sites:
         piece = intersect_region_cell(hull, cell(S, c))

@@ -5,12 +5,11 @@ with the sites whose walls bound it along an edge of positive length,
 found once per site set on the sites' integers (_facet_neighbours) by the
 same integer hull that builds ch S (geometry._hull_order).
 Clipping a region into a cell is one call of booleans.clip_components on
-the region's integer ring (its cached _scaled) through all the walls.  The
-operators call it themselves and stay on integers; intersect_region_cell
-is the one Point form, for a clip that must leave one component: the
-Points of its ring are the region's own for every vertex it keeps, and
-new only for the crossings.  A bounded cell is materialized on demand with
-it, by clipping a box around the hull that grows until the cell no longer
+the region's integer ring through all the walls.  The operators call it
+themselves and read its components on integers; intersect_region_cell,
+for a clip that must leave one component, makes that component a Region
+as it stands.  A bounded cell is materialized on demand with it, by
+clipping a box around the hull that grows until the cell no longer
 touches it.  Sites on the hull boundary are the corners, sites
 strictly inside the inners (SiteSet.corners and .inners).
 
@@ -35,8 +34,6 @@ from .geometry import (
     Region,
     _hull_order,
     ceil_sqrt,
-    convex_hull,
-    diameter_sq_of,
     over_common_denominator,
     scalar_str,
 )
@@ -94,7 +91,7 @@ class SiteSet:
 
     @cached_property
     def hull(self) -> ConvexPolygon:
-        return ConvexPolygon(convex_hull(self.sites))
+        return ConvexPolygon.hull_of(self.sites)
 
     @cached_property
     def corners(self) -> tuple[Point, ...]:
@@ -167,20 +164,16 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
 
 def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
     """R clipped into V; None when empty, MultiComponent when R ∩ V has more
-    than one component.  The ring keeps R's own Points for the vertices it
-    keeps and builds new ones for the crossings only."""
+    than one component.  The component's ring is canonical; the input's
+    star center need not survive the clip, so callers reattach one."""
     comps = clip_components(R._scaled, V.walls)
     if not comps:
         return None
     if len(comps) > 1:
         raise MultiComponent(
             f"cell of {V.site} cuts the region into {len(comps)} parts")
-    m, xs, ys, src = comps[0]
-    vs = R.vertices
-    # the ring is canonical; the input's star center need not survive the
-    # clip, so callers reattach one
-    return Region(tuple(vs[k] if k >= 0 else Point(Fraction(x, m), Fraction(y, m))
-                        for x, y, k in zip(xs, ys, src)))
+    m, xs, ys, _ = comps[0]
+    return Region(m, xs, ys)
 
 
 def project(S: SiteSet, x: Point) -> Point:
@@ -198,8 +191,8 @@ def project(S: SiteSet, x: Point) -> Point:
     return min(entries, key=lambda e: e[0] * q - a * e[1] - b * e[2])[3]
 
 
-def materialize_cell(S: SiteSet, c: Point) -> list[Point]:
-    """Bounded cell of an inner site as a ring, clipped from a box around ch S.
+def materialize_cell(S: SiteSet, c: Point) -> Region:
+    """Bounded cell of an inner site, clipped from a box around ch S.
 
     The box is padded by 4 sqrt(diam ch S) first; while the clipped cell
     still touches the box the pad doubles.  An inner site's cell is bounded,
@@ -211,27 +204,29 @@ def materialize_cell(S: SiteSet, c: Point) -> list[Point]:
     xmin, ymin, xmax, ymax = S.hull.bbox
     while True:
         lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
-        box = Region((Point(lo_x, lo_y), Point(hi_x, lo_y),
-                      Point(hi_x, hi_y), Point(lo_x, hi_y)))
+        box = Region(*over_common_denominator((Point(lo_x, lo_y), Point(hi_x, lo_y),
+                                               Point(hi_x, hi_y), Point(lo_x, hi_y))))
         got = intersect_region_cell(box, S.cells[c])
         if got is None:
             raise UnboundedCell(f"cell of {c} vanished inside its box")
-        if not any(v.x in (lo_x, hi_x) or v.y in (lo_y, hi_y) for v in got.vertices):
-            return list(got.vertices)
+        gx0, gy0, gx1, gy1 = got.bbox
+        if lo_x < gx0 and lo_y < gy0 and gx1 < hi_x and gy1 < hi_y:
+            return got
         pad *= 2
 
 
 def inner_cell_diameter_sq(S: SiteSet, c: Point) -> Fraction:
-    return diameter_sq_of(materialize_cell(S, c))
+    return materialize_cell(S, c).diameter_sq
 
 
 def hull_edge_normals(S: SiteSet) -> list[tuple[int, int]]:
     """Outward edge normals of ch S as reduced integer direction pairs."""
+    _, xs, ys = S.hull._scaled
+    n = len(xs)
     out = []
-    for u, v in S.hull.edges():
-        d = v - u
-        nx = d.y.numerator * d.x.denominator
-        ny = -d.x.numerator * d.y.denominator
+    for i in range(n):
+        j = (i + 1) % n
+        nx, ny = ys[j] - ys[i], xs[i] - xs[j]
         g = gcd(nx, ny)
         out.append((nx // g, ny // g))
     return out

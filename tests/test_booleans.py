@@ -25,9 +25,6 @@ from errdiff.geometry import (
     NotStarAtCenter,
     Point,
     Region,
-    bbox,
-    canonicalize_ring,
-    convex_hull,
     is_simple_ring,
     over_common_denominator,
     point_in_ring,
@@ -36,13 +33,40 @@ from errdiff.geometry import (
 )
 from errdiff.starunion import _arc, _crossing, _Edge, _limit, _t_cmp, union_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
-from test_geometry import reference_orient
+from test_geometry import canonical, hull, reference_orient
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 
 def ring_of(*coords):
     return [pt(x, y) for x, y in coords]
+
+
+def poly(ring):
+    """The ring of Points as a polygon over its common denominator, in the
+    order given: the form the boolean kernels take."""
+    return Region(*over_common_denominator(ring))
+
+
+def unite(rings):
+    """union_rings on Point rings, each cycle back as a Point ring."""
+    return [list(R.vertices) for R in union_rings([poly(r) for r in rings])]
+
+
+def witness(a_ring, b_ring):
+    return subset_witness(poly(a_ring), poly(b_ring))
+
+
+def contained(a_ring, b_ring):
+    return subset(poly(a_ring), poly(b_ring))
+
+
+def star(rings, center):
+    return union_star([poly(r) for r in rings], center)
+
+
+def locate(ring, p):
+    return point_in_ring(over_common_denominator(ring), p)
 
 
 def one_wall(hp):
@@ -63,7 +87,7 @@ def clip(ring, *walls):
 def split_points(p1, p2, q1, q2):
     """The points where the integer splitter cuts segment p1 -> p2 against
     segment q1 -> q2, ends included, in order from p1."""
-    L, (P, Q) = _boundaries(([p1, p2], [q1, q2]))
+    L, (P, Q) = _boundaries((poly([p1, p2]), poly([q1, q2])))
     pieces = _pieces(P.edges[0], (Q,))
     ends = [p for p, _, _ in pieces] + [pieces[-1][1]]
     return [Point(F(x, d * L), F(y, d * L)) for x, y, d in ends]
@@ -112,7 +136,7 @@ class TestClip:
         assert clip(UNIT_SQUARE, hp) == []
 
     def test_tangent_vertex_keeps_all(self):
-        diamond = canonicalize_ring(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
+        diamond = canonical(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
         hp = HalfPlane(F(0), F(1), F(1))  # y <= 1, touches the top vertex
         scaled = over_common_denominator(diamond)
         ((m, xs, ys, src),) = clip_components(scaled, (hp,))
@@ -150,42 +174,42 @@ class TestClip:
 class TestSubset:
     def test_nested_squares(self):
         inner = ring_of(("1/4", "1/4"), ("3/4", "1/4"), ("3/4", "3/4"), ("1/4", "3/4"))
-        assert subset(inner, UNIT_SQUARE)
-        assert not subset(UNIT_SQUARE, inner)
+        assert contained(inner, UNIT_SQUARE)
+        assert not contained(UNIT_SQUARE, inner)
 
     def test_equal_rings(self):
-        assert subset(UNIT_SQUARE, UNIT_SQUARE)
+        assert contained(UNIT_SQUARE, UNIT_SQUARE)
 
     def test_l_in_square(self):
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
         big = ring_of((0, 0), (2, 0), (2, 2), (0, 2))
-        assert subset(lshape, big)
-        assert not subset(big, lshape)
+        assert contained(lshape, big)
+        assert not contained(big, lshape)
 
     def test_witness_lies_in_a_not_b(self):
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
         big = ring_of((0, 0), (2, 0), (2, 2), (0, 2))
-        w = subset_witness(big, lshape)
+        w = witness(big, lshape)
         assert w is not None
-        assert point_in_ring(big, w) >= 0
-        assert point_in_ring(lshape, w) < 0
+        assert locate(big, w) >= 0
+        assert locate(lshape, w) < 0
 
     def test_overlap_without_containment(self):
         shifted = [p + pt("1/2", "1/2") for p in UNIT_SQUARE]
-        assert not subset(UNIT_SQUARE, shifted)
-        assert not subset(shifted, UNIT_SQUARE)
+        assert not contained(UNIT_SQUARE, shifted)
+        assert not contained(shifted, UNIT_SQUARE)
 
     def test_subset_through_shared_boundary(self):
         half = ring_of((0, 0), (1, 0), (1, "1/2"), (0, "1/2"))
-        assert subset(half, UNIT_SQUARE)
+        assert contained(half, UNIT_SQUARE)
 
     def test_witness_is_an_edge_midpoint(self):
         # every vertex of the square lies on the notched square's boundary;
         # the top edge, split at the notch, has its middle piece outside
         square = ring_of((0, 0), (2, 0), (2, 2), (0, 2))
         notched = ring_of((0, 0), (2, 0), (2, 2), ("3/2", 2), (1, 1), ("1/2", 2), (0, 2))
-        assert all(point_in_ring(notched, v) >= 0 for v in square)
-        w = subset_witness(square, notched)
+        assert all(locate(notched, v) >= 0 for v in square)
+        w = witness(square, notched)
         assert w == pt(1, 2)
         assert w == reference_subset_witness(square, notched)
         # two notches in the top edge, which runs from (4, 2) to (0, 2): the
@@ -193,50 +217,50 @@ class TestSubset:
         wide = ring_of((0, 0), (4, 0), (4, 2), (0, 2))
         twice = ring_of((0, 0), (4, 0), (4, 2), ("7/2", 2), (3, 1), ("5/2", 2),
                         ("3/2", 2), (1, 1), ("1/2", 2), (0, 2))
-        assert subset_witness(wide, twice) == reference_subset_witness(wide, twice) == pt(3, 2)
+        assert witness(wide, twice) == reference_subset_witness(wide, twice) == pt(3, 2)
 
 
 class TestUnion:
     def test_idempotent(self):
-        got = union_rings([UNIT_SQUARE, UNIT_SQUARE])
+        got = unite([UNIT_SQUARE, UNIT_SQUARE])
         assert got == [UNIT_SQUARE]
 
     def test_overlapping_squares(self):
         b = ring_of(("1/2", 0), ("3/2", 0), ("3/2", 1), ("1/2", 1))
-        got = union_rings([UNIT_SQUARE, b])
+        got = unite([UNIT_SQUARE, b])
         assert got == [ring_of((0, 0), ("3/2", 0), ("3/2", 1), (0, 1))]
 
     def test_edge_adjacent_squares_fuse(self):
         b = ring_of((1, 0), (2, 0), (2, 1), (1, 1))
-        got = union_rings([UNIT_SQUARE, b])
+        got = unite([UNIT_SQUARE, b])
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
 
     def test_l_from_two_rectangles(self):
         a = ring_of((0, 0), (2, 0), (2, 1), (0, 1))
         b = ring_of((0, 0), (1, 0), (1, 2), (0, 2))
-        got = union_rings([a, b])
+        got = unite([a, b])
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))]
 
     def test_partial_shared_edge_opposite_sides(self):
         a = ring_of((0, 0), (2, 0), (2, 1), (0, 1))
         b = ring_of((1, -1), (3, -1), (3, 0), (1, 0))
-        got = union_rings([a, b])
+        got = unite([a, b])
         assert len(got) == 1
         ring = got[0]
-        assert is_simple_ring(ring)
-        assert ring_area2(ring) == 8
+        assert is_simple_ring(over_common_denominator(ring))
+        assert ring_area2(over_common_denominator(ring)) == 8
         for src in (a, b):
-            assert subset(src, ring)
+            assert contained(src, ring)
 
     def test_disjoint_parts_are_separate_cycles(self):
         b = [p + pt(5, 5) for p in UNIT_SQUARE]
-        got = union_rings([UNIT_SQUARE, b])
+        got = unite([UNIT_SQUARE, b])
         assert len(got) == 2
 
     def test_corner_touch_strict_raises(self):
         b = [p + pt(1, 1) for p in UNIT_SQUARE]
         with pytest.raises(DisconnectedUnion):
-            union_rings([UNIT_SQUARE, b])
+            unite([UNIT_SQUARE, b])
 
     def test_hole_raises(self):
         frame = [
@@ -246,17 +270,17 @@ class TestUnion:
             ring_of((0, 0), (1, 0), (1, 3), (0, 3)),
         ]
         with pytest.raises(DisconnectedUnion):
-            union_rings(frame)
+            unite(frame)
 
     def test_union_one_region_single(self):
         b = [p + pt("1/2", 0) for p in UNIT_SQUARE]
-        got = union_one_region([UNIT_SQUARE, b])
+        got = union_one_region([poly(UNIT_SQUARE), poly(b)])
         assert list(got.vertices) == ring_of((0, 0), ("3/2", 0), ("3/2", 1), (0, 1))
 
     def test_union_one_region_rejects_disjoint(self):
         b = [p + pt(9, 9) for p in UNIT_SQUARE]
         with pytest.raises(DisconnectedUnion):
-            union_one_region([UNIT_SQUARE, b])
+            union_one_region([poly(UNIT_SQUARE), poly(b)])
 
 
 class TestStarUnion:
@@ -264,46 +288,46 @@ class TestStarUnion:
         h = F(1, 2)
         quads = []
         for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-            quads.append(canonicalize_ring(
+            quads.append(canonical(
                 [pt(0, 0), pt(sx * h, 0), pt(sx * h, sy * h), pt(0, sy * h)]))
-        got = union_star(quads, ORIGIN)
+        got = star(quads, ORIGIN)
         assert list(got.vertices) == ring_of(
             ("-1/2", "-1/2"), ("1/2", "-1/2"), ("1/2", "1/2"), ("-1/2", "1/2"))
 
     def test_two_adjacent_wedges_fuse_collinear_caps(self):
-        a = canonicalize_ring(ring_of((0, 0), (1, 0), (1, 1)))
-        b = canonicalize_ring(ring_of((0, 0), (1, 1), (0, 1)))
-        got = union_star([a, b], ORIGIN)
+        a = canonical(ring_of((0, 0), (1, 0), (1, 1)))
+        b = canonical(ring_of((0, 0), (1, 1), (0, 1)))
+        got = star([a, b], ORIGIN)
         assert list(got.vertices) == UNIT_SQUARE
 
     def test_opposite_wedges_pinch(self):
-        a = canonicalize_ring(ring_of((0, 0), (1, 0), (1, 1)))
-        b = canonicalize_ring(ring_of((0, 0), (-1, 0), (-1, -1)))
+        a = canonical(ring_of((0, 0), (1, 0), (1, 1)))
+        b = canonical(ring_of((0, 0), (-1, 0), (-1, -1)))
         with pytest.raises(DisconnectedUnion):
-            union_star([a, b], ORIGIN)
+            star([a, b], ORIGIN)
 
     def test_center_must_be_in_kernel(self):
         with pytest.raises(NotStarAtCenter):
-            union_star([UNIT_SQUARE], pt(5, 5))
+            star([UNIT_SQUARE], pt(5, 5))
 
     def test_off_center_union(self):
         c = pt("1/4", "1/4")
         b = ring_of((0, 0), (2, 0), (2, "1/2"), (0, "1/2"))
-        got = union_star([UNIT_SQUARE, b], c)
+        got = star([UNIT_SQUARE, b], c)
         assert list(got.vertices) == ring_of(
             (0, 0), (2, 0), (2, "1/2"), (1, "1/2"), (1, 1), (0, 1))
 
     def test_single_part_round_trip(self):
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
-        got = union_star([lshape], pt("1/2", "1/2"))
+        got = star([lshape], pt("1/2", "1/2"))
         assert list(got.vertices) == lshape
 
     def test_nested_parts(self):
         small = ring_of(("-1/4", "-1/4"), ("1/4", "-1/4"), ("1/4", "1/4"), ("-1/4", "1/4"))
         big = ring_of((-1, -1), (1, -1), (1, 1), (-1, 1))
-        got = union_star([small, big], ORIGIN)
+        got = star([small, big], ORIGIN)
         assert list(got.vertices) == big
-        got2 = union_star([big, small], ORIGIN)
+        got2 = star([big, small], ORIGIN)
         assert list(got2.vertices) == big
 
 
@@ -340,7 +364,7 @@ def star_rings(draw, radius=radii):
     for i in idxs:
         r = draw(radius)
         ring.append(pt(DIR_POOL[i][0] * r, DIR_POOL[i][1] * r))
-    out = canonicalize_ring(ring)
+    out = canonical(ring)
     assert out is not None
     return out
 
@@ -372,30 +396,29 @@ class TestUnionCrossCheck:
         an offset with denominator 3."""
         for shift in (ORIGIN, offset):
             sa, sb = [v + shift for v in a], [v + shift for v in b]
-            cycles = union_rings([sa, sb])
+            cycles = unite([sa, sb])
             assert len(cycles) == 1
-            star = union_star([sa, sb], shift)
-            assert list(star.vertices) == cycles[0]
+            assert list(star([sa, sb], shift).vertices) == cycles[0]
 
     @given(star_rings(), star_rings())
     @settings(max_examples=50, deadline=None)
     def test_union_contains_parts_and_no_more(self, a, b):
-        u = union_star([a, b], ORIGIN).vertices
-        assert subset(a, u) and subset(b, u)
+        u = star([a, b], ORIGIN).vertices
+        assert contained(a, u) and contained(b, u)
         for v in u:
-            assert point_in_ring(a, v) >= 0 or point_in_ring(b, v) >= 0
+            assert locate(a, v) >= 0 or locate(b, v) >= 0
         for x in range(-4, 5, 2):
             for y in range(-4, 5, 2):
                 p = pt(x, y)
-                in_union = point_in_ring(u, p) >= 0
-                in_parts = point_in_ring(a, p) >= 0 or point_in_ring(b, p) >= 0
+                in_union = locate(u, p) >= 0
+                in_parts = locate(a, p) >= 0 or locate(b, p) >= 0
                 assert in_union == in_parts
 
     @given(star_rings(), star_rings(), star_rings())
     @settings(max_examples=25, deadline=None)
     def test_three_way_associativity(self, a, b, c):
-        left = union_star([union_star([a, b], ORIGIN), c], ORIGIN)
-        right = union_star([a, union_star([b, c], ORIGIN)], ORIGIN)
+        left = union_star([star([a, b], ORIGIN), poly(c)], ORIGIN)
+        right = union_star([poly(a), star([b, c], ORIGIN)], ORIGIN)
         assert list(left.vertices) == list(right.vertices)
 
 
@@ -415,9 +438,9 @@ class TestWideCoordinates:
     @settings(max_examples=30, deadline=None)
     def test_star_matches_general(self, rings):
         """Two to four parts, narrow and wide, through one envelope."""
-        cycles = union_rings(rings)
+        cycles = unite(rings)
         assert len(cycles) == 1
-        assert list(union_star(rings, ORIGIN).vertices) == cycles[0]
+        assert list(star(rings, ORIGIN).vertices) == cycles[0]
 
     @given(star_rings(wide_radii), star_rings(wide_radii))
     @settings(max_examples=30, deadline=None)
@@ -523,7 +546,7 @@ def reference_clip(ring, a, b, c):
             seen.add(ci)
             pts.extend(chains[ci])
             ci = succ[ci]
-        comp = canonicalize_ring(pts)
+        comp = canonical(pts)
         if comp is not None:
             comps.append(comp)
     return sorted(comps, key=lambda r: [p.key() for p in r])
@@ -619,6 +642,13 @@ def reference_seg_seg_points(p1, p2, q1, q2):
     return out
 
 
+def bbox(points):
+    """(xmin, ymin, xmax, ymax) of the points, in Fractions."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def boxes_overlap(b1, b2):
     return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
 
@@ -634,7 +664,7 @@ class ReferenceRing:
     def locate(self, p):
         if not boxes_overlap(self.box, (p.x, p.y, p.x, p.y)):
             return -1
-        return point_in_ring(self.ring, p)
+        return locate(self.ring, p)
 
 
 def reference_split_edge(u, v, others):
@@ -715,12 +745,12 @@ def reference_union_rings(rings):
             cur = outgoing.get(cur[1].key())
         if path[0] != path[-1]:
             raise DisconnectedUnion("union boundary has a dangling chain")
-        ring = canonicalize_ring(path[:-1])
+        ring = canonical(path[:-1])
         if ring is not None:
             cycles.append(ring)
     for i, r1 in enumerate(cycles):
         for j, r2 in enumerate(cycles):
-            if i != j and any(point_in_ring(r2, v) > 0 for v in r1):
+            if i != j and any(locate(r2, v) > 0 for v in r1):
                 raise DisconnectedUnion("union produced a hole")
     return cycles
 
@@ -748,7 +778,7 @@ def grid_rings(draw):
         return [Point(F(x, k), F(y, k)) for x, y in corners]
     pts = draw(st.lists(st.tuples(grid, grid), min_size=3, max_size=7))
     try:
-        return list(convex_hull(Point(F(x, k), F(y, k)) for x, y in pts))
+        return list(hull(Point(F(x, k), F(y, k)) for x, y in pts))
     except GeometryError:
         return [Point(F(x, k), F(y, k)) for x, y in ((0, 0), (1, 0), (0, 1))]
 
@@ -770,18 +800,18 @@ class TestIntegerContainmentAndUnion:
     @settings(max_examples=300, deadline=None)
     def test_subset_witness_matches_fraction_reference(self, a, b):
         for x, y in ((a, b), (b, a), (a, a)):
-            assert subset_witness(x, y) == reference_subset_witness(x, y)
+            assert witness(x, y) == reference_subset_witness(x, y)
 
     @given(st.lists(grid_rings(), min_size=2, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_union_matches_fraction_reference_on_grids(self, rings):
-        got = union_outcome(union_rings, rings)
+        got = union_outcome(unite, rings)
         assert got == union_outcome(reference_union_rings, rings)
 
     @given(st.lists(any_rings, min_size=2, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_union_matches_fraction_reference(self, rings):
-        got = union_outcome(union_rings, rings)
+        got = union_outcome(unite, rings)
         assert got == union_outcome(reference_union_rings, rings)
 
     def test_hole_and_touch_messages(self):
@@ -792,6 +822,6 @@ class TestIntegerContainmentAndUnion:
         corner = [UNIT_SQUARE, [p + pt(1, 1) for p in UNIT_SQUARE]]
         for rings, message in ((frame, "union produced a hole"),
                                (corner, "union boundary touches itself")):
-            assert union_outcome(union_rings, rings) == ("DisconnectedUnion", message)
+            assert union_outcome(unite, rings) == ("DisconnectedUnion", message)
             assert union_outcome(reference_union_rings, rings) == (
                 "DisconnectedUnion", message)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import errdiff
 from errdiff.cli import main
 from errdiff.geometry import pt
 from errdiff.scene import Scene
@@ -23,6 +25,15 @@ def read_json(path: Path) -> dict:
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def package_env() -> dict:
+    """The environment with the directory above the imported errdiff first
+    on PYTHONPATH, so a child interpreter imports the same package."""
+    env = dict(os.environ)
+    root = str(Path(errdiff.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture()
@@ -168,7 +179,7 @@ class TestSimulateFailures:
             "print(peaks[1] - peaks[0])\n")
         proc = subprocess.run(
             [sys.executable, "-c", code, str(SCENES / "triangle.json"), str(tmp_path)],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=package_env())
         assert int(proc.stdout.splitlines()[-1]) < 4 * 1024  # ru_maxrss is in KiB
 
 
@@ -200,6 +211,23 @@ class TestVerify:
         checks = read_json(out / "sset2.verify.json")["checks"]
         bad = [c for c in checks if not c["passed"]]
         assert bad and all(c["witnesses"] for c in bad)
+
+    def test_a_g_set_that_is_not_star_shaped_is_reported(self, out, capsys):
+        # the triangle misses the origin, so the g operator cannot take it:
+        # verify reports the star check with its witnesses and skips
+        # invariance instead of rejecting the input
+        out.mkdir(parents=True)
+        (out / "sset1.gset.json").write_text(
+            json.dumps({"vertices": [["1", "1"], ["3", "1"], ["3", "3"]]}))
+        code = run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out)
+        assert code == 4
+        checks = read_json(out / "sset1.verify.json")["checks"]
+        assert [c["check"] for c in checks] == [
+            "is_star_convex_origin", "covers_translated_inner_cells"]
+        star = checks[0]
+        assert not star["passed"] and star["witnesses"] == [["2", "1"]]
+        assert "is_invariant_g not checked" in star["notes"]
+        assert "sset1: is_star_convex_origin: FAIL" in capsys.readouterr().out
 
     def test_exit_three_when_nothing_to_verify(self, out):
         out.mkdir(parents=True)
@@ -259,6 +287,22 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sset1.gset.json" in err
 
+    def test_truncated_stored_set_names_its_file(self, out, capsys):
+        out.mkdir(parents=True)
+        (out / "sset1.fset.json").write_text('{"vertices": [["0", "0"], ["1", "0"]')
+        assert run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sset1.fset.json" in err
+        assert "not valid JSON" in err
+
+    def test_trace_line_that_is_not_json_names_its_file(self, out, capsys):
+        out.mkdir(parents=True)
+        (out / "random-walk.trace.jsonl").write_text('{"e": ["0", "0"]}\n{"e": [\n')
+        assert run_cli("render", "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "random-walk.trace.jsonl" in err
+        assert "line 2 is not valid JSON" in err
+
     def test_trace_line_without_a_point(self, out, capsys):
         out.mkdir(parents=True)
         (out / "random-walk.trace.jsonl").write_text('{"x": 1}\n')
@@ -300,7 +344,7 @@ class TestFailureModes:
         proc = subprocess.run(
             [sys.executable, "-m", "errdiff.cli", "min-gset",
              "--scene", str(SCENES / "sset4.json"), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert "after 1 iteration," in proc.stdout
 

@@ -544,10 +544,12 @@ def reference_sample(verts, rng):
 def reference_project_convex(poly, x):
     """project_convex in Fraction arithmetic; the first strictly nearer
     edge wins."""
-    if all((v - u).cross(x - u) >= 0 for u, v in poly.edges()):
+    vs = poly.vertices
+    sides = list(zip(vs, vs[1:] + vs[:1]))
+    if all((v - u).cross(x - u) >= 0 for u, v in sides):
         return x
     best = best_d = None
-    for u, v in poly.edges():
+    for u, v in sides:
         d = v - u
         t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
         cand = u + d.scale(t)
@@ -620,7 +622,7 @@ class TestIntegerKernels:
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
                lambda verts: st.sampled_from((Finite(SiteSet(verts)),
-                                              Convex(ConvexPolygon(verts)))))
+                                              Convex(ConvexPolygon.hull_of(verts)))))
            | triangles | drawn_triangles)
     @settings(max_examples=300, deadline=None)
     def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
@@ -630,7 +632,8 @@ class TestIntegerKernels:
             assert verts == ((ORIGIN,) if fs.h == 0
                              else (ORIGIN, Point(w, fs.h), Point(-w, fs.h)))
         assert verts == fs.hull_vertices()
-        assert scaled == over_common_denominator(fs.hull_vertices())
+        m, xs, ys = scaled
+        assert (m, list(xs), list(ys)) == over_common_denominator(fs.hull_vertices())
         assert fs.hull_ring is fs.hull_ring
 
     @given(triangle_and_point())

@@ -18,14 +18,14 @@ from errdiff.geometry import (
     NotSimple,
     Point,
     Region,
-    canonicalize_ring,
+    _canonical_order,
     ceil_sqrt,
-    convex_hull,
     diameter_sq_of,
     dist_sq,
     equal_canonical,
     is_convex_ring,
     is_simple_ring,
+    over_common_denominator as ocd,
     parse_scalar,
     point_in_ring,
     project_convex,
@@ -48,8 +48,21 @@ wide_points = st.builds(Point, wide_coord, wide_coord)
 grid_points = st.builds(pt, st.integers(-2, 2), st.integers(-2, 2))
 
 
+def canonical(points):
+    """The ring's canonical form by the package's integer sweep
+    (_canonical_order), as Points; None when it has no area left."""
+    _, xs, ys = ocd(points)
+    order = _canonical_order(xs, ys)
+    return None if order is None else [points[i] for i in order]
+
+
+def hull(points):
+    """The vertices of ConvexPolygon.hull_of(points)."""
+    return ConvexPolygon.hull_of(points).vertices
+
+
 def reference_canonicalize(points):
-    """canonicalize_ring as a plain restart-from-the-start sweep with a
+    """canonical as a plain restart-from-the-start sweep with a
     Fraction area, the specification the integer version must match."""
     ring = []
     for p in points:
@@ -129,7 +142,7 @@ def reference_orient(a, b, c) -> int:
 
 
 def reference_hull(points):
-    """convex_hull as Andrew's monotone chain over the distinct points in
+    """hull as Andrew's monotone chain over the distinct points in
     Fraction order, turning with reference_orient: the specification the
     integer chain must match, DegenerateHull messages included."""
     pts = [Point(x, y) for x, y in sorted({p.key() for p in points})]
@@ -203,22 +216,21 @@ class TestHull:
     @settings(max_examples=400)
     @given(hull_inputs())
     def test_matches_reference_chain(self, pts):
-        assert hull_outcome(convex_hull, pts) == hull_outcome(reference_hull, pts)
+        assert hull_outcome(hull, pts) == hull_outcome(reference_hull, pts)
 
     def test_degenerate_messages(self):
-        assert hull_outcome(convex_hull, []) == "DegenerateHull: 0 distinct points"
-        assert (hull_outcome(convex_hull, [pt(1, 2), pt(F(2, 2), 2), pt(3, 1)])
+        assert hull_outcome(hull, []) == "DegenerateHull: 0 distinct points"
+        assert (hull_outcome(hull, [pt(1, 2), pt(F(2, 2), 2), pt(3, 1)])
                 == "DegenerateHull: 2 distinct points")
-        assert (hull_outcome(convex_hull, [pt(0, 0), pt(F(1, 3), F(1, 6)), pt(2, 1)])
+        assert (hull_outcome(hull, [pt(0, 0), pt(F(1, 3), F(1, 6)), pt(2, 1)])
                 == "DegenerateHull: all points collinear")
 
     def test_square_with_inner_points(self):
-        hull = convex_hull(UNIT_SQUARE + [pt("1/2", "1/2"), pt(0, 0)])
-        assert list(hull) == UNIT_SQUARE
+        assert list(hull(UNIT_SQUARE + [pt("1/2", "1/2"), pt(0, 0)])) == UNIT_SQUARE
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateHull):
-            convex_hull([pt(0, 0), pt(1, 1), pt(2, 2)])
+            hull([pt(0, 0), pt(1, 1), pt(2, 2)])
 
     @given(st.lists(points, min_size=3, max_size=12))
     def test_hull_contains_inputs(self, pts):
@@ -232,7 +244,7 @@ class TestHull:
     @given(st.lists(points, min_size=3, max_size=10))
     def test_hull_is_strictly_convex(self, pts):
         try:
-            vs = convex_hull(pts)
+            vs = hull(pts)
         except DegenerateHull:
             return
         n = len(vs)
@@ -242,23 +254,23 @@ class TestHull:
 
 class TestRings:
     def test_canonicalize_rotation_and_direction(self):
-        base = canonicalize_ring(UNIT_SQUARE)
-        rotated = canonicalize_ring(UNIT_SQUARE[2:] + UNIT_SQUARE[:2])
-        reversed_ = canonicalize_ring(list(reversed(UNIT_SQUARE)))
+        base = canonical(UNIT_SQUARE)
+        rotated = canonical(UNIT_SQUARE[2:] + UNIT_SQUARE[:2])
+        reversed_ = canonical(list(reversed(UNIT_SQUARE)))
         assert base == rotated == reversed_
 
     def test_canonicalize_strips_collinear_and_duplicates(self):
         noisy = ring_of((0, 0), (0, 0), ("1/2", 0), (1, 0), (1, 1), (0, 1), (0, "1/2"))
-        assert canonicalize_ring(noisy) == UNIT_SQUARE
+        assert canonical(noisy) == UNIT_SQUARE
 
     def test_zero_area_is_none(self):
-        assert canonicalize_ring(ring_of((0, 0), (1, 1), (2, 2))) is None
-        assert canonicalize_ring(ring_of((0, 0), (1, 0), (0, 0), (1, 0))) is None
+        assert canonical(ring_of((0, 0), (1, 1), (2, 2))) is None
+        assert canonical(ring_of((0, 0), (1, 0), (0, 0), (1, 0))) is None
 
     def test_convexity(self):
-        assert is_convex_ring(UNIT_SQUARE)
-        assert not is_convex_ring(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-        assert not is_convex_ring(ring_of((0, 0), (1, 0), (2, 0), (1, 1)))
+        assert is_convex_ring(ocd(UNIT_SQUARE))
+        assert not is_convex_ring(ocd(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))))
+        assert not is_convex_ring(ocd(ring_of((0, 0), (1, 0), (2, 0), (1, 1))))
 
     def test_simplicity(self):
         # every rotation and both directions, so each endpoint of each edge
@@ -269,22 +281,22 @@ class TestRings:
                     yield r[k:] + r[:k]
 
         bowtie = ring_of((0, 0), (1, 1), (1, 0), (0, 1))
-        assert not is_simple_ring(bowtie)
-        assert is_simple_ring(UNIT_SQUARE)
+        assert not is_simple_ring(ocd(bowtie))
+        assert is_simple_ring(ocd(UNIT_SQUARE))
         # a square, and a ring with a vertex on the line of a non-adjacent
         # edge, past its end, where the two edges' boxes meet
         for ring in (ring_of((0, 0), (2, 0), (2, 2), (0, 2)),
                      ring_of((0, 0), (2, 0), (4, -1), (3, 0), (1, 1))):
-            assert all(is_simple_ring(r) for r in turns(ring))
+            assert all(is_simple_ring(ocd(r)) for r in turns(ring))
         # a vertex on a non-adjacent edge, the vertex before an edge on that
         # edge, and an edge folded back along another
         for ring in (ring_of((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)),
                      ring_of((0, 0), (2, 0), (2, 2), (0, 2), (1, 0)),
                      ring_of((0, 0), (3, 0), (3, 1), (2, 0), (1, 0), (0, 1))):
-            assert not any(is_simple_ring(r) for r in turns(ring))
+            assert not any(is_simple_ring(ocd(r)) for r in turns(ring))
 
     def test_point_in_ring(self):
-        lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+        lshape = ocd(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
         assert point_in_ring(lshape, pt("1/2", "1/2")) == 1
         assert point_in_ring(lshape, pt("3/2", "3/2")) == -1
         assert point_in_ring(lshape, pt(1, "3/2")) == 0
@@ -292,7 +304,7 @@ class TestRings:
         assert point_in_ring(lshape, pt(3, 0)) == -1
 
     def test_point_in_ring_ray_through_vertex(self):
-        diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
+        diamond = ocd(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
         assert point_in_ring(diamond, ORIGIN) == 1
         assert point_in_ring(diamond, pt("-1/2", 0)) == 1
         assert point_in_ring(diamond, pt(-2, 0)) == -1
@@ -303,28 +315,28 @@ class TestRings:
     @settings(max_examples=400, deadline=None)
     def test_point_in_ring_matches_two_pass_reference(self, case):
         ring, x = case
-        assert point_in_ring(ring, x) == reference_point_in_ring(ring, x)
+        assert point_in_ring(ocd(ring), x) == reference_point_in_ring(ring, x)
 
     @given(st.lists(points, min_size=3, max_size=9))
     def test_canonicalize_idempotent(self, pts):
-        ring = canonicalize_ring(pts)
+        ring = canonical(pts)
         if ring is not None:
-            assert canonicalize_ring(ring) == ring
+            assert canonical(ring) == ring
 
     # a 5x5 grid makes collinear runs, spikes and repeats common
     @given(st.lists(grid_points, min_size=3, max_size=12))
     @settings(max_examples=300)
     def test_canonicalize_matches_restarting_sweep(self, pts):
-        assert canonicalize_ring(pts) == reference_canonicalize(pts)
+        assert canonical(pts) == reference_canonicalize(pts)
 
     @given(st.lists(wide_points, min_size=3, max_size=9))
     def test_canonicalize_matches_reference_on_wide_coordinates(self, pts):
-        assert canonicalize_ring(pts) == reference_canonicalize(pts)
+        assert canonical(pts) == reference_canonicalize(pts)
 
     @given(st.lists(wide_points, min_size=1, max_size=9))
     def test_area2_matches_fraction_shoelace(self, ring):
         want = sum((ring[i - 1].cross(ring[i]) for i in range(len(ring))), F(0))
-        assert ring_area2(ring) == want
+        assert ring_area2(ocd(ring)) == want
 
 
 class TestHalfPlane:
@@ -393,10 +405,16 @@ class TestConvexPolygon:
             assert dist_sq(x, y) <= dist_sq(x, v)
 
 
+def edges(poly):
+    """The edges (u, v) of a polygon's ring, in order."""
+    vs = poly.vertices
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
 def reference_locate(poly, p):
     """ConvexPolygon.locate from Fraction cross products."""
     on_edge = False
-    for u, v in poly.edges():
+    for u, v in edges(poly):
         s = (v - u).cross(p - u)
         if s < 0:
             return -1
@@ -411,7 +429,7 @@ def reference_project(poly, x):
     if reference_locate(poly, x) >= 0:
         return x
     best = best_d = None
-    for u, v in poly.edges():
+    for u, v in edges(poly):
         d = v - u
         t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
         cand = u + d.scale(t)
@@ -465,7 +483,7 @@ class TestConvexPolygonIntegerKernel:
 
 def convex_sum(p: ConvexPolygon, q: ConvexPolygon) -> Region:
     """The sum of two convex polygons by the one Minkowski walk."""
-    return minkowski_convex_star(p, Region(q.vertices))
+    return minkowski_convex_star(p, Region(*q._scaled))
 
 
 class TestMinkowski:
@@ -485,7 +503,7 @@ class TestMinkowski:
         except DegenerateHull:
             return
         got = convex_sum(a, b)
-        brute = convex_hull([u + v for u in a.vertices for v in b.vertices])
+        brute = hull([u + v for u in a.vertices for v in b.vertices])
         assert list(got.vertices) == list(brute)
 
 
@@ -517,7 +535,7 @@ class TestRegion:
 
 class TestKernel:
     def test_membership_test_agrees(self):
-        lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+        lshape = ocd(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
         assert star_kernel_contains(lshape, pt(1, 1))
         assert star_kernel_contains(lshape, pt("1/2", "1/2"))
         assert not star_kernel_contains(lshape, pt("3/2", "1/2"))
@@ -525,8 +543,8 @@ class TestKernel:
 
 class TestMisc:
     def test_diameter(self):
-        assert diameter_sq_of(UNIT_SQUARE) == 2
-        assert diameter_sq_of([pt("1/3", 0)]) == 0
+        assert diameter_sq_of(ocd(UNIT_SQUARE)) == 2
+        assert diameter_sq_of(ocd([pt("1/3", 0)])) == 0
 
     def test_ceil_sqrt_upper_bound(self):
         for q in (F(2), F(5, 3), F(10000), F(1, 7)):
@@ -633,7 +651,7 @@ def contact_rings(draw, point_strategy):
                                  "vertex-on-line", "overlap")))
     if kind == "hull":
         try:
-            return list(convex_hull(pts))
+            return list(hull(pts))
         except DegenerateHull:
             return pts
     if kind == "free":
@@ -660,16 +678,16 @@ class TestRingIntegerKernel:
                      contact_rings(wide_points)))
     @settings(max_examples=400, deadline=None)
     def test_is_simple_ring_matches_fraction_reference(self, ring):
-        assert is_simple_ring(ring) == reference_is_simple(ring)
-        canonical = canonicalize_ring(ring)
-        if canonical is not None:
-            assert is_simple_ring(canonical) == reference_is_simple(canonical)
+        assert is_simple_ring(ocd(ring)) == reference_is_simple(ring)
+        canon = canonical(ring)
+        if canon is not None:
+            assert is_simple_ring(ocd(canon)) == reference_is_simple(canon)
 
     @given(st.lists(st.one_of(points, wide_points), min_size=0, max_size=9))
     @settings(max_examples=200, deadline=None)
     def test_diameter_matches_fraction_reference(self, pts):
         want = max(((p - q).norm_sq() for p in pts for q in pts), default=F(0))
-        assert diameter_sq_of(pts) == want
+        assert diameter_sq_of(ocd(pts)) == want
         try:
             poly = ConvexPolygon.hull_of(pts)
         except DegenerateHull:
@@ -688,13 +706,13 @@ class TestRingIntegerKernel:
             return
         got = list(convex_sum(a, b).vertices)
         assert got == reference_minkowski(a, b)
-        assert got == list(convex_hull([u + v for u in a.vertices for v in b.vertices]))
+        assert got == list(hull([u + v for u in a.vertices for v in b.vertices]))
 
     @given(st.one_of(contact_rings(grid_points), contact_rings(wide_points)))
     @settings(max_examples=200, deadline=None)
     def test_convexity_matches_fraction_reference(self, ring):
         n = len(ring)
-        assert is_convex_ring(ring) == all(
+        assert is_convex_ring(ocd(ring)) == all(
             reference_orient(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) > 0
             for i in range(n))
 
@@ -703,5 +721,28 @@ class TestRingIntegerKernel:
     def test_kernel_membership_matches_fraction_reference(self, case):
         ring, x = case
         n = len(ring)
-        assert star_kernel_contains(ring, x) == all(
+        assert star_kernel_contains(ocd(ring), x) == all(
             reference_orient(ring[i], ring[(i + 1) % n], x) >= 0 for i in range(n))
+
+
+class TestCanonicalIntegers:
+    @given(st.one_of(contact_rings(grid_points), contact_rings(points),
+                     contact_rings(wide_points)),
+           st.integers(1, 2**64))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_form_is_unique(self, ring, k):
+        """The ring over any multiple m*k of its common denominator builds the
+        region from_ring builds, in lowest terms, with the reference's
+        canonical vertices; an invalid ring fails the same way."""
+        m, xs, ys = ocd(ring)
+        over_mk = (m * k, [x * k for x in xs], [y * k for y in ys])
+        try:
+            want = Region.from_ring(ring)
+        except GeometryError as exc:
+            with pytest.raises(type(exc)):
+                Region.from_integers(*over_mk)
+            return
+        got = Region.from_integers(*over_mk)
+        assert got == want and equal_canonical(got, want)
+        assert math.gcd(got.m, *got.xs, *got.ys) == 1
+        assert list(got.vertices) == reference_canonicalize(ring)

@@ -124,14 +124,14 @@ class TestCell:
             cell(SQUARE_CORNERS, pt(5, 5))
 
     def test_center_cell_is_diamond(self):
-        got = materialize_cell(SQUARE_CENTER, pt("1/2", "1/2"))
-        assert got == [pt(0, "1/2"), pt("1/2", 0), pt(1, "1/2"), pt("1/2", 1)]
+        got = materialize_cell(SQUARE_CENTER, pt("1/2", "1/2")).vertices
+        assert list(got) == [pt(0, "1/2"), pt("1/2", 0), pt(1, "1/2"), pt("1/2", 1)]
         assert inner_cell_diameter_sq(SQUARE_CENTER, pt("1/2", "1/2")) == 1
 
     def test_inner_cell_past_the_first_box(self):
         # the cell of (0, 0) reaches y = 479/30, past the first box's 14.2
         S = SiteSet((pt(2, "-3/5"), pt("-4/3", "-2/5"), pt("3/2", "3/5"), pt(0, 0)))
-        assert materialize_cell(S, pt(0, 0)) == [
+        assert list(materialize_cell(S, pt(0, 0)).vertices) == [
             pt("-331/60", "479/30"), pt("109/600", "-109/36"), pt("697/700", "-11/35")]
 
     def test_corner_cell_not_materializable(self):
@@ -363,7 +363,7 @@ class TestFacetWalls:
             S = SiteSet(tuple(pt(x, y) for x, y in coords))
         except DegenerateHull:
             assume(False)
-        R = Region(tuple(ring))
+        R = Region.from_ring(ring)
         for c in S:
             want = outcome(folded_reference, ring, S, c)
             assert outcome(cell_components, R, cell(S, c)) == want
@@ -390,18 +390,18 @@ class TestFacetWalls:
                 if c in S.inners:
                     got = materialize_cell(S, c)
                     for w in every.walls:
-                        levels = [w._level(v) for v in got]
+                        levels = [w._level(v) for v in got.vertices]
                         # every wall holds the whole cell, so dropping one
                         # changes nothing; a facet carries one of its edges
                         assert max(levels) <= 0
                         assert (levels.count(0) == 2) == (w in facets)
-                    xmin, ymin, xmax, ymax = Region(tuple(got)).bbox
+                    xmin, ymin, xmax, ymax = got.bbox
                 else:
                     xmin, ymin, xmax, ymax = S.hull.bbox
                 pad = S.hull.diameter_sq
-                box = Region((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
-                              pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
+                box = Region.from_ring((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
+                                        pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
                 want = intersect_region_cell(box, every).vertices
                 assert intersect_region_cell(box, cell(S, c)).vertices == want
                 if c in S.inners:
-                    assert list(want) == got
+                    assert want == got.vertices
