@@ -1,13 +1,14 @@
 """Exact clip, union, and containment for simple polygons, on integers.
 
 clip_components is the one clipper: it cuts a canonical ring, given over
-its common denominator, by a sequence of closed half-planes (the walls of
-a Voronoi cell) and returns every component of what is left.  It carries
-each piece on integers from one wall to the next: a level per vertex and
-wall, whose sign is the vertex's side, and every crossing as one reduced
-integer triple (X, Y, D).  Only at the end does each component go over
-its own common denominator and into canonical form; no Fraction is built.
-The operators and errdiff.voronoi read the components on integers.
+its common denominator, by a sequence of walls (those of a Voronoi cell),
+closed half-planes each held as one reduced integer triple, and returns
+every component of what is left.  It carries each piece on integers from
+one wall to the next: a level per vertex and wall, whose sign is the
+vertex's side, and every crossing as one reduced integer triple
+(X, Y, D).  Only at the end does each component go over its own common
+denominator and into canonical form; no Fraction is built.  The operators
+and errdiff.voronoi read the components on integers.
 
 subset_witness and union_rings take polygons, put their rings over one
 common denominator and share one edge splitter, _pieces: each edge is
@@ -34,7 +35,6 @@ from typing import Sequence
 
 from .geometry import (
     DisconnectedUnion,
-    HalfPlane,
     MultiComponent,
     Point,
     Polygon,
@@ -53,15 +53,18 @@ from .geometry import (
 _Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 # A clipped component: (m, xs, ys, src), vertex i at (xs[i] / m, ys[i] / m)
 Clipped = tuple[int, list[int], list[int], Sequence[int]]
+# A wall (A, B, C): the closed half-plane A x + B y <= C, with (A, B) != 0
+# and gcd(A, B, C) == 1, so each half-plane has one value
+Wall = tuple[int, int, int]
 
 
-def clip_components(scaled: Scaled, walls: Sequence[HalfPlane]) -> list[Clipped]:
+def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Clipped]:
     """Every component of a simple canonical ring cut by closed half-planes.
 
     scaled is the ring over its common denominator m.  Every piece of it
     is carried as integers from one wall to the next, each vertex u as a
     triple (x, y, d) with d > 0: u has the level f(u) = A x + B y - C d
-    against the wall's integer triple (A, B, C), whose sign is its side,
+    against the wall (A, B, C), whose sign is its side,
     and an edge u -> v whose levels have opposite signs crosses the wall
     at the triple f(u) (x, y, d)_v - f(v) (x, y, d)_u, its sign turned so
     that d > 0 and reduced by its gcd.  A piece with no vertex strictly
@@ -75,8 +78,7 @@ def clip_components(scaled: Scaled, walls: Sequence[HalfPlane]) -> list[Clipped]
     m, xs, ys = scaled
     whole: _Ring = (xs, ys, [m] * len(xs), range(len(xs)))
     rings = [whole]
-    for hp in walls:
-        A, B, C = hp._abc
+    for A, B, C in walls:
         cut: list[_Ring] = []
         for ring in rings:
             rxs, rys, rds, _ = ring

@@ -191,11 +191,17 @@ def _json_of(text: str, path: Path, where: str = ""):
 
 
 def _load_region(path: Path) -> Region:
+    """A stored set's region; ValidationError names the file when its ring
+    is malformed or not a valid region."""
     payload = _json_of(path.read_text(), path)
     vertices = payload.get("vertices") if isinstance(payload, dict) else None
     if not isinstance(vertices, list):
         raise ValidationError(f"{path}: no \"vertices\" list", (str(path),))
-    return Region.from_ring([_point_of(v, path, "a vertex") for v in vertices])
+    ring = [_point_of(v, path, "a vertex") for v in vertices]
+    try:
+        return Region.from_ring(ring)
+    except GeometryError as exc:
+        raise ValidationError(f"{path}: {exc}", (str(path),)) from None
 
 
 def _report_dict(rep: VerificationReport) -> dict:
@@ -348,10 +354,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](scene, args, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ParseError, ValidationError, GeometryError, ValueError) as exc:
+    except (OSError, ParseError, ValidationError, GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -19,7 +19,7 @@ polygon's _scaled; Triangle writes T(h, t) = h*T(1, t) down from the
 numerators and denominators of h and t).  sample_hull_point draws its fan
 triangle and its point on that ring, the error-aligned opponent compares
 integer dot products on it, Finite and Convex sets test membership on
-their polygon's integer edge walls, Triangle tests membership by
+their polygon's integer ring (point_in_ring), Triangle tests membership by
 cross-multiplying and projects through project_convex_ring on its ring,
 and Finite projects through voronoi.project.  Only the points a round
 returns are built as Fractions.

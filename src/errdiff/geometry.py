@@ -2,9 +2,8 @@
 
 Every coordinate is a fractions.Fraction and every predicate is decided by
 integer sign computations, so there is no floating point and no tolerance
-anywhere in this module.  No predicate takes Points: HalfPlane._level
-reads the numerators and denominators of its point directly, and
-everything else runs on integers over a common denominator.
+anywhere in this module.  No predicate takes Points: each runs on integers
+over a common denominator.
 
 A polygon's value is its ring over one common denominator: the integer
 tuples (m, xs, ys), vertex i at (xs[i] / m, ys[i] / m), in lowest terms,
@@ -25,19 +24,18 @@ integer core that errdiff.booleans calls directly.
 
 Two polygon types share one base, Polygon: ConvexPolygon, a strictly
 convex hull, and Region, a simple polygon with an optional declared star
-center.  Callers dispatch on the two types, so neither is the other.
-Clipping and union live in errdiff.booleans and errdiff.starunion, and
-Minkowski sums in errdiff.operators.  Convex polygons answer locate from
-their edge walls, HalfPlane integer triples computed once per polygon;
-project_convex_ring decides the nearest point of a convex ring on the
-integers of the ring and the query point.
+center.  Callers dispatch on the two types, so neither is the other.  Both
+answer locate with point_in_ring on their ring.  Clipping and union live in
+errdiff.booleans and errdiff.starunion, and Minkowski sums in
+errdiff.operators; project_convex_ring decides the nearest point of a
+convex ring on the integers of the ring and the query point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -186,43 +184,6 @@ def diameter_sq_of(scaled: Scaled) -> Fraction:
             if d > best:
                 best = d
     return Fraction(best, m * m)
-
-
-def ceil_sqrt(q: Fraction) -> Fraction:
-    """An exact rational upper bound for sqrt(q), q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    n, d = q.numerator, q.denominator
-    return Fraction(isqrt(n) + 1, max(isqrt(d), 1))
-
-
-@dataclass(frozen=True, slots=True)
-class HalfPlane:
-    """Closed half-plane {(x, y) : a*x + b*y <= c} with (a, b) != (0, 0)."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    # (a, b, c) times the positive common denominator of the three
-    _abc: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
-            raise GeometryError("half-plane normal is zero")
-        a, b, c = self.a, self.b, self.c
-        m = lcm(a.denominator, b.denominator, c.denominator)
-        object.__setattr__(self, "_abc", (
-            a.numerator * (m // a.denominator),
-            b.numerator * (m // b.denominator),
-            c.numerator * (m // c.denominator)))
-
-    def _level(self, p: Point) -> int:
-        """a*x + b*y - c at p times a positive integer: the half-plane's
-        common denominator times both coordinate denominators of p."""
-        A, B, C = self._abc
-        xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        return A * xn * yd + B * yn * xd - C * xd * yd
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +343,8 @@ def star_kernel_contains(scaled: Scaled, p: Point) -> bool:
 @dataclass(frozen=True)
 class Polygon:
     """A canonical ring over its common denominator, vertex i at
-    (xs[i] / m, ys[i] / m), and the measures both polygon types share; each
-    type supplies its own locate.
+    (xs[i] / m, ys[i] / m), with the point location and the measures both
+    polygon types share.
 
     The constructor trusts the caller that the ring is canonical; it
     divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
@@ -414,18 +375,16 @@ class Polygon:
         return tuple(Point(Fraction(x, m), Fraction(y, m))
                      for x, y in zip(self.xs, self.ys))
 
+    def locate(self, p: Point) -> int:
+        """+1 strictly inside, 0 on the boundary, -1 outside."""
+        return point_in_ring(self._scaled, p)
+
     def contains_point(self, p: Point) -> bool:
         return self.locate(p) >= 0
 
     @cached_property
     def area2(self) -> Fraction:
         return ring_area2(self._scaled)
-
-    @cached_property
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        m, xs, ys = self._scaled
-        return (Fraction(min(xs), m), Fraction(min(ys), m),
-                Fraction(max(xs), m), Fraction(max(ys), m))
 
     @cached_property
     def diameter_sq(self) -> Fraction:
@@ -473,28 +432,6 @@ class ConvexPolygon(Polygon):
             raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
                                  else "all points collinear")
         return ConvexPolygon(m, [xs[i] for i in order], [ys[i] for i in order])
-
-    def locate(self, p: Point) -> int:
-        """+1 strictly inside, 0 on boundary, -1 outside."""
-        on_edge = False
-        for wall in self._walls:
-            s = wall._level(p)
-            if s > 0:
-                return -1
-            if s == 0:
-                on_edge = True
-        return 0 if on_edge else 1
-
-    @cached_property
-    def _walls(self) -> tuple[HalfPlane, ...]:
-        """Inward half-planes of the edges; their intersection is the
-        polygon.  Edge u -> v has the wall a x + b y <= c for a = v.y - u.y,
-        b = u.x - v.x and c = cross(u, v), read off the integer ring."""
-        m, xs, ys = self._scaled
-        return tuple(HalfPlane(Fraction(ys[i] - ys[i - 1], m),
-                               Fraction(xs[i - 1] - xs[i], m),
-                               Fraction(xs[i - 1] * ys[i] - ys[i - 1] * xs[i], m * m))
-                     for i in range(len(xs)))
 
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
@@ -589,9 +526,6 @@ class Region(Polygon):
         if reference is not None and not region.kernel_contains(reference):
             raise KernelViolation("reference point outside the kernel")
         return region
-
-    def locate(self, p: Point) -> int:
-        return point_in_ring(self._scaled, p)
 
     def with_reference(self, reference: Point | None) -> "Region":
         if reference is not None and not self.kernel_contains(reference):

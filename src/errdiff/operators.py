@@ -5,12 +5,13 @@ Both operators use the recentered cell union U(X) = union over sites c of
 pieces in the opposite order.  Both add ch S to a region by one
 convolution-cycle walk (minkowski_convex_star), for a convex region
 anywhere and for one star-shaped around the origin.  g_step and p_step both
-clip on the region's integer ring (booleans.clip_components) and shift each
-piece by -c on integers (starunion.star_cycle).  apply_operator is the one
-member loop: each member's step, its convex hull for G and P
-(geometry._hull_order on the image's integer ring; with_reference checks
-the reference), and the union of the members.  Every region passes from
-step to step as its integer ring; Points are built only for the snap
+clip the region's integer ring by each cell's walls, reduced integer
+triples (booleans.clip_components), and shift each piece by -c on integers
+(starunion.star_cycle).  apply_operator is the one member loop: each
+member's step, its convex hull for G and P (geometry._hull_order on the
+image's integer ring; with_reference checks the reference), and the union
+of the members.  Every region passes from step to step as its integer
+ring; Points are built only for the snap
 candidate.  Iterating any operator from a seed grows a monotone chain of
 regions whose limit is the minimal invariant set; the engine below runs
 that chain with exact rational arithmetic and stops it in one of two ways:

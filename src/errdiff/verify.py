@@ -101,7 +101,8 @@ def is_star_convex_origin(Q: Region) -> VerificationReport:
 
 
 def covers_translated_inner_cells(S: SiteSet, Q: Region) -> VerificationReport:
-    """Does Q contain every bounded cell recentered on its site (exact)?"""
+    """Does Q contain every bounded cell, built from its walls
+    (materialize_cell) and recentered on its site (exact)?"""
     witnesses = []
     for c in S.inners:
         w = subset_witness(Region(*_shift(materialize_cell(S, c)._scaled, -c)), Q)

@@ -1,17 +1,19 @@
 """Finite planar site sets, their Voronoi cells, and the projection operator.
 
-A cell is kept as the half-planes of its facet walls only: the bisectors
-with the sites whose walls bound it along an edge of positive length,
-found once per site set on the sites' integers (_facet_neighbours) by the
-same integer hull that builds ch S (geometry._hull_order).
-Clipping a region into a cell is one call of booleans.clip_components on
-the region's integer ring through all the walls.  The operators call it
-themselves and read its components on integers; intersect_region_cell,
-for a clip that must leave one component, makes that component a Region
-as it stands.  A bounded cell is materialized on demand with it, by
-clipping a box around the hull that grows until the cell no longer
-touches it.  Sites on the hull boundary are the corners, sites
-strictly inside the inners (SiteSet.corners and .inners).
+A cell is kept as its facet walls only: the bisectors with the sites
+whose walls bound it along an edge of positive length, each a reduced
+integer triple (booleans.Wall), found once per site set on the sites'
+integers (_facet_neighbours) by the same integer hull that builds ch S
+(geometry._hull_order).  Clipping a region into a cell is one call of
+booleans.clip_components on the region's integer ring through all the
+walls.  The operators call it themselves and read its components on
+integers; intersect_region_cell, for a clip that must leave one
+component, makes that component a Region as it stands.  Sites on the
+hull boundary are the corners, sites strictly inside the inners
+(SiteSet.corners and .inners).  An inner site's cell is bounded, and
+materialize_cell builds it from its walls alone: taken in the
+counter-clockwise order of the dual hull, each two consecutive walls meet
+at one of its vertices.
 
 project compares squared distances as integers: the sites are cached in
 key order over their common denominator, so one integer per site decides
@@ -28,18 +30,14 @@ from typing import Iterator, Sequence
 from .geometry import (
     ConvexPolygon,
     GeometryError,
-    HalfPlane,
     MultiComponent,
     Point,
     Region,
     _hull_order,
-    ceil_sqrt,
     over_common_denominator,
     scalar_str,
 )
-from .booleans import clip_components
-
-TWO = Fraction(2)
+from .booleans import Wall, clip_components
 
 
 class VoronoiError(GeometryError):
@@ -58,12 +56,19 @@ class UnboundedCell(VoronoiError):
     pass
 
 
-def bisector(c: Point, c2: Point) -> HalfPlane:
-    """Half-plane of points at least as close to c as to c2."""
+def bisector(c: Point, c2: Point) -> Wall:
+    """The wall of points at least as close to c as to c2.
+
+    Over the pair's common denominator m, with c = (x, y) / m and
+    c2 = (x2, y2) / m, it is 2 m (x2 - x, y2 - y) . p <= |c2 m|^2 - |c m|^2,
+    divided by the gcd of its three integers.
+    """
     if c == c2:
         raise CoincidentSites(f"identical sites {c}")
-    d = c2 - c
-    return HalfPlane(TWO * d.x, TWO * d.y, c2.norm_sq() - c.norm_sq())
+    m, (x, x2), (y, y2) = over_common_denominator((c, c2))
+    A, B, C = 2 * m * (x2 - x), 2 * m * (y2 - y), x2 * x2 + y2 * y2 - x * x - y * y
+    g = gcd(A, B, C)
+    return A // g, B // g, C // g
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class SiteSet:
         sites = self.sites
         _, xs, ys = over_common_denominator(sites)
         return {c: VoronoiCellH(c, tuple(bisector(c, sites[j])
-                                         for j in _facet_neighbours(xs, ys, i)),
+                                         for j in sorted(_facet_neighbours(xs, ys, i))),
                                 bounded=c in self.inners)
                 for i, c in enumerate(sites)}
 
@@ -122,9 +127,9 @@ class SiteSet:
 
 
 def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]:
-    """Indices j, in order, of the sites whose bisector with site i bounds
-    its cell along an edge of positive length; the sites are (xs, ys) over
-    a common denominator.
+    """Indices j of the sites whose bisector with site i bounds its cell
+    along an edge of positive length, in the counter-clockwise order of
+    their dual points; the sites are (xs, ys) over a common denominator.
 
     With v = s_j - s_i, the wall is (x - s_i) . v / |v|^2 <= 1/2, so by
     polar duality it is a facet of the cell exactly when the dual point
@@ -133,7 +138,8 @@ def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]
     point only; one inside the hull misses the cell.  The dual points go
     over the lcm L of the |v|^2 (the common denominator of the sites
     scales them all alike), and the strict hull of those integer points
-    and the origin (geometry._hull_order) keeps the vertices only.
+    and the origin (geometry._hull_order) keeps the vertices only, in its
+    counter-clockwise order.
     """
     cx, cy = xs[i], ys[i]
     js = [j for j in range(len(xs)) if j != i]
@@ -142,7 +148,7 @@ def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]
     L = lcm(*norms)
     dxs = [vx * (L // nv) for (vx, _), nv in zip(vs, norms)] + [0]
     dys = [vy * (L // nv) for (_, vy), nv in zip(vs, norms)] + [0]
-    return sorted(js[k] for k in _hull_order(dxs, dys) if k < len(js))
+    return [js[k] for k in _hull_order(dxs, dys) if k < len(js)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,7 @@ class VoronoiCellH:
     half-planes that bound it along an edge."""
 
     site: Point
-    walls: tuple[HalfPlane, ...]
+    walls: tuple[Wall, ...]
     bounded: bool
 
 
@@ -192,27 +198,24 @@ def project(S: SiteSet, x: Point) -> Point:
 
 
 def materialize_cell(S: SiteSet, c: Point) -> Region:
-    """Bounded cell of an inner site, clipped from a box around ch S.
+    """Bounded cell of an inner site, from its facet walls.
 
-    The box is padded by 4 sqrt(diam ch S) first; while the clipped cell
-    still touches the box the pad doubles.  An inner site's cell is bounded,
-    so some box holds it with room to spare.
+    An inner site's dual points surround the origin, so _facet_neighbours
+    lists every facet once around the cell, and each two consecutive walls
+    (A1, B1, C1), (A2, B2, C2) meet at the vertex
+    (C1 B2 - C2 B1, A1 C2 - A2 C1) / (A1 B2 - A2 B1), the denominator
+    positive.  The ring goes over the lcm of those denominators.
     """
     if c not in S.inners:
         raise UnboundedCell(f"{c} is not an inner site")
-    pad = 4 * ceil_sqrt(S.hull.diameter_sq)
-    xmin, ymin, xmax, ymax = S.hull.bbox
-    while True:
-        lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
-        box = Region(*over_common_denominator((Point(lo_x, lo_y), Point(hi_x, lo_y),
-                                               Point(hi_x, hi_y), Point(lo_x, hi_y))))
-        got = intersect_region_cell(box, S.cells[c])
-        if got is None:
-            raise UnboundedCell(f"cell of {c} vanished inside its box")
-        gx0, gy0, gx1, gy1 = got.bbox
-        if lo_x < gx0 and lo_y < gy0 and gx1 < hi_x and gy1 < hi_y:
-            return got
-        pad *= 2
+    sites = S.sites
+    _, xs, ys = over_common_denominator(sites)
+    walls = [bisector(c, sites[j]) for j in _facet_neighbours(xs, ys, sites.index(c))]
+    corners = [(C1 * B2 - C2 * B1, A1 * C2 - A2 * C1, A1 * B2 - A2 * B1)
+               for (A1, B1, C1), (A2, B2, C2) in zip(walls, walls[1:] + walls[:1])]
+    m = lcm(*[d for _, _, d in corners])
+    return Region.from_integers(m, [x * (m // d) for x, _, d in corners],
+                                [y * (m // d) for _, y, d in corners])
 
 
 def inner_cell_diameter_sq(S: SiteSet, c: Point) -> Fraction:

@@ -20,7 +20,6 @@ from errdiff.geometry import (
     ORIGIN,
     DisconnectedUnion,
     GeometryError,
-    HalfPlane,
     MultiComponent,
     NotStarAtCenter,
     Point,
@@ -33,7 +32,7 @@ from errdiff.geometry import (
 )
 from errdiff.starunion import _arc, _crossing, _Edge, _limit, _t_cmp, union_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
-from test_geometry import canonical, hull, reference_orient
+from test_geometry import canonical, hull, reference_orient, wall
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -70,7 +69,7 @@ def locate(ring, p):
 
 
 def one_wall(hp):
-    """A cell bounded by the one half-plane hp, to clip a Region with."""
+    """A cell bounded by the one wall hp, to clip a Region with."""
     return VoronoiCellH(ORIGIN, (hp,), bounded=False)
 
 
@@ -123,21 +122,21 @@ class TestSegSeg:
 
 class TestClip:
     def test_square_bisector(self):
-        hp = HalfPlane(F(1), F(0), F(1, 2))
+        hp = (2, 0, 1)  # x <= 1/2
         got = clip(UNIT_SQUARE, hp)
         assert got == [ring_of((0, 0), ("1/2", 0), ("1/2", 1), (0, 1))]
 
     def test_no_cut(self):
-        hp = HalfPlane(F(1), F(0), F(5))
+        hp = (1, 0, 5)
         assert clip(UNIT_SQUARE, hp) == [UNIT_SQUARE]
 
     def test_empty(self):
-        hp = HalfPlane(F(1), F(0), F(-1))
+        hp = (1, 0, -1)
         assert clip(UNIT_SQUARE, hp) == []
 
     def test_tangent_vertex_keeps_all(self):
         diamond = canonical(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
-        hp = HalfPlane(F(0), F(1), F(1))  # y <= 1, touches the top vertex
+        hp = (0, 1, 1)  # y <= 1, touches the top vertex
         scaled = over_common_denominator(diamond)
         ((m, xs, ys, src),) = clip_components(scaled, (hp,))
         assert m == scaled[0] and xs is scaled[1] and ys is scaled[2]
@@ -145,14 +144,14 @@ class TestClip:
 
     def test_diamond_lower_half(self):
         diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
-        hp = HalfPlane(F(0), F(1), F(0))  # y <= 0
+        hp = (0, 1, 0)  # y <= 0
         got = clip(diamond, hp)
         assert got == [ring_of((-1, 0), (0, -1), (1, 0))]
 
     def test_notch_disconnects(self):
         notched = ring_of((0, 0), (1, 0), (1, 2), (2, 2), (2, 0),
                           (3, 0), (3, 3), (0, 3))
-        hp = HalfPlane(F(0), F(1), F(1))  # y <= 1
+        hp = (0, 1, 1)  # y <= 1
         got = clip(notched, hp)
         assert got == [
             ring_of((0, 0), (1, 0), (1, 1), (0, 1)),
@@ -164,10 +163,10 @@ class TestClip:
 
     def test_region_clip(self):
         region = Region.from_ring(UNIT_SQUARE)
-        hp = HalfPlane(F(0), F(1), F(1, 3))
+        hp = (0, 3, 1)  # y <= 1/3
         got = intersect_region_cell(region, one_wall(hp))
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, "1/3"), (0, "1/3"))
-        below = HalfPlane(F(0), F(1), F(-1))
+        below = (0, 1, -1)
         assert intersect_region_cell(region, one_wall(below)) is None
 
 
@@ -584,7 +583,7 @@ class TestClipIntegerKernel:
     @settings(max_examples=300, deadline=None)
     def test_clip_matches_fraction_reference(self, case):
         ring, a, b, c = case
-        hp = HalfPlane(a, b, c)
+        hp = wall(a, b, c)
         got = outcome(clip, ring, hp)
         assert got == outcome(reference_clip, ring, a, b, c)
         if got not in (MultiComponent, []) and got[0] == ring:
@@ -595,9 +594,9 @@ class TestClipIntegerKernel:
         # the wall y <= 1 runs through two vertices of the L; the clip keeps
         # the lower bar and cuts nowhere else
         lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
-        got = clip(lshape, HalfPlane(F(0), F(1), F(1)))
+        got = clip(lshape, (0, 1, 1))
         assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
-        got = clip(lshape, HalfPlane(F(0), F(-1), F(-1)))
+        got = clip(lshape, (0, -1, -1))
         assert got == [ring_of((0, 1), (1, 1), (1, 2), (0, 2))]
 
 

@@ -276,7 +276,19 @@ class TestFailureModes:
         out.mkdir(parents=True)
         (out / "sset1.fset.json").write_text(json.dumps({"vertices": PENTAGRAM}))
         assert run_cli(command, "--scene", SCENES / "sset1.json", "--out", out) == 3
-        assert "boundary self-intersects" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sset1.fset.json" in err
+        assert "boundary self-intersects" in err
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_zero_area_stored_set_names_its_file(self, out, capsys, command):
+        out.mkdir(parents=True)
+        (out / "sset1.gset.json").write_text(
+            json.dumps({"vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}))
+        assert run_cli(command, "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sset1.gset.json" in err
+        assert "ring has zero area" in err
 
     @pytest.mark.parametrize("payload", [
         {}, [], {"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}])
@@ -313,6 +325,18 @@ class TestFailureModes:
     def test_missing_scene_file(self, out):
         assert run_cli("min-gset", "--scene", "/no/such/scene.json",
                        "--out", out) == 3
+
+    def test_scene_that_is_a_directory(self, out, capsys):
+        assert run_cli("verify", "--scene", SCENES, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(SCENES) in err
+
+    def test_out_that_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("verify", "--scene", SCENES / "sset1.json", "--out", taken) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
 
     def test_malformed_scene(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -355,7 +379,10 @@ class TestFailureModes:
 # sets, recorded before Minkowski sums moved to the convolution cycle; the
 # ssprime entries, the one multi-member scene and so the one whose runs
 # unite member images, were recorded before the four operators shared one
-# member loop
+# member loop.  The report-assumptions and render entries, what they write
+# into an empty --out (the inner cells' diameters, and the drawn cells of
+# the five scenes with bounded cells), were recorded while bounded cells
+# were still clipped from a growing box
 PINNED_ARTIFACTS = {
     ("square_center", "min-fset"): {
         "square-center.fset.json":
@@ -524,6 +551,62 @@ PINNED_ARTIFACTS = {
             "579a718e215703590ef90d9a0fd4c92ae4cf1929d9226d310a753e001cc03bff",
         "unit-square.gset.log.jsonl":
             "5f11835f48f45e5d573c19ac8cba68b69001c85f90a1f46de709169cd00a1b6f",
+    },
+    ("square_center", "report-assumptions"): {
+        "assumptions.json":
+            "687a216511b17717567289f4886382bf0112cc39daeb3d4f2f638151a5674a83",
+    },
+    ("square_center", "render"): {
+        "square_center.svg":
+            "7556ad8333f7ad32dbb86efcd15c8a955731776c63d203e6cfca6e6962540f80",
+    },
+    ("sset1", "report-assumptions"): {
+        "assumptions.json":
+            "3e2ffd6bbf9ce7b33d1c1281ee3f353cdeda4e5c03860ac7cd7d98999cd25a2a",
+    },
+    ("sset1", "render"): {
+        "sset1.svg":
+            "b4d806c10b70257350d31eb882499765c1e4da9c1ba296e4c96f984a31a8b110",
+    },
+    ("sset2", "report-assumptions"): {
+        "assumptions.json":
+            "4742690785b6cfd4c4b3c3f104817d208c49cc6c6f693c335189400a8c5f7bae",
+    },
+    ("sset2", "render"): {
+        "sset2.svg":
+            "572cadef2fd1942d3209030d9e1f872a832097af728ffc1467560d02ec62750f",
+    },
+    ("sset3", "report-assumptions"): {
+        "assumptions.json":
+            "cdb7d785a36cf109fe8d526dbe11f83aa988be243fd0db6980d200391f595b46",
+    },
+    ("sset3", "render"): {
+        "sset3.svg":
+            "5451e01fc20103a2b1c30d52f29d182757dd7821cb907f332d2db9fd600aa770",
+    },
+    ("sset4", "report-assumptions"): {
+        "assumptions.json":
+            "7ef697f15e995c8ad243d66a76f9b32717fa074df9e90071f2cb213f058ae85b",
+    },
+    ("sset4", "render"): {
+        "sset4.svg":
+            "8c805bf86f77552bdff996454b46629dd7f52d3756224bd49b379afcc217f789",
+    },
+    ("ssprime", "report-assumptions"): {
+        "assumptions.json":
+            "642d654bbdd98201643aa73547f6d0aa082219928014db132761f7ab43e8151e",
+    },
+    ("ssprime", "render"): {
+        "ssprime.svg":
+            "e7fa7a35605ee569cd98de04fc281da8ae0a7d45f60e9a340f0800733356ec83",
+    },
+    ("unit_square", "report-assumptions"): {
+        "assumptions.json":
+            "8e5e86667022184e58af0d49d22bac8c872df620f896ea69e1fa7c28219c0277",
+    },
+    ("unit_square", "render"): {
+        "unit_square.svg":
+            "6388b7baa4ab44bc5c5cfe20e522a36d82f7ac9ff9320bb4c4cd1a14376d336c",
     },
 }
 

@@ -1,7 +1,7 @@
 """Exact geometry kernel: predicates, hulls, regions, Minkowski sums."""
 import math
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,14 +12,12 @@ from errdiff.geometry import (
     ConvexPolygon,
     DegenerateHull,
     DegenerateRegion,
-    HalfPlane,
     GeometryError,
     KernelViolation,
     NotSimple,
     Point,
     Region,
     _canonical_order,
-    ceil_sqrt,
     diameter_sq_of,
     dist_sq,
     equal_canonical,
@@ -163,9 +161,20 @@ def reference_hull(points):
     return tuple(hull)
 
 
-def reference_eval(hp, p):
-    """a*x + b*y - c at p, in Fractions."""
-    return hp.a * p.x + hp.b * p.y - hp.c
+def wall(a, b, c):
+    """The half-plane a*x + b*y <= c of rationals a, b, c as the wall the
+    clipper takes: the integer triple over their common denominator,
+    divided by its gcd."""
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    A, B, C = (k.numerator * (m // k.denominator) for k in (a, b, c))
+    g = gcd(A, B, C)
+    return A // g, B // g, C // g
+
+
+def level(w, p):
+    """A*x + B*y - C at p for the wall (A, B, C), in Fractions."""
+    A, B, C = w
+    return A * p.x + B * p.y - C
 
 
 class TestScalars:
@@ -341,36 +350,19 @@ class TestRings:
 
 class TestHalfPlane:
     def test_side_and_boundary(self):
-        hp = HalfPlane(F(1), F(0), F(1, 2))  # x <= 1/2
+        w = (2, 0, 1)  # x <= 1/2
         ring = ring_of((0, 3), (1, 0), ("1/2", 9))
-        assert [sign(hp._level(p)) for p in ring] == [-1, 1, 0]
+        assert [sign(level(w, p)) for p in ring] == [-1, 1, 0]
         # the edge (1, 0) -> (1, 1) lies outside; (0, 0) -> (1, 1) crosses
         # the wall at (1/2, 1/2)
         got = intersect_region_cell(Region.from_ring(ring_of((0, 0), (1, 0), (1, 1))),
-                                    VoronoiCellH(ORIGIN, (hp,), bounded=False))
+                                    VoronoiCellH(ORIGIN, (w,), bounded=False))
         assert list(got.vertices) == ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))
 
-    def test_zero_normal_rejected(self):
-        with pytest.raises(GeometryError):
-            HalfPlane(F(0), F(0), F(1))
-
-    @given(coord, coord, coord, st.lists(wide_points, min_size=1, max_size=6))
-    def test_integer_side_matches_eval_on_wide_points(self, a, b, c, ring):
-        if a == 0 and b == 0:
-            a = F(1)
-        hp = HalfPlane(a, b, c)
-        scale = lcm(a.denominator, b.denominator, c.denominator)
-        for p in ring:
-            assert hp._level(p) == (reference_eval(hp, p) * scale
-                                    * p.x.denominator * p.y.denominator)
-
     def test_intersection_of_strips(self):
-        hps = [
-            HalfPlane(F(1), F(0), F(1)), HalfPlane(F(-1), F(0), F(0)),
-            HalfPlane(F(0), F(1), F(2)), HalfPlane(F(0), F(-1), F(0)),
-        ]
+        walls = ((1, 0, 1), (-1, 0, 0), (0, 1, 2), (0, -1, 0))
         box = Region.from_ring(ring_of((-9, -9), (9, -9), (9, 9), (-9, 9)))
-        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, tuple(hps), bounded=True))
+        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, walls, bounded=True))
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, 2), (0, 2))
 
 
@@ -412,7 +404,7 @@ def edges(poly):
 
 
 def reference_locate(poly, p):
-    """ConvexPolygon.locate from Fraction cross products."""
+    """locate on a convex polygon from Fraction cross products."""
     on_edge = False
     for u, v in edges(poly):
         s = (v - u).cross(p - u)
@@ -545,11 +537,6 @@ class TestMisc:
     def test_diameter(self):
         assert diameter_sq_of(ocd(UNIT_SQUARE)) == 2
         assert diameter_sq_of(ocd([pt("1/3", 0)])) == 0
-
-    def test_ceil_sqrt_upper_bound(self):
-        for q in (F(2), F(5, 3), F(10000), F(1, 7)):
-            r = ceil_sqrt(q)
-            assert r * r >= q
 
 
 # ---------------------------------------------------------------------------

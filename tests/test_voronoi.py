@@ -1,6 +1,6 @@
 """Site sets, bisector cells, corners and inners, projection, boundedness."""
 from fractions import Fraction as F
-from math import gcd
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,6 @@ from errdiff.booleans import subset
 from errdiff.scene import load_scene
 from errdiff.geometry import (
     DegenerateHull,
-    HalfPlane,
     MultiComponent,
     Point,
     Region,
@@ -34,7 +33,8 @@ from errdiff.voronoi import (
     materialize_cell,
     project,
 )
-from test_booleans import clip, outcome, reference_clip, star_rings, wide_radii
+from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
+from test_geometry import level, wall
 
 
 def cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
@@ -51,24 +51,18 @@ coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 points = st.builds(Point, coord, coord)
 
 
-def norm(hp: HalfPlane):
-    """The wall's integer triple reduced by its gcd."""
-    g = gcd(*hp._abc)
-    return tuple(F(k // g) for k in hp._abc)
-
-
 class TestBisector:
     def test_horizontal(self):
-        assert norm(bisector(pt(0, 0), pt(1, 0))) == (F(2), F(0), F(1))
+        assert bisector(pt(0, 0), pt(1, 0)) == (2, 0, 1)
 
     def test_vertical(self):
-        assert norm(bisector(pt(0, 0), pt(0, 2))) == (F(0), F(1), F(1))
+        assert bisector(pt(0, 0), pt(0, 2)) == (0, 1, 1)
 
     def test_diagonal(self):
         hp = bisector(pt("1/2", "1/2"), pt(0, 0))
-        assert norm(hp) == (F(-2), F(-2), F(-1))  # x + y >= 1/2
-        assert hp._level(pt(1, 1)) <= 0
-        assert hp._level(pt(0, 0)) > 0
+        assert hp == (-2, -2, -1)  # x + y >= 1/2
+        assert level(hp, pt(1, 1)) <= 0
+        assert level(hp, pt(0, 0)) > 0
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentSites):
@@ -111,12 +105,11 @@ class TestCell:
     def test_corner_cell_walls(self):
         c = cell(SQUARE_CORNERS, pt(0, 0))
         assert not c.bounded
-        got = sorted(norm(w) for w in c.walls)
         # x + y <= 1, the wall of the opposite corner, meets the cell at
         # (1/2, 1/2) only and is not a facet
-        assert got == sorted([
-            (F(2), F(0), F(1)),   # x <= 1/2
-            (F(0), F(2), F(1)),   # y <= 1/2
+        assert sorted(c.walls) == sorted([
+            (2, 0, 1),   # x <= 1/2
+            (0, 2, 1),   # y <= 1/2
         ])
 
     def test_unknown_site(self):
@@ -129,7 +122,8 @@ class TestCell:
         assert inner_cell_diameter_sq(SQUARE_CENTER, pt("1/2", "1/2")) == 1
 
     def test_inner_cell_past_the_first_box(self):
-        # the cell of (0, 0) reaches y = 479/30, past the first box's 14.2
+        # the cell of (0, 0) reaches y = 479/30, past the first box of
+        # box_clip_cell (top at 14.2): a long thin cell
         S = SiteSet((pt(2, "-3/5"), pt("-4/3", "-2/5"), pt("3/2", "3/5"), pt(0, 0)))
         assert list(materialize_cell(S, pt(0, 0)).vertices) == [
             pt("-331/60", "479/30"), pt("109/600", "-109/36"), pt("697/700", "-11/35")]
@@ -212,7 +206,7 @@ class TestProject:
     def test_point_lies_in_cell_of_projection(self, x):
         y = project(SQUARE_CENTER, x)
         for w in cell(SQUARE_CENTER, y).walls:
-            assert w._level(x) <= 0
+            assert level(w, x) <= 0
 
 
 def reference_project(S, x):
@@ -327,7 +321,7 @@ class TestCoverage:
         # membership in the projected site's cell certifies the tiling
         y = project(SQUARE_CENTER, x)
         others = [c for c in SQUARE_CENTER if c != y]
-        assert all(bisector(y, d)._level(x) <= 0 for d in others)
+        assert all(level(bisector(y, d), x) <= 0 for d in others)
 
 
 def folded_reference(ring, S, c):
@@ -336,9 +330,8 @@ def folded_reference(ring, S, c):
     comps = [ring]
     for d in S:
         if d != c:
-            hp = bisector(c, d)
             comps = [r for comp in comps
-                     for r in reference_clip(comp, hp.a, hp.b, hp.c)]
+                     for r in reference_clip(comp, *bisector(c, d))]
     return sorted(comps, key=lambda r: [p.key() for p in r])
 
 
@@ -390,14 +383,14 @@ class TestFacetWalls:
                 if c in S.inners:
                     got = materialize_cell(S, c)
                     for w in every.walls:
-                        levels = [w._level(v) for v in got.vertices]
+                        levels = [level(w, v) for v in got.vertices]
                         # every wall holds the whole cell, so dropping one
                         # changes nothing; a facet carries one of its edges
                         assert max(levels) <= 0
                         assert (levels.count(0) == 2) == (w in facets)
-                    xmin, ymin, xmax, ymax = got.bbox
+                    xmin, ymin, xmax, ymax = bbox(got.vertices)
                 else:
-                    xmin, ymin, xmax, ymax = S.hull.bbox
+                    xmin, ymin, xmax, ymax = bbox(S.hull.vertices)
                 pad = S.hull.diameter_sq
                 box = Region.from_ring((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
                                         pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
@@ -405,3 +398,44 @@ class TestFacetWalls:
                 assert intersect_region_cell(box, cell(S, c)).vertices == want
                 if c in S.inners:
                     assert want == got.vertices
+
+
+def box_clip_cell(S, c):
+    """An inner site's cell clipped from a box around ch S: the box is
+    padded by 4 times a rational upper bound of sqrt(diam ch S) first, and
+    the pad doubles while the clipped cell still touches the box."""
+    d = S.hull.diameter_sq
+    pad = 4 * F(isqrt(d.numerator) + 1, max(isqrt(d.denominator), 1))
+    xmin, ymin, xmax, ymax = bbox(S.hull.vertices)
+    while True:
+        lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
+        box = Region.from_ring((Point(lo_x, lo_y), Point(hi_x, lo_y),
+                                Point(hi_x, hi_y), Point(lo_x, hi_y)))
+        got = intersect_region_cell(box, cell(S, c))
+        gx0, gy0, gx1, gy1 = bbox(got.vertices)
+        if lo_x < gx0 and lo_y < gy0 and gx1 < hi_x and gy1 < hi_y:
+            return got
+        pad *= 2
+
+
+class TestCellsFromWalls:
+    @given(st.one_of(lattice_sites, sset3_shifted, rational_sites))
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_cells_match_the_box_clip(self, coords):
+        try:
+            S = SiteSet(tuple(pt(x, y) for x, y in coords))
+        except DegenerateHull:
+            assume(False)
+        for c in S.inners:
+            assert materialize_cell(S, c) == box_clip_cell(S, c)
+
+    @given(st.one_of(lattice_sites, sset3_shifted, rational_sites))
+    @settings(max_examples=150, deadline=None)
+    def test_bisector_is_the_reduced_fraction_bisector(self, coords):
+        sites = [pt(x, y) for x, y in coords]
+        for c in sites:
+            for d in sites:
+                if d != c:
+                    e = d - c
+                    assert bisector(c, d) == wall(2 * e.x, 2 * e.y,
+                                                  d.norm_sq() - c.norm_sq())
