@@ -15,10 +15,11 @@ from .geometry import (
     Region,
     dist_sq,
     parse_scalar,
+    project_convex,
     pt,
     scalar_str,
 )
-from .voronoi import SiteSet, assumption_report
+from .voronoi import SiteSet, assumption_report, project
 from .operators import (
     Collection,
     IterationConfig,
@@ -104,6 +105,8 @@ __all__ = [
     "parse_scene",
     "play",
     "print_scene",
+    "project",
+    "project_convex",
     "pt",
     "reachable_within",
     "render_svg",

@@ -20,10 +20,14 @@ from .geometry import (
     GeometryError,
     Point,
     PointSeed,
+    Ratios,
     Region,
     parse_scalar,
+    point_of,
     pt,
+    ratio_str,
     scalar_str,
+    sub_ratios,
 )
 from .operators import Collection, IterationResult, iterate
 from .scene import ParseError, Scene, ValidationError, load_scene
@@ -66,24 +70,28 @@ def _write_trace(fh: TextIO, mode: str,
     Steps are written as they arrive, so a game from dynamics.play is never
     held whole; returns the step count and the error left after the last
     step (its z - y, or the origin for none).  Step lines are formatted
-    directly, with the bytes json.dumps gives the record: str of a Fraction
-    is its scalar_str and needs no escaping, and a set id goes through
-    json.dumps whenever it differs from the previous step's.
+    directly from the steps' Ratios, with the bytes json.dumps gives the
+    record: each coordinate is str of its Fraction (ratio_str) and needs no
+    escaping, and a set id goes through json.dumps whenever it differs from
+    the previous step's.
     """
     count, last = 0, None
     set_id = sid = None
     for count, s in enumerate(steps, 1):
         if s.set_id != set_id:
             set_id, sid = s.set_id, json.dumps(s.set_id)
-        x, y, e, z = s.x, s.y, s.e, s.z
-        fh.write(f'{{"step": {s.n}, "set": {sid}, '
-                 f'"x": ["{x.x!s}", "{x.y!s}"], "y": ["{y.x!s}", "{y.y!s}"], '
-                 f'"e": ["{e.x!s}", "{e.y!s}"], "z": ["{z.x!s}", "{z.y!s}"]}}\n')
+        fh.write(f'{{"step": {s.n}, "set": {sid}, "x": {_pair(s.qx)}, '
+                 f'"y": {_pair(s.qy)}, "e": {_pair(s.qe)}, "z": {_pair(s.qz)}}}\n')
         last = s
-    final = ORIGIN if last is None else last.z - last.y
+    final = ORIGIN if last is None else point_of(sub_ratios(last.qz, last.qy))
     fh.write(json.dumps({"mode": mode, "steps": count,
                          "final_e": _point_strs(final)}) + "\n")
     return count, final
+
+
+def _pair(q: Ratios) -> str:
+    """A point's Ratios as the JSON pair of its coordinates' texts."""
+    return f'["{ratio_str(q[0], q[1])}", "{ratio_str(q[2], q[3])}"]'
 
 
 def _config_from_args(scene: Scene, args):

@@ -12,22 +12,18 @@ the set the opponent has already seen.  All coordinates are rational and
 every trajectory claim (containment, greedy optimality, bounds) is decided
 exactly on the logged trace.
 
-The per-round work runs on integers.  Every feasible set caches its hull
-ring once, as hull_ring: the vertices in sampling order with their
-(m, xs, ys) over one common denominator (Finite and Convex reuse their
-polygon's _scaled; Triangle writes T(h, t) = h*T(1, t) down from the
-numerators and denominators of h and t).  sample_hull_point draws its fan
-triangle and its point on that ring, the error-aligned opponent compares
-integer dot products on it, Finite and Convex sets test membership on
-their polygon's integer ring (point_in_ring), Triangle tests membership by
-cross-multiplying and projects through project_convex_ring on its ring,
-and Finite projects through voronoi.project.  Only the points a round
-returns are built as Fractions.
+A round runs on integers alone: every point is Ratios (geometry), two
+reduced integer pairs, and no Fraction is built between an input and its
+trace line.  A feasible set gives its hull ring over one common
+denominator (ring), membership (holds) and projection (nearest) on
+Ratios; the opponent samples, cycles and votes on the ring, and
+add_ratios and sub_ratios make e + x and z - y.  contains, project,
+sample_hull_point and the step functions are Point faces of those cores.
 
 play yields a game one TraceStep at a time, and run collects those steps
-into a Trace.  `errdiff simulate` writes each step's trace line as play
-yields it (cli._write_trace), so no game is held whole; Trace.records gives
-the same lines as dicts for json.dumps.
+into a Trace.  A TraceStep keeps the round's Ratios and builds its Points
+only when they are read; `errdiff simulate` writes each trace line from
+the Ratios as play yields it (cli._write_trace), so no game is held whole.
 """
 from __future__ import annotations
 
@@ -36,24 +32,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .geometry import (
     ConvexPolygon,
     GeometryError,
     ORIGIN,
     Point,
+    Ratios,
     Region,
     Scalar,
     Scaled,
+    add_ratios,
     dist_sq,
-    project_convex,
+    ratios_in_ring,
+    point_of,
     project_convex_ring,
-    scalar_str,
+    ratio_str,
+    ratios,
+    reduced,
+    sub_ratios,
+    vertex_ratios,
 )
 from .booleans import subset
 from .operators import Collection
-from .voronoi import SiteSet, project
+from .voronoi import SiteSet, project_ratios
 
 MODES = ("undelayed", "delayed")
 PROVIDER_MODES = ("fixed", "cyclic", "random-from-collection", "random-triangle")
@@ -64,21 +67,39 @@ class InputOutsideHull(GeometryError):
     """An input point falls outside the hull it must be drawn from."""
 
 
-# a hull's vertices, in the order sample_hull_point fans them, and the same
-# ring over one common denominator
-HullRing = tuple[tuple[Point, ...], Scaled]
-
-
-def _fmt(p: Point) -> str:
-    return f"({scalar_str(p.x)}, {scalar_str(p.y)})"
+def _strs(q: Ratios) -> list[str]:
+    return [ratio_str(q[0], q[1]), ratio_str(q[2], q[3])]
 
 
 # ---------------------------------------------------------------------------
 # feasible sets
 
 
+class _Feasible:
+    """The Point faces of a feasible set over its integer cores, and
+    membership in a polygon ring."""
+
+    @cached_property
+    def hull_ring(self) -> tuple[tuple[Point, ...], Scaled]:
+        """The hull's vertices as Points, in the order of ring, and ring."""
+        m, xs, ys = self.ring
+        return tuple(Point(Fraction(x, m), Fraction(y, m)) for x, y in zip(xs, ys)), self.ring
+
+    def hull_vertices(self) -> tuple[Point, ...]:
+        return self.hull_ring[0]
+
+    def contains(self, p: Point) -> bool:
+        return self.holds(ratios(p))
+
+    def project(self, p: Point) -> Point:
+        return point_of(self.nearest(ratios(p)))
+
+    def holds(self, q: Ratios) -> bool:
+        return ratios_in_ring(self.ring, q) >= 0
+
+
 @dataclass(frozen=True)
-class Finite:
+class Finite(_Feasible):
     """Feasible set given by finitely many sites; outputs snap to a site."""
 
     sites: SiteSet
@@ -87,23 +108,16 @@ class Finite:
     def set_id(self) -> str:
         return self.sites.id or "sites"
 
-    def hull_vertices(self) -> tuple[Point, ...]:
-        return self.sites.hull.vertices
+    @property
+    def ring(self) -> Scaled:
+        return self.sites.hull._scaled
 
-    @cached_property
-    def hull_ring(self) -> HullRing:
-        hull = self.sites.hull
-        return hull.vertices, hull._scaled
-
-    def contains(self, p: Point) -> bool:
-        return self.sites.hull.contains_point(p)
-
-    def project(self, p: Point) -> Point:
-        return project(self.sites, p)
+    def nearest(self, q: Ratios) -> Ratios:
+        return project_ratios(self.sites, q)
 
 
 @dataclass(frozen=True)
-class Convex:
+class Convex(_Feasible):
     """Feasible set filling a convex polygon; outputs are nearest points."""
 
     polygon: ConvexPolygon
@@ -113,74 +127,75 @@ class Convex:
     def set_id(self) -> str:
         return self.label
 
-    def hull_vertices(self) -> tuple[Point, ...]:
-        return self.polygon.vertices
+    @property
+    def ring(self) -> Scaled:
+        return self.polygon._scaled
 
-    @cached_property
-    def hull_ring(self) -> HullRing:
-        return self.polygon.vertices, self.polygon._scaled
-
-    def contains(self, p: Point) -> bool:
-        return self.polygon.contains_point(p)
-
-    def project(self, p: Point) -> Point:
-        return project_convex(self.polygon, p)
+    def nearest(self, q: Ratios) -> Ratios:
+        return project_convex_ring(self.ring, q)
 
 
-@dataclass(frozen=True)
-class Triangle:
+@dataclass(frozen=True, init=False)
+class Triangle(_Feasible):
     """The symmetric wedge slice T(h, t) = {(x, y): 0 <= y <= h, |x| <= t*y}.
 
-    h is the height, t the half-width per unit height; both stay rational
-    so the corners are exact.  h = 0 degenerates to the origin alone.
+    h is the height, t the half-width per unit height, both kept as reduced
+    integer pairs (hq, tq) so the corners are exact.  h = 0 degenerates to
+    the origin alone.
     """
 
-    h: Scalar
-    t: Scalar
+    hq: tuple[int, int]
+    tq: tuple[int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "t", Fraction(self.t))
-        if self.h < 0:
+    def __init__(self, h: Scalar, t: Scalar):
+        h, t = Fraction(h), Fraction(t)
+        if h < 0:
             raise ValueError("triangle height must be nonnegative")
-        if self.t <= 0:
+        if t <= 0:
             raise ValueError("triangle slope must be positive")
+        object.__setattr__(self, "hq", h.as_integer_ratio())
+        object.__setattr__(self, "tq", t.as_integer_ratio())
+
+    @classmethod
+    def _of(cls, hq: tuple[int, int], tq: tuple[int, int]) -> "Triangle":
+        """T(h, t) from reduced pairs with h >= 0 and t > 0, unchecked."""
+        tri = cls.__new__(cls)
+        object.__setattr__(tri, "hq", hq)
+        object.__setattr__(tri, "tq", tq)
+        return tri
+
+    h = property(lambda self: Fraction(*self.hq))
+    t = property(lambda self: Fraction(*self.tq))
 
     @property
     def set_id(self) -> str:
-        return f"T({scalar_str(self.h)},{scalar_str(self.t)})"
-
-    def hull_vertices(self) -> tuple[Point, ...]:
-        return self.hull_ring[0]
+        return f"T({ratio_str(*self.hq)},{ratio_str(*self.tq)})"
 
     @cached_property
-    def hull_ring(self) -> HullRing:
+    def ring(self) -> Scaled:
         """T(h, t) = h*T(1, t): over hd*td the corners (+-t*h, h) are
         (+-tn*hn, td*hn), and one gcd brings that to the lcm of their
         reduced denominators, as over_common_denominator gives it."""
-        if self.h == 0:
-            return (ORIGIN,), (1, [0], [0])
-        hn, hd = self.h.numerator, self.h.denominator
-        tn, td = self.t.numerator, self.t.denominator
+        (hn, hd), (tn, td) = self.hq, self.tq
+        if hn == 0:
+            return 1, [0], [0]
         x, y, m = tn * hn, td * hn, hd * td
         g = gcd(m, x, y)
         x, y, m = x // g, y // g, m // g
-        w = Fraction(x, m)
-        return (ORIGIN, Point(w, self.h), Point(-w, self.h)), (m, [0, x, -x], [0, y, y])
+        return m, [0, x, -x], [0, y, y]
 
-    def contains(self, p: Point) -> bool:
+    def holds(self, q: Ratios) -> bool:
         """0 <= y <= h and |x| <= t*y, cross-multiplied."""
-        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-        h, t = self.h, self.t
-        return (0 <= yn and yn * h.denominator <= h.numerator * yd
-                and abs(xn) * yd * t.denominator <= t.numerator * yn * xd)
+        xn, xd, yn, yd = q
+        (hn, hd), (tn, td) = self.hq, self.tq
+        return 0 <= yn and yn * hd <= hn * yd and abs(xn) * yd * td <= tn * yn * xd
 
-    def project(self, p: Point) -> Point:
-        if self.h == 0:
-            return ORIGIN
+    def nearest(self, q: Ratios) -> Ratios:
+        if self.hq[0] == 0:
+            return 0, 1, 0, 1
         # the ring ORIGIN, (w, h), (-w, h) runs CCW, and the nearest point of
         # a convex set is unique, so the edge order cannot change it
-        return project_convex_ring(*self.hull_ring, p)
+        return project_convex_ring(self.ring, q)
 
 
 FeasibleSet = Finite | Convex | Triangle
@@ -206,6 +221,13 @@ class TriangleFamily:
         if not 0 <= h <= self.h_max:
             raise ValueError("height outside the family range")
         return Triangle(h, self.t)
+
+    def draw(self, rng: random.Random) -> Triangle:
+        """T(h, t) for h = Fraction(rng.random()) * h_max, on integers."""
+        rn, rd = rng.random().as_integer_ratio()
+        h_max = self.h_max
+        return Triangle._of(reduced(rn * h_max.numerator, rd * h_max.denominator),
+                            self.t.as_integer_ratio())
 
     @property
     def envelope(self) -> Triangle:
@@ -273,32 +295,34 @@ class ScenarioProvider:
             return self.sets[n % len(self.sets)]
         if self.mode == "random-from-collection":
             return self.sets[rng.randrange(len(self.sets))]
-        fam = self.family
-        h = Fraction(rng.random()) * fam.h_max
-        return Triangle(h, fam.t)
+        return self.family.draw(rng)
 
 
-def sample_hull_point(verts: Sequence[Point], scaled: Scaled,
-                      rng: random.Random) -> Point:
+def sample_hull_point(scaled: Scaled, rng: random.Random) -> Point:
+    """sample_hull_ratios as a Point."""
+    return point_of(sample_hull_ratios(scaled, rng))
+
+
+def sample_hull_ratios(scaled: Scaled, rng: random.Random) -> Ratios:
     """Uniform point of a convex hull, exact once the float draws are fixed.
 
-    verts is the hull ring and scaled the same ring over its common
-    denominator, (m, xs, ys) as over_common_denominator gives it.  Three
-    draws, in order: one picks a fan triangle (a, b, c) around the first
-    vertex with probability proportional to its area, two give the point
-    a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f enters
-    as f.as_integer_ratio(), exactly Fraction(f); the weights and the point
-    are integers over that common denominator.
+    scaled is the hull ring over its common denominator, (m, xs, ys) as
+    over_common_denominator gives it.  Three draws, in order: one picks a
+    fan triangle (a, b, c) around the first vertex with probability
+    proportional to its area, two give the point a + u (b - a) + v (c - a),
+    reflected when u + v > 1.  A draw f enters as f.as_integer_ratio(),
+    exactly Fraction(f); the weights and the point are integers over that
+    common denominator.  A hull of one vertex draws nothing.
     """
-    if len(verts) == 1:
-        return verts[0]
     m, xs, ys = scaled
+    if len(xs) == 1:
+        return vertex_ratios(scaled, 0)
     ax, ay = xs[0], ys[0]
     weights = [(xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
-               for i in range(1, len(verts) - 1)]
+               for i in range(1, len(xs) - 1)]
     rn, rd = rng.random().as_integer_ratio()
     r = rn * sum(weights)
-    b = len(verts) - 2
+    b = len(xs) - 2
     acc = 0
     for i, w in enumerate(weights, 1):
         acc += w
@@ -310,9 +334,8 @@ def sample_hull_point(verts: Sequence[Point], scaled: Scaled,
     if un * vd + vn * ud > ud * vd:
         un, vn = ud - un, vd - vn
     den = m * ud * vd
-    return Point(
-        Fraction(ax * ud * vd + (xs[b] - ax) * un * vd + (xs[b + 1] - ax) * vn * ud, den),
-        Fraction(ay * ud * vd + (ys[b] - ay) * un * vd + (ys[b + 1] - ay) * vn * ud, den))
+    return (*reduced(ax * ud * vd + (xs[b] - ax) * un * vd + (xs[b + 1] - ax) * vn * ud, den),
+            *reduced(ay * ud * vd + (ys[b] - ay) * un * vd + (ys[b + 1] - ay) * vn * ud, den))
 
 
 @dataclass(frozen=True)
@@ -326,42 +349,46 @@ class Opponent:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown opponent strategy {self.strategy!r}")
 
-    def pick(self, fs: FeasibleSet, error: Point, n: int,
-             rng: random.Random) -> Point:
-        verts, scaled = fs.hull_ring
+    def pick(self, fs: FeasibleSet, error: Ratios, n: int,
+             rng: random.Random) -> Ratios:
+        """Round n's input from the ring of fs, given the error so far."""
+        ring = fs.ring
+        _, xs, ys = ring
         if self.strategy == "hull-vertex-cycle":
-            return verts[n % len(verts)]
+            return vertex_ratios(ring, n % len(xs))
         if self.strategy == "error-aligned-vertex":
-            # v . error times a positive integer, for every vertex v
-            _, xs, ys = scaled
-            ex, ey = error.x, error.y
-            a, b = ex.numerator * ey.denominator, ey.numerator * ex.denominator
-            best, best_dot = verts[0], xs[0] * a + ys[0] * b
-            for v, x, y in zip(verts[1:], xs[1:], ys[1:]):
-                d = x * a + y * b
-                if d > best_dot or (d == best_dot and v.key() < best.key()):
-                    best, best_dot = v, d
-            return best
-        return sample_hull_point(verts, scaled, rng)
+            # v . error times a positive integer, for every vertex v; the
+            # largest wins, and a tie goes to the smallest vertex
+            exn, exd, eyn, eyd = error
+            a, b = exn * eyd, eyn * exd
+            return vertex_ratios(ring, max(range(len(xs)), key=lambda i: (
+                xs[i] * a + ys[i] * b, -xs[i], -ys[i])))
+        return sample_hull_ratios(ring, rng)
 
 
 # ---------------------------------------------------------------------------
 # game steps and traces
 
 
-def _check_input(fs: FeasibleSet, x: Point) -> None:
-    if not fs.contains(x):
-        raise InputOutsideHull(f"input {_fmt(x)} outside hull of {fs.set_id}")
+def _check_input(fs: FeasibleSet, x: Ratios) -> None:
+    if not fs.holds(x):
+        xs, ys = _strs(x)
+        raise InputOutsideHull(f"input ({xs}, {ys}) outside hull of {fs.set_id}")
+
+
+def _undelayed(e: Ratios, fs: FeasibleSet, x: Ratios) -> tuple[Ratios, Ratios, Ratios]:
+    _check_input(fs, x)
+    z = add_ratios(e, x)
+    y = fs.nearest(z)
+    return y, sub_ratios(z, y), z
 
 
 def step_undelayed(e: Point, fs: FeasibleSet,
                    x: Point) -> tuple[Point, Point, Point]:
     """Quantize e + x on the current set; returns (output, next error,
     target e + x)."""
-    _check_input(fs, x)
-    target = e + x
-    y = fs.project(target)
-    return y, target - y, target
+    y, e_next, z = _undelayed(ratios(e), fs, ratios(x))
+    return point_of(y), point_of(e_next), point_of(z)
 
 
 def step_delayed(z: Point, fs_now: FeasibleSet,
@@ -371,30 +398,33 @@ def step_delayed(z: Point, fs_now: FeasibleSet,
     Returns (output, next error, next running total); x_next must be drawn
     from the hull of fs_now because the opponent has seen nothing newer.
     """
-    _check_input(fs_now, x_next)
-    y = fs_now.project(z)
-    e_next = z - y
-    return y, e_next, e_next + x_next
+    x, total = ratios(x_next), ratios(z)
+    _check_input(fs_now, x)
+    y = fs_now.nearest(total)
+    e_next = sub_ratios(total, y)
+    return point_of(y), point_of(e_next), point_of(add_ratios(e_next, x))
 
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One round as Ratios: input, output, error before it, and target or
+    running total; x, y, e and z are those points built as Points."""
+
     n: int
     set_id: str
-    x: Point
-    y: Point
-    e: Point
-    z: Point
+    qx: Ratios
+    qy: Ratios
+    qe: Ratios
+    qz: Ratios
+
+    x = property(lambda self: point_of(self.qx))
+    y = property(lambda self: point_of(self.qy))
+    e = property(lambda self: point_of(self.qe))
+    z = property(lambda self: point_of(self.qz))
 
     def as_record(self) -> dict:
-        return {
-            "step": self.n,
-            "set": self.set_id,
-            "x": [scalar_str(self.x.x), scalar_str(self.x.y)],
-            "y": [scalar_str(self.y.x), scalar_str(self.y.y)],
-            "e": [scalar_str(self.e.x), scalar_str(self.e.y)],
-            "z": [scalar_str(self.z.x), scalar_str(self.z.y)],
-        }
+        return {"step": self.n, "set": self.set_id, "x": _strs(self.qx),
+                "y": _strs(self.qy), "e": _strs(self.qe), "z": _strs(self.qz)}
 
 
 @dataclass(frozen=True)
@@ -443,12 +473,12 @@ def _rounds(mode: str, provider: ScenarioProvider, opponent: Opponent,
             steps: int, seed: int) -> Iterator[TraceStep]:
     prng = random.Random(_mix(seed, provider.seed, 1))
     orng = random.Random(_mix(seed, opponent.seed, 2))
-    e = ORIGIN
+    e = 0, 1, 0, 1  # e_0 = 0
     if mode == "undelayed":
         for n in range(steps):
             fs = provider.pick(n, prng)
             x = opponent.pick(fs, e, n, orng)
-            y, e_next, z = step_undelayed(e, fs, x)
+            y, e_next, z = _undelayed(e, fs, x)
             yield TraceStep(n, fs.set_id, x, y, e, z)
             e = e_next
         return
@@ -459,13 +489,13 @@ def _rounds(mode: str, provider: ScenarioProvider, opponent: Opponent,
     _check_input(fs, x)
     z = x  # z_0 = e_0 + x_0
     for n in range(steps):
-        y = fs.project(z)
+        y = fs.nearest(z)
         yield TraceStep(n, fs.set_id, x, y, e, z)
-        e = z - y
+        e = sub_ratios(z, y)
         fs_next = provider.pick(n + 1, prng)
         x = opponent.pick(fs, e, n + 1, orng)  # from the set already seen
         _check_input(fs, x)
-        z = e + x
+        z = add_ratios(e, x)
         fs = fs_next
 
 
@@ -474,19 +504,11 @@ def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
     """Play a tracking game for the given number of rounds and keep every
     round: the Trace of play's steps and the error left after the last."""
     out = tuple(play(mode, provider, opponent, steps, seed))
-    return Trace(mode, out, out[-1].z - out[-1].y if out else ORIGIN)
+    return Trace(mode, out, point_of(sub_ratios(out[-1].qz, out[-1].qy)) if out else ORIGIN)
 
 
 # ---------------------------------------------------------------------------
 # trajectory checks and bounds
-
-
-def _membership(domain) -> Callable[[Point], bool]:
-    if isinstance(domain, (Region, ConvexPolygon)):
-        return domain.contains_point
-    if isinstance(domain, (Finite, Convex, Triangle)):
-        return domain.contains
-    raise TypeError(f"cannot test membership in {type(domain).__name__}")
 
 
 def check_containment(trace: Trace, domain, which: str = "error") -> list[int]:
@@ -497,10 +519,12 @@ def check_containment(trace: Trace, domain, which: str = "error") -> list[int]:
     """
     if which not in ("error", "z"):
         raise ValueError(f"unknown trace field {which!r}")
-    inside = _membership(domain)
+    if not isinstance(domain, (Region, ConvexPolygon, Finite, Convex, Triangle)):
+        raise TypeError(f"cannot test membership in {type(domain).__name__}")
+    inside = domain.holds
     bad = [s.n for s in trace.steps
-           if not inside(s.e if which == "error" else s.z)]
-    if which == "error" and not inside(trace.final_error):
+           if not inside(s.qe if which == "error" else s.qz)]
+    if which == "error" and not inside(ratios(trace.final_error)):
         bad.append(len(trace.steps))
     return bad
 
@@ -524,14 +548,13 @@ def _atom_vertices(atom) -> tuple[Point, ...]:
 
 
 def _atom_inside(atom, domain) -> bool:
-    inside = _membership(domain)
     if isinstance(atom, (SiteSet, Finite)):
-        sites = atom.sites if isinstance(atom, SiteSet) else atom.sites.sites
-        return all(inside(s) for s in sites)
-    ring = _atom_vertices(atom)
-    if len(ring) < 3:
-        return all(inside(p) for p in ring)
-    return subset(ConvexPolygon.hull_of(ring), domain)
+        points = atom.sites if isinstance(atom, SiteSet) else atom.sites.sites
+    else:
+        points = _atom_vertices(atom)
+        if len(points) >= 3:
+            return subset(ConvexPolygon.hull_of(points), domain)
+    return all(domain.holds(ratios(p)) for p in points)
 
 
 def error_bound_from_domain(domain, scenario) -> Scalar:

@@ -15,20 +15,25 @@ the kernel test), and ConvexPolygon.hull_of runs the monotone chain
 _hull_order.  A clip, a stitch or a convex Minkowski sum, which hold a
 canonical simple ring on integers, build the polygon directly.
 
+A point can also go as Ratios (xn, xd, yn, yd), the reduced pairs that
+its two Fractions hold, without the objects; the games run on them.
+
 The ring predicates (is_simple_ring, is_convex_ring, point_in_ring,
 star_kernel_contains, ring_area2, diameter_sq_of) take a Scaled ring
-(m, xs, ys).  Against a query point p, the ring's x axis is scaled by
-p.x's denominator and its y axis by p.y's, which keeps every comparison
-and every orientation sign; point_in_ring then runs _ring_locate, the
-integer core that errdiff.booleans calls directly.
+(m, xs, ys).  Against a query point, the ring's x axis is scaled by the
+point's x denominator and its y axis by its y denominator, which keeps
+every comparison and every orientation sign; point_in_ring and
+ratios_in_ring then run _ring_locate, the integer core that
+errdiff.booleans calls directly.
 
 Two polygon types share one base, Polygon: ConvexPolygon, a strictly
 convex hull, and Region, a simple polygon with an optional declared star
 center.  Callers dispatch on the two types, so neither is the other.  Both
-answer locate with point_in_ring on their ring.  Clipping and union live in
+answer locate with point_in_ring on their ring, and holds, membership of
+a point given as Ratios, with ratios_in_ring.  Clipping and union live in
 errdiff.booleans and errdiff.starunion, and Minkowski sums in
 errdiff.operators; project_convex_ring decides the nearest point of a
-convex ring on the integers of the ring and the query point.
+convex ring on the integers of the ring and the query point's Ratios.
 """
 from __future__ import annotations
 
@@ -138,6 +143,52 @@ def dist_sq(a: Point, b: Point) -> Fraction:
 
 
 Scaled = tuple[int, Sequence[int], Sequence[int]]
+Ratios = tuple[int, int, int, int]
+
+
+def ratios(p: Point) -> Ratios:
+    return p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+
+
+def point_of(q: Ratios) -> Point:
+    return Point(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
+
+
+def reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for n / d in lowest terms with d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _add_ratio(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an / ad + bn / bd in lowest terms, reduced by the gcd of the
+    denominators first, as Fraction adds."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    return t // g2, s * (bd // g2)
+
+
+def add_ratios(a: Ratios, b: Ratios) -> Ratios:
+    return (*_add_ratio(a[0], a[1], b[0], b[1]), *_add_ratio(a[2], a[3], b[2], b[3]))
+
+
+def sub_ratios(a: Ratios, b: Ratios) -> Ratios:
+    return (*_add_ratio(a[0], a[1], -b[0], b[1]), *_add_ratio(a[2], a[3], -b[2], b[3]))
+
+
+def vertex_ratios(scaled: Scaled, i: int) -> Ratios:
+    """Vertex i of the ring (m, xs, ys) as Ratios."""
+    m, xs, ys = scaled
+    return (*reduced(xs[i], m), *reduced(ys[i], m))
 
 
 def over_common_denominator(points: Sequence[Point]) -> Scaled:
@@ -149,15 +200,14 @@ def over_common_denominator(points: Sequence[Point]) -> Scaled:
     return m, [n * (m // d) for n, d in xr], [n * (m // d) for n, d in yr]
 
 
-def _against(scaled: Scaled, p: Point) -> tuple[list[int], list[int], int, int]:
-    """A ring over its common denominator m and a point p, both on integers:
-    the ring's x axis scaled by p.x's denominator and its y axis by p.y's,
-    p scaled by m.  Positive per-axis scales keep every comparison and every
-    orientation sign."""
+def _against(scaled: Scaled, q: Ratios) -> tuple[list[int], list[int], int, int]:
+    """A ring over its common denominator m and a point q, both on integers:
+    the ring's x axis scaled by q's x denominator and its y axis by its y
+    denominator, q scaled by m.  Positive per-axis scales keep every
+    comparison and every orientation sign."""
     m, xs, ys = scaled
-    xd, yd = p.x.denominator, p.y.denominator
-    return ([x * xd for x in xs], [y * yd for y in ys],
-            p.x.numerator * m, p.y.numerator * m)
+    xn, xd, yn, yd = q
+    return [x * xd for x in xs], [y * yd for y in ys], xn * m, yn * m
 
 
 def _shift(scaled: Scaled, p: Point) -> Scaled:
@@ -282,11 +332,14 @@ def is_simple_ring(scaled: Scaled) -> bool:
 
 def point_in_ring(scaled: Scaled, p: Point) -> int:
     """Exact location of p in the closed region bounded by a simple ring
-    (m, xs, ys): +1 strictly inside, 0 on the boundary, -1 outside.
+    (m, xs, ys): +1 strictly inside, 0 on the boundary, -1 outside."""
+    return ratios_in_ring(scaled, ratios(p))
 
-    Decided by _ring_locate on the ring's integers against p.
-    """
-    return _ring_locate(*_against(scaled, p))
+
+def ratios_in_ring(scaled: Scaled, q: Ratios) -> int:
+    """point_in_ring for a point given as Ratios, decided by _ring_locate on
+    the ring's integers against q."""
+    return _ring_locate(*_against(scaled, q))
 
 
 def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
@@ -329,7 +382,7 @@ def is_convex_ring(scaled: Scaled) -> bool:
 def star_kernel_contains(scaled: Scaled, p: Point) -> bool:
     """True when p is in the kernel of the CCW ring (m, xs, ys) (inner side
     of every edge), decided on the ring's integers against p."""
-    xs, ys, px, py = _against(scaled, p)
+    xs, ys, px, py = _against(scaled, ratios(p))
     for i in range(len(xs)):
         ux, uy = xs[i - 1], ys[i - 1]
         if (xs[i] - ux) * (py - uy) < (ys[i] - uy) * (px - ux):
@@ -380,7 +433,11 @@ class Polygon:
         return point_in_ring(self._scaled, p)
 
     def contains_point(self, p: Point) -> bool:
-        return self.locate(p) >= 0
+        return self.holds(ratios(p))
+
+    def holds(self, q: Ratios) -> bool:
+        """contains_point for a point given as Ratios."""
+        return ratios_in_ring(self._scaled, q) >= 0
 
     @cached_property
     def area2(self) -> Fraction:
@@ -436,22 +493,22 @@ class ConvexPolygon(Polygon):
 
 def project_convex(poly: ConvexPolygon, x: Point) -> Point:
     """Exact nearest point of a convex polygon (the metric projection)."""
-    return project_convex_ring(poly.vertices, poly._scaled, x)
+    return point_of(project_convex_ring(poly._scaled, ratios(x)))
 
 
-def project_convex_ring(vertices: Sequence[Point], scaled: Scaled, x: Point) -> Point:
-    """Exact nearest point of a strictly convex CCW ring given with its
-    (m, xs, ys) over one common denominator.
+def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
+    """Exact nearest point of a strictly convex CCW ring (m, xs, ys) to the
+    point q.
 
-    Over the common denominator m of the ring and x, edge u -> v with
-    d = v - u and w = x - u has its foot at t = w.d / d.d, and the squared
-    distance to the clamped foot is |w|^2 (t <= 0), |x - v|^2 (t >= 1) or
-    cross(d, w)^2 / d.d, all integers times m^2.  x lies in the polygon
+    Over the common denominator m of the ring and q, edge u -> v with
+    d = v - u and w = q - u has its foot at t = w.d / d.d, and the squared
+    distance to the clamped foot is |w|^2 (t <= 0), |q - v|^2 (t >= 1) or
+    cross(d, w)^2 / d.d, all integers times m^2.  q lies in the polygon
     when no cross(d, w) is negative.  The first edge with a strictly
     smaller distance wins.
     """
     m0, xs, ys = scaled
-    xn, xd, yn, yd = x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
+    xn, xd, yn, yd = q
     m = lcm(m0, xd, yd)
     k = m // m0
     px, py = xn * (m // xd), yn * (m // yd)
@@ -479,15 +536,14 @@ def project_convex_ring(vertices: Sequence[Point], scaled: Scaled, x: Point) -> 
         if best is None or dist_n * best_d < best_n * dist_d:
             best, best_n, best_d = foot, dist_n, dist_d
     if inside:
-        return x
+        return q
+    # u + (v - u) t / dd over m; a vertex foot is (i, 0, 1)
     i, t, dd = best
-    if t == 0:
-        return vertices[i]
     j = (i + 1) % n
     ux, uy = xs[i] * k, ys[i] * k
     den = m * dd
-    return Point(Fraction(ux * dd + (xs[j] * k - ux) * t, den),
-                 Fraction(uy * dd + (ys[j] * k - uy) * t, den))
+    return (*reduced(ux * dd + (xs[j] * k - ux) * t, den),
+            *reduced(uy * dd + (ys[j] * k - uy) * t, den))
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .booleans import subset_witness
-from .dynamics import Triangle, TriangleFamily, sample_hull_point
+from .dynamics import Triangle, TriangleFamily, sample_hull_point, sample_hull_ratios
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,
     ORIGIN,
     Point,
+    Ratios,
     Region,
     Scalar,
     _shift,
+    add_ratios,
     dist_sq,
+    point_of,
+    ratios,
     scalar_str,
+    sub_ratios,
 )
 from .operators import Collection, apply_operator
 from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell
@@ -145,29 +150,30 @@ def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
     rng = random.Random(seed)
     witnesses: list[Point] = []
 
-    def push(p: Point):
-        if not target.contains(p):
-            witnesses.append(p)
+    def push(q: Ratios):
+        if not target.holds(q):
+            witnesses.append(point_of(q))
+
+    def after_round(z: Ratios, tri: Triangle, x: Ratios) -> Ratios:
+        return add_ratios(sub_ratios(z, tri.nearest(z)), x)
 
     # deterministic probes: family corners must be reachable, hence covered
     for w in envelope.hull_vertices():
-        push(w)
-    probe_z = [v for v in target.hull_vertices() if envelope.contains(v)]
+        push(ratios(w))
+    probe_z = [ratios(v) for v in target.hull_vertices() if envelope.contains(v)]
     for z in probe_z:
         for h in (envelope.h, envelope.h / 2):
             tri = Triangle(h, fam.t)
             for x in tri.hull_vertices():
-                push(z - tri.project(z) + x)
+                push(after_round(z, tri, ratios(x)))
     tested = 0
     while tested < samples and len(witnesses) <= WITNESS_CAP:
-        h = Fraction(rng.random()) * fam.h_max
-        tri = Triangle(h, fam.t)
-        z = sample_hull_point(*target.hull_ring, rng)
-        if not target.contains(z):
-            z = target.project(z)
-        x = sample_hull_point(*tri.hull_ring, rng)
-        push(z - tri.project(z) + x)
-        push(sample_hull_point(*envelope.hull_ring, rng))
+        tri = fam.draw(rng)
+        z = sample_hull_ratios(target.ring, rng)
+        if not target.holds(z):
+            z = target.nearest(z)
+        push(after_round(z, tri, sample_hull_ratios(tri.ring, rng)))
+        push(sample_hull_ratios(envelope.ring, rng))
         tested += 1
     notes = f"{tested} sampled triples, seed {seed} (evidence, not proof)"
     return _report("triangle_family_check", witnesses, notes)
@@ -228,7 +234,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
                 if branching == 0:
                     inputs = pools[S.id]
                 else:
-                    inputs = [sample_hull_point(S.hull.vertices, S.hull._scaled, rng)
+                    inputs = [sample_hull_point(S.hull._scaled, rng)
                               for _ in range(branching)]
                 for x in inputs:
                     z = e + x

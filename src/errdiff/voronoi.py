@@ -10,14 +10,15 @@ walls.  The operators call it themselves and read its components on
 integers; intersect_region_cell, for a clip that must leave one
 component, makes that component a Region as it stands.  Sites on the
 hull boundary are the corners, sites strictly inside the inners
-(SiteSet.corners and .inners).  An inner site's cell is bounded, and
-materialize_cell builds it from its walls alone: taken in the
-counter-clockwise order of the dual hull, each two consecutive walls meet
-at one of its vertices.
+(SiteSet.corners and .inners).  SiteSet.cells keeps every cell's walls
+in the counter-clockwise order of the dual hull.  An inner site's cell is
+bounded, and materialize_cell builds it from those walls alone: each two
+consecutive walls meet at one of its vertices.
 
-project compares squared distances as integers: the sites are cached in
-key order over their common denominator, so one integer per site decides
-the nearest, and no Fraction is built.
+project_ratios compares squared distances as integers: the sites are
+cached in key order over their common denominator, so one integer per
+site decides the nearest, and the point and the answer are Ratios;
+project is its Point face.
 """
 from __future__ import annotations
 
@@ -32,9 +33,12 @@ from .geometry import (
     GeometryError,
     MultiComponent,
     Point,
+    Ratios,
     Region,
     _hull_order,
     over_common_denominator,
+    point_of,
+    ratios,
     scalar_str,
 )
 from .booleans import Wall, clip_components
@@ -109,21 +113,22 @@ class SiteSet:
     @cached_property
     def cells(self) -> dict[Point, VoronoiCellH]:
         """The Voronoi cell of every site, by site, bounded by its facet
-        walls in site order."""
+        walls in the counter-clockwise order of their dual points."""
         sites = self.sites
         _, xs, ys = over_common_denominator(sites)
         return {c: VoronoiCellH(c, tuple(bisector(c, sites[j])
-                                         for j in sorted(_facet_neighbours(xs, ys, i))),
+                                         for j in _facet_neighbours(xs, ys, i)),
                                 bounded=c in self.inners)
                 for i, c in enumerate(sites)}
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Point], ...]]:
+    def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Ratios], ...]]:
         """(m, entries): each site s, in key order, as (|s|^2 m^2, s.x m,
-        s.y m, s) over the common denominator m."""
+        s.y m, s as Ratios) over the common denominator m."""
         ordered = sorted(self.sites, key=Point.key)
         m, xs, ys = over_common_denominator(ordered)
-        return m, tuple((x * x + y * y, x, y, s) for x, y, s in zip(xs, ys, ordered))
+        return m, tuple((x * x + y * y, x, y, ratios(s))
+                        for x, y, s in zip(xs, ys, ordered))
 
 
 def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]:
@@ -183,34 +188,37 @@ def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
 
 
 def project(S: SiteSet, x: Point) -> Point:
-    """A squared-distance-minimizing site; ties go to the smallest site.
+    """A squared-distance-minimizing site; ties go to the smallest site."""
+    return point_of(project_ratios(S, ratios(x)))
 
-    |x - s|^2 = |x|^2 - 2 x.s + |s|^2; times m^2 q for q the product of
-    x's denominators, and less the common |x|^2 term, it is the integer
-    |s m|^2 q - 2 m q (x . s m).  The sites come in key order and min
+
+def project_ratios(S: SiteSet, q: Ratios) -> Ratios:
+    """project on Ratios.
+
+    |q - s|^2 = |q|^2 - 2 q.s + |s|^2; times m^2 d for d the product of
+    q's denominators, and less the common |q|^2 term, it is the integer
+    |s m|^2 d - 2 m d (q . s m).  The sites come in key order and min
     keeps the first of equal values, so ties go to the smallest.
     """
     m, entries = S._scaled
-    xn, xd, yn, yd = x.x.numerator, x.x.denominator, x.y.numerator, x.y.denominator
-    q = xd * yd
+    xn, xd, yn, yd = q
+    d = xd * yd
     a, b = 2 * m * xn * yd, 2 * m * yn * xd
-    return min(entries, key=lambda e: e[0] * q - a * e[1] - b * e[2])[3]
+    return min(entries, key=lambda e: e[0] * d - a * e[1] - b * e[2])[3]
 
 
 def materialize_cell(S: SiteSet, c: Point) -> Region:
     """Bounded cell of an inner site, from its facet walls.
 
-    An inner site's dual points surround the origin, so _facet_neighbours
-    lists every facet once around the cell, and each two consecutive walls
+    An inner site's dual points surround the origin, so its cell's walls
+    (SiteSet.cells) go once around it, and each two consecutive walls
     (A1, B1, C1), (A2, B2, C2) meet at the vertex
     (C1 B2 - C2 B1, A1 C2 - A2 C1) / (A1 B2 - A2 B1), the denominator
     positive.  The ring goes over the lcm of those denominators.
     """
     if c not in S.inners:
         raise UnboundedCell(f"{c} is not an inner site")
-    sites = S.sites
-    _, xs, ys = over_common_denominator(sites)
-    walls = [bisector(c, sites[j]) for j in _facet_neighbours(xs, ys, sites.index(c))]
+    walls = S.cells[c].walls
     corners = [(C1 * B2 - C2 * B1, A1 * C2 - A2 * C1, A1 * B2 - A2 * B1)
                for (A1, B1, C1), (A2, B2, C2) in zip(walls, walls[1:] + walls[:1])]
     m = lcm(*[d for _, _, d in corners])

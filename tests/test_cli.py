@@ -13,7 +13,7 @@ import pytest
 
 import errdiff
 from errdiff.cli import main
-from errdiff.geometry import pt
+from errdiff.geometry import pt, ratios
 from errdiff.scene import Scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -140,12 +140,13 @@ class TestSimulate:
 
 class _StrayOpponent:
     """Plays the first hull vertex, then a point outside every hull at
-    round 1500, after the writer has flushed part of the trace."""
+    round 1500, after the writer has flushed part of the trace; each as
+    Ratios, the type a game's opponent hands over."""
 
     seed = None
 
     def pick(self, fs, error, n, rng):
-        return pt(5, 5) if n == 1500 else fs.hull_vertices()[0]
+        return ratios(pt(5, 5) if n == 1500 else fs.hull_vertices()[0])
 
 
 class TestSimulateFailures:

@@ -40,6 +40,7 @@ from errdiff.geometry import (
     dist_sq,
     over_common_denominator,
     pt,
+    ratios,
     scalar_str,
 )
 from errdiff.operators import Collection
@@ -170,20 +171,20 @@ class TestOpponents:
     def test_vertex_cycle_order(self):
         opp = Opponent("hull-vertex-cycle")
         verts = SQUARE.hull_vertices()
-        got = [opp.pick(SQUARE, ORIGIN, n, None) for n in range(6)]
-        assert got == [verts[0], verts[1], verts[2], verts[3], verts[0], verts[1]]
+        got = [opp.pick(SQUARE, ratios(ORIGIN), n, None) for n in range(6)]
+        assert got == [ratios(verts[i]) for i in (0, 1, 2, 3, 0, 1)]
 
     def test_error_aligned_maximizes_dot(self):
         opp = Opponent("error-aligned-vertex")
-        assert opp.pick(DIAMOND, pt(1, 0), 0, None) == pt(2, 0)
-        assert opp.pick(DIAMOND, pt(-1, -3), 0, None) == pt(0, -2)
+        assert opp.pick(DIAMOND, ratios(pt(1, 0)), 0, None) == ratios(pt(2, 0))
+        assert opp.pick(DIAMOND, ratios(pt(-1, -3)), 0, None) == ratios(pt(0, -2))
 
     def test_error_aligned_tie_breaks_lexicographically(self):
         opp = Opponent("error-aligned-vertex")
         # zero error ties every vertex; smallest coordinates win
-        assert opp.pick(DIAMOND, ORIGIN, 0, None) == pt(-2, 0)
+        assert opp.pick(DIAMOND, ratios(ORIGIN), 0, None) == ratios(pt(-2, 0))
         # (1,0) and (1,1) tie on the dot with (1,0)
-        assert opp.pick(SQUARE, pt(1, 0), 0, None) == pt(1, 0)
+        assert opp.pick(SQUARE, ratios(pt(1, 0)), 0, None) == ratios(pt(1, 0))
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -193,14 +194,15 @@ class TestOpponents:
         rng = random.Random(seed)
         for fs in (SQUARE, STAR8, Triangle(F(2, 3), F(3, 2))):
             for n in range(4):
-                assert fs.contains(opp.pick(fs, ORIGIN, n, rng))
+                assert fs.holds(opp.pick(fs, ratios(ORIGIN), n, rng))
 
     def test_degenerate_triangle_forces_origin(self):
         import random
         tri = Triangle(0, 1)
         for strat in ("uniform-random-in-hull", "hull-vertex-cycle",
                       "error-aligned-vertex"):
-            assert Opponent(strat).pick(tri, pt(1, 1), 3, random.Random(0)) == ORIGIN
+            got = Opponent(strat).pick(tri, ratios(pt(1, 1)), 3, random.Random(0))
+            assert got == ratios(ORIGIN)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -421,6 +423,16 @@ class TestBounds:
             got = error_bound_from_domain(D, fs.sites)
             assert got == min(brute, D.diameter_sq)
 
+    @pytest.mark.parametrize("scenario", [TriangleFamily(0, 1), Triangle(0, 1)],
+                             ids=["TriangleFamily", "Triangle"])
+    def test_degenerate_triangle_scenario(self, scenario):
+        # T(0, t) is the origin alone: a corner of UNIT_BOX, so the box's
+        # diameter bounds it too; outside the shifted box only the far
+        # corner (2, 2) does
+        assert error_bound_from_domain(UNIT_BOX, scenario) == 2
+        shifted = Region.from_ring((pt(1, 1), pt(2, 1), pt(2, 2), pt(1, 2)))
+        assert error_bound_from_domain(shifted, scenario) == 8
+
     def test_triangle_family_bound(self):
         D = Region.from_ring(Triangle(1, 1).hull_vertices())
         assert error_bound_from_domain(D, TriangleFamily(1, 1)) == 4
@@ -608,6 +620,84 @@ drawn_triangles = st.builds(
     st.integers(1, 2**64).flatmap(lambda d: st.integers(1, 4 * d).map(lambda n: F(n, d))))
 
 
+lattice = st.integers(-3, 3).map(F)
+halves = st.integers(-8, 8).map(lambda n: F(n, 2))
+
+
+@st.composite
+def feasible_sets(draw):
+    """A Finite set (sites on a small lattice, so equidistant sites are
+    common), a Convex set or a wedge, T(0, t) among them."""
+    kind = draw(st.sampled_from(("finite", "convex", "triangle")))
+    if kind == "triangle":
+        return draw(triangles)
+    c = draw(st.sampled_from((lattice, narrow, wide)))
+    pts = draw(st.lists(st.builds(Point, c, c), min_size=3, max_size=7,
+                        unique_by=Point.key))
+    try:
+        return Finite(SiteSet(tuple(pts))) if kind == "finite" \
+            else Convex(ConvexPolygon.hull_of(pts))
+    except DegenerateHull:
+        assume(False)
+
+
+@st.composite
+def points_for(draw, fs, inside=False):
+    """A point for fs: a hull vertex, a point of an edge (or of its line
+    beyond the ends, unless inside), one equidistant from two vertices
+    (or from two sites), or a free point (unless inside)."""
+    verts = fs.hull_vertices()
+    kinds = ("vertex", "edge") if inside else ("vertex", "edge", "tie", "free")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "free" or (kind == "tie" and len(verts) == 1):
+        c = draw(st.sampled_from((halves, narrow, wide)))
+        return draw(st.builds(Point, c, c))
+    i = draw(st.integers(0, len(verts) - 1))
+    u, v = verts[i], verts[(i + 1) % len(verts)]
+    if kind == "vertex":
+        return u
+    if kind == "edge":
+        lo, hi = (0, 1) if inside else (-1, 2)
+        return u + (v - u).scale(draw(st.fractions(lo, hi, max_denominator=6)))
+    sites_ = fs.sites.sites if isinstance(fs, Finite) else verts
+    a, b = draw(st.permutations(sites_))[:2]
+    d = b - a
+    k = draw(st.fractions(-2, 2, max_denominator=4))
+    return (a + b).scale(F(1, 2)) + Point(-d.y, d.x).scale(k)
+
+
+def reference_contains(fs, p):
+    """Membership in Fraction arithmetic: the wedge's inequalities, or the
+    inner side of every edge of the CCW hull."""
+    if isinstance(fs, Triangle):
+        return 0 <= p.y <= fs.h and abs(p.x) <= fs.t * p.y
+    vs = fs.hull_vertices()
+    return all((v - u).cross(p - u) >= 0 for u, v in zip(vs, vs[1:] + vs[:1]))
+
+
+def reference_nearest(fs, p):
+    """The projection in Fraction arithmetic: the nearest site, ties to the
+    smallest, or the nearest point of the hull."""
+    if isinstance(fs, Finite):
+        return min(fs.sites.sites, key=lambda s: (dist_sq(s, p), s.key()))
+    if isinstance(fs, Triangle) and fs.h == 0:
+        return ORIGIN
+    return reference_project_convex(ConvexPolygon.hull_of(fs.hull_vertices()), p)
+
+
+class _Script:
+    """Plays the given inputs in turn, then the last again, as Ratios: a
+    delayed game draws one input ahead."""
+
+    seed = None
+
+    def __init__(self, *inputs):
+        self.inputs = inputs
+
+    def pick(self, fs, error, n, rng):
+        return ratios(self.inputs[min(n, len(self.inputs) - 1)])
+
+
 class TestIntegerKernels:
     @given(st.one_of(hulls(wide), hulls(narrow),
                      triangles.map(lambda tri: tri.hull_vertices())),
@@ -617,7 +707,7 @@ class TestIntegerKernels:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         ring = over_common_denominator(verts)
         for _ in range(3):
-            assert sample_hull_point(verts, ring, rng) == reference_sample(verts, ref_rng)
+            assert sample_hull_point(ring, rng) == reference_sample(verts, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
@@ -645,6 +735,45 @@ class TestIntegerKernels:
             ConvexPolygon.hull_of(tri.hull_vertices()), p)
         assert tri.project(p) == want
 
+    @given(feasible_sets().flatmap(lambda fs: st.tuples(st.just(fs), points_for(fs))))
+    @settings(max_examples=400, deadline=None)
+    def test_holds_and_nearest_match_fraction_formulas(self, case):
+        fs, p = case
+        q = ratios(p)
+        assert fs.holds(q) == fs.contains(p) == reference_contains(fs, p)
+        want = reference_nearest(fs, p)
+        # equal tuples: the integer pairs are reduced, denominators positive
+        assert fs.nearest(q) == ratios(want)
+        assert fs.project(p) == want
+
+    @given(feasible_sets().flatmap(lambda fs: st.tuples(
+        st.just(fs), points_for(fs), points_for(fs, inside=True))))
+    @settings(max_examples=300, deadline=None)
+    def test_one_round_matches_fraction_formulas(self, case):
+        fs, e, x = case
+        z = e + x
+        y = reference_nearest(fs, z)
+        assert step_undelayed(e, fs, x) == (y, z - y, z)
+        # delayed: e stands for the running total, quantized before x counts
+        y = reference_nearest(fs, e)
+        assert step_delayed(e, fs, x) == (y, e - y, e - y + x)
+
+    @given(feasible_sets().flatmap(lambda fs: st.tuples(
+        st.just(fs), points_for(fs, inside=True), points_for(fs, inside=True))))
+    @settings(max_examples=200, deadline=None)
+    def test_two_game_rounds_match_fraction_formulas(self, case):
+        # the steps' own integer pairs, so a sum left unreduced shows; on a
+        # fixed set both modes play the same two rounds
+        fs, x0, x1 = case
+        y0 = reference_nearest(fs, x0)
+        e1 = x0 - y0
+        z1 = e1 + x1
+        y1 = reference_nearest(fs, z1)
+        want = [tuple(map(ratios, s)) for s in ((x0, y0, ORIGIN, x0), (x1, y1, e1, z1))]
+        for mode in ("undelayed", "delayed"):
+            tr = run(mode, ScenarioProvider.fixed(fs), _Script(x0, x1), 2)
+            assert [(s.qx, s.qy, s.qe, s.qz) for s in tr] == want
+
     @given(st.one_of(hulls(wide), hulls(narrow)), st.data())
     @settings(max_examples=200, deadline=None)
     def test_error_aligned_matches_fraction_formula(self, verts, data):
@@ -654,8 +783,8 @@ class TestIntegerKernels:
             st.builds(Point, wide, wide), st.just(ORIGIN),
             # normal to an edge: both its ends tie on the dot
             st.builds(lambda k: Point(k * (v.y - u.y), k * (u.x - v.x)), narrow)))
-        got = Opponent("error-aligned-vertex").pick(Finite(S), error, 0, None)
-        assert got == reference_aligned(S.hull.vertices, error)
+        got = Opponent("error-aligned-vertex").pick(Finite(S), ratios(error), 0, None)
+        assert got == ratios(reference_aligned(S.hull.vertices, error))
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +850,9 @@ class TestTraceWriter:
 
 
 class TestPinnedTraces:
-    """The exact bytes of three 2 000-step games, fixed before the game
-    kernel moved to integers: any change to sampling, membership or
-    projection that moves one coordinate changes a digest."""
+    """The exact bytes of five 2 000-step games, each fixed on the Fraction
+    path that the integer kernels replaced: any change to sampling,
+    membership or projection that moves one coordinate changes a digest."""
 
     def test_uniform_inputs_on_sset3(self):
         (sset3,) = _shipped("sset3")
@@ -744,14 +873,29 @@ class TestPinnedTraces:
         assert _trace_sha256(tr) == \
             "6a095d949ddf6a3d24db3f9e17e1968c9925a4a32cdba689d3159fdca5c90b60"
 
+    def test_uniform_inputs_on_a_convex_set(self):
+        (sset3,) = _shipped("sset3")
+        fs = Convex(ConvexPolygon.hull_of(sset3.hull_vertices()))
+        tr = run("undelayed", ScenarioProvider.fixed(fs),
+                 Opponent("uniform-random-in-hull", seed=16), 2000, seed=6)
+        assert _trace_sha256(tr) == \
+            "7aff3a9fca3093d8a0f0ecb093929c55c9565e92e2a6825508d33530d5b345af"
+
+    def test_vertex_cycle_on_cyclic_ssprime(self):
+        tr = run("undelayed", ScenarioProvider.cyclic(_shipped("ssprime")),
+                 Opponent("hull-vertex-cycle", seed=17), 2000, seed=7)
+        assert _trace_sha256(tr) == \
+            "28239436ab69afeafb99733cf49db3d071de834ff683d701e8f72170d70143c6"
+
 
 class _StrayOpponent:
-    """Plays hull vertices, then a point outside every hull at round 2."""
+    """Plays hull vertices, then a point outside every hull at round 2, each
+    as Ratios, the type a game's opponent hands over."""
 
     seed = None
 
     def pick(self, fs, error, n, rng):
-        return pt(5, 5) if n == 2 else fs.hull_vertices()[0]
+        return ratios(pt(5, 5) if n == 2 else fs.hull_vertices()[0])
 
 
 @pytest.mark.parametrize("mode", ["undelayed", "delayed"])

@@ -264,8 +264,8 @@ class TestTriangleBoundAgreement:
         for _ in range(200):
             h = F(rng.random()) * 1
             tri = Triangle(h, 1)
-            z = sample_hull_point(*env.hull_ring, rng)
-            x = sample_hull_point(*tri.hull_ring, rng)
+            z = sample_hull_point(env.ring, rng)
+            x = sample_hull_point(tri.ring, rng)
             out = z - tri.project(z) + x
             assert env.contains(out)
             assert (z - tri.project(z)).norm_sq() <= triangle_bound(1, 1)

@@ -173,7 +173,7 @@ class TestIntersect:
         c = pt("1/2", "1/2")
         sites = SiteSet((c, pt("1/2", "3/2"), pt("3/2", "1/2")))
         V = cell(sites, c)
-        assert V.walls == (bisector(c, pt("1/2", "3/2")), bisector(c, pt("3/2", "1/2")))
+        assert V.walls == (bisector(c, pt("3/2", "1/2")), bisector(c, pt("1/2", "3/2")))
         square = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
         assert intersect_region_cell(notched, V).vertices == square
         flipped = VoronoiCellH(c, V.walls[::-1], bounded=False)
@@ -263,16 +263,19 @@ class TestProjectIntegerKernel:
 class TestCellCache:
     def test_cells_are_built_once_per_site_set(self):
         # a corner's facets are its two hull neighbours and the center; the
-        # center's wall cuts the cell off before the opposite corner's
+        # center's wall cuts the cell off before the opposite corner's.  They
+        # come in the counter-clockwise order of their dual points, from the
+        # lexicographically smallest vertex of the dual hull
         center = pt("1/2", "1/2")
-        opposite = {pt(0, 0): pt(1, 1), pt(1, 0): pt(0, 1),
-                    pt(1, 1): pt(0, 0), pt(0, 1): pt(1, 0)}
+        facets = {pt(0, 0): (pt(1, 0), center, pt(0, 1)),
+                  pt(1, 0): (pt(0, 0), pt(1, 1), center),
+                  pt(1, 1): (center, pt(1, 0), pt(0, 1)),
+                  pt(0, 1): (pt(0, 0), center, pt(1, 1)),
+                  center: (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))}
         for c in SQUARE_CENTER:
             V = cell(SQUARE_CENTER, c)
             assert cell(SQUARE_CENTER, c) is V
-            facets = [d for d in SQUARE_CENTER
-                      if d != c and (c == center or d != opposite[c])]
-            assert V.walls == tuple(bisector(c, d) for d in facets)
+            assert V.walls == tuple(bisector(c, d) for d in facets[c])
             assert V.bounded == (c in SQUARE_CENTER.inners)
 
 
