@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -324,8 +325,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_INVALID, since 2 means a run
+    that did not converge; -h still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on first use and kept for the process: parse_args
+    fills a fresh namespace each call, so no flag carries over."""
+    parser = _Parser(
         prog="errdiff",
         description="Minimal invariant sets and tracking games, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)

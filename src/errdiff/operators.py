@@ -4,14 +4,18 @@ Both operators use the recentered cell union U(X) = union over sites c of
 (X ∩ V(c)) − c: g(Q) = U(ch S + Q) and p(D) = ch S + U(D), the same two
 pieces in the opposite order.  Both add ch S to a region by one
 convolution-cycle walk (minkowski_convex_star), for a convex region
-anywhere and for one star-shaped around the origin.  g_step and p_step both
-clip the region's integer ring by each cell's walls, reduced integer
-triples (booleans.clip_components), and shift each piece by -c on integers
-(starunion.star_cycle).  apply_operator is the one member loop: each
-member's step, its convex hull for G and P (geometry._hull_order on the
-image's integer ring; with_reference checks the reference), and the union
-of the members.  Every region passes from step to step as its integer
-ring; Points are built only for the snap
+anywhere and for one star-shaped around the origin.  One helper per family
+(_g_pieces, _p_pieces) clips the region's integer ring by each cell's
+walls, reduced integer triples (booleans.clip_components); each piece is
+shifted by -c on integers.  g_step and p_step unite the pieces in a
+radial envelope (starunion.cycle_envelope).  The convex variants take
+their hull instead (geometry._hull_order), since a hull commutes with
+union and with Minkowski sum: G(Q) = conv of the g pieces, with the
+origin as reference, and P(D) = ch S + conv of the p pieces, one convex
+walk.  So G and P build no envelope, and they return a set where the
+union pinches at the center.  apply_operator is the one member loop: each
+member's image, then the union of the members.  Every region passes from
+step to step as its integer ring; Points are built only for the snap
 candidate.  Iterating any operator from a seed grows a monotone chain of
 regions whose limit is the minimal invariant set; the engine below runs
 that chain with exact rational arithmetic and stops it in one of two ways:
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .booleans import Clipped, clip_components, subset_witness, union_one_region
 from .geometry import (
@@ -48,7 +53,7 @@ from .geometry import (
     point_in_ring,
     scalar_str,
 )
-from .starunion import cycle_envelope, star_cycle, union_star
+from .starunion import Cycle, cycle_envelope, star_cycle, union_star
 from .voronoi import SiteSet, cell
 
 OPERATORS = ("g", "G", "p", "P")
@@ -226,6 +231,16 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     return Region(m, [xs[t] + ox for t in order], [ys[t] + oy for t in order])
 
 
+def _hull(rings: Sequence[Scaled]) -> Region:
+    """The convex hull of the rings' vertices, which must span the plane,
+    over the lcm of their denominators."""
+    L = lcm(*[m for m, _, _ in rings])
+    xs = [x * (L // m) for m, rxs, _ in rings for x in rxs]
+    ys = [y * (L // m) for m, _, rys in rings for y in rys]
+    order = _hull_order(xs, ys)
+    return Region(L, [xs[k] for k in order], [ys[k] for k in order])
+
+
 # ---------------------------------------------------------------------------
 # the g family
 
@@ -237,14 +252,14 @@ def _check_g_seed(Q: Seed) -> None:
         raise KernelViolation("g-family input must be star-shaped around the origin")
 
 
-def g_step(S: SiteSet, Q: Seed) -> Region:
-    """Union over sites c of ((ch S + Q) ∩ V(c)) − c, star-shaped at 0.
+def _g_pieces(S: SiteSet, Q: Seed) -> list[Cycle]:
+    """The g step's pieces ((ch S + Q) ∩ V(c)) − c, as cycles around the
+    origin.
 
     X = ch S + Q is clipped into each cell on X's integer ring
     (clip_components); each piece, one component by the premise of the
     step, is shifted by -c on integers (star_cycle, which also checks that
-    c is in its kernel), and the pieces go to one radial envelope around
-    the origin (cycle_envelope).  No Point is built.
+    c is in its kernel).  No Point is built.
     """
     _check_g_seed(Q)
     if isinstance(Q, PointSeed):
@@ -261,18 +276,24 @@ def g_step(S: SiteSet, Q: Seed) -> Region:
                 f"cell of {c} cuts the region into {len(comps)} parts")
         m, xs, ys, _ = comps[0]
         cycles.append(star_cycle((m, xs, ys), c))
-    return cycle_envelope(cycles, ORIGIN)
+    return cycles
+
+
+def g_step(S: SiteSet, Q: Seed) -> Region:
+    """Union over sites c of ((ch S + Q) ∩ V(c)) − c, star-shaped at 0: the
+    radial envelope around the origin (cycle_envelope) of _g_pieces."""
+    return cycle_envelope(_g_pieces(S, Q), ORIGIN)
+
+
+def _G_step(S: SiteSet, Q: Seed) -> Region:
+    """conv g(Q), the hull of _g_pieces' vertices: hulls commute with
+    unions, so no envelope is built, and a union that pinches at the origin
+    still has one."""
+    return _hull([(m, xs, ys) for xs, ys, m in _g_pieces(S, Q)]).with_reference(ORIGIN)
 
 
 # ---------------------------------------------------------------------------
 # the p family
-
-def _hull(scaled: Scaled) -> Region:
-    """The convex hull of a point set that spans the plane, over its m."""
-    m, xs, ys = scaled
-    order = _hull_order(xs, ys)
-    return Region(m, [xs[k] for k in order], [ys[k] for k in order])
-
 
 def _sum_hull_with_ring(hull: ConvexPolygon, piece: Region) -> list[Region]:
     """Regions whose union is hull + piece, piece an arbitrary simple
@@ -296,8 +317,8 @@ def _sum_hull_with_ring(hull: ConvexPolygon, piece: Region) -> list[Region]:
     n = len(rxs)
     for i in range(n):
         j = (i + 1) % n
-        out.append(_hull((m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
-                          [h + rys[i] for h in hys] + [h + rys[j] for h in hys])))
+        out.append(_hull([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
+                           [h + rys[i] for h in hys] + [h + rys[j] for h in hys])]))
     return out
 
 
@@ -310,16 +331,33 @@ def _p_step_general(hull: ConvexPolygon,
     return union_one_region(parts)
 
 
+def _nearest(S: SiteSet, s0: Point) -> list[Point]:
+    """The sites of S nearest to s0."""
+    best = min(dist_sq(s0, c) for c in S.sites)
+    return [c for c in S.sites if dist_sq(s0, c) == best]
+
+
+def _p_pieces(S: SiteSet, D: Region) -> list[tuple[Point, list[Clipped]]]:
+    """Each site c whose cell meets D, with the components of D ∩ V(c),
+    clipped on D's integer ring (clip_components)."""
+    pieces = []
+    for c in S.sites:
+        comps = clip_components(D._scaled, cell(S, c).walls)
+        if comps:
+            pieces.append((c, comps))
+    return pieces
+
+
 def p_step(S: SiteSet, D: Seed) -> Region:
     """ch S + (union over sites c of (D ∩ V(c)) − c).
 
     A point seed {s0} gives the union of ch S + s0 − c over its nearest
     sites c, all star-shaped around s0: one radial envelope of the hull
     shifted by each -c (star_cycle), which raises DisconnectedUnion when
-    they meet only at s0.  A region D is clipped on its integer ring, as in
-    g_step; when each cell that meets D keeps one piece, star-shaped around
-    the origin once shifted (which holds once the sites lie in D), the inner
-    union and the Minkowski sum run on the radial fast path.  Otherwise
+    they meet only at s0.  A region D is cut into _p_pieces; when each cell
+    that meets D keeps one piece, star-shaped around the origin once
+    shifted (which holds once the sites lie in D), the inner union and the
+    Minkowski sum run on the radial fast path.  Otherwise
     (NotStarAtCenter, DisconnectedUnion) the general route sums the hull
     with each piece by sweeping it along the piece's edges
     (_sum_hull_with_ring) and unites the sums in union_one_region.
@@ -327,14 +365,9 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     hull = S.hull
     if isinstance(D, PointSeed):
         s0 = D.point
-        best = min(dist_sq(s0, c) for c in S.sites)
-        return cycle_envelope([star_cycle(hull._scaled, c) for c in S.sites
-                               if dist_sq(s0, c) == best], s0).with_reference(None)
-    pieces = []
-    for c in S.sites:
-        comps = clip_components(D._scaled, cell(S, c).walls)
-        if comps:
-            pieces.append((c, comps))
+        return cycle_envelope([star_cycle(hull._scaled, c) for c in _nearest(S, s0)],
+                              s0).with_reference(None)
+    pieces = _p_pieces(S, D)
     if all(len(comps) == 1 for _, comps in pieces):
         try:
             cycles = []
@@ -348,26 +381,34 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     return _p_step_general(hull, pieces)
 
 
-def _hull_region(region: Region, reference: Point | None = None) -> Region:
-    return _hull(region._scaled).with_reference(reference)
+def _P_step(S: SiteSet, D: Seed) -> Region:
+    """conv p(D) = ch S + conv(union over sites c of (D ∩ V(c)) − c): one
+    convex Minkowski walk with the hull of the shifted _p_pieces, since
+    hulls commute with unions and Minkowski sums.  A point seed {s0} gives
+    the hull of the translates ch S + s0 − c over its nearest sites c, also
+    where they meet only at s0."""
+    if isinstance(D, PointSeed):
+        s0 = D.point
+        return _hull([_shift(S.hull._scaled, s0 - c) for c in _nearest(S, s0)])
+    inner = _hull([_shift((m, xs, ys), -c)
+                   for c, comps in _p_pieces(S, D) for m, xs, ys, _ in comps])
+    return minkowski_convex_star(S.hull, inner)
+
+
+_STEPS = {"g": g_step, "G": _G_step, "p": p_step, "P": _P_step}
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
-    """op's image of Q over the collection: each member's step (g_step for
-    g and G, p_step for p and P), its convex hull for G and P, and the
-    union of the members' parts, radial around the origin for the g family
-    (every part keeps it in its kernel) and general for the p family."""
+    """op's image of Q over the collection: each member's image (g_step,
+    _G_step, p_step or _P_step) and the union of the members' images,
+    radial around the origin for the g family (every image keeps it in its
+    kernel) and general for the p family."""
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    g_family = op in ("g", "G")
-    step = g_step if g_family else p_step
-    parts = [step(S, Q) for S in SS.members]
-    if op in ("G", "P"):
-        reference = ORIGIN if g_family else None
-        parts = [_hull_region(R, reference) for R in parts]
+    parts = [_STEPS[op](S, Q) for S in SS.members]
     if len(parts) == 1:
         return parts[0]
-    if g_family:
+    if op in ("g", "G"):
         return union_star(parts, ORIGIN)
     return union_one_region(parts)
 

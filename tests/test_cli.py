@@ -93,6 +93,15 @@ class TestMinGset:
         assert payload["operator"] == "G"
         assert payload["iterations"] == 4
 
+    def test_no_flag_carries_over_to_the_next_call(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        for flags, op in ((["--convex", "--max-iter", 2], "G"), ([], "g")):
+            out = tmp_path / op
+            run_cli("min-gset", *flags, "--scene", SCENES / "sset1.json", "--out", out)
+            payload = read_json(out / "sset1.gset.json")
+            assert payload["operator"] == op
+            assert payload["converged"] is (op == "g")
+
 
 class TestMinFset:
     def test_unit_square_region_is_the_half_margin_box(self, out):
@@ -355,7 +364,7 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             run_cli("min-gset", "--scene", SCENES / "sset1.json",
                     "--out", out, "--epsilon", "1/100")
-        assert exc.value.code == 2
+        assert exc.value.code == 3
         assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--no-rounding"], ["--k", "300"],
@@ -363,7 +372,20 @@ class TestFailureModes:
     def test_rounding_flags_are_gone(self, out, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli("min-gset", "--scene", SCENES / "sset1.json", "--out", out, *flag)
-        assert exc.value.code == 2
+        assert exc.value.code == 3
+
+    def test_bad_flag_value_exits_three(self, out, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("min-gset", "--scene", SCENES / "sset1.json",
+                    "--out", out, "--max-iter", "abc")
+        assert exc.value.code == 3
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("min-gset", "-h")
+        assert exc.value.code == 0
+        assert "--convex" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

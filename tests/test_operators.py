@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import errdiff.operators
+import errdiff.starunion
 from errdiff.booleans import clip_components, subset, union_one_region
 from errdiff.geometry import (
     ORIGIN,
@@ -19,6 +20,7 @@ from errdiff.geometry import (
     Point,
     PointSeed,
     Region,
+    _shift,
     dist_sq,
     equal_canonical,
     is_convex_ring,
@@ -29,7 +31,7 @@ from errdiff.operators import (
     EmptyCellPiece,
     IterationConfig,
     SNAP_DENOMINATOR,
-    _hull_region,
+    _hull,
     _sum_hull_with_ring,
     apply_operator,
     as_candidate,
@@ -400,6 +402,31 @@ class TestConvexVariants:
         assert subset(p1, P1)
         assert is_convex_ring(P1._scaled)
 
+    def test_G_is_total_where_g_pinches(self):
+        # in convex position with no inner site, the four pieces of g meet
+        # only at the origin
+        S = sites((-2, 0), (-1, -2), (1, -2), (1, 2))
+        with pytest.raises(DisconnectedUnion):
+            g_step(S, PointSeed(ORIGIN))
+        G = apply_operator("G", single(S), PointSeed(ORIGIN))
+        assert is_convex_ring(G._scaled) and G.reference == ORIGIN
+        for c in S.sites:
+            ((m, xs, ys, _),) = clip_components(S.hull._scaled, cell(S, c).walls)
+            assert subset(Region.from_integers(*_shift((m, xs, ys), -c)), G)
+        res = iterate("G", single(S), PointSeed(ORIGIN))
+        assert res.stop_reason == "fixed-point" and res.iterations == 4
+        assert len(res.final) == 6
+
+    def test_P_is_total_where_the_translates_pinch(self):
+        # all three sites are nearest to (1, 0), and p's translates of the
+        # triangle meet only there (TestPStepPointSeed); P is their hull
+        S = sites((0, 0), (2, 0), (1, 1))
+        s0 = pt(1, 0)
+        P = apply_operator("P", single(S), PointSeed(s0))
+        want = ConvexPolygon.hull_of([v + s0 - c for c in S.sites
+                                      for v in S.hull.vertices])
+        assert P._scaled == want._scaled and P.reference is None
+
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
             apply_operator("q", single(UNIT_SQUARE), PointSeed(ORIGIN))
@@ -416,12 +443,15 @@ def first_site(coll):
 
 
 class TestHullRegion:
+    """G's and P's member images, the hulls of the clipped pieces, against
+    the hulls of g's and p's images."""
+
     @pytest.mark.parametrize("stem", ["sset3", "ssprime"])
     @pytest.mark.parametrize("op", ["G", "P"])
     def test_matches_reference_hull_on_member_images(self, stem, op):
-        """Along the first iterates of the chain, every member image's hull
-        is the Fraction monotone chain's, with the same reference: the
-        origin for G, none for P."""
+        """Along the first iterates of the chain, every member's G or P
+        image is the Fraction monotone chain's hull of its g or p image,
+        with the same reference: the origin for G, none for P."""
         coll = shipped(stem)
         reference = ORIGIN if op == "G" else None
         if op == "G":
@@ -434,7 +464,7 @@ class TestHullRegion:
             for S in coll.members:
                 R = step(S, q)
                 want = Region.from_ring(reference_hull(R.vertices), reference=reference)
-                got = _hull_region(R, reference)
+                got = apply_operator(op, single(S), q)
                 assert got == want  # vertices and reference both
                 hulled += got.vertices != R.vertices
             q = apply_operator(op, coll, q)
@@ -442,9 +472,54 @@ class TestHullRegion:
 
     def test_reference_outside_the_hull_is_rejected(self):
         R = Region.from_ring([pt(1, 1), pt(3, 1), pt(2, 2), pt(3, 3), pt(1, 3)])
-        assert _hull_region(R).vertices == (pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3))
+        H = _hull([R._scaled])
+        assert H.vertices == (pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3))
         with pytest.raises(KernelViolation):
-            _hull_region(R, ORIGIN)
+            H.with_reference(ORIGIN)
+
+    @given(lattice_sites)
+    @example([(-2, 0), (-1, -2), (1, -2), (1, 2)])
+    @settings(max_examples=100, deadline=None)
+    def test_G_and_P_are_hulls_of_g_and_p(self, coords):
+        """Along the first chain steps, G and P are the exact hulls of g's
+        and p's images, with the same reference, wherever g and p do not
+        raise; where G or P raises, g or p raises the same error."""
+        try:
+            S = sites(*coords)
+        except DegenerateHull:
+            assume(False)
+        s0 = min(S.sites, key=lambda p: p.key())
+        for op, step, q, reference in (("G", g_step, PointSeed(ORIGIN), ORIGIN),
+                                       ("P", p_step, PointSeed(s0), None)):
+            for _ in range(3):
+                try:
+                    got = apply_operator(op, single(S), q)
+                except GeometryError as exc:
+                    with pytest.raises(type(exc)):
+                        step(S, q)
+                    break
+                try:
+                    image = step(S, q)
+                except GeometryError:
+                    pass
+                else:
+                    want = ConvexPolygon.hull_of(image.vertices)
+                    assert got._scaled == want._scaled
+                    assert got.reference == reference
+                q = got
+
+    def test_no_envelope_from_a_convex_seed(self, monkeypatch):
+        """A single member's G and P images of a point seed or a convex
+        region are hulls and convex Minkowski walks: no radial envelope."""
+        def unused(*args):
+            raise AssertionError("cycle_envelope called")
+        monkeypatch.setattr(errdiff.starunion, "cycle_envelope", unused)
+        monkeypatch.setattr(errdiff.operators, "cycle_envelope", unused)
+        for S in (STAR8, ZIGZAG5, shipped("sset3").members[0]):
+            for op, q in (("G", PointSeed(ORIGIN)), ("P", PointSeed(S.sites[0]))):
+                for _ in range(3):
+                    q = apply_operator(op, single(S), q)
+                    assert is_convex_ring(q._scaled)
 
 
 def snap_candidate(q):
