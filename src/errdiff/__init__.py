@@ -15,11 +15,10 @@ from .geometry import (
     Region,
     dist_sq,
     parse_scalar,
-    project_convex,
     pt,
     scalar_str,
 )
-from .voronoi import SiteSet, assumption_report, project
+from .voronoi import SiteSet, assumption_report
 from .operators import (
     Collection,
     IterationConfig,
@@ -32,15 +31,11 @@ from .dynamics import (
     Finite,
     Opponent,
     ScenarioProvider,
-    Trace,
     Triangle,
     TriangleFamily,
     check_containment,
     error_bound_from_domain,
     play,
-    run,
-    step_delayed,
-    step_undelayed,
     triangle_bound,
 )
 from .verify import (
@@ -60,7 +55,6 @@ from .scene import (
     ValidationError,
     load_scene,
     parse_scene,
-    print_scene,
 )
 from .render import render_svg
 
@@ -83,7 +77,6 @@ __all__ = [
     "ScenarioProvider",
     "Scene",
     "SiteSet",
-    "Trace",
     "Triangle",
     "TriangleFamily",
     "ValidationError",
@@ -104,16 +97,10 @@ __all__ = [
     "parse_scalar",
     "parse_scene",
     "play",
-    "print_scene",
-    "project",
-    "project_convex",
     "pt",
     "reachable_within",
     "render_svg",
-    "run",
     "scalar_str",
-    "step_delayed",
-    "step_undelayed",
     "triangle_bound",
     "triangle_family_check",
 ]

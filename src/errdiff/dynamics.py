@@ -17,13 +17,13 @@ reduced integer pairs, and no Fraction is built between an input and its
 trace line.  A feasible set gives its hull ring over one common
 denominator (ring), membership (holds) and projection (nearest) on
 Ratios; the opponent samples, cycles and votes on the ring, and
-add_ratios and sub_ratios make e + x and z - y.  contains, project,
-sample_hull_point and the step functions are Point faces of those cores.
+add_ratios and sub_ratios make e + x and z - y.
 
-play yields a game one TraceStep at a time, and run collects those steps
-into a Trace.  A TraceStep keeps the round's Ratios and builds its Points
-only when they are read; `errdiff simulate` writes each trace line from
-the Ratios as play yields it (cli._write_trace), so no game is held whole.
+play is the one game API: it yields a game one TraceStep, the round's
+Ratios, at a time.  `errdiff simulate` writes each trace line as play
+yields it (cli._write_trace), and check_containment tests each step as it
+arrives, so no game is held whole; both take the error left after the
+last round as that round's z - y.
 """
 from __future__ import annotations
 
@@ -32,12 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     ConvexPolygon,
     GeometryError,
-    ORIGIN,
     Point,
     Ratios,
     Region,
@@ -45,6 +44,7 @@ from .geometry import (
     Scaled,
     add_ratios,
     dist_sq,
+    exact,
     ratios_in_ring,
     point_of,
     project_convex_ring,
@@ -76,23 +76,7 @@ def _strs(q: Ratios) -> list[str]:
 
 
 class _Feasible:
-    """The Point faces of a feasible set over its integer cores, and
-    membership in a polygon ring."""
-
-    @cached_property
-    def hull_ring(self) -> tuple[tuple[Point, ...], Scaled]:
-        """The hull's vertices as Points, in the order of ring, and ring."""
-        m, xs, ys = self.ring
-        return tuple(Point(Fraction(x, m), Fraction(y, m)) for x, y in zip(xs, ys)), self.ring
-
-    def hull_vertices(self) -> tuple[Point, ...]:
-        return self.hull_ring[0]
-
-    def contains(self, p: Point) -> bool:
-        return self.holds(ratios(p))
-
-    def project(self, p: Point) -> Point:
-        return point_of(self.nearest(ratios(p)))
+    """Membership in a feasible set's hull ring."""
 
     def holds(self, q: Ratios) -> bool:
         return ratios_in_ring(self.ring, q) >= 0
@@ -148,7 +132,7 @@ class Triangle(_Feasible):
     tq: tuple[int, int]
 
     def __init__(self, h: Scalar, t: Scalar):
-        h, t = Fraction(h), Fraction(t)
+        h, t = exact(h), exact(t)
         if h < 0:
             raise ValueError("triangle height must be nonnegative")
         if t <= 0:
@@ -209,15 +193,15 @@ class TriangleFamily:
     t: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "h_max", Fraction(self.h_max))
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "h_max", exact(self.h_max))
+        object.__setattr__(self, "t", exact(self.t))
         if self.h_max < 0:
             raise ValueError("family height must be nonnegative")
         if self.t <= 0:
             raise ValueError("family slope must be positive")
 
     def member(self, h: Scalar) -> Triangle:
-        h = Fraction(h)
+        h = exact(h)
         if not 0 <= h <= self.h_max:
             raise ValueError("height outside the family range")
         return Triangle(h, self.t)
@@ -236,8 +220,8 @@ class TriangleFamily:
 
 def triangle_bound(h_max: Scalar, t: Scalar) -> Scalar:
     """Squared diameter of T(h_max, t): the longer of a leg and the base."""
-    h = Fraction(h_max)
-    t = Fraction(t)
+    h = exact(h_max)
+    t = exact(t)
     leg_sq = h * h * (1 + t * t)
     base_sq = (2 * h * t) ** 2
     return max(leg_sq, base_sq)
@@ -296,11 +280,6 @@ class ScenarioProvider:
         if self.mode == "random-from-collection":
             return self.sets[rng.randrange(len(self.sets))]
         return self.family.draw(rng)
-
-
-def sample_hull_point(scaled: Scaled, rng: random.Random) -> Point:
-    """sample_hull_ratios as a Point."""
-    return point_of(sample_hull_ratios(scaled, rng))
 
 
 def sample_hull_ratios(scaled: Scaled, rng: random.Random) -> Ratios:
@@ -383,32 +362,10 @@ def _undelayed(e: Ratios, fs: FeasibleSet, x: Ratios) -> tuple[Ratios, Ratios, R
     return y, sub_ratios(z, y), z
 
 
-def step_undelayed(e: Point, fs: FeasibleSet,
-                   x: Point) -> tuple[Point, Point, Point]:
-    """Quantize e + x on the current set; returns (output, next error,
-    target e + x)."""
-    y, e_next, z = _undelayed(ratios(e), fs, ratios(x))
-    return point_of(y), point_of(e_next), point_of(z)
-
-
-def step_delayed(z: Point, fs_now: FeasibleSet,
-                 x_next: Point) -> tuple[Point, Point, Point]:
-    """Quantize the running total z on the set already revealed.
-
-    Returns (output, next error, next running total); x_next must be drawn
-    from the hull of fs_now because the opponent has seen nothing newer.
-    """
-    x, total = ratios(x_next), ratios(z)
-    _check_input(fs_now, x)
-    y = fs_now.nearest(total)
-    e_next = sub_ratios(total, y)
-    return point_of(y), point_of(e_next), point_of(add_ratios(e_next, x))
-
-
 @dataclass(frozen=True)
 class TraceStep:
-    """One round as Ratios: input, output, error before it, and target or
-    running total; x, y, e and z are those points built as Points."""
+    """One round as Ratios: input x, output y, error e before it, and the
+    target e + x (undelayed) or the running total (delayed) z."""
 
     n: int
     set_id: str
@@ -417,32 +374,9 @@ class TraceStep:
     qe: Ratios
     qz: Ratios
 
-    x = property(lambda self: point_of(self.qx))
-    y = property(lambda self: point_of(self.qy))
-    e = property(lambda self: point_of(self.qe))
-    z = property(lambda self: point_of(self.qz))
-
     def as_record(self) -> dict:
         return {"step": self.n, "set": self.set_id, "x": _strs(self.qx),
                 "y": _strs(self.qy), "e": _strs(self.qe), "z": _strs(self.qz)}
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Logged game: per-round records plus the error left after the last."""
-
-    mode: str
-    steps: tuple[TraceStep, ...]
-    final_error: Point
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self) -> Iterator[TraceStep]:
-        return iter(self.steps)
-
-    def records(self) -> list[dict]:
-        return [s.as_record() for s in self.steps]
 
 
 def _mix(*parts: int | None) -> int:
@@ -499,33 +433,33 @@ def _rounds(mode: str, provider: ScenarioProvider, opponent: Opponent,
         fs = fs_next
 
 
-def run(mode: str, provider: ScenarioProvider, opponent: Opponent,
-        steps: int, seed: int = 0) -> Trace:
-    """Play a tracking game for the given number of rounds and keep every
-    round: the Trace of play's steps and the error left after the last."""
-    out = tuple(play(mode, provider, opponent, steps, seed))
-    return Trace(mode, out, point_of(sub_ratios(out[-1].qz, out[-1].qy)) if out else ORIGIN)
-
-
 # ---------------------------------------------------------------------------
 # trajectory checks and bounds
 
 
-def check_containment(trace: Trace, domain, which: str = "error") -> list[int]:
-    """Indices of logged rounds whose error (or running total) escapes.
+def check_containment(steps: Iterable[TraceStep], domain,
+                      which: str = "error") -> list[int]:
+    """Indices of the rounds whose error (or running total) escapes domain.
 
-    which = "error" also checks the error left after the final round,
-    reported under index len(trace).
+    steps is any iterable of a game's TraceSteps, play's generator
+    included, read once.  which = "error" also checks the error left after
+    the last round, its z - y (the origin when there is none), reported
+    under the index that counts the steps.
     """
     if which not in ("error", "z"):
         raise ValueError(f"unknown trace field {which!r}")
     if not isinstance(domain, (Region, ConvexPolygon, Finite, Convex, Triangle)):
         raise TypeError(f"cannot test membership in {type(domain).__name__}")
     inside = domain.holds
-    bad = [s.n for s in trace.steps
-           if not inside(s.qe if which == "error" else s.qz)]
-    if which == "error" and not inside(ratios(trace.final_error)):
-        bad.append(len(trace.steps))
+    bad = []
+    count, last = 0, None
+    for count, last in enumerate(steps, 1):
+        if not inside(last.qe if which == "error" else last.qz):
+            bad.append(last.n)
+    if which == "error":
+        final = (0, 1, 0, 1) if last is None else sub_ratios(last.qz, last.qy)
+        if not inside(final):
+            bad.append(count)
     return bad
 
 
@@ -540,11 +474,10 @@ def _scenario_atoms(scenario) -> list:
 def _atom_vertices(atom) -> tuple[Point, ...]:
     if isinstance(atom, SiteSet):
         return atom.hull.vertices
-    if isinstance(atom, TriangleFamily):
-        # distance to T(h, t) corners is quadratic in h, so the extremes
-        # over the family sit at h = 0 and h = h_max: the envelope corners
-        return atom.envelope.hull_vertices()
-    return atom.hull_vertices()
+    # distance to T(h, t) corners is quadratic in h, so the extremes over a
+    # family sit at h = 0 and h = h_max: the envelope corners
+    ring = (atom.envelope if isinstance(atom, TriangleFamily) else atom).ring
+    return tuple(point_of(vertex_ratios(ring, i)) for i in range(len(ring[1])))
 
 
 def _atom_inside(atom, domain) -> bool:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from numbers import Rational, Real
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -132,9 +133,21 @@ class Point:
 ORIGIN = Point(ZERO, ZERO)
 
 
+def exact(value) -> Fraction:
+    """Fraction(value) for an int, a Fraction or a rational string.
+
+    A binary floating-point value raises TypeError: Fraction(0.1) keeps
+    its binary value, whose denominator is 2**55, not 1/10.
+    """
+    if isinstance(value, Real) and not isinstance(value, Rational):
+        raise TypeError(f"inexact coordinate {value!r}: pass an int, a "
+                        "Fraction or a rational string")
+    return Fraction(value)
+
+
 def pt(x, y) -> Point:
-    """Point from any rational-convertible pair (ints, strings, Fractions)."""
-    return Point(Fraction(x), Fraction(y))
+    """Point from any exact rational pair (ints, strings, Fractions)."""
+    return Point(exact(x), exact(y))
 
 
 def dist_sq(a: Point, b: Point) -> Fraction:
@@ -432,11 +445,8 @@ class Polygon:
         """+1 strictly inside, 0 on the boundary, -1 outside."""
         return point_in_ring(self._scaled, p)
 
-    def contains_point(self, p: Point) -> bool:
-        return self.holds(ratios(p))
-
     def holds(self, q: Ratios) -> bool:
-        """contains_point for a point given as Ratios."""
+        """True when the point given as Ratios lies in the closed polygon."""
         return ratios_in_ring(self._scaled, q) >= 0
 
     @cached_property
@@ -489,11 +499,6 @@ class ConvexPolygon(Polygon):
             raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
                                  else "all points collinear")
         return ConvexPolygon(m, [xs[i] for i in order], [ys[i] for i in order])
-
-
-def project_convex(poly: ConvexPolygon, x: Point) -> Point:
-    """Exact nearest point of a convex polygon (the metric projection)."""
-    return point_of(project_convex_ring(poly._scaled, ratios(x)))
 
 
 def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:

@@ -15,13 +15,13 @@ origin as reference, and P(D) = ch S + conv of the p pieces, one convex
 walk.  So G and P build no envelope, and they return a set where the
 union pinches at the center.  apply_operator is the one member loop: each
 member's image, then the union of the members.  Every region passes from
-step to step as its integer ring; Points are built only for the snap
-candidate.  Iterating any operator from a seed grows a monotone chain of
-regions whose limit is the minimal invariant set; the engine below runs
-that chain with exact rational arithmetic and stops it in one of two ways:
-at an exact fixed point (canonical ring equality), or at a certified
-outer set, a snapped candidate C that holds the current iterate and that
-the operator maps into itself, both decided exactly.
+step to step as its integer ring, and the snap candidate is made on its
+iterate's integers too.  Iterating any operator from a seed grows a
+monotone chain of regions whose limit is the minimal invariant set; the
+engine below runs that chain with exact rational arithmetic and stops it
+in one of two ways: at an exact fixed point (canonical ring equality), or
+at a certified outer set, a snapped candidate C that holds the current
+iterate and that the operator maps into itself, both decided exactly.
 """
 from __future__ import annotations
 
@@ -45,12 +45,11 @@ from .geometry import (
     Scaled,
     _canonical_order,
     _hull_order,
+    _ring_locate,
     _shift,
     dist_sq,
     equal_canonical,
     is_convex_ring,
-    over_common_denominator,
-    point_in_ring,
     scalar_str,
 )
 from .starunion import Cycle, cycle_envelope, star_cycle, union_star
@@ -416,37 +415,38 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
 # ---------------------------------------------------------------------------
 # certified outer sets
 
-def snapped_ring(Q: Region) -> tuple[Point, ...] | None:
+def snap_candidate(Q: Region) -> Region | None:
     """Q's ring with every coordinate snapped to the nearest fraction whose
-    denominator is at most SNAP_DENOMINATOR; None when no coordinate moves.
+    denominator is at most SNAP_DENOMINATOR, as a region with Q's star
+    reference; None when no coordinate moves, when a vertex of Q lies
+    outside the snapped ring, or when that ring is not a valid region
+    (zero area, a self-intersecting boundary, or the reference outside its
+    kernel).
 
-    A coordinate moves exactly when its denominator is larger, so none
-    moves when Q's common denominator is not; each distinct one is snapped
-    once.
+    Each distinct numerator x of Q's ring is snapped once, as x / Q.m, and
+    the snapped ring goes over the lcm L of its reduced denominators.  Q's
+    ring is in lowest terms, so no coordinate moved exactly when the
+    snapped ring is Q's own.  Q's vertices are located in the raw snapped
+    ring, both over lcm(L, Q.m), before the ring is validated: a valid ring
+    bounds the candidate itself, and an invalid one is refused anyway.
     """
-    if Q.m <= SNAP_DENOMINATOR:
+    m = Q.m
+    if m <= SNAP_DENOMINATOR:
         return None
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def snap(q: Fraction) -> Fraction:
-        if q.denominator <= SNAP_DENOMINATOR:
-            return q
-        key = q.as_integer_ratio()
-        r = memo.get(key)
-        if r is None:
-            r = memo[key] = q.limit_denominator(SNAP_DENOMINATOR)
-        return r
-
-    snapped = tuple(Point(snap(v.x), snap(v.y)) for v in Q.vertices)
-    return snapped if memo else None
-
-
-def as_candidate(ring: tuple[Point, ...], reference: Point | None) -> Region | None:
-    """The snapped ring as a region with the iterate's star reference; None
-    when it is not a valid region: zero area, a self-intersecting boundary,
-    or the reference outside its kernel."""
+    snap = {x: Fraction(x, m).limit_denominator(SNAP_DENOMINATOR).as_integer_ratio()
+            for x in {*Q.xs, *Q.ys}}
+    L = lcm(*[d for _, d in snap.values()])
+    xs = [n * (L // d) for n, d in map(snap.get, Q.xs)]
+    ys = [n * (L // d) for n, d in map(snap.get, Q.ys)]
+    if L == m and xs == list(Q.xs) and ys == list(Q.ys):
+        return None
+    M = lcm(L, m)
+    k, kq = M // L, M // m
+    cxs, cys = [x * k for x in xs], [y * k for y in ys]
+    if any(_ring_locate(cxs, cys, x * kq, y * kq) < 0 for x, y in zip(Q.xs, Q.ys)):
+        return None
     try:
-        return Region.from_ring(ring, reference=reference)
+        return Region.from_integers(L, xs, ys, Q.reference)
     except GeometryError:
         return None
 
@@ -456,18 +456,9 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
 
     Both containments are decided exactly.  op is monotone, so the chain
     through Q stays in C and its limit, the minimal invariant set, lies in
-    op(C), which op also maps into itself.  C is as_candidate of Q's
-    snapped_ring.  A vertex of Q outside the raw snapped ring refuses the
-    candidate before the ring is validated: a valid ring bounds C itself,
-    and an invalid one is refused anyway.
+    op(C), which op also maps into itself.  C is snap_candidate(Q).
     """
-    ring = snapped_ring(Q)
-    if ring is None:
-        return None
-    scaled = over_common_denominator(ring)
-    if any(point_in_ring(scaled, v) < 0 for v in Q.vertices):
-        return None
-    C = as_candidate(ring, Q.reference)
+    C = snap_candidate(Q)
     if C is None or subset_witness(Q, C) is not None:
         return None
     image = apply_operator(op, SS, C)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dynamics import Trace
 from .geometry import Point, Region
 from .voronoi import SiteSet, materialize_cell
 
@@ -58,21 +57,16 @@ class _Frame:
         return " ".join(f"{x},{y}" for x, y in (self.xy(p) for p in ring))
 
 
-def _trace_points(trace: Trace | Sequence[Point]) -> list[Point]:
-    if isinstance(trace, Trace):
-        return [s.e for s in trace.steps] + [trace.final_error]
-    return list(trace)
-
-
 def render_svg(site_sets: Sequence[SiteSet] = (),
                invariant: Region | None = None,
                seed_region: Region | None = None,
-               traces: Sequence[Trace | Sequence[Point]] = (),
+               traces: Sequence[Sequence[Point]] = (),
                show_cells: bool = True) -> str:
     """One SVG document for the given elements (empty input is fine).
 
-    A trace renders as the polyline through its error points; a bare
-    point sequence (a replayed log) draws the same way.
+    A trace is the sequence of a game's error points, as `errdiff render`
+    reads them back from a trace file, and renders as the polyline
+    through them.
     """
     cells: list[tuple[list[Point], list[Point]]] = []
     if show_cells:
@@ -98,8 +92,7 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
         reach(invariant.vertices)
     if seed_region is not None:
         reach(seed_region.vertices)
-    paths = [_trace_points(trace) for trace in traces]
-    for path in paths:
+    for path in traces:
         reach(path)
 
     frame = _Frame(xs, ys)
@@ -127,7 +120,7 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
     for S in site_sets:
         out.append(f'<polygon points="{frame.pts(S.hull.vertices)}" '
                    f'fill="none" stroke="{_HULL_BLACK}" stroke-width="0.9"/>')
-    for path in paths:
+    for path in traces:
         if len(path) >= 2:
             out.append(f'<polyline points="{frame.pts(path)}" fill="none" '
                        f'stroke="{_TRACE_RED}" stroke-width="1.0"/>')

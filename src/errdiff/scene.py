@@ -4,8 +4,7 @@ A scene is a JSON object with five optional sections: `collections` (named
 lists of point sets), `regions` (named vertex rings), `triangles` (named
 wedge families), `config` (iteration overrides), and `simulations` (named
 game declarations).  Coordinates are rational strings such as "1/3" or
-"0.5" and parse to exact values; printing a scene emits the same grammar,
-so parse(print(scene)) returns an equal scene.
+"0.5" and parse to exact values.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ from .geometry import (
     is_convex_ring,
     parse_scalar,
     pt,
-    scalar_str,
 )
 from .operators import Collection, IterationConfig
 from .voronoi import SiteSet
@@ -365,50 +363,3 @@ def parse_scene(text: str) -> Scene:
 def load_scene(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scene(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _point_json(p: Point) -> list[str]:
-    return [scalar_str(p.x), scalar_str(p.y)]
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    cfg = scene.config
-    out: dict = {
-        "collections": {
-            name: [{"id": S.id, "points": [_point_json(p) for p in S.sites]}
-                   for S in coll]
-            for name, coll in scene.collections.items()
-        },
-        "regions": {name: [_point_json(p) for p in region.vertices]
-                    for name, region in scene.regions.items()},
-        "triangles": {name: {"h_max": scalar_str(fam.h_max), "t": scalar_str(fam.t)}
-                      for name, fam in scene.triangles.items()},
-        "config": {"max_iter": cfg.max_iter},
-        "simulations": {},
-    }
-    for name, sim in scene.simulations.items():
-        prov = {"mode": sim.provider.mode}
-        for key in ("collection", "member", "region", "triangle", "seed"):
-            value = getattr(sim.provider, key)
-            if value is not None:
-                prov[key] = value
-        opp = {"strategy": sim.opponent.strategy}
-        if sim.opponent.seed is not None:
-            opp["seed"] = sim.opponent.seed
-        out["simulations"][name] = {
-            "mode": sim.mode,
-            "provider": prov,
-            "opponent": opp,
-            "steps": sim.steps,
-            "seed": sim.seed,
-        }
-    return out
-
-
-def print_scene(scene: Scene) -> str:
-    """Canonical text form; parsing it recovers an equal scene."""
-    return json.dumps(scene_to_dict(scene), indent=2) + "\n"

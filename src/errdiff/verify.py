@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .booleans import subset_witness
-from .dynamics import Triangle, TriangleFamily, sample_hull_point, sample_hull_ratios
+from .dynamics import Triangle, TriangleFamily, sample_hull_ratios
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,
@@ -27,9 +27,9 @@ from .geometry import (
     add_ratios,
     dist_sq,
     point_of,
-    ratios,
     scalar_str,
     sub_ratios,
+    vertex_ratios,
 )
 from .operators import Collection, apply_operator
 from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell
@@ -157,15 +157,18 @@ def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
     def after_round(z: Ratios, tri: Triangle, x: Ratios) -> Ratios:
         return add_ratios(sub_ratios(z, tri.nearest(z)), x)
 
+    def corners(tri: Triangle) -> list[Ratios]:
+        return [vertex_ratios(tri.ring, i) for i in range(len(tri.ring[1]))]
+
     # deterministic probes: family corners must be reachable, hence covered
-    for w in envelope.hull_vertices():
-        push(ratios(w))
-    probe_z = [ratios(v) for v in target.hull_vertices() if envelope.contains(v)]
+    for w in corners(envelope):
+        push(w)
+    probe_z = [v for v in corners(target) if envelope.holds(v)]
     for z in probe_z:
         for h in (envelope.h, envelope.h / 2):
             tri = Triangle(h, fam.t)
-            for x in tri.hull_vertices():
-                push(after_round(z, tri, ratios(x)))
+            for x in corners(tri):
+                push(after_round(z, tri, x))
     tested = 0
     while tested < samples and len(witnesses) <= WITNESS_CAP:
         tri = fam.draw(rng)
@@ -234,7 +237,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
                 if branching == 0:
                     inputs = pools[S.id]
                 else:
-                    inputs = [sample_hull_point(S.hull._scaled, rng)
+                    inputs = [point_of(sample_hull_ratios(S.hull._scaled, rng))
                               for _ in range(branching)]
                 for x in inputs:
                     z = e + x

@@ -17,8 +17,7 @@ consecutive walls meet at one of its vertices.
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
-site decides the nearest, and the point and the answer are Ratios;
-project is its Point face.
+site decides the nearest, and the point and the answer are Ratios.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ from .geometry import (
     Region,
     _hull_order,
     over_common_denominator,
-    point_of,
     ratios,
     scalar_str,
 )
@@ -187,13 +185,9 @@ def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
     return Region(m, xs, ys)
 
 
-def project(S: SiteSet, x: Point) -> Point:
-    """A squared-distance-minimizing site; ties go to the smallest site."""
-    return point_of(project_ratios(S, ratios(x)))
-
-
 def project_ratios(S: SiteSet, q: Ratios) -> Ratios:
-    """project on Ratios.
+    """A squared-distance-minimizing site of S to the point q, both as
+    Ratios; ties go to the smallest site.
 
     |q - s|^2 = |q|^2 - 2 q.s + |s|^2; times m^2 d for d the product of
     q's denominators, and less the common |q|^2 term, it is the integer

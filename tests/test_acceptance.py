@@ -21,7 +21,6 @@ from errdiff.dynamics import (
     Triangle,
     finite_members,
     play,
-    run,
     triangle_bound,
 )
 from errdiff.geometry import (
@@ -30,8 +29,10 @@ from errdiff.geometry import (
     PointSeed,
     Region,
     dist_sq,
+    point_of,
     pt,
     scalar_str,
+    sub_ratios,
 )
 from errdiff.operators import (
     Collection,
@@ -297,13 +298,13 @@ def _undelayed_case(stem: str, strategy: str, seed: int):
 
 
 def _errors(rounds):
-    """(n, e_n) for n = 0, ..., steps of a streamed game: the error before
-    each round, then the error left after the last."""
+    """(n, e_n) for n = 0, ..., steps of a streamed game, as Ratios: the
+    error before each round, then the error left after the last."""
     s = None
     for s in rounds:
-        yield s.n, s.e
+        yield s.n, s.qe
     if s is not None:
-        yield s.n + 1, s.z - s.y
+        yield s.n + 1, sub_ratios(s.qz, s.qy)
 
 
 def test_criterion_09_undelayed_runs_stay_inside():
@@ -318,10 +319,10 @@ def test_criterion_09_undelayed_runs_stay_inside():
             in_bound = True
             t0 = time.perf_counter()
             for n, e in _errors(play("undelayed", provider, opponent, _SIM_STEPS, seed=9)):
-                if not Q.contains_point(e):
+                if not Q.holds(e):
                     violations.append(n)
                 if n in _CHECKPOINTS and \
-                        dist_sq(e, ORIGIN) / (n * n) > bound / Fraction(n * n):
+                        dist_sq(point_of(e), ORIGIN) / (n * n) > bound / Fraction(n * n):
                     in_bound = False
             dt = time.perf_counter() - t0
             label = f"{stem}/{strategy}"
@@ -342,10 +343,10 @@ def test_criterion_10_delayed_triangle_family():
     z_violations = []
     e_ok = True
     for s in play("delayed", provider, opponent, _SIM_STEPS, seed=10):
-        if not envelope.contains(s.z):
+        if not envelope.holds(s.qz):
             z_violations.append(s.n)
-        e_ok = e_ok and dist_sq(s.e, ORIGIN) <= bound
-    e_ok = e_ok and dist_sq(s.z - s.y, ORIGIN) <= bound
+        e_ok = e_ok and dist_sq(point_of(s.qe), ORIGIN) <= bound
+    e_ok = e_ok and dist_sq(point_of(sub_ratios(s.qz, s.qy)), ORIGIN) <= bound
     family = triangle_family_check(1, 1, samples=10_000, seed=0)
     checks = [
         ("triangle_bound(1,1) == 4", bound == 4),
@@ -379,10 +380,10 @@ def test_criterion_11_identical_seeds_identical_bytes(tmp_path, capsys):
 
     provider, opponent = _undelayed_case("sset1", "uniform-random-in-hull",
                                          seed=9)
-    first = run("undelayed", provider, opponent, 2000, seed=9)
-    second = run("undelayed", provider, opponent, 2000, seed=9)
-    logs_equal = [json.dumps(r) for r in first.records()] == \
-        [json.dumps(r) for r in second.records()]
+    first = play("undelayed", provider, opponent, 2000, seed=9)
+    second = play("undelayed", provider, opponent, 2000, seed=9)
+    logs_equal = [json.dumps(s.as_record()) for s in first] == \
+        [json.dumps(s.as_record()) for s in second]
 
     checks = [
         (f"pipeline artifacts byte-identical ({len(names)} files)",

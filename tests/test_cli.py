@@ -13,7 +13,7 @@ import pytest
 
 import errdiff
 from errdiff.cli import main
-from errdiff.geometry import pt, ratios
+from errdiff.geometry import pt, ratios, vertex_ratios
 from errdiff.scene import Scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -155,7 +155,7 @@ class _StrayOpponent:
     seed = None
 
     def pick(self, fs, error, n, rng):
-        return ratios(pt(5, 5) if n == 1500 else fs.hull_vertices()[0])
+        return ratios(pt(5, 5)) if n == 1500 else vertex_ratios(fs.ring, 0)
 
 
 class TestSimulateFailures:

@@ -1,13 +1,16 @@
 """Every module-level function and class in the package is used by the
-package itself or exported: code that only tests call is dead code.  And
-every name a module imports is read there: an import left behind by a
-deletion is dead too."""
+package itself or exported: code that only tests call is dead code.  An
+exported name that the package never reads is library API, so README's
+"Library" section names it.  And every name a module imports is read
+there: an import left behind by a deletion is dead too."""
 import ast
+import re
 from pathlib import Path
 
 import errdiff
 
 SRC = Path(errdiff.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -36,6 +39,19 @@ def unused_definitions(src: Path) -> list[str]:
     return [f"{module}:{node.name}" for module, node in statements
             if isinstance(node, DEFS) and node.name not in exported
             and all(r is node for r in readers.get(node.name, []))]
+
+
+def undocumented_exports(src: Path, exported, readme: str) -> list[str]:
+    """Each exported name that no module of src reads and that the
+    "## Library" section of readme, up to the next "## " heading, never
+    names as a word."""
+    read = set()
+    for p in sorted(src.glob("*.py")):
+        read |= _names(ast.parse(p.read_text(), filename=str(p)))
+    m = re.search(r"^## Library\n(.*?)(?=^## |\Z)", readme, re.M | re.S)
+    library = m.group(1) if m else ""
+    return [name for name in exported if name not in read
+            and not re.search(rf"\b{re.escape(name)}\b", library)]
 
 
 def unread_imports(src: Path) -> list[str]:
@@ -69,6 +85,22 @@ def test_a_definition_read_only_by_itself_is_unused(tmp_path):
         "class _Box:\n    def _used(self):\n        return _used()\n\n"
         "def _reader(b):\n    return b._Box\n")
     assert unused_definitions(tmp_path) == ["m.py:_loop", "m.py:_Box", "m.py:_reader"]
+
+
+def test_every_export_is_read_or_documented():
+    assert undocumented_exports(SRC, errdiff.__all__, README.read_text()) == []
+
+
+def test_an_export_read_nowhere_needs_the_library_section(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def shown():\n    return used()\n\n"
+        "def hidden():\n    return 2\n\n"
+        "def elsewhere():\n    return 3\n")
+    readme = ("# m\n\nhidden\n\n## Library\n\n```python\nshown()\n```\n\n"
+              "## Later\n\nelsewhere\n")
+    assert undocumented_exports(tmp_path, ["used", "shown", "hidden", "elsewhere"],
+                                readme) == ["hidden", "elsewhere"]
 
 
 def test_every_import_is_read():

@@ -18,17 +18,15 @@ from errdiff.dynamics import (
     InputOutsideHull,
     Opponent,
     ScenarioProvider,
-    Trace,
+    TraceStep,
     Triangle,
     TriangleFamily,
+    _undelayed,
     check_containment,
     error_bound_from_domain,
     finite_members,
     play,
-    run,
-    sample_hull_point,
-    step_delayed,
-    step_undelayed,
+    sample_hull_ratios,
     triangle_bound,
 )
 from errdiff.geometry import (
@@ -37,11 +35,15 @@ from errdiff.geometry import (
     ORIGIN,
     Point,
     Region,
+    add_ratios,
     dist_sq,
     over_common_denominator,
+    point_of,
     pt,
     ratios,
     scalar_str,
+    sub_ratios,
+    vertex_ratios,
 )
 from errdiff.operators import Collection
 from errdiff.scene import parse_scene
@@ -58,46 +60,72 @@ STAR8 = Finite(sites((2, 0), (0, 2), (-2, 0), (0, -2),
                      (F(1, 2), F(-1, 2)), (F(-1, 2), F(-1, 2)), id="star8"))
 DIAMOND = Finite(sites((2, 0), (0, 2), (-2, 0), (0, -2), id="diamond"))
 
+def corners(fs):
+    """The vertices of a feasible set's hull ring, as Points."""
+    return tuple(point_of(vertex_ratios(fs.ring, i)) for i in range(len(fs.ring[1])))
+
+
+def holds(fs, p):
+    """Membership of a Point, decided on its Ratios."""
+    return fs.holds(ratios(p))
+
+
+def nearest(fs, p):
+    """The feasible output nearest to a Point, decided on its Ratios."""
+    return point_of(fs.nearest(ratios(p)))
+
+
+def points(s):
+    """A round's input, output, error and target as Points."""
+    return tuple(point_of(q) for q in (s.qx, s.qy, s.qe, s.qz))
+
+
+def final_error(steps):
+    """The error left after a game's last round, its z - y, or the origin
+    when there is none."""
+    return point_of(sub_ratios(steps[-1].qz, steps[-1].qy)) if steps else ORIGIN
+
+
 HALF_BOX = Region.from_ring((pt(F(-1, 2), F(-1, 2)), pt(F(1, 2), F(-1, 2)),
                              pt(F(1, 2), F(1, 2)), pt(F(-1, 2), F(1, 2))))
 
 
 class TestFeasibleSets:
     def test_finite_projection_tie_break(self):
-        assert SQUARE.project(pt(F(1, 2), F(1, 2))) == pt(0, 0)
+        assert nearest(SQUARE, pt(F(1, 2), F(1, 2))) == pt(0, 0)
 
     def test_finite_contains_hull_not_just_sites(self):
-        assert SQUARE.contains(pt(F(1, 3), F(2, 3)))
-        assert not SQUARE.contains(pt(F(1, 3), F(4, 3)))
+        assert holds(SQUARE, pt(F(1, 3), F(2, 3)))
+        assert not holds(SQUARE, pt(F(1, 3), F(4, 3)))
 
     def test_convex_projects_to_nearest_point(self):
         fs = Convex(ConvexPolygon.hull_of((pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2))))
-        assert fs.project(pt(1, 1)) == pt(1, 1)
-        assert fs.project(pt(3, 1)) == pt(2, 1)
-        assert fs.project(pt(-1, -1)) == pt(0, 0)
+        assert nearest(fs, pt(1, 1)) == pt(1, 1)
+        assert nearest(fs, pt(3, 1)) == pt(2, 1)
+        assert nearest(fs, pt(-1, -1)) == pt(0, 0)
 
     def test_triangle_membership_is_exact(self):
         tri = Triangle(1, 1)
-        assert tri.contains(ORIGIN)
-        assert tri.contains(pt(F(1, 2), F(1, 2)))
-        assert tri.contains(pt(-1, 1))
-        assert not tri.contains(pt(F(1, 2) + F(1, 10 ** 20), F(1, 2)))
-        assert not tri.contains(pt(0, -F(1, 10 ** 20)))
-        assert not tri.contains(pt(0, 1 + F(1, 10 ** 20)))
+        assert holds(tri, ORIGIN)
+        assert holds(tri, pt(F(1, 2), F(1, 2)))
+        assert holds(tri, pt(-1, 1))
+        assert not holds(tri, pt(F(1, 2) + F(1, 10 ** 20), F(1, 2)))
+        assert not holds(tri, pt(0, -F(1, 10 ** 20)))
+        assert not holds(tri, pt(0, 1 + F(1, 10 ** 20)))
 
     def test_triangle_projection(self):
         tri = Triangle(1, 1)
-        assert tri.project(pt(0, 2)) == pt(0, 1)
-        assert tri.project(pt(0, F(1, 2))) == pt(0, F(1, 2))
-        assert tri.project(pt(-1, 0)) == pt(F(-1, 2), F(1, 2))
-        assert tri.project(pt(-5, F(1, 2))) == pt(-1, 1)
+        assert nearest(tri, pt(0, 2)) == pt(0, 1)
+        assert nearest(tri, pt(0, F(1, 2))) == pt(0, F(1, 2))
+        assert nearest(tri, pt(-1, 0)) == pt(F(-1, 2), F(1, 2))
+        assert nearest(tri, pt(-5, F(1, 2))) == pt(-1, 1)
 
     def test_degenerate_triangle_collapses_to_origin(self):
         tri = Triangle(0, 3)
-        assert tri.hull_vertices() == (ORIGIN,)
-        assert tri.contains(ORIGIN)
-        assert not tri.contains(pt(0, F(1, 10 ** 9)))
-        assert tri.project(pt(7, -3)) == ORIGIN
+        assert corners(tri) == (ORIGIN,)
+        assert holds(tri, ORIGIN)
+        assert not holds(tri, pt(0, F(1, 10 ** 9)))
+        assert nearest(tri, pt(7, -3)) == ORIGIN
 
     def test_triangle_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -106,6 +134,24 @@ class TestFeasibleSets:
             Triangle(1, 0)
         with pytest.raises(ValueError):
             TriangleFamily(1, -2)
+
+    def test_triangle_rejects_a_float(self):
+        with pytest.raises(TypeError, match="inexact coordinate 0.5"):
+            Triangle(0.5, 1)
+        with pytest.raises(TypeError, match="inexact coordinate 1.0"):
+            Triangle(1, 1.0)
+        assert Triangle("1/2", 1) == Triangle(F(1, 2), 1)
+
+    def test_triangle_family_rejects_a_float(self):
+        with pytest.raises(TypeError, match="inexact coordinate 0.1"):
+            TriangleFamily(0.1, 1)
+        with pytest.raises(TypeError, match="inexact coordinate 0.25"):
+            TriangleFamily(1, 0.25)
+        with pytest.raises(TypeError, match="inexact coordinate 0.5"):
+            TriangleFamily(1, 1).member(0.5)
+        assert TriangleFamily(1, 1).member("1/2") == Triangle(F(1, 2), 1)
+        with pytest.raises(TypeError, match="inexact coordinate 0.1"):
+            triangle_bound(0.1, 1)
 
     def test_family_member_range(self):
         fam = TriangleFamily(2, F(1, 2))
@@ -116,7 +162,7 @@ class TestFeasibleSets:
     def test_set_ids(self):
         assert SQUARE.set_id == "unit-square"
         assert Triangle(F(1, 2), 2).set_id == "T(1/2,2)"
-        assert Convex(ConvexPolygon.hull_of(SQUARE.hull_vertices())).set_id == "convex"
+        assert Convex(ConvexPolygon.hull_of(corners(SQUARE))).set_id == "convex"
 
 
 class TestProviders:
@@ -170,7 +216,7 @@ class TestProviders:
 class TestOpponents:
     def test_vertex_cycle_order(self):
         opp = Opponent("hull-vertex-cycle")
-        verts = SQUARE.hull_vertices()
+        verts = corners(SQUARE)
         got = [opp.pick(SQUARE, ratios(ORIGIN), n, None) for n in range(6)]
         assert got == [ratios(verts[i]) for i in (0, 1, 2, 3, 0, 1)]
 
@@ -209,123 +255,133 @@ class TestOpponents:
             Opponent("psychic")
 
 
+def undelayed(e, fs, x):
+    """One undelayed round from error e on input x, as Points."""
+    return tuple(map(point_of, _undelayed(ratios(e), fs, ratios(x))))
+
+
+def delayed(provider, *inputs):
+    """The rounds of a delayed game whose opponent plays the inputs in turn,
+    each as its Points."""
+    return [points(s) for s in play("delayed", provider, _Script(*inputs), len(inputs))]
+
+
 class TestSteps:
     def test_undelayed_center_tie(self):
-        y, e, z = step_undelayed(ORIGIN, SQUARE, pt(F(1, 2), F(1, 2)))
+        y, e, z = undelayed(ORIGIN, SQUARE, pt(F(1, 2), F(1, 2)))
         assert y == pt(0, 0)
         assert e == pt(F(1, 2), F(1, 2))
         assert z == pt(F(1, 2), F(1, 2))
 
     def test_undelayed_accumulated_error_flips_cell(self):
-        y, e, z = step_undelayed(pt(F(1, 2), F(1, 2)), SQUARE, pt(F(1, 2), F(1, 2)))
+        y, e, z = undelayed(pt(F(1, 2), F(1, 2)), SQUARE, pt(F(1, 2), F(1, 2)))
         assert y == pt(1, 1)
         assert e == ORIGIN
 
     def test_undelayed_continuous_set_tracks_exactly(self):
-        fs = Convex(ConvexPolygon.hull_of(Triangle(1, 1).hull_vertices()))
-        y, e, z = step_undelayed(ORIGIN, fs, pt(0, F(1, 2)))
+        fs = Convex(ConvexPolygon.hull_of(corners(Triangle(1, 1))))
+        y, e, z = undelayed(ORIGIN, fs, pt(0, F(1, 2)))
         assert y == pt(0, F(1, 2))
         assert e == ORIGIN
 
     def test_undelayed_rejects_outside_input(self):
         with pytest.raises(InputOutsideHull):
-            step_undelayed(ORIGIN, SQUARE, pt(2, 0))
+            undelayed(ORIGIN, SQUARE, pt(2, 0))
 
     def test_delayed_square_example(self):
-        y, e, z = step_delayed(pt(F(9, 10), F(1, 10)), SQUARE, pt(F(1, 2), F(1, 2)))
+        # the running total (9/10, 1/10) is the first input itself
+        (_, y, _, _), (_, _, e, z) = delayed(ScenarioProvider.fixed(SQUARE),
+                                             pt(F(9, 10), F(1, 10)), pt(F(1, 2), F(1, 2)))
         assert y == pt(1, 0)
         assert e == pt(F(-1, 10), F(1, 10))
         assert z == pt(F(2, 5), F(3, 5))
 
     def test_delayed_exact_hit_clears_error(self):
-        y, e, z = step_delayed(pt(1, 1), SQUARE, pt(F(1, 4), F(1, 4)))
+        (_, y, _, _), (_, _, e, z) = delayed(ScenarioProvider.fixed(SQUARE),
+                                             pt(1, 1), pt(F(1, 4), F(1, 4)))
         assert y == pt(1, 1)
         assert e == ORIGIN
         assert z == pt(F(1, 4), F(1, 4))
 
     def test_delayed_apex_projection(self):
-        y, e, z = step_delayed(pt(0, 1), Triangle(F(1, 2), 1), pt(0, 0))
+        # the running total (0, 1), an input drawn from T(1) after a zero
+        # error, is quantized on T(1/2), the set revealed at round 1
+        _, (_, y, _, _), (_, _, e, z) = delayed(
+            ScenarioProvider.cyclic((Triangle(1, 1), Triangle(F(1, 2), 1))),
+            ORIGIN, pt(0, 1), pt(0, 0))
         assert y == pt(0, F(1, 2))
         assert e == pt(0, F(1, 2))
         assert z == pt(0, F(1, 2))
 
     def test_delayed_rejects_outside_input(self):
         with pytest.raises(InputOutsideHull):
-            step_delayed(ORIGIN, Triangle(1, 1), pt(0, 2))
+            delayed(ScenarioProvider.fixed(Triangle(1, 1)), ORIGIN, pt(0, 2))
 
 
 class TestRun:
     def test_zero_steps_gives_empty_trace(self):
         p = ScenarioProvider.fixed(SQUARE)
         for mode in ("undelayed", "delayed"):
-            tr = run(mode, p, Opponent("hull-vertex-cycle"), 0)
+            tr = list(play(mode, p, Opponent("hull-vertex-cycle"), 0))
             assert len(tr) == 0
-            assert tr.final_error == ORIGIN
+            assert final_error(tr) == ORIGIN
 
     def test_vertex_cycle_on_square_never_errs(self):
         # hull vertices are sites, so the greedy answer is always exact
-        tr = run("undelayed", ScenarioProvider.fixed(SQUARE),
-                 Opponent("hull-vertex-cycle"), 8)
-        assert [s.e for s in tr.steps] == [ORIGIN] * 8
+        tr = list(play("undelayed", ScenarioProvider.fixed(SQUARE),
+                       Opponent("hull-vertex-cycle"), 8))
+        assert [point_of(s.qe) for s in tr] == [ORIGIN] * 8
         assert check_containment(tr, HALF_BOX) == []
 
     def test_undelayed_bookkeeping_identities(self):
-        tr = run("undelayed", ScenarioProvider.fixed(STAR8),
-                 Opponent("uniform-random-in-hull", seed=2), 60, seed=9)
-        assert tr.steps[0].e == ORIGIN
-        for a, b in zip(tr.steps, tr.steps[1:]):
-            assert b.e == a.e + a.x - a.y
-        for s in tr.steps:
-            assert s.z == s.e + s.x
-        last = tr.steps[-1]
-        assert tr.final_error == last.e + last.x - last.y
+        steps = list(play("undelayed", ScenarioProvider.fixed(STAR8),
+                          Opponent("uniform-random-in-hull", seed=2), 60, seed=9))
+        tr = [points(s) for s in steps]
+        assert tr[0][2] == ORIGIN
+        for (ax, ay, ae, _), (_, _, be, _) in zip(tr, tr[1:]):
+            assert be == ae + ax - ay
+        for x, _, e, z in tr:
+            assert z == e + x
+        x, y, e, _ = tr[-1]
+        assert final_error(steps) == e + x - y
 
     def test_delayed_bookkeeping_identities(self):
         p = ScenarioProvider.random_triangle(1, 1, seed=3)
-        tr = run("delayed", p, Opponent("uniform-random-in-hull", seed=4),
-                 60, seed=1)
-        assert tr.steps[0].e == ORIGIN
-        assert tr.steps[0].z == tr.steps[0].x
-        for a, b in zip(tr.steps, tr.steps[1:]):
-            assert b.e == a.e + a.x - a.y
-            assert b.z == b.e + b.x
-        last = tr.steps[-1]
-        assert tr.final_error == last.z - last.y
+        tr = [points(s) for s in play("delayed", p, Opponent("uniform-random-in-hull", seed=4),
+                                      60, seed=1)]
+        assert tr[0][2] == ORIGIN
+        assert tr[0][3] == tr[0][0]
+        for (ax, ay, ae, _), (bx, _, be, bz) in zip(tr, tr[1:]):
+            assert be == ae + ax - ay
+            assert bz == be + bx
 
     def test_delayed_inputs_come_from_previous_set(self):
         p = ScenarioProvider.cyclic((SQUARE, DIAMOND))
-        tr = run("delayed", p, Opponent("uniform-random-in-hull", seed=6),
-                 30, seed=2)
+        tr = list(play("delayed", p, Opponent("uniform-random-in-hull", seed=6),
+                       30, seed=2))
         order = [SQUARE, DIAMOND]
-        for s in tr.steps:
+        for s in tr:
             assert s.set_id == order[s.n % 2].set_id
-        for a, b in zip(tr.steps, tr.steps[1:]):
+        for a, b in zip(tr, tr[1:]):
             # x_{n+1} was drawn before set n+1 was revealed
-            assert order[a.n % 2].contains(b.x)
+            assert order[a.n % 2].holds(b.qx)
 
     def test_undelayed_greedy_is_optimal_sitewise(self):
-        tr = run("undelayed", ScenarioProvider.fixed(STAR8),
-                 Opponent("uniform-random-in-hull", seed=7), 80, seed=5)
-        for s in tr.steps:
-            best = dist_sq(s.z, s.y)
-            assert all(best <= dist_sq(s.z, c) for c in STAR8.sites.sites)
+        for x, y, e, z in map(points, play("undelayed", ScenarioProvider.fixed(STAR8),
+                                           Opponent("uniform-random-in-hull", seed=7),
+                                           80, seed=5)):
+            best = dist_sq(z, y)
+            assert all(best <= dist_sq(z, c) for c in STAR8.sites.sites)
 
     def test_equal_seeds_replay_equal_traces(self):
         p = ScenarioProvider.random_choice((SQUARE, DIAMOND, STAR8), seed=1)
         o = Opponent("uniform-random-in-hull", seed=2)
-        a = run("undelayed", p, o, 120, seed=8)
-        b = run("undelayed", p, o, 120, seed=8)
+        a = list(play("undelayed", p, o, 120, seed=8))
+        b = list(play("undelayed", p, o, 120, seed=8))
         assert a == b
-        assert a.records() == b.records()
-        c = run("undelayed", p, o, 120, seed=9)
+        assert [s.as_record() for s in a] == [s.as_record() for s in b]
+        c = list(play("undelayed", p, o, 120, seed=9))
         assert a != c
-
-    def test_run_validation(self):
-        p = ScenarioProvider.fixed(SQUARE)
-        with pytest.raises(ValueError):
-            run("psychic", p, Opponent("hull-vertex-cycle"), 3)
-        with pytest.raises(ValueError):
-            run("delayed", p, Opponent("hull-vertex-cycle"), -1)
 
     def test_play_checks_its_arguments_when_called(self):
         p = ScenarioProvider.fixed(SQUARE)
@@ -338,31 +394,28 @@ class TestRun:
         ("undelayed", ScenarioProvider.random_choice((SQUARE, STAR8), seed=1)),
         ("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=2))])
     def test_play_is_lazy_and_run_collects_it(self, mode, provider):
+        # the first rounds of an endless game are the rounds of a short one
         o = Opponent("uniform-random-in-hull", seed=3)
         head = list(islice(play(mode, provider, o, 10**12, seed=4), 50))
-        tr = run(mode, provider, o, 50, seed=4)
-        assert head == list(tr.steps)
-        assert tr == Trace(mode, tuple(play(mode, provider, o, 50, seed=4)),
-                           head[-1].z - head[-1].y)
+        assert head == list(play(mode, provider, o, 50, seed=4))
 
     def test_random_square_errors_stay_in_half_box(self):
-        tr = run("undelayed", ScenarioProvider.fixed(SQUARE),
-                 Opponent("uniform-random-in-hull", seed=3), 400, seed=4)
+        tr = play("undelayed", ScenarioProvider.fixed(SQUARE),
+                  Opponent("uniform-random-in-hull", seed=3), 400, seed=4)
         assert check_containment(tr, HALF_BOX) == []
 
     def test_delayed_triangle_family_containment_and_bound(self):
         fam_bound = triangle_bound(1, 1)
         p = ScenarioProvider.random_triangle(1, 1, seed=5)
-        tr = run("delayed", p, Opponent("uniform-random-in-hull", seed=6),
-                 500, seed=7)
+        tr = list(play("delayed", p, Opponent("uniform-random-in-hull", seed=6),
+                       500, seed=7))
         assert check_containment(tr, Triangle(1, 1), which="z") == []
-        assert all(s.e.norm_sq() <= fam_bound for s in tr.steps)
-        assert tr.final_error.norm_sq() <= fam_bound
+        assert all(point_of(s.qe).norm_sq() <= fam_bound for s in tr)
+        assert final_error(tr).norm_sq() <= fam_bound
 
     def test_trace_records_shape(self):
-        tr = run("undelayed", ScenarioProvider.fixed(SQUARE),
-                 Opponent("hull-vertex-cycle"), 3)
-        recs = tr.records()
+        recs = [s.as_record() for s in play("undelayed", ScenarioProvider.fixed(SQUARE),
+                                             Opponent("hull-vertex-cycle"), 3)]
         assert [r["step"] for r in recs] == [0, 1, 2]
         assert recs[1] == {"step": 1, "set": "unit-square",
                            "x": ["1", "0"], "y": ["1", "0"],
@@ -371,8 +424,8 @@ class TestRun:
 
 class TestContainmentCheck:
     def trace(self):
-        return run("undelayed", ScenarioProvider.fixed(SQUARE),
-                   Opponent("uniform-random-in-hull", seed=1), 200, seed=2)
+        return list(play("undelayed", ScenarioProvider.fixed(SQUARE),
+                         Opponent("uniform-random-in-hull", seed=1), 200, seed=2))
 
     def test_violations_are_reported_with_indices(self):
         tr = self.trace()
@@ -384,12 +437,30 @@ class TestContainmentCheck:
         assert all(0 <= n <= len(tr) for n in bad)
 
     def test_final_error_is_checked_under_trailing_index(self):
-        tr = Trace("undelayed", (), pt(10, 10))
-        assert check_containment(tr, HALF_BOX) == [0]
+        # one round inside HALF_BOX that leaves the error z - y = (10, 10)
+        step = TraceStep(0, "s", ratios(ORIGIN), ratios(ORIGIN), ratios(ORIGIN),
+                         ratios(pt(10, 10)))
+        assert check_containment([step], HALF_BOX) == [1]
+        assert check_containment([step], HALF_BOX, which="z") == [0]
+        assert check_containment([], Region.from_ring(corners(SQUARE))) == []
+        assert check_containment([], Region.from_ring((pt(1, 1), pt(2, 1), pt(1, 2)))) == [0]
+
+    def test_a_live_game_is_checked_as_it_is_played(self):
+        # the generator is read once; the error left after the last round,
+        # its z - y, is reported under the index that counts the steps
+        game = play("undelayed", ScenarioProvider.fixed(SQUARE),
+                    Opponent("uniform-random-in-hull", seed=1), 200, seed=2)
+        tiny = Region.from_ring((pt(F(-1, 10**6), F(-1, 10**6)), pt(F(1, 10**6), F(-1, 10**6)),
+                                 pt(F(1, 10**6), F(1, 10**6)), pt(F(-1, 10**6), F(1, 10**6))))
+        bad = check_containment(game, tiny)
+        assert next(game, None) is None
+        tr = self.trace()
+        assert not tiny.holds(sub_ratios(tr[-1].qz, tr[-1].qy))
+        assert bad == [s.n for s in tr if not tiny.holds(s.qe)] + [200]
 
     def test_z_check_skips_final(self):
         tr = self.trace()
-        hull = Region.from_ring(SQUARE.hull_vertices())
+        hull = Region.from_ring(corners(SQUARE))
         # z_n = e_n + x_n can leave the hull, but stays in hull + half box
         grown = Region.from_ring((pt(F(-1, 2), F(-1, 2)), pt(F(3, 2), F(-1, 2)),
                                   pt(F(3, 2), F(3, 2)), pt(F(-1, 2), F(3, 2))))
@@ -417,7 +488,7 @@ class TestBounds:
 
     def test_hull_domain_matches_vertex_enumeration(self):
         for fs in (STAR8, DIAMOND):
-            D = Region.from_ring(fs.hull_vertices())
+            D = Region.from_ring(corners(fs))
             verts = fs.sites.hull.vertices
             brute = max(dist_sq(a, b) for a in D.vertices for b in verts)
             got = error_bound_from_domain(D, fs.sites)
@@ -434,7 +505,7 @@ class TestBounds:
         assert error_bound_from_domain(shifted, scenario) == 8
 
     def test_triangle_family_bound(self):
-        D = Region.from_ring(Triangle(1, 1).hull_vertices())
+        D = Region.from_ring(corners(Triangle(1, 1)))
         assert error_bound_from_domain(D, TriangleFamily(1, 1)) == 4
 
     def test_sites_outside_domain_disable_diameter_bound(self):
@@ -474,7 +545,7 @@ class TestBounds:
         if h == 0:
             assert triangle_bound(h, t) == 0
             return
-        D = Region.from_ring(tri.hull_vertices())
+        D = Region.from_ring(corners(tri))
         assert triangle_bound(h, t) == D.diameter_sq
 
 
@@ -499,26 +570,28 @@ class TestGameProperties:
     @settings(max_examples=50, deadline=None)
     def test_bookkeeping_holds_for_any_game(self, setup):
         mode, provider, opponent, steps, seed = setup
-        tr = run(mode, provider, opponent, steps, seed=seed)
+        tr = list(play(mode, provider, opponent, steps, seed=seed))
         assert len(tr) == steps
-        if not tr.steps:
-            assert tr.final_error == ORIGIN
+        if not tr:
+            assert final_error(tr) == ORIGIN
             return
-        assert tr.steps[0].e == ORIGIN
-        for a, b in zip(tr.steps, tr.steps[1:]):
-            assert b.e == a.e + a.x - a.y
+        assert point_of(tr[0].qe) == ORIGIN
+        for a, b in zip(tr, tr[1:]):
+            ax, ay, ae, _ = points(a)
+            assert point_of(b.qe) == ae + ax - ay
             assert b.n == a.n + 1
-        for s in tr.steps:
-            assert s.z == s.e + s.x
-        last = tr.steps[-1]
-        assert tr.final_error == last.e + last.x - last.y
+        for s in tr:
+            x, _, e, z = points(s)
+            assert z == e + x
+        x, y, e, _ = points(tr[-1])
+        assert final_error(tr) == e + x - y
 
     @given(game_setup())
     @settings(max_examples=30, deadline=None)
     def test_replays_are_identical(self, setup):
         mode, provider, opponent, steps, seed = setup
-        assert run(mode, provider, opponent, steps, seed=seed) == \
-            run(mode, provider, opponent, steps, seed=seed)
+        assert list(play(mode, provider, opponent, steps, seed=seed)) == \
+            list(play(mode, provider, opponent, steps, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +605,7 @@ wide_positive = st.integers(1, 2**128).flatmap(
 
 
 def reference_sample(verts, rng):
-    """sample_hull_point in Fraction arithmetic."""
+    """sample_hull_ratios in Fraction arithmetic."""
     if len(verts) == 1:
         return verts[0]
     a = verts[0]
@@ -598,7 +671,7 @@ triangles = st.builds(Triangle, st.one_of(st.just(F(0)), wide_positive,
 def triangle_and_point(draw):
     """A wedge and a point that is free, a corner, or on a side or its line."""
     tri = draw(triangles)
-    verts = tri.hull_vertices()
+    verts = corners(tri)
     kind = draw(st.sampled_from(("free", "corner", "side")))
     if kind == "free" or len(verts) == 1:
         c = draw(st.sampled_from((wide, narrow)))
@@ -646,7 +719,7 @@ def points_for(draw, fs, inside=False):
     """A point for fs: a hull vertex, a point of an edge (or of its line
     beyond the ends, unless inside), one equidistant from two vertices
     (or from two sites), or a free point (unless inside)."""
-    verts = fs.hull_vertices()
+    verts = corners(fs)
     kinds = ("vertex", "edge") if inside else ("vertex", "edge", "tie", "free")
     kind = draw(st.sampled_from(kinds))
     if kind == "free" or (kind == "tie" and len(verts) == 1):
@@ -671,7 +744,7 @@ def reference_contains(fs, p):
     inner side of every edge of the CCW hull."""
     if isinstance(fs, Triangle):
         return 0 <= p.y <= fs.h and abs(p.x) <= fs.t * p.y
-    vs = fs.hull_vertices()
+    vs = corners(fs)
     return all((v - u).cross(p - u) >= 0 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 
@@ -682,7 +755,7 @@ def reference_nearest(fs, p):
         return min(fs.sites.sites, key=lambda s: (dist_sq(s, p), s.key()))
     if isinstance(fs, Triangle) and fs.h == 0:
         return ORIGIN
-    return reference_project_convex(ConvexPolygon.hull_of(fs.hull_vertices()), p)
+    return reference_project_convex(ConvexPolygon.hull_of(corners(fs)), p)
 
 
 class _Script:
@@ -700,14 +773,14 @@ class _Script:
 
 class TestIntegerKernels:
     @given(st.one_of(hulls(wide), hulls(narrow),
-                     triangles.map(lambda tri: tri.hull_vertices())),
+                     triangles.map(corners)),
            st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_sample_hull_point_matches_fraction_formula(self, verts, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         ring = over_common_denominator(verts)
         for _ in range(3):
-            assert sample_hull_point(ring, rng) == reference_sample(verts, ref_rng)
+            assert sample_hull_ratios(ring, rng) == ratios(reference_sample(verts, ref_rng))
         assert rng.getstate() == ref_rng.getstate()
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
@@ -716,35 +789,35 @@ class TestIntegerKernels:
            | triangles | drawn_triangles)
     @settings(max_examples=300, deadline=None)
     def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
-        verts, scaled = fs.hull_ring
+        verts = corners(fs)
         if isinstance(fs, Triangle):
             w = fs.t * fs.h
             assert verts == ((ORIGIN,) if fs.h == 0
                              else (ORIGIN, Point(w, fs.h), Point(-w, fs.h)))
-        assert verts == fs.hull_vertices()
-        m, xs, ys = scaled
-        assert (m, list(xs), list(ys)) == over_common_denominator(fs.hull_vertices())
-        assert fs.hull_ring is fs.hull_ring
+            assert fs.ring is fs.ring
+        else:
+            assert verts == (fs.sites.hull if isinstance(fs, Finite) else fs.polygon).vertices
+        m, xs, ys = fs.ring
+        assert (m, list(xs), list(ys)) == over_common_denominator(verts)
 
     @given(triangle_and_point())
     @settings(max_examples=300, deadline=None)
     def test_triangle_matches_fraction_formulas(self, case):
         tri, p = case
-        assert tri.contains(p) == (0 <= p.y <= tri.h and abs(p.x) <= tri.t * p.y)
+        assert holds(tri, p) == (0 <= p.y <= tri.h and abs(p.x) <= tri.t * p.y)
         want = ORIGIN if tri.h == 0 else reference_project_convex(
-            ConvexPolygon.hull_of(tri.hull_vertices()), p)
-        assert tri.project(p) == want
+            ConvexPolygon.hull_of(corners(tri)), p)
+        assert nearest(tri, p) == want
 
     @given(feasible_sets().flatmap(lambda fs: st.tuples(st.just(fs), points_for(fs))))
     @settings(max_examples=400, deadline=None)
     def test_holds_and_nearest_match_fraction_formulas(self, case):
         fs, p = case
         q = ratios(p)
-        assert fs.holds(q) == fs.contains(p) == reference_contains(fs, p)
+        assert fs.holds(q) == reference_contains(fs, p)
         want = reference_nearest(fs, p)
         # equal tuples: the integer pairs are reduced, denominators positive
         assert fs.nearest(q) == ratios(want)
-        assert fs.project(p) == want
 
     @given(feasible_sets().flatmap(lambda fs: st.tuples(
         st.just(fs), points_for(fs), points_for(fs, inside=True))))
@@ -753,10 +826,13 @@ class TestIntegerKernels:
         fs, e, x = case
         z = e + x
         y = reference_nearest(fs, z)
-        assert step_undelayed(e, fs, x) == (y, z - y, z)
-        # delayed: e stands for the running total, quantized before x counts
+        assert undelayed(e, fs, x) == (y, z - y, z)
+        # delayed: e stands for the running total, quantized before x counts,
+        # as play's delayed rounds do it on Ratios
         y = reference_nearest(fs, e)
-        assert step_delayed(e, fs, x) == (y, e - y, e - y + x)
+        qy = fs.nearest(ratios(e))
+        qe = sub_ratios(ratios(e), qy)
+        assert (qy, qe, add_ratios(qe, ratios(x))) == tuple(map(ratios, (y, e - y, e - y + x)))
 
     @given(feasible_sets().flatmap(lambda fs: st.tuples(
         st.just(fs), points_for(fs, inside=True), points_for(fs, inside=True))))
@@ -771,7 +847,7 @@ class TestIntegerKernels:
         y1 = reference_nearest(fs, z1)
         want = [tuple(map(ratios, s)) for s in ((x0, y0, ORIGIN, x0), (x1, y1, e1, z1))]
         for mode in ("undelayed", "delayed"):
-            tr = run(mode, ScenarioProvider.fixed(fs), _Script(x0, x1), 2)
+            tr = play(mode, ScenarioProvider.fixed(fs), _Script(x0, x1), 2)
             assert [(s.qx, s.qy, s.qe, s.qz) for s in tr] == want
 
     @given(st.one_of(hulls(wide), hulls(narrow)), st.data())
@@ -798,15 +874,15 @@ def _shipped(stem):
     return finite_members(collection)
 
 
-def _written(trace):
+def _written(mode, steps):
     """The JSONL trace that `errdiff simulate` writes."""
     fh = io.StringIO()
-    assert _write_trace(fh, trace.mode, trace.steps) == (len(trace), trace.final_error)
+    assert _write_trace(fh, mode, steps) == (len(steps), final_error(steps))
     return fh.getvalue()
 
 
-def _trace_sha256(trace):
-    return hashlib.sha256(_written(trace).encode()).hexdigest()
+def _trace_sha256(mode, steps):
+    return hashlib.sha256(_written(mode, steps).encode()).hexdigest()
 
 
 # a quote, a backslash and a non-ASCII letter: json.dumps escapes all three
@@ -814,38 +890,40 @@ ODD_ID = 'sq"\\é'
 
 
 class TestTraceWriter:
-    """The directly formatted lines against json.dumps of Trace.records."""
+    """The directly formatted lines against json.dumps of each step's
+    record."""
 
     @staticmethod
-    def _dumped(trace):
-        summary = {"mode": trace.mode, "steps": len(trace.steps),
-                   "final_e": [scalar_str(trace.final_error.x),
-                               scalar_str(trace.final_error.y)]}
-        return "".join(json.dumps(r) + "\n" for r in trace.records() + [summary])
+    def _dumped(mode, steps):
+        final = final_error(steps)
+        summary = {"mode": mode, "steps": len(steps),
+                   "final_e": [scalar_str(final.x), scalar_str(final.y)]}
+        return "".join(json.dumps(r) + "\n"
+                       for r in [s.as_record() for s in steps] + [summary])
 
     def test_undelayed_finite(self):
         odd = Finite(sites((0, 0), (1, 0), (1, 1), (0, 1), id=ODD_ID))
-        tr = run("undelayed", ScenarioProvider.cyclic([odd, STAR8]),
-                 Opponent("uniform-random-in-hull", seed=1), 200, seed=2)
+        tr = list(play("undelayed", ScenarioProvider.cyclic([odd, STAR8]),
+                       Opponent("uniform-random-in-hull", seed=1), 200, seed=2))
         assert {s.set_id for s in tr} == {ODD_ID, "star8"}
-        assert _written(tr) == self._dumped(tr)
+        assert _written("undelayed", tr) == self._dumped("undelayed", tr)
 
     def test_undelayed_convex(self):
-        odd = Convex(ConvexPolygon.hull_of(STAR8.hull_vertices()), label=ODD_ID)
-        tr = run("undelayed", ScenarioProvider.fixed(odd),
-                 Opponent("uniform-random-in-hull", seed=3), 200, seed=4)
-        assert _written(tr) == self._dumped(tr)
-        assert '"set": "sq\\"\\\\\\u00e9"' in _written(tr)
+        odd = Convex(ConvexPolygon.hull_of(corners(STAR8)), label=ODD_ID)
+        tr = list(play("undelayed", ScenarioProvider.fixed(odd),
+                       Opponent("uniform-random-in-hull", seed=3), 200, seed=4))
+        assert _written("undelayed", tr) == self._dumped("undelayed", tr)
+        assert '"set": "sq\\"\\\\\\u00e9"' in _written("undelayed", tr)
 
     def test_delayed_triangle(self):
-        tr = run("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=5),
-                 Opponent("uniform-random-in-hull", seed=6), 200, seed=7)
-        assert _written(tr) == self._dumped(tr)
+        tr = list(play("delayed", ScenarioProvider.random_triangle(1, F(1, 3), seed=5),
+                       Opponent("uniform-random-in-hull", seed=6), 200, seed=7))
+        assert _written("delayed", tr) == self._dumped("delayed", tr)
 
     @pytest.mark.parametrize("mode", ["undelayed", "delayed"])
     def test_no_steps(self, mode):
-        tr = run(mode, ScenarioProvider.fixed(SQUARE), Opponent("hull-vertex-cycle"), 0)
-        assert _written(tr) == self._dumped(tr) == \
+        tr = list(play(mode, ScenarioProvider.fixed(SQUARE), Opponent("hull-vertex-cycle"), 0))
+        assert _written(mode, tr) == self._dumped(mode, tr) == \
             f'{{"mode": "{mode}", "steps": 0, "final_e": ["0", "0"]}}\n'
 
 
@@ -856,35 +934,35 @@ class TestPinnedTraces:
 
     def test_uniform_inputs_on_sset3(self):
         (sset3,) = _shipped("sset3")
-        tr = run("undelayed", ScenarioProvider.fixed(sset3),
-                 Opponent("uniform-random-in-hull", seed=11), 2000, seed=3)
-        assert _trace_sha256(tr) == \
+        tr = list(play("undelayed", ScenarioProvider.fixed(sset3),
+                       Opponent("uniform-random-in-hull", seed=11), 2000, seed=3))
+        assert _trace_sha256("undelayed", tr) == \
             "d192d81f324a678909d24600c14adc817a13ed94a48ae302f34b33f564998305"
 
     def test_error_aligned_on_ssprime(self):
-        tr = run("undelayed", ScenarioProvider.random_choice(_shipped("ssprime"), seed=12),
-                 Opponent("error-aligned-vertex", seed=13), 2000, seed=4)
-        assert _trace_sha256(tr) == \
+        tr = list(play("undelayed", ScenarioProvider.random_choice(_shipped("ssprime"), seed=12),
+                       Opponent("error-aligned-vertex", seed=13), 2000, seed=4))
+        assert _trace_sha256("undelayed", tr) == \
             "d9a57e94dab193aff6bdf3802ac8885b42a3861b4ecb20f671ed3363dee349f2"
 
     def test_delayed_random_triangles(self):
-        tr = run("delayed", ScenarioProvider.random_triangle(1, 1, seed=14),
-                 Opponent("uniform-random-in-hull", seed=15), 2000, seed=5)
-        assert _trace_sha256(tr) == \
+        tr = list(play("delayed", ScenarioProvider.random_triangle(1, 1, seed=14),
+                       Opponent("uniform-random-in-hull", seed=15), 2000, seed=5))
+        assert _trace_sha256("delayed", tr) == \
             "6a095d949ddf6a3d24db3f9e17e1968c9925a4a32cdba689d3159fdca5c90b60"
 
     def test_uniform_inputs_on_a_convex_set(self):
         (sset3,) = _shipped("sset3")
-        fs = Convex(ConvexPolygon.hull_of(sset3.hull_vertices()))
-        tr = run("undelayed", ScenarioProvider.fixed(fs),
-                 Opponent("uniform-random-in-hull", seed=16), 2000, seed=6)
-        assert _trace_sha256(tr) == \
+        fs = Convex(ConvexPolygon.hull_of(corners(sset3)))
+        tr = list(play("undelayed", ScenarioProvider.fixed(fs),
+                       Opponent("uniform-random-in-hull", seed=16), 2000, seed=6))
+        assert _trace_sha256("undelayed", tr) == \
             "7aff3a9fca3093d8a0f0ecb093929c55c9565e92e2a6825508d33530d5b345af"
 
     def test_vertex_cycle_on_cyclic_ssprime(self):
-        tr = run("undelayed", ScenarioProvider.cyclic(_shipped("ssprime")),
-                 Opponent("hull-vertex-cycle", seed=17), 2000, seed=7)
-        assert _trace_sha256(tr) == \
+        tr = list(play("undelayed", ScenarioProvider.cyclic(_shipped("ssprime")),
+                       Opponent("hull-vertex-cycle", seed=17), 2000, seed=7))
+        assert _trace_sha256("undelayed", tr) == \
             "28239436ab69afeafb99733cf49db3d071de834ff683d701e8f72170d70143c6"
 
 
@@ -895,10 +973,10 @@ class _StrayOpponent:
     seed = None
 
     def pick(self, fs, error, n, rng):
-        return ratios(pt(5, 5) if n == 2 else fs.hull_vertices()[0])
+        return ratios(pt(5, 5)) if n == 2 else vertex_ratios(fs.ring, 0)
 
 
 @pytest.mark.parametrize("mode", ["undelayed", "delayed"])
 def test_run_rejects_an_input_outside_the_hull(mode):
     with pytest.raises(InputOutsideHull, match=r"\(5, 5\) outside hull of unit-square"):
-        run(mode, ScenarioProvider.fixed(SQUARE), _StrayOpponent(), 5)
+        list(play(mode, ScenarioProvider.fixed(SQUARE), _StrayOpponent(), 5))

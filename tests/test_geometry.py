@@ -26,8 +26,10 @@ from errdiff.geometry import (
     over_common_denominator as ocd,
     parse_scalar,
     point_in_ring,
-    project_convex,
+    point_of,
+    project_convex_ring,
     pt,
+    ratios,
     ring_area2,
     scalar_str,
     star_kernel_contains,
@@ -36,6 +38,12 @@ from errdiff.operators import minkowski_convex_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+
+
+def project(poly, x):
+    """The nearest point of a convex polygon to the Point x, by
+    project_convex_ring on their integers."""
+    return point_of(project_convex_ring(poly._scaled, ratios(x)))
 
 coord = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 points = st.builds(Point, coord, coord)
@@ -196,6 +204,14 @@ class TestScalars:
         for s in ("1/3", "-7/2", "0", "5"):
             assert scalar_str(parse_scalar(s)) == s
 
+    def test_pt_rejects_a_float(self):
+        # Fraction(0.1) is 3602879701896397/2**55, not 1/10
+        with pytest.raises(TypeError, match="inexact coordinate 0.1"):
+            pt(0.1, 0)
+        with pytest.raises(TypeError, match="inexact coordinate 2.0"):
+            pt(0, 2.0)
+        assert pt("1/10", F(2)) == Point(F(1, 10), F(2))
+
 
 @st.composite
 def hull_inputs(draw):
@@ -248,7 +264,7 @@ class TestHull:
         except DegenerateHull:
             return
         for p in pts:
-            assert poly.contains_point(p)
+            assert poly.holds(ratios(p))
 
     @given(st.lists(points, min_size=3, max_size=10))
     def test_hull_is_strictly_convex(self, pts):
@@ -380,9 +396,9 @@ class TestConvexPolygon:
 
     def test_projection(self):
         poly = ConvexPolygon.hull_of(UNIT_SQUARE)
-        assert project_convex(poly, pt(2, "1/2")) == pt(1, "1/2")
-        assert project_convex(poly, pt(3, 3)) == pt(1, 1)
-        assert project_convex(poly, pt("1/3", "2/3")) == pt("1/3", "2/3")
+        assert project(poly, pt(2, "1/2")) == pt(1, "1/2")
+        assert project(poly, pt(3, 3)) == pt(1, 1)
+        assert project(poly, pt("1/3", "2/3")) == pt("1/3", "2/3")
 
     @given(points, st.lists(points, min_size=3, max_size=8))
     @settings(max_examples=60)
@@ -391,8 +407,8 @@ class TestConvexPolygon:
             poly = ConvexPolygon.hull_of(pts)
         except DegenerateHull:
             return
-        y = project_convex(poly, x)
-        assert poly.contains_point(y)
+        y = project(poly, x)
+        assert poly.holds(ratios(y))
         for v in poly.vertices:
             assert dist_sq(x, y) <= dist_sq(x, v)
 
@@ -416,7 +432,7 @@ def reference_locate(poly, p):
 
 
 def reference_project(poly, x):
-    """project_convex in Fraction arithmetic: clamp the foot on every edge,
+    """project_convex_ring in Fraction arithmetic: clamp the foot on every edge,
     the first edge with a strictly smaller distance wins."""
     if reference_locate(poly, x) >= 0:
         return x
@@ -464,13 +480,13 @@ class TestConvexPolygonIntegerKernel:
     def test_locate_matches_fraction_formula(self, case):
         poly, x = case
         assert poly.locate(x) == reference_locate(poly, x)
-        assert poly.contains_point(x) == (reference_locate(poly, x) >= 0)
+        assert poly.holds(ratios(x)) == (reference_locate(poly, x) >= 0)
 
     @given(st.one_of(polygon_and_point(coord), polygon_and_point(wide_coord)))
     @settings(max_examples=300, deadline=None)
     def test_project_convex_matches_fraction_formula(self, case):
         poly, x = case
-        assert project_convex(poly, x) == reference_project(poly, x)
+        assert project(poly, x) == reference_project(poly, x)
 
 
 def convex_sum(p: ConvexPolygon, q: ConvexPolygon) -> Region:

@@ -17,6 +17,7 @@ from errdiff.geometry import (
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
+    NotSimple,
     Point,
     PointSeed,
     Region,
@@ -24,9 +25,13 @@ from errdiff.geometry import (
     dist_sq,
     equal_canonical,
     is_convex_ring,
+    over_common_denominator,
+    point_in_ring,
     pt,
 )
+from errdiff.cli import _seed_for
 from errdiff.operators import (
+    OPERATORS,
     Collection,
     EmptyCellPiece,
     IterationConfig,
@@ -34,16 +39,16 @@ from errdiff.operators import (
     _hull,
     _sum_hull_with_ring,
     apply_operator,
-    as_candidate,
     certify,
     g_step,
     iterate,
     minkowski_convex_star,
     p_step,
-    snapped_ring,
+    snap_candidate,
 )
 from errdiff.scene import load_scene
 from errdiff.voronoi import SiteSet, cell
+from test_booleans import DIR_POOL, star_rings
 from test_geometry import (
     grid_points,
     reference_hull,
@@ -147,7 +152,7 @@ class TestMinkowskiConvexStar:
     def test_star_input(self):
         got = minkowski_convex_star(UNIT_SQUARE.hull, PLUS)
         for v in PLUS.vertices:
-            assert got.contains_point(v)
+            assert got.locate(v) >= 0
         for v in got.vertices:
             assert any((v - w).key() in {p.key() for p in PLUS.vertices}
                        for w in UNIT_SQUARE.hull.vertices)
@@ -522,19 +527,53 @@ class TestHullRegion:
                     assert is_convex_ring(q._scaled)
 
 
-def snap_candidate(q):
-    """The candidate certify tests: q's snapped ring as a region with q's
-    star reference, or None when nothing moves or the ring is invalid."""
-    ring = snapped_ring(q)
-    return None if ring is None else as_candidate(ring, q.reference)
+def reference_candidate(q):
+    """snap_candidate on Points: each vertex coordinate's limit_denominator,
+    q's vertices located in the raw snapped ring, then Region.from_ring of
+    the snapped Points with q's reference; None when no coordinate moves,
+    a vertex of q lies outside, or the ring is not a valid region."""
+    if q.m <= SNAP_DENOMINATOR:
+        return None
+    ring = [Point(v.x.limit_denominator(SNAP_DENOMINATOR),
+                  v.y.limit_denominator(SNAP_DENOMINATOR)) for v in q.vertices]
+    if ring == list(q.vertices):
+        return None
+    scaled = over_common_denominator(ring)
+    if any(point_in_ring(scaled, v) < 0 for v in q.vertices):
+        return None
+    try:
+        return Region.from_ring(ring, reference=q.reference)
+    except GeometryError:
+        return None
+
+
+def hair_off(k):
+    """Radii a hair off a fraction with a small denominator, k / 10**n."""
+    return st.builds(lambda r, k, n: r + F(k, 10**n),
+                     st.fractions(min_value=1, max_value=4,
+                                  max_denominator=SNAP_DENOMINATOR),
+                     k, st.integers(2, 30))
+
+
+# radii that snap to themselves, that sit a hair off a fraction with a
+# small denominator, or that snap anywhere
+snap_radii = st.one_of(
+    st.fractions(min_value=F(1, 2), max_value=4, max_denominator=SNAP_DENOMINATOR),
+    hair_off(st.integers(-3, 3)),
+    st.fractions(min_value=F(1, 2), max_value=4, max_denominator=10**6))
+# radii a hair below such a fraction, which the snap pushes outward
+outward_radii = hair_off(st.integers(-3, -1))
 
 
 def snapped(q):
-    """q after the snap, read off the apex (q, 1) of a triangle whose other
-    vertices do not move."""
-    tri = Region.from_ring([pt(-9, 0), pt(9, 0), pt(q, 1)])
-    cand = snap_candidate(tri)
-    return q if cand is None else next(v.x for v in cand.vertices if v.y == 1)
+    """q after the snap, for -10 < q < 10, read off the reflex vertex
+    (q, 1) of a pentagon whose other vertices do not move: moved either
+    way, a reflex vertex stays in the snapped ring, so the candidate is
+    not refused."""
+    ring = [pt(-10, 0), pt(10, 0), pt(10, 1), pt(q, 1), pt(-10, 2)]
+    cand = snap_candidate(Region.from_ring(ring))
+    return q if cand is None else next(v.x for v in cand.vertices
+                                       if v.y == 1 and v.x != 10)
 
 
 def box(h):
@@ -584,24 +623,94 @@ class TestRoundRegion:
         assert snap_candidate(q) is None
 
     def test_wide_coordinates_rounded(self):
+        # the moved vertex is reflex, so Q's own vertex stays in C; as the
+        # apex of a triangle it would leave C, which refuses the candidate
         eps = F(1, 10**25)
-        ring = [pt(0, 0), pt(1, 0), pt(F(1, 3) + eps, 1)]
+        ring = [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3) + eps, 1), pt(0, 2)]
         got = snap_candidate(Region.from_ring(ring))
-        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(F(1, 3), 1)]
+        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1),
+                                      pt(0, 2)]
+        apex = [pt(0, 0), pt(1, 0), pt(F(1, 3) + eps, 1)]
+        assert snap_candidate(Region.from_ring(apex)) is None
 
     def test_revert_on_lost_simplicity(self):
+        # the mouth of the notch, 2 - tiny to 2 + tiny, closes to the one
+        # point (2, 4): Q's vertices lie on C's boundary, which touches
+        # itself there
         tiny = F(1, 10**25)
-        ring = [pt(0, 0), pt(1, F(1, 3) + tiny), pt(2, 0),
-                pt(1, F(1, 3) + 2 * tiny)]
+        ring = [pt(0, 0), pt(4, 0), pt(4, 4), pt(2 + tiny, 4), pt(F(5, 2), 1),
+                pt(F(3, 2), 1), pt(2 - tiny, 4), pt(0, 4)]
         assert snap_candidate(Region.from_ring(ring)) is None
+        with pytest.raises(NotSimple):
+            Region.from_ring([pt(v.x.limit_denominator(SNAP_DENOMINATOR), v.y)
+                              for v in ring])
+        # a ring that flattens is refused sooner: Q's vertices leave it
+        flat = [pt(0, 0), pt(1, F(1, 3) + tiny), pt(2, 0), pt(1, F(1, 3) + 2 * tiny)]
+        assert snap_candidate(Region.from_ring(flat)) is None
 
     def test_revert_on_lost_kernel(self):
+        # the dent (x, 3) moves right onto (2, 3), so C holds Q, but the
+        # steeper edge from (4, 4) cuts the old dent out of C's kernel
         tiny = F(1, 10**25)
-        x = 1 + tiny
-        ring = [pt(0, 0), pt(2, 0), pt(2, 1), pt(x, 1), pt(x, 2), pt(0, 2)]
-        region = Region.from_ring(ring, reference=pt(x, 1))
+        x = 2 - tiny
+        ring = [pt(0, 0), pt(4, 0), pt(4, 4), pt(x, 3), pt(0, 4)]
+        region = Region.from_ring(ring, reference=pt(x, 3))
         assert snap_candidate(region) is None
         assert snap_candidate(region.with_reference(None)) is not None
+
+    def test_wide_common_denominator_without_a_wide_coordinate(self):
+        # m = lcm(64, 3) = 192, yet no coordinate's own denominator passes 64
+        q = Region.from_ring([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))])
+        assert q.m == 192
+        assert snap_candidate(q) is None
+
+
+snap_offsets = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=SNAP_DENOMINATOR),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**4))
+
+
+class TestSnapOracle:
+    """snap_candidate, on the integers of Q's ring, against the same
+    candidate made on Points (reference_candidate), None included."""
+
+    @given(star_rings(snap_radii) | star_rings(outward_radii),
+           st.builds(Point, snap_offsets, snap_offsets), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    # m = 192, but no coordinate moves
+    @example([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))], ORIGIN, False)
+    # Q lies in C, but the mouth of its notch closes to a point
+    @example([pt(0, 0), pt(4, 0), pt(4, 4), pt(2 + F(1, 10**25), 4), pt(F(5, 2), 1),
+              pt(F(3, 2), 1), pt(2 - F(1, 10**25), 4), pt(0, 4)], ORIGIN, False)
+    # Q lies in C, but C's kernel loses the reference (x, 3), x = 2 - 10**-25
+    @example([pt(-2 + F(1, 10**25), -3), pt(2 + F(1, 10**25), -3), pt(2 + F(1, 10**25), 1),
+              pt(0, 0), pt(-2 + F(1, 10**25), 1)], pt(2 - F(1, 10**25), 3), True)
+    def test_matches_the_point_oracle(self, ring, offset, centred):
+        q = Region.from_ring([v + offset for v in ring],
+                             reference=offset if centred else None)
+        assert snap_candidate(q) == reference_candidate(q)
+
+    @pytest.mark.parametrize("stem", ["sset3", "ssprime"])
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_matches_the_point_oracle_on_every_chain_iterate(self, op, stem,
+                                                             monkeypatch):
+        # iterate asks certify, and so snap_candidate, about every iterate
+        # but the one it stops at
+        offered = []
+
+        def checked(q):
+            got = snap_candidate(q)
+            assert got == reference_candidate(q)
+            offered.append(got is not None)
+            return got
+
+        monkeypatch.setattr(errdiff.operators, "snap_candidate", checked)
+        coll = shipped(stem)
+        seed = _seed_for(coll, stem, "gset" if op in "gG" else "fset")
+        res = iterate(op, coll, seed)
+        assert res.stop_reason == "certified"
+        assert len(offered) == res.iterations - 1 and any(offered)
 
 
 class TestCertify:

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import re
 
-from errdiff.dynamics import Finite, Opponent, ScenarioProvider, run
-from errdiff.geometry import Region, pt
+from errdiff.dynamics import Finite, Opponent, ScenarioProvider, play
+from errdiff.geometry import Region, point_of, pt, sub_ratios
 from errdiff.render import render_svg
 from errdiff.voronoi import SiteSet
 
@@ -16,6 +16,15 @@ def polyline_points(svg: str) -> list[str]:
     m = re.search(r'<polyline points="([^"]+)"', svg)
     assert m is not None
     return m.group(1).split()
+
+
+def error_path(mode, provider, opponent, steps, seed):
+    """A played game's error points, as `errdiff render` reads them back
+    from its trace: the error before each round, then the one left after
+    the last."""
+    rounds = list(play(mode, provider, opponent, steps, seed))
+    last = rounds[-1]
+    return [point_of(s.qe) for s in rounds] + [point_of(sub_ratios(last.qz, last.qy))]
 
 
 class TestStructure:
@@ -58,7 +67,7 @@ class TestTraces:
     def test_hundred_steps_make_hundred_segments(self):
         provider = ScenarioProvider.fixed(Finite(SQUARE5))
         opponent = Opponent("uniform-random-in-hull", seed=3)
-        trace = run("undelayed", provider, opponent, steps=100, seed=1)
+        trace = error_path("undelayed", provider, opponent, steps=100, seed=1)
         svg = render_svg(site_sets=[SQUARE5], traces=[trace])
         assert len(polyline_points(svg)) == 101
 
@@ -76,8 +85,8 @@ class TestDeterminism:
     def test_identical_inputs_identical_bytes(self):
         provider = ScenarioProvider.fixed(Finite(SQUARE5))
         opponent = Opponent("uniform-random-in-hull", seed=5)
-        a = run("undelayed", provider, opponent, steps=50, seed=2)
-        b = run("undelayed", provider, opponent, steps=50, seed=2)
+        a = error_path("undelayed", provider, opponent, steps=50, seed=2)
+        b = error_path("undelayed", provider, opponent, steps=50, seed=2)
         Q = Region.from_ring(
             [pt("-1/2", "-1/2"), pt("1/2", "-1/2"),
              pt("1/2", "1/2"), pt("-1/2", "1/2")])

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errdiff.dynamics import Triangle, triangle_bound
-from errdiff.geometry import ORIGIN, PointSeed, Region, pt
+from errdiff.dynamics import Triangle, sample_hull_ratios, triangle_bound
+from errdiff.geometry import (
+    ORIGIN,
+    PointSeed,
+    Region,
+    add_ratios,
+    point_of,
+    pt,
+    ratios,
+    sub_ratios,
+)
 from errdiff.operators import Collection, apply_operator, iterate
 from errdiff.verify import (
     VerificationReport,
@@ -181,11 +190,11 @@ class TestTriangleFamily:
     def test_hand_example_one_round(self):
         # the delayed round from the apex of the envelope through T(1/2)
         tri = Triangle(F(1, 2), 1)
-        z = pt(0, 1)
-        x = pt(0, 0)
-        out = z - tri.project(z) + x
-        assert out == pt(0, F(1, 2))
-        assert Triangle(1, 1).contains(out)
+        z = ratios(pt(0, 1))
+        x = ratios(pt(0, 0))
+        out = add_ratios(sub_ratios(z, tri.nearest(z)), x)
+        assert point_of(out) == pt(0, F(1, 2))
+        assert Triangle(1, 1).holds(out)
 
     def test_half_candidate_fails(self):
         rep = triangle_family_check(1, 1, samples=200, seed=0,
@@ -258,14 +267,13 @@ class TestTriangleBoundAgreement:
         # one delayed round from inside the envelope stays within the
         # envelope, whose squared diameter is triangle_bound
         import random
-        from errdiff.dynamics import sample_hull_point
         rng = random.Random(12)
         env = Triangle(1, 1)
         for _ in range(200):
             h = F(rng.random()) * 1
             tri = Triangle(h, 1)
-            z = sample_hull_point(env.ring, rng)
-            x = sample_hull_point(tri.ring, rng)
-            out = z - tri.project(z) + x
-            assert env.contains(out)
-            assert (z - tri.project(z)).norm_sq() <= triangle_bound(1, 1)
+            z = sample_hull_ratios(env.ring, rng)
+            x = sample_hull_ratios(tri.ring, rng)
+            e = sub_ratios(z, tri.nearest(z))
+            assert env.holds(add_ratios(e, x))
+            assert point_of(e).norm_sq() <= triangle_bound(1, 1)

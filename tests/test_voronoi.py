@@ -15,7 +15,9 @@ from errdiff.geometry import (
     Point,
     Region,
     dist_sq,
+    point_of,
     pt,
+    ratios,
 )
 from errdiff.voronoi import (
     AssumptionReport,
@@ -31,10 +33,15 @@ from errdiff.voronoi import (
     inner_cell_diameter_sq,
     intersect_region_cell,
     materialize_cell,
-    project,
+    project_ratios,
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
 from test_geometry import level, wall
+
+
+def nearest_site(S, x):
+    """The site of S nearest to the Point x, by project_ratios."""
+    return point_of(project_ratios(S, ratios(x)))
 
 
 def cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
@@ -183,34 +190,35 @@ class TestIntersect:
 
 class TestProject:
     def test_basic(self):
-        assert project(SQUARE_CORNERS, pt("9/10", 0)) == pt(1, 0)
-        assert project(SQUARE_CORNERS, pt("9/10", "1/5")) == pt(1, 0)
+        assert nearest_site(SQUARE_CORNERS, pt("9/10", 0)) == pt(1, 0)
+        assert nearest_site(SQUARE_CORNERS, pt("9/10", "1/5")) == pt(1, 0)
 
     def test_prefers_near_site(self):
         S = SiteSet((pt(0, 0), pt(2, 0), pt(0, 2)))
-        assert project(S, pt("9/10", 0)) == pt(0, 0)
+        assert nearest_site(S, pt("9/10", 0)) == pt(0, 0)
 
     def test_tie_break_lexicographic(self):
-        assert project(SQUARE_CORNERS, pt("1/2", "1/2")) == pt(0, 0)
-        assert project(SQUARE_CORNERS, pt("1/2", 0)) == pt(0, 0)
+        assert nearest_site(SQUARE_CORNERS, pt("1/2", "1/2")) == pt(0, 0)
+        assert nearest_site(SQUARE_CORNERS, pt("1/2", 0)) == pt(0, 0)
 
     @given(points)
     @settings(max_examples=80)
     def test_projection_minimizes(self, x):
-        y = project(SQUARE_CENTER, x)
+        y = nearest_site(SQUARE_CENTER, x)
         for c in SQUARE_CENTER:
             assert dist_sq(x, y) <= dist_sq(x, c)
 
     @given(points)
     @settings(max_examples=80)
     def test_point_lies_in_cell_of_projection(self, x):
-        y = project(SQUARE_CENTER, x)
+        y = nearest_site(SQUARE_CENTER, x)
         for w in cell(SQUARE_CENTER, y).walls:
             assert level(w, x) <= 0
 
 
 def reference_project(S, x):
-    """project as a Fraction minimum: nearest site, then the smallest key."""
+    """project_ratios as a Fraction minimum: nearest site, then the
+    smallest key."""
     return min(S.sites, key=lambda c: (dist_sq(x, c), c.key()))
 
 
@@ -249,15 +257,15 @@ class TestProjectIntegerKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_formula(self, case):
         S, x = case
-        assert project(S, x) == reference_project(S, x)
+        assert nearest_site(S, x) == reference_project(S, x)
 
     def test_every_tie_goes_to_the_smallest_site(self):
         # the center of the square ties all four corners, whatever their order
         corners = [pt(1, 1), pt(0, 1), pt(1, 0), pt(0, 0)]
         for k in range(4):
             S = SiteSet(tuple(corners[k:] + corners[:k]))
-            assert project(S, pt("1/2", "1/2")) == pt(0, 0)
-            assert project(S, pt("1/2", 2)) == pt(0, 1)
+            assert nearest_site(S, pt("1/2", "1/2")) == pt(0, 0)
+            assert nearest_site(S, pt("1/2", 2)) == pt(0, 1)
 
 
 class TestCellCache:
@@ -322,7 +330,7 @@ class TestCoverage:
     @settings(max_examples=60)
     def test_cells_tile_the_plane(self, x):
         # membership in the projected site's cell certifies the tiling
-        y = project(SQUARE_CENTER, x)
+        y = nearest_site(SQUARE_CENTER, x)
         others = [c for c in SQUARE_CENTER if c != y]
         assert all(level(bisector(y, d), x) <= 0 for d in others)
 
