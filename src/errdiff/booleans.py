@@ -22,9 +22,7 @@ raises DisconnectedUnion.  No Fraction is compared or added: a Point is
 built only for a returned witness.  union_one_region is the union the
 operators use: it demands exactly one cycle; the p family unites its
 members there, and its general route its hull sweeps.  Results are
-regularized: zero-area slivers and whiskers vanish.  Unions of parts
-star-shaped around one center, and Minkowski sums of a convex polygon
-with a non-convex star region, go through errdiff.starunion instead.
+regularized: zero-area slivers and whiskers vanish.
 """
 from __future__ import annotations
 

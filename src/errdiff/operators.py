@@ -7,21 +7,24 @@ convolution-cycle walk (minkowski_convex_star), for a convex region
 anywhere and for one star-shaped around the origin.  One helper per family
 (_g_pieces, _p_pieces) clips the region's integer ring by each cell's
 walls, reduced integer triples (booleans.clip_components); each piece is
-shifted by -c on integers.  g_step and p_step unite the pieces in a
-radial envelope (starunion.cycle_envelope).  The convex variants take
+shifted by -c on integers.  g unites the pieces of every member at once
+in one radial envelope around the origin (starunion.cycle_envelope), and
+p_step unites one member's pieces in another.  The convex variants take
 their hull instead (geometry._hull_order), since a hull commutes with
 union and with Minkowski sum: G(Q) = conv of the g pieces, with the
 origin as reference, and P(D) = ch S + conv of the p pieces, one convex
-walk.  So G and P build no envelope, and they return a set where the
-union pinches at the center.  apply_operator is the one member loop: each
-member's image, then the union of the members.  Every region passes from
-step to step as its integer ring, and the snap candidate is made on its
-iterate's integers too.  Iterating any operator from a seed grows a
-monotone chain of regions whose limit is the minimal invariant set; the
-engine below runs that chain with exact rational arithmetic and stops it
-in one of two ways: at an exact fixed point (canonical ring equality), or
-at a certified outer set, a snapped candidate C that holds the current
-iterate and that the operator maps into itself, both decided exactly.
+walk.  So a member's G or P image needs no envelope, and it is a set
+also where the union pinches at the center.  apply_operator is the one
+member loop: g pools every member's pieces, G unites the member hulls in
+one envelope around the origin, and p and P unite the members' images in
+union_one_region.  Every region passes from step to step as its integer
+ring, and the snap candidate is made on its iterate's integers too.
+Iterating any operator from a seed grows a monotone chain of regions
+whose limit is the minimal invariant set; the engine below runs that
+chain with exact rational arithmetic and stops it in one of two ways: at
+an exact fixed point (canonical ring equality), or at a certified outer
+set, a snapped candidate C that holds the current iterate and that the
+operator maps into itself, both decided exactly.
 """
 from __future__ import annotations
 
@@ -47,13 +50,12 @@ from .geometry import (
     _hull_order,
     _ring_locate,
     _shift,
-    dist_sq,
     equal_canonical,
     is_convex_ring,
     scalar_str,
 )
-from .starunion import Cycle, cycle_envelope, star_cycle, union_star
-from .voronoi import SiteSet, cell
+from .starunion import Cycle, cycle_envelope, star_cycle
+from .voronoi import SiteSet, cell, nearest_sites
 
 OPERATORS = ("g", "G", "p", "P")
 
@@ -253,14 +255,13 @@ def _check_g_seed(Q: Seed) -> None:
 
 def _g_pieces(S: SiteSet, Q: Seed) -> list[Cycle]:
     """The g step's pieces ((ch S + Q) ∩ V(c)) − c, as cycles around the
-    origin.
+    origin, for a seed that passed _check_g_seed.
 
     X = ch S + Q is clipped into each cell on X's integer ring
     (clip_components); each piece, one component by the premise of the
     step, is shifted by -c on integers (star_cycle, which also checks that
     c is in its kernel).  No Point is built.
     """
-    _check_g_seed(Q)
     if isinstance(Q, PointSeed):
         X = S.hull._scaled
     else:
@@ -278,16 +279,10 @@ def _g_pieces(S: SiteSet, Q: Seed) -> list[Cycle]:
     return cycles
 
 
-def g_step(S: SiteSet, Q: Seed) -> Region:
-    """Union over sites c of ((ch S + Q) ∩ V(c)) − c, star-shaped at 0: the
-    radial envelope around the origin (cycle_envelope) of _g_pieces."""
-    return cycle_envelope(_g_pieces(S, Q), ORIGIN)
-
-
 def _G_step(S: SiteSet, Q: Seed) -> Region:
-    """conv g(Q), the hull of _g_pieces' vertices: hulls commute with
-    unions, so no envelope is built, and a union that pinches at the origin
-    still has one."""
+    """conv g(Q) for one member, the hull of _g_pieces' vertices: hulls
+    commute with unions, so no envelope is built, and a union that pinches
+    at the origin still has one."""
     return _hull([(m, xs, ys) for xs, ys, m in _g_pieces(S, Q)]).with_reference(ORIGIN)
 
 
@@ -330,12 +325,6 @@ def _p_step_general(hull: ConvexPolygon,
     return union_one_region(parts)
 
 
-def _nearest(S: SiteSet, s0: Point) -> list[Point]:
-    """The sites of S nearest to s0."""
-    best = min(dist_sq(s0, c) for c in S.sites)
-    return [c for c in S.sites if dist_sq(s0, c) == best]
-
-
 def _p_pieces(S: SiteSet, D: Region) -> list[tuple[Point, list[Clipped]]]:
     """Each site c whose cell meets D, with the components of D ∩ V(c),
     clipped on D's integer ring (clip_components)."""
@@ -364,8 +353,8 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     hull = S.hull
     if isinstance(D, PointSeed):
         s0 = D.point
-        return cycle_envelope([star_cycle(hull._scaled, c) for c in _nearest(S, s0)],
-                              s0).with_reference(None)
+        cycles = [star_cycle(hull._scaled, c) for c in nearest_sites(S, s0)]
+        return cycle_envelope(cycles, s0).with_reference(None)
     pieces = _p_pieces(S, D)
     if all(len(comps) == 1 for _, comps in pieces):
         try:
@@ -388,28 +377,36 @@ def _P_step(S: SiteSet, D: Seed) -> Region:
     where they meet only at s0."""
     if isinstance(D, PointSeed):
         s0 = D.point
-        return _hull([_shift(S.hull._scaled, s0 - c) for c in _nearest(S, s0)])
+        return _hull([_shift(S.hull._scaled, s0 - c) for c in nearest_sites(S, s0)])
     inner = _hull([_shift((m, xs, ys), -c)
                    for c, comps in _p_pieces(S, D) for m, xs, ys, _ in comps])
     return minkowski_convex_star(S.hull, inner)
 
 
-_STEPS = {"g": g_step, "G": _G_step, "p": p_step, "P": _P_step}
-
-
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
-    """op's image of Q over the collection: each member's image (g_step,
-    _G_step, p_step or _P_step) and the union of the members' images,
-    radial around the origin for the g family (every image keeps it in its
-    kernel) and general for the p family."""
+    """op's image of Q over the collection.
+
+    p and P take each member's image (p_step, _P_step) and unite them in
+    union_one_region.  g is one radial envelope around the origin of every
+    member's _g_pieces, the union over all members and sites at once, so a
+    member whose own union pinches at the origin needs no union of its
+    own.  G takes each member's hull (_G_step), which is the image of a
+    single member, and unites several in one envelope around the origin,
+    which every hull keeps in its kernel.
+    """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    parts = [_STEPS[op](S, Q) for S in SS.members]
+    if op in ("p", "P"):
+        step = p_step if op == "p" else _P_step
+        parts = [step(S, Q) for S in SS.members]
+        return parts[0] if len(parts) == 1 else union_one_region(parts)
+    _check_g_seed(Q)
+    if op == "g":
+        return cycle_envelope([cy for S in SS.members for cy in _g_pieces(S, Q)], ORIGIN)
+    parts = [_G_step(S, Q) for S in SS.members]
     if len(parts) == 1:
         return parts[0]
-    if op in ("g", "G"):
-        return union_star(parts, ORIGIN)
-    return union_one_region(parts)
+    return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in parts], ORIGIN)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ Lett. 33(4), 1989).  Arcs that no edge spans are gaps; a single gap closes
 through the center, two or more mean the union pinches there and has no
 simple boundary.
 
-The cycles are the boundaries of the parts of a union (union_star, the
-g and p steps' clipped pieces, and p's hull shifts for a point seed),
-each put relative to the center by star_cycle, which also checks that
-the center is in the part's kernel; or the convolution cycle of a
-Minkowski sum, whose edges may turn either way.
+The cycles are the boundaries of the parts of a union (every member's
+clipped g pieces at once, the member hulls of G, one member's p pieces,
+and p's hull shifts for a point seed), each put relative to the center
+by star_cycle, which also checks that the center is in the part's
+kernel; or the convolution cycle of a Minkowski sum, whose edges may
+turn either way.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its
@@ -40,7 +41,6 @@ from .geometry import (
     DisconnectedUnion,
     NotStarAtCenter,
     Point,
-    Polygon,
     Region,
     Scaled,
     _shift,
@@ -173,17 +173,6 @@ def star_cycle(scaled: Scaled, center: Point) -> Cycle:
     if any(xs[i - 1] * ys[i] < ys[i - 1] * xs[i] for i in range(len(xs))):
         raise NotStarAtCenter("center is outside a part's kernel")
     return xs, ys, m
-
-
-def union_star(parts: Sequence[Polygon], center: Point) -> Region:
-    """Union of polygons star-shaped around a common center point.
-
-    Raises NotStarAtCenter when a part does not keep the center in its
-    kernel, DisconnectedUnion when the union only meets at the center,
-    DegenerateRegion when the union has no area.
-    """
-    return cycle_envelope([star_cycle(part._scaled, center) for part in parts],
-                          center)
 
 
 def _chains(xs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:

@@ -25,14 +25,13 @@ from .geometry import (
     Scalar,
     _shift,
     add_ratios,
-    dist_sq,
     point_of,
     scalar_str,
     sub_ratios,
     vertex_ratios,
 )
 from .operators import Collection, apply_operator
-from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell
+from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell, nearest_sites
 
 WITNESS_CAP = 10
 
@@ -182,19 +181,6 @@ def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
     return _report("triangle_family_check", witnesses, notes)
 
 
-def _argmin_sites(S: SiteSet, z: Point) -> list[Point]:
-    """All sites tied for nearest: the quantizer may answer any of them."""
-    best = None
-    out: list[Point] = []
-    for c in S.sites:
-        d = dist_sq(c, z)
-        if best is None or d < best:
-            best, out = d, [c]
-        elif d == best:
-            out.append(c)
-    return out
-
-
 def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     """Extreme inputs: hull corners plus every clipped-cell vertex.
 
@@ -241,7 +227,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
                               for _ in range(branching)]
                 for x in inputs:
                     z = e + x
-                    for y in _argmin_sites(S, z):
+                    for y in nearest_sites(S, z):
                         nxt = z - y
                         if nxt not in seen:
                             seen.add(nxt)

@@ -18,6 +18,8 @@ consecutive walls meet at one of its vertices.
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
 site decides the nearest, and the point and the answer are Ratios.
+nearest_sites lists every site tied for nearest to a Point, in S.sites
+order: the point seeds of p and P and the reachability oracle read it.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .geometry import (
     Ratios,
     Region,
     _hull_order,
+    dist_sq,
     over_common_denominator,
     ratios,
     scalar_str,
@@ -199,6 +202,13 @@ def project_ratios(S: SiteSet, q: Ratios) -> Ratios:
     d = xd * yd
     a, b = 2 * m * xn * yd, 2 * m * yn * xd
     return min(entries, key=lambda e: e[0] * d - a * e[1] - b * e[2])[3]
+
+
+def nearest_sites(S: SiteSet, p: Point) -> list[Point]:
+    """Every site of S tied for nearest to p, in S.sites order."""
+    d = [dist_sq(p, c) for c in S.sites]
+    best = min(d)
+    return [c for c, x in zip(S.sites, d) if x == best]
 
 
 def materialize_cell(S: SiteSet, c: Point) -> Region:

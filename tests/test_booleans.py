@@ -30,7 +30,15 @@ from errdiff.geometry import (
     pt,
     ring_area2,
 )
-from errdiff.starunion import _arc, _crossing, _Edge, _limit, _t_cmp, union_star
+from errdiff.starunion import (
+    _arc,
+    _crossing,
+    _Edge,
+    _limit,
+    _t_cmp,
+    cycle_envelope,
+    star_cycle,
+)
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 from test_geometry import canonical, hull, reference_orient, wall
 
@@ -58,6 +66,13 @@ def witness(a_ring, b_ring):
 
 def contained(a_ring, b_ring):
     return subset(poly(a_ring), poly(b_ring))
+
+
+def union_star(parts, center):
+    """The union of polygons that keep center in their kernels: one radial
+    envelope of their cycles around it."""
+    return cycle_envelope([star_cycle(part._scaled, center) for part in parts],
+                          center)
 
 
 def star(rings, center):

@@ -36,17 +36,19 @@ from errdiff.operators import (
     EmptyCellPiece,
     IterationConfig,
     SNAP_DENOMINATOR,
+    _G_step,
+    _g_pieces,
     _hull,
     _sum_hull_with_ring,
     apply_operator,
     certify,
-    g_step,
     iterate,
     minkowski_convex_star,
     p_step,
     snap_candidate,
 )
 from errdiff.scene import load_scene
+from errdiff.starunion import cycle_envelope, star_cycle
 from errdiff.voronoi import SiteSet, cell
 from test_booleans import DIR_POOL, star_rings
 from test_geometry import (
@@ -82,6 +84,11 @@ def single(S):
     return Collection((S,), name=S.id)
 
 
+def g_of(S, q):
+    """g over the one-member collection {S}."""
+    return apply_operator("g", single(S), q)
+
+
 class TestCollection:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +105,7 @@ class TestCollection:
 
 class TestGStep:
     def test_unit_square_from_origin(self):
-        got = g_step(UNIT_SQUARE, PointSeed(ORIGIN))
+        got = apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
         h = F(1, 2)
         assert list(got.vertices) == [pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)]
 
@@ -106,20 +113,20 @@ class TestGStep:
         h = F(1, 2)
         q = Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)],
                              reference=ORIGIN)
-        assert equal_canonical(g_step(UNIT_SQUARE, q), q)
+        assert equal_canonical(apply_operator("g", single(UNIT_SQUARE), q), q)
 
     def test_seed_away_from_origin_rejected(self):
         with pytest.raises(KernelViolation):
-            g_step(UNIT_SQUARE, PointSeed(pt(1, 1)))
+            apply_operator("g", single(UNIT_SQUARE), PointSeed(pt(1, 1)))
 
     def test_region_without_origin_rejected(self):
         q = Region.from_ring([pt(3, 3), pt(4, 3), pt(4, 4), pt(3, 4)])
         with pytest.raises(KernelViolation):
-            g_step(UNIT_SQUARE, q)
+            apply_operator("g", single(UNIT_SQUARE), q)
 
     def test_result_contains_input(self):
-        q = g_step(DIAMOND, PointSeed(ORIGIN))
-        q2 = g_step(DIAMOND, q)
+        q = apply_operator("g", single(DIAMOND), PointSeed(ORIGIN))
+        q2 = apply_operator("g", single(DIAMOND), q)
         assert subset(q, q2)
         assert q2.kernel_contains(ORIGIN)
 
@@ -127,7 +134,7 @@ class TestGStep:
         monkeypatch.setattr(errdiff.operators, "clip_components",
                             lambda scaled, walls: [])
         with pytest.raises(EmptyCellPiece):
-            g_step(UNIT_SQUARE, PointSeed(ORIGIN))
+            apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
         assert issubclass(EmptyCellPiece, GeometryError)
 
     def test_collection_duplicate_member_is_noop(self):
@@ -389,13 +396,13 @@ class TestPStepRoutes:
 
 class TestConvexVariants:
     def test_G_equals_g_when_convex(self):
-        g1 = g_step(UNIT_SQUARE, PointSeed(ORIGIN))
+        g1 = apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
         G1 = apply_operator("G", single(UNIT_SQUARE), PointSeed(ORIGIN))
         assert equal_canonical(g1, G1)
 
     def test_G_contains_g(self):
         seed = PointSeed(ORIGIN)
-        q = g_step(STAR8, seed)
+        q = apply_operator("g", single(STAR8), seed)
         G = apply_operator("G", single(STAR8), seed)
         assert subset(q, G)
         assert is_convex_ring(G._scaled)
@@ -412,7 +419,7 @@ class TestConvexVariants:
         # only at the origin
         S = sites((-2, 0), (-1, -2), (1, -2), (1, 2))
         with pytest.raises(DisconnectedUnion):
-            g_step(S, PointSeed(ORIGIN))
+            apply_operator("g", single(S), PointSeed(ORIGIN))
         G = apply_operator("G", single(S), PointSeed(ORIGIN))
         assert is_convex_ring(G._scaled) and G.reference == ORIGIN
         for c in S.sites:
@@ -460,7 +467,7 @@ class TestHullRegion:
         coll = shipped(stem)
         reference = ORIGIN if op == "G" else None
         if op == "G":
-            q, step = PointSeed(ORIGIN), g_step
+            q, step = PointSeed(ORIGIN), g_of
         else:
             common = set.intersection(*(set(S.sites) for S in coll.members))
             q, step = PointSeed(min(common, key=lambda p: p.key())), p_step
@@ -494,7 +501,7 @@ class TestHullRegion:
         except DegenerateHull:
             assume(False)
         s0 = min(S.sites, key=lambda p: p.key())
-        for op, step, q, reference in (("G", g_step, PointSeed(ORIGIN), ORIGIN),
+        for op, step, q, reference in (("G", g_of, PointSeed(ORIGIN), ORIGIN),
                                        ("P", p_step, PointSeed(s0), None)):
             for _ in range(3):
                 try:
@@ -525,6 +532,112 @@ class TestHullRegion:
                 for _ in range(3):
                     q = apply_operator(op, single(S), q)
                     assert is_convex_ring(q._scaled)
+
+
+def nested_g_family(op, SS, q):
+    """g or G over a collection as two layers of envelopes: each member's
+    image (the envelope of its g pieces, or its hull), then one envelope
+    of the members' images around the origin."""
+    if op == "g":
+        parts = [cycle_envelope(_g_pieces(S, q), ORIGIN) for S in SS]
+    else:
+        parts = [_G_step(S, q) for S in SS]
+    return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in parts], ORIGIN)
+
+
+def general_g_family(op, SS, q):
+    """g or G over a collection by the general union: of every member's
+    recentred g pieces, or of the member hulls."""
+    if op == "g":
+        parts = [Region(m, xs, ys) for S in SS for xs, ys, m in _g_pieces(S, q)]
+    else:
+        parts = [_G_step(S, q) for S in SS]
+    return union_one_region(parts)
+
+
+@st.composite
+def lattice_collections(draw):
+    members = []
+    for i, coords in enumerate(draw(st.lists(lattice_sites, min_size=2, max_size=3))):
+        try:
+            members.append(sites(*coords, id=f"S{i}"))
+        except DegenerateHull:
+            assume(False)
+    return Collection(tuple(members))
+
+
+# A alone pinches at the origin (TestConvexVariants); B fills the pinch
+PINCHED = sites((-2, 0), (-1, -2), (1, -2), (1, 2), id="A")
+FILLER = sites((0, 0), (1, 0), (0, 1), (1, 1), id="B")
+
+
+class TestPooledGFamily:
+    """g over a collection is one envelope of every member's pieces, and G
+    one envelope of the member hulls; both against the two-layer form and
+    the general union."""
+
+    def check_chain(self, op, SS, steps):
+        """Along the chain from the origin, op's image is the nested form
+        wherever that exists, and the general union wherever that is one
+        region; where op raises, both oracles raise too."""
+        q = PointSeed(ORIGIN)
+        for _ in range(steps):
+            try:
+                got = apply_operator(op, SS, q)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    nested_g_family(op, SS, q)
+                with pytest.raises(GeometryError):
+                    general_g_family(op, SS, q)
+                return
+            try:
+                want = nested_g_family(op, SS, q)
+            except GeometryError:
+                pass
+            else:
+                assert got == want  # vertices and reference both
+            try:
+                want = general_g_family(op, SS, q)
+            except GeometryError:
+                pass
+            else:
+                assert equal_canonical(got, want)
+            assert got.reference == ORIGIN
+            q = got
+
+    @given(lattice_collections())
+    @example(Collection((PINCHED, FILLER)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_nested_and_general_unions(self, SS):
+        for op in ("g", "G"):
+            self.check_chain(op, SS, 3)
+
+    @pytest.mark.parametrize("op", ["g", "G"])
+    def test_ssprime_chain(self, op):
+        """The whole shipped ssprime chain, to its certified stop."""
+        SS = shipped("ssprime")
+        self.check_chain(op, SS, iterate(op, SS, PointSeed(ORIGIN)).iterations)
+
+    def test_total_where_a_member_pinches(self):
+        """A's own g image pinches at the origin, but with B the union of
+        all pieces is one region star-shaped around it: g returns it, and
+        the chain stops certified."""
+        seed = PointSeed(ORIGIN)
+        with pytest.raises(DisconnectedUnion):
+            apply_operator("g", single(PINCHED), seed)
+        SS = Collection((PINCHED, FILLER))
+        with pytest.raises(DisconnectedUnion):
+            nested_g_family("g", SS, seed)
+        q = seed
+        for _ in range(6):
+            got = apply_operator("g", SS, q)
+            assert got.kernel_contains(ORIGIN)
+            assert equal_canonical(got, general_g_family("g", SS, q))
+            if q is seed:
+                assert len(got) == 18
+            q = got
+        res = iterate("g", SS, seed)
+        assert (res.stop_reason, res.iterations, len(res.final)) == ("certified", 37, 11)
 
 
 def reference_candidate(q):
