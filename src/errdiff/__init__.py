@@ -8,7 +8,6 @@ and renders everything as deterministic SVG.
 """
 from .geometry import (
     ORIGIN,
-    ConvexPolygon,
     GeometryError,
     Point,
     PointSeed,
@@ -21,7 +20,6 @@ from .geometry import (
 from .voronoi import SiteSet, assumption_report
 from .operators import (
     Collection,
-    IterationConfig,
     IterationResult,
     apply_operator,
     iterate,
@@ -64,10 +62,8 @@ __all__ = [
     "ORIGIN",
     "Collection",
     "Convex",
-    "ConvexPolygon",
     "Finite",
     "GeometryError",
-    "IterationConfig",
     "IterationResult",
     "Opponent",
     "ParseError",

@@ -35,7 +35,6 @@ from .geometry import (
     DisconnectedUnion,
     MultiComponent,
     Point,
-    Polygon,
     Region,
     Scaled,
     _canonical_order,
@@ -226,7 +225,7 @@ class _Boundary:
         return 0
 
 
-def _boundaries(polys: Sequence[Polygon]) -> tuple[int, list[_Boundary]]:
+def _boundaries(polys: Sequence[Region]) -> tuple[int, list[_Boundary]]:
     """L, the lcm of the polygons' own common denominators, and their rings
     over L."""
     L = lcm(*[P.m for P in polys])
@@ -291,7 +290,7 @@ def _pieces(e: _Edge, others: Sequence[_Boundary]) -> list[tuple[Triple, Triple,
             for p, q in zip(pts, pts[1:])]
 
 
-def subset_witness(a: Polygon, b: Polygon) -> Point | None:
+def subset_witness(a: Region, b: Region) -> Point | None:
     """A point of a outside b, or None when a is contained.
 
     Exact for simple polygons, where containment reduces to boundary
@@ -313,12 +312,12 @@ def subset_witness(a: Polygon, b: Polygon) -> Point | None:
     return None
 
 
-def subset(a: Polygon, b: Polygon) -> bool:
+def subset(a: Region, b: Region) -> bool:
     """Exact containment of a in b (closed sets)."""
     return subset_witness(a, b) is None
 
 
-def union_rings(polys: Sequence[Polygon]) -> list[Region]:
+def union_rings(polys: Sequence[Region]) -> list[Region]:
     """Union of polygons with simple CCW rings, as its canonical boundary
     cycles.
 
@@ -394,7 +393,7 @@ def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
     return [Region(m * L, xs, ys) for m, xs, ys, _ in cycles]
 
 
-def union_one_region(polys: Sequence[Polygon]) -> Region:
+def union_one_region(polys: Sequence[Region]) -> Region:
     """Union of polygons with simple CCW rings that must be exactly one
     cycle; raises DisconnectedUnion otherwise."""
     cycles = union_rings(polys)

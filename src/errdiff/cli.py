@@ -95,12 +95,6 @@ def _pair(q: Ratios) -> str:
     return f'["{ratio_str(q[0], q[1])}", "{ratio_str(q[2], q[3])}"]'
 
 
-def _config_from_args(scene: Scene, args):
-    if args.max_iter is None:
-        return scene.config
-    return dataclasses.replace(scene.config, max_iter=args.max_iter)
-
-
 def _iteration_payload(name: str, op: str, res: IterationResult) -> dict:
     payload = {
         "collection": name,
@@ -120,11 +114,11 @@ def _iteration_payload(name: str, op: str, res: IterationResult) -> dict:
 def _run_iterations(scene: Scene, args, op: str, kind: str, out: Path) -> int:
     if not scene.collections:
         raise ValidationError("scene declares no collections", ("collections",))
-    cfg = _config_from_args(scene, args)
+    max_iter = scene.max_iter if args.max_iter is None else args.max_iter
     code = EXIT_OK
     for name, collection in scene.collections.items():
         seed = _seed_for(collection, name, kind)
-        res = iterate(op, collection, seed, cfg)
+        res = iterate(op, collection, seed, max_iter)
         _write_json(out / f"{name}.{kind}.json", _iteration_payload(name, op, res))
         _write_jsonl(out / f"{name}.{kind}.log.jsonl", res.log_records())
         status = "converged" if res.converged else res.stop_reason
@@ -161,11 +155,9 @@ def _cmd_simulate(scene: Scene, args, out: Path) -> int:
     if not scene.simulations:
         raise ValidationError("scene declares no simulations", ("simulations",))
     for name, spec in scene.simulations.items():
-        provider = scene.resolve_provider(spec.provider)
-        opponent = scene.resolve_opponent(spec.opponent)
         steps = spec.steps if args.steps is None else args.steps
         seed = spec.seed if args.seed is None else args.seed
-        rounds = play(spec.mode, provider, opponent, steps, seed=seed)
+        rounds = play(spec.mode, spec.provider, spec.opponent, steps, seed=seed)
         path = out / f"{name}.trace.jsonl"
         try:
             with path.open("w") as fh:

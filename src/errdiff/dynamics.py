@@ -35,7 +35,6 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
-    ConvexPolygon,
     GeometryError,
     Point,
     Ratios,
@@ -104,7 +103,7 @@ class Finite(_Feasible):
 class Convex(_Feasible):
     """Feasible set filling a convex polygon; outputs are nearest points."""
 
-    polygon: ConvexPolygon
+    polygon: Region
     label: str = "convex"
 
     @property
@@ -199,12 +198,6 @@ class TriangleFamily:
             raise ValueError("family height must be nonnegative")
         if self.t <= 0:
             raise ValueError("family slope must be positive")
-
-    def member(self, h: Scalar) -> Triangle:
-        h = exact(h)
-        if not 0 <= h <= self.h_max:
-            raise ValueError("height outside the family range")
-        return Triangle(h, self.t)
 
     def draw(self, rng: random.Random) -> Triangle:
         """T(h, t) for h = Fraction(rng.random()) * h_max, on integers."""
@@ -448,7 +441,7 @@ def check_containment(steps: Iterable[TraceStep], domain,
     """
     if which not in ("error", "z"):
         raise ValueError(f"unknown trace field {which!r}")
-    if not isinstance(domain, (Region, ConvexPolygon, Finite, Convex, Triangle)):
+    if not isinstance(domain, (Region, Finite, Convex, Triangle)):
         raise TypeError(f"cannot test membership in {type(domain).__name__}")
     inside = domain.holds
     bad = []
@@ -486,7 +479,7 @@ def _atom_inside(atom, domain) -> bool:
     else:
         points = _atom_vertices(atom)
         if len(points) >= 3:
-            return subset(ConvexPolygon.hull_of(points), domain)
+            return subset(Region.hull_of(points), domain)
     return all(domain.holds(ratios(p)) for p in points)
 
 
@@ -498,11 +491,11 @@ def error_bound_from_domain(domain, scenario) -> Scalar:
     it), and, when every feasible set lies inside domain, the squared
     diameter of domain.  Returns the smaller applicable value.
 
-    domain must be a Region or a ConvexPolygon; any other domain, such as
+    domain must be a Region; any other domain, such as
     the feasible sets (Finite, Convex, Triangle) that check_containment
     also accepts, raises TypeError.
     """
-    if not isinstance(domain, (Region, ConvexPolygon)):
+    if not isinstance(domain, Region):
         raise TypeError(f"cannot bound the error over {type(domain).__name__}")
     d_verts = domain.vertices
     atoms = _scenario_atoms(scenario)

@@ -11,9 +11,11 @@ so equal rings have equal fields (equal_canonical).  Its vertices are a
 cached view of Points, for artifacts, rendering and games.  Points come in
 through over_common_denominator: Region.from_ring hands a ring to
 Region.from_integers, which checks it (_canonical_order, is_simple_ring,
-the kernel test), and ConvexPolygon.hull_of runs the monotone chain
-_hull_order.  A clip, a stitch or a convex Minkowski sum, which hold a
-canonical simple ring on integers, build the polygon directly.
+the kernel test), and Region.hull_of hands points to hull_of_rings, the
+one integer hull: the monotone chain _hull_order over the vertices of
+rings given on integers, which the operators call on their pieces.  A
+clip, a stitch or a convex Minkowski sum, which hold a canonical simple
+ring on integers, build the polygon directly.
 
 A point can also go as Ratios (xn, xd, yn, yd), the reduced pairs that
 its two Fractions hold, without the objects; the games run on them.
@@ -26,14 +28,14 @@ every comparison and every orientation sign; point_in_ring and
 ratios_in_ring then run _ring_locate, the integer core that
 errdiff.booleans calls directly.
 
-Two polygon types share one base, Polygon: ConvexPolygon, a strictly
-convex hull, and Region, a simple polygon with an optional declared star
-center.  Callers dispatch on the two types, so neither is the other.  Both
-answer locate with point_in_ring on their ring, and holds, membership of
-a point given as Ratios, with ratios_in_ring.  Clipping and union live in
-errdiff.booleans and errdiff.starunion, and Minkowski sums in
-errdiff.operators; project_convex_ring decides the nearest point of a
-convex ring on the integers of the ring and the query point's Ratios.
+Region is the one polygon type: a simple polygon with an optional
+declared star center.  A convex hull is a role a Region plays, not a type
+of its own.  A Region answers locate with point_in_ring on its ring, and
+holds, membership of a point given as Ratios, with ratios_in_ring.
+Clipping and union live in errdiff.booleans and errdiff.starunion, and
+Minkowski sums in errdiff.operators; project_convex_ring decides the
+nearest point of a convex ring on the integers of the ring and the query
+point's Ratios.
 """
 from __future__ import annotations
 
@@ -116,12 +118,6 @@ class Point:
 
     def scale(self, k: Fraction) -> "Point":
         return Point(self.x * k, self.y * k)
-
-    def dot(self, other: "Point") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> Fraction:
-        return self.x * other.y - self.y * other.x
 
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
@@ -404,59 +400,7 @@ def star_kernel_contains(scaled: Scaled, p: Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polygons
-
-@dataclass(frozen=True)
-class Polygon:
-    """A canonical ring over its common denominator, vertex i at
-    (xs[i] / m, ys[i] / m), with the point location and the measures both
-    polygon types share.
-
-    The constructor trusts the caller that the ring is canonical; it
-    divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
-    reduced denominators and equal rings have equal fields.
-    """
-
-    m: int
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-
-    def __post_init__(self):
-        g = gcd(self.m, *self.xs, *self.ys)
-        object.__setattr__(self, "m", self.m // g)
-        object.__setattr__(self, "xs", tuple(x // g for x in self.xs))
-        object.__setattr__(self, "ys", tuple(y // g for y in self.ys))
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    @property
-    def _scaled(self) -> Scaled:
-        """(m, xs, ys), for the integer predicates."""
-        return self.m, self.xs, self.ys
-
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        m = self.m
-        return tuple(Point(Fraction(x, m), Fraction(y, m))
-                     for x, y in zip(self.xs, self.ys))
-
-    def locate(self, p: Point) -> int:
-        """+1 strictly inside, 0 on the boundary, -1 outside."""
-        return point_in_ring(self._scaled, p)
-
-    def holds(self, q: Ratios) -> bool:
-        """True when the point given as Ratios lies in the closed polygon."""
-        return ratios_in_ring(self._scaled, q) >= 0
-
-    @cached_property
-    def area2(self) -> Fraction:
-        return ring_area2(self._scaled)
-
-    @cached_property
-    def diameter_sq(self) -> Fraction:
-        return diameter_sq_of(self._scaled)
-
+# convex hulls and projection
 
 def _hull_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
     """Indices of the strict convex hull of the integer points (xs, ys),
@@ -484,21 +428,19 @@ def _hull_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
     return hull if len(hull) >= 3 else None
 
 
-@dataclass(frozen=True)
-class ConvexPolygon(Polygon):
-    """Strictly convex CCW polygon in canonical form."""
-
-    @staticmethod
-    def hull_of(points: Iterable[Point]) -> "ConvexPolygon":
-        """The strict convex hull of the points, decided by _hull_order on
-        their integers; DegenerateHull when they do not span the plane."""
-        m, xs, ys = over_common_denominator(list(points))
-        order = _hull_order(xs, ys)
-        if order is None:
-            distinct = len(set(zip(xs, ys)))
-            raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
-                                 else "all points collinear")
-        return ConvexPolygon(m, [xs[i] for i in order], [ys[i] for i in order])
+def hull_of_rings(rings: Sequence[Scaled]) -> "Region":
+    """The strict convex hull of the vertices of the rings (m, xs, ys), over
+    the lcm of their denominators, decided by _hull_order on their
+    integers; DegenerateHull when they do not span the plane."""
+    L = lcm(*[m for m, _, _ in rings])
+    xs = [x * (L // m) for m, rxs, _ in rings for x in rxs]
+    ys = [y * (L // m) for m, _, rys in rings for y in rys]
+    order = _hull_order(xs, ys)
+    if order is None:
+        distinct = len(set(zip(xs, ys)))
+        raise DegenerateHull(f"{distinct} distinct points" if distinct < 3
+                             else "all points collinear")
+    return Region(L, [xs[k] for k in order], [ys[k] for k in order])
 
 
 def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
@@ -555,13 +497,26 @@ def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
 # regions
 
 @dataclass(frozen=True)
-class Region(Polygon):
-    """Simple polygon with positive area in canonical form.
+class Region:
+    """Simple polygon with positive area: a canonical ring over its common
+    denominator, vertex i at (xs[i] / m, ys[i] / m).
 
-    reference, when set, is a declared star center and must lie in the kernel.
+    reference, when set, is a declared star center and must lie in the
+    kernel.  The constructor trusts the caller that the ring is canonical;
+    it divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
+    reduced denominators and equal rings have equal fields.
     """
 
+    m: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
     reference: Point | None = None
+
+    def __post_init__(self):
+        g = gcd(self.m, *self.xs, *self.ys)
+        object.__setattr__(self, "m", self.m // g)
+        object.__setattr__(self, "xs", tuple(x // g for x in self.xs))
+        object.__setattr__(self, "ys", tuple(y // g for y in self.ys))
 
     @staticmethod
     def from_ring(points: Sequence[Point], reference: Point | None = None) -> "Region":
@@ -588,6 +543,12 @@ class Region(Polygon):
             raise KernelViolation("reference point outside the kernel")
         return region
 
+    @staticmethod
+    def hull_of(points: Iterable[Point]) -> "Region":
+        """The strict convex hull of the points (hull_of_rings);
+        DegenerateHull when they do not span the plane."""
+        return hull_of_rings([over_common_denominator(list(points))])
+
     def with_reference(self, reference: Point | None) -> "Region":
         if reference is not None and not self.kernel_contains(reference):
             raise KernelViolation("reference point outside the kernel")
@@ -595,6 +556,36 @@ class Region(Polygon):
 
     def kernel_contains(self, p: Point) -> bool:
         return star_kernel_contains(self._scaled, p)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    @property
+    def _scaled(self) -> Scaled:
+        """(m, xs, ys), for the integer predicates."""
+        return self.m, self.xs, self.ys
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        m = self.m
+        return tuple(Point(Fraction(x, m), Fraction(y, m))
+                     for x, y in zip(self.xs, self.ys))
+
+    def locate(self, p: Point) -> int:
+        """+1 strictly inside, 0 on the boundary, -1 outside."""
+        return point_in_ring(self._scaled, p)
+
+    def holds(self, q: Ratios) -> bool:
+        """True when the point given as Ratios lies in the closed polygon."""
+        return ratios_in_ring(self._scaled, q) >= 0
+
+    @cached_property
+    def area2(self) -> Fraction:
+        return ring_area2(self._scaled)
+
+    @cached_property
+    def diameter_sq(self) -> Fraction:
+        return diameter_sq_of(self._scaled)
 
 
 def equal_canonical(a: Region, b: Region) -> bool:

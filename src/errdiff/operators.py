@@ -10,7 +10,8 @@ walls, reduced integer triples (booleans.clip_components); each piece is
 shifted by -c on integers.  g unites the pieces of every member at once
 in one radial envelope around the origin (starunion.cycle_envelope), and
 p_step unites one member's pieces in another.  The convex variants take
-their hull instead (geometry._hull_order), since a hull commutes with
+their hull instead (geometry.hull_of_rings, a Region like every other
+image), since a hull commutes with
 union and with Minkowski sum: G(Q) = conv of the g pieces, with the
 origin as reference, and P(D) = ch S + conv of the p pieces, one convex
 walk.  So a member's G or P image needs no envelope, and it is a set
@@ -31,11 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .booleans import Clipped, clip_components, subset_witness, union_one_region
 from .geometry import (
-    ConvexPolygon,
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
@@ -45,12 +44,11 @@ from .geometry import (
     Point,
     PointSeed,
     Region,
-    Scaled,
     _canonical_order,
-    _hull_order,
     _ring_locate,
     _shift,
     equal_canonical,
+    hull_of_rings,
     is_convex_ring,
     scalar_str,
 )
@@ -67,7 +65,6 @@ class Collection:
     """Finite family of site sets acted on jointly by the operators."""
 
     members: tuple[SiteSet, ...]
-    name: str = ""
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -90,18 +87,13 @@ class Collection:
 SNAP_DENOMINATOR = 64
 
 
+# The iteration cap of a run whose caller sets none.
+MAX_ITER = 1000
+
+
 # A run diverges once an iterate's squared diameter passes this factor
 # times the largest squared hull diameter of the members.
 DIVERGENCE_FACTOR = 10**6
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    max_iter: int = 1000
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -161,7 +153,7 @@ class EmptyCellPiece(GeometryError):
 # ---------------------------------------------------------------------------
 # Minkowski sum of a convex polygon with a convex or star region
 
-def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
+def minkowski_convex_star(P: Region, Q: Region) -> Region:
     """P + Q for convex P and Q either convex or star-shaped around the
     origin.
 
@@ -232,16 +224,6 @@ def minkowski_convex_star(P: ConvexPolygon, Q: Region) -> Region:
     return Region(m, [xs[t] + ox for t in order], [ys[t] + oy for t in order])
 
 
-def _hull(rings: Sequence[Scaled]) -> Region:
-    """The convex hull of the rings' vertices, which must span the plane,
-    over the lcm of their denominators."""
-    L = lcm(*[m for m, _, _ in rings])
-    xs = [x * (L // m) for m, rxs, _ in rings for x in rxs]
-    ys = [y * (L // m) for m, _, rys in rings for y in rys]
-    order = _hull_order(xs, ys)
-    return Region(L, [xs[k] for k in order], [ys[k] for k in order])
-
-
 # ---------------------------------------------------------------------------
 # the g family
 
@@ -283,13 +265,13 @@ def _G_step(S: SiteSet, Q: Seed) -> Region:
     """conv g(Q) for one member, the hull of _g_pieces' vertices: hulls
     commute with unions, so no envelope is built, and a union that pinches
     at the origin still has one."""
-    return _hull([(m, xs, ys) for xs, ys, m in _g_pieces(S, Q)]).with_reference(ORIGIN)
+    return hull_of_rings([(m, xs, ys) for xs, ys, m in _g_pieces(S, Q)]).with_reference(ORIGIN)
 
 
 # ---------------------------------------------------------------------------
 # the p family
 
-def _sum_hull_with_ring(hull: ConvexPolygon, piece: Region) -> list[Region]:
+def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
     """Regions whose union is hull + piece, piece an arbitrary simple
     canonical region.
 
@@ -311,12 +293,12 @@ def _sum_hull_with_ring(hull: ConvexPolygon, piece: Region) -> list[Region]:
     n = len(rxs)
     for i in range(n):
         j = (i + 1) % n
-        out.append(_hull([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
+        out.append(hull_of_rings([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
                            [h + rys[i] for h in hys] + [h + rys[j] for h in hys])]))
     return out
 
 
-def _p_step_general(hull: ConvexPolygon,
+def _p_step_general(hull: Region,
                     pieces: list[tuple[Point, list[Clipped]]]) -> Region:
     parts: list[Region] = []
     for c, comps in pieces:
@@ -377,8 +359,8 @@ def _P_step(S: SiteSet, D: Seed) -> Region:
     where they meet only at s0."""
     if isinstance(D, PointSeed):
         s0 = D.point
-        return _hull([_shift(S.hull._scaled, s0 - c) for c in nearest_sites(S, s0)])
-    inner = _hull([_shift((m, xs, ys), -c)
+        return hull_of_rings([_shift(S.hull._scaled, s0 - c) for c in nearest_sites(S, s0)])
+    inner = hull_of_rings([_shift((m, xs, ys), -c)
                    for c, comps in _p_pieces(S, D) for m, xs, ys, _ in comps])
     return minkowski_convex_star(S.hull, inner)
 
@@ -468,7 +450,7 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
 # the iteration engine
 
 def iterate(op: str, SS: Collection, seed: Seed,
-            cfg: IterationConfig | None = None) -> IterationResult:
+            max_iter: int = MAX_ITER) -> IterationResult:
     """Run op from seed to a fixed point or to a certified outer set.
 
     The reported iteration count is the smallest n >= 1 whose iterate is
@@ -480,11 +462,12 @@ def iterate(op: str, SS: Collection, seed: Seed,
     then reports n + 1 iterations, ships op(C) and records the gap between
     op(C) and Q_n+1, which op(C) holds.  converged is False when max_iter
     runs out or the iterate's squared diameter passes the divergence
-    threshold.
+    threshold; a max_iter below 1 raises ValueError.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    cfg = cfg or IterationConfig()
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if op in ("g", "G"):
         _check_g_seed(seed)
         if isinstance(seed, Region):
@@ -494,7 +477,7 @@ def iterate(op: str, SS: Collection, seed: Seed,
     history: list[int] = []
     cur: Seed = seed
     outer: Region | None = None
-    for n in range(1, cfg.max_iter + 1):
+    for n in range(1, max_iter + 1):
         nxt = apply_operator(op, SS, cur)
         history.append(len(nxt))
         if isinstance(cur, Region) and equal_canonical(nxt, cur):
@@ -506,6 +489,5 @@ def iterate(op: str, SS: Collection, seed: Seed,
             return IterationResult(nxt, n, "diverged", history)
         outer = certify(op, SS, nxt)
         cur = nxt
-    # IterationConfig keeps max_iter >= 1, so the loop ran and nxt is the
-    # last iterate
-    return IterationResult(nxt, cfg.max_iter, "max-iterations", history)
+    # max_iter >= 1, so the loop ran and nxt is the last iterate
+    return IterationResult(nxt, max_iter, "max-iterations", history)

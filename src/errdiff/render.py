@@ -22,7 +22,6 @@ _INVARIANT_EDGE = "#44597f"
 _CELL_GRAY = "#8a8a8a"
 _HULL_BLACK = "#101010"
 _TRACE_RED = "#b03a2e"
-_SEED_GREEN = "#2e7d4f"
 
 
 def _fmt(v: float) -> str:
@@ -59,9 +58,7 @@ class _Frame:
 
 def render_svg(site_sets: Sequence[SiteSet] = (),
                invariant: Region | None = None,
-               seed_region: Region | None = None,
-               traces: Sequence[Sequence[Point]] = (),
-               show_cells: bool = True) -> str:
+               traces: Sequence[Sequence[Point]] = ()) -> str:
     """One SVG document for the given elements (empty input is fine).
 
     A trace is the sequence of a game's error points, as `errdiff render`
@@ -69,11 +66,10 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
     through them.
     """
     cells: list[tuple[list[Point], list[Point]]] = []
-    if show_cells:
-        for S in site_sets:
-            for c in S.inners:
-                ring = materialize_cell(S, c).vertices
-                cells.append((ring, [p - c for p in ring]))
+    for S in site_sets:
+        for c in S.inners:
+            ring = materialize_cell(S, c).vertices
+            cells.append((ring, [p - c for p in ring]))
 
     xs: list[Fraction] = []
     ys: list[Fraction] = []
@@ -90,8 +86,6 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
         reach(shifted)
     if invariant is not None:
         reach(invariant.vertices)
-    if seed_region is not None:
-        reach(seed_region.vertices)
     for path in traces:
         reach(path)
 
@@ -107,10 +101,6 @@ def render_svg(site_sets: Sequence[SiteSet] = (),
         out.append(f'<polygon points="{frame.pts(invariant.vertices)}" '
                    f'fill="{_INVARIANT_FILL}" fill-opacity="0.75" '
                    f'stroke="{_INVARIANT_EDGE}" stroke-width="1.4"/>')
-    if seed_region is not None:
-        out.append(f'<polygon points="{frame.pts(seed_region.vertices)}" '
-                   f'fill="none" stroke="{_SEED_GREEN}" stroke-width="1.2" '
-                   f'stroke-dasharray="7 4"/>')
     for solid, shifted in cells:
         out.append(f'<polygon points="{frame.pts(solid)}" fill="none" '
                    f'stroke="{_CELL_GRAY}" stroke-width="1.1"/>')

@@ -4,10 +4,13 @@ A scene is a JSON object with five optional sections: `collections` (named
 lists of point sets), `regions` (named vertex rings), `triangles` (named
 wedge families), `config` (iteration overrides), and `simulations` (named
 game declarations).  Coordinates are rational strings such as "1/3" or
-"0.5" and parse to exact values.
+"0.5" and parse to exact values.  Each simulation's provider and opponent
+are resolved while the scene is parsed, so every name must resolve and a
+SimulationSpec holds the objects a game takes.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +28,6 @@ from .dynamics import (
     finite_members,
 )
 from .geometry import (
-    ConvexPolygon,
     GeometryError,
     Point,
     Region,
@@ -33,7 +35,7 @@ from .geometry import (
     parse_scalar,
     pt,
 )
-from .operators import Collection, IterationConfig
+from .operators import MAX_ITER, Collection
 from .voronoi import SiteSet
 
 
@@ -54,28 +56,12 @@ def _fail(kind: str, detail: str, location: str) -> "ValidationError":
 
 
 @dataclass(frozen=True)
-class ProviderSpec:
-    """Declarative provider: names that resolve inside the scene."""
-
-    mode: str
-    collection: str | None = None
-    member: str | None = None
-    region: str | None = None
-    triangle: str | None = None
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class OpponentSpec:
-    strategy: str
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class SimulationSpec:
+    """A declared game, its provider and opponent resolved in the scene."""
+
     mode: str
-    provider: ProviderSpec
-    opponent: OpponentSpec
+    provider: ScenarioProvider
+    opponent: Opponent
     steps: int
     seed: int = 0
 
@@ -85,14 +71,8 @@ class Scene:
     collections: dict[str, Collection] = field(default_factory=dict)
     regions: dict[str, Region] = field(default_factory=dict)
     triangles: dict[str, TriangleFamily] = field(default_factory=dict)
-    config: IterationConfig = field(default_factory=IterationConfig)
+    max_iter: int = MAX_ITER
     simulations: dict[str, SimulationSpec] = field(default_factory=dict)
-
-    def resolve_provider(self, spec: ProviderSpec) -> ScenarioProvider:
-        return _resolve_provider(self, spec, "simulations")
-
-    def resolve_opponent(self, spec: OpponentSpec) -> Opponent:
-        return Opponent(spec.strategy, seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +149,19 @@ def _family(value, location: str) -> TriangleFamily:
         raise _fail("BadTriangle", str(exc), location) from exc
 
 
-def _config(value, location: str) -> IterationConfig:
+def _config(value, location: str) -> int:
+    """The config section's max_iter, MAX_ITER when it is absent."""
     if not isinstance(value, dict):
         raise _fail("BadConfig", "config must be an object", location)
     unknown = set(value) - {"max_iter"}
     if unknown:
         raise _fail("BadConfig", f"unknown keys {sorted(unknown)}", location)
-    if "max_iter" not in value:
-        return IterationConfig()
-    raw = value["max_iter"]
+    raw = value.get("max_iter", MAX_ITER)
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise _fail("BadConfig", "max_iter must be an integer", location + ".max_iter")
-    try:
-        return IterationConfig(max_iter=raw)
-    except ValueError as exc:
-        raise _fail("BadConfig", str(exc), location) from exc
+    if raw < 1:
+        raise _fail("BadConfig", "max_iter must be at least 1", location)
+    return raw
 
 
 def _int_field(value, location: str, *, minimum: int | None = None,
@@ -197,7 +175,8 @@ def _int_field(value, location: str, *, minimum: int | None = None,
     return value
 
 
-def _provider_spec(value, location: str) -> ProviderSpec:
+def _provider(value, location: str, scene: Scene) -> ScenarioProvider:
+    """The provider an object declares, its names resolved in scene."""
     if not isinstance(value, dict):
         raise _fail("BadProvider", "provider must be an object", location)
     allowed = {"mode", "collection", "member", "region", "triangle", "seed"}
@@ -213,17 +192,11 @@ def _provider_spec(value, location: str) -> ProviderSpec:
         if v is not None and not isinstance(v, str):
             raise _fail("BadProvider", f"{key} must be a string",
                         f"{location}.{key}")
-    return ProviderSpec(
-        mode=mode,
-        collection=value.get("collection"),
-        member=value.get("member"),
-        region=value.get("region"),
-        triangle=value.get("triangle"),
-        seed=_int_field(value.get("seed"), location + ".seed", optional=True),
-    )
+    seed = _int_field(value.get("seed"), location + ".seed", optional=True)
+    return _resolve_provider(scene, value, seed, location)
 
 
-def _opponent_spec(value, location: str) -> OpponentSpec:
+def _opponent(value, location: str) -> Opponent:
     if not isinstance(value, dict):
         raise _fail("BadOpponent", "opponent must be an object", location)
     unknown = set(value) - {"strategy", "seed"}
@@ -233,12 +206,11 @@ def _opponent_spec(value, location: str) -> OpponentSpec:
     if strategy not in STRATEGIES:
         raise _fail("BadOpponent", f"strategy must be one of {STRATEGIES}",
                     location + ".strategy")
-    return OpponentSpec(strategy,
-                        seed=_int_field(value.get("seed"),
-                                        location + ".seed", optional=True))
+    return Opponent(strategy, seed=_int_field(value.get("seed"),
+                                              location + ".seed", optional=True))
 
 
-def _simulation(value, location: str) -> SimulationSpec:
+def _simulation(value, location: str, scene: Scene) -> SimulationSpec:
     if not isinstance(value, dict):
         raise _fail("BadSimulation", "simulation must be an object", location)
     allowed = {"mode", "provider", "opponent", "steps", "seed"}
@@ -253,8 +225,8 @@ def _simulation(value, location: str) -> SimulationSpec:
     seed = _int_field(value.get("seed", 0), location + ".seed")
     return SimulationSpec(
         mode=mode,
-        provider=_provider_spec(value.get("provider"), location + ".provider"),
-        opponent=_opponent_spec(value.get("opponent"), location + ".opponent"),
+        provider=_provider(value.get("provider"), location + ".provider", scene),
+        opponent=_opponent(value.get("opponent"), location + ".opponent"),
         steps=steps,
         seed=seed,
     )
@@ -272,63 +244,62 @@ def _named_section(data, key: str, loader) -> dict:
     return out
 
 
-def _resolve_provider(scene: Scene, spec: ProviderSpec,
+def _resolve_provider(scene: Scene, decl: dict, seed: int | None,
                       location: str) -> ScenarioProvider:
-    def collection_members() -> tuple[Finite, ...]:
-        if spec.collection is None:
-            raise _fail("UnresolvedName", f"{spec.mode} provider needs a collection",
+    """The provider that the checked provider object decl declares, each
+    name it gives looked up in scene."""
+    mode, collection = decl["mode"], decl.get("collection")
+    if mode == "random-triangle":
+        triangle = decl.get("triangle")
+        if triangle is None or triangle not in scene.triangles:
+            raise _fail("UnresolvedName", f"no triangle family {triangle!r}",
                         location)
-        coll = scene.collections.get(spec.collection)
-        if coll is None:
-            raise _fail("UnresolvedName", f"no collection {spec.collection!r}",
-                        location)
-        return finite_members(coll)
-
-    if spec.mode == "random-triangle":
-        if spec.triangle is None or spec.triangle not in scene.triangles:
-            raise _fail("UnresolvedName", f"no triangle family {spec.triangle!r}",
-                        location)
-        fam = scene.triangles[spec.triangle]
-        return ScenarioProvider.random_triangle(fam.h_max, fam.t, seed=spec.seed)
-    if spec.mode == "fixed":
-        fs = _fixed_set(scene, spec, location)
-        return ScenarioProvider.fixed(fs)
-    members = collection_members()
-    if spec.mode == "cyclic":
+        fam = scene.triangles[triangle]
+        return ScenarioProvider.random_triangle(fam.h_max, fam.t, seed=seed)
+    if mode == "fixed":
+        return ScenarioProvider.fixed(_fixed_set(scene, decl, location))
+    if collection is None:
+        raise _fail("UnresolvedName", f"{mode} provider needs a collection",
+                    location)
+    coll = scene.collections.get(collection)
+    if coll is None:
+        raise _fail("UnresolvedName", f"no collection {collection!r}", location)
+    members = finite_members(coll)
+    if mode == "cyclic":
         return ScenarioProvider.cyclic(members)
-    return ScenarioProvider.random_choice(members, seed=spec.seed)
+    return ScenarioProvider.random_choice(members, seed=seed)
 
 
-def _fixed_set(scene: Scene, spec: ProviderSpec, location: str) -> FeasibleSet:
-    given = [k for k in ("collection", "region", "triangle")
-             if getattr(spec, k) is not None]
-    if len(given) != 1:
+def _fixed_set(scene: Scene, decl: dict, location: str) -> FeasibleSet:
+    collection, member = decl.get("collection"), decl.get("member")
+    region, triangle = decl.get("region"), decl.get("triangle")
+    if [collection, region, triangle].count(None) != 2:
         raise _fail("BadProvider",
                     "fixed provider needs exactly one of collection/region/triangle",
                     location)
-    if spec.region is not None:
-        region = scene.regions.get(spec.region)
-        if region is None:
-            raise _fail("UnresolvedName", f"no region {spec.region!r}", location)
-        if not is_convex_ring(region._scaled):
+    if region is not None:
+        polygon = scene.regions.get(region)
+        if polygon is None:
+            raise _fail("UnresolvedName", f"no region {region!r}", location)
+        if not is_convex_ring(polygon._scaled):
             raise _fail("BadProvider", "a fixed feasible region must be convex",
                         location)
-        return Convex(ConvexPolygon(*region._scaled), label=spec.region)
-    if spec.triangle is not None:
-        fam = scene.triangles.get(spec.triangle)
+        return Convex(polygon, label=region)
+    if triangle is not None:
+        fam = scene.triangles.get(triangle)
         if fam is None:
-            raise _fail("UnresolvedName", f"no triangle family {spec.triangle!r}",
+            raise _fail("UnresolvedName", f"no triangle family {triangle!r}",
                         location)
         return fam.envelope
-    coll = scene.collections.get(spec.collection)
+    coll = scene.collections.get(collection)
     if coll is None:
-        raise _fail("UnresolvedName", f"no collection {spec.collection!r}", location)
+        raise _fail("UnresolvedName", f"no collection {collection!r}", location)
     members = {S.id: S for S in coll}
-    if spec.member is not None:
-        if spec.member not in members:
+    if member is not None:
+        if member not in members:
             raise _fail("UnresolvedName",
-                        f"no member {spec.member!r} in {spec.collection!r}", location)
-        return Finite(members[spec.member])
+                        f"no member {member!r} in {collection!r}", location)
+        return Finite(members[member])
     if len(coll) != 1:
         raise _fail("BadProvider",
                     "fixed provider over a multi-member collection needs a member",
@@ -352,12 +323,10 @@ def parse_scene(text: str) -> Scene:
         collections=_named_section(data, "collections", _collection),
         regions=_named_section(data, "regions", _region),
         triangles=_named_section(data, "triangles", _family),
-        config=_config(data.get("config", {}), "config"),
-        simulations=_named_section(data, "simulations", _simulation),
+        max_iter=_config(data.get("config", {}), "config"),
     )
-    for name, sim in scene.simulations.items():
-        _resolve_provider(scene, sim.provider, f"simulations.{name}.provider")
-    return scene
+    return dataclasses.replace(scene, simulations=_named_section(
+        data, "simulations", lambda value, location: _simulation(value, location, scene)))
 
 
 def load_scene(path: str) -> Scene:

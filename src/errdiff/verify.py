@@ -16,7 +16,6 @@ from fractions import Fraction
 from .booleans import subset_witness
 from .dynamics import Triangle, TriangleFamily, sample_hull_ratios
 from .geometry import (
-    ConvexPolygon,
     DegenerateHull,
     ORIGIN,
     Point,
@@ -188,8 +187,8 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     realizes several outputs at once; together with the hull corners they
     drive the error to the boundary of the minimal set.
     """
-    hull = Region(*S.hull._scaled)
-    pool = set(S.hull.vertices)
+    hull = S.hull
+    pool = set(hull.vertices)
     for c in S.sites:
         piece = intersect_region_cell(hull, cell(S, c))
         if piece is not None:
@@ -239,7 +238,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
 def coverage_ratio(cloud, Q: Region) -> Fraction:
     """Area of the cloud hull over the area of Q (0 for flat clouds)."""
     try:
-        hull = ConvexPolygon.hull_of(cloud)
+        hull = Region.hull_of(cloud)
     except DegenerateHull:
         return Fraction(0)
     return hull.area2 / Q.area2

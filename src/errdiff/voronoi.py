@@ -3,17 +3,17 @@
 A cell is kept as its facet walls only: the bisectors with the sites
 whose walls bound it along an edge of positive length, each a reduced
 integer triple (booleans.Wall), found once per site set on the sites'
-integers (_facet_neighbours) by the same integer hull that builds ch S
-(geometry._hull_order).  Clipping a region into a cell is one call of
-booleans.clip_components on the region's integer ring through all the
-walls.  The operators call it themselves and read its components on
-integers; intersect_region_cell, for a clip that must leave one
-component, makes that component a Region as it stands.  Sites on the
-hull boundary are the corners, sites strictly inside the inners
-(SiteSet.corners and .inners).  SiteSet.cells keeps every cell's walls
-in the counter-clockwise order of the dual hull.  An inner site's cell is
-bounded, and materialize_cell builds it from those walls alone: each two
-consecutive walls meet at one of its vertices.
+integers (_facet_neighbours) by the monotone chain (geometry._hull_order)
+under the one integer hull, geometry.hull_of_rings, that also builds
+ch S as a Region (Region.hull_of).  Clipping a region into a cell is one
+call of booleans.clip_components on the region's integer ring through
+all the walls.  The operators call it themselves and read its components
+on integers; intersect_region_cell, for a clip that must leave one
+component, makes that component a Region as it stands.  Sites strictly
+inside the hull are the inners (SiteSet.inners).  SiteSet.cells keeps
+every cell's walls in the counter-clockwise order of the dual hull.  An
+inner site's cell is bounded, and materialize_cell builds it from those
+walls alone: each two consecutive walls meet at one of its vertices.
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
@@ -30,7 +30,6 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .geometry import (
-    ConvexPolygon,
     GeometryError,
     MultiComponent,
     Point,
@@ -100,12 +99,8 @@ class SiteSet:
         return iter(self.sites)
 
     @cached_property
-    def hull(self) -> ConvexPolygon:
-        return ConvexPolygon.hull_of(self.sites)
-
-    @cached_property
-    def corners(self) -> tuple[Point, ...]:
-        return tuple(s for s in self.sites if self.hull.locate(s) == 0)
+    def hull(self) -> Region:
+        return Region.hull_of(self.sites)
 
     @cached_property
     def inners(self) -> tuple[Point, ...]:
@@ -118,8 +113,7 @@ class SiteSet:
         sites = self.sites
         _, xs, ys = over_common_denominator(sites)
         return {c: VoronoiCellH(c, tuple(bisector(c, sites[j])
-                                         for j in _facet_neighbours(xs, ys, i)),
-                                bounded=c in self.inners)
+                                         for j in _facet_neighbours(xs, ys, i)))
                 for i, c in enumerate(sites)}
 
     @cached_property
@@ -164,7 +158,6 @@ class VoronoiCellH:
 
     site: Point
     walls: tuple[Wall, ...]
-    bounded: bool
 
 
 def cell(S: SiteSet, c: Point) -> VoronoiCellH:

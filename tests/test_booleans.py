@@ -40,7 +40,7 @@ from errdiff.starunion import (
     star_cycle,
 )
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
-from test_geometry import canonical, hull, reference_orient, wall
+from test_geometry import canonical, cross, dot, hull, reference_orient, wall
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -85,7 +85,7 @@ def locate(ring, p):
 
 def one_wall(hp):
     """A cell bounded by the one wall hp, to clip a Region with."""
-    return VoronoiCellH(ORIGIN, (hp,), bounded=False)
+    return VoronoiCellH(ORIGIN, (hp,))
 
 
 def clip(ring, *walls):
@@ -385,7 +385,7 @@ def star_rings(draw, radius=radii):
 
 def _t_at(u: Point, a: Point, b: Point) -> F:
     """Reference: the line through a and b meets the ray u at _t_at * u."""
-    return a.cross(b) / u.cross(b - a)
+    return cross(a, b) / cross(u, b - a)
 
 
 def _triple(p: Point) -> tuple[int, int, int]:
@@ -472,18 +472,18 @@ class TestWideCoordinates:
         dirs = [(pt(*d), d) for d in DIR_POOL]
         for a1, b1, ea in edges(ra):
             for u, d in dirs:
-                if a1.cross(u) >= 0 and u.cross(b1) >= 0:
+                if cross(a1, u) >= 0 and cross(u, b1) >= 0:
                     got = _reduced_point(_limit(ea, 0, d))
                     assert got == u.scale(_t_at(u, a1, b1))
-                if u.cross(b1 - a1) == 0:
+                if cross(u, b1 - a1) == 0:
                     continue
                 for a2, b2, eb in edges(rb):
-                    if u.cross(b2 - a2) == 0:
+                    if cross(u, b2 - a2) == 0:
                         continue
                     diff = _t_at(u, a1, b1) - _t_at(u, a2, b2)
                     assert _t_cmp(d, ea, eb) == (diff > 0) - (diff < 0)
             for a2, b2, eb in edges(rb):
-                if (b1 - a1).cross(b2 - a2) == 0:
+                if cross(b1 - a1, b2 - a2) == 0:
                     continue
                 t, (dx, dy) = _crossing(ea, eb)
                 w = _reduced_point(t)
@@ -545,8 +545,8 @@ def reference_clip(ring, a, b, c):
     if len(cur) >= 2:
         chains.append(cur)
     t = Point(-b, a)
-    events = sorted([(t.dot(ch[-1]), 0, ci) for ci, ch in enumerate(chains)]
-                    + [(t.dot(ch[0]), 1, ci) for ci, ch in enumerate(chains)],
+    events = sorted([(dot(t, ch[-1]), 0, ci) for ci, ch in enumerate(chains)]
+                    + [(dot(t, ch[0]), 1, ci) for ci, ch in enumerate(chains)],
                     key=lambda e: (e[0], e[1]))
     succ = {}
     for e1, e2 in zip(events[0::2], events[1::2]):
@@ -623,10 +623,10 @@ def line_cross_point(p1, p2, q1, q2):
     """Intersection of line(p1,p2) with line(q1,q2); lines must not be parallel."""
     dp = p2 - p1
     dq = q2 - q1
-    den = dp.cross(dq)
+    den = cross(dp, dq)
     if den == 0:
         raise GeometryError("parallel lines have no single intersection")
-    t = (q1 - p1).cross(dq) / den
+    t = cross(q1 - p1, dq) / den
     return p1 + dp.scale(t)
 
 
@@ -693,7 +693,7 @@ def reference_split_edge(u, v, others):
                 for w in reference_seg_seg_points(u, v, q1, q2):
                     found[w.key()] = w
     d = v - u
-    return sorted(found.values(), key=lambda p: (p - u).dot(d))
+    return sorted(found.values(), key=lambda p: dot(p - u, d))
 
 
 def reference_midpoint(p, q):
@@ -718,7 +718,7 @@ def reference_subset_witness(a_ring, b_ring):
 def reference_collinear_side(mid, u, v, J):
     for w1, w2, _ in J.edges:
         if reference_on_segment(w1, w2, mid):
-            return 1 if (w2 - w1).dot(v - u) > 0 else -1
+            return 1 if dot(w2 - w1, v - u) > 0 else -1
     return 0
 
 

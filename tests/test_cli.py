@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import errdiff
+import errdiff.cli
 from errdiff.cli import main
 from errdiff.geometry import pt, ratios, vertex_ratios
-from errdiff.scene import Scene
+from errdiff.scene import load_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -169,7 +171,14 @@ class TestSimulateFailures:
 
     def test_input_outside_the_hull_mid_game_removes_the_partial_trace(
             self, out, capsys, monkeypatch):
-        monkeypatch.setattr(Scene, "resolve_opponent", lambda self, spec: _StrayOpponent())
+        def stray_scene(path):
+            # the scene as parsed, every simulation's opponent replaced
+            scene = load_scene(path)
+            return dataclasses.replace(scene, simulations={
+                name: dataclasses.replace(spec, opponent=_StrayOpponent())
+                for name, spec in scene.simulations.items()})
+
+        monkeypatch.setattr(errdiff.cli, "load_scene", stray_scene)
         assert run_cli("simulate", "--scene", SCENES / "sset1.json",
                        "--out", out, "--steps", 2000) == 3
         assert capsys.readouterr().err == "error: input (5, 5) outside hull of S\n"
@@ -380,6 +389,12 @@ class TestFailureModes:
                     "--out", out, "--max-iter", "abc")
         assert exc.value.code == 3
         assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_max_iter_below_one_exits_three(self, out, capsys):
+        assert run_cli("min-gset", "--scene", SCENES / "sset1.json",
+                       "--out", out, "--max-iter", 0) == 3
+        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
+        assert list(out.iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

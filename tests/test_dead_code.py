@@ -1,7 +1,9 @@
 """Every module-level function and class in the package is used by the
 package itself or exported: code that only tests call is dead code.  An
 exported name that the package never reads is library API, so README's
-"Library" section names it.  And every name a module imports is read
+"Library" section names it.  Every method, property and dataclass field
+of a class is read by the package as an attribute, unless it is listed
+with the reason it stays.  And every name a module imports is read
 there: an import left behind by a deletion is dead too."""
 import ast
 import re
@@ -39,6 +41,44 @@ def unused_definitions(src: Path) -> list[str]:
     return [f"{module}:{node.name}" for module, node in statements
             if isinstance(node, DEFS) and node.name not in exported
             and all(r is node for r in readers.get(node.name, []))]
+
+
+MEMBER_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)
+
+# members that no module of the package reads, each with why it stays
+READ_ELSEWHERE = {
+    "cli.py:_Parser.error": "argparse calls it on a usage error",
+    "dynamics.py:TraceStep.as_record":
+        "the reference record that tests compare _write_trace's lines against",
+}
+
+
+def unread_members(src: Path) -> list[str]:
+    """module:Class.member of each method, property or dataclass field of a
+    class of src that no module of src reads as an attribute (x.member) in
+    a statement other than the member's own body.  Members are matched by
+    name alone, whatever the type of x; a dunder method is called by Python
+    itself, so it is left out."""
+    trees = [(p.name, ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(src.glob("*.py"))]
+    reads: dict[str, list[ast.AST]] = {}
+    for _, tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.attr, []).append(n)
+    out = []
+    for module, tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, MEMBER_DEFS):
+                    continue
+                name = node.target.id if isinstance(node, ast.AnnAssign) else node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if all(id(r) in own for r in reads.get(name, [])):
+                    out.append(f"{module}:{cls.name}.{name}")
+    return out
 
 
 def undocumented_exports(src: Path, exported, readme: str) -> list[str]:
@@ -85,6 +125,21 @@ def test_a_definition_read_only_by_itself_is_unused(tmp_path):
         "class _Box:\n    def _used(self):\n        return _used()\n\n"
         "def _reader(b):\n    return b._Box\n")
     assert unused_definitions(tmp_path) == ["m.py:_loop", "m.py:_Box", "m.py:_reader"]
+
+
+def test_every_member_is_read_or_listed():
+    assert sorted(unread_members(SRC)) == sorted(READ_ELSEWHERE)
+
+
+def test_a_member_read_only_by_itself_is_unread(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Box:\n    size: int\n    label: str = ''\n\n"
+        "    def grow(self):\n        return self.grow() if self.size else 0\n\n"
+        "    @property\n    def area(self):\n        return self.size * self.size\n\n"
+        "    def __len__(self):\n        return self.size\n\n"
+        "def use(b):\n    b.label = 'x'\n    return b.area\n")
+    assert unread_members(tmp_path) == ["m.py:Box.label", "m.py:Box.grow"]
 
 
 def test_every_export_is_read_or_documented():

@@ -30,7 +30,6 @@ from errdiff.dynamics import (
     triangle_bound,
 )
 from errdiff.geometry import (
-    ConvexPolygon,
     DegenerateHull,
     ORIGIN,
     Point,
@@ -48,6 +47,7 @@ from errdiff.geometry import (
 from errdiff.operators import Collection
 from errdiff.scene import parse_scene
 from errdiff.voronoi import SiteSet
+from test_geometry import cross, dot
 
 
 def sites(*coords, id="S"):
@@ -99,7 +99,7 @@ class TestFeasibleSets:
         assert not holds(SQUARE, pt(F(1, 3), F(4, 3)))
 
     def test_convex_projects_to_nearest_point(self):
-        fs = Convex(ConvexPolygon.hull_of((pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2))))
+        fs = Convex(Region.hull_of((pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2))))
         assert nearest(fs, pt(1, 1)) == pt(1, 1)
         assert nearest(fs, pt(3, 1)) == pt(2, 1)
         assert nearest(fs, pt(-1, -1)) == pt(0, 0)
@@ -147,22 +147,13 @@ class TestFeasibleSets:
             TriangleFamily(0.1, 1)
         with pytest.raises(TypeError, match="inexact coordinate 0.25"):
             TriangleFamily(1, 0.25)
-        with pytest.raises(TypeError, match="inexact coordinate 0.5"):
-            TriangleFamily(1, 1).member(0.5)
-        assert TriangleFamily(1, 1).member("1/2") == Triangle(F(1, 2), 1)
         with pytest.raises(TypeError, match="inexact coordinate 0.1"):
             triangle_bound(0.1, 1)
-
-    def test_family_member_range(self):
-        fam = TriangleFamily(2, F(1, 2))
-        assert fam.member(1) == Triangle(1, F(1, 2))
-        with pytest.raises(ValueError):
-            fam.member(3)
 
     def test_set_ids(self):
         assert SQUARE.set_id == "unit-square"
         assert Triangle(F(1, 2), 2).set_id == "T(1/2,2)"
-        assert Convex(ConvexPolygon.hull_of(corners(SQUARE))).set_id == "convex"
+        assert Convex(Region.hull_of(corners(SQUARE))).set_id == "convex"
 
 
 class TestProviders:
@@ -279,7 +270,7 @@ class TestSteps:
         assert e == ORIGIN
 
     def test_undelayed_continuous_set_tracks_exactly(self):
-        fs = Convex(ConvexPolygon.hull_of(corners(Triangle(1, 1))))
+        fs = Convex(Region.hull_of(corners(Triangle(1, 1))))
         y, e, z = undelayed(ORIGIN, fs, pt(0, F(1, 2)))
         assert y == pt(0, F(1, 2))
         assert e == ORIGIN
@@ -469,9 +460,9 @@ class TestContainmentCheck:
 
     def test_feasible_sets_and_polygons_work_as_domains(self):
         tr = self.trace()
-        assert check_containment(tr, Convex(ConvexPolygon.hull_of(
+        assert check_containment(tr, Convex(Region.hull_of(
             HALF_BOX.vertices))) == []
-        assert check_containment(tr, ConvexPolygon.hull_of(
+        assert check_containment(tr, Region.hull_of(
             HALF_BOX.vertices)) == []
 
     def test_unknown_field_rejected(self):
@@ -524,7 +515,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("domain", [
         Finite(sites((0, 0), (1, 0), (0, 1), id="f")),
-        Convex(ConvexPolygon.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)])),
+        Convex(Region.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)])),
         Triangle(1, 1),
     ], ids=["Finite", "Convex", "Triangle"])
     def test_feasible_set_domain_rejected(self, domain):
@@ -610,7 +601,7 @@ def reference_sample(verts, rng):
         return verts[0]
     a = verts[0]
     fans = [(verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)]
-    weights = [(b - a).cross(c - a) for b, c in fans]
+    weights = [cross(b - a, c - a) for b, c in fans]
     r = F(rng.random()) * sum(weights)
     acc = F(0)
     b, c = fans[-1]
@@ -631,12 +622,12 @@ def reference_project_convex(poly, x):
     edge wins."""
     vs = poly.vertices
     sides = list(zip(vs, vs[1:] + vs[:1]))
-    if all((v - u).cross(x - u) >= 0 for u, v in sides):
+    if all(cross(v - u, x - u) >= 0 for u, v in sides):
         return x
     best = best_d = None
     for u, v in sides:
         d = v - u
-        t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
+        t = min(max(dot(x - u, d) / d.norm_sq(), F(0)), F(1))
         cand = u + d.scale(t)
         if best_d is None or dist_sq(x, cand) < best_d:
             best, best_d = cand, dist_sq(x, cand)
@@ -647,8 +638,8 @@ def reference_aligned(verts, error):
     """The error-aligned pick from Fraction dot products."""
     best = verts[0]
     for v in verts[1:]:
-        if v.dot(error) > best.dot(error) or (
-                v.dot(error) == best.dot(error) and v.key() < best.key()):
+        if dot(v, error) > dot(best, error) or (
+                dot(v, error) == dot(best, error) and v.key() < best.key()):
             best = v
     return best
 
@@ -657,7 +648,7 @@ def reference_aligned(verts, error):
 def hulls(draw, c):
     pts = draw(st.lists(st.builds(Point, c, c), min_size=3, max_size=8))
     try:
-        return ConvexPolygon.hull_of(pts).vertices
+        return Region.hull_of(pts).vertices
     except DegenerateHull:
         assume(False)
 
@@ -709,7 +700,7 @@ def feasible_sets(draw):
                         unique_by=Point.key))
     try:
         return Finite(SiteSet(tuple(pts))) if kind == "finite" \
-            else Convex(ConvexPolygon.hull_of(pts))
+            else Convex(Region.hull_of(pts))
     except DegenerateHull:
         assume(False)
 
@@ -745,7 +736,7 @@ def reference_contains(fs, p):
     if isinstance(fs, Triangle):
         return 0 <= p.y <= fs.h and abs(p.x) <= fs.t * p.y
     vs = corners(fs)
-    return all((v - u).cross(p - u) >= 0 for u, v in zip(vs, vs[1:] + vs[:1]))
+    return all(cross(v - u, p - u) >= 0 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 
 def reference_nearest(fs, p):
@@ -755,7 +746,7 @@ def reference_nearest(fs, p):
         return min(fs.sites.sites, key=lambda s: (dist_sq(s, p), s.key()))
     if isinstance(fs, Triangle) and fs.h == 0:
         return ORIGIN
-    return reference_project_convex(ConvexPolygon.hull_of(corners(fs)), p)
+    return reference_project_convex(Region.hull_of(corners(fs)), p)
 
 
 class _Script:
@@ -785,7 +776,7 @@ class TestIntegerKernels:
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(
                lambda verts: st.sampled_from((Finite(SiteSet(verts)),
-                                              Convex(ConvexPolygon.hull_of(verts)))))
+                                              Convex(Region.hull_of(verts)))))
            | triangles | drawn_triangles)
     @settings(max_examples=300, deadline=None)
     def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
@@ -806,7 +797,7 @@ class TestIntegerKernels:
         tri, p = case
         assert holds(tri, p) == (0 <= p.y <= tri.h and abs(p.x) <= tri.t * p.y)
         want = ORIGIN if tri.h == 0 else reference_project_convex(
-            ConvexPolygon.hull_of(corners(tri)), p)
+            Region.hull_of(corners(tri)), p)
         assert nearest(tri, p) == want
 
     @given(feasible_sets().flatmap(lambda fs: st.tuples(st.just(fs), points_for(fs))))
@@ -909,7 +900,7 @@ class TestTraceWriter:
         assert _written("undelayed", tr) == self._dumped("undelayed", tr)
 
     def test_undelayed_convex(self):
-        odd = Convex(ConvexPolygon.hull_of(corners(STAR8)), label=ODD_ID)
+        odd = Convex(Region.hull_of(corners(STAR8)), label=ODD_ID)
         tr = list(play("undelayed", ScenarioProvider.fixed(odd),
                        Opponent("uniform-random-in-hull", seed=3), 200, seed=4))
         assert _written("undelayed", tr) == self._dumped("undelayed", tr)
@@ -953,7 +944,7 @@ class TestPinnedTraces:
 
     def test_uniform_inputs_on_a_convex_set(self):
         (sset3,) = _shipped("sset3")
-        fs = Convex(ConvexPolygon.hull_of(corners(sset3)))
+        fs = Convex(Region.hull_of(corners(sset3)))
         tr = list(play("undelayed", ScenarioProvider.fixed(fs),
                        Opponent("uniform-random-in-hull", seed=16), 2000, seed=6))
         assert _trace_sha256("undelayed", tr) == \

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from errdiff.geometry import (
     ORIGIN,
-    ConvexPolygon,
     DegenerateHull,
     DegenerateRegion,
     GeometryError,
@@ -21,6 +20,7 @@ from errdiff.geometry import (
     diameter_sq_of,
     dist_sq,
     equal_canonical,
+    hull_of_rings,
     is_convex_ring,
     is_simple_ring,
     over_common_denominator as ocd,
@@ -38,6 +38,14 @@ from errdiff.operators import minkowski_convex_star
 from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+
+
+def cross(a: Point, b: Point) -> F:
+    return a.x * b.y - a.y * b.x
+
+
+def dot(a: Point, b: Point) -> F:
+    return a.x * b.x + a.y * b.y
 
 
 def project(poly, x):
@@ -63,8 +71,8 @@ def canonical(points):
 
 
 def hull(points):
-    """The vertices of ConvexPolygon.hull_of(points)."""
-    return ConvexPolygon.hull_of(points).vertices
+    """The vertices of Region.hull_of(points)."""
+    return Region.hull_of(points).vertices
 
 
 def reference_canonicalize(points):
@@ -87,7 +95,7 @@ def reference_canonicalize(points):
                 break
     if len(ring) < 3:
         return None
-    a2 = sum((ring[i - 1].cross(ring[i]) for i in range(len(ring))), F(0))
+    a2 = sum((cross(ring[i - 1], ring[i]) for i in range(len(ring))), F(0))
     if a2 == 0:
         return None
     if a2 < 0:
@@ -144,7 +152,7 @@ def reference_orient(a, b, c) -> int:
     """Sign of cross(b - a, c - a) in Fractions: +1 left turn, -1 right
     turn, 0 collinear.  The one orientation predicate of the tests; the
     package decides every turn on integers."""
-    return sign((b - a).cross(c - a))
+    return sign(cross(b - a, c - a))
 
 
 def reference_hull(points):
@@ -250,6 +258,30 @@ class TestHull:
         assert (hull_outcome(hull, [pt(0, 0), pt(F(1, 3), F(1, 6)), pt(2, 1)])
                 == "DegenerateHull: all points collinear")
 
+    @settings(max_examples=200)
+    @given(hull_inputs())
+    def test_hull_of_is_the_core_on_one_ring(self, pts):
+        """Region.hull_of is hull_of_rings on the points over their common
+        denominator, DegenerateHull messages included."""
+        core = hull_outcome(lambda p: hull_of_rings([ocd(p)]), pts)
+        assert hull_outcome(Region.hull_of, pts) == core
+
+    def test_core_unites_rings_over_the_lcm(self):
+        # (0, 0) and (1/2, 0) over 2, (0, 1/3) over 3
+        H = hull_of_rings([(2, [0, 1], [0, 0]), (3, [0], [1])])
+        assert H == Region(6, (0, 3, 0), (0, 0, 2))
+        assert H.vertices == (pt(0, 0), pt("1/2", 0), pt(0, "1/3"))
+
+    def test_core_raises_on_rings_that_do_not_span_the_plane(self):
+        # (0, 0), (1/2, 1/2) and (1, 1) over two denominators
+        with pytest.raises(DegenerateHull, match="^all points collinear$"):
+            hull_of_rings([(2, [0, 1], [0, 1]), (1, [1], [1])])
+        # (1, 2) repeated within a ring and across rings
+        with pytest.raises(DegenerateHull, match="^1 distinct points$"):
+            hull_of_rings([(1, [1, 1], [2, 2]), (2, [2], [4])])
+        with pytest.raises(DegenerateHull, match="^2 distinct points$"):
+            hull_of_rings([(3, [0, 3], [0, 0]), (1, [0], [0])])
+
     def test_square_with_inner_points(self):
         assert list(hull(UNIT_SQUARE + [pt("1/2", "1/2"), pt(0, 0)])) == UNIT_SQUARE
 
@@ -260,7 +292,7 @@ class TestHull:
     @given(st.lists(points, min_size=3, max_size=12))
     def test_hull_contains_inputs(self, pts):
         try:
-            poly = ConvexPolygon.hull_of(pts)
+            poly = Region.hull_of(pts)
         except DegenerateHull:
             return
         for p in pts:
@@ -360,7 +392,7 @@ class TestRings:
 
     @given(st.lists(wide_points, min_size=1, max_size=9))
     def test_area2_matches_fraction_shoelace(self, ring):
-        want = sum((ring[i - 1].cross(ring[i]) for i in range(len(ring))), F(0))
+        want = sum((cross(ring[i - 1], ring[i]) for i in range(len(ring))), F(0))
         assert ring_area2(ocd(ring)) == want
 
 
@@ -372,30 +404,30 @@ class TestHalfPlane:
         # the edge (1, 0) -> (1, 1) lies outside; (0, 0) -> (1, 1) crosses
         # the wall at (1/2, 1/2)
         got = intersect_region_cell(Region.from_ring(ring_of((0, 0), (1, 0), (1, 1))),
-                                    VoronoiCellH(ORIGIN, (w,), bounded=False))
+                                    VoronoiCellH(ORIGIN, (w,)))
         assert list(got.vertices) == ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))
 
     def test_intersection_of_strips(self):
         walls = ((1, 0, 1), (-1, 0, 0), (0, 1, 2), (0, -1, 0))
         box = Region.from_ring(ring_of((-9, -9), (9, -9), (9, 9), (-9, 9)))
-        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, walls, bounded=True))
+        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, walls))
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, 2), (0, 2))
 
 
 class TestConvexPolygon:
     def test_locate(self):
-        poly = ConvexPolygon.hull_of(UNIT_SQUARE)
+        poly = Region.hull_of(UNIT_SQUARE)
         assert poly.locate(pt("1/2", "1/2")) == 1
         assert poly.locate(pt(1, "1/2")) == 0
         assert poly.locate(pt(2, 0)) == -1
 
     def test_area_and_diameter(self):
-        poly = ConvexPolygon.hull_of(UNIT_SQUARE)
+        poly = Region.hull_of(UNIT_SQUARE)
         assert poly.area2 == 2
         assert poly.diameter_sq == 2
 
     def test_projection(self):
-        poly = ConvexPolygon.hull_of(UNIT_SQUARE)
+        poly = Region.hull_of(UNIT_SQUARE)
         assert project(poly, pt(2, "1/2")) == pt(1, "1/2")
         assert project(poly, pt(3, 3)) == pt(1, 1)
         assert project(poly, pt("1/3", "2/3")) == pt("1/3", "2/3")
@@ -404,7 +436,7 @@ class TestConvexPolygon:
     @settings(max_examples=60)
     def test_projection_is_nearest(self, x, pts):
         try:
-            poly = ConvexPolygon.hull_of(pts)
+            poly = Region.hull_of(pts)
         except DegenerateHull:
             return
         y = project(poly, x)
@@ -423,7 +455,7 @@ def reference_locate(poly, p):
     """locate on a convex polygon from Fraction cross products."""
     on_edge = False
     for u, v in edges(poly):
-        s = (v - u).cross(p - u)
+        s = cross(v - u, p - u)
         if s < 0:
             return -1
         if s == 0:
@@ -439,7 +471,7 @@ def reference_project(poly, x):
     best = best_d = None
     for u, v in edges(poly):
         d = v - u
-        t = min(max((x - u).dot(d) / d.norm_sq(), F(0)), F(1))
+        t = min(max(dot(x - u, d) / d.norm_sq(), F(0)), F(1))
         cand = u + d.scale(t)
         dd = dist_sq(x, cand)
         if best_d is None or dd < best_d:
@@ -454,7 +486,7 @@ def polygon_and_point(draw, coord_strategy):
     pts = draw(st.lists(st.builds(Point, coord_strategy, coord_strategy),
                         min_size=3, max_size=8))
     try:
-        poly = ConvexPolygon.hull_of(pts)
+        poly = Region.hull_of(pts)
     except DegenerateHull:
         assume(False)
     i = draw(st.integers(0, len(poly) - 1))
@@ -489,15 +521,15 @@ class TestConvexPolygonIntegerKernel:
         assert project(poly, x) == reference_project(poly, x)
 
 
-def convex_sum(p: ConvexPolygon, q: ConvexPolygon) -> Region:
+def convex_sum(p: Region, q: Region) -> Region:
     """The sum of two convex polygons by the one Minkowski walk."""
     return minkowski_convex_star(p, Region(*q._scaled))
 
 
 class TestMinkowski:
     def test_square_plus_triangle_pentagon(self):
-        sq = ConvexPolygon.hull_of(UNIT_SQUARE)
-        tri = ConvexPolygon.hull_of(ring_of((0, 0), (1, 0), (0, 1)))
+        sq = Region.hull_of(UNIT_SQUARE)
+        tri = Region.hull_of(ring_of((0, 0), (1, 0), (0, 1)))
         got = convex_sum(sq, tri)
         assert list(got.vertices) == ring_of((0, 0), (2, 0), (2, 1), (1, 2), (0, 2))
 
@@ -506,8 +538,8 @@ class TestMinkowski:
     @settings(max_examples=60)
     def test_matches_hull_of_pairwise_sums(self, ap, bp):
         try:
-            a = ConvexPolygon.hull_of(ap)
-            b = ConvexPolygon.hull_of(bp)
+            a = Region.hull_of(ap)
+            b = Region.hull_of(bp)
         except DegenerateHull:
             return
         got = convex_sum(a, b)
@@ -610,7 +642,7 @@ def reference_minkowski(p, q):
             step, i = ea[i], i + 1
         else:
             da, db = ea[i], eb[j]
-            cr = da.cross(db)
+            cr = cross(da, db)
             if half(da) != half(db):
                 take_a = half(da) < half(db)
             elif cr == 0:
@@ -692,7 +724,7 @@ class TestRingIntegerKernel:
         want = max(((p - q).norm_sq() for p in pts for q in pts), default=F(0))
         assert diameter_sq_of(ocd(pts)) == want
         try:
-            poly = ConvexPolygon.hull_of(pts)
+            poly = Region.hull_of(pts)
         except DegenerateHull:
             return
         assert poly.diameter_sq == max((p - q).norm_sq() for p in poly.vertices
@@ -703,8 +735,8 @@ class TestRingIntegerKernel:
     @settings(max_examples=150, deadline=None)
     def test_minkowski_matches_fraction_reference(self, ap, bp):
         try:
-            a = ConvexPolygon.hull_of(ap)
-            b = ConvexPolygon.hull_of(bp)
+            a = Region.hull_of(ap)
+            b = Region.hull_of(bp)
         except DegenerateHull:
             return
         got = list(convex_sum(a, b).vertices)

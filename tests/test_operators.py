@@ -12,7 +12,6 @@ import errdiff.starunion
 from errdiff.booleans import clip_components, subset, union_one_region
 from errdiff.geometry import (
     ORIGIN,
-    ConvexPolygon,
     DegenerateHull,
     DisconnectedUnion,
     GeometryError,
@@ -24,6 +23,7 @@ from errdiff.geometry import (
     _shift,
     dist_sq,
     equal_canonical,
+    hull_of_rings,
     is_convex_ring,
     over_common_denominator,
     point_in_ring,
@@ -34,11 +34,9 @@ from errdiff.operators import (
     OPERATORS,
     Collection,
     EmptyCellPiece,
-    IterationConfig,
     SNAP_DENOMINATOR,
     _G_step,
     _g_pieces,
-    _hull,
     _sum_hull_with_ring,
     apply_operator,
     certify,
@@ -81,7 +79,7 @@ ZIGZAG5 = sites((0, 0), (F(1, 2), F(2, 3)), (1, 0), (F(3, 2), -F(2, 3)), (2, 0),
 
 
 def single(S):
-    return Collection((S,), name=S.id)
+    return Collection((S,))
 
 
 def g_of(S, q):
@@ -176,7 +174,7 @@ def fan_sum(P, Q):
     for i in range(n):
         a, b = Q.vertices[i], Q.vertices[(i + 1) % n]
         if reference_orient(ORIGIN, a, b):
-            parts.append(ConvexPolygon.hull_of([u + v for u in P.vertices
+            parts.append(Region.hull_of([u + v for u in P.vertices
                                                 for v in (ORIGIN, a, b)]))
     return union_one_region(parts).with_reference(P.vertices[0])
 
@@ -198,7 +196,7 @@ def lattice_hulls(draw):
     w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     extra = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4))
     pts = [(ax, ay), (ax + w, ay), (ax, ay + h)] + extra
-    return ConvexPolygon.hull_of(pt(F(x, den), F(y, den)) for x, y in pts)
+    return Region.hull_of(pt(F(x, den), F(y, den)) for x, y in pts)
 
 
 @st.composite
@@ -238,8 +236,8 @@ class TestMinkowskiConvexStarOracle:
     @given(lattice_hulls(), lattice_stars())
     @settings(max_examples=150, deadline=None)
     @example(UNIT_SQUARE.hull, PLUS)
-    @example(ConvexPolygon.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)]), L_AT_ORIGIN)
-    @example(ConvexPolygon.hull_of([pt(-1, 0), pt(1, -1), pt(1, 1)]), PACMAN)
+    @example(Region.hull_of([pt(0, 0), pt(1, 0), pt(0, 1)]), L_AT_ORIGIN)
+    @example(Region.hull_of([pt(-1, 0), pt(1, -1), pt(1, 1)]), PACMAN)
     def test_matches_fan_oracle(self, P, Q):
         got = minkowski_convex_star(P, Q)
         want = fan_sum(P, Q)
@@ -251,7 +249,7 @@ class TestMinkowskiConvexStarOracle:
 def convex_polygons(draw, point_strategy):
     pts = draw(st.lists(point_strategy, min_size=3, max_size=7))
     try:
-        return ConvexPolygon.hull_of(pts)
+        return Region.hull_of(pts)
     except DegenerateHull:
         assume(False)
 
@@ -266,7 +264,7 @@ def convex_off_origin(draw, point_strategy):
     ring = [pt(v.x + dx, v.y + dy) for v in poly.vertices]
     for _ in range(draw(st.integers(0, 3))):
         ring = [Point(-v.y, v.x) for v in ring]
-    return ConvexPolygon.hull_of(ring)
+    return Region.hull_of(ring)
 
 
 convex_pairs = st.one_of(
@@ -435,7 +433,7 @@ class TestConvexVariants:
         S = sites((0, 0), (2, 0), (1, 1))
         s0 = pt(1, 0)
         P = apply_operator("P", single(S), PointSeed(s0))
-        want = ConvexPolygon.hull_of([v + s0 - c for c in S.sites
+        want = Region.hull_of([v + s0 - c for c in S.sites
                                       for v in S.hull.vertices])
         assert P._scaled == want._scaled and P.reference is None
 
@@ -484,7 +482,7 @@ class TestHullRegion:
 
     def test_reference_outside_the_hull_is_rejected(self):
         R = Region.from_ring([pt(1, 1), pt(3, 1), pt(2, 2), pt(3, 3), pt(1, 3)])
-        H = _hull([R._scaled])
+        H = hull_of_rings([R._scaled])
         assert H.vertices == (pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3))
         with pytest.raises(KernelViolation):
             H.with_reference(ORIGIN)
@@ -515,7 +513,7 @@ class TestHullRegion:
                 except GeometryError:
                     pass
                 else:
-                    want = ConvexPolygon.hull_of(image.vertices)
+                    want = Region.hull_of(image.vertices)
                     assert got._scaled == want._scaled
                     assert got.reference == reference
                 q = got
@@ -891,17 +889,19 @@ class TestIterate:
             assert equal_canonical(again, res.final)
 
     def test_p_run_from_site_seed(self):
-        res = iterate("p", single(UNIT_SQUARE), PointSeed(pt(0, 0)),
-                      IterationConfig(max_iter=50))
+        res = iterate("p", single(UNIT_SQUARE), PointSeed(pt(0, 0)), max_iter=50)
         assert res.converged
         again = apply_operator("p", single(UNIT_SQUARE), res.final)
         assert equal_canonical(again, res.final)
 
     def test_max_iter_reported(self):
-        res = iterate("g", single(ZIGZAG5), PointSeed(ORIGIN),
-                      IterationConfig(max_iter=2))
+        res = iterate("g", single(ZIGZAG5), PointSeed(ORIGIN), max_iter=2)
         assert not res.converged and res.stop_reason == "max-iterations"
         assert res.iterations == 2
+
+    def test_max_iter_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            iterate("g", single(ZIGZAG5), PointSeed(ORIGIN), max_iter=0)
 
     def test_divergence_guard(self, monkeypatch):
         monkeypatch.setattr(errdiff.operators, "DIVERGENCE_FACTOR",

@@ -8,8 +8,8 @@ from errdiff.geometry import Region, point_of, pt, sub_ratios
 from errdiff.render import render_svg
 from errdiff.voronoi import SiteSet
 
-SQUARE5 = SiteSet(
-    (pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1), pt("1/2", "1/2")), id="sq5")
+SQUARE4 = SiteSet((pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)), id="sq4")
+SQUARE5 = SiteSet(SQUARE4.sites + (pt("1/2", "1/2"),), id="sq5")
 
 
 def polyline_points(svg: str) -> list[str]:
@@ -40,7 +40,8 @@ class TestStructure:
         assert svg.count("<circle") == len(SQUARE5.sites)
 
     def test_hull_outline_present(self):
-        svg = render_svg(site_sets=[SQUARE5], show_cells=False)
+        # no inner site, so no cell: the hull is the one polygon
+        svg = render_svg(site_sets=[SQUARE4])
         assert svg.count("<polygon") == 1
 
     def test_bounded_cell_drawn_solid_and_dashed(self):

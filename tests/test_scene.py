@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from errdiff.dynamics import Convex, Finite, Triangle
-from errdiff.operators import IterationConfig
+from errdiff.dynamics import Convex, Finite, Opponent, ScenarioProvider, Triangle
 from errdiff.scene import ParseError, ValidationError, parse_scene
 
 SCENES_DIR = Path(__file__).resolve().parent.parent / "scenes"
@@ -146,7 +145,7 @@ class TestResolution:
     def test_fixed_singleton_collection(self):
         scene = parse_scene(scene_text(simulations=sim(
             {"mode": "fixed", "collection": "c"})))
-        provider = scene.resolve_provider(scene.simulations["s"].provider)
+        provider = scene.simulations["s"].provider
         fs = provider.pick(0, None)
         assert isinstance(fs, Finite) and fs.set_id == "S"
 
@@ -168,7 +167,7 @@ class TestResolution:
             ]},
             simulations=sim({"mode": "fixed", "collection": "c",
                              "member": "b"})))
-        fs = scene.resolve_provider(scene.simulations["s"].provider).pick(0, None)
+        fs = scene.simulations["s"].provider.pick(0, None)
         assert fs.set_id == "b"
 
     def test_fixed_region_must_be_convex(self):
@@ -183,14 +182,22 @@ class TestResolution:
         scene = parse_scene(scene_text(
             regions={"r": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
             simulations=sim({"mode": "fixed", "region": "r"})))
-        fs = scene.resolve_provider(scene.simulations["s"].provider).pick(0, None)
+        fs = scene.simulations["s"].provider.pick(0, None)
         assert isinstance(fs, Convex)
+        assert fs.polygon is scene.regions["r"]
+
+    def test_fixed_non_convex_region_is_a_bad_provider(self):
+        notch = [["0", "0"], ["4", "0"], ["4", "4"], ["2", "1"], ["0", "4"]]
+        with pytest.raises(ValidationError, match="BadProvider") as exc:
+            parse_scene(scene_text(regions={"r": notch},
+                                   simulations=sim({"mode": "fixed", "region": "r"})))
+        assert exc.value.locations == ("simulations.s.provider",)
 
     def test_fixed_triangle_envelope(self):
         scene = parse_scene(scene_text(
             triangles={"tri": {"h_max": "2", "t": "1/2"}},
             simulations=sim({"mode": "fixed", "triangle": "tri"})))
-        fs = scene.resolve_provider(scene.simulations["s"].provider).pick(0, None)
+        fs = scene.simulations["s"].provider.pick(0, None)
         assert isinstance(fs, Triangle)
         assert fs.h == 2 and fs.t == Fraction(1, 2)
 
@@ -199,19 +206,16 @@ class TestResolution:
             triangles={"tri": {"h_max": "1", "t": "1"}},
             simulations=sim({"mode": "random-triangle", "triangle": "tri",
                              "seed": 3})))
-        provider = scene.resolve_provider(scene.simulations["s"].provider)
+        provider = scene.simulations["s"].provider
         assert provider.mode == "random-triangle"
 
 
 class TestConfig:
     def test_overrides_are_exact(self):
-        cfg = parse_scene(scene_text(config={"max_iter": 40})).config
-        assert cfg == IterationConfig(max_iter=40)
+        assert parse_scene(scene_text(config={"max_iter": 40})).max_iter == 40
 
     def test_defaults_when_absent(self):
-        cfg = parse_scene(scene_text()).config
-        assert cfg == IterationConfig()
-        assert cfg.max_iter == 1000
+        assert parse_scene(scene_text()).max_iter == 1000
 
     @pytest.mark.parametrize("key,value", [("epsilon", "1/100"), ("k", 5), ("r", 2),
                                            ("s", 3), ("rounding", False)])
@@ -231,5 +235,5 @@ class TestRoundTrip:
     def test_shipped_scenes(self, path):
         scene = parse_scene(path.read_text())
         for spec in scene.simulations.values():
-            scene.resolve_provider(spec.provider)
-            scene.resolve_opponent(spec.opponent)
+            assert isinstance(spec.provider, ScenarioProvider)
+            assert isinstance(spec.opponent, Opponent)

@@ -39,6 +39,11 @@ from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_
 from test_geometry import level, wall
 
 
+def corners(S: SiteSet) -> tuple:
+    """The sites on the hull boundary: every site that is not an inner."""
+    return tuple(s for s in S.sites if S.hull.locate(s) == 0)
+
+
 def nearest_site(S, x):
     """The site of S nearest to the Point x, by project_ratios."""
     return point_of(project_ratios(S, ratios(x)))
@@ -89,29 +94,30 @@ class TestSiteSet:
 
     def test_corners_and_inners_square(self):
         S = SQUARE_CORNERS
-        assert len(S.corners) == 4 and S.inners == ()
+        assert len(corners(S)) == 4 and S.inners == ()
 
     def test_corners_and_inners_center(self):
         S = SQUARE_CENTER
         assert S.inners == (pt("1/2", "1/2"),)
-        assert len(S.corners) == 4
+        assert len(corners(S)) == 4
 
     def test_edge_site_is_corner(self):
         S = SiteSet((pt(0, 0), pt(2, 0), pt(1, 0), pt(0, 2)))
-        assert pt(1, 0) in S.corners
+        assert pt(1, 0) in corners(S)
 
     def test_eight_point_star(self):
         S = SiteSet(tuple(
             pt(x, y) for x, y in [(-2, 0), (2, 0), (0, -2), (0, 2),
                                   ("1/2", "1/2"), ("-1/2", "1/2"),
                                   ("1/2", "-1/2"), ("-1/2", "-1/2")]))
-        assert len(S.corners) == 4 and len(S.inners) == 4
+        assert len(corners(S)) == 4 and len(S.inners) == 4
 
 
 class TestCell:
     def test_corner_cell_walls(self):
         c = cell(SQUARE_CORNERS, pt(0, 0))
-        assert not c.bounded
+        with pytest.raises(UnboundedCell):
+            materialize_cell(SQUARE_CORNERS, pt(0, 0))
         # x + y <= 1, the wall of the opposite corner, meets the cell at
         # (1/2, 1/2) only and is not a facet
         assert sorted(c.walls) == sorted([
@@ -183,7 +189,7 @@ class TestIntersect:
         assert V.walls == (bisector(c, pt("3/2", "1/2")), bisector(c, pt("1/2", "3/2")))
         square = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
         assert intersect_region_cell(notched, V).vertices == square
-        flipped = VoronoiCellH(c, V.walls[::-1], bounded=False)
+        flipped = VoronoiCellH(c, V.walls[::-1])
         assert intersect_region_cell(notched, flipped).vertices == square
         assert cell_components(notched, V) == [list(square)]
 
@@ -284,16 +290,15 @@ class TestCellCache:
             V = cell(SQUARE_CENTER, c)
             assert cell(SQUARE_CENTER, c) is V
             assert V.walls == tuple(bisector(c, d) for d in facets[c])
-            assert V.bounded == (c in SQUARE_CENTER.inners)
 
 
 class TestCornerCellMonotonicity:
     def test_cell_within_corner_cell(self):
         # the cell under all sites sits inside the cell under corners only
         S = SQUARE_CENTER
-        cor = SiteSet(S.corners, id="cor")
+        cor = SiteSet(corners(S), id="cor")
         box = Region.from_ring([pt(-9, -9), pt(9, -9), pt(9, 9), pt(-9, 9)])
-        for c in S.corners:
+        for c in corners(S):
             fine = intersect_region_cell(box, cell(S, c))
             coarse = intersect_region_cell(box, cell(cor, c))
             assert fine is not None and coarse is not None
@@ -387,8 +392,7 @@ class TestFacetWalls:
         assert len(members) == 9
         for S in members:
             for c in S:
-                every = VoronoiCellH(c, tuple(bisector(c, d) for d in S if d != c),
-                                     c in S.inners)
+                every = VoronoiCellH(c, tuple(bisector(c, d) for d in S if d != c))
                 facets = cell(S, c).walls
                 assert set(facets) <= set(every.walls)
                 if c in S.inners:
