@@ -7,8 +7,8 @@ every component of what is left.  It carries each piece on integers from
 one wall to the next: a level per vertex and wall, whose sign is the
 vertex's side, and every crossing as one reduced integer triple
 (X, Y, D).  Only at the end does each component go over its own common
-denominator and into canonical form; no Fraction is built.  The operators
-and errdiff.voronoi read the components on integers.
+denominator and into canonical form; no Fraction is built.  Its one
+caller, operators.cell_pieces, reads the components on integers.
 
 subset_witness and union_rings take polygons, put their rings over one
 common denominator and share one edge splitter, _pieces: each edge is

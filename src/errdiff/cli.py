@@ -319,7 +319,11 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors exiting EXIT_INVALID, since 2 means a run
-    that did not converge; -h still exits 0."""
+    that did not converge; -h still exits 0.  No flag may be abbreviated,
+    so a prefix such as --s is refused rather than read as --scene."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -335,10 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal invariant sets and tracking games, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--scene", required=True, help="scene file (JSON)")
         p.add_argument("--out", default=".", help="artifact directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
 
     def iteration_flags(p):
         p.add_argument("--convex", action="store_true",
@@ -350,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         iteration_flags(p)
     p = sub.add_parser("simulate", help="run the declared tracking games")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--steps", type=int, default=None)
     for name, text in (("verify", "check stored artifacts exactly"),
                        ("report-assumptions", "summarize boundedness data"),
                        ("render", "draw the scene and artifacts as SVG")):
         p = sub.add_parser(name, help=text)
-        common(p)
+        common(p, seeded=name == "verify")
     return parser
 
 

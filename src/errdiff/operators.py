@@ -1,25 +1,24 @@
 """Set operators over site-set collections and the fixed-point iteration.
 
-Both operators use the recentered cell union U(X) = union over sites c of
-(X ∩ V(c)) − c: g(Q) = U(ch S + Q) and p(D) = ch S + U(D), the same two
-pieces in the opposite order.  Both add ch S to a region by one
-convolution-cycle walk (minkowski_convex_star), for a convex region
-anywhere and for one star-shaped around the origin.  One helper per family
-(_g_pieces, _p_pieces) clips the region's integer ring by each cell's
-walls, reduced integer triples (booleans.clip_components); each piece is
-shifted by -c on integers.  g unites the pieces of every member at once
-in one radial envelope around the origin (starunion.cycle_envelope), and
-p_step unites one member's pieces in another.  The convex variants take
-their hull instead (geometry.hull_of_rings, a Region like every other
-image), since a hull commutes with
-union and with Minkowski sum: G(Q) = conv of the g pieces, with the
-origin as reference, and P(D) = ch S + conv of the p pieces, one convex
-walk.  So a member's G or P image needs no envelope, and it is a set
-also where the union pinches at the center.  apply_operator is the one
-member loop: g pools every member's pieces, G unites the member hulls in
-one envelope around the origin, and p and P unite the members' images in
-union_one_region.  Every region passes from step to step as its integer
-ring, and the snap candidate is made on its iterate's integers too.
+All four operators are one recentred cell union, U(X) = union over sites
+c of (X ∩ V(c)) − c, in opposite orders: g(Q) = U(ch S + Q) and
+p(D) = ch S + U(D).  cell_pieces is its one clip loop: every component of
+X ∩ V(c), clipped on X's integers by the cell's walls
+(booleans.clip_components).  ch S is added by one convolution-cycle walk
+(minkowski_convex_star), to a convex region anywhere or to one
+star-shaped around the origin.  g and p unite the pieces, each shifted by
+-c and checked to be one component with c in its kernel (_star_cycles),
+in one radial envelope around the origin (starunion.cycle_envelope): g
+pools every member's pieces, and p_step, one member's, has a general
+route where the check or the envelope fails.  The convex variants take
+the hull of the shifted pieces instead (geometry.hull_of_rings), since a
+hull commutes with union and with Minkowski sum: G(Q) = conv U(ch S + Q),
+with the origin as reference, and P(D) = ch S + conv U(D), one convex
+walk; so they build no envelope per member, and return a set also where
+the union pinches at the center.  apply_operator is the one member loop:
+G unites the member hulls in one envelope around the origin, and p and P
+unite the members' images in union_one_region.  Every ring is a Scaled
+triple (m, xs, ys), and the snap candidate is made on integers too.
 Iterating any operator from a seed grows a monotone chain of regions
 whose limit is the minimal invariant set; the engine below runs that
 chain with exact rational arithmetic and stops it in one of two ways: at
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .booleans import Clipped, clip_components, subset_witness, union_one_region
+from .booleans import clip_components, subset_witness, union_one_region
 from .geometry import (
     DisconnectedUnion,
     GeometryError,
@@ -44,6 +43,7 @@ from .geometry import (
     Point,
     PointSeed,
     Region,
+    Scaled,
     _canonical_order,
     _ring_locate,
     _shift,
@@ -52,12 +52,14 @@ from .geometry import (
     is_convex_ring,
     scalar_str,
 )
-from .starunion import Cycle, cycle_envelope, star_cycle
+from .starunion import cycle_envelope, star_cycle
 from .voronoi import SiteSet, cell, nearest_sites
 
 OPERATORS = ("g", "G", "p", "P")
 
 Seed = Region | PointSeed
+# each site c whose cell meets a ring, with the components of the ring in it
+Pieces = list[tuple[Point, list[Scaled]]]
 
 
 @dataclass(frozen=True)
@@ -218,10 +220,42 @@ def minkowski_convex_star(P: Region, Q: Region) -> Region:
                 ys.append(py[i] + y0)
         ux, uy = vx, vy
     if not convex:
-        return cycle_envelope([(xs, ys, m)], P.vertices[0])
+        return cycle_envelope([(m, xs, ys)], P.vertices[0])
     ox, oy = pxs[0] * kp, pys[0] * kp
     order = _canonical_order(xs, ys)
     return Region(m, [xs[t] + ox for t in order], [ys[t] + oy for t in order])
+
+
+# ---------------------------------------------------------------------------
+# the recentred cell union U(X) = union over sites c of (X ∩ V(c)) − c
+
+def cell_pieces(S: SiteSet, X: Scaled) -> Pieces:
+    """Each site c whose cell meets the ring X, in S.sites order, with the
+    components of X ∩ V(c), clipped on X's integers (clip_components)."""
+    pieces = []
+    for c in S.sites:
+        comps = clip_components(X, cell(S, c).walls)
+        if comps:
+            pieces.append((c, [(m, xs, ys) for m, xs, ys, _ in comps]))
+    return pieces
+
+
+def _recentred(pieces: Pieces) -> list[Scaled]:
+    """The rings of U: every component of every cell's piece shifted by -c
+    on integers."""
+    return [_shift(ring, -c) for c, comps in pieces for ring in comps]
+
+
+def _star_cycles(pieces: Pieces) -> list[Scaled]:
+    """Each cell's piece shifted by -c on integers, as a ring around the
+    origin (star_cycle): MultiComponent when a cell keeps more than one
+    component, NotStarAtCenter when c is outside its piece's kernel."""
+    cycles = []
+    for c, comps in pieces:
+        if len(comps) > 1:
+            raise MultiComponent(f"cell of {c} cuts the region into {len(comps)} parts")
+        cycles.append(star_cycle(comps[0], c))
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -235,37 +269,15 @@ def _check_g_seed(Q: Seed) -> None:
         raise KernelViolation("g-family input must be star-shaped around the origin")
 
 
-def _g_pieces(S: SiteSet, Q: Seed) -> list[Cycle]:
-    """The g step's pieces ((ch S + Q) ∩ V(c)) − c, as cycles around the
-    origin, for a seed that passed _check_g_seed.
-
-    X = ch S + Q is clipped into each cell on X's integer ring
-    (clip_components); each piece, one component by the premise of the
-    step, is shifted by -c on integers (star_cycle, which also checks that
-    c is in its kernel).  No Point is built.
-    """
-    if isinstance(Q, PointSeed):
-        X = S.hull._scaled
-    else:
-        X = minkowski_convex_star(S.hull, Q)._scaled
-    cycles = []
-    for c in S.sites:
-        comps = clip_components(X, cell(S, c).walls)
-        if not comps:
-            raise EmptyCellPiece(f"cell of {c} misses ch S + Q")
-        if len(comps) > 1:
-            raise MultiComponent(
-                f"cell of {c} cuts the region into {len(comps)} parts")
-        m, xs, ys, _ = comps[0]
-        cycles.append(star_cycle((m, xs, ys), c))
-    return cycles
-
-
-def _G_step(S: SiteSet, Q: Seed) -> Region:
-    """conv g(Q) for one member, the hull of _g_pieces' vertices: hulls
-    commute with unions, so no envelope is built, and a union that pinches
-    at the origin still has one."""
-    return hull_of_rings([(m, xs, ys) for xs, ys, m in _g_pieces(S, Q)]).with_reference(ORIGIN)
+def _g_pieces(S: SiteSet, Q: Seed) -> Pieces:
+    """One member's cell_pieces of ch S + Q, for a seed that passed
+    _check_g_seed; EmptyCellPiece when a cell misses it."""
+    X = S.hull if isinstance(Q, PointSeed) else minkowski_convex_star(S.hull, Q)
+    pieces = cell_pieces(S, X._scaled)
+    missed = [c for c in S.sites if c not in dict(pieces)]
+    if missed:
+        raise EmptyCellPiece(f"cell of {missed[0]} misses ch S + Q")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +310,22 @@ def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
     return out
 
 
-def _p_step_general(hull: Region,
-                    pieces: list[tuple[Point, list[Clipped]]]) -> Region:
-    parts: list[Region] = []
-    for c, comps in pieces:
-        for m, xs, ys, _ in comps:
-            parts.extend(_sum_hull_with_ring(hull, Region(*_shift((m, xs, ys), -c))))
-    return union_one_region(parts)
-
-
-def _p_pieces(S: SiteSet, D: Region) -> list[tuple[Point, list[Clipped]]]:
-    """Each site c whose cell meets D, with the components of D ∩ V(c),
-    clipped on D's integer ring (clip_components)."""
-    pieces = []
-    for c in S.sites:
-        comps = clip_components(D._scaled, cell(S, c).walls)
-        if comps:
-            pieces.append((c, comps))
-    return pieces
+def _p_step_general(hull: Region, pieces: Pieces) -> Region:
+    return union_one_region([part for ring in _recentred(pieces)
+                             for part in _sum_hull_with_ring(hull, Region(*ring))])
 
 
 def p_step(S: SiteSet, D: Seed) -> Region:
-    """ch S + (union over sites c of (D ∩ V(c)) − c).
+    """ch S + U(D), U(D) the union over sites c of (D ∩ V(c)) − c.
 
     A point seed {s0} gives the union of ch S + s0 − c over its nearest
     sites c, all star-shaped around s0: one radial envelope of the hull
     shifted by each -c (star_cycle), which raises DisconnectedUnion when
-    they meet only at s0.  A region D is cut into _p_pieces; when each cell
-    that meets D keeps one piece, star-shaped around the origin once
-    shifted (which holds once the sites lie in D), the inner union and the
-    Minkowski sum run on the radial fast path.  Otherwise
-    (NotStarAtCenter, DisconnectedUnion) the general route sums the hull
+    they meet only at s0.  A region D is cut into cell_pieces; when each
+    cell that meets D keeps one piece, star-shaped around the origin once
+    shifted (which holds once the sites lie in D), U(D) is their envelope
+    and ch S is added by the radial walk.  Otherwise (MultiComponent,
+    NotStarAtCenter, DisconnectedUnion) the general route sums the hull
     with each piece by sweeping it along the piece's edges
     (_sum_hull_with_ring) and unites the sums in union_one_region.
     """
@@ -337,58 +334,50 @@ def p_step(S: SiteSet, D: Seed) -> Region:
         s0 = D.point
         cycles = [star_cycle(hull._scaled, c) for c in nearest_sites(S, s0)]
         return cycle_envelope(cycles, s0).with_reference(None)
-    pieces = _p_pieces(S, D)
-    if all(len(comps) == 1 for _, comps in pieces):
-        try:
-            cycles = []
-            for c, comps in pieces:
-                m, xs, ys, _ = comps[0]
-                cycles.append(star_cycle((m, xs, ys), c))
-            inner = cycle_envelope(cycles, ORIGIN)
-            return minkowski_convex_star(hull, inner).with_reference(None)
-        except (NotStarAtCenter, DisconnectedUnion):
-            pass
-    return _p_step_general(hull, pieces)
-
-
-def _P_step(S: SiteSet, D: Seed) -> Region:
-    """conv p(D) = ch S + conv(union over sites c of (D ∩ V(c)) − c): one
-    convex Minkowski walk with the hull of the shifted _p_pieces, since
-    hulls commute with unions and Minkowski sums.  A point seed {s0} gives
-    the hull of the translates ch S + s0 − c over its nearest sites c, also
-    where they meet only at s0."""
-    if isinstance(D, PointSeed):
-        s0 = D.point
-        return hull_of_rings([_shift(S.hull._scaled, s0 - c) for c in nearest_sites(S, s0)])
-    inner = hull_of_rings([_shift((m, xs, ys), -c)
-                   for c, comps in _p_pieces(S, D) for m, xs, ys, _ in comps])
-    return minkowski_convex_star(S.hull, inner)
+    pieces = cell_pieces(S, D._scaled)
+    try:
+        inner = cycle_envelope(_star_cycles(pieces), ORIGIN)
+        return minkowski_convex_star(hull, inner).with_reference(None)
+    except (MultiComponent, NotStarAtCenter, DisconnectedUnion):
+        return _p_step_general(hull, pieces)
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
     """op's image of Q over the collection.
 
-    p and P take each member's image (p_step, _P_step) and unite them in
-    union_one_region.  g is one radial envelope around the origin of every
-    member's _g_pieces, the union over all members and sites at once, so a
+    g is one radial envelope around the origin of every member's
+    _star_cycles, the union over all members and sites at once, so a
     member whose own union pinches at the origin needs no union of its
-    own.  G takes each member's hull (_G_step), which is the image of a
-    single member, and unites several in one envelope around the origin,
-    which every hull keeps in its kernel.
+    own.  G takes the hull of each member's recentred pieces, which is the
+    image of a single member, and unites several in one envelope around
+    the origin, which every hull keeps in its kernel.  p takes each
+    member's image (p_step).  P takes ch S plus the hull of each member's
+    recentred cell_pieces of D, one convex walk, and for a point seed {s0}
+    the hull of the translates ch S + s0 − c over the sites c nearest to
+    s0, also where they meet only at s0.  The p family unites its members
+    in union_one_region.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    if op in ("p", "P"):
-        step = p_step if op == "p" else _P_step
-        parts = [step(S, Q) for S in SS.members]
-        return parts[0] if len(parts) == 1 else union_one_region(parts)
-    _check_g_seed(Q)
-    if op == "g":
-        return cycle_envelope([cy for S in SS.members for cy in _g_pieces(S, Q)], ORIGIN)
-    parts = [_G_step(S, Q) for S in SS.members]
-    if len(parts) == 1:
-        return parts[0]
-    return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in parts], ORIGIN)
+    if op in ("g", "G"):
+        _check_g_seed(Q)
+        pieces = [_g_pieces(S, Q) for S in SS.members]
+        if op == "g":
+            return cycle_envelope([cy for p in pieces for cy in _star_cycles(p)], ORIGIN)
+        hulls = [hull_of_rings(_recentred(p)).with_reference(ORIGIN) for p in pieces]
+        if len(hulls) == 1:
+            return hulls[0]
+        return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in hulls], ORIGIN)
+    if op == "p":
+        parts = [p_step(S, Q) for S in SS.members]
+    elif isinstance(Q, PointSeed):
+        s0 = Q.point
+        parts = [hull_of_rings([_shift(S.hull._scaled, s0 - c) for c in nearest_sites(S, s0)])
+                 for S in SS.members]
+    else:
+        parts = [minkowski_convex_star(S.hull, hull_of_rings(_recentred(cell_pieces(S, Q._scaled))))
+                 for S in SS.members]
+    return parts[0] if len(parts) == 1 else union_one_region(parts)
 
 
 # ---------------------------------------------------------------------------

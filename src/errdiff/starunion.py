@@ -15,12 +15,12 @@ Lett. 33(4), 1989).  Arcs that no edge spans are gaps; a single gap closes
 through the center, two or more mean the union pinches there and has no
 simple boundary.
 
-The cycles are the boundaries of the parts of a union (every member's
-clipped g pieces at once, the member hulls of G, one member's p pieces,
-and p's hull shifts for a point seed), each put relative to the center
-by star_cycle, which also checks that the center is in the part's
-kernel; or the convolution cycle of a Minkowski sum, whose edges may
-turn either way.
+Each cycle is a ring (m, xs, ys), geometry's Scaled order.  The cycles
+are the boundaries of the parts of a union (every member's cell pieces
+at once for g, one member's for p, the member hulls of G, and p's hull
+shifts for a point seed), each put relative to the center by star_cycle,
+which also checks that the center is in the part's kernel; or the
+convolution cycle of a Minkowski sum, whose edges may turn either way.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its
@@ -49,8 +49,6 @@ from .geometry import (
 Dir = tuple[int, int]
 Triple = tuple[int, int, int]
 Vertex = tuple[Triple, Dir]
-# (xs, ys, m): the points (xs[i] / m, ys[i] / m) relative to the center
-Cycle = tuple[Sequence[int], Sequence[int], int]
 
 
 def _dir_cmp(a: Dir, b: Dir) -> int:
@@ -162,8 +160,8 @@ def _arc(es: list[_Edge], u: Dir, w: Dir) -> tuple[_Edge, _Edge, list[Vertex]]:
     return first, e, crossings
 
 
-def star_cycle(scaled: Scaled, center: Point) -> Cycle:
-    """A CCW ring (m, xs, ys), over its common denominator, as a cycle
+def star_cycle(scaled: Scaled, center: Point) -> Scaled:
+    """A CCW ring (m, xs, ys), over its common denominator, as a ring
     relative to center over the lcm of m and center's denominators.
 
     Raises NotStarAtCenter when an edge turns clockwise around center,
@@ -172,7 +170,7 @@ def star_cycle(scaled: Scaled, center: Point) -> Cycle:
     m, xs, ys = _shift(scaled, -center) if center.x or center.y else scaled
     if any(xs[i - 1] * ys[i] < ys[i - 1] * xs[i] for i in range(len(xs))):
         raise NotStarAtCenter("center is outside a part's kernel")
-    return xs, ys, m
+    return m, xs, ys
 
 
 def _chains(xs: Sequence[int], ys: Sequence[int]) -> list[list[int]]:
@@ -227,9 +225,9 @@ def _vertex(x: int, y: int, m: int) -> Vertex:
     return (x // g, y // g, m // g), (x // h, y // h)
 
 
-def cycle_envelope(cycles: Sequence[Cycle], center: Point) -> Region:
+def cycle_envelope(cycles: Sequence[Scaled], center: Point) -> Region:
     """Radial envelope around center of closed polygonal cycles, each
-    (xs, ys, m) through the points center + (xs[i] / m, ys[i] / m).
+    (m, xs, ys) through the points center + (xs[i] / m, ys[i] / m).
 
     The caller vouches that every cycle point lies in one closed set that is
     star-shaped around center and whose boundary lies on the cycles; the
@@ -238,7 +236,7 @@ def cycle_envelope(cycles: Sequence[Cycle], center: Point) -> Region:
     Raises DisconnectedUnion when two or more gaps cut the envelope apart.
     """
     runs = [[_vertex(xs[i], ys[i], m) for i in chain]
-            for xs, ys, m in cycles for chain in _chains(xs, ys)]
+            for m, xs, ys in cycles for chain in _chains(xs, ys)]
     dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
     for run in runs:
         dirs.update(d for _, d in run)

@@ -29,8 +29,8 @@ from .geometry import (
     sub_ratios,
     vertex_ratios,
 )
-from .operators import Collection, apply_operator
-from .voronoi import SiteSet, cell, intersect_region_cell, materialize_cell, nearest_sites
+from .operators import Collection, apply_operator, cell_pieces
+from .voronoi import SiteSet, materialize_cell, nearest_sites
 
 WITNESS_CAP = 10
 
@@ -140,8 +140,11 @@ def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
     then requires z - proj_{T(h)}(z) + x to stay inside the candidate.
     When a candidate smaller than T(h_max) is supplied, the same probes
     double as a floor test: points of T(h_max) must already belong to any
-    set that survives this check.  Witnesses are exact escape points.
+    set that survives this check.  Witnesses are exact escape points; a
+    negative samples raises ValueError.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     fam = TriangleFamily(h_max, t)
     envelope = fam.envelope
     target = candidate if candidate is not None else envelope
@@ -187,12 +190,9 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     realizes several outputs at once; together with the hull corners they
     drive the error to the boundary of the minimal set.
     """
-    hull = S.hull
-    pool = set(hull.vertices)
-    for c in S.sites:
-        piece = intersect_region_cell(hull, cell(S, c))
-        if piece is not None:
-            pool.update(piece.vertices)
+    pool = set(S.hull.vertices)
+    for _, comps in cell_pieces(S, S.hull._scaled):
+        pool.update(v for ring in comps for v in Region(*ring).vertices)
     return tuple(sorted(pool, key=Point.key))
 
 
@@ -204,13 +204,14 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
     nearest sites (all ties are explored, since any selection is a legal
     quantizer).  branching = 0 exhausts the pool of extreme inputs: hull
     corners and clipped-cell vertices.  branching = k > 0 draws k random
-    hull points per expansion instead.  Depth steps = 0 returns just the
-    origin.  The cloud is a certified subset of the reachable errors, so
-    it lower-bounds every invariant region.
+    hull points per expansion instead; a negative steps or branching
+    raises ValueError.  Depth steps = 0 returns just the origin.  The
+    cloud is a certified subset of the reachable errors, so it
+    lower-bounds every invariant region.
     """
     coll = _as_collection(scenario)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if steps < 0 or branching < 0:
+        raise ValueError("steps and branching must be nonnegative")
     rng = random.Random(seed)
     pools = {S.id: _input_pool(S) for S in coll} if branching == 0 else {}
     seen = {ORIGIN}

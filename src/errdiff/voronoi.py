@@ -5,15 +5,13 @@ whose walls bound it along an edge of positive length, each a reduced
 integer triple (booleans.Wall), found once per site set on the sites'
 integers (_facet_neighbours) by the monotone chain (geometry._hull_order)
 under the one integer hull, geometry.hull_of_rings, that also builds
-ch S as a Region (Region.hull_of).  Clipping a region into a cell is one
-call of booleans.clip_components on the region's integer ring through
-all the walls.  The operators call it themselves and read its components
-on integers; intersect_region_cell, for a clip that must leave one
-component, makes that component a Region as it stands.  Sites strictly
-inside the hull are the inners (SiteSet.inners).  SiteSet.cells keeps
-every cell's walls in the counter-clockwise order of the dual hull.  An
-inner site's cell is bounded, and materialize_cell builds it from those
-walls alone: each two consecutive walls meet at one of its vertices.
+ch S as a Region (Region.hull_of).  This module clips nothing:
+operators.cell_pieces cuts a ring by each cell's walls, one call of
+booleans.clip_components per cell.  Sites strictly inside the hull are
+the inners (SiteSet.inners).  SiteSet.cells keeps every cell's walls in
+the counter-clockwise order of the dual hull.  An inner site's cell is
+bounded, and materialize_cell builds it from those walls alone: each two
+consecutive walls meet at one of its vertices.
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
@@ -31,7 +29,6 @@ from typing import Iterator, Sequence
 
 from .geometry import (
     GeometryError,
-    MultiComponent,
     Point,
     Ratios,
     Region,
@@ -41,7 +38,7 @@ from .geometry import (
     ratios,
     scalar_str,
 )
-from .booleans import Wall, clip_components
+from .booleans import Wall
 
 
 class VoronoiError(GeometryError):
@@ -112,8 +109,8 @@ class SiteSet:
         walls in the counter-clockwise order of their dual points."""
         sites = self.sites
         _, xs, ys = over_common_denominator(sites)
-        return {c: VoronoiCellH(c, tuple(bisector(c, sites[j])
-                                         for j in _facet_neighbours(xs, ys, i)))
+        return {c: VoronoiCellH(tuple(bisector(c, sites[j])
+                                      for j in _facet_neighbours(xs, ys, i)))
                 for i, c in enumerate(sites)}
 
     @cached_property
@@ -156,7 +153,6 @@ class VoronoiCellH:
     """A Voronoi cell as the intersection of its facet walls, the bisector
     half-planes that bound it along an edge."""
 
-    site: Point
     walls: tuple[Wall, ...]
 
 
@@ -165,20 +161,6 @@ def cell(S: SiteSet, c: Point) -> VoronoiCellH:
         return S.cells[c]
     except KeyError:
         raise SiteNotInSet(f"{c} is not a site") from None
-
-
-def intersect_region_cell(R: Region, V: VoronoiCellH) -> Region | None:
-    """R clipped into V; None when empty, MultiComponent when R ∩ V has more
-    than one component.  The component's ring is canonical; the input's
-    star center need not survive the clip, so callers reattach one."""
-    comps = clip_components(R._scaled, V.walls)
-    if not comps:
-        return None
-    if len(comps) > 1:
-        raise MultiComponent(
-            f"cell of {V.site} cuts the region into {len(comps)} parts")
-    m, xs, ys, _ = comps[0]
-    return Region(m, xs, ys)
 
 
 def project_ratios(S: SiteSet, q: Ratios) -> Ratios:

@@ -39,8 +39,7 @@ from errdiff.starunion import (
     cycle_envelope,
     star_cycle,
 )
-from errdiff.voronoi import VoronoiCellH, intersect_region_cell
-from test_geometry import canonical, cross, dot, hull, reference_orient, wall
+from test_geometry import canonical, clipped, cross, dot, hull, reference_orient, wall
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -81,11 +80,6 @@ def star(rings, center):
 
 def locate(ring, p):
     return point_in_ring(over_common_denominator(ring), p)
-
-
-def one_wall(hp):
-    """A cell bounded by the one wall hp, to clip a Region with."""
-    return VoronoiCellH(ORIGIN, (hp,))
 
 
 def clip(ring, *walls):
@@ -172,17 +166,15 @@ class TestClip:
             ring_of((0, 0), (1, 0), (1, 1), (0, 1)),
             ring_of((2, 0), (3, 0), (3, 1), (2, 1)),
         ]
-        region = Region.from_ring(notched)
-        with pytest.raises(MultiComponent):
-            intersect_region_cell(region, one_wall(hp))
+        assert len(clipped(Region.from_ring(notched), (hp,))) == 2
 
     def test_region_clip(self):
         region = Region.from_ring(UNIT_SQUARE)
         hp = (0, 3, 1)  # y <= 1/3
-        got = intersect_region_cell(region, one_wall(hp))
+        (got,) = clipped(region, (hp,))
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, "1/3"), (0, "1/3"))
         below = (0, 1, -1)
-        assert intersect_region_cell(region, one_wall(below)) is None
+        assert clipped(region, (below,)) == []
 
 
 class TestSubset:

@@ -383,6 +383,15 @@ class TestFailureModes:
             run_cli("min-gset", "--scene", SCENES / "sset1.json", "--out", out, *flag)
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("command", ["min-gset", "min-fset",
+                                         "report-assumptions", "render"])
+    def test_seed_only_where_it_is_read(self, out, command, capsys):
+        # only simulate and verify draw random numbers
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--scene", SCENES / "sset1.json", "--out", out, "--seed", 1)
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_bad_flag_value_exits_three(self, out, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("min-gset", "--scene", SCENES / "sset1.json",

@@ -34,10 +34,16 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
+from errdiff.booleans import clip_components
 from errdiff.operators import minkowski_convex_star
-from errdiff.voronoi import VoronoiCellH, intersect_region_cell
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+
+
+def clipped(R: Region, walls) -> list[Region]:
+    """Every component of R cut by the walls (clip_components), each a
+    Region."""
+    return [Region(m, xs, ys) for m, xs, ys, _ in clip_components(R._scaled, walls)]
 
 
 def cross(a: Point, b: Point) -> F:
@@ -403,14 +409,13 @@ class TestHalfPlane:
         assert [sign(level(w, p)) for p in ring] == [-1, 1, 0]
         # the edge (1, 0) -> (1, 1) lies outside; (0, 0) -> (1, 1) crosses
         # the wall at (1/2, 1/2)
-        got = intersect_region_cell(Region.from_ring(ring_of((0, 0), (1, 0), (1, 1))),
-                                    VoronoiCellH(ORIGIN, (w,)))
+        (got,) = clipped(Region.from_ring(ring_of((0, 0), (1, 0), (1, 1))), (w,))
         assert list(got.vertices) == ring_of((0, 0), ("1/2", 0), ("1/2", "1/2"))
 
     def test_intersection_of_strips(self):
         walls = ((1, 0, 1), (-1, 0, 0), (0, 1, 2), (0, -1, 0))
         box = Region.from_ring(ring_of((-9, -9), (9, -9), (9, 9), (-9, 9)))
-        got = intersect_region_cell(box, VoronoiCellH(ORIGIN, walls))
+        (got,) = clipped(box, walls)
         assert list(got.vertices) == ring_of((0, 0), (1, 0), (1, 2), (0, 2))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import errdiff.operators
@@ -35,10 +35,12 @@ from errdiff.operators import (
     Collection,
     EmptyCellPiece,
     SNAP_DENOMINATOR,
-    _G_step,
     _g_pieces,
+    _p_step_general,
+    _star_cycles,
     _sum_hull_with_ring,
     apply_operator,
+    cell_pieces,
     certify,
     iterate,
     minkowski_convex_star,
@@ -367,14 +369,11 @@ class TestPStepRoutes:
     """The radial fast path and the edge-sweep general path must agree."""
 
     def test_routes_agree_along_runs(self):
-        from errdiff.operators import _p_step_general
         for S in (DIAMOND, ZIGZAG5, STAR8):
             d = apply_operator("p", single(S), PointSeed(S.sites[0]))
             for _ in range(3):
                 fast = p_step(S, d)
-                pieces = [(c, comps) for c in S.sites
-                          if (comps := clip_components(d._scaled, cell(S, c).walls))]
-                general = _p_step_general(S.hull, pieces)
+                general = _p_step_general(S.hull, cell_pieces(S, d._scaled))
                 assert equal_canonical(fast, general)
                 d = fast
 
@@ -537,9 +536,9 @@ def nested_g_family(op, SS, q):
     image (the envelope of its g pieces, or its hull), then one envelope
     of the members' images around the origin."""
     if op == "g":
-        parts = [cycle_envelope(_g_pieces(S, q), ORIGIN) for S in SS]
+        parts = [cycle_envelope(_star_cycles(_g_pieces(S, q)), ORIGIN) for S in SS]
     else:
-        parts = [_G_step(S, q) for S in SS]
+        parts = [apply_operator("G", single(S), q) for S in SS]
     return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in parts], ORIGIN)
 
 
@@ -547,9 +546,9 @@ def general_g_family(op, SS, q):
     """g or G over a collection by the general union: of every member's
     recentred g pieces, or of the member hulls."""
     if op == "g":
-        parts = [Region(m, xs, ys) for S in SS for xs, ys, m in _g_pieces(S, q)]
+        parts = [Region(*ring) for S in SS for ring in _star_cycles(_g_pieces(S, q))]
     else:
-        parts = [_G_step(S, q) for S in SS]
+        parts = [apply_operator("G", single(S), q) for S in SS]
     return union_one_region(parts)
 
 
@@ -636,6 +635,60 @@ class TestPooledGFamily:
             q = got
         res = iterate("g", SS, seed)
         assert (res.stop_reason, res.iterations, len(res.final)) == ("certified", 37, 11)
+
+
+def shift_identity_chain(S, steps):
+    """Check p(ch S + Q) = ch S + g(Q) and P(ch S + Q) = ch S + G(Q) along
+    the g and G chains from the origin, and the p and P chains from the
+    CLI's seed site s0, whose first image is ch S = ch S + {0}.  Where g
+    raises DisconnectedUnion, p must still return a region that holds its
+    input (the general route), and the g side ends there.  Returns the
+    number of equal p steps, of equal P steps, and of such g failures."""
+    SS = single(S)
+    s0 = _seed_for(SS, "S", "fset")
+    counts = [0, 0, 0]
+    for k, (g, p) in enumerate((("g", "p"), ("G", "P"))):
+        q, d = PointSeed(ORIGIN), apply_operator(p, SS, s0)
+        assert equal_canonical(d, S.hull)
+        for _ in range(steps):
+            try:
+                q = apply_operator(g, SS, q)
+            except DisconnectedUnion:
+                assert g == "g"
+                assert subset(d, apply_operator(p, SS, d))
+                counts[2] += 1
+                break
+            d = apply_operator(p, SS, d)
+            assert equal_canonical(d, minkowski_convex_star(S.hull, q))
+            counts[k] += 1
+    return counts
+
+
+class TestShiftIdentity:
+    """With phi(Q) = ch S + Q, p∘phi = phi∘g and P∘phi = phi∘G on a
+    single site set: the two sides run different code (g's pooled
+    envelope against p's radial route or its general route, G's hull
+    against P's convex walk), so each side checks the other."""
+
+    @given(lattice_sites)
+    @example([(-2, 0), (-1, -2), (1, -2), (1, 2)])
+    @settings(max_examples=100, deadline=None)
+    def test_p_and_P_follow_g_and_G(self, coords):
+        try:
+            S = sites(*coords)
+        except DegenerateHull:
+            assume(False)
+        equal_p, equal_P, g_disconnected = shift_identity_chain(S, 4)
+        assert equal_P == 4 and (equal_p == 4 or g_disconnected == 1)
+        if g_disconnected:
+            event("g raised DisconnectedUnion")
+
+    def test_counts_on_shipped_and_pinched_sets(self):
+        """The identity on a fixed list of sets, with the g failures
+        counted: the pinched set PINCHED fails at g's first step."""
+        got = [shift_identity_chain(S, 4) for S in
+               (UNIT_SQUARE, DIAMOND, STAR8, ZIGZAG5, PINCHED, shipped("sset3").members[0])]
+        assert got == [[4, 4, 0]] * 4 + [[0, 4, 1], [4, 4, 0]]
 
 
 def reference_candidate(q):

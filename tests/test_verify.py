@@ -211,6 +211,11 @@ class TestTriangleFamily:
         rep = triangle_family_check(0, 1, samples=50, seed=1)
         assert rep.passed
 
+    def test_negative_samples_rejected(self):
+        # a negative count would run no sample and pass on nothing checked
+        with pytest.raises(ValueError):
+            triangle_family_check(1, 1, samples=-5)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)
     def test_envelope_never_fails_under_any_seed(self, seed):
@@ -256,6 +261,16 @@ class TestReachability:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             brute_force_reachable(SQUARE, -1)
+
+    def test_negative_branching_rejected(self):
+        # a negative branching would draw no input and pass on the origin
+        # alone, where two draws per expansion already escape a tiny box
+        tiny = box(F(1, 100))
+        assert not reachable_within(SQUARE, tiny, 3, branching=2).passed
+        with pytest.raises(ValueError):
+            brute_force_reachable(SQUARE, 3, branching=-2)
+        with pytest.raises(ValueError):
+            reachable_within(SQUARE, tiny, 3, branching=-2)
 
     def test_exhaustive_cloud_is_deterministic(self):
         assert brute_force_reachable(SQUARE, 4) == brute_force_reachable(SQUARE, 4)

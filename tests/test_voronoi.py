@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import subset
+from errdiff.operators import _star_cycles, cell_pieces
 from errdiff.scene import load_scene
 from errdiff.geometry import (
     DegenerateHull,
@@ -31,12 +32,11 @@ from errdiff.voronoi import (
     cell,
     hull_edge_normals,
     inner_cell_diameter_sq,
-    intersect_region_cell,
     materialize_cell,
     project_ratios,
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
-from test_geometry import level, wall
+from test_geometry import clipped, level, wall
 
 
 def corners(S: SiteSet) -> tuple:
@@ -149,18 +149,18 @@ class TestCell:
 class TestIntersect:
     def test_square_in_corner_cell(self):
         R = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
-        got = intersect_region_cell(R, cell(SQUARE_CORNERS, pt(0, 0)))
+        (got,) = clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls)
         assert list(got.vertices) == [
             pt(0, 0), pt("1/2", 0), pt("1/2", "1/2"), pt(0, "1/2")]
 
     def test_disjoint_is_none(self):
         R = Region.from_ring([pt(5, 5), pt(6, 5), pt(6, 6), pt(5, 6)])
-        assert intersect_region_cell(R, cell(SQUARE_CORNERS, pt(0, 0))) is None
+        assert clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls) == []
 
     def test_inside_is_identity(self):
         R = Region.from_ring(
             [pt(0, 0), pt("1/4", 0), pt("1/4", "1/4"), pt(0, "1/4")])
-        got = intersect_region_cell(R, cell(SQUARE_CORNERS, pt(0, 0)))
+        (got,) = clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls)
         assert got.vertices == R.vertices
 
     def test_multicomponent_propagates(self):
@@ -168,12 +168,13 @@ class TestIntersect:
         notched = Region.from_ring([
             pt(0, 0), pt(1, 0), pt(1, 2), pt(2, 2), pt(2, 0),
             pt(3, 0), pt(3, 3), pt(0, 3)])
-        sites = SiteSet((pt("3/2", "1/2"), pt("3/2", "5/2"), pt(100, 1)))
-        lower = cell(sites, pt("3/2", "1/2"))
+        low = pt("3/2", "1/2")
+        sites = SiteSet((low, pt("3/2", "5/2"), pt(100, 1)))
+        assert len(cell_components(notched, cell(sites, low))) == 2
+        pieces = cell_pieces(sites, notched._scaled)
+        assert len(dict(pieces)[low]) == 2
         with pytest.raises(MultiComponent):
-            intersect_region_cell(notched, lower)
-        comps = cell_components(notched, lower)
-        assert len(comps) == 2
+            _star_cycles(pieces)
 
 
     def test_one_component_after_a_later_wall_rejoins(self):
@@ -188,9 +189,8 @@ class TestIntersect:
         V = cell(sites, c)
         assert V.walls == (bisector(c, pt("3/2", "1/2")), bisector(c, pt("1/2", "3/2")))
         square = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
-        assert intersect_region_cell(notched, V).vertices == square
-        flipped = VoronoiCellH(c, V.walls[::-1])
-        assert intersect_region_cell(notched, flipped).vertices == square
+        assert [R.vertices for R in clipped(notched, V.walls)] == [square]
+        assert [R.vertices for R in clipped(notched, V.walls[::-1])] == [square]
         assert cell_components(notched, V) == [list(square)]
 
 
@@ -299,9 +299,8 @@ class TestCornerCellMonotonicity:
         cor = SiteSet(corners(S), id="cor")
         box = Region.from_ring([pt(-9, -9), pt(9, -9), pt(9, 9), pt(-9, 9)])
         for c in corners(S):
-            fine = intersect_region_cell(box, cell(S, c))
-            coarse = intersect_region_cell(box, cell(cor, c))
-            assert fine is not None and coarse is not None
+            (fine,) = clipped(box, cell(S, c).walls)
+            (coarse,) = clipped(box, cell(cor, c).walls)
             assert subset(fine, coarse)
 
 
@@ -376,13 +375,6 @@ class TestFacetWalls:
         for c in S:
             want = outcome(folded_reference, ring, S, c)
             assert outcome(cell_components, R, cell(S, c)) == want
-            got = outcome(intersect_region_cell, R, cell(S, c))
-            if want is MultiComponent or len(want) > 1:
-                assert got is MultiComponent
-            elif not want:
-                assert got is None
-            else:
-                assert list(got.vertices) == want[0]
 
     def test_pruned_walls_leave_shipped_cells_unchanged(self):
         scenes = Path(__file__).resolve().parent.parent / "scenes"
@@ -392,7 +384,7 @@ class TestFacetWalls:
         assert len(members) == 9
         for S in members:
             for c in S:
-                every = VoronoiCellH(c, tuple(bisector(c, d) for d in S if d != c))
+                every = VoronoiCellH(tuple(bisector(c, d) for d in S if d != c))
                 facets = cell(S, c).walls
                 assert set(facets) <= set(every.walls)
                 if c in S.inners:
@@ -409,8 +401,8 @@ class TestFacetWalls:
                 pad = S.hull.diameter_sq
                 box = Region.from_ring((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
                                         pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
-                want = intersect_region_cell(box, every).vertices
-                assert intersect_region_cell(box, cell(S, c)).vertices == want
+                (want,) = [R.vertices for R in clipped(box, every.walls)]
+                assert [R.vertices for R in clipped(box, cell(S, c).walls)] == [want]
                 if c in S.inners:
                     assert want == got.vertices
 
@@ -426,7 +418,7 @@ def box_clip_cell(S, c):
         lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
         box = Region.from_ring((Point(lo_x, lo_y), Point(hi_x, lo_y),
                                 Point(hi_x, hi_y), Point(lo_x, hi_y)))
-        got = intersect_region_cell(box, cell(S, c))
+        (got,) = clipped(box, cell(S, c).walls)
         gx0, gy0, gx1, gy1 = bbox(got.vertices)
         if lo_x < gx0 and lo_y < gy0 and gx1 < hi_x and gy1 < hi_y:
             return got
