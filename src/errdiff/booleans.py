@@ -6,8 +6,11 @@ closed half-planes each held as one reduced integer triple, and returns
 every component of what is left.  It carries each piece on integers from
 one wall to the next: a level per vertex and wall, whose sign is the
 vertex's side, and every crossing as one reduced integer triple
-(X, Y, D).  Only at the end does each component go over its own common
-denominator and into canonical form; no Fraction is built.  Its one
+(X, Y, D).  A wall that leaves one chain of kept boundary, every cut
+of the shipped solves, joins its ends with no sort; only several chains
+are paired by their sorted positions along the wall.  Only at the end
+does each component go over its own common denominator and into
+canonical form; no Fraction is built.  Its one
 caller, operators.cell_pieces, reads the components on integers.
 
 subset_witness and union_rings take polygons, put their rings over one
@@ -103,7 +106,11 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
     The kept parts of the boundary are cut into chains that leave the wall
     line and come back to it; each chain end joins the next chain start
     along the line, in the direction (-B, A) that has the kept side on its
-    left.
+    left.  A position on the line is A y - B x over d.  One chain, the
+    common cut, joins its own ends with no sort (Sutherland & Hodgman,
+    CACM 1974): its end must lie at or before its start, one
+    cross-multiplied comparison.  Several chains are paired by their
+    positions sorted over the lcm of their denominators.
     """
     xs, ys, ds, src = ring
     n = len(levels)
@@ -132,8 +139,14 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
             cur, deep = [], False
         i = j
 
-    # the position of a chain end on the line, A y - B x over d, is compared
-    # over the lcm of the ends' denominators
+    if len(chains) == 1:
+        ch, deep = chains[0]
+        ex, ey, ed, _ = ch[-1]
+        sx, sy, sd, _ = ch[0]
+        if (A * ey - B * ex) * sd > (A * sy - B * sx) * ed:
+            raise MultiComponent("clip produced a degenerate boundary contact")
+        return [tuple(zip(*ch))] if deep else []
+
     ends = [w for ch, _ in chains for w in (ch[-1], ch[0])]
     L = lcm(*[w[2] for w in ends])
     events = sorted(((A * w[1] - B * w[0]) * (L // w[2]), kind, ci)

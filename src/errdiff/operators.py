@@ -53,7 +53,7 @@ from .geometry import (
     scalar_str,
 )
 from .starunion import cycle_envelope, star_cycle
-from .voronoi import SiteSet, cell, nearest_sites
+from .voronoi import SiteSet, nearest_sites
 
 OPERATORS = ("g", "G", "p", "P")
 
@@ -231,10 +231,12 @@ def minkowski_convex_star(P: Region, Q: Region) -> Region:
 
 def cell_pieces(S: SiteSet, X: Scaled) -> Pieces:
     """Each site c whose cell meets the ring X, in S.sites order, with the
-    components of X ∩ V(c), clipped on X's integers (clip_components)."""
+    components of X ∩ V(c), clipped on X's integers (clip_components).
+    The sites are zipped with their walls (SiteSet.cells), so no Point is
+    looked up."""
     pieces = []
-    for c in S.sites:
-        comps = clip_components(X, cell(S, c).walls)
+    for c, walls in zip(S.sites, S.cells):
+        comps = clip_components(X, walls)
         if comps:
             pieces.append((c, [(m, xs, ys) for m, xs, ys, _ in comps]))
     return pieces
@@ -274,9 +276,12 @@ def _g_pieces(S: SiteSet, Q: Seed) -> Pieces:
     _check_g_seed; EmptyCellPiece when a cell misses it."""
     X = S.hull if isinstance(Q, PointSeed) else minkowski_convex_star(S.hull, Q)
     pieces = cell_pieces(S, X._scaled)
-    missed = [c for c in S.sites if c not in dict(pieces)]
-    if missed:
-        raise EmptyCellPiece(f"cell of {missed[0]} misses ch S + Q")
+    if len(pieces) < len(S.sites):
+        # pieces keep S.sites order, so the first missed site is the first
+        # one that the hit sites, padded by None, do not match
+        hit = [c for c, _ in pieces] + [None]
+        missed = next(c for c, h in zip(S.sites, hit) if c is not h)
+        raise EmptyCellPiece(f"cell of {missed} misses ch S + Q")
     return pieces
 
 

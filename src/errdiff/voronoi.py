@@ -8,10 +8,11 @@ under the one integer hull, geometry.hull_of_rings, that also builds
 ch S as a Region (Region.hull_of).  This module clips nothing:
 operators.cell_pieces cuts a ring by each cell's walls, one call of
 booleans.clip_components per cell.  Sites strictly inside the hull are
-the inners (SiteSet.inners).  SiteSet.cells keeps every cell's walls in
-the counter-clockwise order of the dual hull.  An inner site's cell is
-bounded, and materialize_cell builds it from those walls alone: each two
-consecutive walls meet at one of its vertices.
+the inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per
+site, in S.sites order, each in the counter-clockwise order of the dual
+hull: a cell is found by its site's index, never looked up by Point.  An
+inner site's cell is bounded, and materialize_cell builds it from those
+walls alone: each two consecutive walls meet at one of its vertices.
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
@@ -46,10 +47,6 @@ class VoronoiError(GeometryError):
 
 
 class CoincidentSites(VoronoiError):
-    pass
-
-
-class SiteNotInSet(VoronoiError):
     pass
 
 
@@ -104,14 +101,13 @@ class SiteSet:
         return tuple(s for s in self.sites if self.hull.locate(s) == 1)
 
     @cached_property
-    def cells(self) -> dict[Point, VoronoiCellH]:
-        """The Voronoi cell of every site, by site, bounded by its facet
+    def cells(self) -> tuple[tuple[Wall, ...], ...]:
+        """The Voronoi cell of every site, in S.sites order, as its facet
         walls in the counter-clockwise order of their dual points."""
         sites = self.sites
         _, xs, ys = over_common_denominator(sites)
-        return {c: VoronoiCellH(tuple(bisector(c, sites[j])
-                                      for j in _facet_neighbours(xs, ys, i)))
-                for i, c in enumerate(sites)}
+        return tuple(tuple(bisector(c, sites[j]) for j in _facet_neighbours(xs, ys, i))
+                     for i, c in enumerate(sites))
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Ratios], ...]]:
@@ -148,21 +144,6 @@ def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]
     return [js[k] for k in _hull_order(dxs, dys) if k < len(js)]
 
 
-@dataclass(frozen=True)
-class VoronoiCellH:
-    """A Voronoi cell as the intersection of its facet walls, the bisector
-    half-planes that bound it along an edge."""
-
-    walls: tuple[Wall, ...]
-
-
-def cell(S: SiteSet, c: Point) -> VoronoiCellH:
-    try:
-        return S.cells[c]
-    except KeyError:
-        raise SiteNotInSet(f"{c} is not a site") from None
-
-
 def project_ratios(S: SiteSet, q: Ratios) -> Ratios:
     """A squared-distance-minimizing site of S to the point q, both as
     Ratios; ties go to the smallest site.
@@ -197,7 +178,7 @@ def materialize_cell(S: SiteSet, c: Point) -> Region:
     """
     if c not in S.inners:
         raise UnboundedCell(f"{c} is not an inner site")
-    walls = S.cells[c].walls
+    walls = S.cells[S.sites.index(c)]
     corners = [(C1 * B2 - C2 * B1, A1 * C2 - A2 * C1, A1 * B2 - A2 * B1)
                for (A1, B1, C1), (A2, B2, C2) in zip(walls, walls[1:] + walls[:1])]
     m = lcm(*[d for _, _, d in corners])

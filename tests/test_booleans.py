@@ -560,8 +560,9 @@ def reference_clip(ring, a, b, c):
 
 @st.composite
 def ring_and_wall(draw, radius):
-    """A canonical star ring and a wall through two of its vertices, through
-    one vertex, or anywhere, facing either way."""
+    """A canonical star ring, counter-clockwise or reversed to clockwise,
+    and a wall through two of its vertices, through one vertex, or
+    anywhere, facing either way."""
     ring = draw(star_rings(radius))
     n = len(ring)
     i = draw(st.integers(0, n - 1))
@@ -575,6 +576,8 @@ def ring_and_wall(draw, radius):
             a = F(1)
         p = ring[i] if kind == "one vertex" else Point(draw(radius), draw(radius))
     flip = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        ring = ring[::-1]
     return ring, a * flip, b * flip, (a * p.x + b * p.y) * flip
 
 
@@ -596,6 +599,19 @@ class TestClipIntegerKernel:
         if got not in (MultiComponent, []) and got[0] == ring:
             scaled = over_common_denominator(ring)
             assert clip_components(scaled, (hp,))[0][1] is scaled[1]
+
+    def test_clockwise_one_chain_cut(self):
+        # a clockwise square cut once leaves one chain, whose end lies past
+        # its start along (-B, A): no wall order joins it, as in the
+        # reference's event pairing
+        cw = UNIT_SQUARE[::-1]
+        for hp in ((2, 0, 1), (0, -2, -1)):
+            assert outcome(clip, cw, hp) is MultiComponent
+            assert outcome(reference_clip, cw, *map(F, hp)) is MultiComponent
+        # counter-clockwise, the same cuts keep one half
+        assert clip(UNIT_SQUARE, (0, -2, -1)) == [ring_of((0, "1/2"), (1, "1/2"), (1, 1), (0, 1))]
+        # a wall that cuts nothing keeps the ring as given
+        assert clip(cw, (1, 0, 1)) == [cw]
 
     def test_vertices_on_the_line(self):
         # the wall y <= 1 runs through two vertices of the L; the clip keeps

@@ -49,7 +49,7 @@ from errdiff.operators import (
 )
 from errdiff.scene import load_scene
 from errdiff.starunion import cycle_envelope, star_cycle
-from errdiff.voronoi import SiteSet, cell
+from errdiff.voronoi import SiteSet
 from test_booleans import DIR_POOL, star_rings
 from test_geometry import (
     grid_points,
@@ -136,6 +136,22 @@ class TestGStep:
         with pytest.raises(EmptyCellPiece):
             apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
         assert issubclass(EmptyCellPiece, GeometryError)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_empty_cell_piece_names_the_missed_site(self, monkeypatch, k):
+        # only the cell of site k keeps nothing: cell_pieces lists every
+        # other site in S.sites order, and the error names site k
+        S = STAR8
+
+        def clip(scaled, walls):
+            return [] if walls == S.cells[k] else clip_components(scaled, walls)
+
+        monkeypatch.setattr(errdiff.operators, "clip_components", clip)
+        others = [c for i, c in enumerate(S.sites) if i != k]
+        assert [c for c, _ in cell_pieces(S, S.hull._scaled)] == others
+        with pytest.raises(EmptyCellPiece) as err:
+            apply_operator("g", single(S), PointSeed(ORIGIN))
+        assert str(err.value) == f"cell of {S.sites[k]} misses ch S + Q"
 
     def test_collection_duplicate_member_is_noop(self):
         twin = SiteSet(UNIT_SQUARE.sites, id="twin")
@@ -419,8 +435,8 @@ class TestConvexVariants:
             apply_operator("g", single(S), PointSeed(ORIGIN))
         G = apply_operator("G", single(S), PointSeed(ORIGIN))
         assert is_convex_ring(G._scaled) and G.reference == ORIGIN
-        for c in S.sites:
-            ((m, xs, ys, _),) = clip_components(S.hull._scaled, cell(S, c).walls)
+        for c, walls in zip(S.sites, S.cells):
+            ((m, xs, ys, _),) = clip_components(S.hull._scaled, walls)
             assert subset(Region.from_integers(*_shift((m, xs, ys), -c)), G)
         res = iterate("G", single(S), PointSeed(ORIGIN))
         assert res.stop_reason == "fixed-point" and res.iterations == 4

@@ -23,13 +23,10 @@ from errdiff.geometry import (
 from errdiff.voronoi import (
     AssumptionReport,
     CoincidentSites,
-    SiteNotInSet,
     SiteSet,
     UnboundedCell,
-    VoronoiCellH,
     assumption_report,
     bisector,
-    cell,
     hull_edge_normals,
     inner_cell_diameter_sq,
     materialize_cell,
@@ -49,10 +46,16 @@ def nearest_site(S, x):
     return point_of(project_ratios(S, ratios(x)))
 
 
-def cell_components(R: Region, V: VoronoiCellH) -> list[list[Point]]:
-    """Every component of R clipped into V as a Point ring, in vertex-key
-    order."""
-    return clip(R.vertices, *V.walls)
+def cell_walls(S: SiteSet, c: Point) -> tuple:
+    """The facet walls of the cell of the site c: its entry of S.cells,
+    which keeps S.sites order."""
+    return S.cells[S.sites.index(c)]
+
+
+def cell_components(R: Region, walls) -> list[list[Point]]:
+    """Every component of R clipped by the walls as a Point ring, in
+    vertex-key order."""
+    return clip(R.vertices, *walls)
 
 
 SQUARE_CORNERS = SiteSet((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)), id="sq")
@@ -115,19 +118,15 @@ class TestSiteSet:
 
 class TestCell:
     def test_corner_cell_walls(self):
-        c = cell(SQUARE_CORNERS, pt(0, 0))
+        walls = cell_walls(SQUARE_CORNERS, pt(0, 0))
         with pytest.raises(UnboundedCell):
             materialize_cell(SQUARE_CORNERS, pt(0, 0))
         # x + y <= 1, the wall of the opposite corner, meets the cell at
         # (1/2, 1/2) only and is not a facet
-        assert sorted(c.walls) == sorted([
+        assert sorted(walls) == sorted([
             (2, 0, 1),   # x <= 1/2
             (0, 2, 1),   # y <= 1/2
         ])
-
-    def test_unknown_site(self):
-        with pytest.raises(SiteNotInSet):
-            cell(SQUARE_CORNERS, pt(5, 5))
 
     def test_center_cell_is_diamond(self):
         got = materialize_cell(SQUARE_CENTER, pt("1/2", "1/2")).vertices
@@ -149,18 +148,18 @@ class TestCell:
 class TestIntersect:
     def test_square_in_corner_cell(self):
         R = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
-        (got,) = clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls)
+        (got,) = clipped(R, cell_walls(SQUARE_CORNERS, pt(0, 0)))
         assert list(got.vertices) == [
             pt(0, 0), pt("1/2", 0), pt("1/2", "1/2"), pt(0, "1/2")]
 
     def test_disjoint_is_none(self):
         R = Region.from_ring([pt(5, 5), pt(6, 5), pt(6, 6), pt(5, 6)])
-        assert clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls) == []
+        assert clipped(R, cell_walls(SQUARE_CORNERS, pt(0, 0))) == []
 
     def test_inside_is_identity(self):
         R = Region.from_ring(
             [pt(0, 0), pt("1/4", 0), pt("1/4", "1/4"), pt(0, "1/4")])
-        (got,) = clipped(R, cell(SQUARE_CORNERS, pt(0, 0)).walls)
+        (got,) = clipped(R, cell_walls(SQUARE_CORNERS, pt(0, 0)))
         assert got.vertices == R.vertices
 
     def test_multicomponent_propagates(self):
@@ -170,7 +169,7 @@ class TestIntersect:
             pt(3, 0), pt(3, 3), pt(0, 3)])
         low = pt("3/2", "1/2")
         sites = SiteSet((low, pt("3/2", "5/2"), pt(100, 1)))
-        assert len(cell_components(notched, cell(sites, low))) == 2
+        assert len(cell_components(notched, cell_walls(sites, low))) == 2
         pieces = cell_pieces(sites, notched._scaled)
         assert len(dict(pieces)[low]) == 2
         with pytest.raises(MultiComponent):
@@ -186,11 +185,11 @@ class TestIntersect:
             pt(3, 0), pt(3, 3), pt(0, 3)])
         c = pt("1/2", "1/2")
         sites = SiteSet((c, pt("1/2", "3/2"), pt("3/2", "1/2")))
-        V = cell(sites, c)
-        assert V.walls == (bisector(c, pt("3/2", "1/2")), bisector(c, pt("1/2", "3/2")))
+        V = cell_walls(sites, c)
+        assert V == (bisector(c, pt("3/2", "1/2")), bisector(c, pt("1/2", "3/2")))
         square = (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
-        assert [R.vertices for R in clipped(notched, V.walls)] == [square]
-        assert [R.vertices for R in clipped(notched, V.walls[::-1])] == [square]
+        assert [R.vertices for R in clipped(notched, V)] == [square]
+        assert [R.vertices for R in clipped(notched, V[::-1])] == [square]
         assert cell_components(notched, V) == [list(square)]
 
 
@@ -218,7 +217,7 @@ class TestProject:
     @settings(max_examples=80)
     def test_point_lies_in_cell_of_projection(self, x):
         y = nearest_site(SQUARE_CENTER, x)
-        for w in cell(SQUARE_CENTER, y).walls:
+        for w in cell_walls(SQUARE_CENTER, y):
             assert level(w, x) <= 0
 
 
@@ -276,9 +275,10 @@ class TestProjectIntegerKernel:
 
 class TestCellCache:
     def test_cells_are_built_once_per_site_set(self):
-        # a corner's facets are its two hull neighbours and the center; the
-        # center's wall cuts the cell off before the opposite corner's.  They
-        # come in the counter-clockwise order of their dual points, from the
+        # one tuple of walls per site, in S.sites order.  A corner's facets
+        # are its two hull neighbours and the center; the center's wall cuts
+        # the cell off before the opposite corner's.  They come in the
+        # counter-clockwise order of their dual points, from the
         # lexicographically smallest vertex of the dual hull
         center = pt("1/2", "1/2")
         facets = {pt(0, 0): (pt(1, 0), center, pt(0, 1)),
@@ -286,10 +286,10 @@ class TestCellCache:
                   pt(1, 1): (center, pt(1, 0), pt(0, 1)),
                   pt(0, 1): (pt(0, 0), center, pt(1, 1)),
                   center: (pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))}
-        for c in SQUARE_CENTER:
-            V = cell(SQUARE_CENTER, c)
-            assert cell(SQUARE_CENTER, c) is V
-            assert V.walls == tuple(bisector(c, d) for d in facets[c])
+        cells = SQUARE_CENTER.cells
+        assert SQUARE_CENTER.cells is cells
+        assert cells == tuple(tuple(bisector(c, d) for d in facets[c])
+                              for c in SQUARE_CENTER.sites)
 
 
 class TestCornerCellMonotonicity:
@@ -299,8 +299,8 @@ class TestCornerCellMonotonicity:
         cor = SiteSet(corners(S), id="cor")
         box = Region.from_ring([pt(-9, -9), pt(9, -9), pt(9, 9), pt(-9, 9)])
         for c in corners(S):
-            (fine,) = clipped(box, cell(S, c).walls)
-            (coarse,) = clipped(box, cell(cor, c).walls)
+            (fine,) = clipped(box, cell_walls(S, c))
+            (coarse,) = clipped(box, cell_walls(cor, c))
             assert subset(fine, coarse)
 
 
@@ -374,7 +374,7 @@ class TestFacetWalls:
         R = Region.from_ring(ring)
         for c in S:
             want = outcome(folded_reference, ring, S, c)
-            assert outcome(cell_components, R, cell(S, c)) == want
+            assert outcome(cell_components, R, cell_walls(S, c)) == want
 
     def test_pruned_walls_leave_shipped_cells_unchanged(self):
         scenes = Path(__file__).resolve().parent.parent / "scenes"
@@ -384,12 +384,12 @@ class TestFacetWalls:
         assert len(members) == 9
         for S in members:
             for c in S:
-                every = VoronoiCellH(tuple(bisector(c, d) for d in S if d != c))
-                facets = cell(S, c).walls
-                assert set(facets) <= set(every.walls)
+                every = tuple(bisector(c, d) for d in S if d != c)
+                facets = cell_walls(S, c)
+                assert set(facets) <= set(every)
                 if c in S.inners:
                     got = materialize_cell(S, c)
-                    for w in every.walls:
+                    for w in every:
                         levels = [level(w, v) for v in got.vertices]
                         # every wall holds the whole cell, so dropping one
                         # changes nothing; a facet carries one of its edges
@@ -401,8 +401,8 @@ class TestFacetWalls:
                 pad = S.hull.diameter_sq
                 box = Region.from_ring((pt(xmin - pad, ymin - pad), pt(xmax + pad, ymin - pad),
                                         pt(xmax + pad, ymax + pad), pt(xmin - pad, ymax + pad)))
-                (want,) = [R.vertices for R in clipped(box, every.walls)]
-                assert [R.vertices for R in clipped(box, cell(S, c).walls)] == [want]
+                (want,) = [R.vertices for R in clipped(box, every)]
+                assert [R.vertices for R in clipped(box, facets)] == [want]
                 if c in S.inners:
                     assert want == got.vertices
 
@@ -418,7 +418,7 @@ def box_clip_cell(S, c):
         lo_x, lo_y, hi_x, hi_y = xmin - pad, ymin - pad, xmax + pad, ymax + pad
         box = Region.from_ring((Point(lo_x, lo_y), Point(hi_x, lo_y),
                                 Point(hi_x, hi_y), Point(lo_x, hi_y)))
-        (got,) = clipped(box, cell(S, c).walls)
+        (got,) = clipped(box, cell_walls(S, c))
         gx0, gy0, gx1, gy1 = bbox(got.vertices)
         if lo_x < gx0 and lo_y < gy0 and gx1 < hi_x and gy1 < hi_y:
             return got
