@@ -9,8 +9,9 @@ vertex's side, and every crossing as one reduced integer triple
 (X, Y, D).  A wall that leaves one chain of kept boundary, every cut
 of the shipped solves, joins its ends with no sort; only several chains
 are paired by their sorted positions along the wall.  Only at the end
-does each component go over its own common denominator and into
-canonical form; no Fraction is built.  Its one
+does each component go over its own common denominator, in the cut's own
+vertex order, less each vertex on a wall line that repeats a neighbour
+or is collinear with its two (_cleaned); no Fraction is built.  Its one
 caller, operators.cell_pieces, reads the components on integers.
 
 subset_witness and union_rings take polygons, put their rings over one
@@ -47,18 +48,16 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 # clip by half-planes
 
-# A ring in the clipper: parallel sequences (xs, ys, ds, src).  Vertex i is
-# the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; src[i] is its
-# index in the ring the clip started from, or -1 for a crossing.
-_Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
-# A clipped component: (m, xs, ys, src), vertex i at (xs[i] / m, ys[i] / m)
-Clipped = tuple[int, list[int], list[int], Sequence[int]]
+# A ring in the clipper: parallel sequences (xs, ys, ds, on).  Vertex i is
+# the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; on[i] says
+# whether it lies on the line of a wall that cut the ring.
+_Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[bool]]
 # A wall (A, B, C): the closed half-plane A x + B y <= C, with (A, B) != 0
 # and gcd(A, B, C) == 1, so each half-plane has one value
 Wall = tuple[int, int, int]
 
 
-def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Clipped]:
+def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Scaled]:
     """Every component of a simple canonical ring cut by closed half-planes.
 
     scaled is the ring over its common denominator m.  Every piece of it
@@ -69,14 +68,17 @@ def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Clipped]:
     at the triple f(u) (x, y, d)_v - f(v) (x, y, d)_u, its sign turned so
     that d > 0 and reduced by its gcd.  A piece with no vertex strictly
     inside a wall has no area and goes.  Each surviving component comes
-    back in canonical form (_canonical_order) over its own common
-    denominator, the lcm of its reduced vertex denominators, with src
-    naming the input vertex behind each of its vertices (-1 for a
-    crossing).  A ring no wall cuts comes back as it was given, with src
-    range(len(xs)).  The components come in no particular order.
+    back as a ring (m, xs, ys) over the lcm of its reduced vertex
+    denominators, counter-clockwise in the cut's own vertex order, without
+    the vertices on a wall line that repeat a neighbour or are collinear
+    with their two; one left with fewer than three vertices goes.  No
+    other vertex needs the test: one strictly inside every wall keeps its
+    two edges of the canonical input, so it is neither repeated nor
+    collinear.  A ring no wall cuts comes back as it was given.  The
+    components come in no particular order.
     """
     m, xs, ys = scaled
-    whole: _Ring = (xs, ys, [m] * len(xs), range(len(xs)))
+    whole: _Ring = (xs, ys, [m] * len(xs), [False] * len(xs))
     rings = [whole]
     for A, B, C in walls:
         cut: list[_Ring] = []
@@ -91,13 +93,9 @@ def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Clipped]:
         if not rings:
             return []
     if rings[0] is whole:
-        return [(m, xs, ys, whole[3])]
-    out = []
-    for ring in rings:
-        comp = _canonical(ring)
-        if comp is not None:
-            out.append(comp)
-    return out
+        return [scaled]
+    comps = [_cleaned(ring) for ring in rings]
+    return [comp for comp in comps if comp is not None]
 
 
 def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
@@ -112,13 +110,13 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
     cross-multiplied comparison.  Several chains are paired by their
     positions sorted over the lcm of their denominators.
     """
-    xs, ys, ds, src = ring
+    xs, ys, ds, on = ring
     n = len(levels)
     # walk the edges from an outside vertex once around: a chain is a run
-    # of crossings and vertices with level <= 0; deep, whether one of its
-    # vertices lies strictly inside
-    chains: list[tuple[list[tuple[int, int, int, int]], bool]] = []
-    cur: list[tuple[int, int, int, int]] = []
+    # of crossings and vertices with level <= 0, on the line when a crossing
+    # or at level 0; deep, whether one of its vertices lies strictly inside
+    chains: list[tuple[list[tuple[int, int, int, bool]], bool]] = []
+    cur: list[tuple[int, int, int, bool]] = []
     deep = False
     i = levels.index(max(levels))
     for _ in range(n):
@@ -129,9 +127,9 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
             Y = fu * ys[j] - fv * ys[i]
             D = fu * ds[j] - fv * ds[i]
             g = gcd(X, Y, D) if D > 0 else -gcd(X, Y, D)
-            cur.append((X // g, Y // g, D // g, -1))
+            cur.append((X // g, Y // g, D // g, True))
         if fv <= 0:
-            cur.append((xs[j], ys[j], ds[j], src[j]))
+            cur.append((xs[j], ys[j], ds[j], on[j] or fv == 0))
             deep = deep or fv < 0
         else:
             if len(cur) >= 2:
@@ -163,7 +161,7 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
     for ci in range(len(chains)):
         if ci in seen:
             continue
-        piece: list[tuple[int, int, int, int]] = []
+        piece: list[tuple[int, int, int, bool]] = []
         deep = False
         cur_id = ci
         while cur_id not in seen:
@@ -174,23 +172,37 @@ def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
             cur_id = succ[cur_id]
         # a piece with no vertex strictly inside lies on the line: no area
         if deep:
-            pxs, pys, pds, psrc = zip(*piece)
-            pieces.append((pxs, pys, pds, psrc))
+            pieces.append(tuple(zip(*piece)))
     return pieces
 
 
-def _canonical(ring: _Ring) -> Clipped | None:
-    """ring in canonical form over the lcm of its reduced denominators."""
-    xs, ys, ds, src = ring
-    red = [_reduced(x, y, d) for x, y, d in zip(xs, ys, ds)]
-    m = lcm(*[d for _, _, d in red])
-    cxs = [x * (m // d) for x, _, d in red]
-    cys = [y * (m // d) for _, y, d in red]
-    order = _canonical_order(cxs, cys)
-    if order is None:
+def _cleaned(ring: _Ring) -> Scaled | None:
+    """ring over the lcm of its reduced vertex denominators, each vertex on
+    a wall line dropped while it repeats a neighbour or is collinear with
+    its two, also where the boundary doubles back; None when fewer than
+    three are left."""
+    xs, ys, ds, on = ring
+    L = lcm(*ds)
+    cxs = [x * (L // d) for x, d in zip(xs, ds)]
+    cys = [y * (L // d) for y, d in zip(ys, ds)]
+    # drop a vertex, then look again from its predecessor (_canonical_order)
+    keep = list(range(len(cxs)))
+    i = 0
+    while i < len(keep) and len(keep) >= 3:
+        n = len(keep)
+        b = keep[i]
+        if on[b]:
+            a, c = keep[i - 1], keep[(i + 1) % n]
+            ax, ay = cxs[a], cys[a]
+            if (cxs[b] - ax) * (cys[c] - ay) == (cys[b] - ay) * (cxs[c] - ax):
+                keep.pop(i)
+                i = 0 if i == n - 1 else max(i - 1, 0)
+                continue
+        i += 1
+    if len(keep) < 3:
         return None
-    return (m, [cxs[i] for i in order], [cys[i] for i in order],
-            [src[i] for i in order])
+    g = gcd(L, *[cxs[i] for i in keep], *[cys[i] for i in keep])
+    return L // g, [cxs[i] // g for i in keep], [cys[i] // g for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +390,7 @@ def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
     # every vertex starts at most one piece, so a start names it; the starts
     # are taken in lexicographic order
     used: set[Triple] = set()
-    cycles: list[Clipped] = []
+    cycles: list[Scaled] = []
     for start in sorted(outgoing, key=cmp_to_key(_lex_cmp)):
         if start in used:
             continue
@@ -388,22 +400,25 @@ def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
             path.append(outgoing[path[-1]])
         if path[0] != path[-1]:
             raise DisconnectedUnion("union boundary has a dangling chain")
-        xs, ys, ds = zip(*path[:-1])
-        ring = _canonical((xs, ys, ds, range(len(ds))))
-        if ring is not None:
-            cycles.append(ring)
+        path.pop()
+        m = lcm(*[d for _, _, d in path])
+        xs = [x * (m // d) for x, _, d in path]
+        ys = [y * (m // d) for _, y, d in path]
+        order = _canonical_order(xs, ys)
+        if order is not None:
+            cycles.append((m, [xs[i] for i in order], [ys[i] for i in order]))
     # canonical rings are all CCW, so a hole shows up as a cycle nested inside
     # another; filtered vertices of genuine sibling lobes never lie strictly
     # inside a neighbor.  Cycle i is over mi and cycle j over mj.
-    for i, (mi, ixs, iys, _) in enumerate(cycles):
-        for j, (mj, jxs, jys, _) in enumerate(cycles):
+    for i, (mi, ixs, iys) in enumerate(cycles):
+        for j, (mj, jxs, jys) in enumerate(cycles):
             if i == j:
                 continue
             sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
             if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
                 raise DisconnectedUnion("union produced a hole")
     # a cycle that passed the touch and hole tests is simple and canonical
-    return [Region(m * L, xs, ys) for m, xs, ys, _ in cycles]
+    return [Region(m * L, xs, ys) for m, xs, ys in cycles]
 
 
 def union_one_region(polys: Sequence[Region]) -> Region:

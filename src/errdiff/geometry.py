@@ -14,8 +14,9 @@ Region.from_integers, which checks it (_canonical_order, is_simple_ring,
 the kernel test), and Region.hull_of hands points to hull_of_rings, the
 one integer hull: the monotone chain _hull_order over the vertices of
 rings given on integers, which the operators call on their pieces.  A
-clip, a stitch or a convex Minkowski sum, which hold a canonical simple
-ring on integers, build the polygon directly.
+stitch or a convex Minkowski sum, which hold a canonical simple ring on
+integers, and a clipped piece, rotated by _canonical_order, build the
+polygon directly.
 
 A point can also go as Ratios (xn, xd, yn, yd), the reduced pairs that
 its two Fractions hold, without the objects; the games run on them.

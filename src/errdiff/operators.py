@@ -3,22 +3,24 @@
 All four operators are one recentred cell union, U(X) = union over sites
 c of (X ∩ V(c)) − c, in opposite orders: g(Q) = U(ch S + Q) and
 p(D) = ch S + U(D).  cell_pieces is its one clip loop: every component of
-X ∩ V(c), clipped on X's integers by the cell's walls
-(booleans.clip_components).  ch S is added by one convolution-cycle walk
-(minkowski_convex_star), to a convex region anywhere or to one
-star-shaped around the origin.  g and p unite the pieces, each shifted by
--c and checked to be one component with c in its kernel (_star_cycles),
-in one radial envelope around the origin (starunion.cycle_envelope): g
-pools every member's pieces, and p_step, one member's, has a general
-route where the check or the envelope fails.  The convex variants take
-the hull of the shifted pieces instead (geometry.hull_of_rings), since a
-hull commutes with union and with Minkowski sum: G(Q) = conv U(ch S + Q),
-with the origin as reference, and P(D) = ch S + conv U(D), one convex
-walk; so they build no envelope per member, and return a set also where
-the union pinches at the center.  apply_operator is the one member loop:
-G unites the member hulls in one envelope around the origin, and p and P
-unite the members' images in union_one_region.  Every ring is a Scaled
-triple (m, xs, ys), and the snap candidate is made on integers too.
+X ∩ V(c) on X's integers (booleans.clip_components), a ring in the cut's
+own rotation, which the envelope and the hull read as it is.  ch S is
+added by one convolution-cycle walk (minkowski_convex_star), to a convex
+region anywhere or to one star-shaped around the origin.  g and p unite
+the pieces, each shifted by -c and checked to be one component with c in
+its kernel (_star_cycles), in one radial envelope around the origin
+(starunion.cycle_envelope): g pools every member's pieces, and p_step,
+one member's, has a general route where the check or the envelope fails,
+which rotates each piece into canonical form to build a Region.  The
+convex variants take the hull of the shifted pieces instead
+(geometry.hull_of_rings), since a hull commutes with union and with
+Minkowski sum: G(Q) = conv U(ch S + Q), with the origin as reference, and
+P(D) = ch S + conv U(D), one convex walk; so they build no envelope per
+member, and return a set also where the union pinches at the center.
+apply_operator is the one member loop: G unites the member hulls in one
+envelope around the origin, and p and P unite the members' images in
+union_one_region.  Every ring is a Scaled triple (m, xs, ys), and the
+snap candidate is made on integers too.
 Iterating any operator from a seed grows a monotone chain of regions
 whose limit is the minimal invariant set; the engine below runs that
 chain with exact rational arithmetic and stops it in one of two ways: at
@@ -238,7 +240,7 @@ def cell_pieces(S: SiteSet, X: Scaled) -> Pieces:
     for c, walls in zip(S.sites, S.cells):
         comps = clip_components(X, walls)
         if comps:
-            pieces.append((c, [(m, xs, ys) for m, xs, ys, _ in comps]))
+            pieces.append((c, comps))
     return pieces
 
 
@@ -316,8 +318,12 @@ def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
 
 
 def _p_step_general(hull: Region, pieces: Pieces) -> Region:
-    return union_one_region([part for ring in _recentred(pieces)
-                             for part in _sum_hull_with_ring(hull, Region(*ring))])
+    parts = []
+    for m, xs, ys in _recentred(pieces):
+        order = _canonical_order(xs, ys)  # a clipped ring's rotation
+        parts += _sum_hull_with_ring(hull, Region(m, [xs[i] for i in order],
+                                                  [ys[i] for i in order]))
+    return union_one_region(parts)
 
 
 def p_step(S: SiteSet, D: Seed) -> Region:

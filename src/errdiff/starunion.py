@@ -8,8 +8,10 @@ over its own denominator, in one angular sweep.  It drops the edges on a
 line through the center and cuts the rest into chains that turn one way
 around the center.  The directions of all chain vertices, with the four
 axes, cut the turn into arcs shorter than a half turn, and each chain edge
-goes into every arc it spans.  In each arc the outermost edge is followed
-from one end to the other, handing over at exact crossings (_arc): the
+goes into every arc it spans, with its ray product r = den (u × d) at each
+direction u it spans computed once.  In each arc the outermost edge is
+followed from one end to the other, handing over at exact crossings
+(_arc), which ranks two edges' lines along a ray by their n / r: the
 radial form of the envelope of line segments (Hershberger, Inf. Process.
 Lett. 33(4), 1989).  Arcs that no edge spans are gaps; a single gap closes
 through the center, two or more mean the union pinches there and has no
@@ -26,10 +28,10 @@ The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its
 reduced integer direction.  Each edge's line is put over the common
 denominator of its two ends, and two lines are compared along a ray by
-cross-multiplying; the boundary point on a ray (_limit) and the crossing of
-two lines (_crossing) come back as reduced triples.  The output ring goes
-over the lcm of its triples' denominators, moved back by the center, to
-Region.from_integers: no Point is built.
+cross-multiplying their n / r; the boundary point on a ray (_limit) and
+the crossing of two lines (_crossing) come back as reduced triples.  The
+output ring goes over the lcm of its triples' denominators, moved back by
+the center, to Region.from_integers: no Point is built.
 """
 from __future__ import annotations
 
@@ -83,19 +85,6 @@ class _Edge:
         self.dy = by - ay
 
 
-def _t_cmp(u: Dir, ea: _Edge, eb: _Edge) -> int:
-    """Sign of t_a(u) - t_b(u): +1 when line a meets the ray u farther out.
-
-    Cross-multiplied over den * c for c = ux*dy - uy*dx; den is positive,
-    so the signs of the two c decide whether the comparison flips.
-    """
-    ca = u[0] * ea.dy - u[1] * ea.dx
-    cb = u[0] * eb.dy - u[1] * eb.dx
-    t = ea.n * eb.den * cb - eb.n * ea.den * ca
-    s = (t > 0) - (t < 0)
-    return s if (ca > 0) == (cb > 0) else -s
-
-
 def _crossing(ea: _Edge, eb: _Edge) -> Vertex:
     """The crossing of two edges' lines, which must not be parallel.
 
@@ -127,36 +116,41 @@ def _limit(edge: _Edge, k: int, d: Dir) -> Triple:
     return (d[0] * (n // g), d[1] * (n // g), D // g)
 
 
-def _arc(es: list[_Edge], u: Dir, w: Dir) -> tuple[_Edge, _Edge, list[Vertex]]:
+def _arc(es: list[tuple[_Edge, int, int]]) -> tuple[_Edge, _Edge, list[Vertex]]:
     """The envelope over the arc from u to w, which every edge of es spans:
     the outermost edge entering at u, the one leaving at w, and the
     crossings where one hands over to the next, in angular order.
 
-    The next edge is the one that overtakes the current one first before
-    w; two lines cross at most once in an arc short of a half turn.  Ties
-    go to the edge outermost at w, so each handover moves strictly forward
-    in angle and no crossing repeats.
+    An entry (e, r_u, r_w) holds r = den (x × d) of e at x = u and x = w:
+    e's line meets the ray x at n_e / r, and r > 0, for a chain edge turns
+    counter-clockwise and spans less than a half turn; so f lies farther
+    out than e exactly when n_f r_e > n_e r_f.  The next edge is the one
+    that overtakes the current one first before w; two lines cross at most
+    once in an arc short of a half turn.  Ties go to the edge outermost at
+    w, so each handover moves strictly forward in angle and no crossing
+    repeats.
     """
-    e = es[0]
-    for f in es[1:]:
-        if (_t_cmp(u, f, e) or _t_cmp(w, f, e)) > 0:
-            e = f
+    e, eu, ew = es[0]
+    for f, fu, fw in es[1:]:
+        s = f.n * eu - e.n * fu
+        if s > 0 or (s == 0 and f.n * ew > e.n * fw):
+            e, eu, ew = f, fu, fw
     first, crossings = e, []
     # only an edge farther out at w than the current one can still overtake
-    rest = [f for f in es if _t_cmp(w, f, e) > 0]
+    rest = [(f, fw) for f, _, fw in es if f.n * ew > e.n * fw]
     while rest:
         best = None
-        for f in rest:
+        for f, fw in rest:
             x = _crossing(e, f)
             if best is not None:
                 (px, py), (qx, qy) = x[1], cross[1]
                 c = px * qy - py * qx
-                if c < 0 or (c == 0 and _t_cmp(w, f, best) <= 0):
+                if c < 0 or (c == 0 and f.n * bw <= best.n * fw):
                     continue
-            best, cross = f, x
+            best, bw, cross = f, fw, x
         crossings.append(cross)
-        e = best
-        rest = [f for f in rest if _t_cmp(w, f, e) > 0]
+        e, ew = best, bw
+        rest = [(f, fw) for f, fw in rest if f.n * ew > e.n * fw]
     return first, e, crossings
 
 
@@ -243,17 +237,19 @@ def cycle_envelope(cycles: Sequence[Scaled], center: Point) -> Region:
     U = sorted(dirs, key=cmp_to_key(_dir_cmp))
     m = len(U)
     uidx = {d: k for k, d in enumerate(U)}
-    arcs: list[list[_Edge]] = [[] for _ in range(m)]
+    arcs: list[list[tuple[_Edge, int, int]]] = [[] for _ in range(m)]
     for run in runs:
         for (a, da), (b, db) in zip(run, run[1:]):
             ka, kb = uidx[da], uidx[db]
             edge = _Edge(a, b, ka, kb)
-            k = ka
+            den, dx, dy = edge.den, edge.dx, edge.dy
+            k, r = ka, den * (da[0] * dy - da[1] * dx)
             while k != kb:
-                arcs[k].append(edge)
-                k = (k + 1) % m
-    pieces = [_arc(es, U[k], U[(k + 1) % m]) if es else None
-              for k, es in enumerate(arcs)]
+                k1 = k + 1 if k + 1 < m else 0
+                r1 = den * (U[k1][0] * dy - U[k1][1] * dx)
+                arcs[k].append((edge, r, r1))
+                k, r = k1, r1
+    pieces = [_arc(es) if es else None for es in arcs]
 
     ring: list[Triple] = []
     gaps: list[int] = []   # where the ring resumes after each gap

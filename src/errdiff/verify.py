@@ -192,7 +192,8 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     """
     pool = set(S.hull.vertices)
     for _, comps in cell_pieces(S, S.hull._scaled):
-        pool.update(v for ring in comps for v in Region(*ring).vertices)
+        pool.update(Point(Fraction(x, m), Fraction(y, m))
+                    for m, xs, ys in comps for x, y in zip(xs, ys))
     return tuple(sorted(pool, key=Point.key))
 
 

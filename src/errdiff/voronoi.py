@@ -6,9 +6,9 @@ integer triple (booleans.Wall), found once per site set on the sites'
 integers (_facet_neighbours) by the monotone chain (geometry._hull_order)
 under the one integer hull, geometry.hull_of_rings, that also builds
 ch S as a Region (Region.hull_of).  This module clips nothing:
-operators.cell_pieces cuts a ring by each cell's walls, one call of
-booleans.clip_components per cell.  Sites strictly inside the hull are
-the inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per
+operators.cell_pieces cuts a ring by each cell's walls into integer rings
+in cut order (booleans.clip_components).  Sites strictly inside the hull
+are the inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per
 site, in S.sites order, each in the counter-clockwise order of the dual
 hull: a cell is found by its site's index, never looked up by Point.  An
 inner site's cell is bounded, and materialize_cell builds it from those

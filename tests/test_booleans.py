@@ -2,6 +2,8 @@
 import itertools
 import math
 from fractions import Fraction as F
+from functools import cmp_to_key
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,16 +32,19 @@ from errdiff.geometry import (
     pt,
     ring_area2,
 )
+import errdiff.starunion
 from errdiff.starunion import (
     _arc,
     _crossing,
+    _dir_cmp,
     _Edge,
     _limit,
-    _t_cmp,
     cycle_envelope,
     star_cycle,
 )
-from test_geometry import canonical, clipped, cross, dot, hull, reference_orient, wall
+from test_geometry import (
+    canonical, clipped, cross, dot, hull, level, reference_orient, rotated, wall,
+)
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -82,13 +87,20 @@ def locate(ring, p):
     return point_in_ring(over_common_denominator(ring), p)
 
 
+def least_rotation(ring):
+    """The rotation of a Point ring with the least vertex keys: the one form
+    of a ring that meets itself at its smallest vertex, whose canonical
+    form depends on the rotation it starts from."""
+    return min((ring[i:] + ring[:i] for i in range(len(ring))),
+               key=lambda r: [p.key() for p in r])
+
+
 def clip(ring, *walls):
     """clip_components on a Point ring, each component back as a Point ring
-    (the ring's own Point for every vertex it keeps), in vertex-key order."""
+    in canonical form (least_rotation), in vertex-key order."""
     scaled = over_common_denominator(ring)
-    comps = [[ring[k] if k >= 0 else Point(F(x, m), F(y, m))
-              for x, y, k in zip(xs, ys, src)]
-             for m, xs, ys, src in clip_components(scaled, walls)]
+    comps = [least_rotation(canonical([Point(F(x, m), F(y, m)) for x, y in zip(xs, ys)]))
+             for m, xs, ys in clip_components(scaled, walls)]
     return sorted(comps, key=lambda r: [p.key() for p in r])
 
 
@@ -147,9 +159,8 @@ class TestClip:
         diamond = canonical(ring_of((0, -1), (1, 0), (0, 1), (-1, 0)))
         hp = (0, 1, 1)  # y <= 1, touches the top vertex
         scaled = over_common_denominator(diamond)
-        ((m, xs, ys, src),) = clip_components(scaled, (hp,))
+        ((m, xs, ys),) = clip_components(scaled, (hp,))
         assert m == scaled[0] and xs is scaled[1] and ys is scaled[2]
-        assert list(src) == [0, 1, 2, 3]
 
     def test_diamond_lower_half(self):
         diamond = ring_of((0, -1), (1, 0), (0, 1), (-1, 0))
@@ -387,6 +398,13 @@ def _triple(p: Point) -> tuple[int, int, int]:
             p.y.numerator * (d // p.y.denominator), d)
 
 
+def _direction(p: Point) -> tuple[int, int]:
+    """The reduced integer direction of p, not the origin, from the origin."""
+    x, y, _ = _triple(p)
+    g = math.gcd(x, y)
+    return x // g, y // g
+
+
 def _reduced_point(t: tuple[int, int, int]) -> Point:
     """The point of a triple the merge returns, which must be reduced."""
     x, y, d = t
@@ -451,15 +469,36 @@ class TestWideCoordinates:
     @given(star_rings(wide_radii), star_rings(wide_radii))
     @settings(max_examples=30, deadline=None)
     def test_integer_t_comparison_matches_fractions(self, ra, rb):
-        """On edges between integer triples, _t_cmp agrees with the Fraction
-        reference on every pool direction where both lines meet the ray's
-        line, covered or not; _limit builds the reference point on every
-        direction an edge covers; and _crossing builds the point that
-        line_cross_point finds, with its direction, for every two lines that
-        are not parallel."""
+        """Every entry (e, r_u, r_w) that the sweep of the two rings hands
+        _arc holds r > 0 at both ends of its arc, and n / r is the Fraction
+        reference _t_at there, so cross-multiplied r's rank the lines as
+        _t_at does; _limit builds the reference point on every direction an
+        edge covers; and _crossing builds the point that line_cross_point
+        finds, with its direction, for every two lines that are not
+        parallel."""
         def edges(ring):
             return [(a, b, _Edge(_triple(a), _triple(b), -1, -1))
                     for a, b in zip(ring[-1:] + ring[:-1], ring)]
+
+        arcs = []
+
+        def spy(es):
+            arcs.append(es)
+            return _arc(es)
+
+        with patch.object(errdiff.starunion, "_arc", spy):
+            cycle_envelope([over_common_denominator(r) for r in (ra, rb)], ORIGIN)
+        # both rings hold the four axes and wind once around the origin, so
+        # every arc between the sorted directions of their vertices is
+        # spanned, and _arc runs on each in turn
+        U = sorted({_direction(v) for v in ra + rb}, key=cmp_to_key(_dir_cmp))
+        assert len(arcs) == len(U)
+        for k, es in enumerate(arcs):
+            u, w = pt(*U[k]), pt(*U[(k + 1) % len(U)])
+            for e, ru, rw in es:
+                a, b = _reduced_point(e.a), _reduced_point(e.b)
+                assert ru > 0 and rw > 0
+                assert (F(e.n, ru), F(e.n, rw)) == (_t_at(u, a, b), _t_at(w, a, b))
 
         dirs = [(pt(*d), d) for d in DIR_POOL]
         for a1, b1, ea in edges(ra):
@@ -467,13 +506,6 @@ class TestWideCoordinates:
                 if cross(a1, u) >= 0 and cross(u, b1) >= 0:
                     got = _reduced_point(_limit(ea, 0, d))
                     assert got == u.scale(_t_at(u, a1, b1))
-                if cross(u, b1 - a1) == 0:
-                    continue
-                for a2, b2, eb in edges(rb):
-                    if cross(u, b2 - a2) == 0:
-                        continue
-                    diff = _t_at(u, a1, b1) - _t_at(u, a2, b2)
-                    assert _t_cmp(d, ea, eb) == (diff > 0) - (diff < 0)
             for a2, b2, eb in edges(rb):
                 if cross(b1 - a1, b2 - a2) == 0:
                     continue
@@ -488,6 +520,13 @@ def _edge(a, b):
     return _Edge(_triple(pt(*a)), _triple(pt(*b)), -1, -1)
 
 
+def _entries(es, u, w):
+    """The edges as the sweep hands them to _arc over the arc from u to w:
+    each with r = den * (x × d) at x = u and x = w."""
+    return [(e, e.den * (u[0] * e.dy - u[1] * e.dx), e.den * (w[0] * e.dy - w[1] * e.dx))
+            for e in es]
+
+
 class TestArc:
     """_arc gives ties at a shared point to the edge outermost at the arc's
     far end, whatever the order of its edges, so no handover is empty."""
@@ -498,23 +537,24 @@ class TestArc:
         # ray (1, 0) to the ray (3, 4), where the third is outermost
         es = [_edge((3, 0), (1, 2)), _edge(("5/2", 0), ("3/2", 2)),
               _edge((2, -1), (2, 3))]
-        first, last, crossings = _arc([es[i] for i in order], (1, 0), (3, 4))
+        first, last, crossings = _arc(_entries([es[i] for i in order], (1, 0), (3, 4)))
         assert (first, last) == (es[0], es[2])
         assert crossings == [((2, 1, 1), (2, 1))]
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_edges_from_one_vertex(self, order):
         es = [_edge((2, 0), (0, 2)), _edge((2, 0), (0, 3))]
-        assert _arc([es[i] for i in order], (1, 0), (0, 1)) == (es[1], es[1], [])
+        assert _arc(_entries([es[i] for i in order], (1, 0), (0, 1))) == (es[1], es[1], [])
 
 
 def reference_clip(ring, a, b, c):
-    """clip_components in Fractions: each side from a*x + b*y - c, each
-    crossing as u + (v - u) f(u) / (f(u) - f(v)), the chains joined by their
-    Fraction positions along (-b, a)."""
+    """clip_components in Fractions, each component in canonical form
+    (least_rotation): each side from a*x + b*y - c, each crossing as
+    u + (v - u) f(u) / (f(u) - f(v)), the chains joined by their Fraction
+    positions along (-b, a)."""
     vals = [a * p.x + b * p.y - c for p in ring]
     if all(f <= 0 for f in vals):
-        return [list(ring)]
+        return [least_rotation(canonical(list(ring)))]
     if all(f >= 0 for f in vals):
         return []
     n = len(ring)
@@ -554,16 +594,13 @@ def reference_clip(ring, a, b, c):
             ci = succ[ci]
         comp = canonical(pts)
         if comp is not None:
-            comps.append(comp)
+            comps.append(least_rotation(comp))
     return sorted(comps, key=lambda r: [p.key() for p in r])
 
 
-@st.composite
-def ring_and_wall(draw, radius):
-    """A canonical star ring, counter-clockwise or reversed to clockwise,
-    and a wall through two of its vertices, through one vertex, or
-    anywhere, facing either way."""
-    ring = draw(star_rings(radius))
+def draw_wall(draw, ring, radius):
+    """(a, b, c) of a wall a*x + b*y <= c through two vertices of ring,
+    through one vertex, or anywhere, facing either way."""
     n = len(ring)
     i = draw(st.integers(0, n - 1))
     kind = draw(st.sampled_from(("two vertices", "one vertex", "free")))
@@ -576,9 +613,55 @@ def ring_and_wall(draw, radius):
             a = F(1)
         p = ring[i] if kind == "one vertex" else Point(draw(radius), draw(radius))
     flip = draw(st.sampled_from((1, -1)))
+    return a * flip, b * flip, (a * p.x + b * p.y) * flip
+
+
+@st.composite
+def ring_and_wall(draw, radius):
+    """A canonical star ring, counter-clockwise or reversed to clockwise,
+    and a wall (draw_wall)."""
+    ring = draw(star_rings(radius))
+    a, b, c = draw_wall(draw, ring, radius)
     if draw(st.booleans()):
         ring = ring[::-1]
-    return ring, a * flip, b * flip, (a * p.x + b * p.y) * flip
+    return ring, a, b, c
+
+
+@st.composite
+def ring_and_walls(draw, radius):
+    """A canonical star ring and one to five walls (draw_wall)."""
+    ring = draw(star_rings(radius))
+    k = draw(st.integers(1, 5))
+    return ring, [draw_wall(draw, ring, radius) for _ in range(k)]
+
+
+def folded_clip(ring, walls):
+    """reference_clip by each wall in turn, the components in vertex-key
+    order."""
+    comps = [ring]
+    for a, b, c in walls:
+        comps = [r for comp in comps for r in reference_clip(comp, a, b, c)]
+    return sorted(comps, key=lambda r: [p.key() for p in r])
+
+
+# rings that each cut leaves with a vertex to drop on a wall line, given to
+# Region.from_ring, with the walls and the canonical components: a spike
+# along the line of an earlier wall, a spike at the join, a repeated
+# closing vertex, and a piece with zero area
+DEGENERATE_CUTS = [
+    ([(-1, -1), (0, -1), (2, -4), (4, -1), (3, 1), (2, 1), (1, 2), (0, 4), (0, 3), (-1, 1)],
+     [(-1, -1, -3), (-3, 3, 2), (0, 3, 4)],
+     [[(2, 1), (4, -1), (3, 1)]]),
+    ([(-3, -4), (-1, -2), (0, -2), (4, -1), (3, 0), (1, 0), (3, 4), (0, 1), (-2, 0)],
+     [(1, -1, -1)],
+     [[("-7/3", "-4/3"), (0, 1), (-2, 0)]]),
+    ([(-1, -3), (0, -3), (0, -4), (3, -4), (4, -4), (1, 0), (3, 3), (3, 4), (-3, 4)],
+     [(2, 1, -3), (1, -2, 6)],
+     [[("-7/3", "5/3"), (-1, -3), (0, -3)]]),
+    ([(-2, -4), (2, -2), (4, -4), (3, -2), (4, 0), (1, 0), (0, 3), (-2, 2)],
+     [(-2, -1, -4), (1, 1, 1)],
+     []),
+]
 
 
 def outcome(fn, *args):
@@ -596,9 +679,34 @@ class TestClipIntegerKernel:
         hp = wall(a, b, c)
         got = outcome(clip, ring, hp)
         assert got == outcome(reference_clip, ring, a, b, c)
-        if got not in (MultiComponent, []) and got[0] == ring:
+        if all(level(hp, p) <= 0 for p in ring):
             scaled = over_common_denominator(ring)
             assert clip_components(scaled, (hp,))[0][1] is scaled[1]
+
+    @given(st.one_of(ring_and_walls(radii), ring_and_walls(wide_radii)))
+    @settings(max_examples=200, deadline=None)
+    def test_components_are_rotated_canonical_rings(self, case):
+        """Each component is counter-clockwise with positive area, over the
+        lcm of its reduced vertex denominators, and its canonical form only
+        rotates it (rotated); those forms are the reference's."""
+        ring, walls = case
+        scaled = over_common_denominator(ring)
+        got = outcome(clip_components, scaled, [wall(*w) for w in walls])
+        want = outcome(folded_clip, ring, walls)
+        if got is MultiComponent or want is MultiComponent:
+            assert got is want
+            return
+        forms = []
+        for m, xs, ys in got:
+            assert math.gcd(m, *xs, *ys) == 1
+            forms.append(least_rotation([Point(F(xs[i], m), F(ys[i], m))
+                                         for i in rotated((m, xs, ys))]))
+        assert sorted(forms, key=lambda r: [p.key() for p in r]) == want
+
+    @pytest.mark.parametrize("ring, walls, want", DEGENERATE_CUTS)
+    def test_degenerate_cuts(self, ring, walls, want):
+        got = clipped(Region.from_ring(ring_of(*ring)), walls)
+        assert [list(R.vertices) for R in got] == [ring_of(*w) for w in want]
 
     def test_clockwise_one_chain_cut(self):
         # a clockwise square cut once leaves one chain, whose end lies past
@@ -611,7 +719,8 @@ class TestClipIntegerKernel:
         # counter-clockwise, the same cuts keep one half
         assert clip(UNIT_SQUARE, (0, -2, -1)) == [ring_of((0, "1/2"), (1, "1/2"), (1, 1), (0, 1))]
         # a wall that cuts nothing keeps the ring as given
-        assert clip(cw, (1, 0, 1)) == [cw]
+        scaled = over_common_denominator(cw)
+        assert clip_components(scaled, ((1, 0, 1),)) == [scaled]
 
     def test_vertices_on_the_line(self):
         # the wall y <= 1 runs through two vertices of the L; the clip keeps

@@ -40,10 +40,26 @@ from errdiff.operators import minkowski_convex_star
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 
+def rotated(scaled) -> list[int]:
+    """The canonical order of a clipped component (m, xs, ys), which must
+    be a rotation of its own order: counter-clockwise, positive area, no
+    vertex repeated or collinear with its two neighbours."""
+    _, xs, ys = scaled
+    n = len(xs)
+    order = _canonical_order(xs, ys)
+    assert order is not None and ring_area2(scaled) > 0
+    assert order == [(order[0] + i) % n for i in range(n)]
+    return order
+
+
 def clipped(R: Region, walls) -> list[Region]:
     """Every component of R cut by the walls (clip_components), each a
-    Region."""
-    return [Region(m, xs, ys) for m, xs, ys, _ in clip_components(R._scaled, walls)]
+    Region in canonical form, which the component's order only rotates."""
+    out = []
+    for m, xs, ys in clip_components(R._scaled, walls):
+        order = rotated((m, xs, ys))
+        out.append(Region(m, [xs[i] for i in order], [ys[i] for i in order]))
+    return out
 
 
 def cross(a: Point, b: Point) -> F:

@@ -436,7 +436,7 @@ class TestConvexVariants:
         G = apply_operator("G", single(S), PointSeed(ORIGIN))
         assert is_convex_ring(G._scaled) and G.reference == ORIGIN
         for c, walls in zip(S.sites, S.cells):
-            ((m, xs, ys, _),) = clip_components(S.hull._scaled, walls)
+            ((m, xs, ys),) = clip_components(S.hull._scaled, walls)
             assert subset(Region.from_integers(*_shift((m, xs, ys), -c)), G)
         res = iterate("G", single(S), PointSeed(ORIGIN))
         assert res.stop_reason == "fixed-point" and res.iterations == 4
