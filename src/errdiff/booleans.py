@@ -1,18 +1,10 @@
-"""Exact clip, union, and containment for simple polygons, on integers.
+"""Exact clip cleanup, union, and containment for simple polygons, on
+integers.
 
-clip_components is the one clipper: it cuts a canonical ring, given over
-its common denominator, by a sequence of walls (those of a Voronoi cell),
-closed half-planes each held as one reduced integer triple, and returns
-every component of what is left.  It carries each piece on integers from
-one wall to the next: a level per vertex and wall, whose sign is the
-vertex's side, and every crossing as one reduced integer triple
-(X, Y, D).  A wall that leaves one chain of kept boundary, every cut
-of the shipped solves, joins its ends with no sort; only several chains
-are paired by their sorted positions along the wall.  Only at the end
-does each component go over its own common denominator, in the cut's own
-vertex order, less each vertex on a wall line that repeats a neighbour
-or is collinear with its two (_cleaned); no Fraction is built.  Its one
-caller, operators.cell_pieces, reads the components on integers.
+_cleaned finishes every cell piece that voronoi.split_ring walks out of a
+ring: it puts the piece over the lcm of its reduced vertex denominators
+and drops each vertex on a wall line that repeats a neighbour or is
+collinear with its two; no Fraction is built.
 
 subset_witness and union_rings take polygons, put their rings over one
 common denominator and share one edge splitter, _pieces: each edge is
@@ -37,7 +29,6 @@ from typing import Sequence
 
 from .geometry import (
     DisconnectedUnion,
-    MultiComponent,
     Point,
     Region,
     Scaled,
@@ -46,134 +37,15 @@ from .geometry import (
 )
 
 # ---------------------------------------------------------------------------
-# clip by half-planes
+# cell pieces
 
-# A ring in the clipper: parallel sequences (xs, ys, ds, on).  Vertex i is
-# the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; on[i] says
-# whether it lies on the line of a wall that cut the ring.
+# A piece before its cleanup: parallel sequences (xs, ys, ds, on).  Vertex
+# i is the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; on[i] says
+# whether it lies on a wall line.
 _Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[bool]]
 # A wall (A, B, C): the closed half-plane A x + B y <= C, with (A, B) != 0
 # and gcd(A, B, C) == 1, so each half-plane has one value
 Wall = tuple[int, int, int]
-
-
-def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Scaled]:
-    """Every component of a simple canonical ring cut by closed half-planes.
-
-    scaled is the ring over its common denominator m.  Every piece of it
-    is carried as integers from one wall to the next, each vertex u as a
-    triple (x, y, d) with d > 0: u has the level f(u) = A x + B y - C d
-    against the wall (A, B, C), whose sign is its side,
-    and an edge u -> v whose levels have opposite signs crosses the wall
-    at the triple f(u) (x, y, d)_v - f(v) (x, y, d)_u, its sign turned so
-    that d > 0 and reduced by its gcd.  A piece with no vertex strictly
-    inside a wall has no area and goes.  Each surviving component comes
-    back as a ring (m, xs, ys) over the lcm of its reduced vertex
-    denominators, counter-clockwise in the cut's own vertex order, without
-    the vertices on a wall line that repeat a neighbour or are collinear
-    with their two; one left with fewer than three vertices goes.  No
-    other vertex needs the test: one strictly inside every wall keeps its
-    two edges of the canonical input, so it is neither repeated nor
-    collinear.  A ring no wall cuts comes back as it was given.  The
-    components come in no particular order.
-    """
-    m, xs, ys = scaled
-    whole: _Ring = (xs, ys, [m] * len(xs), [False] * len(xs))
-    rings = [whole]
-    for A, B, C in walls:
-        cut: list[_Ring] = []
-        for ring in rings:
-            rxs, rys, rds, _ = ring
-            levels = [A * x + B * y - C * d for x, y, d in zip(rxs, rys, rds)]
-            if max(levels) <= 0:
-                cut.append(ring)
-            elif min(levels) < 0:
-                cut.extend(_cut(ring, levels, A, B))
-        rings = cut
-        if not rings:
-            return []
-    if rings[0] is whole:
-        return [scaled]
-    comps = [_cleaned(ring) for ring in rings]
-    return [comp for comp in comps if comp is not None]
-
-
-def _cut(ring: _Ring, levels: list[int], A: int, B: int) -> list[_Ring]:
-    """The pieces of ring on the kept side of one wall that it crosses.
-
-    The kept parts of the boundary are cut into chains that leave the wall
-    line and come back to it; each chain end joins the next chain start
-    along the line, in the direction (-B, A) that has the kept side on its
-    left.  A position on the line is A y - B x over d.  One chain, the
-    common cut, joins its own ends with no sort (Sutherland & Hodgman,
-    CACM 1974): its end must lie at or before its start, one
-    cross-multiplied comparison.  Several chains are paired by their
-    positions sorted over the lcm of their denominators.
-    """
-    xs, ys, ds, on = ring
-    n = len(levels)
-    # walk the edges from an outside vertex once around: a chain is a run
-    # of crossings and vertices with level <= 0, on the line when a crossing
-    # or at level 0; deep, whether one of its vertices lies strictly inside
-    chains: list[tuple[list[tuple[int, int, int, bool]], bool]] = []
-    cur: list[tuple[int, int, int, bool]] = []
-    deep = False
-    i = levels.index(max(levels))
-    for _ in range(n):
-        j = i + 1 if i + 1 < n else 0
-        fu, fv = levels[i], levels[j]
-        if (fu > 0 > fv) or (fu < 0 < fv):
-            X = fu * xs[j] - fv * xs[i]
-            Y = fu * ys[j] - fv * ys[i]
-            D = fu * ds[j] - fv * ds[i]
-            g = gcd(X, Y, D) if D > 0 else -gcd(X, Y, D)
-            cur.append((X // g, Y // g, D // g, True))
-        if fv <= 0:
-            cur.append((xs[j], ys[j], ds[j], on[j] or fv == 0))
-            deep = deep or fv < 0
-        else:
-            if len(cur) >= 2:
-                chains.append((cur, deep))
-            cur, deep = [], False
-        i = j
-
-    if len(chains) == 1:
-        ch, deep = chains[0]
-        ex, ey, ed, _ = ch[-1]
-        sx, sy, sd, _ = ch[0]
-        if (A * ey - B * ex) * sd > (A * sy - B * sx) * ed:
-            raise MultiComponent("clip produced a degenerate boundary contact")
-        return [tuple(zip(*ch))] if deep else []
-
-    ends = [w for ch, _ in chains for w in (ch[-1], ch[0])]
-    L = lcm(*[w[2] for w in ends])
-    events = sorted(((A * w[1] - B * w[0]) * (L // w[2]), kind, ci)
-                    for ci, (ch, _) in enumerate(chains)
-                    for kind, w in ((0, ch[-1]), (1, ch[0])))
-    succ: dict[int, int] = {}
-    for a, b in zip(events[0::2], events[1::2]):
-        if a[1] != 0 or b[1] != 1:
-            raise MultiComponent("clip produced a degenerate boundary contact")
-        succ[a[2]] = b[2]
-
-    seen: set[int] = set()
-    pieces: list[_Ring] = []
-    for ci in range(len(chains)):
-        if ci in seen:
-            continue
-        piece: list[tuple[int, int, int, bool]] = []
-        deep = False
-        cur_id = ci
-        while cur_id not in seen:
-            seen.add(cur_id)
-            ch, ch_deep = chains[cur_id]
-            piece.extend(ch)
-            deep = deep or ch_deep
-            cur_id = succ[cur_id]
-        # a piece with no vertex strictly inside lies on the line: no area
-        if deep:
-            pieces.append(tuple(zip(*piece)))
-    return pieces
 
 
 def _cleaned(ring: _Ring) -> Scaled | None:

@@ -15,7 +15,7 @@ the kernel test), and Region.hull_of hands points to hull_of_rings, the
 one integer hull: the monotone chain _hull_order over the vertices of
 rings given on integers, which the operators call on their pieces.  A
 stitch or a convex Minkowski sum, which hold a canonical simple ring on
-integers, and a clipped piece, rotated by _canonical_order, build the
+integers, and a cell piece, rotated by _canonical_order, build the
 polygon directly.
 
 A point can also go as Ratios (xn, xd, yn, yd), the reduced pairs that
@@ -262,7 +262,9 @@ def ring_area2(scaled: Scaled) -> Fraction:
 def _canonical_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
     """Indices of the canonical form of the integer ring (xs, ys), or None
     when it has no area left: consecutive repeats dropped, then collinear
-    vertices, turned CCW, lexicographically smallest vertex first."""
+    vertices, turned CCW, lexicographically smallest vertex first.  A ring
+    that touches itself may pass that vertex twice: it starts at the
+    occurrence whose rotation is lexicographically least."""
     ring: list[int] = []
     for i in range(len(xs)):
         if not ring or xs[i] != xs[ring[-1]] or ys[i] != ys[ring[-1]]:
@@ -289,7 +291,9 @@ def _canonical_order(xs: Sequence[int], ys: Sequence[int]) -> list[int] | None:
         return None
     if a2 < 0:
         ring.reverse()
-    k = min(range(len(ring)), key=lambda i: (xs[ring[i]], ys[ring[i]]))
+    pts = [(xs[i], ys[i]) for i in ring]
+    low = min(pts)
+    k = min((i for i, p in enumerate(pts) if p == low), key=lambda i: pts[i:] + pts[:i])
     return ring[k:] + ring[:k]
 
 

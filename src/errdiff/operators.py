@@ -2,11 +2,12 @@
 
 All four operators are one recentred cell union, U(X) = union over sites
 c of (X ∩ V(c)) − c, in opposite orders: g(Q) = U(ch S + Q) and
-p(D) = ch S + U(D).  cell_pieces is its one clip loop: every component of
-X ∩ V(c) on X's integers (booleans.clip_components), a ring in the cut's
-own rotation, which the envelope and the hull read as it is.  ch S is
-added by one convolution-cycle walk (minkowski_convex_star), to a convex
-region anywhere or to one star-shaped around the origin.  g and p unite
+p(D) = ch S + U(D).  cell_pieces gives every component of X ∩ V(c) on
+X's integers, from one walk of X's boundary through the diagram
+(voronoi.split_ring), each a ring in the walk's own rotation, which the
+envelope and the hull read as it is.  ch S is added by one
+convolution-cycle walk (minkowski_convex_star), to a convex region
+anywhere or to one star-shaped around the origin.  g and p unite
 the pieces, each shifted by -c and checked to be one component with c in
 its kernel (_star_cycles), in one radial envelope around the origin
 (starunion.cycle_envelope): g pools every member's pieces, and p_step,
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .booleans import clip_components, subset_witness, union_one_region
+from .booleans import subset_witness, union_one_region
 from .geometry import (
     DisconnectedUnion,
     GeometryError,
@@ -55,7 +56,7 @@ from .geometry import (
     scalar_str,
 )
 from .starunion import cycle_envelope, star_cycle
-from .voronoi import SiteSet, nearest_sites
+from .voronoi import SiteSet, nearest_sites, split_ring
 
 OPERATORS = ("g", "G", "p", "P")
 
@@ -233,15 +234,9 @@ def minkowski_convex_star(P: Region, Q: Region) -> Region:
 
 def cell_pieces(S: SiteSet, X: Scaled) -> Pieces:
     """Each site c whose cell meets the ring X, in S.sites order, with the
-    components of X ∩ V(c), clipped on X's integers (clip_components).
-    The sites are zipped with their walls (SiteSet.cells), so no Point is
-    looked up."""
-    pieces = []
-    for c, walls in zip(S.sites, S.cells):
-        comps = clip_components(X, walls)
-        if comps:
-            pieces.append((c, comps))
-    return pieces
+    components of X ∩ V(c), all from one walk of X's boundary through the
+    diagram (split_ring)."""
+    return [(c, comps) for c, comps in zip(S.sites, split_ring(S, X)) if comps]
 
 
 def _recentred(pieces: Pieces) -> list[Scaled]:
@@ -320,7 +315,7 @@ def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
 def _p_step_general(hull: Region, pieces: Pieces) -> Region:
     parts = []
     for m, xs, ys in _recentred(pieces):
-        order = _canonical_order(xs, ys)  # a clipped ring's rotation
+        order = _canonical_order(xs, ys)  # a cell piece's rotation
         parts += _sum_hull_with_ring(hull, Region(m, [xs[i] for i in order],
                                                   [ys[i] for i in order]))
     return union_one_region(parts)

@@ -5,14 +5,13 @@ whose walls bound it along an edge of positive length, each a reduced
 integer triple (booleans.Wall), found once per site set on the sites'
 integers (_facet_neighbours) by the monotone chain (geometry._hull_order)
 under the one integer hull, geometry.hull_of_rings, that also builds
-ch S as a Region (Region.hull_of).  This module clips nothing:
-operators.cell_pieces cuts a ring by each cell's walls into integer rings
-in cut order (booleans.clip_components).  Sites strictly inside the hull
-are the inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per
-site, in S.sites order, each in the counter-clockwise order of the dual
-hull: a cell is found by its site's index, never looked up by Point.  An
-inner site's cell is bounded, and materialize_cell builds it from those
-walls alone: each two consecutive walls meet at one of its vertices.
+ch S as a Region (Region.hull_of).  Sites strictly inside the hull are the
+inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per site,
+in S.sites order, each in the counter-clockwise order of the dual hull: a
+cell is found by its site's index, never looked up by Point; so are its
+neighbours and its corners, built lazily like it.  split_ring, the one
+clipper, walks a ring's boundary once through the cells, a map overlay
+(de Berg, Cheong, van Kreveld & Overmars, Computational Geometry, ch. 2).
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
@@ -30,16 +29,19 @@ from typing import Iterator, Sequence
 
 from .geometry import (
     GeometryError,
+    MultiComponent,
     Point,
     Ratios,
     Region,
+    Scaled,
     _hull_order,
+    _ring_locate,
     dist_sq,
     over_common_denominator,
     ratios,
     scalar_str,
 )
-from .booleans import Wall
+from .booleans import Triple, Wall, _cleaned, _reduced
 
 
 class VoronoiError(GeometryError):
@@ -101,13 +103,40 @@ class SiteSet:
         return tuple(s for s in self.sites if self.hull.locate(s) == 1)
 
     @cached_property
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Per site, the index of the site across each wall of its cell."""
+        _, xs, ys = over_common_denominator(self.sites)
+        return tuple(tuple(_facet_neighbours(xs, ys, i)) for i in range(len(xs)))
+
+    @cached_property
     def cells(self) -> tuple[tuple[Wall, ...], ...]:
         """The Voronoi cell of every site, in S.sites order, as its facet
         walls in the counter-clockwise order of their dual points."""
         sites = self.sites
-        _, xs, ys = over_common_denominator(sites)
-        return tuple(tuple(bisector(c, sites[j]) for j in _facet_neighbours(xs, ys, i))
-                     for i, c in enumerate(sites))
+        return tuple(tuple(bisector(c, sites[j]) for j in js)
+                     for c, js in zip(sites, self._neighbours))
+
+    @cached_property
+    def _corners(self) -> tuple[tuple[Triple | None, ...], ...]:
+        """Every cell's corners, in S.sites order: where its walls k and
+        k + 1 (cyclically), (A1, B1, C1) and (A2, B2, C2), meet, the reduced
+        triple (C1 B2 - C2 B1, A1 C2 - A2 C1, A1 B2 - A2 B1); None where
+        A1 B2 <= A2 B1, at the one gap of an unbounded cell, where they do
+        not meet on it."""
+        return tuple(
+            tuple(_reduced(C1 * B2 - C2 * B1, A1 * C2 - A2 * C1, A1 * B2 - A2 * B1)
+                  if A1 * B2 > A2 * B1 else None
+                  for (A1, B1, C1), (A2, B2, C2) in zip(walls, walls[1:] + walls[:1]))
+            for walls in self.cells)
+
+    @cached_property
+    def _psi(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(M, entries): the sites (x, y) / M over their common denominator,
+        in S.sites order, each as (x^2 + y^2, x, y).  Its psi(p) =
+        (x^2 + y^2) D - 2 M (x X + y Y) is the squared distance to
+        p = (X / D, Y / D) times M^2 D, less a term that all sites share."""
+        M, xs, ys = over_common_denominator(self.sites)
+        return M, tuple((x * x + y * y, x, y) for x, y in zip(xs, ys))
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Ratios], ...]]:
@@ -167,23 +196,173 @@ def nearest_sites(S: SiteSet, p: Point) -> list[Point]:
     return [c for c, x in zip(S.sites, d) if x == best]
 
 
-def materialize_cell(S: SiteSet, c: Point) -> Region:
-    """Bounded cell of an inner site, from its facet walls.
+def _corner_ring(corners: Sequence[Triple]) -> Scaled:
+    """The ring through a bounded cell's corners, counter-clockwise, over
+    the lcm of their denominators."""
+    L = lcm(*[D for _, _, D in corners])
+    return L, [X * (L // D) for X, _, D in corners], [Y * (L // D) for _, Y, D in corners]
 
-    An inner site's dual points surround the origin, so its cell's walls
-    (SiteSet.cells) go once around it, and each two consecutive walls
-    (A1, B1, C1), (A2, B2, C2) meet at the vertex
-    (C1 B2 - C2 B1, A1 C2 - A2 C1) / (A1 B2 - A2 B1), the denominator
-    positive.  The ring goes over the lcm of those denominators.
-    """
+
+def materialize_cell(S: SiteSet, c: Point) -> Region:
+    """Bounded cell of an inner site, from its corners (SiteSet._corners):
+    an inner site's dual points surround the origin, so its walls go once
+    around it, each two consecutive walls meeting at a corner."""
     if c not in S.inners:
         raise UnboundedCell(f"{c} is not an inner site")
-    walls = S.cells[S.sites.index(c)]
-    corners = [(C1 * B2 - C2 * B1, A1 * C2 - A2 * C1, A1 * B2 - A2 * B1)
-               for (A1, B1, C1), (A2, B2, C2) in zip(walls, walls[1:] + walls[:1])]
-    m = lcm(*[d for _, _, d in corners])
-    return Region.from_integers(m, [x * (m // d) for x, _, d in corners],
-                                [y * (m // d) for _, y, d in corners])
+    return Region.from_integers(*_corner_ring(S._corners[S.sites.index(c)]))
+
+
+# A vertex of a cell piece: (X, Y, D, on), the point (X / D, Y / D) with
+# D > 0, on whether it lies on a wall line (booleans._cleaned)
+_Vertex = tuple[int, int, int, bool]
+
+
+def _nearest(psi: tuple[int, tuple[tuple[int, int, int], ...]],
+             X: int, Y: int, D: int, dx: int, dy: int) -> int:
+    """The index of the site whose cell holds p + e (dx, dy) + e^2 (-dy, dx)
+    for every small enough e > 0, p = (X / D, Y / D): the least
+    (psi(p), change of psi along (dx, dy), change along (-dy, dx))
+    (SiteSet._psi), each change over the common factor -2 M.  Two distinct
+    sites differ in the last two, so this one rule settles every tie."""
+    M2 = 2 * psi[0]
+    return min((n * D - M2 * (x * X + y * Y), -(x * dx + y * dy), x * dy - y * dx, i)
+               for i, (n, x, y) in enumerate(psi[1]))[3]
+
+
+def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
+    """The components of X ∩ V(c) for every site c, in S.sites order, from
+    one walk of the boundary of X, a simple counter-clockwise ring (m, xs,
+    ys), through the diagram.
+
+    Each boundary point goes to the cell holding it moved a little along
+    its edge and less to the left (_nearest): an edge on a wall goes to the
+    cell on X's side.  A wall's level A x + B y - C m is affine along an
+    edge u -> v, so the edge leaves its cell where the first level f turns
+    positive, at (f(v) u - f(u) v) / (f(v) - f(u)), into the site across
+    that wall, or, at a corner or along a wall, into the cell _nearest
+    names.  Each cell's chains, the maximal runs of the boundary in it, are
+    closed along its walls (_close).  A cell no chain enters is a piece
+    whole exactly when it is bounded and its site lies strictly inside X.
+    A ring in one cell comes back as it was given.
+    """
+    m, xs, ys = X
+    n = len(xs)
+    cells, nbrs, psi = S.cells, S._neighbours, S._psi
+    first = c = _nearest(psi, xs[0], ys[0], m, xs[1] - xs[0], ys[1] - ys[0])
+    walls = cells[c]
+    fv = [A * xs[0] + B * ys[0] - C * m for A, B, C in walls]
+    cur: list[_Vertex] = [(xs[0], ys[0], m, 0 in fv)]
+    chains: list[tuple[int, list[_Vertex]]] = []
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        ux, uy, vx, vy = xs[i], ys[i], xs[j], ys[j]
+        fu = fv
+        fv = [A * vx + B * vy - C * m for A, B, C in walls]
+        while True:
+            # the first wall to turn positive, at t = -f(u) / (f(v) - f(u))
+            k = -1
+            for q, b in enumerate(fv):
+                if b > 0:
+                    a = fu[q]
+                    if k < 0 or -a * den < num * (b - a):
+                        k, num, den, tie = q, -a, b - a, False
+                    elif -a * den == num * (b - a):
+                        tie = True
+            if k < 0:
+                break
+            a, b = fu[k], fv[k]
+            p = (*_reduced(b * ux - a * vx, b * uy - a * vy, (b - a) * m), True)
+            cur.append(p)
+            chains.append((c, cur))
+            cur = [p]
+            if tie or any(a == 0 == b for a, b in zip(fu, fv)):
+                c = _nearest(psi, p[0], p[1], p[2], vx - ux, vy - uy)
+            else:
+                c = nbrs[c][k]
+            walls = cells[c]
+            fu = [A * ux + B * uy - C * m for A, B, C in walls]
+            fv = [A * vx + B * vy - C * m for A, B, C in walls]
+        on = 0 in fv
+        cur.append((vx, vy, m, on))
+        if on:
+            # v lies on the boundary of the cell: the next edge picks its own
+            k = j + 1 if j + 1 < n else 0
+            nxt = first if j == 0 else _nearest(psi, vx, vy, m, xs[k] - vx, ys[k] - vy)
+            if nxt != c:
+                chains.append((c, cur))
+                cur = [(vx, vy, m, True)]
+                c = nxt
+                walls = cells[c]
+                fv = [A * vx + B * vy - C * m for A, B, C in walls]
+    pieces: list[list[Scaled]] = [[] for _ in cells]
+    if not chains:
+        pieces[c] = [X]
+        return pieces
+    # back in the cell it started in, the walk's last chain runs on into its first
+    chains[0] = (c, cur + chains[0][1][1:])
+    by_cell: dict[int, list[list[_Vertex]]] = {}
+    for c, chain in chains:
+        by_cell.setdefault(c, []).append(chain)
+    for c, found in by_cell.items():
+        pieces[c] = _close(cells[c], S._corners[c], found)
+    M, entries = psi
+    mxs, mys = [x * M for x in xs], [y * M for y in ys]
+    for c, ((_, x, y), corners) in enumerate(zip(entries, S._corners)):
+        if c not in by_cell and None not in corners and _ring_locate(mxs, mys, x * m, y * m) > 0:
+            pieces[c] = [_corner_ring(corners)]
+    return pieces
+
+
+def _close(walls: Sequence[Wall], corners: Sequence[Triple | None],
+           chains: list[list[_Vertex]]) -> list[Scaled]:
+    """One cell's components: each chain joined from its end, counter-
+    clockwise along the cell's boundary, to the next chain start, through
+    the corners passed (booleans._cleaned drops repeats).
+
+    A boundary point on the wall (A, B, C) is at (r, A y - B x over d), r
+    counting the walls from the one after an unbounded cell's gap; A y - B x
+    grows counter-clockwise.  The ends and starts are sorted over the lcm
+    of their denominators, each end pairs with the next start, cyclically
+    around a bounded cell, and MultiComponent says a pair is not so (a ring
+    that is not simple and counter-clockwise).
+    """
+    K, N = len(walls), len(chains)
+    gap = corners.index(None) if None in corners else -1
+
+    def position(p: _Vertex) -> tuple[int, int, int]:
+        X, Y, D, _ = p
+        k = next(k for k, (A, B, C) in enumerate(walls) if A * X + B * Y == C * D)
+        A, B, _ = walls[k]
+        return (k - gap - 1) % K, A * Y - B * X, D
+
+    # chain i ends at keys[i] and starts at keys[N + i]
+    pos = [position(chain[t]) for t in (-1, 0) for chain in chains]
+    L = lcm(*[D for _, _, D in pos])
+    keys = [(r, a * (L // D)) for r, a, D in pos]
+    events = sorted((key, i) for i, key in enumerate(keys))
+    if gap < 0 and events[0][1] >= N:
+        events = events[1:] + events[:1]
+    succ = [0] * N
+    for (_, e), (_, s) in zip(events[0::2], events[1::2]):
+        if e >= N or s < N:
+            raise MultiComponent("ring meets a cell boundary degenerately")
+        succ[e] = s - N
+    rings = []
+    seen = [False] * N
+    for i in range(N):
+        pts: list[_Vertex] = []
+        while not seen[i]:
+            seen[i] = True
+            pts += chains[i]
+            j = succ[i]
+            ke, ks = keys[i], keys[N + j]
+            ranks = range(ke[0], ks[0]) if ke <= ks else [*range(ke[0], K), *range(ks[0])]
+            pts += [(*corners[(r + gap + 1) % K], True) for r in ranks]
+            i = j
+        piece = _cleaned(tuple(zip(*pts))) if pts else None
+        if piece is not None:
+            rings.append(piece)
+    return rings
 
 
 def inner_cell_diameter_sq(S: SiteSet, c: Point) -> Fraction:

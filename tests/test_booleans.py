@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from errdiff.booleans import (
     _boundaries,
     _pieces,
-    clip_components,
     subset,
     subset_witness,
     union_one_region,
@@ -43,7 +42,8 @@ from errdiff.starunion import (
     star_cycle,
 )
 from test_geometry import (
-    canonical, clipped, cross, dot, hull, level, reference_orient, rotated, wall,
+    canonical, clip_components, clipped, cross, dot, hull, level, reference_orient,
+    rotated, wall,
 )
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import errdiff.operators
 import errdiff.starunion
-from errdiff.booleans import clip_components, subset, union_one_region
+from errdiff.booleans import subset, union_one_region
 from errdiff.geometry import (
     ORIGIN,
     DegenerateHull,
@@ -49,9 +49,10 @@ from errdiff.operators import (
 )
 from errdiff.scene import load_scene
 from errdiff.starunion import cycle_envelope, star_cycle
-from errdiff.voronoi import SiteSet
+from errdiff.voronoi import SiteSet, split_ring
 from test_booleans import DIR_POOL, star_rings
 from test_geometry import (
+    clip_components,
     grid_points,
     reference_hull,
     reference_minkowski,
@@ -131,8 +132,8 @@ class TestGStep:
         assert q2.kernel_contains(ORIGIN)
 
     def test_empty_cell_piece_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(errdiff.operators, "clip_components",
-                            lambda scaled, walls: [])
+        monkeypatch.setattr(errdiff.operators, "split_ring",
+                            lambda S, X: [[] for _ in S.sites])
         with pytest.raises(EmptyCellPiece):
             apply_operator("g", single(UNIT_SQUARE), PointSeed(ORIGIN))
         assert issubclass(EmptyCellPiece, GeometryError)
@@ -143,10 +144,12 @@ class TestGStep:
         # other site in S.sites order, and the error names site k
         S = STAR8
 
-        def clip(scaled, walls):
-            return [] if walls == S.cells[k] else clip_components(scaled, walls)
+        def split(S_, X):
+            pieces = split_ring(S_, X)
+            pieces[k] = []
+            return pieces
 
-        monkeypatch.setattr(errdiff.operators, "clip_components", clip)
+        monkeypatch.setattr(errdiff.operators, "split_ring", split)
         others = [c for i, c in enumerate(S.sites) if i != k]
         assert [c for c, _ in cell_pieces(S, S.hull._scaled)] == others
         with pytest.raises(EmptyCellPiece) as err:

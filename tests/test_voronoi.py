@@ -1,4 +1,6 @@
-"""Site sets, bisector cells, corners and inners, projection, boundedness."""
+"""Site sets, bisector cells, corners and inners, projection, boundedness,
+and the walk that splits a ring into cell pieces."""
+import math
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
@@ -8,17 +10,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import subset
-from errdiff.operators import _star_cycles, cell_pieces
+from errdiff.operators import Collection, _star_cycles, apply_operator, cell_pieces, p_step
 from errdiff.scene import load_scene
 from errdiff.geometry import (
+    ORIGIN,
     DegenerateHull,
+    GeometryError,
     MultiComponent,
     Point,
     Region,
+    _canonical_order,
     dist_sq,
+    is_simple_ring,
     point_of,
     pt,
     ratios,
+    ring_area2,
 )
 from errdiff.voronoi import (
     AssumptionReport,
@@ -31,9 +38,10 @@ from errdiff.voronoi import (
     inner_cell_diameter_sq,
     materialize_cell,
     project_ratios,
+    split_ring,
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
-from test_geometry import clipped, level, wall
+from test_geometry import _angle_sorted, clip_components, clipped, level, rotated, wall
 
 
 def corners(S: SiteSet) -> tuple:
@@ -446,3 +454,201 @@ class TestCellsFromWalls:
                     e = d - c
                     assert bisector(c, d) == wall(2 * e.x, 2 * e.y,
                                                   d.norm_sq() - c.norm_sq())
+
+
+def forms(rings) -> list[tuple]:
+    """Each ring in canonical form, which must only rotate it (rotated),
+    in sorted order: equal lists hold the same rings up to rotation."""
+    out = []
+    for m, xs, ys in rings:
+        order = rotated((m, xs, ys))
+        out.append((m, tuple(xs[i] for i in order), tuple(ys[i] for i in order)))
+    return sorted(out)
+
+
+def check_pieces(S: SiteSet, R: Region) -> dict:
+    """cell_pieces of R against the reference clip of R by each cell's walls
+    (clip_components), cell by cell: the same rings up to rotation where
+    the reference returns only simple rings; otherwise the same area, in
+    the reference's rings or in simple ones.  Every ring is over the lcm of
+    its reduced denominators, and the pieces of all cells add up to R.
+    Returns the pieces by site."""
+    X = R._scaled
+    got = dict(cell_pieces(S, X))
+    assert list(got) == [c for c in S.sites if c in got]
+    total = 0
+    for c, walls in zip(S.sites, S.cells):
+        pieces = got.get(c, [])
+        assert all(math.gcd(m, *xs, *ys) == 1 for m, xs, ys in pieces)
+        area = sum(ring_area2(p) for p in pieces)
+        total += area
+        want = outcome(clip_components, X, walls)
+        if want is not MultiComponent and all(is_simple_ring(f) for f in forms(want)):
+            assert forms(pieces) == forms(want)
+            continue
+        if want is not MultiComponent:
+            assert area == sum(ring_area2(w) for w in want)
+            if forms(pieces) == forms(want):
+                continue
+        assert all(is_simple_ring(f) for f in forms(pieces))
+    assert total == R.area2
+    return got
+
+
+quarter = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+small_sites = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       min_size=3, max_size=7, unique=True)
+
+
+@st.composite
+def polygons(draw):
+    """A simple ring of 3 to 9 vertices in halves and quarters, ordered
+    around their centroid: star-shaped there, not around the origin, so a
+    cell may hold several components of it."""
+    pts = draw(st.lists(st.builds(Point, quarter, quarter), min_size=3, max_size=9,
+                        unique_by=Point.key))
+    try:
+        return Region.from_ring(_angle_sorted(pts))
+    except GeometryError:
+        assume(False)
+
+
+def site_set(coords) -> SiteSet:
+    try:
+        return SiteSet(tuple(pt(x, y) for x, y in coords))
+    except DegenerateHull:
+        assume(False)
+
+
+SSET3_SITES = SiteSet(tuple(pt(x, y) for x, y in SSET3), id="sset3")
+BRIDGE_SITES = SiteSet(tuple(pt(x, y) for x, y in ((-2, 0), (-1, -2), (1, -2), (2, -2))))
+# an edge of BRIDGE along the wall x = 0 between (-1, -2) and (1, -2), X's
+# interior on the side of (-1, -2), joins two lobes in the cell of (1, -2)
+BRIDGE = [(-2, "-5/2"), (-1, -4), (0, -5), (1, -4), (0, "-5/2"), (0, "-3/2"), ("3/2", 1)]
+PINCH_SITES = SiteSet(tuple(pt(x, y) for x, y in ((-1, 1), (0, -2), (0, -1), (0, 1))))
+# the piece of (-1, 1) touches itself at (-1/2, 0)
+PINCH = [(-3, "-1/2"), ("5/2", -3), (2, "-1/2"), (-1, 1), ("-1/2", 0), (-3, 0)]
+
+
+def region(*coords) -> Region:
+    return Region.from_ring([pt(x, y) for x, y in coords])
+
+
+class TestSplitRing:
+    @given(st.one_of(small_sites, lattice_sites, sset3_shifted, rational_sites),
+           st.one_of(polygons(), star_rings().map(Region.from_ring),
+                     star_rings(wide_radii).map(Region.from_ring)))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_match_the_reference_clip(self, coords, R):
+        check_pieces(site_set(coords), R)
+
+    @pytest.mark.parametrize("ring", [
+        [("1/4", "1/4"), ("3/4", "3/4"), ("-1/4", "3/4")],
+        [("3/4", "3/4"), ("1/4", "1/4"), ("3/4", "1/4")],
+        [(0, "1/4"), (1, "3/4"), (0, 1)],
+    ])
+    def test_edge_through_a_degree_four_vertex(self, ring):
+        # (0, 0), (1, 0), (1, 1) and (0, 1) meet at (1/2, 1/2); an edge
+        # through it passes from the cell of (0, 0) into that of (1, 1), or
+        # back, and the cells of (1, 0) and (0, 1) keep what lies in them
+        got = check_pieces(SSET3_SITES, region(*ring))
+        assert {pt(0, 0), pt(1, 1)} <= set(got)
+
+    @pytest.mark.parametrize("ring, sites", [
+        # the left edge on the wall x = 1/2, X's interior on the side of
+        # (1, 0), and then of (0, 0)
+        ([("1/2", "-1/4"), (2, "-1/4"), (2, "1/4"), ("1/2", "1/4")], [(1, 0), (2, 0)]),
+        ([("-1/2", "-1/4"), ("1/2", "-1/4"), ("1/2", "1/4"), ("-1/2", "1/4")], [(0, 0)]),
+        # the bottom edge on the wall y = -1 below (1, 0), the right edge on
+        # the wall x = 3/2 before (2, 0)
+        ([(1, -1), ("3/2", -1), ("3/2", "-1/2"), (1, "-1/2")], [(1, 0)]),
+    ])
+    def test_edge_on_a_wall(self, ring, sites):
+        got = check_pieces(SSET3_SITES, region(*ring))
+        assert list(got) == [pt(x, y) for x, y in sites]
+
+    def test_vertex_on_a_wall_and_at_a_voronoi_vertex(self):
+        # (1/2, 0) lies on the wall between (0, 0) and (1, 0): the ring stays
+        # in the closed cell of (0, 0) and comes back as it was given
+        R = region(("-1/4", "-1/4"), ("1/2", 0), ("-1/4", "1/4"))
+        ((c, (piece,)),) = cell_pieces(SSET3_SITES, R._scaled)
+        assert c == pt(0, 0) and piece[1] is R.xs
+        # (1/2, 1/2), where four cells meet, is a vertex of X
+        for ring in ([("1/2", "1/2"), ("1/4", 1), ("-1/4", 0)],
+                     [(0, "1/4"), ("1/2", "1/2"), (1, "1/4"), ("1/2", 1)]):
+            check_pieces(SSET3_SITES, region(*ring))
+
+    def test_ring_inside_one_cell(self):
+        R = region(("7/8", "-1/4"), ("5/4", "-1/4"), (1, "1/4"))
+        X = R._scaled
+        pieces = split_ring(SSET3_SITES, X)
+        assert [len(p) for p in pieces] == [0, 1] + [0] * 8
+        assert pieces[1][0] is X
+
+    def test_inner_cell_inside_the_ring(self):
+        # the cell of (1, 0) lies in [1/2, 3/2] x [-1, 1/2], which no chain
+        # enters: it is a piece whole
+        R = region((0, -1), (2, -1), (2, 1), (0, 1))
+        got = check_pieces(SSET3_SITES, R)
+        (cell,) = got[pt(1, 0)]
+        assert forms([cell]) == forms([materialize_cell(SSET3_SITES, pt(1, 0))._scaled])
+
+    # the bridge edge goes to the cell on X's side whatever the site order
+    @pytest.mark.parametrize("S", [BRIDGE_SITES, SiteSet(BRIDGE_SITES.sites[::-1])])
+    def test_a_bridge_along_a_wall_leaves_two_lobes(self, S):
+        # the reference joins the two lobes by the bridge, a ring that is
+        # not simple; the walk returns them apart, with the same area
+        R = region(*BRIDGE)
+        got = check_pieces(S, R)
+        (want,) = clip_components(R._scaled, S.cells[S.sites.index(pt(1, -2))])
+        assert not is_simple_ring(forms([want])[0])
+        assert forms(got[pt(1, -2)]) == forms([region((0, -5), (1, -4), (0, "-5/2"))._scaled,
+                                               region((0, "-3/2"), ("3/2", 1), (0, "-1/2"))._scaled])
+        # so p's general route sums the hull with each lobe: the image no
+        # longer reaches (-3, 0)
+        image = p_step(S, R)
+        assert image.area2 == F(6187, 78)
+        assert image.locate(pt(-3, 0)) == -1
+
+    def test_a_piece_that_touches_itself_stays_whole(self):
+        R = region(*PINCH)
+        got = check_pieces(PINCH_SITES, R)
+        ((m, xs, ys),) = got[pt(-1, 1)]
+        assert [(F(x, m), F(y, m)) for x, y in zip(xs, ys)].count((F(-1, 2), 0)) == 2
+        # two rotations of it have one canonical form
+        n = len(xs)
+        for k in range(n):
+            assert ([xs[(i + k) % n] for i in _canonical_order(xs[k:] + xs[:k], ys[k:] + ys[:k])]
+                    == [xs[i] for i in _canonical_order(xs, ys)])
+        # and g, p and P return a set on it
+        SS = Collection((PINCH_SITES,))
+        assert apply_operator("g", SS, R.with_reference(ORIGIN)).area2 == F(2257, 70)
+        assert apply_operator("p", SS, R).area2 == F(21877, 420)
+        assert apply_operator("P", SS, R).area2 == F(1103, 20)
+
+
+class TestCellCaches:
+    def test_loading_a_scene_builds_no_cell(self):
+        scenes = Path(__file__).resolve().parent.parent / "scenes"
+        for p in sorted(scenes.glob("*.json")):
+            for coll in load_scene(str(p)).collections.values():
+                for S in coll.members:
+                    assert not {"cells", "_neighbours", "_corners", "_psi"} & set(vars(S))
+
+    @given(st.one_of(lattice_sites, sset3_shifted, rational_sites))
+    @settings(max_examples=100, deadline=None)
+    def test_corners_and_neighbours(self, coords):
+        """Each corner lies on its two walls and inside every other; a
+        bounded cell has no gap and an unbounded one exactly one; the site
+        across each wall is the one whose bisector it is."""
+        S = site_set(coords)
+        for i, (c, walls, corners) in enumerate(zip(S.sites, S.cells, S._corners)):
+            assert [bisector(c, S.sites[j]) for j in S._neighbours[i]] == list(walls)
+            assert corners.count(None) == (0 if c in S.inners else 1)
+            for k, corner in enumerate(corners):
+                if corner is None:
+                    continue
+                X, Y, D = corner
+                levels = [A * X + B * Y - C * D for A, B, C in walls]
+                assert levels[k] == levels[(k + 1) % len(walls)] == 0
+                assert max(levels) == 0
