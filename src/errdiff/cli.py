@@ -19,6 +19,7 @@ from .dynamics import TraceStep, play
 from .geometry import (
     ORIGIN,
     GeometryError,
+    KernelViolation,
     Point,
     PointSeed,
     Ratios,
@@ -30,7 +31,7 @@ from .geometry import (
     scalar_str,
     sub_ratios,
 )
-from .operators import Collection, IterationResult, iterate
+from .operators import Collection, IterationResult, iterate, shared_site
 from .scene import ParseError, Scene, ValidationError, load_scene
 from .render import render_svg
 from .verify import (
@@ -133,14 +134,12 @@ def _run_iterations(scene: Scene, args, op: str, kind: str, out: Path) -> int:
 def _seed_for(collection: Collection, name: str, kind: str) -> PointSeed:
     if kind == "gset":
         return PointSeed(ORIGIN)
-    common = set(collection.members[0].sites)
-    for S in collection.members[1:]:
-        common &= set(S.sites)
-    if not common:
+    try:
+        return PointSeed(shared_site(collection))
+    except KernelViolation:
         raise ValidationError(
             f"members of {name!r} share no site to seed from",
-            (f"collections.{name}",))
-    return PointSeed(min(common, key=lambda p: p.key()))
+            (f"collections.{name}",)) from None
 
 
 def _cmd_min_gset(scene: Scene, args, out: Path) -> int:

@@ -18,11 +18,14 @@ through the center, two or more mean the union pinches there and has no
 simple boundary.
 
 Each cycle is a ring (m, xs, ys), geometry's Scaled order.  The cycles
-are the boundaries of the parts of a union (every member's cell pieces
-at once for g, one member's for p, the member hulls of G, and p's hull
-shifts for a point seed), each put relative to the center by star_cycle,
-which also checks that the center is in the part's kernel; or the
-convolution cycle of a Minkowski sum, whose edges may turn either way.
+are the boundaries of the parts of a union, each put relative to the
+center by star_cycle, which also checks that the center is in the
+part's kernel: every member's cell pieces at once for g, one member's
+for p (or their sums with ch S, where the pieces pinch at the origin),
+p's hull shifts for a point seed, the member hulls of G and the member
+images of p and P.  Or a cycle is the convolution cycle of a Minkowski
+sum, whose edges may turn either way.  The envelope is the engine's
+one union: there is no general polygon union beside it.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from errdiff.operators import (
     apply_operator,
     equal_canonical,
     iterate,
+    shared_site,
 )
 from errdiff.scene import parse_scene
 from errdiff.starunion import DisconnectedUnion
@@ -178,10 +180,7 @@ def test_criterion_05_joint_gset_dominates_singles():
 
 def test_criterion_06_joint_fset_and_first_iterate():
     SS = collection("ssprime")
-    common = set(SS.members[0].sites)
-    for S in SS.members[1:]:
-        common &= set(S.sites)
-    s0 = min(common, key=lambda p: p.key())
+    s0 = shared_site(SS)
     first = apply_operator("p", SS, PointSeed(s0))
     res = iterate("p", SS, PointSeed(s0))
     checks = [
@@ -211,9 +210,13 @@ def test_criterion_07_convex_variant_on_the_star():
 
 
 def _random_small_sets(count: int, seed: int):
-    """Seeded 4-6 point draws; degenerate or non-polygonal ones are skipped."""
+    """Seeded 4-6 point draws, until count of them have an exact g chain,
+    and the tally of every draw's outcome: "kept", "degenerate" (no
+    polygonal hull), "disconnected" (g's union pinches at the origin) or
+    "capped" (no fixed point within _exact_chain's cap)."""
     rng = random.Random(seed)
     out = []
+    tally = Counter()
     while len(out) < count:
         n = rng.choice([4, 5, 6])
         pts_ = set()
@@ -223,14 +226,19 @@ def _random_small_sets(count: int, seed: int):
             S = SiteSet(tuple(pt(x, y) for x, y in sorted(pts_)),
                         id=f"R{len(out)}")
         except GeometryError:
+            tally["degenerate"] += 1
             continue
         try:
             chain = _exact_chain(S)
         except DisconnectedUnion:
+            tally["disconnected"] += 1
             continue
-        if chain is not None:
-            out.append((S, chain))
-    return out
+        if chain is None:
+            tally["capped"] += 1
+            continue
+        tally["kept"] += 1
+        out.append((S, chain))
+    return out, tally
 
 
 def _exact_chain(S: SiteSet, cap: int = 60) -> list[Region] | None:
@@ -257,7 +265,8 @@ def test_criterion_08_reachability_oracle_agrees():
         (ys[0], ys[-1]) == (-edge, edge)
 
     random_ok = True
-    for S, chain in _random_small_sets(20, seed=8):
+    drawn, tally = _random_small_sets(20, seed=8)
+    for S, chain in drawn:
         final = chain[-1]
         nested = all(subset(a, b) for a, b in zip(chain, chain[1:]))
         starred = all(is_star_convex_origin(q).passed for q in chain)
@@ -277,6 +286,8 @@ def test_criterion_08_reachability_oracle_agrees():
         ("cloud touches all four sides", touches),
         ("20 random sets: clouds contained, iterates nested and "
          "star-convex", random_ok),
+        ("87 draws: 20 kept, 19 disconnected, 48 past the 60-step cap",
+         tally == Counter(kept=20, disconnected=19, capped=48)),
     ]
     _criterion(8, "independent reachability oracle agrees with the "
                "iteration", checks)

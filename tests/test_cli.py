@@ -115,6 +115,14 @@ class TestMinFset:
             ("-1/2", "-1/2"), ("3/2", "-1/2"), ("3/2", "3/2"), ("-1/2", "3/2")}
 
 
+    def test_members_that_share_no_site_are_refused(self, tmp_path, capsys):
+        scene = tmp_path / "apart.json"
+        scene.write_text(json.dumps({"collections": {"apart": [
+            {"id": "A", "points": [["0", "0"], ["1", "0"], ["0", "1"]]},
+            {"id": "B", "points": [["2", "0"], ["3", "0"], ["2", "1"]]}]}}))
+        assert run_cli("min-fset", "--scene", scene, "--out", tmp_path / "out") == 3
+        assert "members of 'apart' share no site to seed from" in capsys.readouterr().err
+
 class TestSimulate:
     def test_trace_artifact_shape(self, out):
         assert run_cli("simulate", "--scene", SCENES / "sset1.json",
@@ -247,6 +255,18 @@ class TestVerify:
         assert not star["passed"] and star["witnesses"] == [["2", "1"]]
         assert "is_invariant_g not checked" in star["notes"]
         assert "sset1: is_star_convex_origin: FAIL" in capsys.readouterr().out
+
+    def test_an_f_set_whose_pieces_are_not_star_shaped_is_refused(self, out, capsys):
+        # the triangle holds no site, so its cell pieces miss their sites:
+        # the p operator refuses it with a typed error, and verify exits 3
+        # with no report
+        out.mkdir(parents=True)
+        (out / "sset1.fset.json").write_text(
+            json.dumps({"vertices": [["1", "1"], ["3", "1"], ["3", "3"]]}))
+        code = run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: center is outside a part's kernel\n"
+        assert not (out / "sset1.verify.json").exists()
 
     def test_exit_three_when_nothing_to_verify(self, out):
         out.mkdir(parents=True)

@@ -1,6 +1,7 @@
 """Operator steps, snap candidates, certificates, and the fixed-point engine."""
 import math
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,17 +10,20 @@ from hypothesis import strategies as st
 
 import errdiff.operators
 import errdiff.starunion
-from errdiff.booleans import subset, union_one_region
+from errdiff.booleans import subset
 from errdiff.geometry import (
     ORIGIN,
     DegenerateHull,
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
+    MultiComponent,
     NotSimple,
+    NotStarAtCenter,
     Point,
     PointSeed,
     Region,
+    _canonical_order,
     _shift,
     dist_sq,
     equal_canonical,
@@ -35,22 +39,23 @@ from errdiff.operators import (
     Collection,
     EmptyCellPiece,
     SNAP_DENOMINATOR,
+    Pieces,
     _g_pieces,
-    _p_step_general,
+    _recentred,
     _star_cycles,
-    _sum_hull_with_ring,
     apply_operator,
     cell_pieces,
     certify,
     iterate,
     minkowski_convex_star,
     p_step,
+    shared_site,
     snap_candidate,
 )
 from errdiff.scene import load_scene
 from errdiff.starunion import cycle_envelope, star_cycle
 from errdiff.voronoi import SiteSet, split_ring
-from test_booleans import DIR_POOL, star_rings
+from test_booleans import DIR_POOL, star_rings, union_one_region
 from test_geometry import (
     clip_components,
     grid_points,
@@ -88,6 +93,50 @@ def single(S):
 def g_of(S, q):
     """g over the one-member collection {S}."""
     return apply_operator("g", single(S), q)
+
+
+# ---------------------------------------------------------------------------
+# the reference general route of p: hull sweeps and the general union
+
+def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
+    """Regions whose union is hull + piece, piece an arbitrary simple
+    canonical region.
+
+    A convex piece, which need not hold the origin, is summed by
+    minkowski_convex_star.  Otherwise a point of the sum that misses the
+    piece moved by one hull vertex lies on the hull swept along the piece's
+    boundary, so the union of that moved piece with conv((hull + a) |
+    (hull + b)) over the piece's edges [a, b] is the sum, all over the lcm
+    of the two denominators.
+    """
+    if is_convex_ring(piece._scaled):
+        return [minkowski_convex_star(hull, piece)]
+    m = lcm(hull.m, piece.m)
+    hxs = [x * (m // hull.m) for x in hull.xs]
+    hys = [y * (m // hull.m) for y in hull.ys]
+    rxs = [x * (m // piece.m) for x in piece.xs]
+    rys = [y * (m // piece.m) for y in piece.ys]
+    out = [Region(m, [x + hxs[0] for x in rxs], [y + hys[0] for y in rys])]
+    n = len(rxs)
+    for i in range(n):
+        j = (i + 1) % n
+        out.append(hull_of_rings([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
+                           [h + rys[i] for h in hys] + [h + rys[j] for h in hys])]))
+    return out
+
+
+def _p_step_general(hull: Region, pieces: Pieces) -> Region:
+    """ch S + U(D) from D's cell_pieces, any pieces at all: the hull summed
+    with each shifted piece (_sum_hull_with_ring), united by the general
+    union.  It is the reference that p_step's envelopes are checked
+    against, also where p_step refuses a piece that is not star-shaped
+    around its site."""
+    parts = []
+    for m, xs, ys in _recentred(pieces):
+        order = _canonical_order(xs, ys)  # a cell piece's rotation
+        parts += _sum_hull_with_ring(hull, Region(m, [xs[i] for i in order],
+                                                  [ys[i] for i in order]))
+    return union_one_region(parts)
 
 
 class TestCollection:
@@ -340,6 +389,21 @@ class TestPStep:
         assert subset(UNIT_SQUARE.hull, got)
         assert subset(DIAMOND.hull, got)
 
+    def test_shared_site_is_the_least_common_site(self):
+        SS = Collection((UNIT_SQUARE, sites((1, 1), (0, 1), (5, 5), id="T")))
+        assert shared_site(SS) == pt(0, 1)
+
+    def test_members_that_share_no_site_have_no_center(self):
+        # a point seed is its own center, but the union of the members'
+        # images of a region needs a site that they all share
+        SS = Collection((UNIT_SQUARE, DIAMOND))
+        with pytest.raises(KernelViolation):
+            shared_site(SS)
+        d = apply_operator("p", SS, PointSeed(pt(0, 0)))
+        for op in ("p", "P"):
+            with pytest.raises(KernelViolation):
+                apply_operator(op, SS, d)
+
 
 def or_disconnected(fn, *args):
     try:
@@ -385,7 +449,9 @@ class TestPStepPointSeed:
 
 
 class TestPStepRoutes:
-    """The radial fast path and the edge-sweep general path must agree."""
+    """p's radial route and the reference general route (hull sweeps and
+    the general union) agree, and where p refuses a piece the reference
+    still sums it."""
 
     def test_routes_agree_along_runs(self):
         for S in (DIAMOND, ZIGZAG5, STAR8):
@@ -398,15 +464,17 @@ class TestPStepRoutes:
 
     def test_general_route_when_piece_misses_its_site(self):
         # a nonconvex D sitting inside one cell but away from the site makes
-        # the recentered piece miss the origin, forcing the general route;
-        # p(D) must still contain D
+        # the recentered piece miss the origin: p refuses it, as g would,
+        # and the reference general route's image still contains D
         S = sites((0, 0), (8, 0), (0, 8), id="corner")
         ring = [pt(1, 1), pt(3, 1), pt(3, F(3, 2)), pt(F(3, 2), F(3, 2)),
                 pt(F(3, 2), 3), pt(1, 3)]
         d = Region.from_ring(ring)
-        got = p_step(S, d)
+        with pytest.raises(NotStarAtCenter):
+            p_step(S, d)
+        got = _p_step_general(S.hull, cell_pieces(S, d._scaled))
         assert subset(d, got)
-        again = p_step(S, got)
+        again = _p_step_general(S.hull, cell_pieces(S, got._scaled))
         assert subset(got, again)
 
 
@@ -572,9 +640,13 @@ def general_g_family(op, SS, q):
 
 
 @st.composite
-def lattice_collections(draw):
+def lattice_collections(draw, shared=False):
+    """Two or three lattice site sets; with shared, each also holds one
+    drawn site."""
+    extra = [draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))] if shared else []
     members = []
     for i, coords in enumerate(draw(st.lists(lattice_sites, min_size=2, max_size=3))):
+        coords = coords + [c for c in extra if c not in coords]
         try:
             members.append(sites(*coords, id=f"S{i}"))
         except DegenerateHull:
@@ -656,13 +728,56 @@ class TestPooledGFamily:
         assert (res.stop_reason, res.iterations, len(res.final)) == ("certified", 37, 11)
 
 
-def shift_identity_chain(S, steps):
+def general_p_family(op, SS, d):
+    """p or P over a collection by the general union of the member
+    images."""
+    return union_one_region([apply_operator(op, single(S), d) for S in SS])
+
+
+class TestPooledPFamily:
+    """p and P over a collection unite the member images in one envelope,
+    around the seed point or the members' shared site; against the
+    general union of the same images."""
+
+    def check_chain(self, op, SS, steps):
+        """Along the chain from the shared site, op's image is the general
+        union of the member images, field for field; where op raises, so
+        does that union.  Returns how the chain ended."""
+        d = PointSeed(shared_site(SS))
+        for _ in range(steps):
+            try:
+                got = apply_operator(op, SS, d)
+            except GeometryError as exc:
+                with pytest.raises(GeometryError):
+                    general_p_family(op, SS, d)
+                return f"{op} raised {type(exc).__name__}"
+            assert got == general_p_family(op, SS, d)  # vertices and reference both
+            d = got
+        return f"{op} united every step"
+
+    @given(lattice_collections(shared=True))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_general_union(self, SS):
+        for op in ("p", "P"):
+            event(self.check_chain(op, SS, 3))
+
+    @pytest.mark.parametrize("op", ["p", "P"])
+    def test_ssprime_chain(self, op):
+        """The whole shipped ssprime chain, to its certified stop."""
+        SS = shipped("ssprime")
+        steps = iterate(op, SS, PointSeed(shared_site(SS))).iterations
+        assert self.check_chain(op, SS, steps) == f"{op} united every step"
+
+
+def shift_identity_chain(S, steps, note=lambda outcome: None):
     """Check p(ch S + Q) = ch S + g(Q) and P(ch S + Q) = ch S + G(Q) along
     the g and G chains from the origin, and the p and P chains from the
     CLI's seed site s0, whose first image is ch S = ch S + {0}.  Where g
-    raises DisconnectedUnion, p must still return a region that holds its
-    input (the general route), and the g side ends there.  Returns the
-    number of equal p steps, of equal P steps, and of such g failures."""
+    raises DisconnectedUnion, p's image must be the reference general
+    route's, field for field; where g raises MultiComponent or
+    NotStarAtCenter, p must raise the same class.  Either way the g side
+    ends there.  Each chain's outcome goes to note.  Returns the number of
+    equal p steps, of equal P steps, and of such g failures."""
     SS = single(S)
     s0 = _seed_for(SS, "S", "fset")
     counts = [0, 0, 0]
@@ -674,20 +789,32 @@ def shift_identity_chain(S, steps):
                 q = apply_operator(g, SS, q)
             except DisconnectedUnion:
                 assert g == "g"
-                assert subset(d, apply_operator(p, SS, d))
+                image = apply_operator(p, SS, d)
+                assert image == _p_step_general(S.hull, cell_pieces(S, d._scaled))
+                assert subset(d, image)
+                note("g raised DisconnectedUnion: p equals the general route")
+                counts[2] += 1
+                break
+            except (MultiComponent, NotStarAtCenter) as exc:
+                assert g == "g"
+                with pytest.raises(type(exc)):
+                    apply_operator(p, SS, d)
+                note(f"g and p raised {type(exc).__name__}")
                 counts[2] += 1
                 break
             d = apply_operator(p, SS, d)
             assert equal_canonical(d, minkowski_convex_star(S.hull, q))
             counts[k] += 1
+        else:
+            note(f"{g} and {p} equal at every step")
     return counts
 
 
 class TestShiftIdentity:
     """With phi(Q) = ch S + Q, p∘phi = phi∘g and P∘phi = phi∘G on a
     single site set: the two sides run different code (g's pooled
-    envelope against p's radial route or its general route, G's hull
-    against P's convex walk), so each side checks the other."""
+    envelope against p's radial route or its envelope of hull sums, G's
+    hull against P's convex walk), so each side checks the other."""
 
     @given(lattice_sites)
     @example([(-2, 0), (-1, -2), (1, -2), (1, 2)])
@@ -697,10 +824,8 @@ class TestShiftIdentity:
             S = sites(*coords)
         except DegenerateHull:
             assume(False)
-        equal_p, equal_P, g_disconnected = shift_identity_chain(S, 4)
-        assert equal_P == 4 and (equal_p == 4 or g_disconnected == 1)
-        if g_disconnected:
-            event("g raised DisconnectedUnion")
+        equal_p, equal_P, g_failed = shift_identity_chain(S, 4, event)
+        assert equal_P == 4 and (equal_p == 4 or g_failed == 1)
 
     def test_counts_on_shipped_and_pinched_sets(self):
         """The identity on a fixed list of sets, with the g failures
@@ -1056,5 +1181,9 @@ class TestRunInvariants:
         for op in ("g", "G"):
             q1 = apply_operator(op, single(DIAMOND), q0)
             assert subset(q0, q1)
-        d1 = apply_operator("p", single(DIAMOND), q0)
+        # q0 holds no site, so p refuses it; the reference general route's
+        # image holds it
+        with pytest.raises(NotStarAtCenter):
+            apply_operator("p", single(DIAMOND), q0)
+        d1 = _p_step_general(DIAMOND.hull, cell_pieces(DIAMOND, q0._scaled))
         assert subset(q0, d1)
