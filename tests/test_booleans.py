@@ -474,7 +474,8 @@ def _direction_pool():
 
 
 DIR_POOL = _direction_pool()
-AXES = {DIR_POOL.index(d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))}
+AXIS_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+AXES = {DIR_POOL.index(d) for d in AXIS_DIRS}
 radii = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=6)
 # radii in [1/2, 4] with denominators up to 2**128, the width of the
 # coordinates the operator chains run on
@@ -579,6 +580,9 @@ class TestWideCoordinates:
         assert list(star(rings, ORIGIN).vertices) == cycles[0]
 
     @given(star_rings(wide_radii), star_rings(wide_radii))
+    # (0, -1) lies on the edge from (-2, -3) to (1, 0) of both rings
+    @example(ring_of((-3, -1), (-2, -3), (1, 0), (0, 1), (-1, 0)),
+             ring_of((-3, -1), (-2, -1), (-2, -3), (1, 0), (0, 1), (-1, 0)))
     @settings(max_examples=30, deadline=None)
     def test_integer_t_comparison_matches_fractions(self, ra, rb):
         """Every entry (e, r_u, r_w) that the sweep of the two rings hands
@@ -600,10 +604,12 @@ class TestWideCoordinates:
 
         with patch.object(errdiff.starunion, "_arc", spy):
             cycle_envelope([over_common_denominator(r) for r in (ra, rb)], ORIGIN)
-        # both rings hold the four axes and wind once around the origin, so
-        # every arc between the sorted directions of their vertices is
-        # spanned, and _arc runs on each in turn
-        U = sorted({_direction(v) for v in ra + rb}, key=cmp_to_key(_dir_cmp))
+        # both rings wind once around the origin, so every arc between the
+        # sorted directions of their vertices and the four axes is spanned,
+        # and _arc runs on each in turn; canonical may have dropped an axis
+        # vertex that lies on a straight edge, but the sweep splits there
+        U = sorted({_direction(v) for v in ra + rb} | set(AXIS_DIRS),
+                   key=cmp_to_key(_dir_cmp))
         assert len(arcs) == len(U)
         for k, es in enumerate(arcs):
             u, w = pt(*U[k]), pt(*U[(k + 1) % len(U)])
