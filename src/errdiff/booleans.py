@@ -1,30 +1,40 @@
-"""Exact clip cleanup and containment for simple polygons, on integers.
+"""Exact clip cleanup, union, and containment for simple polygons, on
+integers.
 
 _cleaned finishes every cell piece that voronoi.split_ring walks out of a
 ring: it puts the piece over the lcm of its reduced vertex denominators
 and drops each vertex on a wall line that repeats a neighbour or is
 collinear with its two; no Fraction is built.
 
-subset_witness takes two polygons, puts their rings over one common
-denominator and splits a's edges with one edge splitter, _pieces: each
-edge is cut at its contacts with b's edges, each a reduced parameter
+subset_witness and union_rings take polygons, put their rings over one
+common denominator and share one edge splitter, _pieces: each edge is
+cut at its contacts with the other rings' edges, each a reduced parameter
 along it, and each piece's midpoint is a reduced integer triple, located
 by geometry's integer point location.  subset_witness checks a's
-vertices, then those midpoints.  No Fraction is compared or added: a
-Point is built only for a returned witness.  Every union the operators
-take is a radial envelope (starunion.cycle_envelope); this module has
-no general polygon union.
+vertices, then those midpoints.  union_rings keeps or drops the pieces by
+their midpoints and stitches them back into cycles, each a canonical
+Region on integers; a boundary that touches itself or leaves a hole
+raises DisconnectedUnion.  No Fraction is compared or added: a Point is
+built only for a returned witness.  union_one_region demands exactly one
+cycle.  It is the operators' general union, for parts that share no
+center: p's general route unites its hull sweeps there, and the p family
+its members' images where their radial envelope fails
+(starunion.cycle_envelope is every other union).  Results are
+regularized: zero-area slivers and whiskers vanish.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
+    DisconnectedUnion,
     Point,
     Region,
     Scaled,
+    _canonical_order,
     _ring_locate,
 )
 
@@ -70,7 +80,7 @@ def _cleaned(ring: _Ring) -> Scaled | None:
 
 
 # ---------------------------------------------------------------------------
-# containment, on the rings of a call over one denominator L
+# containment and union, on the rings of a call over one denominator L
 
 # A point (X / d, Y / d) in units of 1 / L, reduced, with d > 0
 Triple = tuple[int, int, int]
@@ -103,6 +113,15 @@ class _Boundary:
         if d == 1:
             return _ring_locate(self.xs, self.ys, X, Y)
         return _ring_locate([x * d for x in self.xs], [y * d for y in self.ys], X, Y)
+
+    def side_along(self, X: int, Y: int, d: int, dx: int, dy: int) -> int:
+        """+1 when the first edge holding (X / d, Y / d) runs along (dx, dy),
+        -1 when it runs against it, 0 when no edge holds the point."""
+        for ax, ay, bx, by, xmin, xmax, ymin, ymax in self.edges:
+            if (xmin * d <= X <= xmax * d and ymin * d <= Y <= ymax * d
+                    and (bx - ax) * (Y - ay * d) == (by - ay) * (X - ax * d)):
+                return 1 if (bx - ax) * dx + (by - ay) * dy > 0 else -1
+        return 0
 
 
 def _boundaries(polys: Sequence[Region]) -> tuple[int, list[_Boundary]]:
@@ -195,3 +214,91 @@ def subset_witness(a: Region, b: Region) -> Point | None:
 def subset(a: Region, b: Region) -> bool:
     """Exact containment of a in b (closed sets)."""
     return subset_witness(a, b) is None
+
+
+def union_rings(polys: Sequence[Region]) -> list[Region]:
+    """Union of polygons with simple CCW rings, as its canonical boundary
+    cycles.
+
+    A piece of an edge split at the other rings is dropped when its
+    midpoint lies strictly inside another ring, or on another ring's
+    collinear edge that runs the opposite way or, for a lower ring index,
+    the same way.  A boundary that touches itself raises DisconnectedUnion,
+    and so does a hole: the engine has no polygon-with-holes representation.
+    """
+    L, bounds = _boundaries(polys)
+    kept: list[tuple[Triple, Triple]] = []
+    for i, I in enumerate(bounds):
+        near = [(j, J) for j, J in enumerate(bounds)
+                if j != i and not _apart(I.box, J.box)]
+        others = [J for _, J in near]
+        for e in I.edges:
+            for p, q, (X, Y, d) in _pieces(e, others):
+                for j, J in near:
+                    loc = J.locate(X, Y, d)
+                    if loc > 0:
+                        break
+                    if loc == 0:
+                        side = J.side_along(X, Y, d, e[2] - e[0], e[3] - e[1])
+                        # opposite interiors: covered both sides; a duplicate:
+                        # the lowest index wins
+                        if side < 0 or (side > 0 and j < i):
+                            break
+                else:
+                    kept.append((p, q))
+    return _stitch(kept, L)
+
+
+def _lex_cmp(p: Triple, q: Triple) -> int:
+    c = p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
+    return (c > 0) - (c < 0)
+
+
+def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
+    outgoing: dict[Triple, Triple] = {}
+    for p, q in kept:
+        if p in outgoing:
+            raise DisconnectedUnion("union boundary touches itself")
+        outgoing[p] = q
+
+    # every vertex starts at most one piece, so a start names it; the starts
+    # are taken in lexicographic order
+    used: set[Triple] = set()
+    cycles: list[Scaled] = []
+    for start in sorted(outgoing, key=cmp_to_key(_lex_cmp)):
+        if start in used:
+            continue
+        path = [start]
+        while path[-1] in outgoing and path[-1] not in used:
+            used.add(path[-1])
+            path.append(outgoing[path[-1]])
+        if path[0] != path[-1]:
+            raise DisconnectedUnion("union boundary has a dangling chain")
+        path.pop()
+        m = lcm(*[d for _, _, d in path])
+        xs = [x * (m // d) for x, _, d in path]
+        ys = [y * (m // d) for _, y, d in path]
+        order = _canonical_order(xs, ys)
+        if order is not None:
+            cycles.append((m, [xs[i] for i in order], [ys[i] for i in order]))
+    # canonical rings are all CCW, so a hole shows up as a cycle nested inside
+    # another; filtered vertices of genuine sibling lobes never lie strictly
+    # inside a neighbor.  Cycle i is over mi and cycle j over mj.
+    for i, (mi, ixs, iys) in enumerate(cycles):
+        for j, (mj, jxs, jys) in enumerate(cycles):
+            if i == j:
+                continue
+            sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
+            if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
+                raise DisconnectedUnion("union produced a hole")
+    # a cycle that passed the touch and hole tests is simple and canonical
+    return [Region(m * L, xs, ys) for m, xs, ys in cycles]
+
+
+def union_one_region(polys: Sequence[Region]) -> Region:
+    """Union of polygons with simple CCW rings that must be exactly one
+    cycle; raises DisconnectedUnion otherwise."""
+    cycles = union_rings(polys)
+    if len(cycles) != 1:
+        raise DisconnectedUnion(f"union has {len(cycles)} components")
+    return cycles[0]

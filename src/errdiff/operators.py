@@ -13,17 +13,19 @@ its kernel (_star_cycles), in one radial envelope around the origin
 (starunion.cycle_envelope): g pools every member's pieces, and p_step
 takes one member's, and where their envelope pinches at the origin sums
 ch S with each shifted piece and unites the sums in one envelope around
-an interior point of ch S.  The convex variants take the hull of the
+an interior point of ch S.  Where the check fails, p_step has a general
+route, which sweeps ch S along each piece and unites the sweeps in
+booleans.union_one_region.  The convex variants take the hull of the
 shifted pieces instead (geometry.hull_of_rings), since a hull commutes
 with union and with Minkowski sum: G(Q) = conv U(ch S + Q), with the
 origin as reference, and P(D) = ch S + conv U(D), one convex walk; so
 they build no envelope per member, and return a set also where the
-union pinches at the center.  apply_operator is the one member loop,
-and every union in it is one radial envelope: G unites the member hulls
-around the origin, and p and P the members' images around a point that
-every image holds in its kernel (the seed point, or shared_site).  Every
-ring is a Scaled triple (m, xs, ys), and the snap candidate is made on
-integers too.
+union pinches at the center.  apply_operator is the one member loop: G
+unites the member hulls in one envelope around the origin, and p and P
+the members' images in one envelope around a point that every image
+should hold in its kernel (the seed point, or shared_site), or in
+union_one_region where that envelope fails.  Every ring is a Scaled
+triple (m, xs, ys), and the snap candidate is made on integers too.
 Iterating any operator from a seed grows a monotone chain of regions
 whose limit is the minimal invariant set; the engine below runs that
 chain with exact rational arithmetic and stops it in one of two ways: at
@@ -37,12 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .booleans import subset_witness
+from .booleans import subset_witness, union_one_region
 from .geometry import (
     DisconnectedUnion,
     GeometryError,
     KernelViolation,
     MultiComponent,
+    NotStarAtCenter,
     ORIGIN,
     Point,
     PointSeed,
@@ -53,6 +56,7 @@ from .geometry import (
     _shift,
     equal_canonical,
     hull_of_rings,
+    is_convex_ring,
     scalar_str,
 )
 from .starunion import cycle_envelope, star_cycle
@@ -287,13 +291,48 @@ def _g_pieces(S: SiteSet, Q: Seed) -> Pieces:
 
 def shared_site(SS: Collection) -> Point:
     """The least site, by Point.key, that every member of SS has: a point
-    of every member hull, so every p-family member image of a region that
-    holds the hulls is star-shaped around it.  KernelViolation when the
-    members share no site."""
+    of every member hull.  KernelViolation when the members share no
+    site."""
     common = set(SS.members[0].sites).intersection(*[S.sites for S in SS.members[1:]])
     if not common:
         raise KernelViolation("members share no site to center their union on")
     return min(common, key=lambda p: p.key())
+
+
+def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
+    """Regions whose union is hull + piece, piece an arbitrary simple
+    canonical region.
+
+    A convex piece, which need not hold the origin, is summed by
+    minkowski_convex_star.  Otherwise a point of the sum that misses the
+    piece moved by one hull vertex lies on the hull swept along the piece's
+    boundary, so the union of that moved piece with conv((hull + a) |
+    (hull + b)) over the piece's edges [a, b] is the sum, all over the lcm
+    of the two denominators.
+    """
+    if is_convex_ring(piece._scaled):
+        return [minkowski_convex_star(hull, piece)]
+    m = lcm(hull.m, piece.m)
+    hxs = [x * (m // hull.m) for x in hull.xs]
+    hys = [y * (m // hull.m) for y in hull.ys]
+    rxs = [x * (m // piece.m) for x in piece.xs]
+    rys = [y * (m // piece.m) for y in piece.ys]
+    out = [Region(m, [x + hxs[0] for x in rxs], [y + hys[0] for y in rys])]
+    n = len(rxs)
+    for i in range(n):
+        j = (i + 1) % n
+        out.append(hull_of_rings([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
+                           [h + rys[i] for h in hys] + [h + rys[j] for h in hys])]))
+    return out
+
+
+def _p_step_general(hull: Region, pieces: Pieces) -> Region:
+    parts = []
+    for m, xs, ys in _recentred(pieces):
+        order = _canonical_order(xs, ys)  # a cell piece's rotation
+        parts += _sum_hull_with_ring(hull, Region(m, [xs[i] for i in order],
+                                                  [ys[i] for i in order]))
+    return union_one_region(parts)
 
 
 def p_step(S: SiteSet, D: Seed) -> Region:
@@ -302,22 +341,28 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     A point seed {s0} gives the union of ch S + s0 − c over its nearest
     sites c, all star-shaped around s0: one radial envelope of the hull
     shifted by each -c (star_cycle), which raises DisconnectedUnion when
-    they meet only at s0.  A region D is cut into cell_pieces, each
-    shifted by -c and checked to be one component with c in its kernel
-    (_star_cycles, which raises MultiComponent or NotStarAtCenter, as g
-    does: p(ch S + Q) = ch S + g(Q)); U(D) is their envelope around the
-    origin, and ch S is added by the radial walk.  Where that envelope
-    pinches at the origin (DisconnectedUnion), ch S is added to each
-    shifted piece instead: every sum holds ch S and is star-shaped around
-    each of its points, so one envelope of the sums around an interior
-    point of ch S, the mean of three hull vertices, is their union.
+    they meet only at s0.  A region D is cut into cell_pieces; when each
+    cell that meets D keeps one piece, star-shaped around the origin once
+    shifted (which holds once the sites lie in D), U(D) is their envelope
+    and ch S is added by the radial walk.  Where that envelope pinches at
+    the origin (DisconnectedUnion), ch S is added to each shifted piece
+    instead: every sum holds ch S and is star-shaped around each of its
+    points, so one envelope of the sums around an interior point of ch S,
+    the mean of three hull vertices, is their union.  Otherwise
+    (MultiComponent, NotStarAtCenter) the general route sums the hull with
+    each piece by sweeping it along the piece's edges (_sum_hull_with_ring)
+    and unites the sums in union_one_region.
     """
     hull = S.hull
     if isinstance(D, PointSeed):
         s0 = D.point
         cycles = [star_cycle(hull._scaled, c) for c in nearest_sites(S, s0)]
         return cycle_envelope(cycles, s0).with_reference(None)
-    cycles = _star_cycles(cell_pieces(S, D._scaled))
+    pieces = cell_pieces(S, D._scaled)
+    try:
+        cycles = _star_cycles(pieces)
+    except (MultiComponent, NotStarAtCenter):
+        return _p_step_general(hull, pieces)
     try:
         return minkowski_convex_star(hull, cycle_envelope(cycles, ORIGIN)).with_reference(None)
     except DisconnectedUnion:
@@ -345,11 +390,13 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
     recentred cell_pieces of D, one convex walk, and for a point seed {s0}
     the hull of the translates ch S + s0 − c over the sites c nearest to
     s0, also where they meet only at s0.  The p family unites several
-    members' images in one envelope too: around s0 for a point seed,
-    which every image holds in its kernel, and otherwise around the
-    shared_site z, a point of every member hull, which every image holds
-    in its kernel once the region holds the hulls, as every chain iterate
-    after the first does (NotStarAtCenter otherwise).
+    members' images in one envelope around a center z that each image
+    should hold in its kernel: s0 for a point seed, and otherwise the
+    shared_site, a point of every member hull, which every image built
+    from star-shaped pieces holds in its kernel once the region holds the
+    hulls.  Where the members share no site, or an image misses z from
+    its kernel, or the envelope pinches at z, the images go to
+    union_one_region instead.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
@@ -373,8 +420,11 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
                  for S in SS.members]
     if len(parts) == 1:
         return parts[0]
-    z = Q.point if isinstance(Q, PointSeed) else shared_site(SS)
-    return cycle_envelope([star_cycle(R._scaled, z) for R in parts], z).with_reference(None)
+    try:
+        z = Q.point if isinstance(Q, PointSeed) else shared_site(SS)
+        return cycle_envelope([star_cycle(R._scaled, z) for R in parts], z).with_reference(None)
+    except (KernelViolation, NotStarAtCenter, DisconnectedUnion):
+        return union_one_region(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ part's kernel: every member's cell pieces at once for g, one member's
 for p (or their sums with ch S, where the pieces pinch at the origin),
 p's hull shifts for a point seed, the member hulls of G and the member
 images of p and P.  Or a cycle is the convolution cycle of a Minkowski
-sum, whose edges may turn either way.  The envelope is the engine's
-one union: there is no general polygon union beside it.
+sum, whose edges may turn either way.  Parts with no common center go
+to booleans.union_one_region, the general union.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its

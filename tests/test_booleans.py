@@ -3,8 +3,6 @@ import itertools
 import math
 from fractions import Fraction as F
 from functools import cmp_to_key
-from math import lcm
-from typing import Sequence
 from unittest.mock import patch
 
 import pytest
@@ -12,13 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from errdiff.booleans import (
-    Triple,
-    _apart,
-    _Boundary,
     _boundaries,
     _pieces,
     subset,
     subset_witness,
+    union_one_region,
+    union_rings,
 )
 from errdiff.geometry import (
     ORIGIN,
@@ -28,9 +25,6 @@ from errdiff.geometry import (
     NotStarAtCenter,
     Point,
     Region,
-    Scaled,
-    _canonical_order,
-    _ring_locate,
     is_simple_ring,
     over_common_denominator,
     point_in_ring,
@@ -53,112 +47,6 @@ from test_geometry import (
 )
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
-
-
-# ---------------------------------------------------------------------------
-# the reference general union: any simple polygons, on integers, over the
-# containment test's edge splitter
-
-def side_along(boundary: _Boundary, X: int, Y: int, d: int, dx: int, dy: int) -> int:
-    """+1 when the first edge of boundary holding (X / d, Y / d) runs along
-    (dx, dy), -1 when it runs against it, 0 when no edge holds the point."""
-    for ax, ay, bx, by, xmin, xmax, ymin, ymax in boundary.edges:
-        if (xmin * d <= X <= xmax * d and ymin * d <= Y <= ymax * d
-                and (bx - ax) * (Y - ay * d) == (by - ay) * (X - ax * d)):
-            return 1 if (bx - ax) * dx + (by - ay) * dy > 0 else -1
-    return 0
-
-
-def union_rings(polys: Sequence[Region]) -> list[Region]:
-    """Union of polygons with simple CCW rings, as its canonical boundary
-    cycles.
-
-    A piece of an edge split at the other rings is dropped when its
-    midpoint lies strictly inside another ring, or on another ring's
-    collinear edge that runs the opposite way or, for a lower ring index,
-    the same way.  A boundary that touches itself raises DisconnectedUnion,
-    and so does a hole: the engine has no polygon-with-holes representation.
-    It is the general union that the operators' radial envelopes are
-    checked against: it takes any simple polygons, with no common center.
-    """
-    L, bounds = _boundaries(polys)
-    kept: list[tuple[Triple, Triple]] = []
-    for i, I in enumerate(bounds):
-        near = [(j, J) for j, J in enumerate(bounds)
-                if j != i and not _apart(I.box, J.box)]
-        others = [J for _, J in near]
-        for e in I.edges:
-            for p, q, (X, Y, d) in _pieces(e, others):
-                for j, J in near:
-                    loc = J.locate(X, Y, d)
-                    if loc > 0:
-                        break
-                    if loc == 0:
-                        side = side_along(J, X, Y, d, e[2] - e[0], e[3] - e[1])
-                        # opposite interiors: covered both sides; a duplicate:
-                        # the lowest index wins
-                        if side < 0 or (side > 0 and j < i):
-                            break
-                else:
-                    kept.append((p, q))
-    return _stitch(kept, L)
-
-
-def _lex_cmp(p: Triple, q: Triple) -> int:
-    c = p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
-    return (c > 0) - (c < 0)
-
-
-def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
-    outgoing: dict[Triple, Triple] = {}
-    for p, q in kept:
-        if p in outgoing:
-            raise DisconnectedUnion("union boundary touches itself")
-        outgoing[p] = q
-
-    # every vertex starts at most one piece, so a start names it; the starts
-    # are taken in lexicographic order
-    used: set[Triple] = set()
-    cycles: list[Scaled] = []
-    for start in sorted(outgoing, key=cmp_to_key(_lex_cmp)):
-        if start in used:
-            continue
-        path = [start]
-        while path[-1] in outgoing and path[-1] not in used:
-            used.add(path[-1])
-            path.append(outgoing[path[-1]])
-        if path[0] != path[-1]:
-            raise DisconnectedUnion("union boundary has a dangling chain")
-        path.pop()
-        m = lcm(*[d for _, _, d in path])
-        xs = [x * (m // d) for x, _, d in path]
-        ys = [y * (m // d) for _, y, d in path]
-        order = _canonical_order(xs, ys)
-        if order is not None:
-            cycles.append((m, [xs[i] for i in order], [ys[i] for i in order]))
-    # canonical rings are all CCW, so a hole shows up as a cycle nested inside
-    # another; filtered vertices of genuine sibling lobes never lie strictly
-    # inside a neighbor.  Cycle i is over mi and cycle j over mj.
-    for i, (mi, ixs, iys) in enumerate(cycles):
-        for j, (mj, jxs, jys) in enumerate(cycles):
-            if i == j:
-                continue
-            sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
-            if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
-                raise DisconnectedUnion("union produced a hole")
-    # a cycle that passed the touch and hole tests is simple and canonical
-    return [Region(m * L, xs, ys) for m, xs, ys in cycles]
-
-
-def union_one_region(polys: Sequence[Region]) -> Region:
-    """Union of polygons with simple CCW rings that must be exactly one
-    cycle; raises DisconnectedUnion otherwise."""
-    cycles = union_rings(polys)
-    if len(cycles) != 1:
-        raise DisconnectedUnion(f"union has {len(cycles)} components")
-    return cycles[0]
-
-
 
 
 def ring_of(*coords):

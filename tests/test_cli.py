@@ -105,6 +105,12 @@ class TestMinGset:
             assert payload["converged"] is (op == "g")
 
 
+# two members that share no site
+APART = {"collections": {"apart": [
+    {"id": "A", "points": [["0", "0"], ["1", "0"], ["0", "1"]]},
+    {"id": "B", "points": [["2", "0"], ["3", "0"], ["2", "1"]]}]}}
+
+
 class TestMinFset:
     def test_unit_square_region_is_the_half_margin_box(self, out):
         assert run_cli("min-fset", "--scene", SCENES / "unit_square.json",
@@ -114,14 +120,12 @@ class TestMinFset:
         assert {tuple(v) for v in payload["vertices"]} == {
             ("-1/2", "-1/2"), ("3/2", "-1/2"), ("3/2", "3/2"), ("-1/2", "3/2")}
 
-
     def test_members_that_share_no_site_are_refused(self, tmp_path, capsys):
         scene = tmp_path / "apart.json"
-        scene.write_text(json.dumps({"collections": {"apart": [
-            {"id": "A", "points": [["0", "0"], ["1", "0"], ["0", "1"]]},
-            {"id": "B", "points": [["2", "0"], ["3", "0"], ["2", "1"]]}]}}))
+        scene.write_text(json.dumps(APART))
         assert run_cli("min-fset", "--scene", scene, "--out", tmp_path / "out") == 3
         assert "members of 'apart' share no site to seed from" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_trace_artifact_shape(self, out):
@@ -256,17 +260,29 @@ class TestVerify:
         assert "is_invariant_g not checked" in star["notes"]
         assert "sset1: is_star_convex_origin: FAIL" in capsys.readouterr().out
 
-    def test_an_f_set_whose_pieces_are_not_star_shaped_is_refused(self, out, capsys):
-        # the triangle holds no site, so its cell pieces miss their sites:
-        # the p operator refuses it with a typed error, and verify exits 3
-        # with no report
+    def test_an_f_set_whose_pieces_are_not_star_shaped_gets_a_verdict(self, out):
+        # the triangle holds no site, so its cell pieces miss their sites
+        # and p takes its general route
         out.mkdir(parents=True)
         (out / "sset1.fset.json").write_text(
             json.dumps({"vertices": [["1", "1"], ["3", "1"], ["3", "3"]]}))
         code = run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out)
-        assert code == 3
-        assert capsys.readouterr().err == "error: center is outside a part's kernel\n"
-        assert not (out / "sset1.verify.json").exists()
+        assert code == 4
+        invariant = read_json(out / "sset1.verify.json")["checks"][0]
+        assert invariant["check"] == "is_invariant_p" and not invariant["passed"]
+        assert invariant["witnesses"] == [["-5/2", "1"]]
+        assert invariant["notes"] == "image has 11 vertices"
+
+    def test_an_f_set_over_members_that_share_no_site_gets_a_verdict(self, tmp_path, out):
+        scene = tmp_path / "apart.json"
+        scene.write_text(json.dumps(APART))
+        out.mkdir(parents=True)
+        (out / "apart.fset.json").write_text(json.dumps(
+            {"vertices": [["-1", "-1"], ["4", "-1"], ["4", "2"], ["-1", "2"]]}))
+        assert run_cli("verify", "--scene", scene, "--out", out) == 4
+        invariant, hulls = read_json(out / "apart.verify.json")["checks"]
+        assert not invariant["passed"] and invariant["witnesses"] == [["5", "1"]]
+        assert hulls["passed"] and hulls["notes"] == "checked 2 member hulls"
 
     def test_exit_three_when_nothing_to_verify(self, out):
         out.mkdir(parents=True)

@@ -1,7 +1,6 @@
 """Operator steps, snap candidates, certificates, and the fixed-point engine."""
 import math
 from fractions import Fraction as F
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import errdiff.operators
 import errdiff.starunion
-from errdiff.booleans import subset
+from errdiff.booleans import subset, union_one_region
 from errdiff.geometry import (
     ORIGIN,
     DegenerateHull,
@@ -23,7 +22,6 @@ from errdiff.geometry import (
     Point,
     PointSeed,
     Region,
-    _canonical_order,
     _shift,
     dist_sq,
     equal_canonical,
@@ -39,10 +37,10 @@ from errdiff.operators import (
     Collection,
     EmptyCellPiece,
     SNAP_DENOMINATOR,
-    Pieces,
     _g_pieces,
-    _recentred,
+    _p_step_general,
     _star_cycles,
+    _sum_hull_with_ring,
     apply_operator,
     cell_pieces,
     certify,
@@ -55,7 +53,7 @@ from errdiff.operators import (
 from errdiff.scene import load_scene
 from errdiff.starunion import cycle_envelope, star_cycle
 from errdiff.voronoi import SiteSet, split_ring
-from test_booleans import DIR_POOL, star_rings, union_one_region
+from test_booleans import DIR_POOL, star_rings
 from test_geometry import (
     clip_components,
     grid_points,
@@ -93,50 +91,6 @@ def single(S):
 def g_of(S, q):
     """g over the one-member collection {S}."""
     return apply_operator("g", single(S), q)
-
-
-# ---------------------------------------------------------------------------
-# the reference general route of p: hull sweeps and the general union
-
-def _sum_hull_with_ring(hull: Region, piece: Region) -> list[Region]:
-    """Regions whose union is hull + piece, piece an arbitrary simple
-    canonical region.
-
-    A convex piece, which need not hold the origin, is summed by
-    minkowski_convex_star.  Otherwise a point of the sum that misses the
-    piece moved by one hull vertex lies on the hull swept along the piece's
-    boundary, so the union of that moved piece with conv((hull + a) |
-    (hull + b)) over the piece's edges [a, b] is the sum, all over the lcm
-    of the two denominators.
-    """
-    if is_convex_ring(piece._scaled):
-        return [minkowski_convex_star(hull, piece)]
-    m = lcm(hull.m, piece.m)
-    hxs = [x * (m // hull.m) for x in hull.xs]
-    hys = [y * (m // hull.m) for y in hull.ys]
-    rxs = [x * (m // piece.m) for x in piece.xs]
-    rys = [y * (m // piece.m) for y in piece.ys]
-    out = [Region(m, [x + hxs[0] for x in rxs], [y + hys[0] for y in rys])]
-    n = len(rxs)
-    for i in range(n):
-        j = (i + 1) % n
-        out.append(hull_of_rings([(m, [h + rxs[i] for h in hxs] + [h + rxs[j] for h in hxs],
-                           [h + rys[i] for h in hys] + [h + rys[j] for h in hys])]))
-    return out
-
-
-def _p_step_general(hull: Region, pieces: Pieces) -> Region:
-    """ch S + U(D) from D's cell_pieces, any pieces at all: the hull summed
-    with each shifted piece (_sum_hull_with_ring), united by the general
-    union.  It is the reference that p_step's envelopes are checked
-    against, also where p_step refuses a piece that is not star-shaped
-    around its site."""
-    parts = []
-    for m, xs, ys in _recentred(pieces):
-        order = _canonical_order(xs, ys)  # a cell piece's rotation
-        parts += _sum_hull_with_ring(hull, Region(m, [xs[i] for i in order],
-                                                  [ys[i] for i in order]))
-    return union_one_region(parts)
 
 
 class TestCollection:
@@ -393,16 +347,15 @@ class TestPStep:
         SS = Collection((UNIT_SQUARE, sites((1, 1), (0, 1), (5, 5), id="T")))
         assert shared_site(SS) == pt(0, 1)
 
-    def test_members_that_share_no_site_have_no_center(self):
-        # a point seed is its own center, but the union of the members'
-        # images of a region needs a site that they all share
+    def test_members_that_share_no_site_go_to_the_general_union(self):
+        # a point seed is its own center, but the envelope of the members'
+        # images of a region is centered on a site that they all share
         SS = Collection((UNIT_SQUARE, DIAMOND))
         with pytest.raises(KernelViolation):
             shared_site(SS)
         d = apply_operator("p", SS, PointSeed(pt(0, 0)))
         for op in ("p", "P"):
-            with pytest.raises(KernelViolation):
-                apply_operator(op, SS, d)
+            assert apply_operator(op, SS, d) == general_p_family(op, SS, d)
 
 
 def or_disconnected(fn, *args):
@@ -449,9 +402,7 @@ class TestPStepPointSeed:
 
 
 class TestPStepRoutes:
-    """p's radial route and the reference general route (hull sweeps and
-    the general union) agree, and where p refuses a piece the reference
-    still sums it."""
+    """The radial fast path and the edge-sweep general path must agree."""
 
     def test_routes_agree_along_runs(self):
         for S in (DIAMOND, ZIGZAG5, STAR8):
@@ -464,17 +415,15 @@ class TestPStepRoutes:
 
     def test_general_route_when_piece_misses_its_site(self):
         # a nonconvex D sitting inside one cell but away from the site makes
-        # the recentered piece miss the origin: p refuses it, as g would,
-        # and the reference general route's image still contains D
+        # the recentered piece miss the origin, forcing the general route;
+        # p(D) must still contain D
         S = sites((0, 0), (8, 0), (0, 8), id="corner")
         ring = [pt(1, 1), pt(3, 1), pt(3, F(3, 2)), pt(F(3, 2), F(3, 2)),
                 pt(F(3, 2), 3), pt(1, 3)]
         d = Region.from_ring(ring)
-        with pytest.raises(NotStarAtCenter):
-            p_step(S, d)
-        got = _p_step_general(S.hull, cell_pieces(S, d._scaled))
+        got = p_step(S, d)
         assert subset(d, got)
-        again = _p_step_general(S.hull, cell_pieces(S, got._scaled))
+        again = p_step(S, got)
         assert subset(got, again)
 
 
@@ -736,8 +685,9 @@ def general_p_family(op, SS, d):
 
 class TestPooledPFamily:
     """p and P over a collection unite the member images in one envelope,
-    around the seed point or the members' shared site; against the
-    general union of the same images."""
+    around the seed point or the members' shared site, or in the general
+    union where that envelope fails; against the general union of the
+    same images."""
 
     def check_chain(self, op, SS, steps):
         """Along the chain from the shared site, op's image is the general
@@ -773,10 +723,10 @@ def shift_identity_chain(S, steps, note=lambda outcome: None):
     """Check p(ch S + Q) = ch S + g(Q) and P(ch S + Q) = ch S + G(Q) along
     the g and G chains from the origin, and the p and P chains from the
     CLI's seed site s0, whose first image is ch S = ch S + {0}.  Where g
-    raises DisconnectedUnion, p's image must be the reference general
-    route's, field for field; where g raises MultiComponent or
-    NotStarAtCenter, p must raise the same class.  Either way the g side
-    ends there.  Each chain's outcome goes to note.  Returns the number of
+    raises DisconnectedUnion, p's envelope of hull sums must equal the
+    general route's image field for field; where g raises MultiComponent
+    or NotStarAtCenter, p takes the general route, whose image must hold
+    its input.  Either way the g side ends there.  Each chain's outcome goes to note.  Returns the number of
     equal p steps, of equal P steps, and of such g failures."""
     SS = single(S)
     s0 = _seed_for(SS, "S", "fset")
@@ -797,9 +747,8 @@ def shift_identity_chain(S, steps, note=lambda outcome: None):
                 break
             except (MultiComponent, NotStarAtCenter) as exc:
                 assert g == "g"
-                with pytest.raises(type(exc)):
-                    apply_operator(p, SS, d)
-                note(f"g and p raised {type(exc).__name__}")
+                assert subset(d, apply_operator(p, SS, d))
+                note(f"g raised {type(exc).__name__}: p takes the general route")
                 counts[2] += 1
                 break
             d = apply_operator(p, SS, d)
@@ -1181,9 +1130,5 @@ class TestRunInvariants:
         for op in ("g", "G"):
             q1 = apply_operator(op, single(DIAMOND), q0)
             assert subset(q0, q1)
-        # q0 holds no site, so p refuses it; the reference general route's
-        # image holds it
-        with pytest.raises(NotStarAtCenter):
-            apply_operator("p", single(DIAMOND), q0)
-        d1 = _p_step_general(DIAMOND.hull, cell_pieces(DIAMOND, q0._scaled))
+        d1 = apply_operator("p", single(DIAMOND), q0)
         assert subset(q0, d1)

@@ -17,7 +17,6 @@ from errdiff.geometry import (
     DegenerateHull,
     GeometryError,
     MultiComponent,
-    NotStarAtCenter,
     Point,
     Region,
     _canonical_order,
@@ -43,7 +42,6 @@ from errdiff.voronoi import (
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
 from test_geometry import _angle_sorted, clip_components, clipped, level, rotated, wall
-from test_operators import _p_step_general
 
 
 def corners(S: SiteSet) -> tuple:
@@ -606,12 +604,9 @@ class TestSplitRing:
         assert not is_simple_ring(forms([want])[0])
         assert forms(got[pt(1, -2)]) == forms([region((0, -5), (1, -4), (0, "-5/2"))._scaled,
                                                region((0, "-3/2"), ("3/2", 1), (0, "-1/2"))._scaled])
-        # so p, which takes one piece per cell, refuses R; the reference
-        # general route sums the hull with each lobe, and its image does
-        # not reach (-3, 0)
-        with pytest.raises(MultiComponent):
-            p_step(S, R)
-        image = _p_step_general(S.hull, cell_pieces(S, R._scaled))
+        # so p's general route sums the hull with each lobe: the image no
+        # longer reaches (-3, 0)
+        image = p_step(S, R)
         assert image.area2 == F(6187, 78)
         assert image.locate(pt(-3, 0)) == -1
 
@@ -625,14 +620,10 @@ class TestSplitRing:
         for k in range(n):
             assert ([xs[(i + k) % n] for i in _canonical_order(xs[k:] + xs[:k], ys[k:] + ys[:k])]
                     == [xs[i] for i in _canonical_order(xs, ys)])
-        # g and P return a set on it; p refuses a piece whose site is
-        # outside its kernel, and the reference general route sums it
+        # and g, p and P return a set on it
         SS = Collection((PINCH_SITES,))
         assert apply_operator("g", SS, R.with_reference(ORIGIN)).area2 == F(2257, 70)
-        with pytest.raises(NotStarAtCenter):
-            apply_operator("p", SS, R)
-        image = _p_step_general(PINCH_SITES.hull, cell_pieces(PINCH_SITES, R._scaled))
-        assert image.area2 == F(21877, 420)
+        assert apply_operator("p", SS, R).area2 == F(21877, 420)
         assert apply_operator("P", SS, R).area2 == F(1103, 20)
 
 
