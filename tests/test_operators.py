@@ -711,6 +711,20 @@ class TestPooledPFamily:
         for op in ("p", "P"):
             event(self.check_chain(op, SS, 3))
 
+    def test_an_image_that_misses_the_shared_site_from_its_kernel(self):
+        # at the second step one member's image is not star-shaped around
+        # the shared site (-2, -3), so the images go to the general union
+        SS = Collection((
+            sites((-2, -3), (0, 1), (1, -1), (2, -2), (3, 1), id="S0"),
+            sites((-2, -3), (-2, 2), (-2, 3), (-1, 3), (0, -2), (0, -1), (1, -2), id="S1"),
+            sites((-2, -3), (-1, -3), (2, -2), (2, 2), id="S2")))
+        z = shared_site(SS)
+        d = apply_operator("p", SS, PointSeed(z))
+        images = [p_step(S, d) for S in SS.members]
+        with pytest.raises(NotStarAtCenter):
+            [star_cycle(R._scaled, z) for R in images]
+        assert apply_operator("p", SS, d) == union_one_region(images)
+
     @pytest.mark.parametrize("op", ["p", "P"])
     def test_ssprime_chain(self, op):
         """The whole shipped ssprime chain, to its certified stop."""
