@@ -117,9 +117,6 @@ class Point:
     def __neg__(self) -> "Point":
         return Point(-self.x, -self.y)
 
-    def scale(self, k: Fraction) -> "Point":
-        return Point(self.x * k, self.y * k)
-
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
 

@@ -11,16 +11,15 @@ anywhere or to one star-shaped around the origin.  g and p unite
 the pieces, each shifted by -c and checked to be one component with c in
 its kernel (_star_cycles), in one radial envelope around the origin
 (starunion.cycle_envelope): g pools every member's pieces, and p_step
-takes one member's, and where their envelope pinches at the origin sums
-ch S with each shifted piece and unites the sums in one envelope around
-an interior point of ch S.  Where the check fails, p_step has a general
-route, which sweeps ch S along each piece and unites the sweeps in
-booleans.union_one_region.  The convex variants take the hull of the
-shifted pieces instead (geometry.hull_of_rings), since a hull commutes
-with union and with Minkowski sum: G(Q) = conv U(ch S + Q), with the
-origin as reference, and P(D) = ch S + conv U(D), one convex walk; so
-they build no envelope per member, and return a set also where the
-union pinches at the center.  apply_operator is the one member loop: G
+takes one member's.  Where the check fails, or p_step's envelope pinches
+at the origin, p_step takes its general route, which sweeps ch S along
+each piece and unites the sweeps in booleans.union_one_region.  The
+convex variants take the hull of the shifted pieces instead
+(geometry.hull_of_rings), since a hull commutes with union and with
+Minkowski sum: G(Q) = conv U(ch S + Q), with the origin as reference,
+and P(D) = ch S + conv U(D), one convex walk; so they build no envelope
+per member, and return a set also where the union pinches at the
+center.  apply_operator is the one member loop: G
 unites the member hulls in one envelope around the origin, and p and P
 the members' images in one envelope around a point that every image
 should hold in its kernel (the seed point, or shared_site), or in
@@ -344,14 +343,12 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     they meet only at s0.  A region D is cut into cell_pieces; when each
     cell that meets D keeps one piece, star-shaped around the origin once
     shifted (which holds once the sites lie in D), U(D) is their envelope
-    and ch S is added by the radial walk.  Where that envelope pinches at
-    the origin (DisconnectedUnion), ch S is added to each shifted piece
-    instead: every sum holds ch S and is star-shaped around each of its
-    points, so one envelope of the sums around an interior point of ch S,
-    the mean of three hull vertices, is their union.  Otherwise
-    (MultiComponent, NotStarAtCenter) the general route sums the hull with
-    each piece by sweeping it along the piece's edges (_sum_hull_with_ring)
-    and unites the sums in union_one_region.
+    and ch S is added by the radial walk.  Where a cell keeps several
+    pieces or a shifted piece misses the origin from its kernel
+    (MultiComponent, NotStarAtCenter), or the envelope pinches at the
+    origin (DisconnectedUnion), the general route sums the hull with each
+    piece by sweeping it along the piece's edges (_sum_hull_with_ring) and
+    unites the sums in union_one_region.
     """
     hull = S.hull
     if isinstance(D, PointSeed):
@@ -360,21 +357,10 @@ def p_step(S: SiteSet, D: Seed) -> Region:
         return cycle_envelope(cycles, s0).with_reference(None)
     pieces = cell_pieces(S, D._scaled)
     try:
-        cycles = _star_cycles(pieces)
-    except (MultiComponent, NotStarAtCenter):
+        return minkowski_convex_star(
+            hull, cycle_envelope(_star_cycles(pieces), ORIGIN)).with_reference(None)
+    except (MultiComponent, NotStarAtCenter, DisconnectedUnion):
         return _p_step_general(hull, pieces)
-    try:
-        return minkowski_convex_star(hull, cycle_envelope(cycles, ORIGIN)).with_reference(None)
-    except DisconnectedUnion:
-        pass
-    a, b, c = hull.vertices[:3]
-    z = (a + b + c).scale(Fraction(1, 3))
-    sums = []
-    for m, xs, ys in cycles:
-        order = _canonical_order(xs, ys)  # a Region's ring is canonical
-        piece = Region(m, [xs[i] for i in order], [ys[i] for i in order])
-        sums.append(star_cycle(minkowski_convex_star(hull, piece)._scaled, z))
-    return cycle_envelope(sums, z).with_reference(None)
 
 
 def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:

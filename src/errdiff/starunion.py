@@ -21,11 +21,11 @@ Each cycle is a ring (m, xs, ys), geometry's Scaled order.  The cycles
 are the boundaries of the parts of a union, each put relative to the
 center by star_cycle, which also checks that the center is in the
 part's kernel: every member's cell pieces at once for g, one member's
-for p (or their sums with ch S, where the pieces pinch at the origin),
-p's hull shifts for a point seed, the member hulls of G and the member
-images of p and P.  Or a cycle is the convolution cycle of a Minkowski
-sum, whose edges may turn either way.  Parts with no common center go
-to booleans.union_one_region, the general union.
+for p, p's hull shifts for a point seed, the member hulls of G and the
+member images of p and P.  Or a cycle is the convolution cycle of a
+Minkowski sum, whose edges may turn either way.  p's pieces and the p
+family's member images go to booleans.union_one_region, the general
+union, where they have no common center or their envelope pinches.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its

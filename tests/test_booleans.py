@@ -43,7 +43,7 @@ from errdiff.starunion import (
 )
 from test_geometry import (
     canonical, clip_components, clipped, cross, dot, hull, level, reference_orient,
-    rotated, wall,
+    rotated, scale, wall,
 )
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -511,7 +511,7 @@ class TestWideCoordinates:
             for u, d in dirs:
                 if cross(a1, u) >= 0 and cross(u, b1) >= 0:
                     got = _reduced_point(_limit(ea, 0, d))
-                    assert got == u.scale(_t_at(u, a1, b1))
+                    assert got == scale(u, _t_at(u, a1, b1))
             for a2, b2, eb in edges(rb):
                 if cross(b1 - a1, b2 - a2) == 0:
                     continue
@@ -569,7 +569,7 @@ def reference_clip(ring, a, b, c):
         u, v, fu, fv = ring[i], ring[(i + 1) % n], vals[i], vals[(i + 1) % n]
         walk.append((u, fu))
         if fu * fv < 0:
-            walk.append((u + (v - u).scale(fu / (fu - fv)), F(0)))
+            walk.append((u + scale(v - u, fu / (fu - fv)), F(0)))
     start = next(i for i, (_, f) in enumerate(walk) if f > 0)
     chains, cur = [], []
     for k in range(1, len(walk) + 1):
@@ -750,7 +750,7 @@ def line_cross_point(p1, p2, q1, q2):
     if den == 0:
         raise GeometryError("parallel lines have no single intersection")
     t = cross(q1 - p1, dq) / den
-    return p1 + dp.scale(t)
+    return p1 + scale(dp, t)
 
 
 def reference_on_segment(a, b, p):

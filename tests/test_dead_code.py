@@ -53,19 +53,50 @@ READ_ELSEWHERE = {
 }
 
 
+def _ancestors(bases: dict[str, list[str]], name: str) -> set[str]:
+    """The classes of src that the class name inherits from, at any depth."""
+    out: set[str] = set()
+    todo = list(bases.get(name, []))
+    while todo:
+        b = todo.pop()
+        if b in bases and b not in out:
+            out.add(b)
+            todo += bases[b]
+    return out
+
+
 def unread_members(src: Path) -> list[str]:
     """module:Class.member of each method, property or dataclass field of a
     class of src that no module of src reads as an attribute (x.member) in
-    a statement other than the member's own body.  Members are matched by
-    name alone, whatever the type of x; a dunder method is called by Python
-    itself, so it is left out."""
+    a statement other than the member's own body.  A read x.member counts
+    for every class with such a member, whatever the type of x, except a
+    read self.member, which counts only for the class whose body holds it
+    and the classes of src related to that one by inheritance (ancestors
+    and descendants); class names are unique in src.  A dunder method is
+    called by Python itself, so it is left out."""
     trees = [(p.name, ast.parse(p.read_text(), filename=str(p)))
              for p in sorted(src.glob("*.py"))]
-    reads: dict[str, list[ast.AST]] = {}
+    bases: dict[str, list[str]] = {}
+    # each attribute load, with the class whose body holds it when x is self
+    reads: dict[str, list[tuple[ast.AST, str | None]]] = {}
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases[child.name] = [b.id for b in child.bases if isinstance(b, ast.Name)]
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+                reads.setdefault(child.attr, []).append((child, cls if on_self else None))
+            visit(child, cls)
+
     for _, tree in trees:
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                reads.setdefault(n.attr, []).append(n)
+        visit(tree, None)
+
+    def related(a: str, b: str) -> bool:
+        return a == b or a in _ancestors(bases, b) or b in _ancestors(bases, a)
+
     out = []
     for module, tree in trees:
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
@@ -76,7 +107,8 @@ def unread_members(src: Path) -> list[str]:
                 if name.startswith("__") and name.endswith("__"):
                     continue
                 own = {id(n) for n in ast.walk(node)}
-                if all(id(r) in own for r in reads.get(name, [])):
+                if not any(id(r) not in own and (owner is None or related(owner, cls.name))
+                           for r, owner in reads.get(name, [])):
                     out.append(f"{module}:{cls.name}.{name}")
     return out
 
@@ -140,6 +172,20 @@ def test_a_member_read_only_by_itself_is_unread(tmp_path):
         "    def __len__(self):\n        return self.size\n\n"
         "def use(b):\n    b.label = 'x'\n    return b.area\n")
     assert unread_members(tmp_path) == ["m.py:Box.label", "m.py:Box.grow"]
+
+
+def test_a_self_read_counts_only_within_its_class_hierarchy(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Point:\n    def scale(self, k):\n        return k\n\n"
+        "class Frame:\n    def __init__(self):\n        self.scale = 2\n\n"
+        "    def at(self, x):\n        return x * self.scale\n\n"
+        "class Base:\n    def holds(self):\n        return self.ring + self.size\n\n"
+        "class Leaf(Base):\n    ring: int = 0\n\n"
+        "class Sub(Leaf):\n    def size(self):\n        return 1\n\n"
+        "    def width(self):\n        return 2\n\n"
+        "class Other:\n    def reader(self):\n        return self.width\n\n"
+        "def use(f, b, o):\n    return f.at(1), b.holds(), o.reader()\n")
+    assert unread_members(tmp_path) == ["m.py:Point.scale", "m.py:Sub.width"]
 
 
 def test_every_export_is_read_or_documented():

@@ -47,7 +47,7 @@ from errdiff.geometry import (
 from errdiff.operators import Collection
 from errdiff.scene import parse_scene
 from errdiff.voronoi import SiteSet
-from test_geometry import cross, dot
+from test_geometry import cross, dot, scale
 
 
 def sites(*coords, id="S"):
@@ -614,7 +614,7 @@ def reference_sample(verts, rng):
     v = F(rng.random())
     if u + v > 1:
         u, v = 1 - u, 1 - v
-    return a + (b - a).scale(u) + (c - a).scale(v)
+    return a + scale(b - a, u) + scale(c - a, v)
 
 
 def reference_project_convex(poly, x):
@@ -628,7 +628,7 @@ def reference_project_convex(poly, x):
     for u, v in sides:
         d = v - u
         t = min(max(dot(x - u, d) / d.norm_sq(), F(0)), F(1))
-        cand = u + d.scale(t)
+        cand = u + scale(d, t)
         if best_d is None or dist_sq(x, cand) < best_d:
             best, best_d = cand, dist_sq(x, cand)
     return best
@@ -672,7 +672,7 @@ def triangle_and_point(draw):
     if kind == "corner":
         return tri, u
     t = draw(st.fractions(-1, 2, max_denominator=6))
-    return tri, u + (v - u).scale(t)
+    return tri, u + scale(v - u, t)
 
 
 # heights as the random-triangle provider draws them, Fraction(float) * h_max,
@@ -722,12 +722,12 @@ def points_for(draw, fs, inside=False):
         return u
     if kind == "edge":
         lo, hi = (0, 1) if inside else (-1, 2)
-        return u + (v - u).scale(draw(st.fractions(lo, hi, max_denominator=6)))
+        return u + scale(v - u, draw(st.fractions(lo, hi, max_denominator=6)))
     sites_ = fs.sites.sites if isinstance(fs, Finite) else verts
     a, b = draw(st.permutations(sites_))[:2]
     d = b - a
     k = draw(st.fractions(-2, 2, max_denominator=4))
-    return (a + b).scale(F(1, 2)) + Point(-d.y, d.x).scale(k)
+    return scale(a + b, F(1, 2)) + scale(Point(-d.y, d.x), k)
 
 
 def reference_contains(fs, p):

@@ -197,6 +197,10 @@ def dot(a: Point, b: Point) -> F:
     return a.x * b.x + a.y * b.y
 
 
+def scale(p: Point, k: F) -> Point:
+    return Point(p.x * k, p.y * k)
+
+
 def project(poly, x):
     """The nearest point of a convex polygon to the Point x, by
     project_convex_ring on their integers."""
@@ -286,7 +290,7 @@ def ring_and_point(draw, point_strategy):
     elif kind == "vertex":
         x = u
     elif kind == "edge":
-        x = u + (v - u).scale(draw(st.fractions(0, 1, max_denominator=6)))
+        x = u + scale(v - u, draw(st.fractions(0, 1, max_denominator=6)))
     else:
         x = Point(draw(point_strategy).x, u.y)
     return ring, x
@@ -383,7 +387,7 @@ def hull_inputs(draw):
         for _ in range(draw(st.integers(0, 2))):
             a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
             ts = draw(st.lists(st.fractions(-1, 2, max_denominator=6), max_size=4))
-            run = [a + (b - a).scale(t) for t in ts]
+            run = [a + scale(b - a, t) for t in ts]
             pts = [a, b] + run if draw(st.booleans()) else pts + run
     if pts:
         pts += draw(st.lists(st.sampled_from(pts), max_size=3))
@@ -623,7 +627,7 @@ def reference_project(poly, x):
     for u, v in edges(poly):
         d = v - u
         t = min(max(dot(x - u, d) / d.norm_sq(), F(0)), F(1))
-        cand = u + d.scale(t)
+        cand = u + scale(d, t)
         dd = dist_sq(x, cand)
         if best_d is None or dd < best_d:
             best, best_d = cand, dd
@@ -653,7 +657,7 @@ def polygon_and_point(draw, coord_strategy):
                            st.integers(1, 2**128).flatmap(
                                lambda d: st.integers(lo * d, hi * d).map(
                                    lambda n: F(n, d)))))
-        x = u + (v - u).scale(t)
+        x = u + scale(v - u, t)
     return poly, x
 
 
@@ -818,7 +822,7 @@ def _angle_sorted(pts):
 
 
 def _on_line(u, v, t):
-    return u + (v - u).scale(t)
+    return u + scale(v - u, t)
 
 
 unit_t = st.one_of(st.fractions(0, 1, max_denominator=6),

@@ -1,5 +1,6 @@
 """Operator steps, snap candidates, certificates, and the fixed-point engine."""
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from errdiff.geometry import (
     Point,
     PointSeed,
     Region,
+    _canonical_order,
     _shift,
     dist_sq,
     equal_canonical,
@@ -60,6 +62,7 @@ from test_geometry import (
     reference_hull,
     reference_minkowski,
     reference_orient,
+    scale,
     wide_points,
 )
 
@@ -401,8 +404,61 @@ class TestPStepPointSeed:
             p_step(sites((0, 0), (2, 0), (1, 1)), PointSeed(pt(1, 0)))
 
 
+def hull_sums_envelope(S, D):
+    """Reference p(D) for a region D whose shifted cell pieces are each one
+    component star-shaped around the origin but whose envelope pinches
+    there: ch S added to each shifted piece, every sum holding ch S and
+    star-shaped around each of its points, so one envelope of the sums
+    around an interior point of ch S, the mean of three hull vertices, is
+    their union."""
+    hull = S.hull
+    cycles = _star_cycles(cell_pieces(S, D._scaled))
+    a, b, c = hull.vertices[:3]
+    z = scale(a + b + c, F(1, 3))
+    sums = []
+    for m, xs, ys in cycles:
+        order = _canonical_order(xs, ys)  # a Region's ring is canonical
+        piece = Region(m, [xs[i] for i in order], [ys[i] for i in order])
+        sums.append(star_cycle(minkowski_convex_star(hull, piece)._scaled, z))
+    return cycle_envelope(sums, z).with_reference(None)
+
+
+def p_step_route(S, D):
+    """The name of the route p_step takes on a region D: "fast" for the
+    envelope of the shifted pieces, else the error that sends the pieces
+    to the general route."""
+    try:
+        cycle_envelope(_star_cycles(cell_pieces(S, D._scaled)), ORIGIN)
+    except (MultiComponent, NotStarAtCenter, DisconnectedUnion) as exc:
+        return type(exc).__name__
+    return "fast"
+
+
+def seeded_collections(rng, count):
+    """count draws of two or three site sets of 3 to 7 lattice points of
+    [-3, 3]^2, each also holding one drawn shared site; a draw with a
+    collinear member is None."""
+    lattice = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    out = []
+    for _ in range(count):
+        shared = rng.choice(lattice)
+        members = []
+        try:
+            for i in range(rng.randint(2, 3)):
+                coords = rng.sample(lattice, rng.randint(3, 7))
+                if shared not in coords:
+                    coords.append(shared)
+                members.append(sites(*coords, id=f"S{i}"))
+        except DegenerateHull:
+            out.append(None)
+        else:
+            out.append(Collection(tuple(members)))
+    return out
+
+
 class TestPStepRoutes:
-    """The radial fast path and the edge-sweep general path must agree."""
+    """p_step's two routes: the radial envelope of the shifted pieces, and
+    the edge sweep with the general union where that envelope fails."""
 
     def test_routes_agree_along_runs(self):
         for S in (DIAMOND, ZIGZAG5, STAR8):
@@ -425,6 +481,62 @@ class TestPStepRoutes:
         assert subset(d, got)
         again = p_step(S, got)
         assert subset(got, again)
+
+    def test_pinched_pieces_take_the_general_route(self, monkeypatch):
+        """PINCHED's pieces of ch S are each star-shaped around the origin
+        once shifted, but their envelope pinches there: p_step takes the
+        general route once, and its image is the envelope of hull sums."""
+        d = PINCHED.hull
+        calls = []
+
+        def spy(hull, pieces):
+            calls.append(len(pieces))
+            return _p_step_general(hull, pieces)
+        monkeypatch.setattr(errdiff.operators, "_p_step_general", spy)
+        assert p_step_route(PINCHED, d) == "DisconnectedUnion"
+        image = p_step(PINCHED, d)
+        assert calls == [len(PINCHED.sites)]
+        assert image == hull_sums_envelope(PINCHED, d)  # vertices and reference both
+        assert subset(d, image)
+
+    def test_route_tally_on_seeded_collections(self, monkeypatch):
+        """Every region p_step call along p chains from the shared site of
+        seeded collections, by route: a fast image equals the general
+        route's, a pinched one the envelope of hull sums, and every image
+        holds its input, as does every chain image."""
+        tally = dict.fromkeys(("fast", "MultiComponent", "NotStarAtCenter",
+                               "DisconnectedUnion", "degenerate draw"), 0)
+        step = errdiff.operators.p_step
+
+        def checked(S, D):
+            image = step(S, D)
+            if isinstance(D, Region):
+                route = p_step_route(S, D)
+                tally[route] += 1
+                if route == "fast":
+                    assert image == _p_step_general(S.hull, cell_pieces(S, D._scaled))
+                elif route == "DisconnectedUnion":
+                    assert image == hull_sums_envelope(S, D)
+                assert subset(D, image)
+            return image
+        monkeypatch.setattr(errdiff.operators, "p_step", checked)
+        for SS in seeded_collections(random.Random(36), 20):
+            if SS is None:
+                tally["degenerate draw"] += 1
+                continue
+            d = PointSeed(shared_site(SS))
+            for _ in range(4):
+                try:
+                    image = apply_operator("p", SS, d)
+                except GeometryError as exc:
+                    name = f"chain raised {type(exc).__name__}"
+                    tally[name] = tally.get(name, 0) + 1
+                    break
+                assert isinstance(d, PointSeed) or subset(d, image)
+                d = image
+        assert tally == {"fast": 91, "MultiComponent": 3, "NotStarAtCenter": 55,
+                         "DisconnectedUnion": 1, "degenerate draw": 0,
+                         "chain raised DisconnectedUnion": 1}
 
 
 class TestConvexVariants:
@@ -737,11 +849,12 @@ def shift_identity_chain(S, steps, note=lambda outcome: None):
     """Check p(ch S + Q) = ch S + g(Q) and P(ch S + Q) = ch S + G(Q) along
     the g and G chains from the origin, and the p and P chains from the
     CLI's seed site s0, whose first image is ch S = ch S + {0}.  Where g
-    raises DisconnectedUnion, p's envelope of hull sums must equal the
-    general route's image field for field; where g raises MultiComponent
-    or NotStarAtCenter, p takes the general route, whose image must hold
-    its input.  Either way the g side ends there.  Each chain's outcome goes to note.  Returns the number of
-    equal p steps, of equal P steps, and of such g failures."""
+    raises, p takes the general route, whose image must hold its input;
+    where g raises DisconnectedUnion, that image must also equal the
+    envelope of hull sums (hull_sums_envelope) field for field.  Either
+    way the g side ends there.  Each chain's outcome goes to note.
+    Returns the number of equal p steps, of equal P steps, and of such g
+    failures."""
     SS = single(S)
     s0 = _seed_for(SS, "S", "fset")
     counts = [0, 0, 0]
@@ -754,9 +867,9 @@ def shift_identity_chain(S, steps, note=lambda outcome: None):
             except DisconnectedUnion:
                 assert g == "g"
                 image = apply_operator(p, SS, d)
-                assert image == _p_step_general(S.hull, cell_pieces(S, d._scaled))
+                assert image == hull_sums_envelope(S, d)
                 assert subset(d, image)
-                note("g raised DisconnectedUnion: p equals the general route")
+                note("g raised DisconnectedUnion: p equals the envelope of hull sums")
                 counts[2] += 1
                 break
             except (MultiComponent, NotStarAtCenter) as exc:
@@ -776,8 +889,10 @@ def shift_identity_chain(S, steps, note=lambda outcome: None):
 class TestShiftIdentity:
     """With phi(Q) = ch S + Q, p∘phi = phi∘g and P∘phi = phi∘G on a
     single site set: the two sides run different code (g's pooled
-    envelope against p's radial route or its envelope of hull sums, G's
-    hull against P's convex walk), so each side checks the other."""
+    envelope against p's radial route, G's hull against P's convex walk),
+    so each side checks the other.  Where g's envelope pinches, p's
+    general route is checked against the envelope of hull sums, a third
+    construction that only the tests keep."""
 
     @given(lattice_sites)
     @example([(-2, 0), (-1, -2), (1, -2), (1, 2)])
