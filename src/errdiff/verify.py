@@ -1,32 +1,30 @@
-"""Structural checks over computed sets, with exact or sampled evidence.
+"""Structural checks over computed sets, decided exactly or sampled.
 
 Every check answers through the same report shape: a name, a verdict, and
-the witnesses that broke it (none when it passed).  Subset and membership
-questions are decided exactly in rational arithmetic; the triangle-family
-and reachability checks are sampled, which makes a green result evidence
-rather than proof, while any witness they produce is an exact
-counterexample.
+the witnesses that broke it (none when it passed).  Subset, membership
+and the triangle family's invariance are decided exactly in rational
+arithmetic.  Only the reachability oracle samples (when branching > 0),
+which makes its green result evidence rather than proof, while any
+witness it produces is an exact counterexample.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .booleans import subset_witness
-from .dynamics import Triangle, TriangleFamily, sample_hull_ratios
+from .dynamics import Triangle, sample_hull_ratios
 from .geometry import (
     DegenerateHull,
     ORIGIN,
     Point,
-    Ratios,
     Region,
     Scalar,
     _shift,
-    add_ratios,
     point_of,
     scalar_str,
-    sub_ratios,
     vertex_ratios,
 )
 from .operators import Collection, apply_operator, cell_pieces
@@ -128,59 +126,137 @@ def contains_union_of_hulls(scenario, D: Region) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# sampled evidence
+# exact triangle-family check
+#
+# An affine form (a, b, c, d) stands for a*z_x + b*z_y + c*h + d, and a point
+# (z_x, z_y, h) = (X/D, Y/D, H/D) with D > 0 is kept as (X, Y, H, D), so a
+# form's sign there is the sign of one integer dot product.
 
 
-def triangle_family_check(h_max: Scalar, t: Scalar, samples: int = 10_000,
-                          seed: int = 0,
-                          candidate: Triangle | None = None) -> VerificationReport:
-    """Sampled invariance of a wedge under one delayed round.
+def _fan_pieces(p: int, q: int):
+    """The 7 pieces of T(h, p/q)'s normal fan, with the error they leave.
 
-    Draws triples (h, z, x) with z in the candidate wedge and x in T(h),
-    then requires z - proj_{T(h)}(z) + x to stay inside the candidate.
-    When a candidate smaller than T(h_max) is supplied, the same probes
-    double as a floor test: points of T(h_max) must already belong to any
-    set that survives this check.  Witnesses are exact escape points; a
-    negative samples raises ValueError.
+    Each piece is (forms, (wx, wy), den): the piece is where every form is
+    <= 0, and there z - proj_{T(h)}(z) = (wx, wy) / den.  T(h, t) = h*T(1, t)
+    makes both linear in (z, h); n = q^2 + p^2 is q^2 (1 + t^2).
     """
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
-    fam = TriangleFamily(h_max, t)
-    envelope = fam.envelope
+    n = p * p + q * q
+    return (
+        # interior: w = 0
+        (((q, -p, 0, 0), (-q, -p, 0, 0), (0, 1, -1, 0)),
+         ((0, 0, 0, 0), (0, 0, 0, 0)), 1),
+        # right edge: the foot on (0, 0) -> (t h, h), w along (q, -p)
+        (((-q, p, 0, 0), (-p, -q, 0, 0), (p * q, q * q, -n, 0)),
+         ((q * q, -p * q, 0, 0), (-p * q, p * p, 0, 0)), n),
+        # top edge y = h
+        (((0, -1, 1, 0), (q, 0, -p, 0), (-q, 0, -p, 0)),
+         ((0, 0, 0, 0), (0, 1, -1, 0)), 1),
+        # left edge: the foot on (0, 0) -> (-t h, h), w along (q, p)
+        (((q, p, 0, 0), (p, -q, 0, 0), (-p * q, q * q, -n, 0)),
+         ((q * q, p * q, 0, 0), (p * q, p * p, 0, 0)), n),
+        # apex (0, 0): w = z
+        (((p, q, 0, 0), (-p, q, 0, 0)),
+         ((1, 0, 0, 0), (0, 1, 0, 0)), 1),
+        # corner (t h, h)
+        (((-p * q, -q * q, n, 0), (-q, 0, p, 0)),
+         ((q, 0, -p, 0), (0, q, -q, 0)), q),
+        # corner (-t h, h)
+        (((p * q, -q * q, n, 0), (q, 0, p, 0)),
+         ((q, 0, p, 0), (0, q, -q, 0)), q),
+    )
+
+
+def _dot(f, u) -> int:
+    return f[0] * u[0] + f[1] * u[1] + f[2] * u[2] + f[3] * u[3]
+
+
+def _cross(f, g) -> tuple[int, int, int]:
+    return (f[1] * g[2] - f[2] * g[1], f[2] * g[0] - f[0] * g[2],
+            f[0] * g[1] - f[1] * g[0])
+
+
+def _vertices(forms) -> set[tuple[int, int, int, int]]:
+    """Every vertex of the bounded polytope {every form <= 0}: each triple
+    of planes with one common point, solved by Cramer's rule, kept when the
+    point satisfies every form; (X, Y, H, D) is reduced with D > 0."""
+    out = set()
+    for i, f in enumerate(forms):
+        for j in range(i + 1, len(forms)):
+            g = forms[j]
+            fg = _cross(f, g)
+            for h in forms[j + 1:]:
+                gh, hf = _cross(g, h), _cross(h, f)
+                d = f[0] * gh[0] + f[1] * gh[1] + f[2] * gh[2]
+                if d == 0:
+                    continue
+                u = [-(f[3] * gh[c] + g[3] * hf[c] + h[3] * fg[c]) for c in range(3)]
+                if d < 0:
+                    u, d = [-c for c in u], -d
+                u.append(d)
+                if all(_dot(e, u) <= 0 for e in forms):
+                    m = gcd(*u)
+                    out.add(tuple(c // m for c in u))
+    return out
+
+
+def _escapes(envelope: Triangle, target: Triangle):
+    """Each vertex round that leaves the target, and how many were checked.
+
+    The envelope is T(h_max, t).  A round z -> z - proj_{T(h)}(z) + x, with
+    z in the target, 0 <= h <= h_max and x in T(h), leaves the target
+    exactly when it crosses one of its three edge lines l.F <= c.  On a fan
+    piece l.w is affine in (z, h), and x adds at most h * mu, mu the
+    largest l.v over the corners v of T(1, t); so the largest excess sits
+    at a vertex of the piece cut to the target and to 0 <= h <= h_max.
+    The escapes are (F, z, h, x), all exact, with x = h * v at the corner
+    that attains mu.
+    """
+    (p, q), (hn, hd) = envelope.tq, envelope.hq
+    (a, b), (Hn, Hd) = target.tq, target.hq
+    box = ((b, -a, 0, 0), (-b, -a, 0, 0), (0, Hd, 0, -Hn), (0, 0, -1, 0), (0, 0, hd, -hn))
+    edges = []  # (l_x, l_y, c, q * mu, v)
+    for lx, ly, c in ((b, -a, 0), (-b, -a, 0), (0, Hd, Hn)):
+        qmu, v = max((0, (0, 0)), (lx * p + ly * q, (p, q)), (-lx * p + ly * q, (-p, q)))
+        edges.append((lx, ly, c, qmu, v))
+    escapes = []
+    checked = 0
+    for forms, (wx, wy), den in _fan_pieces(p, q):
+        vertices = _vertices(forms + box)
+        checked += len(vertices)
+        for lx, ly, c, qmu, v in edges:
+            # den * q * (l.w + h * mu - c) as an affine form in (z, h)
+            excess = [q * (lx * wx[i] + ly * wy[i]) for i in range(4)]
+            excess[2] += den * qmu
+            excess[3] -= den * q * c
+            for u in vertices:
+                if _dot(excess, u) > 0:
+                    X, Y, H, D = u
+                    h = Fraction(H, D)
+                    x = Point(h * Fraction(v[0], q), h * Fraction(v[1], q))
+                    w = Point(Fraction(_dot(wx, u), den * D), Fraction(_dot(wy, u), den * D))
+                    escapes.append((w + x, Point(Fraction(X, D), Fraction(Y, D)), h, x))
+    return escapes, checked
+
+
+def triangle_family_check(h_max: Scalar, t: Scalar,
+                          candidate: Triangle | None = None) -> VerificationReport:
+    """Exact invariance of a wedge under one delayed round.
+
+    Requires z - proj_{T(h)}(z) + x to stay inside the candidate (by
+    default T(h_max, t)) for every z in it, 0 <= h <= h_max and x in
+    T(h), decided on the vertices of T(h)'s normal-fan pieces (_escapes).
+    A floor test rides along: the corners of T(h_max, t) are reachable,
+    so any set that survives this check must hold them.  Witnesses are
+    the exact escape points, sorted.
+    """
+    envelope = Triangle(h_max, t)
     target = candidate if candidate is not None else envelope
-    rng = random.Random(seed)
-    witnesses: list[Point] = []
-
-    def push(q: Ratios):
-        if not target.holds(q):
-            witnesses.append(point_of(q))
-
-    def after_round(z: Ratios, tri: Triangle, x: Ratios) -> Ratios:
-        return add_ratios(sub_ratios(z, tri.nearest(z)), x)
-
-    def corners(tri: Triangle) -> list[Ratios]:
-        return [vertex_ratios(tri.ring, i) for i in range(len(tri.ring[1]))]
-
-    # deterministic probes: family corners must be reachable, hence covered
-    for w in corners(envelope):
-        push(w)
-    probe_z = [v for v in corners(target) if envelope.holds(v)]
-    for z in probe_z:
-        for h in (envelope.h, envelope.h / 2):
-            tri = Triangle(h, fam.t)
-            for x in corners(tri):
-                push(after_round(z, tri, x))
-    tested = 0
-    while tested < samples and len(witnesses) <= WITNESS_CAP:
-        tri = fam.draw(rng)
-        z = sample_hull_ratios(target.ring, rng)
-        if not target.holds(z):
-            z = target.nearest(z)
-        push(after_round(z, tri, sample_hull_ratios(tri.ring, rng)))
-        push(sample_hull_ratios(envelope.ring, rng))
-        tested += 1
-    notes = f"{tested} sampled triples, seed {seed} (evidence, not proof)"
-    return _report("triangle_family_check", witnesses, notes)
+    escapes, checked = _escapes(envelope, target)
+    witnesses = {F for F, *_ in escapes}
+    corners = (vertex_ratios(envelope.ring, i) for i in range(len(envelope.ring[1])))
+    witnesses.update(point_of(c) for c in corners if not target.holds(c))
+    notes = f"exact: {checked} vertices of the 7 normal-fan pieces of T(h)"
+    return _report("triangle_family_check", sorted(witnesses, key=Point.key), notes)
 
 
 def _input_pool(S: SiteSet) -> tuple[Point, ...]:

@@ -292,9 +292,21 @@ class TestVerify:
     def test_triangle_family_scene(self, out):
         assert run_cli("verify", "--scene", SCENES / "triangle.json",
                        "--out", out) == 0
-        checks = read_json(out / "pv.verify.json")["checks"]
-        assert checks[0]["check"] == "triangle_family_check"
-        assert checks[0]["passed"] is True
+        assert read_json(out / "pv.verify.json") == {
+            "triangle_family": "pv",
+            "checks": [{"check": "triangle_family_check", "passed": True,
+                        "witnesses": [],
+                        "notes": "exact: 24 vertices of the 7 normal-fan pieces of T(h)"}]}
+
+    def test_verify_seed_changes_nothing(self, out):
+        # --seed stays accepted, for scripts that pass it, but every check
+        # is exact, so no seed can change a byte of the report
+        texts = []
+        for seed in (1, 987654):
+            assert run_cli("verify", "--scene", SCENES / "triangle.json",
+                           "--out", out / str(seed), "--seed", seed) == 0
+            texts.append((out / str(seed) / "pv.verify.json").read_text())
+        assert texts[0] == texts[1]
 
 
 class TestOtherCommands:
@@ -422,7 +434,8 @@ class TestFailureModes:
     @pytest.mark.parametrize("command", ["min-gset", "min-fset",
                                          "report-assumptions", "render"])
     def test_seed_only_where_it_is_read(self, out, command, capsys):
-        # only simulate and verify draw random numbers
+        # only simulate draws random numbers; verify accepts --seed and
+        # ignores it
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--scene", SCENES / "sset1.json", "--out", out, "--seed", 1)
         assert exc.value.code == 3

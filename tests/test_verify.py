@@ -1,13 +1,15 @@
 """Structural checks: invariance, star-convexity, coverage, reachability."""
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errdiff.dynamics import Triangle, sample_hull_ratios, triangle_bound
+from errdiff.dynamics import Triangle, TriangleFamily, sample_hull_ratios, triangle_bound
 from errdiff.geometry import (
     ORIGIN,
+    Point,
     PointSeed,
     Region,
     add_ratios,
@@ -15,10 +17,12 @@ from errdiff.geometry import (
     pt,
     ratios,
     sub_ratios,
+    vertex_ratios,
 )
 from errdiff.operators import Collection, apply_operator, iterate
 from errdiff.verify import (
     VerificationReport,
+    _escapes,
     brute_force_reachable,
     contains_union_of_hulls,
     coverage_ratio,
@@ -181,11 +185,82 @@ class TestUnionOfHulls:
         assert contains_union_of_hulls(Collection((SQUARE, DIAMOND)), D).passed
 
 
+def corners(tri):
+    return [vertex_ratios(tri.ring, i) for i in range(len(tri.ring[1]))]
+
+
+def sampled_family_escapes(h_max, t, samples, seed, candidate=None):
+    """The sampled check that verify ran before the exact one, kept as a
+    reference: fixed probes at the corners, then samples random triples
+    (h, z, x) with z in the candidate and x in T(h); every round that
+    leaves the candidate, and every sampled envelope point outside it, is
+    an escape."""
+    fam = TriangleFamily(h_max, t)
+    envelope = fam.envelope
+    target = candidate if candidate is not None else envelope
+    rng = random.Random(seed)
+    escapes = []
+
+    def push(q):
+        if not target.holds(q):
+            escapes.append(point_of(q))
+
+    def after_round(z, tri, x):
+        return add_ratios(sub_ratios(z, tri.nearest(z)), x)
+
+    for w in corners(envelope):
+        push(w)
+    for z in (v for v in corners(target) if envelope.holds(v)):
+        for h in (envelope.h, envelope.h / 2):
+            tri = Triangle(h, fam.t)
+            for x in corners(tri):
+                push(after_round(z, tri, x))
+    for _ in range(samples):
+        tri = fam.draw(rng)
+        z = sample_hull_ratios(target.ring, rng)
+        if not target.holds(z):
+            z = target.nearest(z)
+        push(after_round(z, tri, sample_hull_ratios(tri.ring, rng)))
+        push(sample_hull_ratios(envelope.ring, rng))
+    return escapes
+
+
+def rederived(escape, t):
+    """The round of an escape (F, z, h, x), replayed through Triangle.nearest."""
+    _, z, h, x = escape
+    tri = Triangle(h, t)
+    return point_of(add_ratios(sub_ratios(ratios(z), tri.nearest(ratios(z))), ratios(x)))
+
+
+heights = st.fractions(0, 3, max_denominator=12)
+slopes = st.fractions(F(1, 12), 4, max_denominator=12)
+
+
 class TestTriangleFamily:
-    def test_envelope_self_invariance_sampled(self):
-        rep = triangle_family_check(1, 1, samples=1500, seed=3)
-        assert rep.passed
-        assert "evidence" in rep.notes
+    def test_envelope_is_invariant_with_equality(self):
+        rep = triangle_family_check(1, 1)
+        assert rep == VerificationReport(
+            "triangle_family_check", True, (),
+            "exact: 24 vertices of the 7 normal-fan pieces of T(h)")
+        # tight on the top and on a side: a round through T(h) from the
+        # point (2h, 2h) with x = (h, h) returns to it, ...
+        for h in (F(1, 2), F(1, 4)):
+            z, x = pt(2 * h, 2 * h), pt(h, h)
+            assert rederived((None, z, h, x), 1) == z
+        # ... and a slope or height one thousandth smaller fails
+        for smaller in (Triangle(1, F(999, 1000)), Triangle(F(999, 1000), 1)):
+            assert not triangle_family_check(1, 1, candidate=smaller).passed
+
+    def test_wider_wedges_leak_below_the_apex(self):
+        # T(1, 1) lies inside both, but a round from a point right of T(h)'s
+        # right edge, with x = 0, leaves only the normal part of z, which
+        # points below the apex
+        rep = triangle_family_check(1, 1, candidate=Triangle(1, 2))
+        assert rep.witnesses == (pt(-1, 0), pt(F(-1, 3), F(-1, 3)),
+                                 pt(F(1, 3), F(-1, 3)), pt(1, 0))
+        rep = triangle_family_check(1, 1, candidate=Triangle(F(3, 2), F(3, 2)))
+        assert rep.witnesses == (pt(F(-5, 4), F(1, 2)), pt(F(-1, 5), F(-1, 5)),
+                                 pt(F(1, 5), F(-1, 5)), pt(F(5, 4), F(1, 2)))
 
     def test_hand_example_one_round(self):
         # the delayed round from the apex of the envelope through T(1/2)
@@ -197,29 +272,70 @@ class TestTriangleFamily:
         assert Triangle(1, 1).holds(out)
 
     def test_half_candidate_fails(self):
-        rep = triangle_family_check(1, 1, samples=200, seed=0,
-                                    candidate=Triangle(F(1, 2), 1))
+        rep = triangle_family_check(1, 1, candidate=Triangle(F(1, 2), 1))
         assert not rep.passed
         assert any(w.y > F(1, 2) for w in rep.witnesses)
 
-    def test_same_seed_same_report(self):
-        a = triangle_family_check(1, F(2, 3), samples=400, seed=9)
-        b = triangle_family_check(1, F(2, 3), samples=400, seed=9)
+    def test_vertex_check_alone_finds_the_corners(self):
+        # without the floor test: the round z = 0, h = 1 with x a corner of
+        # T(1) leaves a lower or a narrower wedge
+        for candidate, corners_out in ((Triangle(F(1, 2), 1), {pt(1, 1)}),
+                                       (Triangle(1, F(1, 2)), {pt(-1, 1), pt(1, 1)})):
+            escapes, _ = _escapes(Triangle(1, 1), candidate)
+            assert corners_out <= {F_ for F_, *_ in escapes}
+
+    def test_two_calls_give_equal_reports(self):
+        a = triangle_family_check(1, F(2, 3), candidate=Triangle(F(1, 2), F(1, 3)))
+        b = triangle_family_check(1, F(2, 3), candidate=Triangle(F(1, 2), F(1, 3)))
         assert a == b
+        assert list(a.witnesses) == sorted(a.witnesses, key=Point.key)
 
     def test_degenerate_family(self):
-        rep = triangle_family_check(0, 1, samples=50, seed=1)
+        rep = triangle_family_check(0, 1)
         assert rep.passed
+        assert rep.notes == "exact: 7 vertices of the 7 normal-fan pieces of T(h)"
 
-    def test_negative_samples_rejected(self):
-        # a negative count would run no sample and pass on nothing checked
-        with pytest.raises(ValueError):
-            triangle_family_check(1, 1, samples=-5)
+    def test_candidate_of_height_zero_fails(self):
+        rep = triangle_family_check(1, 1, candidate=Triangle(0, 1))
+        assert rep.witnesses == (pt(-1, 1), pt(1, 1))
+        assert triangle_family_check(0, 1, candidate=Triangle(0, 1)).passed
 
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=15, deadline=None)
-    def test_envelope_never_fails_under_any_seed(self, seed):
-        assert triangle_family_check(2, F(1, 2), samples=60, seed=seed).passed
+    def test_sampler_settings_are_gone(self):
+        # the check can no longer pass on nothing checked: every fan piece
+        # holds the vertex z = 0, h = 0
+        for h_max in (0, 1):
+            _, checked = _escapes(Triangle(h_max, 1), Triangle(0, 1))
+            assert checked >= 7
+        with pytest.raises(TypeError):
+            triangle_family_check(1, 1, samples=10)
+        with pytest.raises(TypeError):
+            triangle_family_check(1, 1, seed=0)
+
+    @given(heights, slopes)
+    @settings(max_examples=30, deadline=None)
+    def test_envelope_is_invariant_for_every_family(self, h_max, t):
+        assert triangle_family_check(h_max, t).passed
+
+    @given(heights, slopes, heights, slopes, st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_check_against_the_sampler(self, h_max, t, height, slope, seed):
+        target = Triangle(height, slope)
+        rep = triangle_family_check(h_max, t, candidate=target)
+        if rep.passed:
+            assert sampled_family_escapes(h_max, t, 100, seed, target) == []
+            return
+        # a witness is a vertex escape or, from the floor test, a corner x
+        # of T(h_max) reached from z = 0
+        escapes, _ = _escapes(Triangle(h_max, t), target)
+        rounds = {escape[0]: escape for escape in escapes}
+        floor = [(w, ORIGIN, h_max, w) for w in rep.witnesses if w not in rounds]
+        assert {w for w, *_ in floor} <= set(map(point_of, corners(Triangle(h_max, t))))
+        for escape in escapes + floor:
+            F_, z, h, x = escape
+            assert not target.holds(ratios(F_))
+            assert target.holds(ratios(z)) and 0 <= h <= h_max
+            assert Triangle(h, t).holds(ratios(x))
+            assert rederived(escape, t) == F_
 
 
 class TestReachability:
@@ -278,10 +394,9 @@ class TestReachability:
 
 class TestTriangleBoundAgreement:
     def test_family_check_bound_consistency(self):
-        # a trajectory bound claim the sampler should never contradict:
-        # one delayed round from inside the envelope stays within the
-        # envelope, whose squared diameter is triangle_bound
-        import random
+        # a trajectory bound claim the exact check proves: one delayed
+        # round from inside the envelope stays within the envelope, whose
+        # squared diameter is triangle_bound
         rng = random.Random(12)
         env = Triangle(1, 1)
         for _ in range(200):
