@@ -1,10 +1,5 @@
-"""Exact clip cleanup, union, and containment for simple polygons, on
-integers.
-
-_cleaned finishes every cell piece that voronoi.split_ring walks out of a
-ring: it puts the piece over the lcm of its reduced vertex denominators
-and drops each vertex on a wall line that repeats a neighbour or is
-collinear with its two; no Fraction is built.
+"""Exact union and containment for simple polygons, on integers, and the
+wall and point triples that voronoi's walk shares with them.
 
 subset_witness and union_rings take polygons, put their rings over one
 common denominator and share one edge splitter, _pieces: each edge is
@@ -38,45 +33,9 @@ from .geometry import (
     _ring_locate,
 )
 
-# ---------------------------------------------------------------------------
-# cell pieces
-
-# A piece before its cleanup: parallel sequences (xs, ys, ds, on).  Vertex
-# i is the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; on[i] says
-# whether it lies on a wall line.
-_Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[bool]]
 # A wall (A, B, C): the closed half-plane A x + B y <= C, with (A, B) != 0
 # and gcd(A, B, C) == 1, so each half-plane has one value
 Wall = tuple[int, int, int]
-
-
-def _cleaned(ring: _Ring) -> Scaled | None:
-    """ring over the lcm of its reduced vertex denominators, each vertex on
-    a wall line dropped while it repeats a neighbour or is collinear with
-    its two, also where the boundary doubles back; None when fewer than
-    three are left."""
-    xs, ys, ds, on = ring
-    L = lcm(*ds)
-    cxs = [x * (L // d) for x, d in zip(xs, ds)]
-    cys = [y * (L // d) for y, d in zip(ys, ds)]
-    # drop a vertex, then look again from its predecessor (_canonical_order)
-    keep = list(range(len(cxs)))
-    i = 0
-    while i < len(keep) and len(keep) >= 3:
-        n = len(keep)
-        b = keep[i]
-        if on[b]:
-            a, c = keep[i - 1], keep[(i + 1) % n]
-            ax, ay = cxs[a], cys[a]
-            if (cxs[b] - ax) * (cys[c] - ay) == (cys[b] - ay) * (cxs[c] - ax):
-                keep.pop(i)
-                i = 0 if i == n - 1 else max(i - 1, 0)
-                continue
-        i += 1
-    if len(keep) < 3:
-        return None
-    g = gcd(L, *[cxs[i] for i in keep], *[cys[i] for i in keep])
-    return L // g, [cxs[i] // g for i in keep], [cys[i] // g for i in keep]
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ class Collection:
 
 
 # A snap candidate rounds every coordinate to the nearest fraction with at
-# most this denominator (rational reconstruction by continued fractions).
+# most this denominator (rational reconstruction by continued fractions, on
+# integers: _limit_denominator).
 SNAP_DENOMINATOR = 64
 
 
@@ -434,8 +435,7 @@ def snap_candidate(Q: Region) -> Region | None:
     m = Q.m
     if m <= SNAP_DENOMINATOR:
         return None
-    snap = {x: Fraction(x, m).limit_denominator(SNAP_DENOMINATOR).as_integer_ratio()
-            for x in {*Q.xs, *Q.ys}}
+    snap = {x: _limit_denominator(x, m, SNAP_DENOMINATOR) for x in {*Q.xs, *Q.ys}}
     L = lcm(*[d for _, d in snap.values()])
     xs = [n * (L // d) for n, d in map(snap.get, Q.xs)]
     ys = [n * (L // d) for n, d in map(snap.get, Q.ys)]
@@ -450,6 +450,32 @@ def snap_candidate(Q: Region) -> Region | None:
         return Region.from_integers(L, xs, ys, Q.reference)
     except GeometryError:
         return None
+
+
+def _limit_denominator(x: int, m: int, D: int) -> tuple[int, int]:
+    """The nearest fraction to x / m (m > 0) with denominator at most D,
+    reduced: Fraction(x, m).limit_denominator(D).as_integer_ratio() on
+    integers alone.  The continued fraction runs until the next
+    convergent's denominator would pass D (x / m itself when it ends
+    first).  Then the convergent p1 / q1 and the semiconvergent with the
+    largest k that D allows lie on either side, 1 / (q1 (q0 + k q1))
+    apart, with p1 / q1 at d / (q1 m) for the last remainder d, so p1 / q1
+    wins, ties included as in CPython, when 2 d (q0 + k q1) <= m.  A common
+    factor of x and m changes neither the quotients nor d / m.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x, m
+    while d:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > D:
+            k = (D - q0) // q1
+            if 2 * d * (q0 + k * q1) <= m:
+                return p1, q1
+            return p0 + k * p1, q0 + k * q1
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    return p1, q1
 
 
 def certify(op: str, SS: Collection, Q: Region) -> Region | None:

@@ -41,7 +41,7 @@ from .geometry import (
     ratios,
     scalar_str,
 )
-from .booleans import Triple, Wall, _cleaned, _reduced
+from .booleans import Triple, Wall, _reduced
 
 
 class VoronoiError(GeometryError):
@@ -212,9 +212,12 @@ def materialize_cell(S: SiteSet, c: Point) -> Region:
     return Region.from_integers(*_corner_ring(S._corners[S.sites.index(c)]))
 
 
-# A vertex of a cell piece: (X, Y, D, on), the point (X / D, Y / D) with
-# D > 0, on whether it lies on a wall line (booleans._cleaned)
-_Vertex = tuple[int, int, int, bool]
+# A vertex of a cell piece: (X, Y, D, i, k), the point (X / D, Y / D) with
+# D > 0, tagged with where the walk found it: ring vertex i of X, as X's own
+# (x, y, m), the crossing of ring edge i (vertex i to i + 1) with wall k, or
+# the corner of walls k and k + 1 (i = -1), each reduced.  k is the first
+# wall of the piece's cell whose line holds the point, -1 for none.
+_Vertex = tuple[int, int, int, int, int]
 
 
 def _nearest(psi: tuple[int, tuple[tuple[int, int, int], ...]],
@@ -229,6 +232,11 @@ def _nearest(psi: tuple[int, tuple[tuple[int, int, int], ...]],
                for i, (n, x, y) in enumerate(psi[1]))[3]
 
 
+def _first_wall(walls: Sequence[Wall], X: int, Y: int, D: int) -> int:
+    """The first of the walls whose line holds (X / D, Y / D), -1 for none."""
+    return next((k for k, (A, B, C) in enumerate(walls) if A * X + B * Y == C * D), -1)
+
+
 def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
     """The components of X ∩ V(c) for every site c, in S.sites order, from
     one walk of the boundary of X, a simple counter-clockwise ring (m, xs,
@@ -240,10 +248,15 @@ def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
     edge u -> v, so the edge leaves its cell where the first level f turns
     positive, at (f(v) u - f(u) v) / (f(v) - f(u)), into the site across
     that wall, or, at a corner or along a wall, into the cell _nearest
-    names.  Each cell's chains, the maximal runs of the boundary in it, are
-    closed along its walls (_close).  A cell no chain enters is a piece
-    whole exactly when it is bounded and its site lies strictly inside X.
-    A ring in one cell comes back as it was given.
+    names.  Each vertex carries its provenance and its first wall
+    (_Vertex), so no plain crossing searches a cell's walls.  Each cell's
+    chains, the maximal runs of the boundary in it, are closed along its
+    walls (_close); a chain is marked where the walk met a zero level (a
+    ring vertex on a wall, a tie of two walls, an edge along a wall).  A
+    crossing never falls at an end of its edge: the walk is in the cell
+    just after every point.  A cell no chain enters is a piece whole
+    exactly when it is bounded and its site lies strictly inside X.  A
+    ring in one cell comes back as it was given.
     """
     m, xs, ys = X
     n = len(xs)
@@ -251,8 +264,10 @@ def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
     first = c = _nearest(psi, xs[0], ys[0], m, xs[1] - xs[0], ys[1] - ys[0])
     walls = cells[c]
     fv = [A * xs[0] + B * ys[0] - C * m for A, B, C in walls]
-    cur: list[_Vertex] = [(xs[0], ys[0], m, 0 in fv)]
-    chains: list[tuple[int, list[_Vertex]]] = []
+    w = fv.index(0) if 0 in fv else -1
+    cur: list[_Vertex] = [(xs[0], ys[0], m, 0, w)]
+    marked = w >= 0
+    chains: list[tuple[int, list[_Vertex], bool]] = []
     for i in range(n):
         j = i + 1 if i + 1 < n else 0
         ux, uy, vx, vy = xs[i], ys[i], xs[j], ys[j]
@@ -271,38 +286,46 @@ def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
             if k < 0:
                 break
             a, b = fu[k], fv[k]
-            p = (*_reduced(b * ux - a * vx, b * uy - a * vy, (b - a) * m), True)
-            cur.append(p)
-            chains.append((c, cur))
-            cur = [p]
-            if tie or any(a == 0 == b for a, b in zip(fu, fv)):
-                c = _nearest(psi, p[0], p[1], p[2], vx - ux, vy - uy)
+            X_, Y_, D_ = _reduced(b * ux - a * vx, b * uy - a * vy, (b - a) * m)
+            if tie or 0 in fv and any(a == 0 == b for a, b in zip(fu, fv)):
+                # at a corner or the end of a wall: the point may lie on two
+                # walls of either cell
+                c2, met = _nearest(psi, X_, Y_, D_, vx - ux, vy - uy), True
+                ke, ks = _first_wall(walls, X_, Y_, D_), _first_wall(cells[c2], X_, Y_, D_)
             else:
-                c = nbrs[c][k]
+                # into the site across wall k, through the same wall reversed
+                c2, met = nbrs[c][k], False
+                ke, ks = k, nbrs[c2].index(c)
+            cur.append((X_, Y_, D_, i, ke))
+            chains.append((c, cur, marked or met))
+            cur, marked, c = [(X_, Y_, D_, i, ks)], met, c2
             walls = cells[c]
             fu = [A * ux + B * uy - C * m for A, B, C in walls]
             fv = [A * vx + B * vy - C * m for A, B, C in walls]
-        on = 0 in fv
-        cur.append((vx, vy, m, on))
-        if on:
+        if 0 in fv:
             # v lies on the boundary of the cell: the next edge picks its own
+            cur.append((vx, vy, m, j, fv.index(0)))
+            marked = True
             k = j + 1 if j + 1 < n else 0
             nxt = first if j == 0 else _nearest(psi, vx, vy, m, xs[k] - vx, ys[k] - vy)
             if nxt != c:
-                chains.append((c, cur))
-                cur = [(vx, vy, m, True)]
+                chains.append((c, cur, True))
                 c = nxt
                 walls = cells[c]
                 fv = [A * vx + B * vy - C * m for A, B, C in walls]
+                cur = [(vx, vy, m, j, fv.index(0))]
+        else:
+            cur.append((vx, vy, m, j, -1))
     pieces: list[list[Scaled]] = [[] for _ in cells]
     if not chains:
         pieces[c] = [X]
         return pieces
     # back in the cell it started in, the walk's last chain runs on into its first
-    chains[0] = (c, cur + chains[0][1][1:])
-    by_cell: dict[int, list[list[_Vertex]]] = {}
-    for c, chain in chains:
-        by_cell.setdefault(c, []).append(chain)
+    _, head, head_marked = chains[0]
+    chains[0] = (c, cur + head[1:], marked or head_marked)
+    by_cell: dict[int, list[tuple[list[_Vertex], bool]]] = {}
+    for c, chain, mark in chains:
+        by_cell.setdefault(c, []).append((chain, mark))
     for c, found in by_cell.items():
         pieces[c] = _close(cells[c], S._corners[c], found)
     M, entries = psi
@@ -314,55 +337,107 @@ def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
 
 
 def _close(walls: Sequence[Wall], corners: Sequence[Triple | None],
-           chains: list[list[_Vertex]]) -> list[Scaled]:
+           chains: list[tuple[list[_Vertex], bool]]) -> list[Scaled]:
     """One cell's components: each chain joined from its end, counter-
     clockwise along the cell's boundary, to the next chain start, through
-    the corners passed (booleans._cleaned drops repeats).
+    the corners passed (_passed), each as a ring (_ring).
 
-    A boundary point on the wall (A, B, C) is at (r, A y - B x over d), r
-    counting the walls from the one after an unbounded cell's gap; A y - B x
-    grows counter-clockwise.  The ends and starts are sorted over the lcm
-    of their denominators, each end pairs with the next start, cyclically
-    around a bounded cell, and MultiComponent says a pair is not so (a ring
-    that is not simple and counter-clockwise).
+    A lone chain's end joins its own start, with no sort.  Several chains
+    put each end and start on wall k, its tag, at (r, A y - B x over d),
+    r = k - g - 1 mod K counting the walls from the one after an unbounded
+    cell's gap g (A y - B x grows counter-clockwise along the wall), sort
+    them over the lcm of their denominators, and pair each end with the
+    next start, cyclically around a bounded cell; MultiComponent says a
+    pair is not so (a ring that is not simple and counter-clockwise).
     """
     K, N = len(walls), len(chains)
-    gap = corners.index(None) if None in corners else -1
-
-    def position(p: _Vertex) -> tuple[int, int, int]:
-        X, Y, D, _ = p
-        k = next(k for k, (A, B, C) in enumerate(walls) if A * X + B * Y == C * D)
-        A, B, _ = walls[k]
-        return (k - gap - 1) % K, A * Y - B * X, D
-
-    # chain i ends at keys[i] and starts at keys[N + i]
-    pos = [position(chain[t]) for t in (-1, 0) for chain in chains]
-    L = lcm(*[D for _, _, D in pos])
-    keys = [(r, a * (L // D)) for r, a, D in pos]
-    events = sorted((key, i) for i, key in enumerate(keys))
-    if gap < 0 and events[0][1] >= N:
-        events = events[1:] + events[:1]
     succ = [0] * N
-    for (_, e), (_, s) in zip(events[0::2], events[1::2]):
-        if e >= N or s < N:
-            raise MultiComponent("ring meets a cell boundary degenerately")
-        succ[e] = s - N
+    if N > 1:
+        gap = corners.index(None) if None in corners else -1
+
+        def position(p: _Vertex) -> tuple[int, int, int]:
+            X, Y, D, _, k = p
+            A, B, _ = walls[k]
+            return (k - gap - 1) % K, A * Y - B * X, D
+
+        # chain i ends at keys[i] and starts at keys[N + i]
+        pos = [position(chain[t]) for t in (-1, 0) for chain, _ in chains]
+        L = lcm(*[D for _, _, D in pos])
+        events = sorted(((r, a * (L // D)), i) for i, (r, a, D) in enumerate(pos))
+        if gap < 0 and events[0][1] >= N:
+            events = events[1:] + events[:1]
+        for (_, e), (_, s) in zip(events[0::2], events[1::2]):
+            if e >= N or s < N:
+                raise MultiComponent("ring meets a cell boundary degenerately")
+            succ[e] = s - N
     rings = []
     seen = [False] * N
     for i in range(N):
         pts: list[_Vertex] = []
+        mark = False
         while not seen[i]:
             seen[i] = True
-            pts += chains[i]
-            j = succ[i]
-            ke, ks = keys[i], keys[N + j]
-            ranks = range(ke[0], ks[0]) if ke <= ks else [*range(ke[0], K), *range(ks[0])]
-            pts += [(*corners[(r + gap + 1) % K], True) for r in ranks]
-            i = j
-        piece = _cleaned(tuple(zip(*pts))) if pts else None
+            chain, chain_mark = chains[i]
+            i = succ[i]
+            pts += chain + _passed(walls, corners, chain[-1], chains[i][0][0])
+            mark = mark or chain_mark
+        piece = _ring(pts, mark) if pts else None
         if piece is not None:
             rings.append(piece)
     return rings
+
+
+def _passed(walls: Sequence[Wall], corners: Sequence[Triple | None],
+            e: _Vertex, s: _Vertex) -> list[_Vertex]:
+    """The corners passed counter-clockwise from e's wall to s's, all the
+    way around when both lie on one wall and e lies past s there; an
+    unbounded cell's gap among them raises MultiComponent (a lone chain
+    of a ring that is not counter-clockwise)."""
+    K, k = len(walls), e[4]
+    n = (s[4] - k) % K
+    if not n:
+        A, B, _ = walls[k]
+        if (A * e[1] - B * e[0]) * s[2] > (A * s[1] - B * s[0]) * e[2]:
+            n = K
+    ks = [(k + r) % K for r in range(n)]
+    if any(corners[q] is None for q in ks):
+        raise MultiComponent("ring meets a cell boundary degenerately")
+    return [(*corners[q], -1, q) for q in ks]
+
+
+def _ring(pts: list[_Vertex], marked: bool) -> Scaled | None:
+    """A piece's vertices as a ring over the lcm of their reduced
+    denominators; None when fewer than three are left.
+
+    Only a marked piece (split_ring) can hold a vertex to drop: elsewhere a
+    crossing lies inside its edge and inside its wall's facet, so neither
+    it nor a corner or ring vertex repeats a neighbour or lines up with two.
+    """
+    L = lcm(*[D for _, _, D, _, _ in pts])
+    xs = [X * (L // D) for X, _, D, _, _ in pts]
+    ys = [Y * (L // D) for _, Y, D, _, _ in pts]
+    if marked:
+        # drop each vertex on a wall line while it repeats a neighbour or is
+        # collinear with its two, also where the boundary doubles back, and
+        # look again from its predecessor (_canonical_order)
+        keep = list(range(len(xs)))
+        i = 0
+        while i < len(keep) and len(keep) >= 3:
+            n = len(keep)
+            b = keep[i]
+            if pts[b][4] >= 0:
+                a, c = keep[i - 1], keep[(i + 1) % n]
+                ax, ay = xs[a], ys[a]
+                if (xs[b] - ax) * (ys[c] - ay) == (ys[b] - ay) * (xs[c] - ax):
+                    keep.pop(i)
+                    i = 0 if i == n - 1 else max(i - 1, 0)
+                    continue
+            i += 1
+        if len(keep) < 3:
+            return None
+        xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    g = gcd(L, *xs, *ys)
+    return L // g, [x // g for x in xs], [y // g for y in ys]
 
 
 def inner_cell_diameter_sq(S: SiteSet, c: Point) -> Fraction:

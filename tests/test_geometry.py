@@ -37,7 +37,7 @@ from errdiff.geometry import (
     scalar_str,
     star_kernel_contains,
 )
-from errdiff.booleans import Wall, _cleaned, _Ring
+from errdiff.booleans import Wall
 from errdiff.operators import minkowski_convex_star
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
@@ -45,6 +45,42 @@ UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 # ---------------------------------------------------------------------------
 # the reference clipper: one cell at a time, by Sutherland & Hodgman
+
+# A piece before its cleanup: parallel sequences (xs, ys, ds, on).  Vertex
+# i is the point (xs[i] / ds[i], ys[i] / ds[i]) with ds[i] > 0; on[i] says
+# whether it lies on a wall line.
+_Ring = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[bool]]
+
+
+def _cleaned(ring: _Ring) -> Scaled | None:
+    """ring over the lcm of its reduced vertex denominators, each vertex on
+    a wall line dropped while it repeats a neighbour or is collinear with
+    its two, also where the boundary doubles back; None when fewer than
+    three are left.  It finishes every piece of the reference clipper and
+    of the reference walk (test_voronoi.reference_split_ring)."""
+    xs, ys, ds, on = ring
+    L = lcm(*ds)
+    cxs = [x * (L // d) for x, d in zip(xs, ds)]
+    cys = [y * (L // d) for y, d in zip(ys, ds)]
+    # drop a vertex, then look again from its predecessor (_canonical_order)
+    keep = list(range(len(cxs)))
+    i = 0
+    while i < len(keep) and len(keep) >= 3:
+        n = len(keep)
+        b = keep[i]
+        if on[b]:
+            a, c = keep[i - 1], keep[(i + 1) % n]
+            ax, ay = cxs[a], cys[a]
+            if (cxs[b] - ax) * (cys[c] - ay) == (cys[b] - ay) * (cxs[c] - ax):
+                keep.pop(i)
+                i = 0 if i == n - 1 else max(i - 1, 0)
+                continue
+        i += 1
+    if len(keep) < 3:
+        return None
+    g = gcd(L, *[cxs[i] for i in keep], *[cys[i] for i in keep])
+    return L // g, [cxs[i] // g for i in keep], [cys[i] // g for i in keep]
+
 
 def clip_components(scaled: Scaled, walls: Sequence[Wall]) -> list[Scaled]:
     """Every component of a simple canonical ring cut by closed half-planes.

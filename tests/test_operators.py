@@ -40,6 +40,7 @@ from errdiff.operators import (
     EmptyCellPiece,
     SNAP_DENOMINATOR,
     _g_pieces,
+    _limit_denominator,
     _p_step_general,
     _star_cycles,
     _sum_hull_with_ring,
@@ -998,6 +999,82 @@ class TestRoundCoordinate:
     @settings(max_examples=60, deadline=None)
     def test_commutes_with_integer_shift(self, q, m):
         assert snapped(q + m) == snapped(q) + m
+
+
+def limit_denominator(x, m, D):
+    """The reference: Fraction.limit_denominator on this interpreter."""
+    return F(x, m).limit_denominator(D).as_integer_ratio()
+
+
+@st.composite
+def farey_midpoints(draw):
+    """(x, m, D) with x / m exactly halfway between two neighbours a / b <
+    c / d of the Farey sequence of order D (b c - a d = 1, b, d <= D <
+    b + d), scaled by k: the two fractions limit_denominator chooses
+    between lie equally near, and the tie goes to the convergent."""
+    D = draw(st.integers(1, 300))
+    b = draw(st.integers(1, D))
+    a = draw(st.integers(-3 * b, 3 * b).filter(lambda a: math.gcd(a, b) == 1))
+    # the largest d <= D with a d = -1 (mod b)
+    r = -pow(a, -1, b) % b if b > 1 else 0
+    d = D - (D - r) % b
+    c = (1 + a * d) // b
+    k = draw(st.integers(1, 6))
+    return k * (a * d + b * c), k * 2 * b * d, D
+
+
+@st.composite
+def small_denominators(draw):
+    """(x, m, D) whose reduced denominator is already at most D, with a
+    common factor k of up to 900 bits."""
+    D = draw(st.integers(1, 2**12))
+    b = draw(st.integers(1, D))
+    k = draw(st.integers(1, 2**900))
+    return k * draw(st.integers(-10**6, 10**6)), k * b, D
+
+
+wide = st.integers(1, 2**900)
+wide_draws = st.tuples(st.integers(-2**900, 2**900), wide, st.integers(1, 2**12))
+snap_draws = st.tuples(st.integers(-2**900, 2**900), wide, st.just(SNAP_DENOMINATOR))
+
+
+class TestLimitDenominatorOnIntegers:
+    """_limit_denominator, the snap's rounding on integers, against
+    Fraction.limit_denominator, which CPython 3.12 rewrote: negative x,
+    common denominators as wide as ssprime P's (890 bits), fractions
+    already in range, and exact ties."""
+
+    @given(st.one_of(wide_draws, snap_draws, small_denominators(), farey_midpoints()))
+    @settings(max_examples=400, deadline=None)
+    @example((-1, 2, 1))  # halfway between -1 and 0
+    @example((1, 2, 1))  # halfway between 0 and 1
+    @example((0, 3**500, 64))
+    @example((-7 * 2**900 + 1, 2**901, SNAP_DENOMINATOR))
+    @example((3, 6, 1))  # 1/2 unreduced, a tie at D = 1
+    @example((49, 99, 2))  # 1/2 is the nearest at D = 2
+    def test_matches_limit_denominator(self, draw):
+        x, m, D = draw
+        assert _limit_denominator(x, m, D) == limit_denominator(x, m, D)
+
+    def test_ties_go_to_the_convergent(self):
+        # 1/2 lies halfway between 0 and 1, the convergent 0 wins; 5/12
+        # lies halfway between 1/3 and 1/2 (D = 3), the convergent 1/2 wins
+        assert _limit_denominator(1, 2, 1) == (0, 1)
+        assert _limit_denominator(5, 12, 3) == limit_denominator(5, 12, 3) == (1, 2)
+
+    def test_snap_builds_no_fraction(self, monkeypatch):
+        eps = F(1, 10**25)
+        q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3) + eps, 1), pt(0, 2)])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("snap_candidate built a Fraction")
+
+        monkeypatch.setattr(F, "__new__", refused)
+        monkeypatch.setattr(F, "limit_denominator", refused)
+        got = snap_candidate(q)
+        monkeypatch.undo()
+        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1),
+                                      pt(0, 2)]
 
 
 class TestRoundRegion:

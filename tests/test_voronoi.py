@@ -2,15 +2,25 @@
 and the walk that splits a ring into cell pieces."""
 import math
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, lcm
 from pathlib import Path
+from typing import Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from errdiff.booleans import subset
-from errdiff.operators import Collection, _star_cycles, apply_operator, cell_pieces, p_step
+from errdiff.booleans import Triple, Wall, _reduced, subset
+import errdiff.voronoi
+from errdiff.cli import _seed_for
+from errdiff.operators import (
+    Collection,
+    _star_cycles,
+    apply_operator,
+    cell_pieces,
+    iterate,
+    p_step,
+)
 from errdiff.scene import load_scene
 from errdiff.geometry import (
     ORIGIN,
@@ -19,7 +29,9 @@ from errdiff.geometry import (
     MultiComponent,
     Point,
     Region,
+    Scaled,
     _canonical_order,
+    _ring_locate,
     dist_sq,
     is_simple_ring,
     point_of,
@@ -32,6 +44,8 @@ from errdiff.voronoi import (
     CoincidentSites,
     SiteSet,
     UnboundedCell,
+    _corner_ring,
+    _nearest,
     assumption_report,
     bisector,
     hull_edge_normals,
@@ -41,7 +55,7 @@ from errdiff.voronoi import (
     split_ring,
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
-from test_geometry import _angle_sorted, clip_components, clipped, level, rotated, wall
+from test_geometry import _angle_sorted, _cleaned, clip_components, clipped, level, rotated, wall
 
 
 def corners(S: SiteSet) -> tuple:
@@ -521,7 +535,8 @@ def site_set(coords) -> SiteSet:
 
 
 SSET3_SITES = SiteSet(tuple(pt(x, y) for x, y in SSET3), id="sset3")
-BRIDGE_SITES = SiteSet(tuple(pt(x, y) for x, y in ((-2, 0), (-1, -2), (1, -2), (2, -2))))
+BRIDGE_SITES_COORDS = [(-2, 0), (-1, -2), (1, -2), (2, -2)]
+BRIDGE_SITES = SiteSet(tuple(pt(x, y) for x, y in BRIDGE_SITES_COORDS))
 # an edge of BRIDGE along the wall x = 0 between (-1, -2) and (1, -2), X's
 # interior on the side of (-1, -2), joins two lobes in the cell of (1, -2)
 BRIDGE = [(-2, "-5/2"), (-1, -4), (0, -5), (1, -4), (0, "-5/2"), (0, "-3/2"), ("3/2", 1)]
@@ -534,6 +549,160 @@ def region(*coords) -> Region:
     return Region.from_ring([pt(x, y) for x, y in coords])
 
 
+# a square with a bottom notch, whose legs lie in the cell of (3/2, 1/2)
+NOTCH_SITES = [("3/2", "1/2"), ("3/2", "5/2"), (100, 1)]
+NOTCHED = region((0, 0), (1, 0), (1, 2), (2, 2), (2, 0), (3, 0), (3, 3), (0, 3))._scaled
+
+
+# ---------------------------------------------------------------------------
+# the reference walk
+
+# A vertex of the reference walk: (X, Y, D, on), the point (X / D, Y / D)
+# with D > 0, on whether it lies on a wall line (_cleaned)
+_OnVertex = tuple[int, int, int, bool]
+
+
+def reference_split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
+    """The walk of errdiff.voronoi.split_ring as it was before its vertices
+    carried their provenance: each vertex carries whether it lies on a wall
+    line instead, reference_close finds each chain end's wall by testing
+    the cell's walls, and _cleaned finishes every piece.
+
+    The components of X ∩ V(c) for every site c, in S.sites order, from
+    one walk of the boundary of X, a simple counter-clockwise ring (m, xs,
+    ys), through the diagram.
+
+    Each boundary point goes to the cell holding it moved a little along
+    its edge and less to the left (_nearest): an edge on a wall goes to the
+    cell on X's side.  A wall's level A x + B y - C m is affine along an
+    edge u -> v, so the edge leaves its cell where the first level f turns
+    positive, at (f(v) u - f(u) v) / (f(v) - f(u)), into the site across
+    that wall, or, at a corner or along a wall, into the cell _nearest
+    names.  Each cell's chains, the maximal runs of the boundary in it, are
+    closed along its walls (reference_close).  A cell no chain enters is a
+    piece whole exactly when it is bounded and its site lies strictly
+    inside X.  A ring in one cell comes back as it was given.
+    """
+    m, xs, ys = X
+    n = len(xs)
+    cells, nbrs, psi = S.cells, S._neighbours, S._psi
+    first = c = _nearest(psi, xs[0], ys[0], m, xs[1] - xs[0], ys[1] - ys[0])
+    walls = cells[c]
+    fv = [A * xs[0] + B * ys[0] - C * m for A, B, C in walls]
+    cur: list[_OnVertex] = [(xs[0], ys[0], m, 0 in fv)]
+    chains: list[tuple[int, list[_OnVertex]]] = []
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        ux, uy, vx, vy = xs[i], ys[i], xs[j], ys[j]
+        fu = fv
+        fv = [A * vx + B * vy - C * m for A, B, C in walls]
+        while True:
+            # the first wall to turn positive, at t = -f(u) / (f(v) - f(u))
+            k = -1
+            for q, b in enumerate(fv):
+                if b > 0:
+                    a = fu[q]
+                    if k < 0 or -a * den < num * (b - a):
+                        k, num, den, tie = q, -a, b - a, False
+                    elif -a * den == num * (b - a):
+                        tie = True
+            if k < 0:
+                break
+            a, b = fu[k], fv[k]
+            p = (*_reduced(b * ux - a * vx, b * uy - a * vy, (b - a) * m), True)
+            cur.append(p)
+            chains.append((c, cur))
+            cur = [p]
+            if tie or any(a == 0 == b for a, b in zip(fu, fv)):
+                c = _nearest(psi, p[0], p[1], p[2], vx - ux, vy - uy)
+            else:
+                c = nbrs[c][k]
+            walls = cells[c]
+            fu = [A * ux + B * uy - C * m for A, B, C in walls]
+            fv = [A * vx + B * vy - C * m for A, B, C in walls]
+        on = 0 in fv
+        cur.append((vx, vy, m, on))
+        if on:
+            # v lies on the boundary of the cell: the next edge picks its own
+            k = j + 1 if j + 1 < n else 0
+            nxt = first if j == 0 else _nearest(psi, vx, vy, m, xs[k] - vx, ys[k] - vy)
+            if nxt != c:
+                chains.append((c, cur))
+                cur = [(vx, vy, m, True)]
+                c = nxt
+                walls = cells[c]
+                fv = [A * vx + B * vy - C * m for A, B, C in walls]
+    pieces: list[list[Scaled]] = [[] for _ in cells]
+    if not chains:
+        pieces[c] = [X]
+        return pieces
+    # back in the cell it started in, the walk's last chain runs on into its first
+    chains[0] = (c, cur + chains[0][1][1:])
+    by_cell: dict[int, list[list[_OnVertex]]] = {}
+    for c, chain in chains:
+        by_cell.setdefault(c, []).append(chain)
+    for c, found in by_cell.items():
+        pieces[c] = reference_close(cells[c], S._corners[c], found)
+    M, entries = psi
+    mxs, mys = [x * M for x in xs], [y * M for y in ys]
+    for c, ((_, x, y), corners) in enumerate(zip(entries, S._corners)):
+        if c not in by_cell and None not in corners and _ring_locate(mxs, mys, x * m, y * m) > 0:
+            pieces[c] = [_corner_ring(corners)]
+    return pieces
+
+
+def reference_close(walls: Sequence[Wall], corners: Sequence[Triple | None],
+                    chains: list[list[_OnVertex]]) -> list[Scaled]:
+    """One cell's components: each chain joined from its end, counter-
+    clockwise along the cell's boundary, to the next chain start, through
+    the corners passed (booleans._cleaned drops repeats).
+
+    A boundary point on the wall (A, B, C) is at (r, A y - B x over d), r
+    counting the walls from the one after an unbounded cell's gap; A y - B x
+    grows counter-clockwise.  The ends and starts are sorted over the lcm
+    of their denominators, each end pairs with the next start, cyclically
+    around a bounded cell, and MultiComponent says a pair is not so (a ring
+    that is not simple and counter-clockwise).
+    """
+    K, N = len(walls), len(chains)
+    gap = corners.index(None) if None in corners else -1
+
+    def position(p: _OnVertex) -> tuple[int, int, int]:
+        X, Y, D, _ = p
+        k = next(k for k, (A, B, C) in enumerate(walls) if A * X + B * Y == C * D)
+        A, B, _ = walls[k]
+        return (k - gap - 1) % K, A * Y - B * X, D
+
+    # chain i ends at keys[i] and starts at keys[N + i]
+    pos = [position(chain[t]) for t in (-1, 0) for chain in chains]
+    L = lcm(*[D for _, _, D in pos])
+    keys = [(r, a * (L // D)) for r, a, D in pos]
+    events = sorted((key, i) for i, key in enumerate(keys))
+    if gap < 0 and events[0][1] >= N:
+        events = events[1:] + events[:1]
+    succ = [0] * N
+    for (_, e), (_, s) in zip(events[0::2], events[1::2]):
+        if e >= N or s < N:
+            raise MultiComponent("ring meets a cell boundary degenerately")
+        succ[e] = s - N
+    rings = []
+    seen = [False] * N
+    for i in range(N):
+        pts: list[_OnVertex] = []
+        while not seen[i]:
+            seen[i] = True
+            pts += chains[i]
+            j = succ[i]
+            ke, ks = keys[i], keys[N + j]
+            ranks = range(ke[0], ks[0]) if ke <= ks else [*range(ke[0], K), *range(ks[0])]
+            pts += [(*corners[(r + gap + 1) % K], True) for r in ranks]
+            i = j
+        piece = _cleaned(tuple(zip(*pts))) if pts else None
+        if piece is not None:
+            rings.append(piece)
+    return rings
+
+
 class TestSplitRing:
     @given(st.one_of(small_sites, lattice_sites, sset3_shifted, rational_sites),
            st.one_of(polygons(), star_rings().map(Region.from_ring),
@@ -541,6 +710,36 @@ class TestSplitRing:
     @settings(max_examples=200, deadline=None)
     def test_pieces_match_the_reference_clip(self, coords, R):
         check_pieces(site_set(coords), R)
+
+    @given(st.one_of(small_sites, lattice_sites, sset3_shifted, rational_sites),
+           st.one_of(polygons(), star_rings().map(Region.from_ring),
+                     star_rings(wide_radii).map(Region.from_ring)).map(lambda R: R._scaled),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    # a ring vertex on a wall
+    @example(SSET3, region(("-1/4", "-1/4"), ("1/2", 0), ("-1/4", "1/4"))._scaled, False)
+    # an edge along a wall
+    @example(SSET3, region(("1/2", "-1/4"), (2, "-1/4"), (2, "1/4"), ("1/2", "1/4"))._scaled, False)
+    # a crossing at the corner (1/2, 1/2), where two walls tie
+    @example(SSET3, region(("1/4", "1/4"), ("3/4", "3/4"), ("-1/4", "3/4"))._scaled, False)
+    # cells holding two chains, clean and along a wall
+    @example(NOTCH_SITES, NOTCHED, False)
+    @example(BRIDGE_SITES_COORDS, region(*BRIDGE)._scaled, False)
+    # a ring in one cell, returned as given
+    @example(SSET3, region(("7/8", "-1/4"), ("5/4", "-1/4"), (1, "1/4"))._scaled, False)
+    # a clockwise ring across the wall x = 1/2: in the bounded cell of
+    # (1, 0) its one chain closes all the way around; in the unbounded cell
+    # of (0, 0) it raises MultiComponent
+    @example(SSET3, region(("1/4", "-1/4"), ("3/4", "-1/4"), ("3/4", "1/4"))._scaled, True)
+    def test_walk_matches_the_reference_walk(self, coords, X, clockwise):
+        """split_ring returns the reference walk's pieces field for field:
+        the same m, xs and ys and the same start vertex, or both raise, also
+        on a clockwise ring, which raises where a chain closes across an
+        unbounded cell's gap."""
+        S = site_set(coords)
+        if clockwise:
+            X = (X[0], X[1][::-1], X[2][::-1])
+        assert outcome(split_ring, S, X) == outcome(reference_split_ring, S, X)
 
     @pytest.mark.parametrize("ring", [
         [("1/4", "1/4"), ("3/4", "3/4"), ("-1/4", "3/4")],
@@ -640,10 +839,13 @@ class TestCellCaches:
     def test_corners_and_neighbours(self, coords):
         """Each corner lies on its two walls and inside every other; a
         bounded cell has no gap and an unbounded one exactly one; the site
-        across each wall is the one whose bisector it is."""
+        across each wall is the one whose bisector it is, and its cell has
+        the same wall reversed."""
         S = site_set(coords)
         for i, (c, walls, corners) in enumerate(zip(S.sites, S.cells, S._corners)):
             assert [bisector(c, S.sites[j]) for j in S._neighbours[i]] == list(walls)
+            for j, (A, B, C) in zip(S._neighbours[i], walls):
+                assert S.cells[j][S._neighbours[j].index(i)] == (-A, -B, -C)
             assert corners.count(None) == (0 if c in S.inners else 1)
             for k, corner in enumerate(corners):
                 if corner is None:
@@ -652,3 +854,33 @@ class TestCellCaches:
                 levels = [A * X + B * Y - C * D for A, B, C in walls]
                 assert levels[k] == levels[(k + 1) % len(walls)] == 0
                 assert max(levels) == 0
+
+
+class TestCloseRoutes:
+    def test_route_tally_on_sset3_solves(self, monkeypatch):
+        """How sset3's g, G, p and P solves close their cell pieces: nearly
+        every cell holds one chain, closed through its corners from the end
+        wall to the start wall, and only pieces where the walk met a zero
+        level take the drop of repeated and collinear vertices, of which
+        a few lose one."""
+        tally = dict.fromkeys(("closes", "several chains", "marked", "lost a vertex"), 0)
+        close, ring = errdiff.voronoi._close, errdiff.voronoi._ring
+
+        def counted_close(walls, corners, chains):
+            tally["closes"] += 1
+            tally["several chains"] += len(chains) > 1
+            return close(walls, corners, chains)
+
+        def counted_ring(pts, marked):
+            got = ring(pts, marked)
+            tally["marked"] += marked
+            tally["lost a vertex"] += got is None or len(got[1]) < len(pts)
+            return got
+
+        monkeypatch.setattr(errdiff.voronoi, "_close", counted_close)
+        monkeypatch.setattr(errdiff.voronoi, "_ring", counted_ring)
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "sset3.json"
+        ((name, coll),) = load_scene(str(scene)).collections.items()
+        for op in "gGpP":
+            iterate(op, coll, _seed_for(coll, name, "gset" if op in "gG" else "fset"))
+        assert tally == {"closes": 704, "several chains": 4, "marked": 12, "lost a vertex": 4}
