@@ -10,10 +10,10 @@ tuples (m, xs, ys), vertex i at (xs[i] / m, ys[i] / m), in lowest terms,
 so equal rings have equal fields (equal_canonical).  Its vertices are a
 cached view of Points, for artifacts, rendering and games.  Points come in
 through over_common_denominator: Region.from_ring hands a ring to
-Region.from_integers, which checks it (_canonical_order, is_simple_ring,
-the kernel test), and Region.hull_of hands points to hull_of_rings, the
-one integer hull: the monotone chain _hull_order over the vertices of
-rings given on integers, which the operators call on their pieces.  A
+Region.from_integers, which checks it (_canonical_order, is_simple_ring),
+and Region.hull_of hands points to hull_of_rings, the one integer hull:
+the monotone chain _hull_order over the vertices of rings given on
+integers, which the operators call on their pieces.  A
 stitch or a convex Minkowski sum, which hold a canonical simple ring on
 integers, and a cell piece, rotated by _canonical_order, build the
 polygon directly.
@@ -29,10 +29,11 @@ every comparison and every orientation sign; point_in_ring and
 ratios_in_ring then run _ring_locate, the integer core that
 errdiff.booleans calls directly.
 
-Region is the one polygon type: a simple polygon with an optional
-declared star center.  A convex hull is a role a Region plays, not a type
-of its own.  A Region answers locate with point_in_ring on its ring, and
-holds, membership of a point given as Ratios, with ratios_in_ring.
+Region is the one polygon type: a simple polygon, which is its ring and
+nothing else, so two Regions are equal exactly when their rings are.  A
+convex hull is a role a Region plays, not a type of its own.  A Region
+answers locate with point_in_ring on its ring, and holds, membership of
+a point given as Ratios, with ratios_in_ring.
 Clipping and union live in errdiff.booleans and errdiff.starunion, and
 Minkowski sums in errdiff.operators; project_convex_ring decides the
 nearest point of a convex ring on the integers of the ring and the query
@@ -92,7 +93,7 @@ class MultiComponent(GeometryError):
 
 
 class KernelViolation(GeometryError):
-    """A declared star center is outside the polygon kernel."""
+    """An input lacks the star center its operator needs."""
 
 
 class NotStarAtCenter(GeometryError):
@@ -503,16 +504,14 @@ class Region:
     """Simple polygon with positive area: a canonical ring over its common
     denominator, vertex i at (xs[i] / m, ys[i] / m).
 
-    reference, when set, is a declared star center and must lie in the
-    kernel.  The constructor trusts the caller that the ring is canonical;
-    it divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
+    The constructor trusts the caller that the ring is canonical; it
+    divides out gcd(m, xs..., ys...), so m is the lcm of the vertices'
     reduced denominators and equal rings have equal fields.
     """
 
     m: int
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    reference: Point | None = None
 
     def __post_init__(self):
         g = gcd(self.m, *self.xs, *self.ys)
@@ -521,28 +520,24 @@ class Region:
         object.__setattr__(self, "ys", tuple(y // g for y in self.ys))
 
     @staticmethod
-    def from_ring(points: Sequence[Point], reference: Point | None = None) -> "Region":
+    def from_ring(points: Sequence[Point]) -> "Region":
         """The region bounded by any ring of Points; see from_integers."""
-        return Region.from_integers(*over_common_denominator(points), reference)
+        return Region.from_integers(*over_common_denominator(points))
 
     @staticmethod
-    def from_integers(m: int, xs: Sequence[int], ys: Sequence[int],
-                      reference: Point | None = None) -> "Region":
+    def from_integers(m: int, xs: Sequence[int], ys: Sequence[int]) -> "Region":
         """The region bounded by the ring (m, xs, ys) in any order, put in
         canonical form and checked.
 
         Raises DegenerateRegion when the ring has no area, NotSimple when
-        its boundary touches itself, KernelViolation when reference is set
-        and outside the kernel.
+        its boundary touches itself.
         """
         order = _canonical_order(xs, ys)
         if order is None:
             raise DegenerateRegion("ring has zero area")
-        region = Region(m, [xs[i] for i in order], [ys[i] for i in order], reference)
+        region = Region(m, [xs[i] for i in order], [ys[i] for i in order])
         if not is_simple_ring(region._scaled):
             raise NotSimple("boundary self-intersects")
-        if reference is not None and not region.kernel_contains(reference):
-            raise KernelViolation("reference point outside the kernel")
         return region
 
     @staticmethod
@@ -550,11 +545,6 @@ class Region:
         """The strict convex hull of the points (hull_of_rings);
         DegenerateHull when they do not span the plane."""
         return hull_of_rings([over_common_denominator(list(points))])
-
-    def with_reference(self, reference: Point | None) -> "Region":
-        if reference is not None and not self.kernel_contains(reference):
-            raise KernelViolation("reference point outside the kernel")
-        return Region(self.m, self.xs, self.ys, reference)
 
     def kernel_contains(self, p: Point) -> bool:
         return star_kernel_contains(self._scaled, p)
@@ -591,8 +581,9 @@ class Region:
 
 
 def equal_canonical(a: Region, b: Region) -> bool:
-    """Stopping-rule equality: identical canonical integer rings."""
-    return a._scaled == b._scaled
+    """Stopping-rule equality: identical canonical integer rings, which is
+    Region equality."""
+    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ at the origin, p_step takes its general route, which sweeps ch S along
 each piece and unites the sweeps in booleans.union_one_region.  The
 convex variants take the hull of the shifted pieces instead
 (geometry.hull_of_rings), since a hull commutes with union and with
-Minkowski sum: G(Q) = conv U(ch S + Q), with the origin as reference,
-and P(D) = ch S + conv U(D), one convex walk; so they build no envelope
-per member, and return a set also where the union pinches at the
-center.  apply_operator is the one member loop: G
+Minkowski sum: G(Q) = conv U(ch S + Q), which holds the origin in its
+kernel, and P(D) = ch S + conv U(D), one convex walk; so they build no
+envelope per member, and return a set also where the union pinches at
+the center.  apply_operator is the one member loop: G
 unites the member hulls in one envelope around the origin, and p and P
 the members' images in one envelope around a point that every image
 should hold in its kernel (the seed point, or shared_site), or in
@@ -355,11 +355,10 @@ def p_step(S: SiteSet, D: Seed) -> Region:
     if isinstance(D, PointSeed):
         s0 = D.point
         cycles = [star_cycle(hull._scaled, c) for c in nearest_sites(S, s0)]
-        return cycle_envelope(cycles, s0).with_reference(None)
+        return cycle_envelope(cycles, s0)
     pieces = cell_pieces(S, D._scaled)
     try:
-        return minkowski_convex_star(
-            hull, cycle_envelope(_star_cycles(pieces), ORIGIN)).with_reference(None)
+        return minkowski_convex_star(hull, cycle_envelope(_star_cycles(pieces), ORIGIN))
     except (MultiComponent, NotStarAtCenter, DisconnectedUnion):
         return _p_step_general(hull, pieces)
 
@@ -392,7 +391,7 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
         pieces = [_g_pieces(S, Q) for S in SS.members]
         if op == "g":
             return cycle_envelope([cy for p in pieces for cy in _star_cycles(p)], ORIGIN)
-        hulls = [hull_of_rings(_recentred(p)).with_reference(ORIGIN) for p in pieces]
+        hulls = [hull_of_rings(_recentred(p)) for p in pieces]
         if len(hulls) == 1:
             return hulls[0]
         return cycle_envelope([star_cycle(R._scaled, ORIGIN) for R in hulls], ORIGIN)
@@ -409,7 +408,7 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
         return parts[0]
     try:
         z = Q.point if isinstance(Q, PointSeed) else shared_site(SS)
-        return cycle_envelope([star_cycle(R._scaled, z) for R in parts], z).with_reference(None)
+        return cycle_envelope([star_cycle(R._scaled, z) for R in parts], z)
     except (KernelViolation, NotStarAtCenter, DisconnectedUnion):
         return union_one_region(parts)
 
@@ -419,11 +418,10 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
 
 def snap_candidate(Q: Region) -> Region | None:
     """Q's ring with every coordinate snapped to the nearest fraction whose
-    denominator is at most SNAP_DENOMINATOR, as a region with Q's star
-    reference; None when no coordinate moves, when a vertex of Q lies
-    outside the snapped ring, or when that ring is not a valid region
-    (zero area, a self-intersecting boundary, or the reference outside its
-    kernel).
+    denominator is at most SNAP_DENOMINATOR, as a region; None when no
+    coordinate moves, when a vertex of Q lies outside the snapped ring, or
+    when that ring is not a valid region (zero area or a self-intersecting
+    boundary).
 
     Each distinct numerator x of Q's ring is snapped once, as x / Q.m, and
     the snapped ring goes over the lcm L of its reduced denominators.  Q's
@@ -447,7 +445,7 @@ def snap_candidate(Q: Region) -> Region | None:
     if any(_ring_locate(cxs, cys, x * kq, y * kq) < 0 for x, y in zip(Q.xs, Q.ys)):
         return None
     try:
-        return Region.from_integers(L, xs, ys, Q.reference)
+        return Region.from_integers(L, xs, ys)
     except GeometryError:
         return None
 
@@ -483,10 +481,13 @@ def certify(op: str, SS: Collection, Q: Region) -> Region | None:
 
     Both containments are decided exactly.  op is monotone, so the chain
     through Q stays in C and its limit, the minimal invariant set, lies in
-    op(C), which op also maps into itself.  C is snap_candidate(Q).
+    op(C), which op also maps into itself.  C is snap_candidate(Q).  g and
+    G need the origin in the kernel of their input (_check_g_seed), so
+    for them a C whose kernel misses it is refused before either test.
     """
     C = snap_candidate(Q)
-    if C is None or subset_witness(Q, C) is not None:
+    if (C is None or (op in ("g", "G") and not C.kernel_contains(ORIGIN))
+            or subset_witness(Q, C) is not None):
         return None
     image = apply_operator(op, SS, C)
     if subset_witness(image, C) is not None:
@@ -516,10 +517,6 @@ def iterate(op: str, SS: Collection, seed: Seed,
         raise ValueError(f"unknown operator {op!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if op in ("g", "G"):
-        _check_g_seed(seed)
-        if isinstance(seed, Region):
-            seed = seed.with_reference(ORIGIN)
     threshold = DIVERGENCE_FACTOR * max(S.hull.diameter_sq for S in SS.members)
 
     history: list[int] = []

@@ -287,4 +287,4 @@ def cycle_envelope(cycles: Sequence[Scaled], center: Point) -> Region:
     if gaps:
         xs.append(0)
         ys.append(0)
-    return Region.from_integers(*_shift((L, xs, ys), center), center)
+    return Region.from_integers(*_shift((L, xs, ys), center))

@@ -38,13 +38,12 @@ class VerificationReport:
     """Outcome of one check; it passes exactly when no witness survived."""
 
     check: str
-    passed: bool
     witnesses: tuple[Point, ...] = ()
     notes: str = ""
 
-    def __post_init__(self):
-        if self.passed != (not self.witnesses):
-            raise ValueError("passed must mirror the absence of witnesses")
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 def _report(check: str, witnesses, notes: str = "") -> VerificationReport:
@@ -52,7 +51,7 @@ def _report(check: str, witnesses, notes: str = "") -> VerificationReport:
     if len(witnesses) > WITNESS_CAP:
         notes = (notes + f"; showing {WITNESS_CAP} of {len(witnesses)} witnesses").strip("; ")
         witnesses = witnesses[:WITNESS_CAP]
-    return VerificationReport(check, not witnesses, witnesses, notes)
+    return VerificationReport(check, witnesses, notes)
 
 
 def _as_collection(scenario) -> Collection:

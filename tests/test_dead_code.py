@@ -2,9 +2,10 @@
 package itself or exported: code that only tests call is dead code.  An
 exported name that the package never reads is library API, so README's
 "Library" section names it.  Every method, property and dataclass field
-of a class is read by the package as an attribute, unless it is listed
-with the reason it stays.  And every name a module imports is read
-there: an import left behind by a deletion is dead too."""
+of a class is read by the package as an attribute, and every defaulted
+parameter is set by some call in the package, unless it is listed with
+the reason it stays.  And every name a module imports is read there: an
+import left behind by a deletion is dead too."""
 import ast
 import re
 from pathlib import Path
@@ -146,6 +147,82 @@ def unread_imports(src: Path) -> list[str]:
     return out
 
 
+# defaulted parameters that no module of the package sets, each with why
+# the default stays a knob
+SET_ELSEWHERE = {
+    "cli.py:main(argv)": "tests pass an argument list; the console script passes none",
+    "dynamics.py:check_containment(which)":
+        "library callers and tests check the running total, which='z'",
+    "verify.py:triangle_family_check(candidate)":
+        "tests check candidates other than the envelope T(h_max, t)",
+    "verify.py:reachable_within(branching)":
+        "library callers and tests sample a branching cloud",
+    "verify.py:reachable_within(seed)": "library callers and tests seed that sample",
+}
+
+
+def _functions(tree: ast.AST) -> list[tuple[str, ast.AST, bool]]:
+    """(qualified name, definition, whether a call binds its first
+    parameter) of each function in tree: a method binds self or cls, a
+    staticmethod and a plain function bind nothing."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                out.append((prefix + child.name, child, in_class and not static))
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return out
+
+
+def _sets(call: ast.Call, index: int | None, name: str) -> bool:
+    """True when call passes the parameter at positional index (None for a
+    keyword-only one) or named name; *args and **kwargs pass every
+    parameter they could reach."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_parameters(src: Path) -> list[str]:
+    """module:function(parameter) of each defaulted parameter of a function
+    of src that no call in src sets, by position or by keyword.  A call
+    f(...) or x.f(...) counts for every function of src named f, whatever
+    x is, with a method's self or cls bound by the call."""
+    trees = [(p.name, ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(src.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, tree in trees:
+        for qualname, fn, bound in _functions(tree):
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[bound:]
+            knobs = [(i, arg) for i, arg in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+            knobs += [(None, arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+            out += [f"{module}:{qualname}({arg.arg})" for i, arg in knobs
+                    if not any(_sets(c, i, arg.arg) for c in calls.get(fn.name, []))]
+    return out
+
+
 def test_every_definition_is_used_or_exported():
     assert unused_definitions(SRC) == []
 
@@ -216,3 +293,20 @@ def test_an_import_read_nowhere_is_unread(tmp_path):
         "from math import gcd, lcm\n\n"
         "def _used(x: int) -> int:\n    return gcd(x, 2) + len(os.sep)\n")
     assert unread_imports(tmp_path) == ["m.py:system", "m.py:lcm"]
+
+
+def test_every_defaulted_parameter_is_set_or_listed():
+    assert sorted(unset_parameters(SRC)) == sorted(SET_ELSEWHERE)
+
+
+def test_a_default_that_no_call_sets_is_unset(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def knob(x, scale=1, *, mode='a', spare=0):\n    return x * scale\n\n"
+        "def wide(a=1, b=2):\n    return a + b\n\n"
+        "class Box:\n    def grow(self, by=1, cap=None):\n        return by\n\n"
+        "    @staticmethod\n    def make(size, label=''):\n        return size\n\n"
+        "def use(b, args, opts):\n"
+        "    knob(1, mode='b')\n    knob(*args)\n    wide(**opts)\n"
+        "    b.grow(3)\n    return Box.make(1)\n")
+    assert unset_parameters(tmp_path) == ["m.py:knob(spare)", "m.py:Box.grow(cap)",
+                                          "m.py:Box.make(label)"]

@@ -13,7 +13,6 @@ from errdiff.geometry import (
     DegenerateHull,
     DegenerateRegion,
     GeometryError,
-    KernelViolation,
     MultiComponent,
     NotSimple,
     Point,
@@ -39,6 +38,7 @@ from errdiff.geometry import (
 )
 from errdiff.booleans import Wall
 from errdiff.operators import minkowski_convex_star
+from errdiff.starunion import cycle_envelope, star_cycle
 
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
@@ -752,16 +752,25 @@ class TestRegion:
         with pytest.raises(DegenerateRegion):
             Region.from_ring(ring_of((0, 0), (1, 0), (2, 0)))
 
-    def test_reference_must_see_everything(self):
-        lshape = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
-        Region.from_ring(lshape, reference=pt("1/2", "1/2"))
-        with pytest.raises(KernelViolation):
-            Region.from_ring(lshape, reference=pt("3/2", "1/2"))
+    def test_kernel_must_see_everything(self):
+        lshape = Region.from_ring(ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+        assert lshape.kernel_contains(pt("1/2", "1/2"))
+        assert not lshape.kernel_contains(pt("3/2", "1/2"))
 
     def test_equal_canonical(self):
         a = Region.from_ring(UNIT_SQUARE)
         b = Region.from_ring(UNIT_SQUARE[1:] + UNIT_SQUARE[:1])
         assert equal_canonical(a, b)
+        # a Region is its ring: rotated and reversed copies, and the radial
+        # envelope of the ring around a point of its kernel, are one value
+        ring = ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
+        lshape = Region.from_ring(ring)
+        center = pt("1/2", "1/2")
+        copies = [Region.from_ring(ring[2:] + ring[:2]),
+                  Region.from_ring(ring[::-1]),
+                  cycle_envelope([star_cycle(lshape._scaled, center)], center)]
+        for c in copies:
+            assert c == lshape and hash(c) == hash(lshape) and equal_canonical(c, lshape)
 
 
 class TestKernel:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import errdiff.operators
 import errdiff.starunion
-from errdiff.booleans import subset, union_one_region
+from errdiff.booleans import subset, subset_witness, union_one_region
 from errdiff.geometry import (
     ORIGIN,
     DegenerateHull,
@@ -119,8 +119,7 @@ class TestGStep:
 
     def test_unit_square_fixed_point(self):
         h = F(1, 2)
-        q = Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)],
-                             reference=ORIGIN)
+        q = Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)])
         assert equal_canonical(apply_operator("g", single(UNIT_SQUARE), q), q)
 
     def test_seed_away_from_origin_rejected(self):
@@ -173,7 +172,7 @@ class TestGStep:
 # plus-shaped region around the origin
 PLUS = Region.from_ring([pt(1, -3), pt(1, -1), pt(3, -1), pt(3, 1), pt(1, 1), pt(1, 3),
                          pt(-1, 3), pt(-1, 1), pt(-3, 1), pt(-3, -1), pt(-1, -1),
-                         pt(-1, -3)], reference=ORIGIN)
+                         pt(-1, -3)])
 
 
 class TestMinkowskiConvexStar:
@@ -194,7 +193,7 @@ class TestMinkowskiConvexStar:
 def fan_sum(P, Q):
     """Reference P + Q: the Fraction edge merge for a convex Q; otherwise
     the hull of the pairwise sums of P with each origin triangle of Q,
-    united by the general union, with P's first vertex as reference."""
+    united by the general union."""
     if is_convex_ring(Q._scaled):
         return Region.from_ring(reference_minkowski(P, Q))
     parts = []
@@ -204,7 +203,7 @@ def fan_sum(P, Q):
         if reference_orient(ORIGIN, a, b):
             parts.append(Region.hull_of([u + v for u in P.vertices
                                                 for v in (ORIGIN, a, b)]))
-    return union_one_region(parts).with_reference(P.vertices[0])
+    return union_one_region(parts)
 
 
 # reduced lattice directions with coordinates up to 3, counterclockwise from +x
@@ -246,20 +245,18 @@ def lattice_stars(draw):
     for i in idxs:
         r = draw(lattice_radii)
         ring.append(pt(LATTICE_DIRS[i][0] * r, LATTICE_DIRS[i][1] * r))
-    return Region.from_ring(ring, reference=ORIGIN)
+    return Region.from_ring(ring)
 
 
 # star-shaped around its corner at the origin, with a reflex vertex at (1, 1)
-L_AT_ORIGIN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)],
-                               reference=ORIGIN)
+L_AT_ORIGIN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)])
 # a square missing its fourth quadrant: the origin is a reflex vertex
-PACMAN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 2), pt(-2, 2), pt(-2, -2), pt(0, -2)],
-                          reference=ORIGIN)
+PACMAN = Region.from_ring([ORIGIN, pt(2, 0), pt(2, 2), pt(-2, 2), pt(-2, -2), pt(0, -2)])
 
 
 class TestMinkowskiConvexStarOracle:
     """The convolution-cycle sum equals the triangle-fan sum, vertex for
-    vertex and reference included."""
+    vertex, and is star-shaped around every point of P."""
 
     @given(lattice_hulls(), lattice_stars())
     @settings(max_examples=150, deadline=None)
@@ -270,7 +267,7 @@ class TestMinkowskiConvexStarOracle:
         got = minkowski_convex_star(P, Q)
         want = fan_sum(P, Q)
         assert got.vertices == want.vertices
-        assert got.reference == want.reference
+        assert got.kernel_contains(P.vertices[0])
 
 
 @st.composite
@@ -311,7 +308,6 @@ class TestConvexSummandOffOrigin:
         assert Q.locate(ORIGIN) < 0
         got = minkowski_convex_star(P, Region(*Q._scaled))
         assert list(got.vertices) == reference_minkowski(P, Q)
-        assert got.reference is None
 
     @given(convex_pairs)
     @settings(max_examples=100, deadline=None)
@@ -421,7 +417,7 @@ def hull_sums_envelope(S, D):
         order = _canonical_order(xs, ys)  # a Region's ring is canonical
         piece = Region(m, [xs[i] for i in order], [ys[i] for i in order])
         sums.append(star_cycle(minkowski_convex_star(hull, piece)._scaled, z))
-    return cycle_envelope(sums, z).with_reference(None)
+    return cycle_envelope(sums, z)
 
 
 def p_step_route(S, D):
@@ -497,7 +493,7 @@ class TestPStepRoutes:
         assert p_step_route(PINCHED, d) == "DisconnectedUnion"
         image = p_step(PINCHED, d)
         assert calls == [len(PINCHED.sites)]
-        assert image == hull_sums_envelope(PINCHED, d)  # vertices and reference both
+        assert image == hull_sums_envelope(PINCHED, d)
         assert subset(d, image)
 
     def test_route_tally_on_seeded_collections(self, monkeypatch):
@@ -567,7 +563,7 @@ class TestConvexVariants:
         with pytest.raises(DisconnectedUnion):
             apply_operator("g", single(S), PointSeed(ORIGIN))
         G = apply_operator("G", single(S), PointSeed(ORIGIN))
-        assert is_convex_ring(G._scaled) and G.reference == ORIGIN
+        assert is_convex_ring(G._scaled) and G.kernel_contains(ORIGIN)
         for c, walls in zip(S.sites, S.cells):
             ((m, xs, ys),) = clip_components(S.hull._scaled, walls)
             assert subset(Region.from_integers(*_shift((m, xs, ys), -c)), G)
@@ -583,7 +579,7 @@ class TestConvexVariants:
         P = apply_operator("P", single(S), PointSeed(s0))
         want = Region.hull_of([v + s0 - c for c in S.sites
                                       for v in S.hull.vertices])
-        assert P._scaled == want._scaled and P.reference is None
+        assert P == want
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
@@ -608,10 +604,9 @@ class TestHullRegion:
     @pytest.mark.parametrize("op", ["G", "P"])
     def test_matches_reference_hull_on_member_images(self, stem, op):
         """Along the first iterates of the chain, every member's G or P
-        image is the Fraction monotone chain's hull of its g or p image,
-        with the same reference: the origin for G, none for P."""
+        image is the Fraction monotone chain's hull of its g or p image;
+        G's holds the origin in its kernel."""
         coll = shipped(stem)
-        reference = ORIGIN if op == "G" else None
         if op == "G":
             q, step = PointSeed(ORIGIN), g_of
         else:
@@ -621,34 +616,33 @@ class TestHullRegion:
         for _ in range(3):
             for S in coll.members:
                 R = step(S, q)
-                want = Region.from_ring(reference_hull(R.vertices), reference=reference)
+                want = Region.from_ring(reference_hull(R.vertices))
                 got = apply_operator(op, single(S), q)
-                assert got == want  # vertices and reference both
+                assert got == want
+                assert op == "P" or got.kernel_contains(ORIGIN)
                 hulled += got.vertices != R.vertices
             q = apply_operator(op, coll, q)
         assert hulled
 
-    def test_reference_outside_the_hull_is_rejected(self):
+    def test_origin_outside_the_hull_is_not_in_its_kernel(self):
         R = Region.from_ring([pt(1, 1), pt(3, 1), pt(2, 2), pt(3, 3), pt(1, 3)])
         H = hull_of_rings([R._scaled])
         assert H.vertices == (pt(1, 1), pt(3, 1), pt(3, 3), pt(1, 3))
-        with pytest.raises(KernelViolation):
-            H.with_reference(ORIGIN)
+        assert not H.kernel_contains(ORIGIN)
 
     @given(lattice_sites)
     @example([(-2, 0), (-1, -2), (1, -2), (1, 2)])
     @settings(max_examples=100, deadline=None)
     def test_G_and_P_are_hulls_of_g_and_p(self, coords):
         """Along the first chain steps, G and P are the exact hulls of g's
-        and p's images, with the same reference, wherever g and p do not
-        raise; where G or P raises, g or p raises the same error."""
+        and p's images, G's with the origin in its kernel, wherever g and p
+        do not raise; where G or P raises, g or p raises the same error."""
         try:
             S = sites(*coords)
         except DegenerateHull:
             assume(False)
         s0 = min(S.sites, key=lambda p: p.key())
-        for op, step, q, reference in (("G", g_of, PointSeed(ORIGIN), ORIGIN),
-                                       ("P", p_step, PointSeed(s0), None)):
+        for op, step, q in (("G", g_of, PointSeed(ORIGIN)), ("P", p_step, PointSeed(s0))):
             for _ in range(3):
                 try:
                     got = apply_operator(op, single(S), q)
@@ -662,8 +656,8 @@ class TestHullRegion:
                     pass
                 else:
                     want = Region.hull_of(image.vertices)
-                    assert got._scaled == want._scaled
-                    assert got.reference == reference
+                    assert got == want
+                    assert op == "P" or got.kernel_contains(ORIGIN)
                 q = got
 
     def test_no_envelope_from_a_convex_seed(self, monkeypatch):
@@ -745,14 +739,14 @@ class TestPooledGFamily:
             except GeometryError:
                 pass
             else:
-                assert got == want  # vertices and reference both
+                assert got == want
             try:
                 want = general_g_family(op, SS, q)
             except GeometryError:
                 pass
             else:
                 assert equal_canonical(got, want)
-            assert got.reference == ORIGIN
+            assert got.kernel_contains(ORIGIN)
             q = got
 
     @given(lattice_collections())
@@ -814,7 +808,7 @@ class TestPooledPFamily:
                 with pytest.raises(GeometryError):
                     general_p_family(op, SS, d)
                 return f"{op} raised {type(exc).__name__}"
-            assert got == general_p_family(op, SS, d)  # vertices and reference both
+            assert got == general_p_family(op, SS, d)
             d = got
         return f"{op} united every step"
 
@@ -917,7 +911,7 @@ class TestShiftIdentity:
 def reference_candidate(q):
     """snap_candidate on Points: each vertex coordinate's limit_denominator,
     q's vertices located in the raw snapped ring, then Region.from_ring of
-    the snapped Points with q's reference; None when no coordinate moves,
+    the snapped Points; None when no coordinate moves,
     a vertex of q lies outside, or the ring is not a valid region."""
     if q.m <= SNAP_DENOMINATOR:
         return None
@@ -929,7 +923,7 @@ def reference_candidate(q):
     if any(point_in_ring(scaled, v) < 0 for v in q.vertices):
         return None
     try:
-        return Region.from_ring(ring, reference=q.reference)
+        return Region.from_ring(ring)
     except GeometryError:
         return None
 
@@ -965,8 +959,7 @@ def snapped(q):
 
 def box(h):
     """The square [-h, h]^2, star-shaped around the origin."""
-    return Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)],
-                            reference=ORIGIN)
+    return Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)])
 
 
 class TestRoundCoordinate:
@@ -1078,8 +1071,8 @@ class TestLimitDenominatorOnIntegers:
 
 
 class TestRoundRegion:
-    """A snap candidate is offered a candidate only when a coordinate moves and
-    the snapped ring is still a valid region with the same star reference."""
+    """A snap candidate is offered only when a coordinate moves, Q's
+    vertices stay in the snapped ring, and that ring is a valid region."""
 
     def test_below_gate_untouched(self):
         q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, F(1, 64)), pt(0, 1)])
@@ -1111,15 +1104,19 @@ class TestRoundRegion:
         flat = [pt(0, 0), pt(1, F(1, 3) + tiny), pt(2, 0), pt(1, F(1, 3) + 2 * tiny)]
         assert snap_candidate(Region.from_ring(flat)) is None
 
-    def test_revert_on_lost_kernel(self):
-        # the dent (x, 3) moves right onto (2, 3), so C holds Q, but the
-        # steeper edge from (4, 4) cuts the old dent out of C's kernel
+    def test_offers_a_candidate_that_loses_a_kernel_point(self):
+        # the dent (x, 3) moves right onto (2, 3), so C holds Q's vertices,
+        # but the steeper edge from (4, 4) cuts the old dent out of C's
+        # kernel; the snap offers C all the same, and only certify asks a
+        # candidate for a kernel point: the origin, for g and G
         tiny = F(1, 10**25)
         x = 2 - tiny
-        ring = [pt(0, 0), pt(4, 0), pt(4, 4), pt(x, 3), pt(0, 4)]
-        region = Region.from_ring(ring, reference=pt(x, 3))
-        assert snap_candidate(region) is None
-        assert snap_candidate(region.with_reference(None)) is not None
+        q = Region.from_ring([pt(0, 0), pt(4, 0), pt(4, 4), pt(x, 3), pt(0, 4)])
+        assert q.kernel_contains(pt(x, 3))
+        cand = snap_candidate(q)
+        assert cand == Region.from_ring([pt(0, 0), pt(4, 0), pt(4, 4), pt(2, 3), pt(0, 4)])
+        assert all(cand.locate(v) >= 0 for v in q.vertices)
+        assert not cand.kernel_contains(pt(x, 3))
 
     def test_wide_common_denominator_without_a_wide_coordinate(self):
         # m = lcm(64, 3) = 192, yet no coordinate's own denominator passes 64
@@ -1139,19 +1136,15 @@ class TestSnapOracle:
     candidate made on Points (reference_candidate), None included."""
 
     @given(star_rings(snap_radii) | star_rings(outward_radii),
-           st.builds(Point, snap_offsets, snap_offsets), st.booleans())
+           st.builds(Point, snap_offsets, snap_offsets))
     @settings(max_examples=300, deadline=None)
     # m = 192, but no coordinate moves
-    @example([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))], ORIGIN, False)
+    @example([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))], ORIGIN)
     # Q lies in C, but the mouth of its notch closes to a point
     @example([pt(0, 0), pt(4, 0), pt(4, 4), pt(2 + F(1, 10**25), 4), pt(F(5, 2), 1),
-              pt(F(3, 2), 1), pt(2 - F(1, 10**25), 4), pt(0, 4)], ORIGIN, False)
-    # Q lies in C, but C's kernel loses the reference (x, 3), x = 2 - 10**-25
-    @example([pt(-2 + F(1, 10**25), -3), pt(2 + F(1, 10**25), -3), pt(2 + F(1, 10**25), 1),
-              pt(0, 0), pt(-2 + F(1, 10**25), 1)], pt(2 - F(1, 10**25), 3), True)
-    def test_matches_the_point_oracle(self, ring, offset, centred):
-        q = Region.from_ring([v + offset for v in ring],
-                             reference=offset if centred else None)
+              pt(F(3, 2), 1), pt(2 - F(1, 10**25), 4), pt(0, 4)], ORIGIN)
+    def test_matches_the_point_oracle(self, ring, offset):
+        q = Region.from_ring([v + offset for v in ring])
         assert snap_candidate(q) == reference_candidate(q)
 
     @pytest.mark.parametrize("stem", ["sset3", "ssprime"])
@@ -1194,6 +1187,32 @@ class TestCertify:
 
         monkeypatch.setattr(errdiff.operators, "apply_operator", unused)
         assert certify("g", single(UNIT_SQUARE), box(F(1, 2) + self.TINY)) is None
+
+    def test_g_family_refuses_a_candidate_without_the_origin_in_its_kernel(
+            self, monkeypatch):
+        # C holds Q and the origin, but the notch's right wall x = 3/4 hides
+        # the origin from C's upper right corner: g and G refuse C before
+        # they test Q ⊆ C or apply the operator to C, and p goes on
+        q = box(F(1, 4))
+        notched = Region.from_ring([pt(-1, -1), pt(1, -1), pt(1, 1), pt(F(3, 4), 1),
+                                    pt(F(3, 4), F(1, 2)), pt(F(1, 2), F(1, 2)),
+                                    pt(F(1, 2), 1), pt(-1, 1)])
+        assert subset(q, notched) and not notched.kernel_contains(ORIGIN)
+        calls = []
+
+        def spy(name, fn):
+            def called(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(errdiff.operators, name, called)
+        monkeypatch.setattr(errdiff.operators, "snap_candidate", lambda Q: notched)
+        spy("subset_witness", subset_witness)
+        spy("apply_operator", apply_operator)
+        for op in ("g", "G"):
+            assert certify(op, single(UNIT_SQUARE), q) is None
+        assert calls == []
+        certify("p", single(UNIT_SQUARE), q)
+        assert calls[:2] == ["subset_witness", "apply_operator"]
 
     def test_candidate_holding_q_but_not_invariant_is_refused(self):
         q = box(F(1, 4) - self.TINY)
@@ -1331,8 +1350,7 @@ class TestRunInvariants:
 
     def test_seed_region_contained_in_first_iterate(self):
         h = F(1, 4)
-        q0 = Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)],
-                              reference=ORIGIN)
+        q0 = Region.from_ring([pt(-h, -h), pt(h, -h), pt(h, h), pt(-h, h)])
         for op in ("g", "G"):
             q1 = apply_operator(op, single(DIAMOND), q0)
             assert subset(q0, q1)

@@ -23,7 +23,6 @@ from errdiff.operators import (
 )
 from errdiff.scene import load_scene
 from errdiff.geometry import (
-    ORIGIN,
     DegenerateHull,
     GeometryError,
     MultiComponent,
@@ -821,7 +820,7 @@ class TestSplitRing:
                     == [xs[i] for i in _canonical_order(xs, ys)])
         # and g, p and P return a set on it
         SS = Collection((PINCH_SITES,))
-        assert apply_operator("g", SS, R.with_reference(ORIGIN)).area2 == F(2257, 70)
+        assert apply_operator("g", SS, R).area2 == F(2257, 70)
         assert apply_operator("p", SS, R).area2 == F(21877, 420)
         assert apply_operator("P", SS, R).area2 == F(1103, 20)
 
