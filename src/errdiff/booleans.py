@@ -31,6 +31,7 @@ from .geometry import (
     Scaled,
     _canonical_order,
     _ring_locate,
+    ratios_in_ring,
 )
 
 # A wall (A, B, C): the closed half-plane A x + B y <= C, with (A, B) != 0
@@ -71,7 +72,7 @@ class _Boundary:
             return -1
         if d == 1:
             return _ring_locate(self.xs, self.ys, X, Y)
-        return _ring_locate([x * d for x in self.xs], [y * d for y in self.ys], X, Y)
+        return ratios_in_ring((1, self.xs, self.ys), (X, d, Y, d))
 
     def side_along(self, X: int, Y: int, d: int, dx: int, dy: int) -> int:
         """+1 when the first edge holding (X / d, Y / d) runs along (dx, dy),

@@ -22,12 +22,10 @@ from .geometry import (
     KernelViolation,
     Point,
     PointSeed,
-    Ratios,
     Region,
     parse_scalar,
     point_of,
     pt,
-    ratio_str,
     scalar_str,
     sub_ratios,
 )
@@ -69,29 +67,32 @@ def _write_trace(fh: TextIO, mode: str,
 
     Steps are written as they arrive, so a game from dynamics.play is never
     held whole; returns the step count and the error left after the last
-    step (its z - y, or the origin for none).  Step lines are formatted
-    directly from the steps' Ratios, with the bytes json.dumps gives the
-    record: each coordinate is str of its Fraction (ratio_str) and needs no
-    escaping, and a set id goes through json.dumps whenever it differs from
-    the previous step's.
+    step (its z - y, or the origin for none).  Each step line is one
+    f-string over the steps' Ratios, with the bytes json.dumps gives the
+    record: a coordinate n / d is str of its Fraction, "n" when d is 1 and
+    "n/d" otherwise, and needs no escaping, and a set id goes through
+    json.dumps whenever it differs from the previous step's.
     """
     count, last = 0, None
     set_id = sid = None
-    for count, s in enumerate(steps, 1):
-        if s.set_id != set_id:
-            set_id, sid = s.set_id, json.dumps(s.set_id)
-        fh.write(f'{{"step": {s.n}, "set": {sid}, "x": {_pair(s.qx)}, '
-                 f'"y": {_pair(s.qy)}, "e": {_pair(s.qe)}, "z": {_pair(s.qz)}}}\n')
-        last = s
+    for count, last in enumerate(steps, 1):
+        n, step_set, (xxn, xxd, xyn, xyd), (yxn, yxd, yyn, yyd), \
+            (exn, exd, eyn, eyd), (zxn, zxd, zyn, zyd) = last
+        if step_set != set_id:
+            set_id, sid = step_set, json.dumps(step_set)
+        fh.write(f'{{"step": {n}, "set": {sid}, '
+                 f'"x": ["{xxn if xxd == 1 else f"{xxn}/{xxd}"}", '
+                 f'"{xyn if xyd == 1 else f"{xyn}/{xyd}"}"], '
+                 f'"y": ["{yxn if yxd == 1 else f"{yxn}/{yxd}"}", '
+                 f'"{yyn if yyd == 1 else f"{yyn}/{yyd}"}"], '
+                 f'"e": ["{exn if exd == 1 else f"{exn}/{exd}"}", '
+                 f'"{eyn if eyd == 1 else f"{eyn}/{eyd}"}"], '
+                 f'"z": ["{zxn if zxd == 1 else f"{zxn}/{zxd}"}", '
+                 f'"{zyn if zyd == 1 else f"{zyn}/{zyd}"}"]}}\n')
     final = ORIGIN if last is None else point_of(sub_ratios(last.qz, last.qy))
     fh.write(json.dumps({"mode": mode, "steps": count,
                          "final_e": _point_strs(final)}) + "\n")
     return count, final
-
-
-def _pair(q: Ratios) -> str:
-    """A point's Ratios as the JSON pair of its coordinates' texts."""
-    return f'["{ratio_str(q[0], q[1])}", "{ratio_str(q[2], q[3])}"]'
 
 
 def _iteration_payload(name: str, op: str, res: IterationResult) -> dict:

@@ -19,20 +19,32 @@ denominator (ring), membership (holds) and projection (nearest) on
 Ratios; the opponent samples, cycles and votes on the ring, and
 add_ratios and sub_ratios make e + x and z - y.
 
-play is the one game API: it yields a game one TraceStep, the round's
-Ratios, at a time.  `errdiff simulate` writes each trace line as play
-yields it (cli._write_trace), and check_containment tests each step as it
-arrives, so no game is held whole; both take the error left after the
-last round as that round's z - y.
+What depends on the set alone is built once per set: its ring, and the
+cumulative fan weights (fan) that the uniform opponent draws a fan
+triangle by.  A round does only what depends on its points: three draws
+and one fan lookup for a uniform input, one membership test of the input
+on the ring's own integers (ratios_in_ring, which copies no ring), and
+the output: the nearest site of a finite set, or, for a convex set or a
+wedge, the point itself when the set holds it, and the nearest edge foot
+only when it does not.  A wedge of the random-triangle provider is new
+every round, so its ring is built per round in closed form, and it has
+no fan weights to build.
+
+play is the one game API: it yields a game one TraceStep, a named tuple
+of the round's Ratios, at a time.  `errdiff simulate` writes each trace
+line as play yields it (cli._write_trace), and check_containment tests
+each step as it arrives, so no game is held whole; both take the error
+left after the last round as that round's z - y.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import (
     GeometryError,
@@ -44,6 +56,8 @@ from .geometry import (
     add_ratios,
     dist_sq,
     exact,
+    is_convex_ring,
+    nearest_on_boundary,
     ratios_in_ring,
     point_of,
     project_convex_ring,
@@ -66,6 +80,11 @@ class InputOutsideHull(GeometryError):
     """An input point falls outside the hull it must be drawn from."""
 
 
+class NotConvex(GeometryError):
+    """A polygon given to Convex has a vertex that is not a strict left
+    turn, so nearest points on its boundary are not its projection."""
+
+
 def _strs(q: Ratios) -> list[str]:
     return [ratio_str(q[0], q[1]), ratio_str(q[2], q[3])]
 
@@ -75,10 +94,15 @@ def _strs(q: Ratios) -> list[str]:
 
 
 class _Feasible:
-    """Membership in a feasible set's hull ring."""
+    """Membership in a feasible set's hull ring, and the ring's fan weights
+    for the uniform opponent, built once per set."""
 
     def holds(self, q: Ratios) -> bool:
         return ratios_in_ring(self.ring, q) >= 0
+
+    @cached_property
+    def fan(self) -> tuple[int, ...]:
+        return fan_weights(self.ring)
 
 
 @dataclass(frozen=True)
@@ -91,7 +115,7 @@ class Finite(_Feasible):
     def set_id(self) -> str:
         return self.sites.id or "sites"
 
-    @property
+    @cached_property
     def ring(self) -> Scaled:
         return self.sites.hull._scaled
 
@@ -106,11 +130,15 @@ class Convex(_Feasible):
     polygon: Region
     label: str = "convex"
 
+    def __post_init__(self):
+        if not is_convex_ring(self.polygon._scaled):
+            raise NotConvex(f"{self.label}: the polygon is not convex")
+
     @property
     def set_id(self) -> str:
         return self.label
 
-    @property
+    @cached_property
     def ring(self) -> Scaled:
         return self.polygon._scaled
 
@@ -129,6 +157,8 @@ class Triangle(_Feasible):
 
     hq: tuple[int, int]
     tq: tuple[int, int]
+    # its ring has one or three vertices, for which fan_weights builds none
+    fan = ()
 
     def __init__(self, h: Scalar, t: Scalar):
         h, t = exact(h), exact(t)
@@ -176,9 +206,11 @@ class Triangle(_Feasible):
     def nearest(self, q: Ratios) -> Ratios:
         if self.hq[0] == 0:
             return 0, 1, 0, 1
+        if self.holds(q):
+            return q
         # the ring ORIGIN, (w, h), (-w, h) runs CCW, and the nearest point of
         # a convex set is unique, so the edge order cannot change it
-        return project_convex_ring(self.ring, q)
+        return nearest_on_boundary(self.ring, q)
 
 
 FeasibleSet = Finite | Convex | Triangle
@@ -275,32 +307,43 @@ class ScenarioProvider:
         return self.family.draw(rng)
 
 
-def sample_hull_ratios(scaled: Scaled, rng: random.Random) -> Ratios:
+def fan_weights(scaled: Scaled) -> tuple[int, ...]:
+    """The cumulative weights of the fan triangles (a, b, c) around the first
+    vertex of the hull ring (m, xs, ys), each twice its area over m^2.  A
+    ring of at most three vertices has one fan triangle at most, which
+    every draw picks, so it gets none."""
+    _, xs, ys = scaled
+    if len(xs) <= 3:
+        return ()
+    ax, ay = xs[0], ys[0]
+    acc, out = 0, []
+    for i in range(1, len(xs) - 1):
+        acc += (xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
+        out.append(acc)
+    return tuple(out)
+
+
+def sample_hull_ratios(scaled: Scaled, fan: tuple[int, ...],
+                       rng: random.Random) -> Ratios:
     """Uniform point of a convex hull, exact once the float draws are fixed.
 
     scaled is the hull ring over its common denominator, (m, xs, ys) as
-    over_common_denominator gives it.  Three draws, in order: one picks a
-    fan triangle (a, b, c) around the first vertex with probability
-    proportional to its area, two give the point a + u (b - a) + v (c - a),
-    reflected when u + v > 1.  A draw f enters as f.as_integer_ratio(),
-    exactly Fraction(f); the weights and the point are integers over that
-    common denominator.  A hull of one vertex draws nothing.
+    over_common_denominator gives it, and fan its fan_weights.  Three
+    draws, in order: one picks a fan triangle (a, b, c) around the first
+    vertex with probability proportional to its area, two give the point
+    a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f enters
+    as f.as_integer_ratio(), exactly Fraction(f); the weights and the point
+    are integers over that common denominator.  A hull of one vertex draws
+    nothing.
     """
     m, xs, ys = scaled
     if len(xs) == 1:
         return vertex_ratios(scaled, 0)
     ax, ay = xs[0], ys[0]
-    weights = [(xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
-               for i in range(1, len(xs) - 1)]
     rn, rd = rng.random().as_integer_ratio()
-    r = rn * sum(weights)
-    b = len(xs) - 2
-    acc = 0
-    for i, w in enumerate(weights, 1):
-        acc += w
-        if r < acc * rd:
-            b = i
-            break
+    # the first triangle whose cumulative weight w has r < w rd, that is
+    # w > r // rd on integers; rn < rd, so the last one always qualifies
+    b = bisect_right(fan, rn * fan[-1] // rd) + 1 if fan else 1
     un, ud = rng.random().as_integer_ratio()
     vn, vd = rng.random().as_integer_ratio()
     if un * vd + vn * ud > ud * vd:
@@ -335,7 +378,7 @@ class Opponent:
             a, b = exn * eyd, eyn * exd
             return vertex_ratios(ring, max(range(len(xs)), key=lambda i: (
                 xs[i] * a + ys[i] * b, -xs[i], -ys[i])))
-        return sample_hull_ratios(ring, rng)
+        return sample_hull_ratios(ring, fs.fan, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +398,7 @@ def _undelayed(e: Ratios, fs: FeasibleSet, x: Ratios) -> tuple[Ratios, Ratios, R
     return y, sub_ratios(z, y), z
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One round as Ratios: input x, output y, error e before it, and the
     target e + x (undelayed) or the running total (delayed) z."""
 

@@ -24,10 +24,14 @@ its two Fractions hold, without the objects; the games run on them.
 The ring predicates (is_simple_ring, is_convex_ring, point_in_ring,
 star_kernel_contains, ring_area2, diameter_sq_of) take a Scaled ring
 (m, xs, ys).  Against a query point, the ring's x axis is scaled by the
-point's x denominator and its y axis by its y denominator, which keeps
-every comparison and every orientation sign; point_in_ring and
-ratios_in_ring then run _ring_locate, the integer core that
-errdiff.booleans calls directly.
+point's x denominator and its y axis by its y denominator, and the point
+by m, which keeps every comparison and every orientation sign.
+ratios_in_ring, which point_in_ring calls, and star_kernel_contains
+scale each vertex as their walk reaches it and copy no ring, so a query
+costs no more than the edges it reads.  _ring_locate is the same
+crossing rule for a ring and a point already on one scale, the integer
+core that errdiff.booleans, errdiff.voronoi and errdiff.operators call
+directly.
 
 Region is the one polygon type: a simple polygon, which is its ring and
 nothing else, so two Regions are equal exactly when their rings are.  A
@@ -37,7 +41,8 @@ a point given as Ratios, with ratios_in_ring.
 Clipping and union live in errdiff.booleans and errdiff.starunion, and
 Minkowski sums in errdiff.operators; project_convex_ring decides the
 nearest point of a convex ring on the integers of the ring and the query
-point's Ratios.
+point's Ratios, first by ratios_in_ring, which returns a point the
+polygon holds at once, and else by nearest_on_boundary's edge feet.
 """
 from __future__ import annotations
 
@@ -208,16 +213,6 @@ def over_common_denominator(points: Sequence[Point]) -> Scaled:
     return m, [n * (m // d) for n, d in xr], [n * (m // d) for n, d in yr]
 
 
-def _against(scaled: Scaled, q: Ratios) -> tuple[list[int], list[int], int, int]:
-    """A ring over its common denominator m and a point q, both on integers:
-    the ring's x axis scaled by q's x denominator and its y axis by its y
-    denominator, q scaled by m.  Positive per-axis scales keep every
-    comparison and every orientation sign."""
-    m, xs, ys = scaled
-    xn, xd, yn, yd = q
-    return [x * xd for x in xs], [y * yd for y in ys], xn * m, yn * m
-
-
 def _shift(scaled: Scaled, p: Point) -> Scaled:
     """The ring moved by p, over the lcm of its m and p's denominators."""
     m, xs, ys = scaled
@@ -349,9 +344,32 @@ def point_in_ring(scaled: Scaled, p: Point) -> int:
 
 
 def ratios_in_ring(scaled: Scaled, q: Ratios) -> int:
-    """point_in_ring for a point given as Ratios, decided by _ring_locate on
-    the ring's integers against q."""
-    return _ring_locate(*_against(scaled, q))
+    """point_in_ring for a point given as Ratios, on the ring's own integers.
+
+    The ring's x axis is scaled by q's x denominator and its y axis by its
+    y denominator, and q by m; positive per-axis scales keep every
+    comparison and every orientation sign.  Each vertex is scaled as the
+    walk reaches it, its x only for an edge whose y-range holds q, so no
+    scaled copy of the ring is built.  The rule is _ring_locate's.
+    """
+    m, xs, ys = scaled
+    xn, xd, yn, yd = q
+    px, py = xn * m, yn * m
+    inside = False
+    ux, uy = xs[-1], ys[-1] * yd
+    for vx, vy in zip(xs, ys):
+        vy *= yd
+        if (py < uy and py < vy) or (py > uy and py > vy):
+            ux, uy = vx, vy
+            continue
+        sx, tx = ux * xd, vx * xd
+        side = (tx - sx) * (py - uy) - (vy - uy) * (px - sx)
+        if side == 0 and (sx <= px <= tx or tx <= px <= sx):
+            return 0
+        if (uy > py) != (vy > py) and ((side > 0) if vy > uy else (side < 0)):
+            inside = not inside
+        ux, uy = vx, vy
+    return 1 if inside else -1
 
 
 def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
@@ -393,12 +411,17 @@ def is_convex_ring(scaled: Scaled) -> bool:
 
 def star_kernel_contains(scaled: Scaled, p: Point) -> bool:
     """True when p is in the kernel of the CCW ring (m, xs, ys) (inner side
-    of every edge), decided on the ring's integers against p."""
-    xs, ys, px, py = _against(scaled, ratios(p))
-    for i in range(len(xs)):
-        ux, uy = xs[i - 1], ys[i - 1]
-        if (xs[i] - ux) * (py - uy) < (ys[i] - uy) * (px - ux):
+    of every edge), decided on the ring's integers against p, each vertex
+    scaled as ratios_in_ring scales it."""
+    m, xs, ys = scaled
+    xd, yd = p.x.denominator, p.y.denominator
+    px, py = p.x.numerator * m, p.y.numerator * m
+    ux, uy = xs[-1] * xd, ys[-1] * yd
+    for x, y in zip(xs, ys):
+        vx, vy = x * xd, y * yd
+        if (vx - ux) * (py - uy) < (vy - uy) * (px - ux):
             return False
+        ux, uy = vx, vy
     return True
 
 
@@ -448,14 +471,21 @@ def hull_of_rings(rings: Sequence[Scaled]) -> "Region":
 
 def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
     """Exact nearest point of a strictly convex CCW ring (m, xs, ys) to the
-    point q.
+    point q: q itself when ratios_in_ring finds it in the closed polygon,
+    which takes no distance, else nearest_on_boundary's point."""
+    return q if ratios_in_ring(scaled, q) >= 0 else nearest_on_boundary(scaled, q)
+
+
+def nearest_on_boundary(scaled: Scaled, q: Ratios) -> Ratios:
+    """Exact nearest point of the boundary of a strictly convex CCW ring
+    (m, xs, ys) to the point q, which is q's projection when q lies
+    outside the polygon.
 
     Over the common denominator m of the ring and q, edge u -> v with
     d = v - u and w = q - u has its foot at t = w.d / d.d, and the squared
     distance to the clamped foot is |w|^2 (t <= 0), |q - v|^2 (t >= 1) or
-    cross(d, w)^2 / d.d, all integers times m^2.  q lies in the polygon
-    when no cross(d, w) is negative.  The first edge with a strictly
-    smaller distance wins.
+    cross(d, w)^2 / d.d, all integers times m^2.  The first edge with a
+    strictly smaller distance wins.
     """
     m0, xs, ys = scaled
     xn, xd, yn, yd = q
@@ -463,7 +493,6 @@ def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
     k = m // m0
     px, py = xn * (m // xd), yn * (m // yd)
     n = len(xs)
-    inside = True
     best = None
     best_n = best_d = 1
     for i in range(n):
@@ -471,9 +500,6 @@ def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
         ux, uy = xs[i] * k, ys[i] * k
         dx, dy = xs[j] * k - ux, ys[j] * k - uy
         wx, wy = px - ux, py - uy
-        cr = dx * wy - dy * wx
-        if cr < 0:
-            inside = False
         t = wx * dx + wy * dy
         dd = dx * dx + dy * dy
         if t <= 0:
@@ -482,11 +508,10 @@ def project_convex_ring(scaled: Scaled, q: Ratios) -> Ratios:
             ex, ey = wx - dx, wy - dy
             dist_n, dist_d, foot = ex * ex + ey * ey, 1, (j, 0, 1)
         else:
+            cr = dx * wy - dy * wx
             dist_n, dist_d, foot = cr * cr, dd, (i, t, dd)
         if best is None or dist_n * best_d < best_n * dist_d:
             best, best_n, best_d = foot, dist_n, dist_d
-    if inside:
-        return q
     # u + (v - u) t / dd over m; a vertex foot is (i, 0, 1)
     i, t, dd = best
     j = (i + 1) % n

@@ -20,6 +20,7 @@ from .dynamics import (
     FeasibleSet,
     Finite,
     MODES,
+    NotConvex,
     Opponent,
     PROVIDER_MODES,
     STRATEGIES,
@@ -31,7 +32,6 @@ from .geometry import (
     GeometryError,
     Point,
     Region,
-    is_convex_ring,
     parse_scalar,
     pt,
 )
@@ -281,10 +281,11 @@ def _fixed_set(scene: Scene, decl: dict, location: str) -> FeasibleSet:
         polygon = scene.regions.get(region)
         if polygon is None:
             raise _fail("UnresolvedName", f"no region {region!r}", location)
-        if not is_convex_ring(polygon._scaled):
+        try:
+            return Convex(polygon, label=region)
+        except NotConvex as exc:
             raise _fail("BadProvider", "a fixed feasible region must be convex",
-                        location)
-        return Convex(polygon, label=region)
+                        location) from exc
     if triangle is not None:
         fam = scene.triangles.get(triangle)
         if fam is None:

@@ -16,6 +16,7 @@ from errdiff.dynamics import (
     Convex,
     Finite,
     InputOutsideHull,
+    NotConvex,
     Opponent,
     ScenarioProvider,
     TraceStep,
@@ -24,6 +25,7 @@ from errdiff.dynamics import (
     _undelayed,
     check_containment,
     error_bound_from_domain,
+    fan_weights,
     finite_members,
     play,
     sample_hull_ratios,
@@ -31,6 +33,7 @@ from errdiff.dynamics import (
 )
 from errdiff.geometry import (
     DegenerateHull,
+    GeometryError,
     ORIGIN,
     Point,
     Region,
@@ -40,6 +43,7 @@ from errdiff.geometry import (
     point_of,
     pt,
     ratios,
+    reduced,
     scalar_str,
     sub_ratios,
     vertex_ratios,
@@ -149,6 +153,14 @@ class TestFeasibleSets:
             TriangleFamily(1, 0.25)
         with pytest.raises(TypeError, match="inexact coordinate 0.1"):
             triangle_bound(0.1, 1)
+
+    def test_convex_rejects_a_polygon_that_is_not(self):
+        # the edge loop would move (1/2, 3/2), which the L holds, to (1, 3/2)
+        lshape = Region.from_ring((pt(0, 0), pt(2, 0), pt(2, 1), pt(1, 1), pt(1, 2), pt(0, 2)))
+        with pytest.raises(NotConvex, match="L: the polygon is not convex"):
+            Convex(lshape, label="L")
+        assert issubclass(NotConvex, GeometryError)
+        assert Convex(Region.hull_of(lshape.vertices)).polygon.area2 == 7
 
     def test_set_ids(self):
         assert SQUARE.set_id == "unit-square"
@@ -762,6 +774,64 @@ class _Script:
         return ratios(self.inputs[min(n, len(self.inputs) - 1)])
 
 
+def per_round_sample(scaled, rng):
+    """sample_hull_ratios with the fan weights built on every call, kept as
+    the reference for the weights built once per set."""
+    m, xs, ys = scaled
+    if len(xs) == 1:
+        return vertex_ratios(scaled, 0)
+    ax, ay = xs[0], ys[0]
+    weights = [(xs[i] - ax) * (ys[i + 1] - ay) - (ys[i] - ay) * (xs[i + 1] - ax)
+               for i in range(1, len(xs) - 1)]
+    rn, rd = rng.random().as_integer_ratio()
+    r = rn * sum(weights)
+    b = len(xs) - 2
+    acc = 0
+    for i, w in enumerate(weights, 1):
+        acc += w
+        if r < acc * rd:
+            b = i
+            break
+    un, ud = rng.random().as_integer_ratio()
+    vn, vd = rng.random().as_integer_ratio()
+    if un * vd + vn * ud > ud * vd:
+        un, vn = ud - un, vd - vn
+    den = m * ud * vd
+    return (*reduced(ax * ud * vd + (xs[b] - ax) * un * vd + (xs[b + 1] - ax) * vn * ud, den),
+            *reduced(ay * ud * vd + (ys[b] - ay) * un * vd + (ys[b + 1] - ay) * vn * ud, den))
+
+
+class TestFanOncePerSet:
+    @given(feasible_sets() | drawn_triangles, st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_cached_fan_draws_as_per_round_weights(self, fs, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        opponent = Opponent("uniform-random-in-hull")
+        for n in range(4):
+            want = per_round_sample(fs.ring, ref_rng)
+            if n % 2:
+                assert opponent.pick(fs, (0, 1, 0, 1), n, rng) == want
+            else:
+                assert sample_hull_ratios(fs.ring, fs.fan, rng) == want
+            assert rng.getstate() == ref_rng.getstate()
+        assert fs.fan is fs.fan
+
+    @given(feasible_sets() | drawn_triangles)
+    @settings(max_examples=200, deadline=None)
+    def test_fan_weights_are_cumulative_fan_areas(self, fs):
+        verts = corners(fs)
+        fan = fan_weights(fs.ring)
+        if len(verts) <= 3:
+            assert fan == ()
+            return
+        m = fs.ring[0]
+        a = verts[0]
+        areas = [cross(verts[i] - a, verts[i + 1] - a) * m * m
+                 for i in range(1, len(verts) - 1)]
+        assert fan == tuple(sum(areas[:i + 1]) for i in range(len(areas)))
+        assert all(w > 0 for w in areas)
+
+
 class TestIntegerKernels:
     @given(st.one_of(hulls(wide), hulls(narrow),
                      triangles.map(corners)),
@@ -771,7 +841,8 @@ class TestIntegerKernels:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         ring = over_common_denominator(verts)
         for _ in range(3):
-            assert sample_hull_ratios(ring, rng) == ratios(reference_sample(verts, ref_rng))
+            assert sample_hull_ratios(ring, fan_weights(ring), rng) == \
+                ratios(reference_sample(verts, ref_rng))
         assert rng.getstate() == ref_rng.getstate()
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(

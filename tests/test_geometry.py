@@ -19,12 +19,14 @@ from errdiff.geometry import (
     Region,
     Scaled,
     _canonical_order,
+    _ring_locate,
     diameter_sq_of,
     dist_sq,
     equal_canonical,
     hull_of_rings,
     is_convex_ring,
     is_simple_ring,
+    nearest_on_boundary,
     over_common_denominator as ocd,
     parse_scalar,
     point_in_ring,
@@ -32,11 +34,12 @@ from errdiff.geometry import (
     project_convex_ring,
     pt,
     ratios,
+    ratios_in_ring,
     ring_area2,
     scalar_str,
     star_kernel_contains,
 )
-from errdiff.booleans import Wall
+from errdiff.booleans import Wall, _Boundary
 from errdiff.operators import minkowski_convex_star
 from errdiff.starunion import cycle_envelope, star_cycle
 
@@ -981,3 +984,127 @@ class TestCanonicalIntegers:
         assert got == want and equal_canonical(got, want)
         assert math.gcd(got.m, *got.xs, *got.ys) == 1
         assert list(got.vertices) == reference_canonicalize(ring)
+
+
+# ---------------------------------------------------------------------------
+# the kernels that scaled the whole ring per query, kept as references for
+# the ones that scale each vertex as they reach it
+
+
+def scaled_copy(scaled, q):
+    """A ring over its common denominator m and a point q, both on integers:
+    the ring's x axis scaled by q's x denominator and its y axis by its y
+    denominator, q scaled by m, each coordinate of the ring copied."""
+    m, xs, ys = scaled
+    xn, xd, yn, yd = q
+    return [x * xd for x in xs], [y * yd for y in ys], xn * m, yn * m
+
+
+def scaled_copy_kernel_contains(scaled, p):
+    """star_kernel_contains on the scaled copy of the ring."""
+    xs, ys, px, py = scaled_copy(scaled, ratios(p))
+    for i in range(len(xs)):
+        ux, uy = xs[i - 1], ys[i - 1]
+        if (xs[i] - ux) * (py - uy) < (ys[i] - uy) * (px - ux):
+            return False
+    return True
+
+
+def scaled_copy_boundary_locate(xs, ys, X, Y, d):
+    """_Boundary.locate with the ring copied onto the point's scale d."""
+    if X < min(xs) * d or X > max(xs) * d or Y < min(ys) * d or Y > max(ys) * d:
+        return -1
+    return _ring_locate([x * d for x in xs], [y * d for y in ys], X, Y)
+
+
+def every_edge_project(scaled, q):
+    """project_convex_ring as one loop over every edge: the inside test
+    (no cross(d, w) negative) and the clamped foot of each edge, the first
+    strictly nearer edge winning, both over the lcm of the denominators."""
+    m0, xs, ys = scaled
+    xn, xd, yn, yd = q
+    m = lcm(m0, xd, yd)
+    k = m // m0
+    px, py = xn * (m // xd), yn * (m // yd)
+    n = len(xs)
+    inside = True
+    best = None
+    best_n = best_d = 1
+    for i in range(n):
+        j = (i + 1) % n
+        ux, uy = xs[i] * k, ys[i] * k
+        dx, dy = xs[j] * k - ux, ys[j] * k - uy
+        wx, wy = px - ux, py - uy
+        cr = dx * wy - dy * wx
+        if cr < 0:
+            inside = False
+        t = wx * dx + wy * dy
+        dd = dx * dx + dy * dy
+        if t <= 0:
+            dist_n, dist_d, foot = wx * wx + wy * wy, 1, (i, 0, 1)
+        elif t >= dd:
+            ex, ey = wx - dx, wy - dy
+            dist_n, dist_d, foot = ex * ex + ey * ey, 1, (j, 0, 1)
+        else:
+            dist_n, dist_d, foot = cr * cr, dd, (i, t, dd)
+        if best is None or dist_n * best_d < best_n * dist_d:
+            best, best_n, best_d = foot, dist_n, dist_d
+    if inside:
+        return q
+    i, t, dd = best
+    j = (i + 1) % n
+    ux, uy = xs[i] * k, ys[i] * k
+    fx = F(ux * dd + (xs[j] * k - ux) * t, m * dd)
+    fy = F(uy * dd + (ys[j] * k - uy) * t, m * dd)
+    return fx.numerator, fx.denominator, fy.numerator, fy.denominator
+
+
+@st.composite
+def convex_and_point(draw, coord_strategy):
+    """polygon_and_point's polygon and point, the point moved level with
+    a vertex half of the time."""
+    poly, x = draw(polygon_and_point(coord_strategy))
+    if draw(st.booleans()):
+        x = Point(x.x, draw(st.sampled_from(poly.vertices)).y)
+    return poly, x
+
+
+class TestUnscaledKernels:
+    @given(st.one_of(ring_and_point(grid_points), ring_and_point(points),
+                     ring_and_point(wide_points)))
+    @settings(max_examples=400, deadline=None)
+    def test_ratios_in_ring_matches_the_scaled_copy(self, case):
+        ring, x = case
+        scaled, q = ocd(ring), ratios(x)
+        assert ratios_in_ring(scaled, q) == _ring_locate(*scaled_copy(scaled, q))
+
+    @given(st.one_of(ring_and_point(grid_points), ring_and_point(wide_points)))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_membership_matches_the_scaled_copy(self, case):
+        ring, x = case
+        scaled = ocd(ring)
+        assert star_kernel_contains(scaled, x) == scaled_copy_kernel_contains(scaled, x)
+
+    @given(st.one_of(ring_and_point(grid_points), ring_and_point(wide_points)),
+           st.integers(1, 2**128))
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_locate_matches_the_scaled_copy(self, case, k):
+        """The point as (X / d, Y / d) in units of the ring's 1 / m, over
+        k times the least d that holds it."""
+        ring, x = case
+        m, xs, ys = ocd(ring)
+        xm, ym = x.x * m, x.y * m
+        d = lcm(xm.denominator, ym.denominator) * k
+        X, Y = int(xm * d), int(ym * d)
+        assert _Boundary(xs, ys).locate(X, Y, d) == \
+            scaled_copy_boundary_locate(xs, ys, X, Y, d)
+
+    @given(st.one_of(convex_and_point(coord), convex_and_point(wide_coord)))
+    @settings(max_examples=400, deadline=None)
+    def test_containment_first_projection_matches_every_edge_loop(self, case):
+        poly, x = case
+        q = ratios(x)
+        want = every_edge_project(poly._scaled, q)
+        assert project_convex_ring(poly._scaled, q) == want
+        if want != q:
+            assert nearest_on_boundary(poly._scaled, q) == want
