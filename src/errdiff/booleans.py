@@ -30,7 +30,6 @@ from .geometry import (
     Region,
     Scaled,
     _canonical_order,
-    _ring_locate,
     ratios_in_ring,
 )
 
@@ -70,8 +69,6 @@ class _Boundary:
         xmin, xmax, ymin, ymax = self.box
         if X < xmin * d or X > xmax * d or Y < ymin * d or Y > ymax * d:
             return -1
-        if d == 1:
-            return _ring_locate(self.xs, self.ys, X, Y)
         return ratios_in_ring((1, self.xs, self.ys), (X, d, Y, d))
 
     def side_along(self, X: int, Y: int, d: int, dx: int, dy: int) -> int:
@@ -245,11 +242,10 @@ def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
     # another; filtered vertices of genuine sibling lobes never lie strictly
     # inside a neighbor.  Cycle i is over mi and cycle j over mj.
     for i, (mi, ixs, iys) in enumerate(cycles):
-        for j, (mj, jxs, jys) in enumerate(cycles):
+        for j, ring in enumerate(cycles):
             if i == j:
                 continue
-            sx, sy = [x * mi for x in jxs], [y * mi for y in jys]
-            if any(_ring_locate(sx, sy, x * mj, y * mj) > 0 for x, y in zip(ixs, iys)):
+            if any(ratios_in_ring(ring, (x, mi, y, mi)) > 0 for x, y in zip(ixs, iys)):
                 raise DisconnectedUnion("union produced a hole")
     # a cycle that passed the touch and hole tests is simple and canonical
     return [Region(m * L, xs, ys) for m, xs, ys in cycles]

@@ -323,12 +323,12 @@ def fan_weights(scaled: Scaled) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sample_hull_ratios(scaled: Scaled, fan: tuple[int, ...],
-                       rng: random.Random) -> Ratios:
-    """Uniform point of a convex hull, exact once the float draws are fixed.
+def sample_hull_ratios(fs: FeasibleSet, rng: random.Random) -> Ratios:
+    """Uniform point of the hull of fs, exact once the float draws are fixed.
 
-    scaled is the hull ring over its common denominator, (m, xs, ys) as
-    over_common_denominator gives it, and fan its fan_weights.  Three
+    It reads the hull ring of fs over its common denominator, (m, xs, ys)
+    as over_common_denominator gives it, and the fan_weights that fs
+    caches beside it, so the two always belong together.  Three
     draws, in order: one picks a fan triangle (a, b, c) around the first
     vertex with probability proportional to its area, two give the point
     a + u (b - a) + v (c - a), reflected when u + v > 1.  A draw f enters
@@ -336,6 +336,7 @@ def sample_hull_ratios(scaled: Scaled, fan: tuple[int, ...],
     are integers over that common denominator.  A hull of one vertex draws
     nothing.
     """
+    scaled, fan = fs.ring, fs.fan
     m, xs, ys = scaled
     if len(xs) == 1:
         return vertex_ratios(scaled, 0)
@@ -378,7 +379,7 @@ class Opponent:
             a, b = exn * eyd, eyn * exd
             return vertex_ratios(ring, max(range(len(xs)), key=lambda i: (
                 xs[i] * a + ys[i] * b, -xs[i], -ys[i])))
-        return sample_hull_ratios(ring, fs.fan, rng)
+        return sample_hull_ratios(fs, rng)
 
 
 # ---------------------------------------------------------------------------

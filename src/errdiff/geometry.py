@@ -28,10 +28,10 @@ point's x denominator and its y axis by its y denominator, and the point
 by m, which keeps every comparison and every orientation sign.
 ratios_in_ring, which point_in_ring calls, and star_kernel_contains
 scale each vertex as their walk reaches it and copy no ring, so a query
-costs no more than the edges it reads.  _ring_locate is the same
-crossing rule for a ring and a point already on one scale, the integer
-core that errdiff.booleans, errdiff.voronoi and errdiff.operators call
-directly.
+costs no more than the edges it reads.  ratios_in_ring is the one
+crossing rule: errdiff.booleans, errdiff.voronoi and errdiff.operators
+call it too, with a ring and a point over two denominators each given
+as a positive per-axis scale, so none of them scales a ring either.
 
 Region is the one polygon type: a simple polygon, which is its ring and
 nothing else, so two Regions are equal exactly when their rings are.  A
@@ -348,9 +348,12 @@ def ratios_in_ring(scaled: Scaled, q: Ratios) -> int:
 
     The ring's x axis is scaled by q's x denominator and its y axis by its
     y denominator, and q by m; positive per-axis scales keep every
-    comparison and every orientation sign.  Each vertex is scaled as the
-    walk reaches it, its x only for an edge whose y-range holds q, so no
-    scaled copy of the ring is built.  The rule is _ring_locate's.
+    comparison and every orientation sign, so q's pairs need not be
+    reduced.  Each vertex is scaled as the walk reaches it, its x only for
+    an edge whose y-range holds q, so no scaled copy of the ring is built.
+    An edge whose y-range misses q can neither hold q nor cross the
+    horizontal through q, so only the others cost one orientation, which
+    decides both the boundary test and the crossing.
     """
     m, xs, ys = scaled
     xn, xd, yn, yd = q
@@ -366,35 +369,12 @@ def ratios_in_ring(scaled: Scaled, q: Ratios) -> int:
         side = (tx - sx) * (py - uy) - (vy - uy) * (px - sx)
         if side == 0 and (sx <= px <= tx or tx <= px <= sx):
             return 0
+        # the edge crosses the horizontal through q; it crosses the ray to
+        # +x exactly when q sits left of an upward edge (or right of a
+        # downward one)
         if (uy > py) != (vy > py) and ((side > 0) if vy > uy else (side < 0)):
             inside = not inside
         ux, uy = vx, vy
-    return 1 if inside else -1
-
-
-def _ring_locate(xs: Sequence[int], ys: Sequence[int], px: int, py: int) -> int:
-    """point_in_ring on integers: the ring (xs, ys) and the point (px, py)
-    on one scale per axis.
-
-    An edge whose y-range misses p can neither hold p nor cross the
-    horizontal through p, so only the others cost one orientation, which
-    decides both the boundary test and the crossing.
-    """
-    inside = False
-    for i in range(len(xs)):
-        uy, vy = ys[i - 1], ys[i]
-        if (py < uy and py < vy) or (py > uy and py > vy):
-            continue
-        ux, vx = xs[i - 1], xs[i]
-        side = (vx - ux) * (py - uy) - (vy - uy) * (px - ux)
-        if side == 0 and (ux <= px <= vx or vx <= px <= ux):
-            return 0
-        if (uy > py) != (vy > py):
-            # the edge crosses the horizontal through p; it crosses the ray
-            # to +x exactly when p sits left of an upward edge (or right of
-            # a downward one)
-            if (side > 0) if vy > uy else (side < 0):
-                inside = not inside
     return 1 if inside else -1
 
 

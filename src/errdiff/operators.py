@@ -51,11 +51,11 @@ from .geometry import (
     Region,
     Scaled,
     _canonical_order,
-    _ring_locate,
     _shift,
     equal_canonical,
     hull_of_rings,
     is_convex_ring,
+    ratios_in_ring,
     scalar_str,
 )
 from .starunion import cycle_envelope, star_cycle
@@ -426,8 +426,8 @@ def snap_candidate(Q: Region) -> Region | None:
     Each distinct numerator x of Q's ring is snapped once, as x / Q.m, and
     the snapped ring goes over the lcm L of its reduced denominators.  Q's
     ring is in lowest terms, so no coordinate moved exactly when the
-    snapped ring is Q's own.  Q's vertices are located in the raw snapped
-    ring, both over lcm(L, Q.m), before the ring is validated: a valid ring
+    snapped ring is Q's own.  Q's vertices, over Q.m, are located in the
+    raw snapped ring, over L, before the ring is validated: a valid ring
     bounds the candidate itself, and an invalid one is refused anyway.
     """
     m = Q.m
@@ -439,10 +439,8 @@ def snap_candidate(Q: Region) -> Region | None:
     ys = [n * (L // d) for n, d in map(snap.get, Q.ys)]
     if L == m and xs == list(Q.xs) and ys == list(Q.ys):
         return None
-    M = lcm(L, m)
-    k, kq = M // L, M // m
-    cxs, cys = [x * k for x in xs], [y * k for y in ys]
-    if any(_ring_locate(cxs, cys, x * kq, y * kq) < 0 for x, y in zip(Q.xs, Q.ys)):
+    snapped = (L, xs, ys)
+    if any(ratios_in_ring(snapped, (x, m, y, m)) < 0 for x, y in zip(Q.xs, Q.ys)):
         return None
     try:
         return Region.from_integers(L, xs, ys)

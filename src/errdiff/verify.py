@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .booleans import subset_witness
-from .dynamics import Triangle, fan_weights, sample_hull_ratios
+from .dynamics import Finite, Triangle, sample_hull_ratios
 from .geometry import (
     DegenerateHull,
     ORIGIN,
@@ -290,7 +290,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
         raise ValueError("steps and branching must be nonnegative")
     rng = random.Random(seed)
     pools = {S.id: _input_pool(S) for S in coll} if branching == 0 else {}
-    fans = {S.id: fan_weights(S.hull._scaled) for S in coll} if branching else {}
+    hulls = {S.id: Finite(S) for S in coll} if branching else {}
     seen = {ORIGIN}
     frontier = [ORIGIN]
     for _ in range(steps):
@@ -300,7 +300,7 @@ def brute_force_reachable(scenario, steps: int, branching: int = 0,
                 if branching == 0:
                     inputs = pools[S.id]
                 else:
-                    inputs = [point_of(sample_hull_ratios(S.hull._scaled, fans[S.id], rng))
+                    inputs = [point_of(sample_hull_ratios(hulls[S.id], rng))
                               for _ in range(branching)]
                 for x in inputs:
                     z = e + x

@@ -35,10 +35,10 @@ from .geometry import (
     Region,
     Scaled,
     _hull_order,
-    _ring_locate,
     dist_sq,
     over_common_denominator,
     ratios,
+    ratios_in_ring,
     scalar_str,
 )
 from .booleans import Triple, Wall, _reduced
@@ -329,9 +329,8 @@ def split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
     for c, found in by_cell.items():
         pieces[c] = _close(cells[c], S._corners[c], found)
     M, entries = psi
-    mxs, mys = [x * M for x in xs], [y * M for y in ys]
     for c, ((_, x, y), corners) in enumerate(zip(entries, S._corners)):
-        if c not in by_cell and None not in corners and _ring_locate(mxs, mys, x * m, y * m) > 0:
+        if c not in by_cell and None not in corners and ratios_in_ring(X, (x, M, y, M)) > 0:
             pieces[c] = [_corner_ring(corners)]
     return pieces
 

@@ -812,7 +812,7 @@ class TestFanOncePerSet:
             if n % 2:
                 assert opponent.pick(fs, (0, 1, 0, 1), n, rng) == want
             else:
-                assert sample_hull_ratios(fs.ring, fs.fan, rng) == want
+                assert sample_hull_ratios(fs, rng) == want
             assert rng.getstate() == ref_rng.getstate()
         assert fs.fan is fs.fan
 
@@ -833,16 +833,15 @@ class TestFanOncePerSet:
 
 
 class TestIntegerKernels:
-    @given(st.one_of(hulls(wide), hulls(narrow),
-                     triangles.map(corners)),
+    @given(st.one_of(hulls(wide), hulls(narrow)).map(lambda verts: Finite(SiteSet(verts)))
+           | triangles,
            st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
-    def test_sample_hull_point_matches_fraction_formula(self, verts, seed):
+    def test_sample_hull_point_matches_fraction_formula(self, fs, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        ring = over_common_denominator(verts)
+        verts = corners(fs)
         for _ in range(3):
-            assert sample_hull_ratios(ring, fan_weights(ring), rng) == \
-                ratios(reference_sample(verts, ref_rng))
+            assert sample_hull_ratios(fs, rng) == ratios(reference_sample(verts, ref_rng))
         assert rng.getstate() == ref_rng.getstate()
 
     @given(st.one_of(hulls(wide), hulls(narrow)).flatmap(

@@ -19,7 +19,6 @@ from errdiff.geometry import (
     Region,
     Scaled,
     _canonical_order,
-    _ring_locate,
     diameter_sq_of,
     dist_sq,
     equal_canonical,
@@ -991,6 +990,24 @@ class TestCanonicalIntegers:
 # the ones that scale each vertex as they reach it
 
 
+def ring_locate(xs, ys, px, py):
+    """The crossing rule on a ring and a point already on one scale per
+    axis: the integer core that every membership test called."""
+    inside = False
+    for i in range(len(xs)):
+        uy, vy = ys[i - 1], ys[i]
+        if (py < uy and py < vy) or (py > uy and py > vy):
+            continue
+        ux, vx = xs[i - 1], xs[i]
+        side = (vx - ux) * (py - uy) - (vy - uy) * (px - ux)
+        if side == 0 and (ux <= px <= vx or vx <= px <= ux):
+            return 0
+        if (uy > py) != (vy > py):
+            if (side > 0) if vy > uy else (side < 0):
+                inside = not inside
+    return 1 if inside else -1
+
+
 def scaled_copy(scaled, q):
     """A ring over its common denominator m and a point q, both on integers:
     the ring's x axis scaled by q's x denominator and its y axis by its y
@@ -1014,7 +1031,7 @@ def scaled_copy_boundary_locate(xs, ys, X, Y, d):
     """_Boundary.locate with the ring copied onto the point's scale d."""
     if X < min(xs) * d or X > max(xs) * d or Y < min(ys) * d or Y > max(ys) * d:
         return -1
-    return _ring_locate([x * d for x in xs], [y * d for y in ys], X, Y)
+    return ring_locate([x * d for x in xs], [y * d for y in ys], X, Y)
 
 
 def every_edge_project(scaled, q):
@@ -1076,7 +1093,7 @@ class TestUnscaledKernels:
     def test_ratios_in_ring_matches_the_scaled_copy(self, case):
         ring, x = case
         scaled, q = ocd(ring), ratios(x)
-        assert ratios_in_ring(scaled, q) == _ring_locate(*scaled_copy(scaled, q))
+        assert ratios_in_ring(scaled, q) == ring_locate(*scaled_copy(scaled, q))
 
     @given(st.one_of(ring_and_point(grid_points), ring_and_point(wide_points)))
     @settings(max_examples=300, deadline=None)

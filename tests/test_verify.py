@@ -214,11 +214,11 @@ def sampled_family_escapes(h_max, t, samples, seed, candidate=None):
                 push(after_round(z, tri, x))
     for _ in range(samples):
         tri = fam.draw(rng)
-        z = sample_hull_ratios(target.ring, target.fan, rng)
+        z = sample_hull_ratios(target, rng)
         if not target.holds(z):
             z = target.nearest(z)
-        push(after_round(z, tri, sample_hull_ratios(tri.ring, tri.fan, rng)))
-        push(sample_hull_ratios(envelope.ring, envelope.fan, rng))
+        push(after_round(z, tri, sample_hull_ratios(tri, rng)))
+        push(sample_hull_ratios(envelope, rng))
     return escapes
 
 
@@ -399,8 +399,8 @@ class TestTriangleBoundAgreement:
         for _ in range(200):
             h = F(rng.random()) * 1
             tri = Triangle(h, 1)
-            z = sample_hull_ratios(env.ring, env.fan, rng)
-            x = sample_hull_ratios(tri.ring, tri.fan, rng)
+            z = sample_hull_ratios(env, rng)
+            x = sample_hull_ratios(tri, rng)
             e = sub_ratios(z, tri.nearest(z))
             assert env.holds(add_ratios(e, x))
             assert point_of(e).norm_sq() <= triangle_bound(1, 1)

@@ -30,12 +30,12 @@ from errdiff.geometry import (
     Region,
     Scaled,
     _canonical_order,
-    _ring_locate,
     dist_sq,
     is_simple_ring,
     point_of,
     pt,
     ratios,
+    ratios_in_ring,
     ring_area2,
 )
 from errdiff.voronoi import (
@@ -643,9 +643,8 @@ def reference_split_ring(S: SiteSet, X: Scaled) -> list[list[Scaled]]:
     for c, found in by_cell.items():
         pieces[c] = reference_close(cells[c], S._corners[c], found)
     M, entries = psi
-    mxs, mys = [x * M for x in xs], [y * M for y in ys]
     for c, ((_, x, y), corners) in enumerate(zip(entries, S._corners)):
-        if c not in by_cell and None not in corners and _ring_locate(mxs, mys, x * m, y * m) > 0:
+        if c not in by_cell and None not in corners and ratios_in_ring(X, (x, M, y, M)) > 0:
             pieces[c] = [_corner_ring(corners)]
     return pieces
 
