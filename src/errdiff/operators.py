@@ -24,16 +24,20 @@ unites the member hulls in one envelope around the origin, and p and P
 the members' images in one envelope around a point that every image
 should hold in its kernel (the seed point, or shared_site), or in
 union_one_region where that envelope fails.  Every ring is a Scaled
-triple (m, xs, ys), and the snap candidate is made on integers too.
+triple (m, xs, ys), and the snap candidates are made on integers too.
 Iterating any operator from a seed grows a monotone chain of regions
 whose limit is the minimal invariant set; the engine below runs that
 chain with exact rational arithmetic and stops it in one of two ways: at
 an exact fixed point (canonical ring equality), or at a certified outer
-set, a snapped candidate C that holds the current iterate and that the
-operator maps into itself, both decided exactly.
+set.  For that, each iterate Q is snapped at the rungs D = 16, 64, 256
+and 1024 with D * D <= Q.m, coarsest first (snap_rungs), and the first
+candidate C that holds Q is carried to the next iteration
+(snap_candidate); op(C) is built only once the next iterate lies in C,
+and the run stops when op(C) ⊆ C (certify), all decided exactly.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -90,10 +94,15 @@ class Collection:
         return len(self.members)
 
 
-# A snap candidate rounds every coordinate to the nearest fraction with at
-# most this denominator (rational reconstruction by continued fractions, on
-# integers: _limit_denominator).
-SNAP_DENOMINATOR = 64
+# The rungs of the snap, candidate denominator bounds, coarsest first: an
+# iterate Q is snapped at each rung D with D * D <= Q.m.  Both ends are
+# measured limits, not tuning.  A rung of 4 below them certifies a coarser
+# set than the chain's own fixed point on sset3 g and p, at iterations 13
+# and 14: g's holds (-1/4, -5/4) where the fixed point has (-1/6, -7/6).
+# Rungs that climb on by factors of 4 up to the square root of m took
+# ssprime P 1.57 s to certify, against 0.45 s with 1024 as the top rung
+# (shared 2-vCPU machine, Python 3.11), for the same set and count.
+SNAP_RUNGS = (16, 64, 256, 1024)
 
 
 # The iteration cap of a run whose caller sets none.
@@ -416,24 +425,59 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
 # ---------------------------------------------------------------------------
 # certified outer sets
 
-def snap_candidate(Q: Region) -> Region | None:
-    """Q's ring with every coordinate snapped to the nearest fraction whose
-    denominator is at most SNAP_DENOMINATOR, as a region; None when no
-    coordinate moves, when a vertex of Q lies outside the snapped ring, or
-    when that ring is not a valid region (zero area or a self-intersecting
-    boundary).
+def snap_rungs(Q: Region) -> Iterator[Region | None]:
+    """Q's snapped ring at each rung D of SNAP_RUNGS with D * D <= Q.m,
+    coarsest first: every coordinate snapped to the nearest fraction whose
+    denominator is at most D, as a region, or None when no coordinate
+    moves, when a vertex of Q lies outside the snapped ring, or when that
+    ring is not a valid region (zero area or a self-intersecting boundary).
 
-    Each distinct numerator x of Q's ring is snapped once, as x / Q.m, and
-    the snapped ring goes over the lcm L of its reduced denominators.  Q's
-    ring is in lowest terms, so no coordinate moved exactly when the
-    snapped ring is Q's own.  Q's vertices, over Q.m, are located in the
-    raw snapped ring, over L, before the ring is validated: a valid ring
-    bounds the candidate itself, and an invalid one is refused anyway.
+    Each distinct numerator x of Q's ring is snapped as x / Q.m by one
+    continued-fraction walk that serves every rung (_limit_denominator),
+    made when a rung first needs x, and the snapped ring goes over the lcm
+    L of its reduced denominators.  The snap is monotone, so the snapped
+    ring's least and greatest coordinates are the snaps of Q's own: where
+    one of them moves inward, a vertex of Q lies outside, and the rung is
+    refused after walking at most those four coordinates.  Q's ring is in
+    lowest terms, so no coordinate moved exactly when the snapped ring is
+    Q's own.  Q's vertices, over Q.m, are located in the raw snapped ring,
+    over L, before the ring is validated: a valid ring bounds the
+    candidate itself, and an invalid one is refused anyway.  A rung that
+    snaps every coordinate as the last rung built did yields that rung's
+    candidate again, the same object.
     """
+    m, xs, ys = Q._scaled
+    rungs = [D for D in SNAP_RUNGS if D * D <= m]
+    if not rungs:
+        return
+    walks: dict[int, list[tuple[int, int]]] = {}
+
+    def snapped(x: int, r: int) -> tuple[int, int]:
+        if x not in walks:
+            walks[x] = _limit_denominator(x, m, rungs)
+        return walks[x][r]
+
+    def inward(x: int, side: int, r: int) -> bool:
+        p, q = snapped(x, r)
+        return side * (p * m - x * q) > 0
+
+    # Q's least and greatest coordinates, the low ones with side 1
+    ends = ((min(xs), 1), (min(ys), 1), (max(xs), -1), (max(ys), -1))
+    last: dict[int, tuple[int, int]] | None = None
+    candidate = None
+    for r in range(len(rungs)):
+        if any(inward(x, side, r) for x, side in ends):
+            yield None
+            continue
+        snap = {x: snapped(x, r) for x in {*xs, *ys}}
+        if snap != last:
+            candidate = _snapped_region(Q, snap)
+            last = snap
+        yield candidate
+
+
+def _snapped_region(Q: Region, snap: dict[int, tuple[int, int]]) -> Region | None:
     m = Q.m
-    if m <= SNAP_DENOMINATOR:
-        return None
-    snap = {x: _limit_denominator(x, m, SNAP_DENOMINATOR) for x in {*Q.xs, *Q.ys}}
     L = lcm(*[d for _, d in snap.values()])
     xs = [n * (L // d) for n, d in map(snap.get, Q.xs)]
     ys = [n * (L // d) for n, d in map(snap.get, Q.ys)]
@@ -448,44 +492,71 @@ def snap_candidate(Q: Region) -> Region | None:
         return None
 
 
-def _limit_denominator(x: int, m: int, D: int) -> tuple[int, int]:
-    """The nearest fraction to x / m (m > 0) with denominator at most D,
-    reduced: Fraction(x, m).limit_denominator(D).as_integer_ratio() on
-    integers alone.  The continued fraction runs until the next
-    convergent's denominator would pass D (x / m itself when it ends
+def _limit_denominator(x: int, m: int, bounds: list[int]) -> list[tuple[int, int]]:
+    """For each bound D of the ascending list bounds, the nearest fraction
+    to x / m (m > 0) with denominator at most D, reduced:
+    Fraction(x, m).limit_denominator(D).as_integer_ratio() on integers
+    alone, all from one continued-fraction walk.  The walk runs until the
+    next convergent's denominator would pass D (x / m itself when it ends
     first).  Then the convergent p1 / q1 and the semiconvergent with the
     largest k that D allows lie on either side, 1 / (q1 (q0 + k q1))
     apart, with p1 / q1 at d / (q1 m) for the last remainder d, so p1 / q1
-    wins, ties included as in CPython, when 2 d (q0 + k q1) <= m.  A common
-    factor of x and m changes neither the quotients nor d / m.
+    wins, ties included as in CPython, when 2 d (q0 + k q1) <= m; the walk
+    then goes on to the next bound.  A common factor of x and m changes
+    neither the quotients nor d / m.
     """
+    out = []
+    todo = iter(bounds)
+    D = next(todo)
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = x, m
     while d:
         a = n // d
         q2 = q0 + a * q1
-        if q2 > D:
+        while q2 > D:
             k = (D - q0) // q1
             if 2 * d * (q0 + k * q1) <= m:
-                return p1, q1
-            return p0 + k * p1, q0 + k * q1
+                out.append((p1, q1))
+            else:
+                out.append((p0 + k * p1, q0 + k * q1))
+            D = next(todo, None)
+            if D is None:
+                return out
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
-    return p1, q1
+    return out + [(p1, q1)] * (len(bounds) - len(out))
 
 
-def certify(op: str, SS: Collection, Q: Region) -> Region | None:
-    """op(C) for Q's snap candidate C when Q ⊆ C and op(C) ⊆ C, else None.
+def snap_candidate(op: str, Q: Region) -> Region | None:
+    """The snap candidate that iterate carries from Q to the next
+    iteration: the first of Q's snap_rungs, coarsest first, that holds Q,
+    decided exactly; for g and G it must also keep the origin in its
+    kernel (_check_g_seed's demand on their input), which is asked first.
+    None when no rung offers one."""
+    tried = None
+    for C in snap_rungs(Q):
+        if C is None or C is tried:
+            continue
+        tried = C
+        if op in ("g", "G") and not C.kernel_contains(ORIGIN):
+            continue
+        if subset_witness(Q, C) is None:
+            return C
+    return None
 
-    Both containments are decided exactly.  op is monotone, so the chain
-    through Q stays in C and its limit, the minimal invariant set, lies in
-    op(C), which op also maps into itself.  C is snap_candidate(Q).  g and
-    G need the origin in the kernel of their input (_check_g_seed), so
-    for them a C whose kernel misses it is refused before either test.
+
+def certify(op: str, SS: Collection, C: Region, Q: Region) -> Region | None:
+    """op(C) when Q ⊆ C and op(C) ⊆ C, else None; op(C) is built only once
+    Q ⊆ C holds.
+
+    C is the candidate carried from the iterate before Q, which C holds,
+    and Q is op of that iterate.  op is monotone, so for every invariant C
+    that holds the iterate, Q ⊆ op(C) ⊆ C: a C that misses Q is not
+    invariant, and its image is never built.  The chain through Q stays in
+    C and its limit, the minimal invariant set, lies in op(C), which op
+    also maps into itself.
     """
-    C = snap_candidate(Q)
-    if (C is None or (op in ("g", "G") and not C.kernel_contains(ORIGIN))
-            or subset_witness(Q, C) is not None):
+    if subset_witness(Q, C) is not None:
         return None
     image = apply_operator(op, SS, C)
     if subset_witness(image, C) is not None:
@@ -502,14 +573,17 @@ def iterate(op: str, SS: Collection, seed: Seed,
 
     The reported iteration count is the smallest n >= 1 whose iterate is
     already invariant, confirmed by one further application.  Every iterate
-    Q_n that is not yet known to be a fixed point gets a snap candidate
-    (certify).  A certificate found at Q_n is used one iteration later,
-    once Q_n+1 differs from Q_n, so a chain that reaches an exact fixed
-    point stops there as it would without certificates.  The certified run
-    then reports n + 1 iterations, ships op(C) and records the gap between
-    op(C) and Q_n+1, which op(C) holds.  converged is False when max_iter
-    runs out or the iterate's squared diameter passes the divergence
-    threshold; a max_iter below 1 raises ValueError.
+    Q_n that is not yet known to be a fixed point is snapped at the rungs
+    D = 16, 64, 256, 1024 with D * D <= Q_n.m, coarsest first, and the
+    first candidate C that holds Q_n (snap_candidate) is carried to the
+    next iteration.  There, once Q_n+1 differs from Q_n, so that a chain
+    that reaches an exact fixed point stops there as it would without
+    candidates, op(C) is built only when Q_n+1 lies in C, and the run
+    stops certified when op(C) ⊆ C (certify).  It then reports n + 1
+    iterations, ships op(C) and records the gap between op(C) and Q_n+1,
+    which op(C) holds.  converged is False when max_iter runs out or the
+    iterate's squared diameter passes the divergence threshold; a max_iter
+    below 1 raises ValueError.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
@@ -519,18 +593,25 @@ def iterate(op: str, SS: Collection, seed: Seed,
 
     history: list[int] = []
     cur: Seed = seed
-    outer: Region | None = None
+    candidate: Region | None = None
     for n in range(1, max_iter + 1):
         nxt = apply_operator(op, SS, cur)
         history.append(len(nxt))
         if isinstance(cur, Region) and equal_canonical(nxt, cur):
             return IterationResult(nxt, max(n - 1, 1), "fixed-point", history)
-        if outer is not None and subset_witness(nxt, outer) is None:
-            return IterationResult(outer, n, "certified", history,
-                                   outer.area2 - nxt.area2)
-        if nxt.diameter_sq > threshold:
+        if candidate is not None:
+            outer = certify(op, SS, candidate, nxt)
+            if outer is not None:
+                return IterationResult(outer, n, "certified", history,
+                                       outer.area2 - nxt.area2)
+        # |a - b| <= 2 max |v| for any two vertices a, b, so the squared
+        # diameter passes the threshold only where 4 max |v|^2 does, which
+        # is decided before the pairwise maximum
+        m, xs, ys = nxt._scaled
+        reach = 4 * max(x * x + y * y for x, y in zip(xs, ys))
+        if reach > threshold * (m * m) and nxt.diameter_sq > threshold:
             return IterationResult(nxt, n, "diverged", history)
-        outer = certify(op, SS, nxt)
+        candidate = snap_candidate(op, nxt)
         cur = nxt
     # max_iter >= 1, so the loop ran and nxt is the last iterate
     return IterationResult(nxt, max_iter, "max-iterations", history)

@@ -471,14 +471,16 @@ class TestFailureModes:
 
 # sha256 of every file that min-gset and min-fset, plain and --convex, write
 # for the small shipped scenes, recorded before the ring layer moved to
-# integers over one common denominator; the sset3 entries pin the certified
-# sets, recorded before Minkowski sums moved to the convolution cycle; the
-# ssprime entries, the one multi-member scene and so the one whose runs
-# unite member images, were recorded before the four operators shared one
-# member loop.  The report-assumptions and render entries, what they write
-# into an empty --out (the inner cells' diameters, and the drawn cells of
-# the five scenes with bounded cells), were recorded while bounded cells
-# were still clipped from a growing box
+# integers over one common denominator; the sset3 and ssprime min-gset and
+# min-fset entries pin the certified runs (ssprime is the one multi-member
+# scene, and so the one whose runs unite member images), recorded once the
+# snap moved from one denominator bound to rungs sized by each iterate's
+# own denominator, which shortened the runs and left their sets as they
+# were (test_operators.CERTIFIED_SETS pins those).  The report-assumptions
+# and render entries, what they write into an empty --out (the inner
+# cells' diameters, and the drawn cells of the five scenes with bounded
+# cells), were recorded while bounded cells were still clipped from a
+# growing box
 PINNED_ARTIFACTS = {
     ("square_center", "min-fset"): {
         "square-center.fset.json":
@@ -578,51 +580,51 @@ PINNED_ARTIFACTS = {
     },
     ("sset3", "min-fset"): {
         "sset3.fset.json":
-            "d3b2dbb9fe1c05fd3c19fe6f2f62aa9f0894ad063d839ac4b48e18479f8fb918",
+            "246ff2e2a98258372ec3433aa430ceb8220b8967a0932bbac4c41cea222899c2",
         "sset3.fset.log.jsonl":
-            "608c70d3e4dfb05b023abe1d8dc55593608c048e91dbf5f33e3e1be2979404f4",
+            "52f04edf7350598f33fd938311c0678b9f1aa74ddaedb0b741f7163e35730090",
     },
     ("sset3", "min-fset --convex"): {
         "sset3.fset.json":
-            "33b542579ced881f2fe321142f2b81c0c8ba8ffdfe9186e03cc5b3ebf595fe4c",
+            "71c4f37a62910847a32b9f6dafec3147067a06f591dd30e1601d95433c681f94",
         "sset3.fset.log.jsonl":
-            "1728a5b7a97f7ef1f40e9b874c978bb6a3a54642d479f25cbaf9dfe2175d5012",
+            "18a35c051916af04dcaf52170adc885516cc4554557ccc45f0f90f82f039da34",
     },
     ("sset3", "min-gset"): {
         "sset3.gset.json":
-            "dddb67a3a027440f92d9a76dc893ecd6dc293ebc64f213fb0c5a5780ed8827d3",
+            "0285c4a0f3db547bbe727143c2c90f36a6dbe3e781b45ce9f9556f72325b9292",
         "sset3.gset.log.jsonl":
-            "8779a08d60acec3c835abf509de77de6e522a19d7c35c7b44d23d49cee76b3c0",
+            "ef422e5b62521484c81541e1f631e0eb67e2271d538fad12e71870fd65b7852d",
     },
     ("sset3", "min-gset --convex"): {
         "sset3.gset.json":
-            "f96511cdd1ec781a078248c2fcf387cbaef09e7f52c381e559a234d09f10d3ac",
+            "57275741f63bc78e514a45495467ae0788fd077df1aec574f0a3e196adcc75dc",
         "sset3.gset.log.jsonl":
-            "38bb707c87d4ea528df0c354364782e7b1fd70d76537ef2990a5dbe1c6e22464",
+            "4d7c6e5d81de7b3da6fb349a96eb901483139dbec66137f83f8f2a36cba74621",
     },
     ("ssprime", "min-fset"): {
         "ssprime.fset.json":
-            "afe036dc6ef2c904f2ff59d345b440de6955792c851a96a8002983cbeb585151",
+            "078a7a1820b15e402c8544dc43ca94a4ec5bfe8ed25c186b67177a1056d10333",
         "ssprime.fset.log.jsonl":
-            "1b111150ca99ed1a3f0756bc692ddbe8f60993dd7aae04b253df7c7f1c494bd3",
+            "1710b68644312cf9d541817e13efabee0b9b6f95b17a896354b9b9032dfb4185",
     },
     ("ssprime", "min-fset --convex"): {
         "ssprime.fset.json":
-            "f6a55f8b9c77b3f0047f8375fbf4751347df1c8bc14fa42748033b15ed34d80e",
+            "36585ccecaffad3cd0c403e7cfb7ef07dd4670b5f7cefde8c3de30563cdfa121",
         "ssprime.fset.log.jsonl":
-            "cec2c87f35331cb619f95ce67d93629f467b581d2a32324b4ed9557df24bd5d8",
+            "b3bf27aa9461d404745e26f16c1009e9fc73de529a52e31a5af355ef7f21bb80",
     },
     ("ssprime", "min-gset"): {
         "ssprime.gset.json":
-            "fe0618b80834c9112c0c3af1ada3141c152a549e07221acb9edc7bc6a22f30f5",
+            "cb3ba86c4b3054e7cdc8751a6d49d6261115715217034d8a2835469812139f02",
         "ssprime.gset.log.jsonl":
-            "2cf6f7249419ae72c9b732d63600518b85ec341abb328b21ea2d95413f8c0cf6",
+            "fa8dc2076ef26b91435bee3a6d68210a91f08bfb78b0410aa0b63127b26373da",
     },
     ("ssprime", "min-gset --convex"): {
         "ssprime.gset.json":
-            "65d323d6cf41714900466041114853c47530c5025f8e3026df846915d29f660c",
+            "f6049fce73b87bcacd27a4fb9ac8e440f3b3cc43ef13296122ce71f846598c08",
         "ssprime.gset.log.jsonl":
-            "e7ceb4c3a3dc96ed7bc2cb740d321fc6d92c89e7f3511cd04dee543465c154e0",
+            "f1354a34834eaacbc823a0579be13fb357f7535378cb49ee9e0b954aa022c992",
     },
     ("unit_square", "min-fset"): {
         "unit-square.fset.json":

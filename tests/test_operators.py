@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import errdiff.operators
@@ -32,13 +32,16 @@ from errdiff.geometry import (
     over_common_denominator,
     point_in_ring,
     pt,
+    scalar_str,
 )
 from errdiff.cli import _seed_for
 from errdiff.operators import (
     OPERATORS,
     Collection,
     EmptyCellPiece,
-    SNAP_DENOMINATOR,
+    IterationResult,
+    MAX_ITER,
+    SNAP_RUNGS,
     _g_pieces,
     _limit_denominator,
     _p_step_general,
@@ -52,6 +55,7 @@ from errdiff.operators import (
     p_step,
     shared_site,
     snap_candidate,
+    snap_rungs,
 )
 from errdiff.scene import load_scene
 from errdiff.starunion import cycle_envelope, star_cycle
@@ -781,7 +785,7 @@ class TestPooledGFamily:
                 assert len(got) == 18
             q = got
         res = iterate("g", SS, seed)
-        assert (res.stop_reason, res.iterations, len(res.final)) == ("certified", 37, 11)
+        assert (res.stop_reason, res.iterations, len(res.final)) == ("certified", 29, 11)
 
 
 def general_p_family(op, SS, d):
@@ -908,15 +912,17 @@ class TestShiftIdentity:
         assert got == [[4, 4, 0]] * 4 + [[0, 4, 1], [4, 4, 0]]
 
 
-def reference_candidate(q):
-    """snap_candidate on Points: each vertex coordinate's limit_denominator,
-    q's vertices located in the raw snapped ring, then Region.from_ring of
-    the snapped Points; None when no coordinate moves,
+def rungs_of(q):
+    """The rungs at which q is snapped: each D of SNAP_RUNGS with D * D <= q.m."""
+    return [D for D in SNAP_RUNGS if D * D <= q.m]
+
+
+def reference_candidate(q, D):
+    """q's snap candidate at rung D on Points: each vertex coordinate's
+    limit_denominator(D), q's vertices located in the raw snapped ring, then
+    Region.from_ring of the snapped Points; None when no coordinate moves,
     a vertex of q lies outside, or the ring is not a valid region."""
-    if q.m <= SNAP_DENOMINATOR:
-        return None
-    ring = [Point(v.x.limit_denominator(SNAP_DENOMINATOR),
-                  v.y.limit_denominator(SNAP_DENOMINATOR)) for v in q.vertices]
+    ring = [Point(v.x.limit_denominator(D), v.y.limit_denominator(D)) for v in q.vertices]
     if ring == list(q.vertices):
         return None
     scaled = over_common_denominator(ring)
@@ -928,31 +934,49 @@ def reference_candidate(q):
         return None
 
 
+def reference_rungs(q):
+    """snap_rungs on Points: reference_candidate at each of q's rungs."""
+    return [reference_candidate(q, D) for D in rungs_of(q)]
+
+
+def reference_snap_candidate(op, q):
+    """snap_candidate on Points: the first of q's reference_rungs that holds
+    q and, for g and G, keeps the origin in its kernel."""
+    return next((C for C in reference_rungs(q) if C is not None
+                 and (op not in ("g", "G") or C.kernel_contains(ORIGIN))
+                 and subset(q, C)), None)
+
+
 def hair_off(k):
-    """Radii a hair off a fraction with a small denominator, k / 10**n."""
+    """Radii a hair off a fraction whose denominator is at most a rung,
+    k / 10**n."""
     return st.builds(lambda r, k, n: r + F(k, 10**n),
-                     st.fractions(min_value=1, max_value=4,
-                                  max_denominator=SNAP_DENOMINATOR),
+                     st.sampled_from(SNAP_RUNGS).flatmap(
+                         lambda D: st.fractions(min_value=1, max_value=4, max_denominator=D)),
                      k, st.integers(2, 30))
 
 
-# radii that snap to themselves, that sit a hair off a fraction with a
-# small denominator, or that snap anywhere
+# radii that every rung snaps to themselves, that sit a hair off a fraction
+# with a small denominator, or that snap anywhere
 snap_radii = st.one_of(
-    st.fractions(min_value=F(1, 2), max_value=4, max_denominator=SNAP_DENOMINATOR),
+    st.fractions(min_value=F(1, 2), max_value=4, max_denominator=SNAP_RUNGS[0]),
     hair_off(st.integers(-3, 3)),
     st.fractions(min_value=F(1, 2), max_value=4, max_denominator=10**6))
 # radii a hair below such a fraction, which the snap pushes outward
 outward_radii = hair_off(st.integers(-3, -1))
 
 
-def snapped(q):
-    """q after the snap, for -10 < q < 10, read off the reflex vertex
-    (q, 1) of a pentagon whose other vertices do not move: moved either
-    way, a reflex vertex stays in the snapped ring, so the candidate is
-    not refused."""
-    ring = [pt(-10, 0), pt(10, 0), pt(10, 1), pt(q, 1), pt(-10, 2)]
-    cand = snap_candidate(Region.from_ring(ring))
+def snapped(q, D):
+    """q after the snap at rung D, for -10 < q < 10, read off the reflex
+    vertex (q, 1) of a pentagon whose other vertices do not move: moved
+    either way, a reflex vertex stays in the snapped ring, so the candidate
+    is not refused.  q itself where D is no rung of the pentagon
+    (D * D > its m) or no coordinate moves."""
+    ring = Region.from_ring([pt(-10, 0), pt(10, 0), pt(10, 1), pt(q, 1), pt(-10, 2)])
+    rungs = rungs_of(ring)
+    if D not in rungs:
+        return q
+    cand = list(snap_rungs(ring))[rungs.index(D)]
     return q if cand is None else next(v.x for v in cand.vertices
                                        if v.y == 1 and v.x != 10)
 
@@ -963,35 +987,44 @@ def box(h):
 
 
 class TestRoundCoordinate:
-    """A snap candidate rounds each coordinate to the nearest fraction with
-    denominator at most SNAP_DENOMINATOR."""
+    """At each rung D, a snap candidate rounds each coordinate to the
+    nearest fraction with denominator at most D."""
 
     def test_snaps_to_third(self):
-        assert snapped(F(33333333, 10**8)) == F(1, 3)
+        assert [snapped(F(33333333, 10**8), D) for D in SNAP_RUNGS] == [F(1, 3)] * 4
 
     def test_identity_on_small_fraction(self):
-        assert snapped(F(2, 5)) == F(2, 5)
+        # 2/5 alone is below every rung's gate; a hair off it, every rung
+        # snaps back to it
+        for D in SNAP_RUNGS:
+            assert snapped(F(2, 5), D) == F(2, 5)
+            assert snapped(F(2, 5) + F(1, 10**9), D) == F(2, 5)
 
     def test_mixed_number(self):
-        assert snapped(F(16, 3) + F(1, 10**9)) == F(16, 3)
+        assert [snapped(F(16, 3) + F(1, 10**9), D) for D in SNAP_RUNGS] == [F(16, 3)] * 4
 
     def test_negative_floor_convention(self):
-        assert snapped(F(-7, 2) + F(1, 10**10)) == F(-7, 2)
-        assert snapped(F(-1, 10**10)) == 0
+        for D in SNAP_RUNGS:
+            assert snapped(F(-7, 2) + F(1, 10**10), D) == F(-7, 2)
+            assert snapped(F(-1, 10**10), D) == 0
 
-    @given(st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=10**9),
+           st.sampled_from(SNAP_RUNGS))
     @settings(max_examples=80, deadline=None)
-    def test_idempotent_and_close(self, q):
-        r = snapped(q)
-        assert r.denominator <= SNAP_DENOMINATOR
-        assert abs(r - q) <= F(1, 2 * SNAP_DENOMINATOR)
-        assert snapped(r) == r
+    def test_idempotent_and_close(self, q, D):
+        r = snapped(q, D)
+        if D * D > q.denominator:
+            assert r == q
+            return
+        assert r.denominator <= D
+        assert abs(r - q) <= F(1, 2 * D)
+        assert snapped(r + F(1, 10**30), D) == r
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=10**6),
-           st.integers(-3, 3))
+           st.integers(-3, 3), st.sampled_from(SNAP_RUNGS))
     @settings(max_examples=60, deadline=None)
-    def test_commutes_with_integer_shift(self, q, m):
-        assert snapped(q + m) == snapped(q) + m
+    def test_commutes_with_integer_shift(self, q, m, D):
+        assert snapped(q + m, D) == snapped(q, D) + m
 
 
 def limit_denominator(x, m, D):
@@ -1027,137 +1060,185 @@ def small_denominators(draw):
 
 
 wide = st.integers(1, 2**900)
-wide_draws = st.tuples(st.integers(-2**900, 2**900), wide, st.integers(1, 2**12))
-snap_draws = st.tuples(st.integers(-2**900, 2**900), wide, st.just(SNAP_DENOMINATOR))
+wide_numerators = st.integers(-2**900, 2**900)
+wide_draws = st.tuples(wide_numerators, wide, st.integers(1, 2**12))
+snap_draws = st.tuples(wide_numerators, wide, st.sampled_from(SNAP_RUNGS))
+bound_lists = st.lists(st.integers(1, 2**12), min_size=1, max_size=5, unique=True).map(sorted)
+# the rungs of an iterate: SNAP_RUNGS up to the largest that its m allows
+rung_lists = st.integers(1, len(SNAP_RUNGS)).map(lambda k: list(SNAP_RUNGS[:k]))
 
 
 class TestLimitDenominatorOnIntegers:
     """_limit_denominator, the snap's rounding on integers, against
     Fraction.limit_denominator, which CPython 3.12 rewrote: negative x,
     common denominators as wide as ssprime P's (890 bits), fractions
-    already in range, and exact ties."""
+    already in range, and exact ties; one bound at a time, and every
+    bound of an ascending list from one walk."""
 
     @given(st.one_of(wide_draws, snap_draws, small_denominators(), farey_midpoints()))
     @settings(max_examples=400, deadline=None)
     @example((-1, 2, 1))  # halfway between -1 and 0
     @example((1, 2, 1))  # halfway between 0 and 1
     @example((0, 3**500, 64))
-    @example((-7 * 2**900 + 1, 2**901, SNAP_DENOMINATOR))
+    @example((-7 * 2**900 + 1, 2**901, 64))
     @example((3, 6, 1))  # 1/2 unreduced, a tie at D = 1
     @example((49, 99, 2))  # 1/2 is the nearest at D = 2
     def test_matches_limit_denominator(self, draw):
         x, m, D = draw
-        assert _limit_denominator(x, m, D) == limit_denominator(x, m, D)
+        assert _limit_denominator(x, m, [D]) == [limit_denominator(x, m, D)]
+
+    @given(st.one_of(
+        st.tuples(wide_numerators, wide, rung_lists | bound_lists),
+        # a tie at one bound, walked through with the bounds around it
+        st.tuples(farey_midpoints(), bound_lists).map(
+            lambda t: (t[0][0], t[0][1], sorted({t[0][2], *t[1]}))),
+        st.tuples(small_denominators(), rung_lists).map(lambda t: (t[0][0], t[0][1], t[1]))))
+    @settings(max_examples=400, deadline=None)
+    @example((-7 * 2**900 + 1, 2**901, list(SNAP_RUNGS)))
+    @example((1, 3, list(SNAP_RUNGS)))  # the walk ends before the first rung
+    @example((33333333, 10**8, list(SNAP_RUNGS)))
+    def test_every_rung_matches_limit_denominator(self, draw):
+        x, m, bounds = draw
+        assert _limit_denominator(x, m, bounds) == [limit_denominator(x, m, D)
+                                                    for D in bounds]
 
     def test_ties_go_to_the_convergent(self):
         # 1/2 lies halfway between 0 and 1, the convergent 0 wins; 5/12
         # lies halfway between 1/3 and 1/2 (D = 3), the convergent 1/2 wins
-        assert _limit_denominator(1, 2, 1) == (0, 1)
-        assert _limit_denominator(5, 12, 3) == limit_denominator(5, 12, 3) == (1, 2)
+        assert _limit_denominator(1, 2, [1]) == [(0, 1)]
+        assert _limit_denominator(5, 12, [3]) == [limit_denominator(5, 12, 3)] == [(1, 2)]
+        assert _limit_denominator(5, 12, [2, 3, 12]) == [(1, 2), (1, 2), (5, 12)]
 
     def test_snap_builds_no_fraction(self, monkeypatch):
         eps = F(1, 10**25)
         q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3) + eps, 1), pt(0, 2)])
 
         def refused(*args, **kwargs):
-            raise AssertionError("snap_candidate built a Fraction")
+            raise AssertionError("snap_rungs built a Fraction")
 
         monkeypatch.setattr(F, "__new__", refused)
         monkeypatch.setattr(F, "limit_denominator", refused)
-        got = snap_candidate(q)
+        got = list(snap_rungs(q))
         monkeypatch.undo()
-        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1),
-                                      pt(0, 2)]
+        want = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1), pt(0, 2)])
+        # every rung snaps alike, so one build serves all four
+        assert got == [want] * 4 and all(C is got[0] for C in got)
 
 
 class TestRoundRegion:
-    """A snap candidate is offered only when a coordinate moves, Q's
+    """A rung offers a snap candidate only when a coordinate moves, Q's
     vertices stay in the snapped ring, and that ring is a valid region."""
 
     def test_below_gate_untouched(self):
+        # m = 64 < 16 * 16: no rung snaps Q
         q = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, F(1, 64)), pt(0, 1)])
-        assert snap_candidate(q) is None
+        assert list(snap_rungs(q)) == []
+        assert snap_candidate("p", q) is None
 
     def test_wide_coordinates_rounded(self):
         # the moved vertex is reflex, so Q's own vertex stays in C; as the
         # apex of a triangle it would leave C, which refuses the candidate
         eps = F(1, 10**25)
         ring = [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3) + eps, 1), pt(0, 2)]
-        got = snap_candidate(Region.from_ring(ring))
-        assert list(got.vertices) == [pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1),
-                                      pt(0, 2)]
+        want = Region.from_ring([pt(0, 0), pt(1, 0), pt(1, 1), pt(F(1, 3), 1), pt(0, 2)])
+        assert list(snap_rungs(Region.from_ring(ring))) == [want] * 4
         apex = [pt(0, 0), pt(1, 0), pt(F(1, 3) + eps, 1)]
-        assert snap_candidate(Region.from_ring(apex)) is None
+        assert list(snap_rungs(Region.from_ring(apex))) == [None] * 4
 
     def test_revert_on_lost_simplicity(self):
         # the mouth of the notch, 2 - tiny to 2 + tiny, closes to the one
-        # point (2, 4): Q's vertices lie on C's boundary, which touches
-        # itself there
+        # point (2, 4) at every rung: Q's vertices lie on C's boundary,
+        # which touches itself there
         tiny = F(1, 10**25)
         ring = [pt(0, 0), pt(4, 0), pt(4, 4), pt(2 + tiny, 4), pt(F(5, 2), 1),
                 pt(F(3, 2), 1), pt(2 - tiny, 4), pt(0, 4)]
-        assert snap_candidate(Region.from_ring(ring)) is None
-        with pytest.raises(NotSimple):
-            Region.from_ring([pt(v.x.limit_denominator(SNAP_DENOMINATOR), v.y)
-                              for v in ring])
+        assert list(snap_rungs(Region.from_ring(ring))) == [None] * 4
+        for D in SNAP_RUNGS:
+            with pytest.raises(NotSimple):
+                Region.from_ring([pt(v.x.limit_denominator(D), v.y) for v in ring])
         # a ring that flattens is refused sooner: Q's vertices leave it
         flat = [pt(0, 0), pt(1, F(1, 3) + tiny), pt(2, 0), pt(1, F(1, 3) + 2 * tiny)]
-        assert snap_candidate(Region.from_ring(flat)) is None
+        assert list(snap_rungs(Region.from_ring(flat))) == [None] * 4
+
+    def test_refuses_a_rung_where_an_extreme_coordinate_moves_inward(self, monkeypatch):
+        # Q's greatest x, 15/16 + tiny, snaps down to 15/16 at every rung,
+        # so the vertices that attain it lie outside each snapped ring: the
+        # rungs are refused after walking some of Q's extreme coordinates,
+        # and the dent's 1/2 + tiny is never walked
+        tiny = F(1, 10**6)
+        a = F(15, 16) + tiny
+        q = Region.from_ring([pt(0, 0), pt(a, 0), pt(a, 1), pt(F(1, 2) + tiny, F(1, 2)),
+                              pt(0, 1)])
+        walked = []
+        walk = errdiff.operators._limit_denominator
+
+        def counted(x, m, bounds):
+            walked.append(F(x, m))
+            return walk(x, m, bounds)
+
+        monkeypatch.setattr(errdiff.operators, "_limit_denominator", counted)
+        assert list(snap_rungs(q)) == reference_rungs(q) == [None] * 3
+        assert set(walked) <= {0, a, 1} and F(1, 2) + tiny not in walked
 
     def test_offers_a_candidate_that_loses_a_kernel_point(self):
         # the dent (x, 3) moves right onto (2, 3), so C holds Q's vertices,
         # but the steeper edge from (4, 4) cuts the old dent out of C's
-        # kernel; the snap offers C all the same, and only certify asks a
-        # candidate for a kernel point: the origin, for g and G
+        # kernel; every rung offers C all the same, and only snap_candidate
+        # asks a candidate for a kernel point: the origin, for g and G
         tiny = F(1, 10**25)
         x = 2 - tiny
         q = Region.from_ring([pt(0, 0), pt(4, 0), pt(4, 4), pt(x, 3), pt(0, 4)])
         assert q.kernel_contains(pt(x, 3))
-        cand = snap_candidate(q)
-        assert cand == Region.from_ring([pt(0, 0), pt(4, 0), pt(4, 4), pt(2, 3), pt(0, 4)])
+        cand = Region.from_ring([pt(0, 0), pt(4, 0), pt(4, 4), pt(2, 3), pt(0, 4)])
+        assert list(snap_rungs(q)) == [cand] * 4
         assert all(cand.locate(v) >= 0 for v in q.vertices)
         assert not cand.kernel_contains(pt(x, 3))
 
     def test_wide_common_denominator_without_a_wide_coordinate(self):
-        # m = lcm(64, 3) = 192, yet no coordinate's own denominator passes 64
-        q = Region.from_ring([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))])
-        assert q.m == 192
-        assert snap_candidate(q) is None
+        # m = lcm(16, 5, 9, 7) = 5040 >= 64 * 64, yet no coordinate's own
+        # denominator passes 16, so no rung moves one
+        q = Region.from_ring([pt(0, 0), pt(F(1, 16), 0), pt(F(1, 5), F(1, 9)), pt(0, F(1, 7))])
+        assert q.m == 5040 and rungs_of(q) == [16, 64]
+        assert list(snap_rungs(q)) == [None, None]
 
 
 snap_offsets = st.one_of(
     st.just(F(0)),
-    st.fractions(min_value=-2, max_value=2, max_denominator=SNAP_DENOMINATOR),
+    st.fractions(min_value=-2, max_value=2, max_denominator=SNAP_RUNGS[1]),
     st.fractions(min_value=-2, max_value=2, max_denominator=10**4))
 
 
 class TestSnapOracle:
-    """snap_candidate, on the integers of Q's ring, against the same
-    candidate made on Points (reference_candidate), None included."""
+    """snap_rungs, on the integers of Q's ring, against the same candidates
+    made on Points (reference_rungs), None included; and snap_candidate,
+    the candidate iterate carries, against the first of them that holds Q
+    (reference_snap_candidate)."""
 
     @given(star_rings(snap_radii) | star_rings(outward_radii),
            st.builds(Point, snap_offsets, snap_offsets))
     @settings(max_examples=300, deadline=None)
-    # m = 192, but no coordinate moves
-    @example([pt(0, 0), pt(F(1, 64), 0), pt(0, F(1, 3))], ORIGIN)
+    # m = 5040, but no coordinate moves
+    @example([pt(0, 0), pt(F(1, 16), 0), pt(F(1, 5), F(1, 9)), pt(0, F(1, 7))], ORIGIN)
     # Q lies in C, but the mouth of its notch closes to a point
     @example([pt(0, 0), pt(4, 0), pt(4, 4), pt(2 + F(1, 10**25), 4), pt(F(5, 2), 1),
               pt(F(3, 2), 1), pt(2 - F(1, 10**25), 4), pt(0, 4)], ORIGIN)
     def test_matches_the_point_oracle(self, ring, offset):
         q = Region.from_ring([v + offset for v in ring])
-        assert snap_candidate(q) == reference_candidate(q)
+        assert list(snap_rungs(q)) == reference_rungs(q)
+        for op in ("g", "p"):
+            assert snap_candidate(op, q) == reference_snap_candidate(op, q)
 
     @pytest.mark.parametrize("stem", ["sset3", "ssprime"])
     @pytest.mark.parametrize("op", OPERATORS)
     def test_matches_the_point_oracle_on_every_chain_iterate(self, op, stem,
                                                              monkeypatch):
-        # iterate asks certify, and so snap_candidate, about every iterate
-        # but the one it stops at
+        # iterate snaps every iterate but the one it stops at
         offered = []
 
-        def checked(q):
-            got = snap_candidate(q)
-            assert got == reference_candidate(q)
+        def checked(op_, q):
+            got = snap_candidate(op_, q)
+            assert list(snap_rungs(q)) == reference_rungs(q)
+            assert got == reference_snap_candidate(op_, q)
             offered.append(got is not None)
             return got
 
@@ -1169,30 +1250,103 @@ class TestSnapOracle:
         assert len(offered) == res.iterations - 1 and any(offered)
 
 
+def immediate_certify(op, SS, Q):
+    """The reference: certify as it ran before op(C) waited for the next
+    iterate.  op(C) for Q's carried candidate C (snap_candidate) when
+    op(C) ⊆ C, built at once, else None."""
+    C = snap_candidate(op, Q)
+    if C is None:
+        return None
+    image = errdiff.operators.apply_operator(op, SS, C)
+    if subset_witness(image, C) is not None:
+        return None
+    return image
+
+
+def iterate_immediate(op, SS, seed, max_iter):
+    """iterate with immediate_certify: the certificate is made at Q_n and
+    used at Q_n+1 when Q_n+1 lies in it, as before the deferral."""
+    threshold = errdiff.operators.DIVERGENCE_FACTOR * max(S.hull.diameter_sq for S in SS)
+    history = []
+    cur, outer = seed, None
+    for n in range(1, max_iter + 1):
+        nxt = errdiff.operators.apply_operator(op, SS, cur)
+        history.append(len(nxt))
+        if isinstance(cur, Region) and equal_canonical(nxt, cur):
+            return IterationResult(nxt, max(n - 1, 1), "fixed-point", history)
+        if outer is not None and subset_witness(nxt, outer) is None:
+            return IterationResult(outer, n, "certified", history, outer.area2 - nxt.area2)
+        if nxt.diameter_sq > threshold:
+            return IterationResult(nxt, n, "diverged", history)
+        outer = immediate_certify(op, SS, nxt)
+        cur = nxt
+    return IterationResult(nxt, max_iter, "max-iterations", history)
+
+
+def counted_runs(monkeypatch, *runs):
+    """Each run (a callable) with the number of operator images it built:
+    its result, or the GeometryError it raised, and the count."""
+    calls = [0]
+    apply = errdiff.operators.apply_operator
+
+    def counted(*args):
+        calls[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(errdiff.operators, "apply_operator", counted)
+    out = []
+    for run in runs:
+        calls[0] = 0
+        try:
+            res = run()
+        except GeometryError as exc:
+            res = type(exc).__name__
+        out.append((res, calls[0]))
+    return out
+
+
+def run_summary(res):
+    """What a run shipped: stop reason, count, set and gap, or the name of
+    the GeometryError it raised."""
+    if isinstance(res, str):
+        return res
+    return res.stop_reason, res.iterations, res.final, res.gap
+
+
 class TestCertify:
-    """certify ships op(C) only when Q ⊆ C and op(C) ⊆ C."""
+    """iterate carries Q's snap candidate C and certifies with op(C) only
+    when the next iterate lies in C and op(C) ⊆ C; op(C) is built only
+    once the next iterate fits C."""
 
     TINY = F(1, 10**30)
 
     def test_accepts_an_invariant_candidate_holding_q(self):
         # the box just inside the minimal g-set of the unit square snaps to it
-        got = certify("g", single(UNIT_SQUARE), box(F(1, 2) - self.TINY))
+        q = box(F(1, 2) - self.TINY)
+        C = snap_candidate("g", q)
+        assert equal_canonical(C, box(F(1, 2)))
+        got = certify("g", single(UNIT_SQUARE), C, q)
         assert equal_canonical(got, box(F(1, 2)))
+        assert equal_canonical(immediate_certify("g", single(UNIT_SQUARE), q), got)
 
     def test_candidate_missing_q_is_refused(self, monkeypatch):
-        # the snap moves every corner inward, so C misses Q at a vertex and
-        # the operator is never applied to it
+        # every rung moves every corner inward, so no candidate holds Q, and
+        # a candidate that misses the next iterate is refused before the
+        # operator is applied to it
         def unused(*args):
             raise AssertionError("op(C) computed for a candidate missing Q")
 
         monkeypatch.setattr(errdiff.operators, "apply_operator", unused)
-        assert certify("g", single(UNIT_SQUARE), box(F(1, 2) + self.TINY)) is None
+        q = box(F(1, 2) + self.TINY)
+        assert list(snap_rungs(q)) == [None] * 4
+        assert snap_candidate("g", q) is None
+        assert certify("g", single(UNIT_SQUARE), box(F(1, 2)), q) is None
 
     def test_g_family_refuses_a_candidate_without_the_origin_in_its_kernel(
             self, monkeypatch):
         # C holds Q and the origin, but the notch's right wall x = 3/4 hides
         # the origin from C's upper right corner: g and G refuse C before
-        # they test Q ⊆ C or apply the operator to C, and p goes on
+        # they test Q ⊆ C, and p carries it
         q = box(F(1, 4))
         notched = Region.from_ring([pt(-1, -1), pt(1, -1), pt(1, 1), pt(F(3, 4), 1),
                                     pt(F(3, 4), F(1, 2)), pt(F(1, 2), F(1, 2)),
@@ -1205,20 +1359,21 @@ class TestCertify:
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(errdiff.operators, name, called)
-        monkeypatch.setattr(errdiff.operators, "snap_candidate", lambda Q: notched)
+        monkeypatch.setattr(errdiff.operators, "snap_rungs", lambda Q: iter([notched]))
         spy("subset_witness", subset_witness)
         spy("apply_operator", apply_operator)
         for op in ("g", "G"):
-            assert certify(op, single(UNIT_SQUARE), q) is None
+            assert snap_candidate(op, q) is None
         assert calls == []
-        certify("p", single(UNIT_SQUARE), q)
-        assert calls[:2] == ["subset_witness", "apply_operator"]
+        assert snap_candidate("p", q) is notched
+        assert calls == ["subset_witness"]
 
     def test_candidate_holding_q_but_not_invariant_is_refused(self):
         q = box(F(1, 4) - self.TINY)
-        cand = snap_candidate(q)
+        cand = snap_candidate("g", q)
         assert subset(q, cand)
-        assert certify("g", single(UNIT_SQUARE), q) is None
+        assert certify("g", single(UNIT_SQUARE), cand, q) is None
+        assert immediate_certify("g", single(UNIT_SQUARE), q) is None
 
     @pytest.mark.parametrize("op", ["G", "P"])
     def test_convex_chains_ship_convex_invariant_sets(self, op):
@@ -1229,6 +1384,103 @@ class TestCertify:
         assert is_convex_ring(res.final._scaled)
         assert subset(apply_operator(op, coll, res.final), res.final)
         assert res.gap > 0 and not res.rounding_free
+
+    @pytest.mark.parametrize("stem", ["sset2", "sset3"])
+    def test_images_only_of_candidates_that_hold_the_next_iterate(self, stem, monkeypatch):
+        # every operator image that is not the next chain step is a
+        # candidate's, and that candidate holds the iterate just made
+        apply = errdiff.operators.apply_operator
+        coll = shipped(stem)
+        for op in OPERATORS:
+            seed = _seed_for(coll, stem, "gset" if op in "gG" else "fset")
+            last, images = [seed], []
+
+            def spied(op_, SS, Q):
+                image = apply(op_, SS, Q)
+                if Q is last[0]:
+                    last[0] = image
+                else:
+                    assert subset(last[0], Q)
+                    images.append(image)
+                return image
+
+            monkeypatch.setattr(errdiff.operators, "apply_operator", spied)
+            res = iterate(op, coll, seed)
+            assert (res.stop_reason == "certified") == (stem == "sset3")
+            assert len(images) >= (stem == "sset3")
+
+    @pytest.mark.parametrize("stem", ["sset1", "sset2", "sset3", "sset4",
+                                      "square_center", "unit_square"])
+    def test_deferred_matches_immediate_on_shipped_scenes(self, stem, monkeypatch):
+        coll = shipped(stem)
+        for op in OPERATORS:
+            seed = _seed_for(coll, stem, "gset" if op in "gG" else "fset")
+            (deferred, d_calls), (immediate, i_calls) = counted_runs(
+                monkeypatch, lambda: iterate(op, coll, seed),
+                lambda: iterate_immediate(op, coll, seed, MAX_ITER))
+            assert run_summary(deferred) == run_summary(immediate)
+            assert d_calls <= i_calls
+
+    def test_deferred_matches_immediate_on_seeded_collections(self, monkeypatch):
+        # each member of the first 8 draws alone, from the origin and from
+        # the draw's shared site: two or three members together mostly have
+        # no bounded minimal set, so their chains only run to the cap while
+        # the rationals grow (P's pass 1 500 bits by iteration 11)
+        stops, saved = {}, 0
+        for SS in seeded_collections(random.Random(36), 8):
+            for S in SS:
+                for op in OPERATORS:
+                    start = PointSeed(ORIGIN if op in "gG" else shared_site(SS))
+                    (deferred, d_calls), (immediate, i_calls) = counted_runs(
+                        monkeypatch, lambda: iterate(op, single(S), start, 60),
+                        lambda: iterate_immediate(op, single(S), start, 60))
+                    assert run_summary(deferred) == run_summary(immediate)
+                    assert d_calls <= i_calls
+                    saved += i_calls - d_calls
+                    stop = run_summary(deferred)
+                    stop = stop if isinstance(stop, str) else stop[0]
+                    stops[stop] = stops.get(stop, 0) + 1
+        assert stops == {"fixed-point": 27, "certified": 34, "max-iterations": 24,
+                         "DisconnectedUnion": 3}
+        # the futile images of candidates that miss the next iterate
+        assert saved == 334
+
+
+# the certified sets of the shipped sset3 and ssprime runs, vertex by
+# vertex as the CLI writes them, pinned apart from the iteration counts
+# and gaps: each is an exact fixed point, op(F) = F
+CERTIFIED_SETS = {
+    ("sset3", "g"): [["-3/2", "-1/2"], ["-1/2", "-3/2"], ["-1/6", "-7/6"], ["1/2", "-3/2"],
+                     ["5/2", "-3/2"], ["5/2", "3/2"], ["3/2", "5/2"], ["0", "1"],
+                     ["-1/2", "3/2"], ["-3/2", "1/2"]],
+    ("sset3", "G"): [["-3/2", "-1/2"], ["-1/2", "-3/2"], ["5/2", "-3/2"], ["5/2", "3/2"],
+                     ["3/2", "5/2"], ["-1/2", "3/2"], ["-3/2", "1/2"]],
+    ("sset3", "p"): [["-3/2", "-3/2"], ["3/2", "-9/2"], ["11/6", "-25/6"], ["5/2", "-9/2"],
+                     ["9/2", "-9/2"], ["9/2", "5/2"], ["5/2", "9/2"], ["1", "3"],
+                     ["1/2", "7/2"], ["-3/2", "3/2"]],
+    ("sset3", "P"): [["-3/2", "-3/2"], ["3/2", "-9/2"], ["9/2", "-9/2"], ["9/2", "5/2"],
+                     ["5/2", "9/2"], ["1/2", "7/2"], ["-3/2", "3/2"]],
+    ("ssprime", "g"): [["-3", "-7/2"], ["-1", "-9/2"], ["1", "-9/2"], ["1", "1/2"],
+                       ["1/2", "1/2"], ["1/2", "1"], ["-1/2", "1"], ["-1/2", "1/2"],
+                       ["-3", "1/2"]],
+    ("ssprime", "G"): [["-3", "-7/2"], ["-1", "-9/2"], ["1", "-9/2"], ["1", "1/2"],
+                       ["1/2", "1"], ["-1/2", "1"], ["-3", "1/2"]],
+    ("ssprime", "p"): [["-6", "-15/2"], ["-2", "-19/2"], ["2", "-19/2"], ["2", "3/2"],
+                       ["3/2", "3/2"], ["3/2", "2"], ["-3/2", "2"], ["-3/2", "3/2"],
+                       ["-6", "3/2"]],
+    ("ssprime", "P"): [["-6", "-15/2"], ["-2", "-19/2"], ["2", "-19/2"], ["2", "3/2"],
+                       ["3/2", "2"], ["-3/2", "2"], ["-6", "3/2"]],
+}
+
+
+@pytest.mark.parametrize("stem, op", sorted(CERTIFIED_SETS))
+def test_certified_sets_are_pinned_fixed_points(stem, op):
+    coll = shipped(stem)
+    res = iterate(op, coll, _seed_for(coll, stem, "gset" if op in "gG" else "fset"))
+    assert res.stop_reason == "certified"
+    assert [[scalar_str(v.x), scalar_str(v.y)] for v in res.final.vertices] == \
+        CERTIFIED_SETS[stem, op]
+    assert apply_operator(op, coll, res.final) == res.final
 
 
 class TestIterate:

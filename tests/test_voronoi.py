@@ -881,4 +881,4 @@ class TestCloseRoutes:
         ((name, coll),) = load_scene(str(scene)).collections.items()
         for op in "gGpP":
             iterate(op, coll, _seed_for(coll, name, "gset" if op in "gG" else "fset"))
-        assert tally == {"closes": 704, "several chains": 4, "marked": 12, "lost a vertex": 4}
+        assert tally == {"closes": 560, "several chains": 4, "marked": 12, "lost a vertex": 4}
