@@ -25,7 +25,6 @@ from .geometry import (
     Region,
     parse_scalar,
     point_of,
-    pt,
     scalar_str,
     sub_ratios,
 )
@@ -175,7 +174,7 @@ def _point_of(value, path: Path, where: str) -> Point:
         raise ValidationError(f"{path}: {where} is not an [x, y] pair",
                               (str(path),))
     try:
-        return pt(parse_scalar(value[0]), parse_scalar(value[1]))
+        return Point(parse_scalar(value[0]), parse_scalar(value[1]))
     except ValueError as exc:
         raise ValidationError(f"{path}: {where}: {exc}", (str(path),)) from None
 

@@ -8,15 +8,16 @@ over a common denominator.
 A polygon's value is its ring over one common denominator: the integer
 tuples (m, xs, ys), vertex i at (xs[i] / m, ys[i] / m), in lowest terms,
 so equal rings have equal fields (equal_canonical).  Its vertices are a
-cached view of Points, for artifacts, rendering and games.  Points come in
+cached view of Points, for artifacts, rendering and games.  A parsed
+Point holds the Fractions of parse_scalar as they are.  Points come in
 through over_common_denominator: Region.from_ring hands a ring to
 Region.from_integers, which checks it (_canonical_order, is_simple_ring),
 and Region.hull_of hands points to hull_of_rings, the one integer hull:
 the monotone chain _hull_order over the vertices of rings given on
-integers, which the operators call on their pieces.  A
-stitch or a convex Minkowski sum, which hold a canonical simple ring on
-integers, and a cell piece, rotated by _canonical_order, build the
-polygon directly.
+integers, which the operators call on their pieces and a site set on its
+own integers (voronoi.SiteSet).  A stitch or a convex Minkowski sum,
+which hold a canonical simple ring on integers, and a cell piece, rotated
+by _canonical_order, build the polygon directly.
 
 A point can also go as Ratios (xn, xd, yn, yd), the reduced pairs that
 its two Fractions hold, without the objects; the games run on them.
@@ -59,12 +60,13 @@ ZERO = Fraction(0)
 
 
 def parse_scalar(value: str | int) -> Fraction:
-    """Parse an exact rational literal: integer, 'a/b', or exact decimal."""
+    """Parse an exact rational literal: integer, 'a/b', or exact decimal,
+    with no '_' in it, which Fraction reads from Python 3.11 on only."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational literal: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and "_" not in value:
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -33,7 +33,6 @@ from .geometry import (
     Point,
     Region,
     parse_scalar,
-    pt,
 )
 from .operators import MAX_ITER, Collection
 from .voronoi import SiteSet
@@ -92,7 +91,7 @@ def _coord(value, location: str) -> Fraction:
 def _point(value, location: str) -> Point:
     if not (isinstance(value, list) and len(value) == 2):
         raise _fail("BadPoint", "a point is a two-element list", location)
-    return pt(_coord(value[0], location + "[0]"), _coord(value[1], location + "[1]"))
+    return Point(_coord(value[0], location + "[0]"), _coord(value[1], location + "[1]"))
 
 
 def _ring(value, location: str) -> list[Point]:

@@ -1,17 +1,20 @@
 """Finite planar site sets, their Voronoi cells, and the projection operator.
 
-A cell is kept as its facet walls only: the bisectors with the sites
-whose walls bound it along an edge of positive length, each a reduced
-integer triple (booleans.Wall), found once per site set on the sites'
-integers (_facet_neighbours) by the monotone chain (geometry._hull_order)
-under the one integer hull, geometry.hull_of_rings, that also builds
-ch S as a Region (Region.hull_of).  Sites strictly inside the hull are the
+A site set is read on one integer form, its sites over their common
+denominator (SiteSet._integers), found once.  A cell is kept as its
+facet walls only: the bisectors with the sites whose walls bound it
+along an edge of positive length, each a reduced integer triple
+(booleans.Wall) built from those integers, found once per site set
+(_facet_neighbours) by the monotone chain (geometry._hull_order) under
+the one integer hull, geometry.hull_of_rings, that also builds ch S as a
+Region from the same integers.  Sites strictly inside the hull are the
 inners (SiteSet.inners).  SiteSet.cells is one tuple of walls per site,
-in S.sites order, each in the counter-clockwise order of the dual hull: a
-cell is found by its site's index, never looked up by Point; so are its
-neighbours and its corners, built lazily like it.  split_ring, the one
-clipper, walks a ring's boundary once through the cells, a map overlay
-(de Berg, Cheong, van Kreveld & Overmars, Computational Geometry, ch. 2).
+in S.sites order, each in the counter-clockwise order of the dual hull:
+a cell is found by its site's index, never looked up by Point; so are
+its neighbours and its corners, built lazily like it.  split_ring, the
+one clipper, walks a ring's boundary once through the cells, a map
+overlay (de Berg, Cheong, van Kreveld & Overmars, Computational
+Geometry, ch. 2).
 
 project_ratios compares squared distances as integers: the sites are
 cached in key order over their common denominator, so one integer per
@@ -36,6 +39,7 @@ from .geometry import (
     Scaled,
     _hull_order,
     dist_sq,
+    hull_of_rings,
     over_common_denominator,
     ratios,
     ratios_in_ring,
@@ -56,21 +60,6 @@ class UnboundedCell(VoronoiError):
     pass
 
 
-def bisector(c: Point, c2: Point) -> Wall:
-    """The wall of points at least as close to c as to c2.
-
-    Over the pair's common denominator m, with c = (x, y) / m and
-    c2 = (x2, y2) / m, it is 2 m (x2 - x, y2 - y) . p <= |c2 m|^2 - |c m|^2,
-    divided by the gcd of its three integers.
-    """
-    if c == c2:
-        raise CoincidentSites(f"identical sites {c}")
-    m, (x, x2), (y, y2) = over_common_denominator((c, c2))
-    A, B, C = 2 * m * (x2 - x), 2 * m * (y2 - y), x2 * x2 + y2 * y2 - x * x - y * y
-    g = gcd(A, B, C)
-    return A // g, B // g, C // g
-
-
 @dataclass(frozen=True)
 class SiteSet:
     """Distinct planar sites with a positive-area convex hull."""
@@ -82,10 +71,10 @@ class SiteSet:
         if not self.sites:
             raise VoronoiError("empty site set")
         seen = set()
-        for s in self.sites:
-            if s.key() in seen:
+        for s, key in zip(self.sites, zip(*self._integers[1:])):
+            if key in seen:
                 raise CoincidentSites(f"duplicate site {s}")
-            seen.add(s.key())
+            seen.add(key)
         self.hull  # force validation; collinear sites raise DegenerateHull
 
     def __len__(self) -> int:
@@ -95,8 +84,14 @@ class SiteSet:
         return iter(self.sites)
 
     @cached_property
+    def _integers(self) -> Scaled:
+        """(M, xs, ys): the sites over their common denominator, in S.sites
+        order; the duplicate check, hull and every cached form below read it."""
+        return over_common_denominator(self.sites)
+
+    @cached_property
     def hull(self) -> Region:
-        return Region.hull_of(self.sites)
+        return hull_of_rings([self._integers])
 
     @cached_property
     def inners(self) -> tuple[Point, ...]:
@@ -105,16 +100,19 @@ class SiteSet:
     @cached_property
     def _neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Per site, the index of the site across each wall of its cell."""
-        _, xs, ys = over_common_denominator(self.sites)
+        _, xs, ys = self._integers
         return tuple(tuple(_facet_neighbours(xs, ys, i)) for i in range(len(xs)))
 
     @cached_property
     def cells(self) -> tuple[tuple[Wall, ...], ...]:
         """The Voronoi cell of every site, in S.sites order, as its facet
-        walls in the counter-clockwise order of their dual points."""
-        sites = self.sites
-        return tuple(tuple(bisector(c, sites[j]) for j in js)
-                     for c, js in zip(sites, self._neighbours))
+        walls in the counter-clockwise order of their dual points: site i's
+        wall against j is 2 M (x_j - x_i, y_j - y_i) . p <= n_j - n_i on _psi,
+        divided by the gcd of its three integers."""
+        M, psi = self._psi
+        return tuple(tuple(_reduced(2 * M * (psi[j][1] - x), 2 * M * (psi[j][2] - y), psi[j][0] - n)
+                           for j in js)
+                     for (n, x, y), js in zip(psi, self._neighbours))
 
     @cached_property
     def _corners(self) -> tuple[tuple[Triple | None, ...], ...]:
@@ -135,17 +133,16 @@ class SiteSet:
         in S.sites order, each as (x^2 + y^2, x, y).  Its psi(p) =
         (x^2 + y^2) D - 2 M (x X + y Y) is the squared distance to
         p = (X / D, Y / D) times M^2 D, less a term that all sites share."""
-        M, xs, ys = over_common_denominator(self.sites)
+        M, xs, ys = self._integers
         return M, tuple((x * x + y * y, x, y) for x, y in zip(xs, ys))
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, int, int, Ratios], ...]]:
         """(m, entries): each site s, in key order, as (|s|^2 m^2, s.x m,
-        s.y m, s as Ratios) over the common denominator m."""
-        ordered = sorted(self.sites, key=Point.key)
-        m, xs, ys = over_common_denominator(ordered)
-        return m, tuple((x * x + y * y, x, y, ratios(s))
-                        for x, y, s in zip(xs, ys, ordered))
+        s.y m, s as Ratios) over the common denominator m, sorted from _psi."""
+        m, entries = self._psi
+        return m, tuple(sorted(((n, x, y, ratios(s)) for (n, x, y), s in zip(entries, self.sites)),
+                               key=lambda e: (e[1], e[2])))
 
 
 def _facet_neighbours(xs: Sequence[int], ys: Sequence[int], i: int) -> list[int]:

@@ -366,6 +366,16 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sset1.gset.json" in err
 
+    def test_digit_separator_in_a_stored_set_names_its_file(self, out, capsys):
+        # refused on every supported Python, not only where Fraction does
+        out.mkdir(parents=True)
+        (out / "sset1.gset.json").write_text(
+            json.dumps({"vertices": [["0", "0"], ["1_0", "0"], ["0", "1"]]}))
+        assert run_cli("verify", "--scene", SCENES / "sset1.json", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sset1.gset.json" in err
+        assert "not a rational literal: '1_0'" in err
+
     def test_truncated_stored_set_names_its_file(self, out, capsys):
         out.mkdir(parents=True)
         (out / "sset1.fset.json").write_text('{"vertices": [["0", "0"], ["1", "0"]')

@@ -402,6 +402,13 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("text", ["1_0", "1_000/3", "1/1_0", "0.1_5", "1e1_0", "_1", "1_"])
+    def test_rejects_digit_separators(self, text):
+        # Fraction reads "1_0" as 10 from Python 3.11 on but rejects it on
+        # 3.10, the oldest supported version: parse_scalar rejects it on all
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_scalar(text)
+
     def test_str_round_trip(self):
         for s in ("1/3", "-7/2", "0", "5"):
             assert scalar_str(parse_scalar(s)) == s

@@ -55,6 +55,13 @@ class TestCoordinates:
             parse_scene(scene_text(collections={
                 "c": [{"points": [[0.5, "0"], ["1", "0"], ["0", "1"]]}]}))
 
+    def test_digit_separator_is_a_bad_coordinate(self):
+        # on every supported Python, not only where Fraction refuses "1_0"
+        with pytest.raises(ValidationError, match="BadCoordinate") as exc:
+            parse_scene(scene_text(collections={
+                "c": [{"points": [["0", "0"], ["1_0", "0"], ["0", "1"]]}]}))
+        assert exc.value.locations == ("collections.c[0].points[1][0]",)
+
     def test_garbage_coordinate_carries_location(self):
         with pytest.raises(ValidationError) as exc:
             parse_scene(scene_text(collections={
@@ -63,6 +70,14 @@ class TestCoordinates:
 
 
 class TestValidation:
+    def test_duplicate_sites_spelled_differently(self):
+        # "1/2", "0.5" and "2/4" are one site: the first repeat is named
+        with pytest.raises(ValidationError) as exc:
+            parse_scene(scene_text(collections={"c": [{"points": [
+                ["1/2", "1"], ["0", "0"], ["0.5", "1"], ["2/4", "1"]]}]}))
+        assert str(exc.value) == ("CoincidentSites at collections.c[0].points: "
+                                  "duplicate site Point(x=Fraction(1, 2), y=Fraction(1, 1))")
+
     def test_two_point_member_is_degenerate(self):
         with pytest.raises(ValidationError, match="DegenerateHull") as exc:
             parse_scene(scene_text(collections={

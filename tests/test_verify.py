@@ -1,13 +1,17 @@
 """Structural checks: invariance, star-convexity, coverage, reachability."""
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import errdiff.verify
+from errdiff.booleans import subset
 from errdiff.dynamics import Triangle, TriangleFamily, sample_hull_ratios, triangle_bound
 from errdiff.geometry import (
+    GeometryError,
     ORIGIN,
     Point,
     PointSeed,
@@ -19,7 +23,13 @@ from errdiff.geometry import (
     sub_ratios,
     vertex_ratios,
 )
-from errdiff.operators import Collection, apply_operator, iterate
+from errdiff.operators import (
+    Collection,
+    apply_operator,
+    iterate,
+    shared_site,
+)
+from errdiff.scene import load_scene
 from errdiff.verify import (
     VerificationReport,
     _escapes,
@@ -34,6 +44,7 @@ from errdiff.verify import (
     triangle_family_check,
 )
 from errdiff.voronoi import SiteSet
+from test_booleans import star_rings
 
 
 def sites(*coords, id="S"):
@@ -84,6 +95,94 @@ class TestInvariantG:
         assert res.converged
         assert is_invariant_g(DIAMOND, res.final).passed
         assert is_star_convex_origin(res.final).passed
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def shipped(scene: str) -> Collection:
+    (coll,) = load_scene(str(SCENES / f"{scene}.json")).collections.values()
+    return coll
+
+
+def seed_for(op: str, coll: Collection) -> PointSeed:
+    return PointSeed(ORIGIN if op in ("g", "G") else shared_site(coll))
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The (inner, outer) pair of every subset_witness walk that the
+    invariance checks make."""
+    calls = []
+    real = errdiff.verify.subset_witness
+
+    def spy(inner, outer):
+        calls.append((inner, outer))
+        return real(inner, outer)
+    monkeypatch.setattr(errdiff.verify, "subset_witness", spy)
+    return calls
+
+
+CHECKS = {"g": is_invariant_g, "p": is_invariant_p}
+
+
+class TestEqualImage:
+    """An image equal to its set passes with no containment walk; every
+    other image is walked, so no verdict, witness or note changes."""
+
+    @given(star_rings(), st.sampled_from(sorted(CHECKS)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_image_holds_its_set(self, ring, op):
+        # a point z of D lies in V(c) for its nearest site c, so
+        # z = (z - c) + c lies in p(D) = ch S + U(D); and z + c lies in V(c)
+        # for a hull vertex c whose normal cone holds z, so z lies in
+        # g(Q) = U(ch S + Q).  So op(Q) ⊆ Q only where op(Q) = Q: every
+        # passing verdict is an equal image, and a walk only finds witnesses
+        Q = Region.from_ring(ring)
+        try:
+            image = apply_operator(op, Collection((SQUARE5, DIAMOND)), Q)
+        except GeometryError:
+            assume(False)
+        assert subset(Q, image)
+
+    @pytest.mark.parametrize("scene, op", [("sset3", "g"), ("sset3", "p"), ("ssprime", "g")])
+    def test_a_fixed_point_passes_with_no_walk(self, scene, op, walks):
+        coll = shipped(scene)
+        F_ = iterate(op, coll, seed_for(op, coll)).final
+        rep = CHECKS[op](coll, F_)
+        assert rep.passed and rep.notes == f"image has {len(F_)} vertices"
+        assert walks == []
+
+    def test_an_image_inside_its_set_is_walked(self, monkeypatch, walks):
+        # no image of g or p lies strictly inside its set (above), so a
+        # stand-in operator shows that such an image still takes the walk,
+        # and passes, and that a larger one fails on it
+        Q, inner, outer = box(1), box(F(1, 2)), box(2)
+        monkeypatch.setattr(errdiff.verify, "apply_operator", lambda op, SS, R: inner)
+        rep = is_invariant_g(SQUARE, Q)
+        assert rep.passed and rep.notes == "image has 4 vertices"
+        assert walks == [(inner, Q)]
+        monkeypatch.setattr(errdiff.verify, "apply_operator", lambda op, SS, R: outer)
+        rep = is_invariant_p(SQUARE, Q)
+        assert not rep.passed and walks[1:] == [(outer, Q)]
+
+    @pytest.mark.parametrize("scene, op, n, witness, vertices", [
+        ("sset3", "g", 2, ("-5/4", "-1/2"), 14),
+        ("sset3", "p", 2, ("-5/4", "-5/4"), 13),
+        ("ssprime", "g", 3, ("-43/25", "-47/50"), 14),
+        ("ssprime", "p", 2, ("-11/4", "-1"), 18),
+    ])
+    def test_a_chain_iterate_fails_with_its_witness(self, scene, op, n, witness, vertices,
+                                                    walks):
+        # the witnesses and notes the checks gave before the equality test
+        coll = shipped(scene)
+        Q = seed_for(op, coll)
+        for _ in range(n):
+            Q = apply_operator(op, coll, Q)
+        rep = CHECKS[op](coll, Q)
+        assert rep.witnesses == (pt(*witness),)
+        assert rep.notes == f"image has {vertices} vertices"
+        assert len(walks) == 1
 
 
 class TestInvariantP:

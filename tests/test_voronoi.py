@@ -32,6 +32,7 @@ from errdiff.geometry import (
     _canonical_order,
     dist_sq,
     is_simple_ring,
+    over_common_denominator,
     point_of,
     pt,
     ratios,
@@ -46,7 +47,6 @@ from errdiff.voronoi import (
     _corner_ring,
     _nearest,
     assumption_report,
-    bisector,
     hull_edge_normals,
     inner_cell_diameter_sq,
     materialize_cell,
@@ -55,6 +55,28 @@ from errdiff.voronoi import (
 )
 from test_booleans import bbox, clip, outcome, reference_clip, star_rings, wide_radii
 from test_geometry import _angle_sorted, _cleaned, clip_components, clipped, level, rotated, wall
+
+
+def bisector(c: Point, c2: Point) -> Wall:
+    """The reference wall of points at least as close to c as to c2, from
+    the pair alone: over the pair's common denominator m, with
+    c = (x, y) / m and c2 = (x2, y2) / m, it is
+    2 m (x2 - x, y2 - y) . p <= |c2 m|^2 - |c m|^2, divided by the gcd of
+    its three integers.  SiteSet.cells builds the same triples on the
+    whole set's common denominator."""
+    if c == c2:
+        raise CoincidentSites(f"identical sites {c}")
+    m, (x, x2), (y, y2) = over_common_denominator((c, c2))
+    A, B, C = 2 * m * (x2 - x), 2 * m * (y2 - y), x2 * x2 + y2 * y2 - x * x - y * y
+    g = math.gcd(A, B, C)
+    return A // g, B // g, C // g
+
+
+def site_wall(S: SiteSet, c: Point, d: Point) -> Wall:
+    """The wall of c's cell against d, from S.cells: d must be a facet
+    neighbour of c."""
+    i, j = S.sites.index(c), S.sites.index(d)
+    return S.cells[i][S._neighbours[i].index(j)]
 
 
 def corners(S: SiteSet) -> tuple:
@@ -85,24 +107,62 @@ SQUARE_CENTER = SiteSet(
 
 coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 points = st.builds(Point, coord, coord)
+# coordinates whose denominators mix small, large and coprime ones
+mixed = st.one_of(st.integers(-3, 3).map(F), coord,
+                  st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+                  st.sampled_from((7, 11, 2**61 - 1)).flatmap(
+                      lambda d: st.integers(-3 * d, 3 * d).map(lambda n: F(n, d))))
 
 
 class TestBisector:
+    """The walls of SiteSet.cells, each the reduced triple of its pair."""
+
     def test_horizontal(self):
-        assert bisector(pt(0, 0), pt(1, 0)) == (2, 0, 1)
+        S = SiteSet((pt(0, 0), pt(1, 0), pt(0, 1)))
+        assert site_wall(S, pt(0, 0), pt(1, 0)) == (2, 0, 1)
 
     def test_vertical(self):
-        assert bisector(pt(0, 0), pt(0, 2)) == (0, 1, 1)
+        S = SiteSet((pt(0, 0), pt(1, 0), pt(0, 2)))
+        assert site_wall(S, pt(0, 0), pt(0, 2)) == (0, 1, 1)
 
     def test_diagonal(self):
-        hp = bisector(pt("1/2", "1/2"), pt(0, 0))
+        # the set's common denominator is 2: the wall is still reduced
+        S = SiteSet((pt("1/2", "1/2"), pt(0, 0), pt(1, 0)))
+        hp = site_wall(S, pt("1/2", "1/2"), pt(0, 0))
         assert hp == (-2, -2, -1)  # x + y >= 1/2
         assert level(hp, pt(1, 1)) <= 0
         assert level(hp, pt(0, 0)) > 0
+        assert site_wall(S, pt(0, 0), pt("1/2", "1/2")) == (2, 2, 1)
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentSites):
+        with pytest.raises(CoincidentSites, match="identical sites"):
             bisector(pt(1, 2), pt(1, 2))
+        with pytest.raises(CoincidentSites,
+                           match=r"^duplicate site Point\(x=Fraction\(1, 2\), y=Fraction\(2, 1\)\)$"):
+            SiteSet((pt("1/2", 2), pt(0, 0), pt("2/4", 2)))
+
+    @pytest.mark.parametrize("spellings", [("1/2", "2/4"), ("1/2", "0.5"), ("2/4", "0.5"),
+                                           ("0.5", "1/2", "2/4")])
+    def test_duplicates_spelled_differently(self, spellings):
+        # each spelling parses to the same Fraction, so the integer pairs
+        # over the common denominator repeat, and the message names the
+        # second one as the Fraction check named it
+        sites = tuple(pt(x, 1) for x in spellings) + (pt(0, 0), pt(1, 0))
+        message = "duplicate site Point(x=Fraction(1, 2), y=Fraction(1, 1))"
+        with pytest.raises(CoincidentSites) as exc:
+            SiteSet(sites)
+        assert str(exc.value) == message
+
+    @given(st.lists(st.tuples(mixed, mixed), min_size=3, max_size=9, unique=True),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_cells_are_the_reference_walls(self, coords, rnd):
+        # sites over mixed denominators, in shuffled order: every cell's
+        # walls are the reference bisectors with its facet neighbours
+        rnd.shuffle(coords)
+        S = site_set(coords)
+        for i, c in enumerate(S.sites):
+            assert S.cells[i] == tuple(bisector(c, S.sites[j]) for j in S._neighbours[i])
 
 
 class TestSiteSet:
