@@ -1,26 +1,26 @@
 """Exact union and containment for simple polygons, on integers, and the
 wall and point triples that voronoi's walk shares with them.
 
-subset_witness and union_rings take polygons, put their rings over one
-common denominator and share one edge splitter, _pieces: each edge is
+subset_witness and union_one_region take polygons, put their rings over
+one common denominator and share one edge splitter, _pieces: each edge is
 cut at its contacts with the other rings' edges, each a reduced parameter
 along it, and each piece's midpoint is a reduced integer triple, located
 by geometry's integer point location.  subset_witness checks a's
-vertices, then those midpoints.  union_rings keeps or drops the pieces by
-their midpoints and stitches them back into cycles, each a canonical
-Region on integers; a boundary that touches itself or leaves a hole
-raises DisconnectedUnion.  No Fraction is compared or added: a Point is
-built only for a returned witness.  union_one_region demands exactly one
-cycle.  It is the operators' general union, for parts that share no
-center: p's general route unites its hull sweeps there, and the p family
-its members' images where their radial envelope fails
+vertices, then those midpoints.  union_one_region keeps or drops the
+pieces by their midpoints and stitches the kept ones into cycles; exactly
+one must have area, and it comes back as a canonical Region on integers.
+Anything else raises DisconnectedUnion: a boundary that touches itself,
+parts that stay apart, a hole.  No Fraction is compared or added: a Point
+is built only for a returned witness.  union_one_region is the operators'
+general union, for parts that share no center: p's general route unites
+its hull sweeps there, and the p family its members' images where the
+members share no site or an image misses that site from its kernel
 (starunion.cycle_envelope is every other union).  Results are
 regularized: zero-area slivers and whiskers vanish.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
@@ -28,7 +28,6 @@ from .geometry import (
     DisconnectedUnion,
     Point,
     Region,
-    Scaled,
     _canonical_order,
     ratios_in_ring,
 )
@@ -173,18 +172,19 @@ def subset(a: Region, b: Region) -> bool:
     return subset_witness(a, b) is None
 
 
-def union_rings(polys: Sequence[Region]) -> list[Region]:
-    """Union of polygons with simple CCW rings, as its canonical boundary
-    cycles.
+def union_one_region(polys: Sequence[Region]) -> Region:
+    """Union of polygons with simple CCW rings, which must be one region.
 
     A piece of an edge split at the other rings is dropped when its
     midpoint lies strictly inside another ring, or on another ring's
     collinear edge that runs the opposite way or, for a lower ring index,
-    the same way.  A boundary that touches itself raises DisconnectedUnion,
-    and so does a hole: the engine has no polygon-with-holes representation.
+    the same way.  The kept pieces are stitched into cycles and the
+    zero-area cycles dropped.  DisconnectedUnion unless exactly one cycle
+    remains: a boundary that touches itself or ends in a dangling chain
+    raises, and so do parts that stay apart and a hole, a second cycle.
     """
     L, bounds = _boundaries(polys)
-    kept: list[tuple[Triple, Triple]] = []
+    outgoing: dict[Triple, Triple] = {}
     for i, I in enumerate(bounds):
         near = [(j, J) for j, J in enumerate(bounds)
                 if j != i and not _apart(I.box, J.box)]
@@ -202,59 +202,27 @@ def union_rings(polys: Sequence[Region]) -> list[Region]:
                         if side < 0 or (side > 0 and j < i):
                             break
                 else:
-                    kept.append((p, q))
-    return _stitch(kept, L)
+                    if p in outgoing:
+                        raise DisconnectedUnion("union boundary touches itself")
+                    outgoing[p] = q
 
-
-def _lex_cmp(p: Triple, q: Triple) -> int:
-    c = p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
-    return (c > 0) - (c < 0)
-
-
-def _stitch(kept: list[tuple[Triple, Triple]], L: int) -> list[Region]:
-    outgoing: dict[Triple, Triple] = {}
-    for p, q in kept:
-        if p in outgoing:
-            raise DisconnectedUnion("union boundary touches itself")
-        outgoing[p] = q
-
-    # every vertex starts at most one piece, so a start names it; the starts
-    # are taken in lexicographic order
-    used: set[Triple] = set()
-    cycles: list[Scaled] = []
-    for start in sorted(outgoing, key=cmp_to_key(_lex_cmp)):
-        if start in used:
-            continue
+    # every vertex starts at most one piece, so each cycle is popped from
+    # any of its vertices; canonical order fixes its rotation
+    cycles: list[Region] = []
+    while outgoing:
+        start, q = outgoing.popitem()
         path = [start]
-        while path[-1] in outgoing and path[-1] not in used:
-            used.add(path[-1])
-            path.append(outgoing[path[-1]])
-        if path[0] != path[-1]:
-            raise DisconnectedUnion("union boundary has a dangling chain")
-        path.pop()
+        while q != start:
+            if q not in outgoing:
+                raise DisconnectedUnion("union boundary has a dangling chain")
+            path.append(q)
+            q = outgoing.pop(q)
         m = lcm(*[d for _, _, d in path])
         xs = [x * (m // d) for x, _, d in path]
         ys = [y * (m // d) for _, y, d in path]
         order = _canonical_order(xs, ys)
         if order is not None:
-            cycles.append((m, [xs[i] for i in order], [ys[i] for i in order]))
-    # canonical rings are all CCW, so a hole shows up as a cycle nested inside
-    # another; filtered vertices of genuine sibling lobes never lie strictly
-    # inside a neighbor.  Cycle i is over mi and cycle j over mj.
-    for i, (mi, ixs, iys) in enumerate(cycles):
-        for j, ring in enumerate(cycles):
-            if i == j:
-                continue
-            if any(ratios_in_ring(ring, (x, mi, y, mi)) > 0 for x, y in zip(ixs, iys)):
-                raise DisconnectedUnion("union produced a hole")
-    # a cycle that passed the touch and hole tests is simple and canonical
-    return [Region(m * L, xs, ys) for m, xs, ys in cycles]
-
-
-def union_one_region(polys: Sequence[Region]) -> Region:
-    """Union of polygons with simple CCW rings that must be exactly one
-    cycle; raises DisconnectedUnion otherwise."""
-    cycles = union_rings(polys)
+            cycles.append(Region(m * L, [xs[i] for i in order], [ys[i] for i in order]))
     if len(cycles) != 1:
-        raise DisconnectedUnion(f"union has {len(cycles)} components")
+        raise DisconnectedUnion(f"union has {len(cycles)} boundary cycles")
     return cycles[0]

@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -176,9 +175,6 @@ class Triangle(_Feasible):
         object.__setattr__(tri, "hq", hq)
         object.__setattr__(tri, "tq", tq)
         return tri
-
-    h = property(lambda self: Fraction(*self.hq))
-    t = property(lambda self: Fraction(*self.tq))
 
     @property
     def set_id(self) -> str:

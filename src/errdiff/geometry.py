@@ -39,8 +39,9 @@ nothing else, so two Regions are equal exactly when their rings are.  A
 convex hull is a role a Region plays, not a type of its own.  A Region
 answers locate with point_in_ring on its ring, and holds, membership of
 a point given as Ratios, with ratios_in_ring.
-Clipping and union live in errdiff.booleans and errdiff.starunion, and
-Minkowski sums in errdiff.operators; project_convex_ring decides the
+Clipping lives in errdiff.voronoi (split_ring), union in
+errdiff.starunion and errdiff.booleans, and Minkowski sums in
+errdiff.operators; project_convex_ring decides the
 nearest point of a convex ring on the integers of the ring and the query
 point's Ratios, first by ratios_in_ring, which returns a point the
 polygon holds at once, and else by nearest_on_boundary's edge feet.
@@ -61,16 +62,20 @@ ZERO = Fraction(0)
 
 def parse_scalar(value: str | int) -> Fraction:
     """Parse an exact rational literal: integer, 'a/b', or exact decimal,
-    with no '_' in it, which Fraction reads from Python 3.11 on only."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational literal: {value!r}")
-    if isinstance(value, int):
+    with no '_' in it, which Fraction reads from Python 3.11 on only.
+
+    A zero denominator raises ValueError("zero denominator: ..."), and
+    every other refusal ValueError("not a rational literal: ..."), never
+    Fraction's own text, which differs between Python versions."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and "_" not in value:
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
+        except ValueError:
+            pass
     raise ValueError(f"not a rational literal: {value!r}")
 
 

@@ -23,7 +23,9 @@ the center.  apply_operator is the one member loop: G
 unites the member hulls in one envelope around the origin, and p and P
 the members' images in one envelope around a point that every image
 should hold in its kernel (the seed point, or shared_site), or in
-union_one_region where that envelope fails.  Every ring is a Scaled
+union_one_region where the members share no site or an image misses it
+from its kernel; an envelope that pinches raises DisconnectedUnion,
+since such a union has no simple boundary.  Every ring is a Scaled
 triple (m, xs, ys), and the snap candidates are made on integers too.
 Iterating any operator from a seed grows a monotone chain of regions
 whose limit is the minimal invariant set; the engine below runs that
@@ -33,7 +35,7 @@ set.  For that, each iterate Q is snapped at the rungs D = 16, 64, 256
 and 1024 with D * D <= Q.m, coarsest first (snap_rungs), and the first
 candidate C that holds Q is carried to the next iteration
 (snap_candidate); op(C) is built only once the next iterate lies in C,
-and the run stops when op(C) ⊆ C (certify), all decided exactly.
+and the run stops when op(C) = C (certify), all decided exactly.
 """
 from __future__ import annotations
 
@@ -390,8 +392,10 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
     shared_site, a point of every member hull, which every image built
     from star-shaped pieces holds in its kernel once the region holds the
     hulls.  Where the members share no site, or an image misses z from
-    its kernel, or the envelope pinches at z, the images go to
-    union_one_region instead.
+    its kernel, the images go to union_one_region instead.  An envelope
+    that pinches at z raises DisconnectedUnion, and so would that union:
+    every image holds z in its kernel, so the union's interior is joined
+    only through z, and its boundary touches itself there.
     """
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
@@ -417,9 +421,10 @@ def apply_operator(op: str, SS: Collection, Q: Seed) -> Region:
         return parts[0]
     try:
         z = Q.point if isinstance(Q, PointSeed) else shared_site(SS)
-        return cycle_envelope([star_cycle(R._scaled, z) for R in parts], z)
-    except (KernelViolation, NotStarAtCenter, DisconnectedUnion):
+        cycles = [star_cycle(R._scaled, z) for R in parts]
+    except (KernelViolation, NotStarAtCenter):
         return union_one_region(parts)
+    return cycle_envelope(cycles, z)
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +551,22 @@ def snap_candidate(op: str, Q: Region) -> Region | None:
 
 
 def certify(op: str, SS: Collection, C: Region, Q: Region) -> Region | None:
-    """op(C) when Q ⊆ C and op(C) ⊆ C, else None; op(C) is built only once
+    """C when Q ⊆ C and op(C) = C, else None; op(C) is built only once
     Q ⊆ C holds.
 
     C is the candidate carried from the iterate before Q, which C holds,
     and Q is op of that iterate.  op is monotone, so for every invariant C
     that holds the iterate, Q ⊆ op(C) ⊆ C: a C that misses Q is not
-    invariant, and its image is never built.  The chain through Q stays in
-    C and its limit, the minimal invariant set, lies in op(C), which op
-    also maps into itself.
+    invariant, and its image is never built.  Every operator holds its
+    input, op(C) ⊇ C (a point z of C lies in V(c) for its nearest site c,
+    and z + c in V(c) for a hull vertex c whose normal cone holds z), so
+    op(C) ⊆ C exactly where op(C) = C, which ring equality decides.  The
+    chain through Q then stays in C, and its limit, the minimal invariant
+    set, lies in C.
     """
     if subset_witness(Q, C) is not None:
         return None
-    image = apply_operator(op, SS, C)
-    if subset_witness(image, C) is not None:
-        return None
-    return image
+    return C if apply_operator(op, SS, C) == C else None
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +584,9 @@ def iterate(op: str, SS: Collection, seed: Seed,
     next iteration.  There, once Q_n+1 differs from Q_n, so that a chain
     that reaches an exact fixed point stops there as it would without
     candidates, op(C) is built only when Q_n+1 lies in C, and the run
-    stops certified when op(C) ⊆ C (certify).  It then reports n + 1
-    iterations, ships op(C) and records the gap between op(C) and Q_n+1,
-    which op(C) holds.  converged is False when max_iter runs out or the
+    stops certified when C = op(C) (certify).  It then reports n + 1
+    iterations, ships C and records the gap between C and Q_n+1, which C
+    holds.  converged is False when max_iter runs out or the
     iterate's squared diameter passes the divergence threshold; a max_iter
     below 1 raises ValueError.
     """

@@ -23,9 +23,10 @@ center by star_cycle, which also checks that the center is in the
 part's kernel: every member's cell pieces at once for g, one member's
 for p, p's hull shifts for a point seed, the member hulls of G and the
 member images of p and P.  Or a cycle is the convolution cycle of a
-Minkowski sum, whose edges may turn either way.  p's pieces and the p
-family's member images go to booleans.union_one_region, the general
-union, where they have no common center or their envelope pinches.
+Minkowski sum, whose edges may turn either way.  p's pieces go to
+booleans.union_one_region, the general union, where they have no common
+center or their envelope pinches, and the p family's member images where
+they have no common center.
 
 The sweep runs on integers only.  A chain vertex is a reduced integer
 triple (x, y, d) with d > 0, the point (x / d, y / d), carried with its

@@ -15,7 +15,6 @@ from errdiff.booleans import (
     subset,
     subset_witness,
     union_one_region,
-    union_rings,
 )
 from errdiff.geometry import (
     ORIGIN,
@@ -60,8 +59,8 @@ def poly(ring):
 
 
 def unite(rings):
-    """union_rings on Point rings, each cycle back as a Point ring."""
-    return [list(R.vertices) for R in union_rings([poly(r) for r in rings])]
+    """union_one_region on Point rings, its one cycle back as a Point ring."""
+    return list(union_one_region([poly(r) for r in rings]).vertices)
 
 
 def witness(a_ring, b_ring):
@@ -240,30 +239,28 @@ class TestSubset:
 class TestUnion:
     def test_idempotent(self):
         got = unite([UNIT_SQUARE, UNIT_SQUARE])
-        assert got == [UNIT_SQUARE]
+        assert got == UNIT_SQUARE
 
     def test_overlapping_squares(self):
         b = ring_of(("1/2", 0), ("3/2", 0), ("3/2", 1), ("1/2", 1))
         got = unite([UNIT_SQUARE, b])
-        assert got == [ring_of((0, 0), ("3/2", 0), ("3/2", 1), (0, 1))]
+        assert got == ring_of((0, 0), ("3/2", 0), ("3/2", 1), (0, 1))
 
     def test_edge_adjacent_squares_fuse(self):
         b = ring_of((1, 0), (2, 0), (2, 1), (1, 1))
         got = unite([UNIT_SQUARE, b])
-        assert got == [ring_of((0, 0), (2, 0), (2, 1), (0, 1))]
+        assert got == ring_of((0, 0), (2, 0), (2, 1), (0, 1))
 
     def test_l_from_two_rectangles(self):
         a = ring_of((0, 0), (2, 0), (2, 1), (0, 1))
         b = ring_of((0, 0), (1, 0), (1, 2), (0, 2))
         got = unite([a, b])
-        assert got == [ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))]
+        assert got == ring_of((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
 
     def test_partial_shared_edge_opposite_sides(self):
         a = ring_of((0, 0), (2, 0), (2, 1), (0, 1))
         b = ring_of((1, -1), (3, -1), (3, 0), (1, 0))
-        got = unite([a, b])
-        assert len(got) == 1
-        ring = got[0]
+        ring = unite([a, b])
         assert is_simple_ring(over_common_denominator(ring))
         assert ring_area2(over_common_denominator(ring)) == 8
         for src in (a, b):
@@ -271,8 +268,8 @@ class TestUnion:
 
     def test_disjoint_parts_are_separate_cycles(self):
         b = [p + pt(5, 5) for p in UNIT_SQUARE]
-        got = unite([UNIT_SQUARE, b])
-        assert len(got) == 2
+        with pytest.raises(DisconnectedUnion, match="union has 2 boundary cycles"):
+            unite([UNIT_SQUARE, b])
 
     def test_corner_touch_strict_raises(self):
         b = [p + pt(1, 1) for p in UNIT_SQUARE]
@@ -286,7 +283,8 @@ class TestUnion:
             ring_of((0, 2), (3, 2), (3, 3), (0, 3)),
             ring_of((0, 0), (1, 0), (1, 3), (0, 3)),
         ]
-        with pytest.raises(DisconnectedUnion):
+        # the hole's boundary is a second cycle
+        with pytest.raises(DisconnectedUnion, match="union has 2 boundary cycles"):
             unite(frame)
 
     def test_union_one_region_single(self):
@@ -421,9 +419,7 @@ class TestUnionCrossCheck:
         an offset with denominator 3."""
         for shift in (ORIGIN, offset):
             sa, sb = [v + shift for v in a], [v + shift for v in b]
-            cycles = unite([sa, sb])
-            assert len(cycles) == 1
-            assert list(star([sa, sb], shift).vertices) == cycles[0]
+            assert list(star([sa, sb], shift).vertices) == unite([sa, sb])
 
     @given(star_rings(), star_rings())
     @settings(max_examples=50, deadline=None)
@@ -463,9 +459,7 @@ class TestWideCoordinates:
     @settings(max_examples=30, deadline=None)
     def test_star_matches_general(self, rings):
         """Two to four parts, narrow and wide, through one envelope."""
-        cycles = unite(rings)
-        assert len(cycles) == 1
-        assert list(star(rings, ORIGIN).vertices) == cycles[0]
+        assert list(star(rings, ORIGIN).vertices) == unite(rings)
 
     @given(star_rings(wide_radii), star_rings(wide_radii))
     # (0, -1) lies on the edge from (-2, -3) to (1, 0) of both rings
@@ -845,8 +839,11 @@ def reference_collinear_side(mid, u, v, J):
     return 0
 
 
-def reference_union_rings(rings):
-    """union_rings in Fractions: the same split, keep rule and stitching."""
+def reference_union_cycles(rings):
+    """The general union in Fractions, as every cycle it leaves: the same
+    split and keep rule as union_one_region, stitched from starts in
+    lexicographic order; a boundary that touches itself or ends in a
+    dangling chain raises DisconnectedUnion."""
     idx = [ReferenceRing(r) for r in rings]
     kept = []
     for i, I in enumerate(idx):
@@ -885,18 +882,25 @@ def reference_union_rings(rings):
         ring = canonical(path[:-1])
         if ring is not None:
             cycles.append(ring)
-    for i, r1 in enumerate(cycles):
-        for j, r2 in enumerate(cycles):
-            if i != j and any(locate(r2, v) > 0 for v in r1):
-                raise DisconnectedUnion("union produced a hole")
     return cycles
 
 
+def reference_one_region(rings):
+    """The reference union's one cycle; DisconnectedUnion when it leaves
+    any other number, a hole's boundary or a part apart included."""
+    cycles = reference_union_cycles(rings)
+    if len(cycles) != 1:
+        raise DisconnectedUnion(f"union has {len(cycles)} boundary cycles")
+    return cycles[0]
+
+
 def union_outcome(fn, rings):
+    """The one region fn gives, or "DisconnectedUnion" where it raises
+    that."""
     try:
         return fn(rings)
-    except DisconnectedUnion as e:
-        return ("DisconnectedUnion", str(e))
+    except DisconnectedUnion:
+        return "DisconnectedUnion"
 
 
 # rings that share edges, overlap along collinear edges, meet in T-junctions
@@ -943,13 +947,13 @@ class TestIntegerContainmentAndUnion:
     @settings(max_examples=300, deadline=None)
     def test_union_matches_fraction_reference_on_grids(self, rings):
         got = union_outcome(unite, rings)
-        assert got == union_outcome(reference_union_rings, rings)
+        assert got == union_outcome(reference_one_region, rings)
 
     @given(st.lists(any_rings, min_size=2, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_union_matches_fraction_reference(self, rings):
         got = union_outcome(unite, rings)
-        assert got == union_outcome(reference_union_rings, rings)
+        assert got == union_outcome(reference_one_region, rings)
 
     def test_hole_and_touch_messages(self):
         frame = [ring_of((0, 0), (3, 0), (3, 1), (0, 1)),
@@ -957,8 +961,13 @@ class TestIntegerContainmentAndUnion:
                  ring_of((0, 2), (3, 2), (3, 3), (0, 3)),
                  ring_of((0, 0), (1, 0), (1, 3), (0, 3))]
         corner = [UNIT_SQUARE, [p + pt(1, 1) for p in UNIT_SQUARE]]
-        for rings, message in ((frame, "union produced a hole"),
+        # the frame's outer boundary and its hole's are two cycles
+        assert len(reference_union_cycles(frame)) == 2
+        for rings, message in ((frame, "union has 2 boundary cycles"),
                                (corner, "union boundary touches itself")):
-            assert union_outcome(unite, rings) == ("DisconnectedUnion", message)
-            assert union_outcome(reference_union_rings, rings) == (
-                "DisconnectedUnion", message)
+            with pytest.raises(DisconnectedUnion) as got:
+                unite(rings)
+            assert str(got.value) == message
+            with pytest.raises(DisconnectedUnion) as want:
+                reference_one_region(rings)
+            assert str(want.value) == message

@@ -44,7 +44,7 @@ def unused_definitions(src: Path) -> list[str]:
             and all(r is node for r in readers.get(node.name, []))]
 
 
-MEMBER_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)
+MEMBER_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign, ast.Assign)
 
 # members that no module of the package reads, each with why it stays
 READ_ELSEWHERE = {
@@ -67,14 +67,15 @@ def _ancestors(bases: dict[str, list[str]], name: str) -> set[str]:
 
 
 def unread_members(src: Path) -> list[str]:
-    """module:Class.member of each method, property or dataclass field of a
-    class of src that no module of src reads as an attribute (x.member) in
+    """module:Class.member of each method, property, dataclass field or
+    class attribute (name = ... in the class body) of a class of src that
+    no module of src reads as an attribute (x.member) in
     a statement other than the member's own body.  A read x.member counts
     for every class with such a member, whatever the type of x, except a
     read self.member, which counts only for the class whose body holds it
     and the classes of src related to that one by inheritance (ancestors
-    and descendants); class names are unique in src.  A dunder method is
-    called by Python itself, so it is left out."""
+    and descendants); class names are unique in src.  A dunder member is
+    read by Python itself, so it is left out."""
     trees = [(p.name, ast.parse(p.read_text(), filename=str(p)))
              for p in sorted(src.glob("*.py"))]
     bases: dict[str, list[str]] = {}
@@ -104,13 +105,19 @@ def unread_members(src: Path) -> list[str]:
             for node in cls.body:
                 if not isinstance(node, MEMBER_DEFS):
                     continue
-                name = node.target.id if isinstance(node, ast.AnnAssign) else node.name
-                if name.startswith("__") and name.endswith("__"):
-                    continue
+                if isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id]
+                else:
+                    names = [node.name]
                 own = {id(n) for n in ast.walk(node)}
-                if not any(id(r) not in own and (owner is None or related(owner, cls.name))
-                           for r, owner in reads.get(name, [])):
-                    out.append(f"{module}:{cls.name}.{name}")
+                for name in names:
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                    if not any(id(r) not in own and (owner is None or related(owner, cls.name))
+                               for r, owner in reads.get(name, [])):
+                        out.append(f"{module}:{cls.name}.{name}")
     return out
 
 
@@ -243,12 +250,14 @@ def test_every_member_is_read_or_listed():
 def test_a_member_read_only_by_itself_is_unread(tmp_path):
     (tmp_path / "m.py").write_text(
         "from dataclasses import dataclass\n\n"
-        "@dataclass\nclass Box:\n    size: int\n    label: str = ''\n\n"
+        "@dataclass\nclass Box:\n    size: int\n    label: str = ''\n"
+        "    __hash__ = None\n    kind = 'box'\n"
+        "    side = property(lambda self: self.side)\n\n"
         "    def grow(self):\n        return self.grow() if self.size else 0\n\n"
         "    @property\n    def area(self):\n        return self.size * self.size\n\n"
         "    def __len__(self):\n        return self.size\n\n"
-        "def use(b):\n    b.label = 'x'\n    return b.area\n")
-    assert unread_members(tmp_path) == ["m.py:Box.label", "m.py:Box.grow"]
+        "def use(b):\n    b.label = 'x'\n    return b.area, b.kind\n")
+    assert unread_members(tmp_path) == ["m.py:Box.label", "m.py:Box.side", "m.py:Box.grow"]
 
 
 def test_a_self_read_counts_only_within_its_class_hierarchy(tmp_path):

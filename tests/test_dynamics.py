@@ -199,8 +199,8 @@ class TestProviders:
         for n in range(50):
             tri = p.pick(n, rng)
             assert isinstance(tri, Triangle)
-            assert 0 <= tri.h <= F(3, 2)
-            assert tri.t == F(1, 2)
+            assert 0 <= F(*tri.hq) <= F(3, 2)
+            assert F(*tri.tq) == F(1, 2)
 
     def test_provider_validation(self):
         with pytest.raises(ValueError):
@@ -746,7 +746,7 @@ def reference_contains(fs, p):
     """Membership in Fraction arithmetic: the wedge's inequalities, or the
     inner side of every edge of the CCW hull."""
     if isinstance(fs, Triangle):
-        return 0 <= p.y <= fs.h and abs(p.x) <= fs.t * p.y
+        return 0 <= p.y <= F(*fs.hq) and abs(p.x) <= F(*fs.tq) * p.y
     vs = corners(fs)
     return all(cross(v - u, p - u) >= 0 for u, v in zip(vs, vs[1:] + vs[:1]))
 
@@ -756,7 +756,7 @@ def reference_nearest(fs, p):
     smallest, or the nearest point of the hull."""
     if isinstance(fs, Finite):
         return min(fs.sites.sites, key=lambda s: (dist_sq(s, p), s.key()))
-    if isinstance(fs, Triangle) and fs.h == 0:
+    if isinstance(fs, Triangle) and fs.hq[0] == 0:
         return ORIGIN
     return reference_project_convex(Region.hull_of(corners(fs)), p)
 
@@ -852,9 +852,10 @@ class TestIntegerKernels:
     def test_cached_ring_is_the_hull_over_its_denominator(self, fs):
         verts = corners(fs)
         if isinstance(fs, Triangle):
-            w = fs.t * fs.h
-            assert verts == ((ORIGIN,) if fs.h == 0
-                             else (ORIGIN, Point(w, fs.h), Point(-w, fs.h)))
+            h = F(*fs.hq)
+            w = F(*fs.tq) * h
+            assert verts == ((ORIGIN,) if h == 0
+                             else (ORIGIN, Point(w, h), Point(-w, h)))
             assert fs.ring is fs.ring
         else:
             assert verts == (fs.sites.hull if isinstance(fs, Finite) else fs.polygon).vertices
@@ -865,8 +866,9 @@ class TestIntegerKernels:
     @settings(max_examples=300, deadline=None)
     def test_triangle_matches_fraction_formulas(self, case):
         tri, p = case
-        assert holds(tri, p) == (0 <= p.y <= tri.h and abs(p.x) <= tri.t * p.y)
-        want = ORIGIN if tri.h == 0 else reference_project_convex(
+        h, t = F(*tri.hq), F(*tri.tq)
+        assert holds(tri, p) == (0 <= p.y <= h and abs(p.x) <= t * p.y)
+        want = ORIGIN if h == 0 else reference_project_convex(
             Region.hull_of(corners(tri)), p)
         assert nearest(tri, p) == want
 

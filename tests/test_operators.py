@@ -837,6 +837,29 @@ class TestPooledPFamily:
         assert apply_operator("p", SS, d) == union_one_region(images)
 
     @pytest.mark.parametrize("op", ["p", "P"])
+    def test_a_member_union_that_pinches_raises_without_the_general_union(
+            self, op, monkeypatch):
+        # both member hulls have a vertex at the shared site (3, 2), where
+        # the images of the point seed meet and nowhere else: their
+        # envelope pinches there, and the general union of the same images,
+        # each star-shaped around (3, 2), touches itself there, so op
+        # raises without trying it
+        SS = Collection((
+            sites((0, 1), (1, 0), (0, 3), (-2, -1), (0, 0), (3, 2), id="S0"),
+            sites((1, -3), (2, -3), (3, 1), (3, 2), id="S1")))
+        d = PointSeed(shared_site(SS))
+        assert d.point == pt(3, 2)
+        images = [apply_operator(op, single(S), d) for S in SS.members]
+        with pytest.raises(DisconnectedUnion, match="union boundary touches itself"):
+            union_one_region(images)
+
+        def unused(parts):
+            raise AssertionError("the general union was tried")
+        monkeypatch.setattr(errdiff.operators, "union_one_region", unused)
+        with pytest.raises(DisconnectedUnion, match="parts meet only at the center"):
+            apply_operator(op, SS, d)
+
+    @pytest.mark.parametrize("op", ["p", "P"])
     def test_ssprime_chain(self, op):
         """The whole shipped ssprime chain, to its certified stop."""
         SS = shipped("ssprime")
@@ -1314,9 +1337,9 @@ def run_summary(res):
 
 
 class TestCertify:
-    """iterate carries Q's snap candidate C and certifies with op(C) only
-    when the next iterate lies in C and op(C) ⊆ C; op(C) is built only
-    once the next iterate fits C."""
+    """iterate carries Q's snap candidate C and certifies with C only when
+    the next iterate lies in C and op(C) = C; op(C) is built only once the
+    next iterate fits C."""
 
     TINY = F(1, 10**30)
 
@@ -1328,6 +1351,20 @@ class TestCertify:
         got = certify("g", single(UNIT_SQUARE), C, q)
         assert equal_canonical(got, box(F(1, 2)))
         assert equal_canonical(immediate_certify("g", single(UNIT_SQUARE), q), got)
+
+    def test_an_invariant_candidate_is_its_own_image(self, monkeypatch):
+        # every image holds its set, so op(C) ⊆ C is op(C) = C: certify
+        # returns C itself and walks only Q ⊆ C
+        q = box(F(1, 2) - self.TINY)
+        C = snap_candidate("g", q)
+        walks = []
+
+        def spy(a, b):
+            walks.append((a, b))
+            return subset_witness(a, b)
+        monkeypatch.setattr(errdiff.operators, "subset_witness", spy)
+        assert certify("g", single(UNIT_SQUARE), C, q) is C
+        assert walks == [(q, C)]
 
     def test_candidate_missing_q_is_refused(self, monkeypatch):
         # every rung moves every corner inward, so no candidate holds Q, and

@@ -214,7 +214,7 @@ class TestResolution:
             simulations=sim({"mode": "fixed", "triangle": "tri"})))
         fs = scene.simulations["s"].provider.pick(0, None)
         assert isinstance(fs, Triangle)
-        assert fs.h == 2 and fs.t == Fraction(1, 2)
+        assert Fraction(*fs.hq) == 2 and Fraction(*fs.tq) == Fraction(1, 2)
 
     def test_random_triangle_provider(self):
         scene = parse_scene(scene_text(
