@@ -469,29 +469,25 @@ def _rounds(mode: str, provider: ScenarioProvider, opponent: Opponent,
 # trajectory checks and bounds
 
 
-def check_containment(steps: Iterable[TraceStep], domain,
-                      which: str = "error") -> list[int]:
-    """Indices of the rounds whose error (or running total) escapes domain.
+def check_containment(steps: Iterable[TraceStep], domain) -> list[int]:
+    """Indices of the rounds whose error escapes domain.
 
     steps is any iterable of a game's TraceSteps, play's generator
-    included, read once.  which = "error" also checks the error left after
-    the last round, its z - y (the origin when there is none), reported
-    under the index that counts the steps.
+    included, read once.  Each round's error e is checked, and then the
+    error left after the last round, its z - y (the origin when there is
+    none), under the index that counts the steps.
     """
-    if which not in ("error", "z"):
-        raise ValueError(f"unknown trace field {which!r}")
     if not isinstance(domain, (Region, Finite, Convex, Triangle)):
         raise TypeError(f"cannot test membership in {type(domain).__name__}")
     inside = domain.holds
     bad = []
     count, last = 0, None
     for count, last in enumerate(steps, 1):
-        if not inside(last.qe if which == "error" else last.qz):
+        if not inside(last.qe):
             bad.append(last.n)
-    if which == "error":
-        final = (0, 1, 0, 1) if last is None else sub_ratios(last.qz, last.qy)
-        if not inside(final):
-            bad.append(count)
+    final = (0, 1, 0, 1) if last is None else sub_ratios(last.qz, last.qy)
+    if not inside(final):
+        bad.append(count)
     return bad
 
 

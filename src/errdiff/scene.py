@@ -138,10 +138,10 @@ def _region(value, location: str) -> Region:
 
 
 def _family(value, location: str) -> TriangleFamily:
-    if not isinstance(value, dict) or set(value) - {"h_max", "t"}:
+    if not isinstance(value, dict) or set(value) != {"h_max", "t"}:
         raise _fail("BadTriangle", "expected an object with h_max and t", location)
-    h = _coord(value.get("h_max", "0"), location + ".h_max")
-    t = _coord(value.get("t", "1"), location + ".t")
+    h = _coord(value["h_max"], location + ".h_max")
+    t = _coord(value["t"], location + ".t")
     try:
         return TriangleFamily(h, t)
     except ValueError as exc:
@@ -156,8 +156,9 @@ def _config(value, location: str) -> int:
     if unknown:
         raise _fail("BadConfig", f"unknown keys {sorted(unknown)}", location)
     raw = value.get("max_iter", MAX_ITER)
+    location += ".max_iter"
     if not isinstance(raw, int) or isinstance(raw, bool):
-        raise _fail("BadConfig", "max_iter must be an integer", location + ".max_iter")
+        raise _fail("BadConfig", "max_iter must be an integer", location)
     if raw < 1:
         raise _fail("BadConfig", "max_iter must be at least 1", location)
     return raw

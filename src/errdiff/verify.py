@@ -1,23 +1,20 @@
-"""Structural checks over computed sets, decided exactly or sampled.
+"""Exact structural checks over computed sets.
 
 Every check answers through the same report shape: a name, a verdict, and
-the witnesses that broke it (none when it passed).  Subset, membership
-and the triangle family's invariance are decided exactly in rational
-arithmetic.  An invariance check passes an image equal to its set with no
-containment walk; g and p hold their input, so every set that passes is
-one.  Only the reachability oracle samples (when branching > 0), which
-makes its green result evidence rather than proof, while any witness it
-produces is an exact counterexample.
+the witnesses that broke it (none when it passed).  Subset, membership,
+the triangle family's invariance and reachability are decided exactly in
+rational arithmetic, and no check draws a random number.  An invariance
+check passes an image equal to its set with no containment walk; g and p
+hold their input, so every set that passes is one.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .booleans import subset_witness
-from .dynamics import Finite, Triangle, sample_hull_ratios
+from .dynamics import Triangle
 from .geometry import (
     DegenerateHull,
     ORIGIN,
@@ -275,36 +272,27 @@ def _input_pool(S: SiteSet) -> tuple[Point, ...]:
     return tuple(sorted(pool, key=Point.key))
 
 
-def brute_force_reachable(scenario, steps: int, branching: int = 0,
-                          seed: int = 0) -> tuple[Point, ...]:
+def brute_force_reachable(scenario, steps: int) -> tuple[Point, ...]:
     """Every accumulated error visited by breadth-first input exploration.
 
-    From a zero error, each round picks a member, an input, and one of the
-    nearest sites (all ties are explored, since any selection is a legal
-    quantizer).  branching = 0 exhausts the pool of extreme inputs: hull
-    corners and clipped-cell vertices.  branching = k > 0 draws k random
-    hull points per expansion instead; a negative steps or branching
-    raises ValueError.  Depth steps = 0 returns just the origin.  The
-    cloud is a certified subset of the reachable errors, so it
-    lower-bounds every invariant region.
+    From a zero error, each round picks a member, an input from the pool
+    of extreme inputs (hull corners and clipped-cell vertices), and every
+    one of the nearest sites: any tie-break is a legal quantizer, so the
+    cloud does not depend on the one play picks.  Depth steps = 0 returns
+    just the origin, and a negative steps raises ValueError.  The cloud is
+    a certified subset of the reachable errors, so it lower-bounds every
+    invariant region.
     """
     coll = _as_collection(scenario)
-    if steps < 0 or branching < 0:
-        raise ValueError("steps and branching must be nonnegative")
-    rng = random.Random(seed)
-    pools = {S.id: _input_pool(S) for S in coll} if branching == 0 else {}
-    hulls = {S.id: Finite(S) for S in coll} if branching else {}
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    pools = [(S, _input_pool(S)) for S in coll]
     seen = {ORIGIN}
     frontier = [ORIGIN]
     for _ in range(steps):
         grown: list[Point] = []
         for e in frontier:
-            for S in coll:
-                if branching == 0:
-                    inputs = pools[S.id]
-                else:
-                    inputs = [point_of(sample_hull_ratios(hulls[S.id], rng))
-                              for _ in range(branching)]
+            for S, inputs in pools:
                 for x in inputs:
                     z = e + x
                     for y in nearest_sites(S, z):
@@ -325,10 +313,11 @@ def coverage_ratio(cloud, Q: Region) -> Fraction:
     return hull.area2 / Q.area2
 
 
-def reachable_within(scenario, Q: Region, steps: int, branching: int = 0,
-                     seed: int = 0) -> VerificationReport:
-    """Exact containment of a reachable cloud in Q, with its coverage ratio."""
-    cloud = brute_force_reachable(scenario, steps, branching, seed)
+def reachable_within(scenario, Q: Region, steps: int) -> VerificationReport:
+    """Exact containment of the exhaustive steps-round cloud
+    (brute_force_reachable) in Q, with its coverage ratio; every witness is
+    a reachable error outside Q."""
+    cloud = brute_force_reachable(scenario, steps)
     witnesses = [e for e in cloud if Q.locate(e) < 0]
     ratio = coverage_ratio(cloud, Q)
     notes = (f"cloud of {len(cloud)} errors, hull covers "

@@ -17,9 +17,11 @@ from pathlib import Path
 from errdiff.booleans import subset
 from errdiff.cli import main as cli_main
 from errdiff.dynamics import (
+    Finite,
     Opponent,
     ScenarioProvider,
     Triangle,
+    check_containment,
     finite_members,
     play,
     triangle_bound,
@@ -272,9 +274,11 @@ def test_criterion_08_reachability_oracle_agrees():
         starred = all(is_star_convex_origin(q).passed for q in chain)
         invariant = is_invariant_g(Collection((S,)), final).passed
         exhaustive = brute_force_reachable(S, steps=2)
-        walk = brute_force_reachable(S, steps=200, branching=1, seed=0)
-        contained = all(final.locate(p) >= 0 for p in exhaustive) and \
-            all(final.locate(p) >= 0 for p in walk)
+        provider = ScenarioProvider.fixed(Finite(S))
+        contained = all(final.locate(p) >= 0 for p in exhaustive) and all(
+            check_containment(play("undelayed", provider, Opponent(strategy, seed=0),
+                                   200, seed=0), final) == []
+            for strategy in ("uniform-random-in-hull", "error-aligned-vertex"))
         if not (nested and starred and invariant and contained):
             random_ok = False
             break
@@ -284,7 +288,7 @@ def test_criterion_08_reachability_oracle_agrees():
          res.converged and equal_canonical(res.final, half)),
         ("exhaustive cloud stays inside", inside),
         ("cloud touches all four sides", touches),
-        ("20 random sets: clouds contained, iterates nested and "
+        ("20 random sets: clouds and games contained, iterates nested and "
          "star-convex", random_ok),
         ("87 draws: 20 kept, 19 disconnected, 48 past the 60-step cap",
          tally == Counter(kept=20, disconnected=19, capped=48)),

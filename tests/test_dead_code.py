@@ -158,13 +158,8 @@ def unread_imports(src: Path) -> list[str]:
 # the default stays a knob
 SET_ELSEWHERE = {
     "cli.py:main(argv)": "tests pass an argument list; the console script passes none",
-    "dynamics.py:check_containment(which)":
-        "library callers and tests check the running total, which='z'",
     "verify.py:triangle_family_check(candidate)":
         "tests check candidates other than the envelope T(h_max, t)",
-    "verify.py:reachable_within(branching)":
-        "library callers and tests sample a branching cloud",
-    "verify.py:reachable_within(seed)": "library callers and tests seed that sample",
 }
 
 

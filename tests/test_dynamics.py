@@ -403,16 +403,20 @@ class TestRun:
         assert head == list(play(mode, provider, o, 50, seed=4))
 
     def test_random_square_errors_stay_in_half_box(self):
-        tr = play("undelayed", ScenarioProvider.fixed(SQUARE),
-                  Opponent("uniform-random-in-hull", seed=3), 400, seed=4)
+        tr = list(play("undelayed", ScenarioProvider.fixed(SQUARE),
+                       Opponent("uniform-random-in-hull", seed=3), 400, seed=4))
         assert check_containment(tr, HALF_BOX) == []
+        # z_n = e_n + x_n can leave the hull, but stays in hull + half box
+        grown = Region.from_ring((pt(F(-1, 2), F(-1, 2)), pt(F(3, 2), F(-1, 2)),
+                                  pt(F(3, 2), F(3, 2)), pt(F(-1, 2), F(3, 2))))
+        assert all(grown.holds(s.qz) for s in tr)
 
     def test_delayed_triangle_family_containment_and_bound(self):
         fam_bound = triangle_bound(1, 1)
         p = ScenarioProvider.random_triangle(1, 1, seed=5)
         tr = list(play("delayed", p, Opponent("uniform-random-in-hull", seed=6),
                        500, seed=7))
-        assert check_containment(tr, Triangle(1, 1), which="z") == []
+        assert all(Triangle(1, 1).holds(s.qz) for s in tr)
         assert all(point_of(s.qe).norm_sq() <= fam_bound for s in tr)
         assert final_error(tr).norm_sq() <= fam_bound
 
@@ -444,7 +448,6 @@ class TestContainmentCheck:
         step = TraceStep(0, "s", ratios(ORIGIN), ratios(ORIGIN), ratios(ORIGIN),
                          ratios(pt(10, 10)))
         assert check_containment([step], HALF_BOX) == [1]
-        assert check_containment([step], HALF_BOX, which="z") == [0]
         assert check_containment([], Region.from_ring(corners(SQUARE))) == []
         assert check_containment([], Region.from_ring((pt(1, 1), pt(2, 1), pt(1, 2)))) == [0]
 
@@ -461,25 +464,12 @@ class TestContainmentCheck:
         assert not tiny.holds(sub_ratios(tr[-1].qz, tr[-1].qy))
         assert bad == [s.n for s in tr if not tiny.holds(s.qe)] + [200]
 
-    def test_z_check_skips_final(self):
-        tr = self.trace()
-        hull = Region.from_ring(corners(SQUARE))
-        # z_n = e_n + x_n can leave the hull, but stays in hull + half box
-        grown = Region.from_ring((pt(F(-1, 2), F(-1, 2)), pt(F(3, 2), F(-1, 2)),
-                                  pt(F(3, 2), F(3, 2)), pt(F(-1, 2), F(3, 2))))
-        assert check_containment(tr, grown, which="z") == []
-        assert isinstance(check_containment(tr, hull, which="z"), list)
-
     def test_feasible_sets_and_polygons_work_as_domains(self):
         tr = self.trace()
         assert check_containment(tr, Convex(Region.hull_of(
             HALF_BOX.vertices))) == []
         assert check_containment(tr, Region.hull_of(
             HALF_BOX.vertices)) == []
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            check_containment(self.trace(), HALF_BOX, which="w")
 
 
 UNIT_BOX = Region.from_ring((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)))

@@ -1,6 +1,8 @@
 """The exactness contract, checked statically: no module of the package
 but render.py, which formats SVG coordinates for display, reads the name
-`float` or holds a float literal, so no float enters the arithmetic."""
+`float` or holds a float literal, so no float enters the arithmetic; and
+verify.py neither imports `random` nor reads `sample_hull_ratios`, so
+every verdict it gives is decided, never sampled."""
 import ast
 from pathlib import Path
 
@@ -37,3 +39,44 @@ def test_a_float_name_or_literal_is_found(tmp_path):
         "def half(q):\n    return float(q) * 0.5\n\n"
         "def exact(q):\n    return Fraction(q, 2) + 1\n")
     assert float_uses(tmp_path) == ["m.py:4:0.5", "m.py:4:float"]
+
+
+SAMPLERS = {"random", "sample_hull_ratios"}
+
+
+def sampler_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each import of the module `random` and each import or
+    read of a name in SAMPLERS, plain or as an attribute, in path."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from random import ...`, or a name imported from any module
+            names = [a.name for a in node.names] + ([node.module] if node.level == 0 else [])
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names if name in SAMPLERS]
+    return sorted(set(out))
+
+
+def test_verify_draws_no_random_number():
+    assert sampler_uses(SRC / "verify.py") == []
+
+
+def test_a_sampler_import_or_read_is_found(tmp_path):
+    m = tmp_path / "m.py"
+    m.write_text(
+        "import random\n"
+        "from .dynamics import Triangle, sample_hull_ratios\n\n"
+        "def draw(fs, rng):\n    return sample_hull_ratios(fs, rng)\n\n"
+        "def seeded(seed):\n    return random.Random(seed)\n\n"
+        "def qualified(fs, rng):\n    return dynamics.sample_hull_ratios(fs, rng)\n"
+        "from random import Random\n")
+    assert sampler_uses(m) == [(1, "random"), (2, "sample_hull_ratios"),
+                               (5, "sample_hull_ratios"), (8, "random"),
+                               (11, "sample_hull_ratios"), (12, "random")]

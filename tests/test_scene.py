@@ -148,6 +148,12 @@ class TestValidation:
             parse_scene(scene_text(simulations=sim(
                 {"mode": "random-triangle", "triangle": "ghost"})))
 
+    @pytest.mark.parametrize("entry", [{}, {"t": "1"}, {"h_max": "1"}])
+    def test_triangle_needs_h_max_and_t(self, entry):
+        with pytest.raises(ValidationError, match="BadTriangle") as exc:
+            parse_scene(scene_text(triangles={"x": entry}))
+        assert exc.value.locations == ("triangles.x",)
+
 
 class TestResolution:
     def test_default_member_ids(self):
@@ -238,10 +244,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="BadConfig.*unknown keys"):
             parse_scene(scene_text(config={key: value, "max_iter": 40}))
 
-    @pytest.mark.parametrize("value", [True, "40", 0])
+    @pytest.mark.parametrize("value", [0, -3, True, "40"])
     def test_bad_max_iter(self, value):
-        with pytest.raises(ValidationError, match="BadConfig"):
+        with pytest.raises(ValidationError, match="BadConfig") as exc:
             parse_scene(scene_text(config={"max_iter": value}))
+        assert exc.value.locations == ("config.max_iter",)
 
 
 class TestRoundTrip:

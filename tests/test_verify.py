@@ -461,10 +461,11 @@ class TestReachability:
     def test_flat_cloud_has_zero_ratio(self):
         assert coverage_ratio((ORIGIN, pt(1, 0)), box(1)) == 0
 
-    def test_random_branching_cloud_stays_inside(self):
-        res = iterate("g", Collection((DIAMOND,)), PointSeed(ORIGIN))
-        rep = reachable_within(DIAMOND, res.final, 300, branching=1, seed=5)
-        assert rep.passed
+    def test_one_round_explores_every_tied_site(self):
+        # the input (1/2, 1/2) ties all four sites, and each tie is a legal
+        # quantizer, so one round reaches all four corners of the half box
+        half = (F(-1, 2), 0, F(1, 2))
+        assert brute_force_reachable(SQUARE, 1) == tuple(pt(x, y) for x in half for y in half)
 
     def test_collection_cloud_spans_members(self):
         res = iterate("g", Collection((SQUARE, DIAMOND)), PointSeed(ORIGIN))
@@ -475,15 +476,12 @@ class TestReachability:
         with pytest.raises(ValueError):
             brute_force_reachable(SQUARE, -1)
 
-    def test_negative_branching_rejected(self):
-        # a negative branching would draw no input and pass on the origin
-        # alone, where two draws per expansion already escape a tiny box
-        tiny = box(F(1, 100))
-        assert not reachable_within(SQUARE, tiny, 3, branching=2).passed
-        with pytest.raises(ValueError):
-            brute_force_reachable(SQUARE, 3, branching=-2)
-        with pytest.raises(ValueError):
-            reachable_within(SQUARE, tiny, 3, branching=-2)
+    def test_escapes_are_exact_reachable_errors(self):
+        half = (F(-1, 2), 0, F(1, 2))
+        rep = reachable_within(SQUARE, box(F(1, 100)), 3)
+        assert not rep.passed
+        assert rep.witnesses == tuple(pt(x, y) for x in half for y in half if (x, y) != (0, 0))
+        assert rep.notes == "cloud of 9 errors, hull covers 2500 of the target area"
 
     def test_exhaustive_cloud_is_deterministic(self):
         assert brute_force_reachable(SQUARE, 4) == brute_force_reachable(SQUARE, 4)
